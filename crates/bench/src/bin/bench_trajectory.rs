@@ -101,14 +101,6 @@ fn main() {
     put("contprof.paths", cp_paths);
     put("contprof.peak_op_bytes", cp_peak_bytes);
 
-    // --- Throughput leg: a row-at-a-time scan baseline replayed on the
-    // mock clock at a fixed nominal per-row cost, read back through the
-    // profile's rows/s / bytes/s fields (the plumbing EXPLAIN ANALYZE
-    // renders), so batched engines have a stamped baseline to beat. ---
-    let (rows_per_sec, bytes_per_sec) = throughput_leg();
-    put("profile.scan_rows_per_sec", rows_per_sec);
-    put("profile.scan_bytes_per_sec", bytes_per_sec);
-
     // --- SLO leg: the two-phase healthy-then-miscalibrated replay with
     // the fleet SLO engine, drift detectors, and flight recorder on;
     // alert/drift/dump counts and the remaining budget are bit-stable
@@ -359,34 +351,6 @@ fn introspect_leg(seed: u64) -> (f64, f64) {
     let nominal_query_ns = 1e9 / NOMINAL_QUERIES_PER_S;
     let overhead_pct = rows_per_query * NOMINAL_FOLD_NS_PER_ROW / nominal_query_ns * 100.0;
     (ingest_rows_per_s, overhead_pct)
-}
-
-/// The row-at-a-time scan baseline: `ROWS` rows replayed one batch per
-/// row on the mock clock at a fixed nominal per-row cost, parsed
-/// through [`aqp_core::OpProfile`] so the stamped figures exercise the
-/// same `rows_per_s` / `bytes_per_s` plumbing `EXPLAIN ANALYZE`
-/// renders. Returns (rows/s, bytes/s).
-fn throughput_leg() -> (f64, f64) {
-    use aqp_obs::TraceRecorder;
-    const ROWS: u64 = 8_000;
-    const BYTES_PER_ROW: u64 = 24; // three 8-byte columns
-    const NS_PER_ROW: u64 = 250; // the nominal row-at-a-time cost
-    let clock = Clock::mock();
-    let rec = TraceRecorder::new(clock.clone());
-    let stage = rec.start("scan_collect");
-    let t0 = clock.now();
-    clock.advance(std::time::Duration::from_nanos(ROWS * NS_PER_ROW));
-    let sp = rec.record_span("op:Scan", t0, clock.now());
-    rec.attr(sp, "node_id", 0usize);
-    rec.attr(sp, "rows_in", ROWS);
-    rec.attr(sp, "rows_out", ROWS);
-    rec.attr(sp, "batches", ROWS);
-    rec.attr(sp, "bytes", ROWS * BYTES_PER_ROW);
-    rec.end(stage);
-    let profile = aqp_core::OpProfile::from_trace(&rec.finish()).expect("profile");
-    let nodes = profile.nodes();
-    let scan = nodes.iter().find(|n| n.name == "Scan").expect("scan node");
-    (scan.rows_per_s.unwrap_or(0.0), scan.bytes_per_s.unwrap_or(0.0))
 }
 
 /// Render the canonical trajectory document: schema tag, seed, and the

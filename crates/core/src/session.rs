@@ -261,6 +261,9 @@ impl AqpSession {
                 .unwrap_or_else(|_| "?".to_string());
             strata_rows.entry(key).or_default().push(i);
         }
+        // `add_stratified` materializes the table again; do not hold two
+        // copies of it.
+        drop(full);
         let seeds = SeedStream::new(self.config.seed ^ seed ^ 0x57A7);
         let mut keys: Vec<String> = strata_rows.keys().cloned().collect();
         keys.sort(); // deterministic stratum order
@@ -1122,8 +1125,10 @@ fn apply_having_inner(query: &Query, mut answer: AqpAnswer) -> Result<AqpAnswer>
         }
         let schema = aqp_storage::Schema::new(fields)?;
         let batch = aqp_storage::Batch::new(schema, cols)?;
-        let mask = aqp_sql::expr::eval_predicate(having, &batch)?;
-        Ok(mask[0])
+        // One explicit row: a global query without aliased aggregates
+        // gives HAVING a batch with no columns to count rows from.
+        let mask = aqp_sql::expr::eval_predicate_selected(having, &batch, &[0])?;
+        Ok(mask.first().copied().unwrap_or(false))
     };
     let mut kept = Vec::with_capacity(answer.groups.len());
     for g in answer.groups.drain(..) {
@@ -1370,6 +1375,32 @@ mod tests {
             .unwrap();
         assert!(!approx.groups.is_empty());
         assert!(approx.groups.iter().all(|g| g.aggs[0].estimate > 10_000.0));
+    }
+
+    #[test]
+    fn having_evaluates_over_one_row_whatever_the_columns() {
+        let s = AqpSession::new(SessionConfig::default());
+        s.register_table(conviva_sessions_table(20_000, 4, 12)).unwrap();
+        // No group key and no aliased aggregate: HAVING sees no columns at
+        // all (this indexed an empty mask and panicked).
+        let kept = s.execute("SELECT AVG(time) FROM sessions HAVING 1 = 1").unwrap();
+        assert_eq!(kept.groups.len(), 1);
+        let dropped = s.execute("SELECT AVG(time) FROM sessions HAVING 1 = 0").unwrap();
+        assert!(dropped.groups.is_empty());
+        // NULL is not true.
+        assert!(s.execute("SELECT AVG(time) FROM sessions HAVING NULL").unwrap().groups.is_empty());
+        // A name HAVING cannot see is still a typed error.
+        assert!(s.execute("SELECT AVG(time) FROM sessions HAVING t > 0").is_err());
+        // Alias only (global aggregate).
+        let a = s.execute("SELECT AVG(time) AS t FROM sessions HAVING t > 0").unwrap();
+        assert_eq!(a.groups.len(), 1);
+        let a = s.execute("SELECT AVG(time) AS t FROM sessions HAVING t < 0").unwrap();
+        assert!(a.groups.is_empty());
+        // Key only (no alias on the aggregate).
+        let k = s
+            .execute("SELECT city, COUNT(*) FROM sessions GROUP BY city HAVING city = 'NYC'")
+            .unwrap();
+        assert_eq!(k.groups.iter().map(|g| g.key.as_str()).collect::<Vec<_>>(), ["NYC"]);
     }
 
     #[test]

@@ -276,15 +276,26 @@ mod tests {
     use aqp_storage::{Batch, Column, DataType, Field, Schema};
 
     fn tiny_setup(rows: usize, n: usize) -> (Table, Table, LogicalPlan, UdfRegistry) {
+        setup(rows, n, "SELECT AVG(time) FROM t")
+    }
+
+    /// A population of lognormal `time` and uniform `u` in [0, 1), a
+    /// with-replacement sample of `n` rows, and the plan of `sql`.
+    fn setup(rows: usize, n: usize, sql: &str) -> (Table, Table, LogicalPlan, UdfRegistry) {
         let mut rng = rng_from_seed(1);
         let time: Vec<f64> = (0..rows).map(|_| sample_lognormal(&mut rng, 1.0, 0.5)).collect();
-        let schema = Schema::new(vec![Field::new("time", DataType::Float)]).unwrap();
-        let batch = Batch::new(schema, vec![Column::from_f64s(time)]).unwrap();
+        let u: Vec<f64> = (0..rows).map(|i| (i * 7919 % 1000) as f64 / 1000.0).collect();
+        let schema = Schema::new(vec![
+            Field::new("time", DataType::Float),
+            Field::new("u", DataType::Float),
+        ])
+        .unwrap();
+        let batch = Batch::new(schema, vec![Column::from_f64s(time), Column::from_f64s(u)]).unwrap();
         let pop = Table::from_batch("t", batch, 2).unwrap();
         let idx = with_replacement_indices(&mut rng, n, rows);
         let sbatch = pop.to_batch().unwrap().gather(&idx).unwrap();
         let sample = Table::from_batch("t_sample", sbatch, 2).unwrap();
-        let q = parse_query("SELECT AVG(time) FROM t").unwrap();
+        let q = parse_query(sql).unwrap();
         let plan = plan_query(&q, pop.schema()).unwrap();
         (pop, sample, plan, UdfRegistry::default())
     }
@@ -312,7 +323,11 @@ mod tests {
 
     #[test]
     fn baseline_is_slower_for_bootstrap() {
-        let (pop, sample, plan, reg) = tiny_setup(20_000, 4_000);
+        // The §5.2 setting: a selective filter, so each of the K subqueries
+        // re-filters 50 000 sample rows to resample the 1 000 that pass,
+        // where the single-scan path only resamples.
+        let (pop, sample, plan, reg) =
+            setup(200_000, 50_000, "SELECT AVG(time) FROM t WHERE u < 0.02");
         let opts = ApproxOptions {
             seed: 3,
             method: MethodChoice::Bootstrap,

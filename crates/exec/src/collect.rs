@@ -5,16 +5,25 @@
 //! `f64` vector the estimators consume. This *is* the scan-consolidation
 //! point: the same vectors feed the point estimate, every bootstrap
 //! replicate, and every diagnostic subsample (§5.3.1).
+//!
+//! The pass is a selection-vector pipeline (DESIGN §4 item 2): each
+//! worker scans a partition, never copied, down to a selection of row ids
+//! plus typed group ids and reads every aggregate's argument through the
+//! selection into one block of values per group (`scan_partition`);
+//! `merge` then copies the blocks together in partition order. The
+//! output is bit-identical to a row-at-a-time scan with string group
+//! keys (`tests/properties.rs` holds that scan as the oracle).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Duration;
 
 use aqp_faults::{FaultInjector, ScanFaultSummary};
 use aqp_obs::Clock;
 use aqp_sql::ast::{AggExpr, AggFunc};
-use aqp_sql::expr::{eval, eval_predicate};
+use aqp_sql::expr::{eval, eval_selected, narrow};
 use aqp_sql::logical::LogicalPlan;
-use aqp_storage::{Batch, Table};
+use aqp_storage::{Batch, Column, Table};
 
 use crate::parallel::{parallel_map_observed, WorkerStat};
 use crate::{ExecError, Result};
@@ -211,50 +220,46 @@ fn decompose(plan: &LogicalPlan) -> Result<PlanShape<'_>> {
     Ok(PlanShape { chain: chain_rev, inner_agg, top_agg })
 }
 
-/// Apply the pass-through chain to one partition batch (filters and
-/// projections; `Resample` is a no-op here). Also returns, per surviving
-/// row, its original row index within the partition, and per chain
-/// operator the rows/bytes/busy-time deltas for this partition.
-fn apply_chain(
+/// Run the pass-through chain over the first `keep_rows` rows of one
+/// partition without copying, slicing or gathering it: the chain carries
+/// a selection of partition-local row ids that `Filter` narrows and
+/// `TableSample` repeats (`Resample` is a no-op here). Returns the batch
+/// the selection indexes (the partition's own unless a `Project` replaced
+/// it), the selection, and per chain operator the rows/bytes/busy-time
+/// deltas for this partition.
+fn run_chain<'a>(
     chain: &[&LogicalPlan],
-    batch: &Batch,
+    batch: &'a Batch,
+    keep_rows: usize,
     clock: &Clock,
-) -> Result<(Batch, Vec<u32>, Vec<OpDelta>)> {
-    let mut current = batch.clone();
-    let mut positions: Vec<u32> = (0..batch.num_rows() as u32).collect();
+) -> Result<(Cow<'a, Batch>, Vec<u32>, Vec<OpDelta>)> {
+    let mut current = Cow::Borrowed(batch);
+    // Every id is a row of `batch`, and stays one: filters only drop ids,
+    // sampling only repeats them, projections keep the row count.
+    let mut sel: Vec<u32> = (0..keep_rows.min(batch.num_rows()) as u32).collect();
     let mut deltas = Vec::with_capacity(chain.len());
     for node in chain {
         let start = clock.now();
-        let rows_in = current.num_rows() as u64;
+        let rows_in = sel.len() as u64;
         match node {
             LogicalPlan::Scan { .. } | LogicalPlan::Resample { .. } => {}
             LogicalPlan::TableSample { rate, seed, .. } => {
-                // Physically replicate each row Poisson(rate) times (§5.2's
-                // explicit operator). Deterministic per (seed, partition
-                // content) via the rows' current positions.
-                use aqp_stats::dist::sample_poisson;
+                // Repeat each row Poisson(rate) times (§5.2's explicit
+                // operator). Deterministic per (seed, partition content)
+                // via the first surviving row id.
                 let mut rng = aqp_stats::rng::SeedStream::new(*seed)
-                    .rng(positions.first().copied().unwrap_or(0) as u64);
-                let mut indices = Vec::with_capacity(current.num_rows());
-                for i in 0..current.num_rows() {
-                    let w = sample_poisson(&mut rng, *rate);
-                    for _ in 0..w {
-                        indices.push(i);
-                    }
+                    .rng(sel.first().copied().unwrap_or(0) as u64);
+                let mut repeated = Vec::with_capacity(sel.len());
+                for &row in &sel {
+                    let w = aqp_stats::dist::sample_poisson(&mut rng, *rate);
+                    repeated.resize(repeated.len() + w as usize, row);
                 }
-                positions = indices.iter().map(|&i| positions[i]).collect();
-                current = current.gather(&indices).map_err(ExecError::Storage)?;
+                sel = repeated;
             }
-            LogicalPlan::Filter { predicate, .. } => {
-                let mask = eval_predicate(predicate, &current)?;
-                positions = positions
-                    .iter()
-                    .zip(&mask)
-                    .filter_map(|(&p, &m)| m.then_some(p))
-                    .collect();
-                current = current.filter(&mask)?;
-            }
+            LogicalPlan::Filter { predicate, .. } => narrow(predicate, &current, &mut sel)?,
             LogicalPlan::Project { exprs, .. } => {
+                // Evaluated for every row of the batch, so the row ids in
+                // `sel` stay valid for the projected one.
                 let mut cols = Vec::with_capacity(exprs.len());
                 let mut fields = Vec::with_capacity(exprs.len());
                 for (e, name) in exprs {
@@ -262,15 +267,13 @@ fn apply_chain(
                     fields.push(aqp_storage::Field::nullable(name.clone(), c.data_type()));
                     cols.push(c);
                 }
-                let schema = aqp_storage::Schema::new(fields)
-                    .map_err(ExecError::Storage)?;
-                current = Batch::new(schema, cols).map_err(ExecError::Storage)?;
+                current = Cow::Owned(Batch::new(aqp_storage::Schema::new(fields)?, cols)?);
             }
             other => {
                 return Err(ExecError::Unsupported(format!("{other:?} in pass-through chain")))
             }
         }
-        let rows_out = current.num_rows() as u64;
+        let rows_out = sel.len() as u64;
         deltas.push(OpDelta {
             rows_in,
             rows_out,
@@ -279,17 +282,17 @@ fn apply_chain(
             busy: clock.now().duration_since(start),
         });
     }
-    Ok((current, positions, deltas))
+    Ok((current, sel, deltas))
 }
 
-/// Render a composite group key for row `i` from the key columns.
-fn group_key(batch: &Batch, key_cols: &[usize], i: usize) -> String {
+/// Render the composite group key of `row` from the key columns.
+fn render_key(batch: &Batch, key_cols: &[usize], row: usize) -> String {
     let mut s = String::new();
     for (j, &c) in key_cols.iter().enumerate() {
         if j > 0 {
             s.push('\u{1f}'); // unit separator keeps composite keys unambiguous
         }
-        match batch.column(c).value(i) {
+        match batch.column(c).value(row) {
             Ok(v) => {
                 use std::fmt::Write;
                 let _ = write!(s, "{v}");
@@ -300,9 +303,164 @@ fn group_key(batch: &Batch, key_cols: &[usize], i: usize) -> String {
     s
 }
 
+/// The typed code of one key cell: dictionary code, integer or float
+/// bits, or bool; `None` for NULL. Equal codes render equal key strings.
+fn key_code(col: &Column, row: usize) -> Option<u64> {
+    if col.is_null(row) {
+        return None;
+    }
+    Some(match col {
+        Column::Int { values, .. } => values[row] as u64,
+        Column::Float { values, .. } => values[row].to_bits(),
+        Column::Bool { values, .. } => u64::from(values[row]),
+        Column::Str { codes, .. } => u64::from(codes[row]),
+    })
+}
+
+/// Resolve the group of every selection entry on typed codes: a slot
+/// table indexed by dictionary code (or bool) for a single string (or
+/// boolean) key, a hash of the code tuple otherwise. A key string is
+/// rendered once per distinct typed key and groups are identified by
+/// that string, so codes that render alike (NaN payloads, a `'NULL'`
+/// string and NULL) share a group exactly as rendered keys always did.
+/// Returns the partition-local group id per entry and each group's key,
+/// in first-seen order.
+fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Vec<String>) {
+    let mut keys: Vec<String> = Vec::new();
+    let mut by_key: HashMap<String, u32> = HashMap::new();
+    let mut group_of = |row: usize| {
+        *by_key.entry(render_key(batch, key_cols, row)).or_insert_with_key(|key| {
+            keys.push(key.clone());
+            keys.len() as u32 - 1
+        })
+    };
+    const UNSEEN: u32 = u32::MAX;
+    // A single key whose codes are small and dense: (column, code count).
+    let coded = match key_cols {
+        &[c] => match batch.column(c) {
+            col @ Column::Str { dict, .. } => Some((col, dict.len())),
+            col @ Column::Bool { .. } => Some((col, 2)),
+            _ => None,
+        },
+        _ => None,
+    };
+    let gids = if let Some((col, n)) = coded {
+        let mut slots = vec![UNSEEN; n + 1]; // the last is NULL's
+        let mut gid = |row: usize| {
+            let slot = key_code(col, row).map_or(n, |code| code as usize);
+            if slots[slot] == UNSEEN {
+                slots[slot] = group_of(row);
+            }
+            slots[slot]
+        };
+        sel.iter().map(|&r| gid(r as usize)).collect()
+    } else {
+        let mut by_code: HashMap<Vec<Option<u64>>, u32> = HashMap::new();
+        let mut code = Vec::with_capacity(key_cols.len());
+        let mut gid = |row: usize| {
+            code.clear();
+            code.extend(key_cols.iter().map(|&c| key_code(batch.column(c), row)));
+            match by_code.get(code.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    let g = group_of(row);
+                    by_code.insert(code.clone(), g);
+                    g
+                }
+            }
+        };
+        sel.iter().map(|&r| gid(r as usize)).collect()
+    };
+    (gids, keys)
+}
+
+/// One aggregate's values in one partition, grouped: group `g`'s block is
+/// `starts[g]..ends[g]` of every vector.
+struct Blocks {
+    values: Vec<f64>,
+    positions: Vec<u32>,
+    /// Nested plans: per value, its index into `inner_keys`.
+    codes: Vec<u32>,
+    ends: Vec<usize>,
+}
+
+/// What one surviving partition contributes, copied out of it by the
+/// worker that scanned it.
+struct PartitionScan {
+    /// Rendered keys of the partition's groups, in first-seen order.
+    keys: Vec<String>,
+    /// Where each group's block starts (sized for a value per entry).
+    starts: Vec<usize>,
+    /// One entry per collected aggregate.
+    aggs: Vec<Blocks>,
+    /// Rendered inner-group keys of a nested plan, in first-seen order.
+    inner_keys: Vec<String>,
+    // Per chain operator, this partition's counter deltas.
+    op_deltas: Vec<OpDelta>,
+}
+
+/// Scan one partition: run the chain, resolve group ids, and read every
+/// aggregate's argument through the selection into one block per group.
+/// `None` when the partition was lost.
+fn scan_partition(
+    chain: &[&LogicalPlan],
+    item: ScanItem<'_>,
+    group_by: &[String],
+    aggs: &[AggExpr],
+    inner_key: Option<&str>,
+    clock: &Clock,
+) -> Result<Option<PartitionScan>> {
+    if item.lost {
+        return Ok(None);
+    }
+    let (batch, sel, op_deltas) = run_chain(chain, item.part.batch(), item.keep_rows, clock)?;
+    let key_cols = group_by
+        .iter()
+        .map(|k| batch.schema().index_of(k))
+        .collect::<aqp_storage::Result<Vec<_>>>()?;
+    let (inner_gids, inner_keys) = match inner_key {
+        Some(k) => assign_groups(&batch, &[batch.schema().index_of(k)?], &sel),
+        None => Default::default(),
+    };
+    // The global group needs no ids at all; it exists once a row (nested:
+    // a partition) survives.
+    let (gids, keys) = match key_cols.as_slice() {
+        [] if inner_key.is_some() || !sel.is_empty() => (Vec::new(), vec![String::new()]),
+        key_cols => assign_groups(&batch, key_cols, &sel),
+    };
+    // Group sizes, turned into block starts by a running sum.
+    let mut starts = vec![0; keys.len()];
+    gids.iter().for_each(|&g| starts[g as usize] += 1);
+    let mut at = 0;
+    starts.iter_mut().for_each(|s| at += std::mem::replace(s, at));
+    let mut out = Vec::with_capacity(aggs.len());
+    for agg in aggs {
+        let arg = agg.arg.as_ref().map(|e| eval_selected(e, &batch, &sel)).transpose()?;
+        let (mut values, mut positions) = (vec![0.0; sel.len()], vec![0; sel.len()]);
+        let mut codes = vec![0; inner_gids.len()];
+        let mut ends = starts.clone();
+        let mut push = |k: usize, x: f64| {
+            let end = &mut ends[gids.get(k).map_or(0, |&g| g as usize)];
+            values[*end] = x;
+            positions[*end] = item.offset + sel[k];
+            if let Some(code) = codes.get_mut(*end) {
+                *code = inner_gids[k];
+            }
+            *end += 1;
+        };
+        // `COUNT(*)` counts every entry; an argument, its non-NULL numbers.
+        match &arg {
+            None => (0..sel.len()).for_each(|k| push(k, 1.0)),
+            Some(e) => e.for_each_f64(&sel, push),
+        }
+        out.push(Blocks { values, positions, codes, ends });
+    }
+    Ok(Some(PartitionScan { keys, starts, aggs: out, inner_keys, op_deltas }))
+}
+
 /// One partition scan task, after fault resolution.
-struct ScanItem {
-    part: aqp_storage::Partition,
+struct ScanItem<'a> {
+    part: &'a aqp_storage::Partition,
     /// Starting row offset within the *effective* (surviving) sample.
     offset: u32,
     /// Rows of this partition that survive (0 when lost, a truncated
@@ -321,55 +479,33 @@ struct ScanItem {
 /// surviving rows get *effective*-sample offsets: positions stay dense
 /// in `[0, effective_rows)`, which the diagnostic's row-range
 /// subsampling relies on.
-fn fault_resolved_items(
-    table: &Table,
+fn fault_resolved_items<'a>(
+    table: &'a Table,
     injector: Option<&FaultInjector>,
     clock: &Clock,
-) -> (Vec<ScanItem>, Option<ScanFaultSummary>) {
+) -> (Vec<ScanItem<'a>>, Option<ScanFaultSummary>) {
     let mut items = Vec::with_capacity(table.num_partitions());
+    let mut summary = injector.map(|_| ScanFaultSummary::default());
     let mut offset = 0u32;
-    match injector {
-        None => {
-            for p in table.partitions() {
-                let keep_rows = p.num_rows();
-                items.push(ScanItem { part: p.clone(), offset, keep_rows, lost: false });
-                offset += keep_rows as u32;
-            }
-            (items, None)
-        }
-        Some(inj) => {
-            let mut summary = ScanFaultSummary::default();
-            for (task, p) in table.partitions().iter().enumerate() {
-                let planned = p.num_rows();
+    for (task, part) in table.partitions().iter().enumerate() {
+        let planned = part.num_rows();
+        let (keep_rows, lost) = match (injector, &mut summary) {
+            (Some(inj), Some(summary)) => {
                 let report = inj.run_task(task, clock);
-                let keep_rows = if report.lost {
-                    0
-                } else if let Some(keep) = report.truncate_keep {
-                    if planned == 0 {
-                        0
-                    } else {
-                        ((planned as f64 * keep).round() as usize).clamp(1, planned)
-                    }
-                } else {
-                    planned
+                let keep_rows = match report.truncate_keep {
+                    _ if report.lost || planned == 0 => 0,
+                    Some(keep) => ((planned as f64 * keep).round() as usize).clamp(1, planned),
+                    None => planned,
                 };
                 summary.absorb(&report, planned, keep_rows);
-                items.push(ScanItem { part: p.clone(), offset, keep_rows, lost: report.lost });
-                offset += keep_rows as u32;
+                (keep_rows, report.lost)
             }
-            (items, Some(summary))
-        }
+            _ => (planned, false),
+        };
+        items.push(ScanItem { part, offset, keep_rows, lost });
+        offset += keep_rows as u32;
     }
-}
-
-struct PartitionCollect {
-    rows_scanned: usize,
-    groups: Vec<Group>,
-    // For nested: per (group, agg) the raw inner key strings; codes are
-    // assigned globally at merge time.
-    nested_keys: Vec<Vec<Vec<String>>>,
-    // Per chain operator, this partition's counter deltas.
-    op_deltas: Vec<OpDelta>,
+    (items, summary)
 }
 
 /// Sum per-partition deltas into chain-order [`OpStats`], resolving each
@@ -377,10 +513,10 @@ struct PartitionCollect {
 fn chain_stats(
     plan: &LogicalPlan,
     chain: &[&LogicalPlan],
-    partials: &[Result<PartitionCollect>],
+    scans: &[Result<Option<PartitionScan>>],
 ) -> Vec<OpStats> {
     let mut totals = vec![OpDelta::default(); chain.len()];
-    for p in partials.iter().flatten() {
+    for p in scans.iter().flatten().flatten() {
         for (i, d) in p.op_deltas.iter().enumerate() {
             if let Some(t) = totals.get_mut(i) {
                 t.rows_in += d.rows_in;
@@ -445,278 +581,149 @@ pub fn collect_observed_faulty(
     injector: Option<&FaultInjector>,
 ) -> Result<(Collected, CollectObs, Option<ScanFaultSummary>)> {
     let shape = decompose(plan)?;
-    let (top_group_by, top_aggs) = match shape.top_agg {
-        LogicalPlan::Aggregate { group_by, aggs, .. } => (group_by.clone(), aggs.clone()),
-        _ => {
+    let LogicalPlan::Aggregate { group_by: top_group_by, aggs: top_aggs, .. } = shape.top_agg
+    else {
+        return Err(ExecError::PlanInvariant(
+            "decompose returned a non-Aggregate top node".into(),
+        ));
+    };
+    // A nested plan collects the inner block's aggregate argument as one
+    // anonymous top group, coded by the inner group key.
+    let inner = match shape.inner_agg {
+        None => None,
+        Some(LogicalPlan::Aggregate { group_by, aggs, .. }) => {
+            if !top_group_by.is_empty() {
+                return Err(ExecError::Unsupported(
+                    "GROUP BY on the outer block of a nested query is not supported".into(),
+                ));
+            }
+            let ([inner_agg], [inner_key]) = (aggs.as_slice(), group_by.as_slice()) else {
+                return Err(ExecError::Unsupported(
+                    "nested inner block must have exactly one aggregate and one group key".into(),
+                ));
+            };
+            if top_aggs.iter().any(|a| a.arg.is_none() && !matches!(a.func, AggFunc::Count)) {
+                return Err(ExecError::Unsupported("outer aggregate without argument".into()));
+            }
+            Some((inner_agg, inner_key.as_str()))
+        }
+        Some(_) => {
             return Err(ExecError::PlanInvariant(
-                "decompose returned a non-Aggregate top node".into(),
+                "decompose returned a non-Aggregate inner node".into(),
             ))
         }
     };
 
-    if let Some(inner) = shape.inner_agg {
-        let (inner_group_by, inner_aggs) = match inner {
-            LogicalPlan::Aggregate { group_by, aggs, .. } => (group_by.clone(), aggs.clone()),
-            _ => {
-                return Err(ExecError::PlanInvariant(
-                    "decompose returned a non-Aggregate inner node".into(),
-                ))
-            }
-        };
-        if !top_group_by.is_empty() {
-            return Err(ExecError::Unsupported(
-                "GROUP BY on the outer block of a nested query is not supported".into(),
-            ));
-        }
-        if inner_aggs.len() != 1 || inner_group_by.len() != 1 {
-            return Err(ExecError::Unsupported(
-                "nested inner block must have exactly one aggregate and one group key".into(),
-            ));
-        }
-        return collect_nested(
-            plan,
-            &shape,
-            table,
-            &top_aggs,
-            &inner_aggs[0],
-            &inner_group_by[0],
-            threads,
-            clock,
-            injector,
-        );
-    }
+    let (group_by, collected_aggs) = match inner {
+        Some((agg, _)) => (&[][..], std::slice::from_ref(agg)),
+        None => (top_group_by.as_slice(), top_aggs.as_slice()),
+    };
+    let inner_key = inner.map(|(_, key)| key);
 
-    // --- Simple (single-level) collection. ---
     let chain = &shape.chain;
     let (items, fault_summary) = fault_resolved_items(table, injector, clock);
-    let (partials, workers): (Vec<Result<PartitionCollect>>, Vec<WorkerStat>) =
-        parallel_map_observed(items, threads, clock, |item| {
-            let ScanItem { part, offset, keep_rows, lost } = item;
-            if lost {
-                return Ok(PartitionCollect {
-                    rows_scanned: 0,
-                    groups: Vec::new(),
-                    nested_keys: Vec::new(),
-                    op_deltas: Vec::new(),
-                });
-            }
-            let rows_scanned = keep_rows;
-            let truncated;
-            let batch = if keep_rows < part.num_rows() {
-                truncated = part.batch().slice(0, keep_rows).map_err(ExecError::Storage)?;
-                &truncated
-            } else {
-                part.batch()
-            };
-            let (filtered, local_pos, op_deltas) = apply_chain(chain, batch, clock)?;
-            let key_cols: Vec<usize> = top_group_by
-                .iter()
-                .map(|k| filtered.schema().index_of(k).map_err(ExecError::Storage))
-                .collect::<Result<Vec<_>>>()?;
-            // Evaluate each aggregate's argument once over the batch.
-            let arg_cols: Vec<Option<aqp_storage::Column>> = top_aggs
-                .iter()
-                .map(|a| match &a.arg {
-                    Some(e) => eval(e, &filtered).map(Some).map_err(ExecError::Sql),
-                    None => Ok(None),
-                })
-                .collect::<Result<Vec<_>>>()?;
-
-            let mut groups: Vec<Group> = Vec::new();
-            let mut group_index: HashMap<String, usize> = HashMap::new();
-            for (i, &lp) in local_pos.iter().enumerate() {
-                let key = if key_cols.is_empty() {
-                    String::new()
-                } else {
-                    group_key(&filtered, &key_cols, i)
-                };
-                let gi = *group_index.entry(key.clone()).or_insert_with(|| {
-                    groups.push(Group {
-                        key,
-                        aggs: vec![AggData::default(); top_aggs.len()],
-                    });
-                    groups.len() - 1
-                });
-                let global_pos = offset + lp;
-                for (ai, col) in arg_cols.iter().enumerate() {
-                    match col {
-                        None => {
-                            groups[gi].aggs[ai].values.push(1.0); // COUNT(*)
-                            groups[gi].aggs[ai].positions.push(global_pos);
-                        }
-                        Some(c) => {
-                            if let Some(x) = c.f64_at(i) {
-                                groups[gi].aggs[ai].values.push(x);
-                                groups[gi].aggs[ai].positions.push(global_pos);
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(PartitionCollect { rows_scanned, groups, nested_keys: Vec::new(), op_deltas })
-        });
-
-    let ops = chain_stats(plan, chain, &partials);
-    let mut collected = merge_partials(partials, top_aggs, false, None)?;
-    // SQL semantics: a global aggregate over zero surviving rows still
-    // produces one output row (COUNT 0, AVG NULL).
-    if top_group_by.is_empty() && collected.groups.is_empty() {
-        collected.groups.push(Group {
-            key: String::new(),
-            aggs: vec![AggData::default(); collected.agg_exprs.len()],
-        });
-    }
-    Ok((collected, CollectObs { ops, workers }, fault_summary))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collect_nested(
-    plan: &LogicalPlan,
-    shape: &PlanShape<'_>,
-    table: &Table,
-    top_aggs: &[AggExpr],
-    inner_agg: &AggExpr,
-    inner_key: &str,
-    threads: usize,
-    clock: &Clock,
-    injector: Option<&FaultInjector>,
-) -> Result<(Collected, CollectObs, Option<ScanFaultSummary>)> {
-    if top_aggs.iter().any(|a| a.arg.is_none() && !matches!(a.func, AggFunc::Count)) {
-        return Err(ExecError::Unsupported("outer aggregate without argument".into()));
-    }
-    let chain = &shape.chain;
-    let inner_agg_cloned = inner_agg.clone();
-    let inner_key_owned = inner_key.to_owned();
-
-    let (items, fault_summary) = fault_resolved_items(table, injector, clock);
-    let (partials, workers): (Vec<Result<PartitionCollect>>, Vec<WorkerStat>) =
-        parallel_map_observed(items, threads, clock, |item| {
-            let ScanItem { part, offset, keep_rows, lost } = item;
-            if lost {
-                return Ok(PartitionCollect {
-                    rows_scanned: 0,
-                    groups: Vec::new(),
-                    nested_keys: Vec::new(),
-                    op_deltas: Vec::new(),
-                });
-            }
-            let rows_scanned = keep_rows;
-            let truncated;
-            let batch = if keep_rows < part.num_rows() {
-                truncated = part.batch().slice(0, keep_rows).map_err(ExecError::Storage)?;
-                &truncated
-            } else {
-                part.batch()
-            };
-            let (filtered, local_pos, op_deltas) = apply_chain(chain, batch, clock)?;
-            let key_col = filtered
-                .schema()
-                .index_of(&inner_key_owned)
-                .map_err(ExecError::Storage)?;
-            let arg_col = match &inner_agg_cloned.arg {
-                Some(e) => Some(eval(e, &filtered).map_err(ExecError::Sql)?),
-                None => None,
-            };
-            // One anonymous top group; values = inner agg argument per row,
-            // nested key strings recorded for global code assignment.
-            let mut values = Vec::with_capacity(filtered.num_rows());
-            let mut positions = Vec::with_capacity(filtered.num_rows());
-            let mut keys = Vec::with_capacity(filtered.num_rows());
-            for (i, &lp) in local_pos.iter().enumerate() {
-                let x = match &arg_col {
-                    None => Some(1.0),
-                    Some(c) => c.f64_at(i),
-                };
-                if let Some(x) = x {
-                    values.push(x);
-                    positions.push(offset + lp);
-                    keys.push(group_key(&filtered, &[key_col], i));
-                }
-            }
-            let group = Group {
-                key: String::new(),
-                aggs: vec![AggData { values, positions, nested: Some(NestedData::default()) }],
-            };
-            Ok(PartitionCollect {
-                rows_scanned,
-                groups: vec![group],
-                nested_keys: vec![vec![keys]],
-                op_deltas,
-            })
-        });
-
-    let ops = chain_stats(plan, chain, &partials);
-    let mut collected = merge_partials(partials, top_aggs.to_vec(), true, Some(inner_agg.clone()))?;
-    if collected.groups.is_empty() {
-        collected.groups.push(Group {
-            key: String::new(),
-            aggs: vec![AggData::default(); collected.agg_exprs.len()],
-        });
-    }
-    Ok((collected, CollectObs { ops, workers }, fault_summary))
-}
-
-fn merge_partials(
-    partials: Vec<Result<PartitionCollect>>,
-    agg_exprs: Vec<AggExpr>,
-    nested: bool,
-    inner_agg: Option<AggExpr>,
-) -> Result<Collected> {
-    let mut pre_filter_rows = 0usize;
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_index: HashMap<String, usize> = HashMap::new();
-    let mut code_index: HashMap<String, u32> = HashMap::new();
-    let mut all_codes: Vec<u32> = Vec::new();
-
-    for partial in partials {
-        let p = partial?;
-        pre_filter_rows += p.rows_scanned;
-        for (local_gi, g) in p.groups.into_iter().enumerate() {
-            let gi = *group_index.entry(g.key.clone()).or_insert_with(|| {
-                groups.push(Group {
-                    key: g.key.clone(),
-                    aggs: vec![AggData::default(); g.aggs.len()],
-                });
-                groups.len() - 1
-            });
-            for (ai, a) in g.aggs.into_iter().enumerate() {
-                groups[gi].aggs[ai].values.extend(a.values);
-                groups[gi].aggs[ai].positions.extend(a.positions);
-                if nested {
-                    let keys = &p.nested_keys[local_gi][ai.min(p.nested_keys[local_gi].len() - 1)];
-                    for k in keys {
-                        let next = code_index.len() as u32;
-                        let code = *code_index.entry(k.clone()).or_insert(next);
-                        all_codes.push(code);
-                    }
-                }
-            }
-        }
-    }
-
-    if nested {
-        // One top group, one collected agg-data slot: attach codes. Every
-        // outer aggregate shares the same inner structure.
-        let n_codes = code_index.len();
-        for g in &mut groups {
-            for a in &mut g.aggs {
-                a.nested = Some(NestedData { codes: all_codes.clone(), n_codes });
-            }
-        }
+    let pre_filter_rows = items.iter().map(|item| item.keep_rows).sum(); // a lost one keeps 0
+    let (scans, workers) = parallel_map_observed(items, threads, clock, |item| {
+        scan_partition(chain, item, group_by, collected_aggs, inner_key, clock)
+    });
+    let ops = chain_stats(plan, chain, &scans);
+    let mut groups = merge(scans, collected_aggs.len(), inner.is_some())?;
+    if inner.is_some() {
         // Duplicate the single collected values vector across outer
         // aggregates if the SELECT list has several.
         if let Some(g) = groups.first_mut() {
-            if g.aggs.len() == 1 && agg_exprs.len() > 1 {
-                let proto = g.aggs[0].clone();
-                g.aggs = vec![proto; agg_exprs.len()];
+            if top_aggs.len() > 1 {
+                g.aggs = vec![g.aggs[0].clone(); top_aggs.len()];
             }
         }
     }
+    // SQL semantics: a global aggregate over zero surviving rows still
+    // produces one output row (COUNT 0, AVG NULL).
+    if top_group_by.is_empty() && groups.is_empty() {
+        groups.push(Group { key: String::new(), aggs: vec![AggData::default(); top_aggs.len()] });
+    }
+    let collected = Collected {
+        pre_filter_rows,
+        groups,
+        agg_exprs: top_aggs.clone(),
+        nested: inner.is_some(),
+        inner_agg: inner.map(|(agg, _)| agg.clone()),
+    };
+    Ok((collected, CollectObs { ops, workers }, fault_summary))
+}
 
+/// Merge the partition scans, in partition order, into the final groups
+/// (sorted by key): per group and aggregate one exact reservation, then
+/// one block copy per partition. A nested plan's partition-local inner
+/// codes become global first-seen codes.
+fn merge(
+    scans: Vec<Result<Option<PartitionScan>>>,
+    n_aggs: usize,
+    nested: bool,
+) -> Result<Vec<Group>> {
+    let scans: Vec<PartitionScan> =
+        scans.into_iter().filter_map(Result::transpose).collect::<Result<_>>()?;
+
+    // Global groups in first-seen order with the number of values each
+    // aggregate receives, and every partition group's global index.
+    let mut keys: Vec<&str> = Vec::new();
+    let mut sizes: Vec<Vec<usize>> = Vec::new();
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut global_of = Vec::new();
+    for scan in &scans {
+        for (local, key) in scan.keys.iter().enumerate() {
+            let g = *index.entry(key).or_insert_with(|| {
+                keys.push(key);
+                sizes.push(vec![0; n_aggs]);
+                keys.len() - 1
+            });
+            let counts = scan.aggs.iter().map(|b| b.ends[local] - scan.starts[local]);
+            sizes[g].iter_mut().zip(counts).for_each(|(n, count)| *n += count);
+            global_of.push(g);
+        }
+    }
+    let mut groups: Vec<Group> = keys
+        .into_iter()
+        .zip(sizes)
+        .map(|(key, sizes)| Group {
+            key: key.to_owned(),
+            aggs: sizes
+                .into_iter()
+                .map(|n| AggData {
+                    values: Vec::with_capacity(n),
+                    positions: Vec::with_capacity(n),
+                    nested: nested.then(|| NestedData { codes: Vec::with_capacity(n), n_codes: 0 }),
+                })
+                .collect(),
+        })
+        .collect();
+
+    let mut code_index: HashMap<&str, u32> = HashMap::new();
+    let mut global_of = global_of.into_iter();
+    for scan in &scans {
+        const UNSEEN: u32 = u32::MAX;
+        let mut code_of = vec![UNSEEN; scan.inner_keys.len()];
+        for (local, g) in (0..scan.keys.len()).zip(global_of.by_ref()) {
+            for (data, part) in groups[g].aggs.iter_mut().zip(&scan.aggs) {
+                let block = scan.starts[local]..part.ends[local];
+                data.values.extend_from_slice(&part.values[block.clone()]);
+                data.positions.extend_from_slice(&part.positions[block.clone()]);
+                let Some(nested) = &mut data.nested else { continue };
+                for &local in &part.codes[block] {
+                    let code = &mut code_of[local as usize];
+                    if *code == UNSEEN {
+                        let next = code_index.len() as u32;
+                        *code = *code_index.entry(&scan.inner_keys[local as usize]).or_insert(next);
+                    }
+                    nested.codes.push(*code);
+                }
+                nested.n_codes = code_index.len();
+            }
+        }
+    }
     // Deterministic group order regardless of partition interleaving.
     groups.sort_by(|a, b| a.key.cmp(&b.key));
-
-    Ok(Collected { pre_filter_rows, groups, agg_exprs, nested, inner_agg })
+    Ok(groups)
 }
 
 #[cfg(test)]
@@ -864,6 +871,95 @@ mod tests {
             .map(|_| collect(&plan, &t, 1).unwrap().groups[0].aggs[0].values.len())
             .sum();
         assert!(big > small, "λ=2 ({big}) should replicate more than λ=1 ({small})");
+    }
+
+    #[test]
+    fn project_keeps_the_selection_valid() {
+        use aqp_sql::ast::{BinOp, Expr};
+        let t = sessions();
+        // Aggregate[city; SUM(d)] over Project[time*2 AS d, city] over
+        // TableSample over Filter(user_id > 1): the projected batch is
+        // indexed by the narrowed, repeated selection of the original.
+        let q = parse_query(
+            "SELECT city, SUM(time * 2) FROM sessions TABLESAMPLE POISSONIZED (150) \
+             WHERE user_id > 1 GROUP BY city",
+        )
+        .unwrap();
+        let direct = plan_query(&q, t.schema()).unwrap();
+        let LogicalPlan::Aggregate { input, group_by, .. } = &direct else {
+            panic!("planner emits an aggregate root")
+        };
+        let doubled = Expr::binary(BinOp::Mul, Expr::col("time"), Expr::lit(2i64));
+        let projected = LogicalPlan::Aggregate {
+            input: Box::new(LogicalPlan::Project {
+                input: input.clone(),
+                exprs: vec![(doubled, "d".into()), (Expr::col("city"), "city".into())],
+            }),
+            group_by: group_by.clone(),
+            aggs: vec![AggExpr { func: AggFunc::Sum, arg: Some(Expr::col("d")) }],
+        };
+        let (a, a_obs) = collect_observed(&direct, &t, 2, &Clock::Real).unwrap();
+        let (b, b_obs) = collect_observed(&projected, &t, 2, &Clock::Real).unwrap();
+        assert_eq!(a.groups, b.groups);
+        assert!(a.groups.iter().any(|g| !g.aggs[0].values.is_empty()));
+        // Counters follow the selection: the filter keeps 4 of 6 rows, and
+        // bytes are 8 per cell of the rows leaving over the batch's columns.
+        let filter = a_obs.ops.iter().find(|o| o.name == "Filter").unwrap();
+        assert_eq!((filter.rows_in, filter.rows_out, filter.bytes), (6, 4, 4 * 3 * 8));
+        let sampled = a_obs.ops.last().unwrap().rows_out;
+        let project = b_obs.ops.last().unwrap();
+        assert_eq!(project.name, "Project");
+        assert_eq!((project.rows_in, project.rows_out), (sampled, sampled));
+        assert_eq!(project.bytes, sampled * 2 * 8);
+    }
+
+    #[test]
+    fn keys_that_render_alike_share_a_group() {
+        // A 'NULL' string and a NULL cell, and every NaN payload, render
+        // to one key each; -0 and 0 do not.
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let schema = Schema::new(vec![
+            Field::nullable("s", DataType::Str),
+            Field::new("f", DataType::Float),
+        ])
+        .unwrap();
+        let s = Column::Str {
+            dict: vec!["NULL".into(), "a".into()],
+            codes: vec![0, 1, 0, 1, 0, 0],
+            validity: Some(vec![true, true, false, true, true, false]),
+        };
+        let f = Column::from_f64s(vec![f64::NAN, 0.0, nan2, -0.0, f64::NAN, 0.0]);
+        let t = Table::from_batch("t", Batch::new(schema, vec![s, f]).unwrap(), 2).unwrap();
+        let run = |sql: &str| {
+            let plan = plan_query(&parse_query(sql).unwrap(), t.schema()).unwrap();
+            let c = collect(&plan, &t, 1).unwrap();
+            let positions = |g: &Group| (g.key.clone(), g.aggs[0].positions.clone());
+            c.groups.iter().map(positions).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            run("SELECT s, COUNT(*) FROM t GROUP BY s"),
+            [("NULL".to_string(), vec![0, 2, 4, 5]), ("a".to_string(), vec![1, 3])]
+        );
+        assert_eq!(
+            run("SELECT f, COUNT(*) FROM t GROUP BY f"),
+            [
+                ("-0".to_string(), vec![3]),
+                ("0".to_string(), vec![1, 5]),
+                ("NaN".to_string(), vec![0, 2, 4])
+            ]
+        );
+        assert_eq!(
+            run("SELECT s, f, COUNT(*) FROM t GROUP BY s, f")
+                .iter()
+                .map(|(k, p)| (k.replace('\u{1f}', "|"), p.clone()))
+                .collect::<Vec<_>>(),
+            [
+                ("NULL|0".to_string(), vec![5]),
+                ("NULL|NaN".to_string(), vec![0, 2, 4]),
+                ("a|-0".to_string(), vec![3]),
+                ("a|0".to_string(), vec![1])
+            ]
+        );
     }
 
     #[test]

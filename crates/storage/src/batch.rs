@@ -96,18 +96,6 @@ impl Batch {
         Batch::new(schema, columns)
     }
 
-    /// Keep rows where `mask` is true.
-    pub fn filter(&self, mask: &[bool]) -> Result<Batch> {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.filter(mask))
-            .collect::<Result<Vec<_>>>()?;
-        // An all-false mask on a zero-column batch still works.
-        let rows = mask.iter().filter(|&&m| m).count();
-        Ok(Batch { schema: self.schema.clone(), columns, rows })
-    }
-
     /// Take rows at `indices` (repetition allowed).
     pub fn gather(&self, indices: &[usize]) -> Result<Batch> {
         if self.columns.is_empty() {
@@ -126,31 +114,15 @@ impl Batch {
 
     /// Contiguous sub-batch `[start, start+len)`.
     pub fn slice(&self, start: usize, len: usize) -> Result<Batch> {
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.slice(start, len))
-            .collect::<Result<Vec<_>>>()?;
-        if start + len > self.rows {
-            return Err(StorageError::RowOutOfBounds { index: start + len, len: self.rows });
+        if start.checked_add(len).is_none_or(|end| end > self.rows) {
+            return Err(StorageError::RowOutOfBounds {
+                index: start.saturating_add(len),
+                len: self.rows,
+            });
         }
+        let columns =
+            self.columns.iter().map(|c| c.slice(start, len)).collect::<Result<Vec<_>>>()?;
         Ok(Batch { schema: self.schema.clone(), columns, rows: len })
-    }
-
-    /// Append extra columns (used by the resample operator to attach weight
-    /// columns).
-    pub fn with_columns(
-        &self,
-        extra_fields: Vec<crate::schema::Field>,
-        extra_cols: Vec<Column>,
-    ) -> Result<Batch> {
-        if let Some(c) = extra_cols.iter().find(|c| c.len() != self.rows) {
-            return Err(StorageError::LengthMismatch { expected: self.rows, actual: c.len() });
-        }
-        let schema = self.schema.extend(extra_fields)?;
-        let mut columns = self.columns.clone();
-        columns.extend(extra_cols);
-        Batch::new(schema, columns)
     }
 
     /// Vertically concatenate batches sharing one schema.
@@ -227,13 +199,17 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_project() {
+    fn slice_and_project() {
         let b = sample_batch();
-        let f = b.filter(&[true, false, true]).unwrap();
-        assert_eq!(f.num_rows(), 2);
-        let p = f.project(&["time"]).unwrap();
+        let s = b.slice(1, 2).unwrap();
+        assert_eq!(s.num_rows(), 2);
+        let p = s.project(&["time"]).unwrap();
         assert_eq!(p.schema().len(), 1);
-        assert_eq!(p.column(0).to_f64_vec(), vec![1.0, 3.0]);
+        assert_eq!(p.column(0).to_f64_vec(), vec![2.0, 3.0]);
+        // Bounds are checked before any column is copied, without wrapping.
+        assert!(b.slice(2, 2).is_err());
+        assert!(b.slice(1, usize::MAX).is_err());
+        assert_eq!(b.slice(3, 0).unwrap().num_rows(), 0);
     }
 
     #[test]
@@ -242,17 +218,6 @@ mod tests {
         let g = b.gather(&[0, 0, 2]).unwrap();
         assert_eq!(g.num_rows(), 3);
         assert_eq!(g.row(1).unwrap()[0], Value::Str("NYC".into()));
-    }
-
-    #[test]
-    fn with_columns_appends_weights() {
-        let b = sample_batch();
-        let w = Column::from_i64s(vec![1, 0, 2]);
-        let b2 = b
-            .with_columns(vec![Field::new("w0", DataType::Int)], vec![w])
-            .unwrap();
-        assert_eq!(b2.schema().len(), 3);
-        assert_eq!(b2.column_by_name("w0").unwrap().value(2).unwrap(), Value::Int(2));
     }
 
     #[test]

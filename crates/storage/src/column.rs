@@ -269,24 +269,34 @@ impl Column {
         })
     }
 
-    /// Keep only rows where `mask` is true. `mask.len()` must equal
-    /// `self.len()`.
-    pub fn filter(&self, mask: &[bool]) -> Result<Column> {
-        if mask.len() != self.len() {
-            return Err(StorageError::LengthMismatch { expected: self.len(), actual: mask.len() });
-        }
-        let indices: Vec<usize> =
-            mask.iter().enumerate().filter_map(|(i, &m)| m.then_some(i)).collect();
-        self.gather(&indices)
-    }
-
     /// Contiguous sub-column `[start, start+len)`.
     pub fn slice(&self, start: usize, len: usize) -> Result<Column> {
-        if start + len > self.len() {
-            return Err(StorageError::RowOutOfBounds { index: start + len, len: self.len() });
-        }
-        let indices: Vec<usize> = (start..start + len).collect();
-        self.gather(&indices)
+        let end = match start.checked_add(len) {
+            Some(end) if end <= self.len() => end,
+            _ => {
+                return Err(StorageError::RowOutOfBounds {
+                    index: start.saturating_add(len),
+                    len: self.len(),
+                })
+            }
+        };
+        let cut = |v: &Validity| v.as_ref().map(|m| m[start..end].to_vec());
+        Ok(match self {
+            Column::Int { values, validity } => {
+                Column::Int { values: values[start..end].to_vec(), validity: cut(validity) }
+            }
+            Column::Float { values, validity } => {
+                Column::Float { values: values[start..end].to_vec(), validity: cut(validity) }
+            }
+            Column::Bool { values, validity } => {
+                Column::Bool { values: values[start..end].to_vec(), validity: cut(validity) }
+            }
+            Column::Str { dict, codes, validity } => Column::Str {
+                dict: dict.clone(),
+                codes: codes[start..end].to_vec(),
+                validity: cut(validity),
+            },
+        })
     }
 
     /// Concatenate columns of the same type into one.
@@ -447,25 +457,27 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_mask() {
-        let c = Column::from_f64s(vec![1.0, 2.0, 3.0, 4.0]);
-        let f = c.filter(&[true, false, true, false]).unwrap();
-        assert_eq!(f.to_f64_vec(), vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn filter_length_mismatch_errors() {
-        let c = Column::from_f64s(vec![1.0]);
-        assert!(c.filter(&[true, false]).is_err());
-    }
-
-    #[test]
     fn slice_bounds() {
         let c = Column::from_i64s(vec![1, 2, 3, 4, 5]);
         let s = c.slice(1, 3).unwrap();
         assert_eq!(s.len(), 3);
         assert_eq!(s.value(0).unwrap(), Value::Int(2));
         assert!(c.slice(3, 3).is_err());
+        assert!(c.slice(5, 0).unwrap().is_empty());
+        // `start + len` must not wrap into range.
+        assert!(c.slice(2, usize::MAX).is_err());
+        assert!(c.slice(usize::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn slice_keeps_nulls_and_dictionary() {
+        let c = Column::from_opt_i64s(vec![Some(1), None, Some(3), None]);
+        let s = c.slice(1, 2).unwrap();
+        assert_eq!(s, Column::Int { values: vec![0, 3], validity: Some(vec![false, true]) });
+        let c = Column::from_strs(&["a", "b", "a", "c"]);
+        let s = c.slice(2, 2).unwrap();
+        assert_eq!(s.value(1).unwrap(), Value::Str("c".into()));
+        assert_eq!(s.str_codes().unwrap().0.len(), 3);
     }
 
     #[test]

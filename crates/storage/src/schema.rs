@@ -124,13 +124,6 @@ impl Schema {
             .collect::<Result<Vec<_>>>()?;
         Schema::new(fields)
     }
-
-    /// A new schema with `extra` fields appended.
-    pub fn extend(&self, extra: Vec<Field>) -> Result<Schema> {
-        let mut fields = self.fields.clone();
-        fields.extend(extra);
-        Schema::new(fields)
-    }
 }
 
 #[cfg(test)]
@@ -174,14 +167,6 @@ mod tests {
         assert_eq!(p.field_at(0).name, "bytes");
         assert_eq!(p.field_at(1).name, "city");
         assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn extend_appends() {
-        let s = sessions();
-        let e = s.extend(vec![Field::new("w0", DataType::Int)]).unwrap();
-        assert_eq!(e.len(), 4);
-        assert_eq!(e.index_of("w0").unwrap(), 3);
     }
 
     #[test]

@@ -592,3 +592,388 @@ fn regression_simulator_tiny_closed_form_query() {
     assert!(opt.error_s <= naive.error_s * 2.0 + 0.1);
     assert!(naive.total() >= opt.total() * 0.9);
 }
+
+// ---------------------------------------------------------------------
+// Selection-vector scan vs a row-wise oracle.
+//
+// `scan_oracle` is a reference implementation of `exec::collect` written
+// from `Batch::row`/`Value` only: it copies rows, evaluates expressions
+// one `Value` at a time and groups on rendered key strings. It shares no
+// code with the engine's scan, so it stays.
+// ---------------------------------------------------------------------
+
+mod scan_oracle {
+    use std::collections::BTreeMap;
+
+    use rand::RngExt;
+    use reliable_aqp::exec::collect::{AggData, Collected, Group, NestedData};
+    use reliable_aqp::faults::{resolve, FaultConfig, FaultPlan};
+    use reliable_aqp::sql::ast::{BinOp, Expr};
+    use reliable_aqp::sql::logical::LogicalPlan;
+    use reliable_aqp::stats::dist::sample_poisson;
+    use reliable_aqp::stats::rng::{rng_from_seed, SeedStream};
+    use reliable_aqp::storage::{Batch, Column, DataType, Field, Schema, Table, Value};
+
+    /// A table with nullable columns of every type; the cells include
+    /// NaN (two payloads), ±0.0, ±Inf, and a `'NULL'` string next to
+    /// real NULLs.
+    pub fn table(seed: u64, rows: usize, partitions: usize) -> Table {
+        let mut rng = rng_from_seed(seed);
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let floats = [0.0, -0.0, 1.5, -2.25, 3.0, f64::NAN, nan2, f64::INFINITY, f64::NEG_INFINITY];
+        let strs = ["a", "b", "NULL", "cc", ""];
+        let mut null = |p: f64| rng.random_bool(p);
+        let mut pick = rng_from_seed(seed ^ 0x5EED);
+        let i: Vec<Option<i64>> =
+            (0..rows).map(|_| (!null(0.15)).then(|| pick.random_range(-3i64..4))).collect();
+        let f: Vec<Option<f64>> = (0..rows)
+            .map(|_| (!null(0.15)).then(|| floats[pick.random_range(0..floats.len())]))
+            .collect();
+        let b: Vec<Option<bool>> =
+            (0..rows).map(|_| (!null(0.2)).then(|| pick.random_range(0..2) == 1)).collect();
+        let s_valid: Vec<bool> = (0..rows).map(|_| !null(0.2)).collect();
+        let s_codes: Vec<u32> = (0..rows).map(|_| pick.random_range(0..strs.len() as u32)).collect();
+        let x: Vec<f64> = (0..rows).map(|_| pick.random_range(-50..50) as f64 / 4.0).collect();
+        let schema = Schema::new(vec![
+            Field::nullable("i", DataType::Int),
+            Field::nullable("f", DataType::Float),
+            Field::nullable("b", DataType::Bool),
+            Field::nullable("s", DataType::Str),
+            Field::new("x", DataType::Float),
+        ])
+        .unwrap();
+        let s = Column::Str {
+            dict: strs.iter().map(|s| s.to_string()).collect(),
+            codes: s_codes,
+            validity: Some(s_valid),
+        };
+        let columns = vec![
+            Column::from_opt_i64s(i),
+            Column::from_opt_f64s(f),
+            Column::Bool {
+                values: b.iter().map(|v| v.unwrap_or(false)).collect(),
+                validity: Some(b.iter().map(Option::is_some).collect()),
+            },
+            s,
+            Column::from_f64s(x),
+        ];
+        Table::from_batch("t", Batch::new(schema, columns).unwrap(), partitions).unwrap()
+    }
+
+    fn eval(e: &Expr, schema: &Schema, row: &[Value]) -> Value {
+        let num = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
+        let tri = |v: Option<bool>| v.map_or(Value::Null, Value::Bool);
+        match e {
+            Expr::Column(name) => row[schema.index_of(name).unwrap()].clone(),
+            Expr::Literal(v) => v.clone(),
+            Expr::Neg(e) => num(eval(e, schema, row).as_f64().map(|x| -x)),
+            Expr::Not(e) => tri(eval(e, schema, row).as_bool().map(|b| !b)),
+            Expr::Binary { op, lhs, rhs } => {
+                let (l, r) = (eval(lhs, schema, row), eval(rhs, schema, row));
+                let arith = |f: fn(f64, f64) -> Option<f64>| {
+                    num(l.as_f64().zip(r.as_f64()).and_then(|(a, b)| f(a, b)))
+                };
+                let ord = |f: fn(std::cmp::Ordering) -> bool| tri(l.sql_cmp(&r).map(f));
+                match op {
+                    BinOp::Add => arith(|a, b| Some(a + b)),
+                    BinOp::Sub => arith(|a, b| Some(a - b)),
+                    BinOp::Mul => arith(|a, b| Some(a * b)),
+                    BinOp::Div => arith(|a, b| if b == 0.0 { None } else { Some(a / b) }),
+                    BinOp::And => tri(match (l.as_bool(), r.as_bool()) {
+                        (Some(false), _) | (_, Some(false)) => Some(false),
+                        (Some(true), Some(true)) => Some(true),
+                        _ => None,
+                    }),
+                    BinOp::Or => tri(match (l.as_bool(), r.as_bool()) {
+                        (Some(true), _) | (_, Some(true)) => Some(true),
+                        (Some(false), Some(false)) => Some(false),
+                        _ => None,
+                    }),
+                    BinOp::Eq => ord(|o| o.is_eq()),
+                    BinOp::Ne => ord(|o| o.is_ne()),
+                    BinOp::Lt => ord(|o| o.is_lt()),
+                    BinOp::Le => ord(|o| o.is_le()),
+                    BinOp::Gt => ord(|o| o.is_gt()),
+                    BinOp::Ge => ord(|o| o.is_ge()),
+                }
+            }
+            Expr::Func { name, args } => {
+                let a: Vec<Option<f64>> =
+                    args.iter().map(|a| eval(a, schema, row).as_f64()).collect();
+                let defined = |y: f64| (!y.is_nan()).then_some(y);
+                num(match (name.as_str(), a.as_slice()) {
+                    ("log" | "ln", [x]) => x.filter(|&x| x > 0.0).map(f64::ln).and_then(defined),
+                    ("exp", [x]) => x.map(f64::exp).and_then(defined),
+                    ("sqrt", [x]) => x.map(f64::sqrt).and_then(defined),
+                    ("abs", [x]) => x.map(f64::abs).and_then(defined),
+                    ("pow", [x, y]) => x.zip(*y).map(|(x, y)| x.powf(y)),
+                    ("ifnull", [x, y]) => x.or(*y),
+                    other => panic!("oracle does not know {other:?}"),
+                })
+            }
+        }
+    }
+
+    fn render(schema: &Schema, keys: &[String], row: &[Value]) -> String {
+        let cells: Vec<String> =
+            keys.iter().map(|k| row[schema.index_of(k).unwrap()].to_string()).collect();
+        cells.join("\u{1f}")
+    }
+
+    /// `collect` by the book: row copies, per-row `Value` evaluation,
+    /// string group keys.
+    pub fn collect(plan: &LogicalPlan, table: &Table, faults: Option<&FaultConfig>) -> Collected {
+        // Plan shape: wrappers, the top aggregate, an optional inner
+        // aggregate directly below it, then the chain down to the scan.
+        let mut node = plan;
+        while let LogicalPlan::ErrorEstimate { input, .. } | LogicalPlan::Diagnostic { input } = node
+        {
+            node = input;
+        }
+        let LogicalPlan::Aggregate { group_by, aggs, input } = node else {
+            panic!("plan root is not an aggregate")
+        };
+        let (inner, mut below) = match &**input {
+            LogicalPlan::Aggregate { group_by, aggs, input } => {
+                (Some((group_by.clone(), aggs[0].clone())), &**input)
+            }
+            other => (None, other),
+        };
+        let mut chain = Vec::new(); // top-down
+        while !matches!(below, LogicalPlan::Scan { .. }) {
+            chain.push(below);
+            below = below.input().unwrap();
+        }
+        chain.reverse(); // scan-first
+
+        let schema = table.schema();
+        let fault_plan = faults.map(|c| (FaultPlan::new(c.clone()), c.recovery.clone()));
+        let mut survivors: Vec<(u32, Vec<Value>)> = Vec::new();
+        let (mut offset, mut any_scanned) = (0u32, false);
+        for (task, p) in table.partitions().iter().enumerate() {
+            let planned = p.num_rows();
+            let keep = match &fault_plan {
+                None => planned,
+                Some((fp, policy)) => {
+                    let report = resolve(fp, policy, task);
+                    if report.lost {
+                        continue;
+                    }
+                    match report.truncate_keep {
+                        Some(_) if planned == 0 => 0,
+                        Some(k) => ((planned as f64 * k).round() as usize).clamp(1, planned),
+                        None => planned,
+                    }
+                }
+            };
+            any_scanned = true;
+            let mut rows: Vec<(u32, Vec<Value>)> =
+                (0..keep).map(|r| (r as u32, p.batch().row(r).unwrap())).collect();
+            for op in &chain {
+                match op {
+                    LogicalPlan::Filter { predicate, .. } => {
+                        rows.retain(|(_, row)| eval(predicate, schema, row).as_bool() == Some(true));
+                    }
+                    LogicalPlan::TableSample { rate, seed, .. } => {
+                        let first = rows.first().map_or(0, |(r, _)| *r);
+                        let mut rng = SeedStream::new(*seed).rng(first as u64);
+                        let mut out = Vec::new();
+                        for row in rows {
+                            for _ in 0..sample_poisson(&mut rng, *rate) {
+                                out.push(row.clone());
+                            }
+                        }
+                        rows = out;
+                    }
+                    LogicalPlan::Resample { .. } => {}
+                    other => panic!("oracle does not know {other:?}"),
+                }
+            }
+            survivors.extend(rows.into_iter().map(|(r, row)| (offset + r, row)));
+            offset += keep as u32;
+        }
+
+        let mut groups: BTreeMap<String, Vec<AggData>> = BTreeMap::new();
+        if let Some((inner_keys, inner_agg)) = &inner {
+            let mut data = AggData::default();
+            let mut seen: Vec<String> = Vec::new();
+            let mut codes = Vec::new();
+            for (pos, row) in &survivors {
+                let x = match &inner_agg.arg {
+                    None => Some(1.0),
+                    Some(e) => eval(e, schema, row).as_f64(),
+                };
+                if let Some(x) = x {
+                    data.values.push(x);
+                    data.positions.push(*pos);
+                    let key = render(schema, inner_keys, row);
+                    let code = seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                        seen.push(key);
+                        seen.len() - 1
+                    });
+                    codes.push(code as u32);
+                }
+            }
+            if any_scanned {
+                data.nested = Some(NestedData { codes, n_codes: seen.len() });
+                groups.insert(String::new(), vec![data; aggs.len()]);
+            }
+        } else {
+            for (pos, row) in &survivors {
+                let slot = groups
+                    .entry(render(schema, group_by, row))
+                    .or_insert_with(|| vec![AggData::default(); aggs.len()]);
+                for (data, agg) in slot.iter_mut().zip(aggs) {
+                    let x = match &agg.arg {
+                        None => Some(1.0),
+                        Some(e) => eval(e, schema, row).as_f64(),
+                    };
+                    if let Some(x) = x {
+                        data.values.push(x);
+                        data.positions.push(*pos);
+                    }
+                }
+            }
+        }
+        if group_by.is_empty() && groups.is_empty() {
+            groups.insert(String::new(), vec![AggData::default(); aggs.len()]);
+        }
+        Collected {
+            pre_filter_rows: offset as usize,
+            groups: groups.into_iter().map(|(key, aggs)| Group { key, aggs }).collect(),
+            agg_exprs: aggs.clone(),
+            nested: inner.is_some(),
+            inner_agg: inner.map(|(_, agg)| agg),
+        }
+    }
+}
+
+/// Bit-level equality of two `Collected` (NaN values must match too,
+/// which `PartialEq` on `f64` would refuse).
+fn assert_collected_identical(
+    got: &reliable_aqp::exec::collect::Collected,
+    want: &reliable_aqp::exec::collect::Collected,
+    what: &str,
+) {
+    assert_eq!(got.pre_filter_rows, want.pre_filter_rows, "{what}: pre_filter_rows");
+    assert_eq!(got.nested, want.nested, "{what}: nested");
+    assert_eq!(got.agg_exprs, want.agg_exprs, "{what}: agg_exprs");
+    assert_eq!(got.inner_agg, want.inner_agg, "{what}: inner_agg");
+    let keys = |c: &reliable_aqp::exec::collect::Collected| {
+        c.groups.iter().map(|g| g.key.clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(keys(got), keys(want), "{what}: group keys and order");
+    for (g, w) in got.groups.iter().zip(&want.groups) {
+        assert_eq!(g.aggs.len(), w.aggs.len(), "{what}: aggregates of {:?}", g.key);
+        for (a, b) in g.aggs.iter().zip(&w.aggs) {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.values), bits(&b.values), "{what}: values of {:?}", g.key);
+            assert_eq!(a.positions, b.positions, "{what}: positions of {:?}", g.key);
+            assert_eq!(a.nested, b.nested, "{what}: nested codes of {:?}", g.key);
+        }
+    }
+}
+
+const SCAN_FILTERS: &[&str] = &[
+    "",
+    "WHERE x > 1",
+    "WHERE f > 0",
+    "WHERE f <> 3",
+    "WHERE 2 >= i",
+    "WHERE i = f",
+    "WHERE b = true",
+    "WHERE b",
+    "WHERE s = 'a' OR s = 'NULL'",
+    "WHERE s <> 'b' AND s <> 'cc' AND x < 10",
+    "WHERE 'b' <= s",
+    "WHERE s = 3",
+    "WHERE f > 'a'",
+    "WHERE s = NULL",
+    "WHERE NOT (i > 0)",
+    "WHERE NOT (s = 'a') OR f < 0",
+    "WHERE b = false OR x > 2 AND i <> 1",
+    "WHERE x / i > 1",
+    "WHERE log(f) > 0 OR sqrt(x) < 2",
+    "WHERE -x < 2 AND x > -5",
+    "WHERE ifnull(i, 0) >= 1",
+    "WHERE pow(x, 2) > abs(f)",
+    "WHERE i + f * 2 - x <= 3",
+    "WHERE x > 100",
+];
+
+const SCAN_AGGS: &[&str] = &[
+    "AVG(x)",
+    "COUNT(*)",
+    "SUM(f)",
+    "AVG(i), COUNT(*), MAX(b)",
+    "SUM(x * 2 + i)",
+    "COUNT(s), MIN(f / i)",
+    "AVG(exp(i)), SUM(3)",
+];
+
+const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i"];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
+
+    /// The selection-vector `collect` equals the row-wise oracle on every
+    /// field of `Collected` — value order, positions, rendered keys, group
+    /// order, nested codes — over nullable columns of every type, special
+    /// float cells, NULL and composite group keys, `TABLESAMPLE
+    /// POISSONIZED`, lost and truncated partitions, nested plans, and for
+    /// one and four threads.
+    #[test]
+    fn collect_matches_the_row_wise_oracle(
+        seed in 0u64..1_000_000,
+        shape in (0usize..1_000, 0usize..1_000, 0usize..1_000, 0usize..4),
+        layout in (1usize..120, 1usize..6),
+        faults in (0u64..1_000, 0.0..0.6f64, 0.0..0.9f64, 0.05..1.0f64),
+    ) {
+        use reliable_aqp::exec::collect::{collect, collect_observed_faulty};
+        use reliable_aqp::faults::FaultInjector;
+        use reliable_aqp::obs::Clock;
+
+        let (rows, partitions) = layout;
+        let table = scan_oracle::table(seed, rows, partitions);
+        let filter = SCAN_FILTERS[shape.0 % SCAN_FILTERS.len()];
+        let aggs = SCAN_AGGS[shape.1 % SCAN_AGGS.len()];
+        let keys = SCAN_KEYS[shape.2 % SCAN_KEYS.len()];
+        let from = if shape.3 == 1 { "t TABLESAMPLE POISSONIZED (130)" } else { "t" };
+        let sql = if shape.3 == 2 {
+            // Nested: the inner key cycles through the single-column keys.
+            let key = ["s", "f", "i", "b"][shape.2 % 4];
+            let outer = ["AVG(v)", "AVG(v), COUNT(v)"][shape.1 % 2];
+            let inner = ["SUM(x)", "COUNT(*)", "AVG(f)"][shape.1 % 3];
+            format!("SELECT {outer} FROM (SELECT {inner} AS v FROM {from} {filter} GROUP BY {key})")
+        } else if keys.is_empty() {
+            format!("SELECT {aggs} FROM {from} {filter}")
+        } else {
+            format!("SELECT {keys}, {aggs} FROM {from} {filter} GROUP BY {keys}")
+        };
+        let query = parse_query(&sql).unwrap();
+        let plan = reliable_aqp::sql::plan_query(&query, table.schema()).unwrap();
+
+        let want = scan_oracle::collect(&plan, &table, None);
+        for threads in [1, 4] {
+            let got = collect(&plan, &table, threads).unwrap();
+            assert_collected_identical(&got, &want, &format!("{sql} / {threads} thread(s)"));
+        }
+
+        // The same scan with partitions lost and truncated.
+        let (fault_seed, death, trunc, keep) = faults;
+        let mut cfg = reliable_aqp::faults::FaultConfig::quiescent(fault_seed);
+        cfg.worker_death_prob = death;
+        cfg.truncation_prob = trunc;
+        cfg.truncation_keep = keep;
+        cfg.recovery.max_retries = 0;
+        let want = scan_oracle::collect(&plan, &table, Some(&cfg));
+        let injector = FaultInjector::new(&cfg);
+        for threads in [1, 4] {
+            let (got, _, summary) =
+                collect_observed_faulty(&plan, &table, threads, &Clock::Real, Some(&injector))
+                    .unwrap();
+            assert_collected_identical(&got, &want, &format!("{sql} / faulty / {threads}"));
+            prop_assert_eq!(summary.unwrap().effective_rows, want.pre_filter_rows);
+        }
+    }
+}
