@@ -14,33 +14,17 @@ use aqp_diagnostics::kleiner::{evaluate_from_estimates, LevelEstimates};
 use aqp_diagnostics::DiagnosticConfig;
 use aqp_obs::trace::stage;
 use aqp_sql::logical::LogicalPlan;
-use aqp_stats::ci::ci_from_draws;
+use aqp_stats::bootstrap::bootstrap_ci_around;
 use aqp_stats::estimator::SampleContext;
-use aqp_stats::resample::poisson_weights;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
-use crate::collect::{collect, AggData, NestedData};
+use crate::collect::{collect, AggData};
 use crate::engine::{ApproxOptions, MethodChoice};
 use crate::result::{AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
-use crate::theta::{closed_form_ci_prepared, PreparedTheta};
+use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::Result;
-
-fn slice_data(data: &AggData, range: std::ops::Range<usize>) -> AggData {
-    AggData {
-        values: data.values[range.clone()].to_vec(),
-        positions: if data.positions.len() == data.values.len() {
-            data.positions[range.clone()].to_vec()
-        } else {
-            Vec::new()
-        },
-        nested: data
-            .nested
-            .as_ref()
-            .map(|nd| NestedData { codes: nd.codes[range].to_vec(), n_codes: nd.n_codes }),
-    }
-}
 
 /// Execute approximately with the naive §5.2 strategy: one physical
 /// re-scan per bootstrap subquery and per diagnostic subsample.
@@ -96,7 +80,7 @@ pub fn execute_baseline(
                 // variance statistics.
                 let re = collect(plan, sample, opts.threads)?;
                 let data = &re.groups[gi].aggs[ai];
-                match closed_form_ci_prepared(theta, data, &ctx, opts.alpha) {
+                match closed_form_ci_prepared(theta, data, 0..data.values.len(), &ctx, opts.alpha) {
                     Some(ci) => {
                         group_cis.push((Some(ci), MethodUsed::ClosedForm));
                         continue;
@@ -109,28 +93,27 @@ pub fn execute_baseline(
                 }
             }
             // Naive bootstrap: K subqueries, each a full re-scan of the
-            // sample followed by a weighted aggregation.
+            // sample followed by a weighted aggregation of what it found.
             let mut rng = seeds.derive(0xBA5E).rng((gi * 64 + ai) as u64);
-            aqp_stats::bootstrap::count_resamples(opts.bootstrap_k);
-            let mut replicates = Vec::with_capacity(opts.bootstrap_k);
-            for _ in 0..opts.bootstrap_k {
-                let re = collect(plan, sample, opts.threads)?; // the wasted scan
-                let data = &re.groups[gi].aggs[ai];
-                let weights = poisson_weights(&mut rng, data.values.len());
-                let r = theta.estimate_weighted_range(data, &weights, 0..data.values.len(), &ctx);
-                if !r.is_nan() {
-                    replicates.push(r);
+            let rows = collected.groups[gi].aggs[ai].values.len();
+            let mut scan_error = None;
+            let subquery = &mut |weights: &[u32]| match collect(plan, sample, opts.threads) {
+                Ok(re) => {
+                    let data = &re.groups[gi].aggs[ai];
+                    theta.estimate_weighted_range(data, weights, 0..rows, &ctx)
                 }
+                Err(e) => {
+                    scan_error.get_or_insert(e);
+                    f64::NAN
+                }
+            };
+            let (k, alpha) = (opts.bootstrap_k, opts.alpha);
+            let ci = bootstrap_ci_around(&mut rng, estimates[gi][ai], rows, subquery, k, alpha);
+            if let Some(e) = scan_error {
+                return Err(e);
             }
-            let center = estimates[gi][ai];
-            if replicates.is_empty() || center.is_nan() {
-                group_cis.push((None, MethodUsed::None));
-            } else {
-                group_cis.push((
-                    Some(ci_from_draws(center, &replicates, opts.alpha)),
-                    MethodUsed::Bootstrap,
-                ));
-            }
+            let method = if ci.is_some() { MethodUsed::Bootstrap } else { MethodUsed::None };
+            group_cis.push((ci, method));
         }
         cis.push(group_cis);
     }
@@ -222,42 +205,22 @@ fn naive_diagnostic(
             let re = collect(plan, sample, opts.threads)?;
             let fresh = &re.groups[gi].aggs[ai];
             let range = fresh.range_for_rows(j * b, (j + 1) * b, ctx.sample_rows);
-            let chunk = slice_data(fresh, range);
-            theta_hats.push(theta.estimate(&chunk, &sub_ctx));
+            theta_hats.push(theta.estimate_range(fresh, range.clone(), &sub_ctx));
 
             let use_cf = match opts.method {
                 MethodChoice::Auto => theta.closed_form_applicable(),
                 MethodChoice::ClosedForm => true,
                 MethodChoice::Bootstrap => false,
             };
-            let hw = if use_cf {
-                closed_form_ci_prepared(theta, &chunk, &sub_ctx, opts.alpha)
-                    .map(|ci| ci.half_width)
-                    .unwrap_or(f64::NAN)
+            let ci = if use_cf {
+                closed_form_ci_prepared(theta, fresh, range, &sub_ctx, opts.alpha)
             } else {
                 // K resample subqueries over the subsample.
                 let mut rng = level_seeds.rng(j as u64);
-                let center = theta.estimate(&chunk, &sub_ctx);
-                aqp_stats::bootstrap::count_resamples(opts.bootstrap_k);
-                let mut reps = Vec::with_capacity(opts.bootstrap_k);
-                for _ in 0..opts.bootstrap_k {
-                    let weights = poisson_weights(&mut rng, chunk.values.len());
-                    let r = theta.estimate_weighted_range(
-                        &chunk,
-                        &weights,
-                        0..chunk.values.len(),
-                        &sub_ctx,
-                    );
-                    if !r.is_nan() {
-                        reps.push(r);
-                    }
-                }
-                if reps.is_empty() || center.is_nan() {
-                    f64::NAN
-                } else {
-                    ci_from_draws(center, &reps, opts.alpha).half_width
-                }
+                let (k, alpha) = (opts.bootstrap_k, opts.alpha);
+                bootstrap_ci_prepared(&mut rng, theta, fresh, range, &sub_ctx, k, alpha)
             };
+            let hw = ci.map_or(f64::NAN, |ci| ci.half_width);
             xi_half_widths.push(hw);
         }
         levels.push(LevelEstimates { b, theta_hats, xi_half_widths });

@@ -261,7 +261,8 @@ pub fn execute_approx(
             let data = &collected.groups[gi].aggs[ai];
             let theta = &thetas[ai];
             let ctx = ctx_for(&collected.groups[gi].key);
-            error_ci(theta, data, &ctx, opts, seeds.derive(0xC1).derive((gi * 64 + ai) as u64))
+            let job_seeds = seeds.derive(0xC1).derive((gi * 64 + ai) as u64);
+            error_ci(theta, data, 0..data.values.len(), &ctx, opts, &job_seeds, 0)
         });
     // Degraded runs widen every interval by the conservative factor.
     let cis: Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)> = match &degraded_info {
@@ -621,12 +622,18 @@ fn total_values(collected: &Collected) -> u64 {
         .sum()
 }
 
+/// The error estimate ξ over `range` of the collected data — the whole
+/// range for the answer's error bars, a borrowed sub-range for each of the
+/// diagnostic's disjoint subsamples — with resamples drawn from
+/// `seeds.rng(label)`.
 fn error_ci(
     theta: &PreparedTheta,
     data: &AggData,
+    range: Range<usize>,
     ctx: &SampleContext,
     opts: &ApproxOptions,
-    seeds: SeedStream,
+    seeds: &SeedStream,
+    label: u64,
 ) -> (Option<aqp_stats::ci::Ci>, MethodUsed) {
     let use_closed_form = match opts.method {
         MethodChoice::Auto => theta.closed_form_applicable(),
@@ -634,7 +641,7 @@ fn error_ci(
         MethodChoice::Bootstrap => false,
     };
     if use_closed_form {
-        match closed_form_ci_prepared(theta, data, ctx, opts.alpha) {
+        match closed_form_ci_prepared(theta, data, range.clone(), ctx, opts.alpha) {
             Some(ci) => return (Some(ci), MethodUsed::ClosedForm),
             None => {
                 if matches!(opts.method, MethodChoice::ClosedForm) {
@@ -643,56 +650,11 @@ fn error_ci(
             }
         }
     }
-    let mut rng = seeds.rng(0);
-    match bootstrap_ci_prepared(&mut rng, theta, data, ctx, opts.bootstrap_k, opts.alpha) {
+    let mut rng = seeds.rng(label);
+    let (k, alpha) = (opts.bootstrap_k, opts.alpha);
+    match bootstrap_ci_prepared(&mut rng, theta, data, range, ctx, k, alpha) {
         Some(ci) => (Some(ci), MethodUsed::Bootstrap),
         None => (None, MethodUsed::None),
-    }
-}
-
-/// Sub-range view used by the diagnostic's disjoint subsamples.
-fn xi_half_width_on_range(
-    theta: &PreparedTheta,
-    data: &AggData,
-    range: Range<usize>,
-    sub_ctx: &SampleContext,
-    opts: &ApproxOptions,
-    seeds: &SeedStream,
-    label: u64,
-) -> f64 {
-    let use_closed_form = match opts.method {
-        MethodChoice::Auto => theta.closed_form_applicable(),
-        MethodChoice::ClosedForm => true,
-        MethodChoice::Bootstrap => false,
-    };
-    if use_closed_form {
-        let sliced = slice_data(data, &range);
-        if let Some(ci) = closed_form_ci_prepared(theta, &sliced, sub_ctx, opts.alpha) {
-            return ci.half_width;
-        }
-        if matches!(opts.method, MethodChoice::ClosedForm) {
-            return f64::NAN;
-        }
-    }
-    let sliced = slice_data(data, &range);
-    let mut rng = seeds.rng(label);
-    bootstrap_ci_prepared(&mut rng, theta, &sliced, sub_ctx, opts.bootstrap_k, opts.alpha)
-        .map(|ci| ci.half_width)
-        .unwrap_or(f64::NAN)
-}
-
-fn slice_data(data: &AggData, range: &Range<usize>) -> AggData {
-    AggData {
-        values: data.values[range.clone()].to_vec(),
-        positions: if data.positions.len() == data.values.len() {
-            data.positions[range.clone()].to_vec()
-        } else {
-            Vec::new()
-        },
-        nested: data.nested.as_ref().map(|nd| crate::collect::NestedData {
-            codes: nd.codes[range.clone()].to_vec(),
-            n_codes: nd.n_codes,
-        }),
     }
 }
 
@@ -728,15 +690,8 @@ fn run_diagnostic_on_data(
             // subsamples as they do across real samples.
             let range = data.range_for_rows(j * b, (j + 1) * b, row_window);
             theta_hats.push(theta.estimate_range(data, range.clone(), &sub_ctx));
-            xi_half_widths.push(xi_half_width_on_range(
-                theta,
-                data,
-                range,
-                &sub_ctx,
-                opts,
-                &level_seeds,
-                j as u64,
-            ));
+            let (ci, _) = error_ci(theta, data, range, &sub_ctx, opts, &level_seeds, j as u64);
+            xi_half_widths.push(ci.map_or(f64::NAN, |ci| ci.half_width));
         }
         levels.push(LevelEstimates { b, theta_hats, xi_half_widths });
     }

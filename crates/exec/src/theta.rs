@@ -14,13 +14,13 @@
 //! outer SUM would require distinct-group-count estimation, which is out
 //! of scope and rejected at preparation time.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use aqp_sql::ast::{AggExpr, AggFunc};
-use aqp_stats::bootstrap::bootstrap_ci;
-use aqp_stats::ci::{ci_from_draws, Ci};
+use aqp_stats::bootstrap::{bootstrap_ci, bootstrap_ci_around};
+use aqp_stats::ci::Ci;
 use aqp_stats::closed_form::closed_form_ci;
-use aqp_stats::dist::Poisson1;
 use aqp_stats::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
 use aqp_stats::rng::Rng;
 
@@ -38,20 +38,17 @@ pub enum PlainTheta {
 }
 
 impl PlainTheta {
-    /// Evaluate on plain values.
-    pub fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
+    /// The stats-level estimator behind either variant.
+    pub fn as_estimator(&self) -> &dyn QueryEstimator {
         match self {
-            PlainTheta::Builtin(a) => a.estimate(values, ctx),
-            PlainTheta::Udf(u) => u.estimate(values, ctx),
+            PlainTheta::Builtin(a) => a,
+            PlainTheta::Udf(u) => &**u,
         }
     }
 
-    /// Evaluate on a weighted resample.
-    pub fn estimate_weighted(&self, values: &[f64], weights: &[u32], ctx: &SampleContext) -> f64 {
-        match self {
-            PlainTheta::Builtin(a) => a.estimate_weighted(values, weights, ctx),
-            PlainTheta::Udf(u) => u.estimate_weighted(values, weights, ctx),
-        }
+    /// Evaluate on plain values.
+    pub fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
+        self.as_estimator().estimate(values, ctx)
     }
 
     /// The built-in aggregate, if this is one (for closed forms).
@@ -64,10 +61,7 @@ impl PlainTheta {
 
     /// Name for reports.
     pub fn name(&self) -> String {
-        match self {
-            PlainTheta::Builtin(a) => a.name(),
-            PlainTheta::Udf(u) => u.name(),
-        }
+        self.as_estimator().name()
     }
 }
 
@@ -179,20 +173,10 @@ impl PreparedTheta {
 
     /// Point estimate over a contiguous sub-range of the collected data —
     /// used by the diagnostic's disjoint subsamples.
-    pub fn estimate_range(
-        &self,
-        data: &AggData,
-        range: std::ops::Range<usize>,
-        ctx: &SampleContext,
-    ) -> f64 {
-        let values = &data.values[range.clone()];
-        match (&self.inner, &data.nested) {
-            (Some(inner), Some(nd)) => {
-                let codes = &nd.codes[range];
-                let group_vals = inner_group_values(values, codes, nd.n_codes, None, *inner, ctx);
-                self.outer.estimate(&group_vals, &SampleContext::population(group_vals.len()))
-            }
-            _ => self.outer.estimate(values, ctx),
+    pub fn estimate_range(&self, data: &AggData, range: Range<usize>, ctx: &SampleContext) -> f64 {
+        match self.nested(data, range.clone(), ctx) {
+            Some(mut nested) => nested.eval(None),
+            None => self.outer.estimate(&data.values[range], ctx),
         }
     }
 
@@ -201,163 +185,123 @@ impl PreparedTheta {
         &self,
         data: &AggData,
         weights: &[u32],
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         ctx: &SampleContext,
     ) -> f64 {
-        let values = &data.values[range.clone()];
-        debug_assert_eq!(values.len(), weights.len());
-        match (&self.inner, &data.nested) {
-            (Some(inner), Some(nd)) => {
-                let codes = &nd.codes[range];
-                let group_vals =
-                    inner_group_values(values, codes, nd.n_codes, Some(weights), *inner, ctx);
-                self.outer.estimate(&group_vals, &SampleContext::population(group_vals.len()))
-            }
-            _ => self.outer.estimate_weighted(values, weights, ctx),
+        debug_assert_eq!(range.len(), weights.len());
+        match self.nested(data, range.clone(), ctx) {
+            Some(mut nested) => nested.eval(Some(weights)),
+            None => self.outer.as_estimator().estimate_weighted(&data.values[range], weights, ctx),
         }
+    }
+
+    /// The two-level evaluator over `range`, when both the plan and the
+    /// data are nested.
+    fn nested<'a>(
+        &'a self,
+        data: &'a AggData,
+        range: Range<usize>,
+        ctx: &SampleContext,
+    ) -> Option<NestedTheta<'a>> {
+        let (inner, nd) = (self.inner?, data.nested.as_ref()?);
+        // Inner codes renumbered densely over the range, in code order:
+        // surviving groups come out in the order a scan over all the
+        // plan's codes would give, from accumulators the size of the range.
+        let codes = &nd.codes[range.clone()];
+        let mut distinct = codes.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        Some(NestedTheta {
+            values: &data.values[range],
+            groups: codes.iter().map(|c| distinct.partition_point(|d| d < c)).collect(),
+            inner,
+            outer: &self.outer,
+            scale: ctx.scale(),
+            acc: vec![0.0; distinct.len()],
+            weight: vec![0; distinct.len()],
+            group_values: Vec::with_capacity(distinct.len()),
+        })
     }
 }
 
-/// Compute the inner aggregate per group over (optionally weighted) rows,
-/// returning the values of groups present in the resample.
-fn inner_group_values(
-    values: &[f64],
-    codes: &[u32],
-    n_codes: usize,
-    weights: Option<&[u32]>,
+/// A nested θ prepared for one row range: built once per bootstrap job (or
+/// point estimate), evaluated once per resample on buffers it keeps.
+struct NestedTheta<'a> {
+    values: &'a [f64],
+    /// Dense inner group of each row.
+    groups: Vec<usize>,
     inner: InnerAggregate,
-    ctx: &SampleContext,
-) -> Vec<f64> {
-    debug_assert_eq!(values.len(), codes.len());
-    let scale = ctx.scale();
-    match inner {
-        InnerAggregate::Sum | InnerAggregate::Count => {
-            let mut sums = vec![0.0f64; n_codes];
-            let mut present = vec![false; n_codes];
-            for i in 0..values.len() {
-                let w = weights.map_or(1, |ws| ws[i]);
-                if w == 0 {
-                    continue;
-                }
-                let g = codes[i] as usize;
-                let contrib = if matches!(inner, InnerAggregate::Count) {
-                    w as f64
-                } else {
-                    values[i] * w as f64
-                };
-                sums[g] += contrib;
-                present[g] = true;
+    outer: &'a PlainTheta,
+    scale: f64,
+    acc: Vec<f64>,
+    weight: Vec<u64>,
+    group_values: Vec<f64>,
+}
+
+impl NestedTheta<'_> {
+    /// The outer aggregate over the inner aggregate of every group present
+    /// in the (optionally weighted) rows.
+    fn eval(&mut self, weights: Option<&[u32]>) -> f64 {
+        let inner = self.inner;
+        self.acc.fill(match inner {
+            InnerAggregate::Min => f64::INFINITY,
+            InnerAggregate::Max => f64::NEG_INFINITY,
+            _ => 0.0,
+        });
+        self.weight.fill(0);
+        for (i, (&x, &g)) in self.values.iter().zip(&self.groups).enumerate() {
+            let w = weights.map_or(1, |ws| ws[i]);
+            if w == 0 {
+                continue;
             }
-            (0..n_codes)
-                .filter(|&g| present[g])
-                .map(|g| sums[g] * scale)
-                .collect()
-        }
-        InnerAggregate::Avg => {
-            let mut sums = vec![0.0f64; n_codes];
-            let mut wsum = vec![0u64; n_codes];
-            for i in 0..values.len() {
-                let w = weights.map_or(1, |ws| ws[i]);
-                if w == 0 {
-                    continue;
-                }
-                let g = codes[i] as usize;
-                sums[g] += values[i] * w as f64;
-                wsum[g] += w as u64;
+            let acc = &mut self.acc[g];
+            match inner {
+                InnerAggregate::Sum | InnerAggregate::Avg => *acc += x * w as f64,
+                InnerAggregate::Count => *acc += w as f64,
+                InnerAggregate::Min => *acc = acc.min(x),
+                InnerAggregate::Max => *acc = acc.max(x),
             }
-            (0..n_codes)
-                .filter(|&g| wsum[g] > 0)
-                .map(|g| sums[g] / wsum[g] as f64)
-                .collect()
+            self.weight[g] += w as u64;
         }
-        InnerAggregate::Min | InnerAggregate::Max => {
-            let init = if matches!(inner, InnerAggregate::Min) {
-                f64::INFINITY
-            } else {
-                f64::NEG_INFINITY
-            };
-            let mut acc = vec![init; n_codes];
-            let mut present = vec![false; n_codes];
-            for i in 0..values.len() {
-                let w = weights.map_or(1, |ws| ws[i]);
-                if w == 0 {
-                    continue;
-                }
-                let g = codes[i] as usize;
-                acc[g] = if matches!(inner, InnerAggregate::Min) {
-                    acc[g].min(values[i])
-                } else {
-                    acc[g].max(values[i])
-                };
-                present[g] = true;
-            }
-            (0..n_codes).filter(|&g| present[g]).map(|g| acc[g]).collect()
-        }
+        self.group_values.clear();
+        let present = self.acc.iter().zip(&self.weight).filter(|&(_, &w)| w > 0);
+        self.group_values.extend(present.map(|(&acc, &w)| match inner {
+            InnerAggregate::Sum | InnerAggregate::Count => acc * self.scale,
+            InnerAggregate::Avg => acc / w as f64,
+            InnerAggregate::Min | InnerAggregate::Max => acc,
+        }));
+        let groups = SampleContext::population(self.group_values.len());
+        self.outer.estimate(&self.group_values, &groups)
     }
 }
 
-/// Bootstrap CI for a prepared θ over collected data.
-///
-/// For single-level aggregates this delegates to the stats-level
-/// Poissonized bootstrap; for nested data it generates per-replicate
-/// weight vectors and evaluates the two-level estimator.
+/// Bootstrap CI for a prepared θ over `range` of the collected data: θ is
+/// prepared once and handed to the stats-level replicate loop.
 pub fn bootstrap_ci_prepared(
     rng: &mut Rng,
     theta: &PreparedTheta,
     data: &AggData,
+    range: Range<usize>,
     ctx: &SampleContext,
     k: usize,
     alpha: f64,
 ) -> Option<Ci> {
-    match (&theta.inner, &data.nested) {
-        (Some(_), Some(_)) => {
-            let center = theta.estimate(data, ctx);
-            if center.is_nan() {
-                return None;
-            }
-            aqp_stats::bootstrap::count_resamples(k);
-            let p1 = Poisson1::new();
-            let mut weights = vec![0u32; data.values.len()];
-            let replicates: Vec<f64> = (0..k)
-                .map(|_| {
-                    p1.fill(rng, &mut weights);
-                    theta.estimate_weighted_range(data, &weights, 0..data.values.len(), ctx)
-                })
-                .filter(|r| !r.is_nan())
-                .collect();
-            if replicates.is_empty() {
-                return None;
-            }
-            Some(ci_from_draws(center, &replicates, alpha))
+    match theta.nested(data, range.clone(), ctx) {
+        Some(mut nested) => {
+            let center = nested.eval(None);
+            let replicate = &mut |weights: &[u32]| nested.eval(Some(weights));
+            bootstrap_ci_around(rng, center, range.len(), replicate, k, alpha)
         }
-        _ => {
-            // Single-level path: use the shared bootstrap.
-            struct Shim<'a>(&'a PlainTheta);
-            impl QueryEstimator for Shim<'_> {
-                fn name(&self) -> String {
-                    self.0.name()
-                }
-                fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
-                    self.0.estimate(values, ctx)
-                }
-                fn estimate_weighted(
-                    &self,
-                    values: &[f64],
-                    weights: &[u32],
-                    ctx: &SampleContext,
-                ) -> f64 {
-                    self.0.estimate_weighted(values, weights, ctx)
-                }
-            }
-            bootstrap_ci(rng, &data.values, ctx, &Shim(&theta.outer), k, alpha)
-        }
+        None => bootstrap_ci(rng, &data.values[range], ctx, theta.outer.as_estimator(), k, alpha),
     }
 }
 
-/// Closed-form CI for a prepared θ, or `None` when not applicable.
+/// Closed-form CI for a prepared θ over `range` of the collected data, or
+/// `None` when not applicable.
 pub fn closed_form_ci_prepared(
     theta: &PreparedTheta,
     data: &AggData,
+    range: Range<usize>,
     ctx: &SampleContext,
     alpha: f64,
 ) -> Option<Ci> {
@@ -365,7 +309,7 @@ pub fn closed_form_ci_prepared(
         return None;
     }
     let agg = theta.outer.builtin()?;
-    closed_form_ci(&agg, &data.values, ctx, alpha)
+    closed_form_ci(&agg, &data.values[range], ctx, alpha)
 }
 
 #[cfg(test)]
@@ -483,7 +427,7 @@ mod tests {
         let theta =
             PreparedTheta::prepare(&agg(AggFunc::Avg), Some(&agg(AggFunc::Sum)), &reg()).unwrap();
         let mut rng = rng_from_seed(1);
-        let ci = bootstrap_ci_prepared(&mut rng, &theta, &data, &ctx, 100, 0.95).unwrap();
+        let ci = bootstrap_ci_prepared(&mut rng, &theta, &data, 0..1000, &ctx, 100, 0.95).unwrap();
         assert!(ci.half_width > 0.0);
         let direct = theta.estimate(&data, &ctx);
         assert_eq!(ci.center, direct);
@@ -494,8 +438,8 @@ mod tests {
         let data = AggData { values: (0..100).map(|i| i as f64).collect(), positions: Vec::new(), nested: None };
         let ctx = SampleContext::new(100, 1000);
         let avg = PreparedTheta::prepare(&agg(AggFunc::Avg), None, &reg()).unwrap();
-        assert!(closed_form_ci_prepared(&avg, &data, &ctx, 0.95).is_some());
+        assert!(closed_form_ci_prepared(&avg, &data, 0..100, &ctx, 0.95).is_some());
         let max = PreparedTheta::prepare(&agg(AggFunc::Max), None, &reg()).unwrap();
-        assert!(closed_form_ci_prepared(&max, &data, &ctx, 0.95).is_none());
+        assert!(closed_form_ci_prepared(&max, &data, 0..100, &ctx, 0.95).is_none());
     }
 }

@@ -28,35 +28,55 @@ pub fn count_resamples(k: usize) {
     .add(k as u64);
 }
 
-/// Compute `k` bootstrap replicate estimates θ(S₁), …, θ(S_k) of `theta`
-/// on `values` using Poissonized resampling.
+/// The replicate loop — the only one: `k` Poissonized resamples of `rows`
+/// rows, each drawn into one reused weight buffer (one `next_u64` per row,
+/// replicate-major) and handed to `replicate`, θ prepared for this job
+/// ([`QueryEstimator::replicator`], or the nested-plan one in `aqp-exec`).
 ///
-/// Weight vectors are regenerated per replicate in a single streaming
-/// buffer — O(n) scratch regardless of k, matching §5.1's "no extra
-/// memory if each tuple is immediately pipelined".
+/// O(n) scratch regardless of k, matching §5.1's "no extra memory if each
+/// tuple is immediately pipelined".
 pub fn bootstrap_replicates<R: Rng>(
     rng: &mut R,
-    values: &[f64],
-    ctx: &SampleContext,
-    theta: &dyn QueryEstimator,
+    rows: usize,
     k: usize,
+    replicate: &mut dyn FnMut(&[u32]) -> f64,
 ) -> Vec<f64> {
     count_resamples(k);
-    let p1 = Poisson1::new();
-    let mut weights = vec![0u32; values.len()];
+    let mut weights = vec![0u32; rows];
     (0..k)
         .map(|_| {
-            p1.fill(rng, &mut weights);
-            theta.estimate_weighted(values, &weights, ctx)
+            Poisson1.fill(rng, &mut weights);
+            replicate(&weights)
         })
         .collect()
 }
 
-/// The bootstrap confidence interval: θ(S) centered, half-width covering
-/// `alpha` of the replicate distribution.
+/// The bootstrap confidence interval around `center` = θ(S): half-width
+/// covering `alpha` of the distribution of `k` replicates of `replicate`.
 ///
 /// Replicates that evaluate to NaN (e.g. an empty resample hitting AVG)
-/// are dropped; if all replicates are NaN the result is `None`.
+/// are dropped; if all replicates are NaN, or `center` is, the result is
+/// `None`.
+pub fn bootstrap_ci_around<R: Rng>(
+    rng: &mut R,
+    center: f64,
+    rows: usize,
+    replicate: &mut dyn FnMut(&[u32]) -> f64,
+    k: usize,
+    alpha: f64,
+) -> Option<Ci> {
+    if center.is_nan() {
+        return None;
+    }
+    let mut replicates = bootstrap_replicates(rng, rows, k, replicate);
+    replicates.retain(|r| !r.is_nan());
+    if replicates.is_empty() {
+        return None;
+    }
+    Some(ci_from_draws(center, &replicates, alpha))
+}
+
+/// [`bootstrap_ci_around`] θ(S) for a single-level θ over `values`.
 pub fn bootstrap_ci<R: Rng>(
     rng: &mut R,
     values: &[f64],
@@ -66,17 +86,7 @@ pub fn bootstrap_ci<R: Rng>(
     alpha: f64,
 ) -> Option<Ci> {
     let center = theta.estimate(values, ctx);
-    if center.is_nan() {
-        return None;
-    }
-    let replicates: Vec<f64> = bootstrap_replicates(rng, values, ctx, theta, k)
-        .into_iter()
-        .filter(|r| !r.is_nan())
-        .collect();
-    if replicates.is_empty() {
-        return None;
-    }
-    Some(ci_from_draws(center, &replicates, alpha))
+    bootstrap_ci_around(rng, center, values.len(), &mut *theta.replicator(values, ctx), k, alpha)
 }
 
 #[cfg(test)]
@@ -110,7 +120,8 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let values = vec![1.0; 100];
         let ctx = SampleContext::new(100, 1000);
-        let reps = bootstrap_replicates(&mut rng, &values, &ctx, &Aggregate::Avg, 37);
+        let mut avg = Aggregate::Avg.replicator(&values, &ctx);
+        let reps = bootstrap_replicates(&mut rng, 100, 37, &mut *avg);
         assert_eq!(reps.len(), 37);
         // AVG of constant data is constant in every non-empty resample.
         assert!(reps.iter().all(|&r| r == 1.0 || r.is_nan()));
@@ -122,7 +133,8 @@ mod tests {
         // 1000 of 10,000 sample rows pass the filter (q = 0.1).
         let values = vec![1.0; 1000];
         let ctx = SampleContext::new(10_000, 100_000);
-        let reps = bootstrap_replicates(&mut rng, &values, &ctx, &Aggregate::Count, 400);
+        let mut count = Aggregate::Count.replicator(&values, &ctx);
+        let reps = bootstrap_replicates(&mut rng, 1000, 400, &mut *count);
         let mean = reps.iter().sum::<f64>() / reps.len() as f64;
         assert!((mean - 10_000.0).abs() < 150.0, "mean {mean}");
         let var = reps.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / reps.len() as f64;
@@ -138,7 +150,8 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let values = vec![1.0; 1000];
         let ctx = SampleContext::new(1000, 10_000);
-        let reps = bootstrap_replicates(&mut rng, &values, &ctx, &Aggregate::Count, 50);
+        let mut count = Aggregate::Count.replicator(&values, &ctx);
+        let reps = bootstrap_replicates(&mut rng, 1000, 50, &mut *count);
         assert!(reps.iter().all(|&r| (r - 10_000.0).abs() < 1e-9), "{reps:?}");
     }
 

@@ -162,50 +162,59 @@ pub fn sample_poisson<R: Rng>(rng: &mut R, lambda: f64) -> u32 {
     }
 }
 
-/// Specialized Poisson(1) sampler: table inversion over the CDF of
-/// Poisson(1) up to k = 17 (cumulative mass beyond is < 1e-15), falling
-/// back to 17 in the astronomically-unlikely tail.
-///
-/// This is the §5.1 hot path: one draw per (row, resample), i.e. hundreds
-/// of draws per row under scan consolidation. Table inversion costs one
-/// uniform plus on average ~2.3 comparisons.
-#[derive(Debug, Clone)]
-pub struct Poisson1 {
-    cdf: [f64; 18],
-}
+/// `⌊cdf[k]·2⁵³⌋` for the Poisson(1) CDF `cdf[k] = Σ_{j≤k} e⁻¹/j!`, k ≤ 17
+/// (the mass beyond is < 1e-15), accumulated in `f64` from `(-1.0).exp()`
+/// (a unit test recomputes it).
+const POISSON1_THRESHOLDS: [u64; 18] = [
+    0x000b_c5ab_1b16_779c,
+    0x0017_8b56_362c_ef38,
+    0x001d_6e2b_c3b8_2b06,
+    0x001f_6472_f2e6_944b,
+    0x001f_e204_beb2_2e9c,
+    0x001f_fb21_e774_80ac,
+    0x001f_ff51_6e3f_8e59,
+    0x001f_ffea_8181_2296,
+    0x001f_fffd_a3e9_551e,
+    0x001f_ffff_c42d_cc82,
+    0x001f_ffff_fa9b_0ba6,
+    0x001f_ffff_ff8d_b44c,
+    0x001f_ffff_fff7_425a,
+    0x001f_ffff_ffff_60f9,
+    0x001f_ffff_ffff_f572,
+    0x001f_ffff_ffff_ff58,
+    0x001f_ffff_ffff_fff6,
+    0x001f_ffff_ffff_ffff,
+];
 
-impl Default for Poisson1 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Specialized Poisson(1) sampler: inversion of the CDF table on one
+/// uniform `u = m·2⁻⁵³`, `m` the top 53 bits of one `next_u64` (what
+/// `rng.random::<f64>()` draws), returning the first `k` with
+/// `u ≤ cdf[k]`, 17 in the astronomically-unlikely tail.
+///
+/// This is the §5.1 hot path: one draw per (row, resample). The
+/// comparison runs on integers: `m·2⁻⁵³` and `cdf[k]·2⁵³` are both exact
+/// in `f64`, so `u ≤ cdf[k] ⟺ m ≤ ⌊cdf[k]·2⁵³⌋` and no draw differs from
+/// the floating-point scan's.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Poisson1;
 
 impl Poisson1 {
-    /// Build the CDF table.
+    /// The sampler (stateless; the table is a constant).
     pub fn new() -> Self {
-        let mut cdf = [0.0f64; 18];
-        let e_inv = (-1.0f64).exp();
-        let mut pk = e_inv; // P(K = 0) = e^{-1}
-        let mut acc = 0.0;
-        for (k, slot) in cdf.iter_mut().enumerate() {
-            acc += pk;
-            *slot = acc;
-            pk /= (k + 1) as f64; // P(K=k+1) = P(K=k) / (k+1) for λ=1
-        }
-        Poisson1 { cdf }
+        Poisson1
     }
 
     /// One Poisson(1) draw.
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        let u: f64 = rng.random::<f64>();
-        // Linear scan is fastest here: P(K ≤ 2) ≈ 0.92.
-        for (k, &c) in self.cdf.iter().enumerate() {
-            if u <= c {
-                return k as u32;
-            }
+        const T: [u64; 18] = POISSON1_THRESHOLDS;
+        let m = rng.next_u64() >> 11;
+        // Branch-free over the first four thresholds: P(K ≥ 4) = 1.9 %.
+        let k = (m > T[0]) as u32 + (m > T[1]) as u32 + (m > T[2]) as u32 + (m > T[3]) as u32;
+        if k < 4 {
+            return k;
         }
-        17
+        T[4..17].iter().take_while(|&&t| m > t).count() as u32 + 4
     }
 
     /// Fill `out` with independent Poisson(1) draws.
@@ -327,13 +336,85 @@ mod tests {
         assert!((var - 4.0).abs() < 0.1, "var {var}");
     }
 
+    /// The Poisson(1) CDF accumulated in `f64` from `e⁻¹`; with
+    /// `poisson1_cdf_scan`, the floating-point definition of the draw.
+    fn poisson1_cdf() -> [f64; 18] {
+        let mut cdf = [0.0f64; 18];
+        let mut pk = (-1.0f64).exp(); // P(K = 0) = e^{-1}
+        let mut acc = 0.0;
+        for (k, slot) in cdf.iter_mut().enumerate() {
+            acc += pk;
+            *slot = acc;
+            pk /= (k + 1) as f64; // P(K=k+1) = P(K=k) / (k+1) for λ=1
+        }
+        cdf
+    }
+
+    fn poisson1_cdf_scan<R: Rng>(cdf: &[f64; 18], rng: &mut R) -> u32 {
+        let u: f64 = rng.random::<f64>();
+        cdf.iter().position(|&c| u <= c).unwrap_or(17) as u32
+    }
+
     #[test]
     fn poisson1_table_matches_pmf() {
-        let p1 = Poisson1::new();
-        // CDF at k=0 is e^{-1}.
-        assert!((p1.cdf[0] - (-1.0f64).exp()).abs() < 1e-12);
-        // CDF at the end of the table is ~1.
-        assert!((p1.cdf[17] - 1.0).abs() < 1e-12);
+        let cdf = poisson1_cdf();
+        assert!((cdf[0] - (-1.0f64).exp()).abs() < 1e-12);
+        assert!((cdf[17] - 1.0).abs() < 1e-12);
+        // The constant table is ⌊cdf[k]·2⁵³⌋ of the computed one.
+        let two53 = (1u64 << 53) as f64;
+        for (k, &c) in cdf.iter().enumerate() {
+            assert_eq!(POISSON1_THRESHOLDS[k], (c * two53).floor() as u64, "k = {k}");
+        }
+        assert!(POISSON1_THRESHOLDS.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn poisson1_thresholds_split_where_the_float_comparison_does() {
+        let cdf = poisson1_cdf();
+        let unit = 1.0 / (1u64 << 53) as f64;
+        for (k, &t) in POISSON1_THRESHOLDS.iter().enumerate() {
+            assert!(t as f64 * unit <= cdf[k], "k = {k}: threshold is inside");
+            // 2⁵³ itself is not a value of `x >> 11`.
+            if t + 1 < 1 << 53 {
+                assert!((t + 1) as f64 * unit > cdf[k], "k = {k}: threshold + 1 is outside");
+            }
+        }
+        // Each boundary value of m draws what the CDF scan draws from it.
+        struct Fixed(u64);
+        impl rand::Rng for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        for &t in &POISSON1_THRESHOLDS {
+            for m in [t.saturating_sub(1), t, (t + 1).min((1 << 53) - 1)] {
+                for low_bits in [0u64, 0x7ff] {
+                    let x = m << 11 | low_bits;
+                    assert_eq!(
+                        Poisson1.sample(&mut Fixed(x)),
+                        poisson1_cdf_scan(&cdf, &mut Fixed(x)),
+                        "m = {m:#x}"
+                    );
+                }
+            }
+        }
+        assert_eq!(Poisson1.sample(&mut Fixed(0)), 0);
+        assert_eq!(Poisson1.sample(&mut Fixed(u64::MAX)), 17);
+    }
+
+    #[test]
+    fn poisson1_draws_equal_the_cdf_scan_draw_for_draw() {
+        let cdf = poisson1_cdf();
+        let (mut a, mut b) = (rng_from_seed(0xC1), rng_from_seed(0xC1));
+        let mut seen = [0u64; 18];
+        for i in 0..10_000_000u32 {
+            let k = Poisson1.sample(&mut a);
+            assert_eq!(k, poisson1_cdf_scan(&cdf, &mut b), "draw {i}");
+            seen[k as usize] += 1;
+        }
+        // The rare path ran, and both generators are at the same point.
+        assert!(seen[4..].iter().sum::<u64>() > 100_000 && seen[7] > 0, "{seen:?}");
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

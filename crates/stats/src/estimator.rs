@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::moments::{Moments, WeightedMoments};
-use crate::quantile::{quantile, weighted_quantile};
+use crate::quantile::{argsort, quantile, weighted_quantile, weighted_quantile_ordered};
 
 /// Sizing context for scaling sample estimates up to the population.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +58,10 @@ impl SampleContext {
     }
 }
 
+/// θ prepared for one bootstrap job (see [`QueryEstimator::replicator`]):
+/// called once per resample with that resample's weights.
+pub type Replicator<'a> = Box<dyn FnMut(&[u32]) -> f64 + 'a>;
+
 /// A query aggregate θ.
 pub trait QueryEstimator: Send + Sync {
     /// Human-readable name (plan printing, reports).
@@ -72,6 +76,14 @@ pub trait QueryEstimator: Send + Sync {
     /// reinterpreted as the resample's nominal size, which stays the
     /// original sample size under Poissonization).
     fn estimate_weighted(&self, values: &[f64], weights: &[u32], ctx: &SampleContext) -> f64;
+
+    /// [`Self::estimate_weighted`] prepared for the K resamples of one
+    /// bootstrap job over `values`: whatever depends on the values alone
+    /// (an argsort, a scratch buffer) is built here, once, and every call
+    /// of the result returns exactly what `estimate_weighted` would.
+    fn replicator<'a>(&'a self, values: &'a [f64], ctx: &'a SampleContext) -> Replicator<'a> {
+        Box::new(move |weights| self.estimate_weighted(values, weights, ctx))
+    }
 
     /// Whether a closed-form CLT variance estimate exists for this θ
     /// (§2.3.2: COUNT, SUM, AVG, VARIANCE, STDEV — not MIN/MAX/UDFs).
@@ -217,6 +229,20 @@ impl QueryEstimator for Aggregate {
         }
     }
 
+    fn replicator<'a>(&'a self, values: &'a [f64], ctx: &'a SampleContext) -> Replicator<'a> {
+        match *self {
+            // One sort per job; each resample walks the order.
+            Aggregate::Percentile(q) => {
+                let order = argsort(values);
+                Box::new(move |weights| {
+                    weighted_quantile_ordered(values, weights, &order, q).unwrap_or(f64::NAN)
+                })
+            }
+            // The moment and extreme aggregates stream and keep no state.
+            _ => Box::new(move |weights| self.estimate_weighted(values, weights, ctx)),
+        }
+    }
+
     fn closed_form_applicable(&self) -> bool {
         matches!(
             self,
@@ -251,7 +277,11 @@ impl Udf {
         Udf { name: name.into(), f: Arc::new(f) }
     }
 
-    /// The multiset expansion used for weighted evaluation.
+    /// The multiset expansion a weighted evaluation stands for: `values[i]`
+    /// repeated `weights[i]` times, in row order. The engine no longer
+    /// calls this (a bootstrap job expands into one reused buffer, see
+    /// [`QueryEstimator::replicator`]); it is the definition that tests
+    /// and `benches/weighted_agg.rs` compare against.
     pub fn expand(values: &[f64], weights: &[u32]) -> Vec<f64> {
         let total: usize = weights.iter().map(|&w| w as usize).sum();
         let mut out = Vec::with_capacity(total);
@@ -279,9 +309,34 @@ impl QueryEstimator for Udf {
         (self.f)(values)
     }
 
-    fn estimate_weighted(&self, values: &[f64], weights: &[u32], _ctx: &SampleContext) -> f64 {
-        let expanded = Udf::expand(values, weights);
-        (self.f)(&expanded)
+    fn estimate_weighted(&self, values: &[f64], weights: &[u32], ctx: &SampleContext) -> f64 {
+        self.replicator(values, ctx)(weights)
+    }
+
+    /// Expands every resample into one buffer that lives as long as the
+    /// job, in [`Udf::expand`]'s order, and calls the function on it.
+    fn replicator<'a>(&'a self, values: &'a [f64], _ctx: &'a SampleContext) -> Replicator<'a> {
+        let mut expanded = Vec::new();
+        Box::new(move |weights| {
+            let weights = &weights[..weights.len().min(values.len())];
+            let total: usize = weights.iter().map(|&w| w as usize).sum();
+            if expanded.len() < total + 2 {
+                expanded.resize(total + 2, 0.0);
+            }
+            let mut at = 0;
+            for (&x, &w) in values.iter().zip(weights) {
+                // A loop of w stores mispredicts on almost every row. Two
+                // stores that the next row overwrites where w < 2 cover
+                // 92 % of Poisson(1) draws with no branch on w at all.
+                expanded[at] = x;
+                expanded[at + 1] = x;
+                if w > 2 {
+                    expanded[at + 2..at + w as usize].fill(x);
+                }
+                at += w as usize;
+            }
+            (self.f)(&expanded[..total])
+        })
     }
 }
 
@@ -290,7 +345,7 @@ impl QueryEstimator for Udf {
 /// smoothness regimes:
 pub mod udfs {
     use super::Udf;
-    use crate::quantile::quantile;
+    use crate::quantile::{quantile, quantile_mut};
 
     /// Trimmed mean over the central `(lo, hi)` quantile band — smooth,
     /// bootstrap-friendly.
@@ -299,7 +354,10 @@ pub mod udfs {
             if xs.is_empty() {
                 return f64::NAN;
             }
-            let (Some(a), Some(b)) = (quantile(xs, lo), quantile(xs, hi)) else {
+            // Both band edges from one copy of the values.
+            let mut copy = xs.to_vec();
+            let (Some(a), Some(b)) = (quantile_mut(&mut copy, lo), quantile_mut(&mut copy, hi))
+            else {
                 return f64::NAN;
             };
             let mut sum = 0.0;
@@ -491,6 +549,26 @@ mod tests {
         let v = [1.0, 2.0];
         let w = [3u32, 2];
         assert_eq!(udf.estimate_weighted(&v, &w, &CTX), 5.0);
+    }
+
+    #[test]
+    fn replicators_reuse_their_state_across_resamples() {
+        // Order-sensitive, so a stale or misplaced slot in the reused
+        // expansion buffer shows: Σ i·xᵢ over the expanded multiset.
+        let ramp = Udf::new("ramp", |xs| xs.iter().enumerate().map(|(i, x)| i as f64 * x).sum());
+        let median = Aggregate::Percentile(0.5);
+        let values = [3.0, -1.0, 4.0, 1.0, 5.0, 9.0];
+        let mut ramp_job = ramp.replicator(&values, &CTX);
+        let mut median_job = median.replicator(&values, &CTX);
+        for weights in [[2u32, 0, 1, 3, 0, 1], [0; 6], [1, 5, 0, 2, 4, 3], [0, 1, 0, 0, 0, 0]] {
+            let expanded = Udf::expand(&values, &weights);
+            assert_eq!(ramp_job(&weights), ramp.estimate(&expanded, &CTX), "{weights:?}");
+            assert_eq!(
+                median_job(&weights).to_bits(),
+                median.estimate_weighted(&values, &weights, &CTX).to_bits(),
+                "{weights:?}"
+            );
+        }
     }
 
     #[test]

@@ -17,26 +17,9 @@ use crate::dist::Poisson1;
 
 /// Generate one Poissonized weight vector: `out[i] ~ iid Poisson(1)`.
 pub fn poisson_weights<R: Rng>(rng: &mut R, n: usize) -> Vec<u32> {
-    let p1 = Poisson1::new();
     let mut out = vec![0u32; n];
-    p1.fill(rng, &mut out);
+    Poisson1.fill(rng, &mut out);
     out
-}
-
-/// Generate `k` Poissonized weight vectors in row-major order
-/// (`k × n`, laid out as `k` consecutive blocks of length `n`).
-///
-/// This is the scan-consolidation layout of §5.3.1: a single pass over the
-/// rows can fill all `k` resamples' weights.
-pub fn poisson_weight_matrix<R: Rng>(rng: &mut R, k: usize, n: usize) -> Vec<Vec<u32>> {
-    let p1 = Poisson1::new();
-    (0..k)
-        .map(|_| {
-            let mut row = vec![0u32; n];
-            p1.fill(rng, &mut row);
-            row
-        })
-        .collect()
 }
 
 /// Exact multinomial resample: draw exactly `n` row indices with
@@ -101,16 +84,6 @@ mod tests {
             assert_eq!(resample_size(&counts), n as u64);
             assert_eq!(counts.len(), n);
         }
-    }
-
-    #[test]
-    fn weight_matrix_shape_and_independence() {
-        let mut rng = rng_from_seed(4);
-        let m = poisson_weight_matrix(&mut rng, 5, 1000);
-        assert_eq!(m.len(), 5);
-        assert!(m.iter().all(|row| row.len() == 1000));
-        // Different resamples differ (independence smoke test).
-        assert_ne!(m[0], m[1]);
     }
 
     #[test]

@@ -977,3 +977,350 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The replicate kernel vs a reference bootstrap.
+//
+// `bootstrap_oracle` is the bootstrap written from the definitions: the
+// Poisson(1) draw is a scan of the CDF on `rng.random::<f64>()`, a
+// resample is a fresh weight vector, a UDF sees `Udf::expand` of it, a
+// quantile is a full sort, a weighted quantile filters `w > 0` and sorts,
+// a nested plan accumulates over all `n_codes` inner codes. It prepares
+// nothing and reuses nothing, so it stays as the oracle of the kernel
+// that does (`stats::bootstrap`, `exec::theta`).
+// ---------------------------------------------------------------------
+
+mod bootstrap_oracle {
+    use rand::RngExt;
+    use reliable_aqp::exec::theta::InnerAggregate;
+    use reliable_aqp::stats::ci::{ci_from_draws, Ci};
+    use reliable_aqp::stats::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
+    use reliable_aqp::stats::moments::Moments;
+    use reliable_aqp::stats::rng::Rng;
+
+    /// A single-level θ: a built-in aggregate or a stock UDF by name.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Theta {
+        Builtin(Aggregate),
+        Udf(&'static str),
+    }
+
+    pub const STOCK_UDFS: [&str; 4] = ["trimmed_mean", "top_decile_mean", "geo_mean", "cov"];
+
+    /// Type-7 quantile by a full sort.
+    fn quantile(xs: &[f64], q: f64) -> Option<f64> {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let pos = q.clamp(0.0, 1.0) * (sorted.len().checked_sub(1)?) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        if lo == hi {
+            return Some(sorted[lo]);
+        }
+        let frac = pos - lo as f64;
+        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    }
+
+    /// Nearest rank on the resample: the rows with `w > 0`, sorted.
+    fn weighted_quantile(xs: &[f64], ws: &[u32], q: f64) -> Option<f64> {
+        let total: u64 = ws.iter().map(|&w| w as u64).sum();
+        let mut idx: Vec<usize> = (0..xs.len()).filter(|&i| ws[i] > 0).collect();
+        idx.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
+        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut acc = 0u64;
+        idx.into_iter().find(|&i| {
+            acc += ws[i] as u64;
+            acc >= target
+        })
+        .map(|i| xs[i])
+    }
+
+    /// The stock UDF library (`UdfRegistry::with_stock_library`).
+    fn udf(name: &str, xs: &[f64]) -> f64 {
+        let band_mean = |keep: &dyn Fn(f64) -> bool, empty: f64| {
+            let kept: Vec<f64> = xs.iter().copied().filter(|&x| keep(x)).collect();
+            if kept.is_empty() { empty } else { kept.iter().sum::<f64>() / kept.len() as f64 }
+        };
+        match name {
+            "trimmed_mean" => match (quantile(xs, 0.1), quantile(xs, 0.9)) {
+                (Some(a), Some(b)) => band_mean(&|x| x >= a && x <= b, f64::NAN),
+                _ => f64::NAN,
+            },
+            "top_decile_mean" => match quantile(xs, 1.0 - 0.1) {
+                Some(cut) => band_mean(&|x| x >= cut, f64::NAN),
+                None => f64::NAN,
+            },
+            "geo_mean" => {
+                let logs: Vec<f64> = xs.iter().filter(|&&x| x > 0.0).map(|x| x.ln()).collect();
+                if logs.is_empty() {
+                    f64::NAN
+                } else {
+                    (logs.iter().fold(0.0, |s, l| s + l) / logs.len() as f64).exp()
+                }
+            }
+            "cov" => {
+                let m = Moments::from_slice(xs);
+                m.std_dev_sample() / m.mean()
+            }
+            other => panic!("not a stock UDF: {other}"),
+        }
+    }
+
+    /// θ on plain values.
+    pub fn estimate(theta: Theta, values: &[f64], ctx: &SampleContext) -> f64 {
+        match theta {
+            Theta::Builtin(Aggregate::Percentile(q)) => quantile(values, q).unwrap_or(f64::NAN),
+            Theta::Builtin(a) => a.estimate(values, ctx),
+            Theta::Udf(name) => udf(name, values),
+        }
+    }
+
+    /// θ on one resample. The moment and extreme aggregates are their
+    /// streaming definitions in `Aggregate::estimate_weighted`, which the
+    /// kernel calls unchanged; what it replaced is rewritten here.
+    pub fn estimate_weighted(theta: Theta, values: &[f64], ws: &[u32], ctx: &SampleContext) -> f64 {
+        match theta {
+            Theta::Builtin(Aggregate::Percentile(q)) => {
+                weighted_quantile(values, ws, q).unwrap_or(f64::NAN)
+            }
+            Theta::Builtin(a) => a.estimate_weighted(values, ws, ctx),
+            Theta::Udf(name) => udf(name, &Udf::expand(values, ws)),
+        }
+    }
+
+    /// A two-level θ on (optionally weighted) base rows: the inner
+    /// aggregate per inner code over accumulators `n_codes` wide, then the
+    /// outer aggregate over the codes present, in code order.
+    pub fn nested(
+        (outer, inner): (Theta, InnerAggregate),
+        (values, codes, n_codes): (&[f64], &[u32], usize),
+        ws: Option<&[u32]>,
+        ctx: &SampleContext,
+    ) -> f64 {
+        let mut sum = vec![0.0f64; n_codes];
+        let mut weight = vec![0u64; n_codes];
+        let mut min = vec![f64::INFINITY; n_codes];
+        let mut max = vec![f64::NEG_INFINITY; n_codes];
+        for i in 0..values.len() {
+            let w = ws.map_or(1, |ws| ws[i]);
+            if w == 0 {
+                continue;
+            }
+            let g = codes[i] as usize;
+            sum[g] += if inner == InnerAggregate::Count { w as f64 } else { values[i] * w as f64 };
+            weight[g] += w as u64;
+            min[g] = min[g].min(values[i]);
+            max[g] = max[g].max(values[i]);
+        }
+        let group_values: Vec<f64> = (0..n_codes)
+            .filter(|&g| weight[g] > 0)
+            .map(|g| match inner {
+                InnerAggregate::Sum | InnerAggregate::Count => sum[g] * ctx.scale(),
+                InnerAggregate::Avg => sum[g] / weight[g] as f64,
+                InnerAggregate::Min => min[g],
+                InnerAggregate::Max => max[g],
+            })
+            .collect();
+        estimate(outer, &group_values, &SampleContext::population(group_values.len()))
+    }
+
+    /// One Poisson(1) draw: the first `k` with `u ≤ P(K ≤ k)`.
+    fn poisson1(rng: &mut Rng) -> u32 {
+        let u: f64 = rng.random::<f64>();
+        let (mut pk, mut cdf) = ((-1.0f64).exp(), 0.0);
+        for k in 0..18 {
+            cdf += pk;
+            if u <= cdf {
+                return k;
+            }
+            pk /= (k + 1) as f64;
+        }
+        17
+    }
+
+    /// `k` replicates of `replicate` on fresh Poissonized weight vectors,
+    /// and the interval around `center` they give.
+    pub fn bootstrap(
+        rng: &mut Rng,
+        center: f64,
+        rows: usize,
+        replicate: &dyn Fn(&[u32]) -> f64,
+        k: usize,
+        alpha: f64,
+    ) -> (Vec<f64>, Option<Ci>) {
+        if center.is_nan() {
+            return (Vec::new(), None);
+        }
+        let replicates: Vec<f64> = (0..k)
+            .map(|_| {
+                let weights: Vec<u32> = (0..rows).map(|_| poisson1(rng)).collect();
+                replicate(&weights)
+            })
+            .collect();
+        let kept: Vec<f64> = replicates.iter().copied().filter(|r| !r.is_nan()).collect();
+        let ci = (!kept.is_empty()).then(|| ci_from_draws(center, &kept, alpha));
+        (replicates, ci)
+    }
+}
+
+/// Bit patterns, with every NaN as one value: a NaN replicate or centre is
+/// dropped whatever its sign and payload (which differ between a `0.0 /
+/// 0.0` the compiler folded and one the processor computed).
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+}
+
+fn ci_bits(ci: Option<reliable_aqp::stats::ci::Ci>) -> Option<[u64; 3]> {
+    ci.map(|c| [c.center.to_bits(), c.half_width.to_bits(), c.confidence.to_bits()])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Replicates and intervals of the replicate kernel equal the
+    /// reference bootstrap's bit for bit, and both leave the generator at
+    /// the same point — for every `Aggregate` variant, the four stock
+    /// UDFs and every `InnerAggregate`, on values with ties, NaN (two
+    /// payloads), ±0.0 and ±Inf, on the whole collected range and on the
+    /// sub-ranges the diagnostic cuts (empty and one-value ones among
+    /// them, whose resamples are often all-zero), for K of 1, 7 and 100.
+    #[test]
+    fn bootstrap_kernel_matches_the_reference(
+        seed in 0u64..1_000_000,
+        shape in (0usize..160, 1usize..12, 0usize..3, 0usize..1_000),
+        cut in (0usize..4, 1usize..40, 0usize..8),
+    ) {
+        use bootstrap_oracle::{self as oracle, Theta};
+        use rand::{Rng as _, RngExt};
+        use reliable_aqp::exec::collect::{AggData, NestedData};
+        use reliable_aqp::exec::theta::{
+            bootstrap_ci_prepared, InnerAggregate, PlainTheta, PreparedTheta,
+        };
+        use reliable_aqp::exec::UdfRegistry;
+        use reliable_aqp::stats::bootstrap::bootstrap_replicates;
+
+        let (n, n_codes, k_choice, special) = shape;
+        let k = [1, 7, 100][k_choice];
+        let alpha = 0.95;
+
+        // Collected data: values from a small palette (ties) with special
+        // cells mixed in at a per-case rate, ascending pre-filter
+        // positions with gaps, inner codes below `n_codes`.
+        let mut rng = rng_from_seed(seed);
+        let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
+        let specials = [0.0, -0.0, f64::NAN, nan2, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let special_rate = [0.0, 0.0, 0.05, 0.5][special % 4];
+        let values: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.random_bool(special_rate) {
+                    specials[rng.random_range(0..specials.len())]
+                } else if rng.random_bool(0.5) {
+                    rng.random_range(-6..7) as f64 / 2.0
+                } else {
+                    rng.random_range(0.01..900.0f64)
+                }
+            })
+            .collect();
+        let mut row = 0u32;
+        let positions: Vec<u32> = (0..n)
+            .map(|_| {
+                row += rng.random_range(1..4u32);
+                row - 1
+            })
+            .collect();
+        let codes: Vec<u32> = (0..n).map(|_| rng.random_range(0..n_codes as u32)).collect();
+        let data = AggData { values, positions, nested: Some(NestedData { codes, n_codes }) };
+        let sample_rows = row as usize + 3;
+
+        // The whole range, or the j-th run of b pre-filter rows.
+        let (whole, b, j) = (cut.0 == 0, cut.1, cut.2);
+        let (range, ctx) = if whole {
+            (0..n, SampleContext::new(sample_rows, sample_rows * 7))
+        } else {
+            let range = data.range_for_rows(j * b, (j + 1) * b, sample_rows);
+            (range, SampleContext::new(b, sample_rows * 7))
+        };
+        let values = &data.values[range.clone()];
+        let codes = &data.nested.as_ref().unwrap().codes[range.clone()];
+
+        let registry = UdfRegistry::default();
+        let plain = |theta: Theta| match theta {
+            Theta::Builtin(a) => PlainTheta::Builtin(a),
+            Theta::Udf(name) => PlainTheta::Udf(registry.resolve(name).unwrap()),
+        };
+        let builtins = [
+            Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance,
+            Aggregate::StdDev, Aggregate::Min, Aggregate::Max, Aggregate::Percentile(0.5),
+            Aggregate::Percentile(0.9), Aggregate::Percentile(0.0), Aggregate::Percentile(1.0),
+        ];
+        let thetas: Vec<Theta> = builtins
+            .into_iter()
+            .map(Theta::Builtin)
+            .chain(oracle::STOCK_UDFS.into_iter().map(Theta::Udf))
+            .collect();
+
+        for (ti, &theta) in thetas.iter().enumerate() {
+            let job_seed = seed ^ (ti as u64) << 32;
+            let center = oracle::estimate(theta, values, &ctx);
+            let mut want_rng = rng_from_seed(job_seed);
+            let (want_reps, want_ci) = oracle::bootstrap(
+                &mut want_rng, center, values.len(),
+                &|ws| oracle::estimate_weighted(theta, values, ws, &ctx), k, alpha,
+            );
+
+            // The engine's entry point, on the borrowed sub-range.
+            let prepared = PreparedTheta { outer: plain(theta), inner: None };
+            let mut got_rng = rng_from_seed(job_seed);
+            let (rng, job) = (&mut got_rng, range.clone());
+            let got_ci = bootstrap_ci_prepared(rng, &prepared, &data, job, &ctx, k, alpha);
+            prop_assert_eq!(ci_bits(got_ci), ci_bits(want_ci), "{:?} CI, range {:?}", theta, range);
+            if !center.is_nan() {
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{:?} generator", theta);
+                // The replicates themselves, from the loop the CI ran.
+                let mut rng = rng_from_seed(job_seed);
+                let estimator = prepared.outer.as_estimator();
+                let got_reps = bootstrap_replicates(
+                    &mut rng, values.len(), k, &mut *estimator.replicator(values, &ctx),
+                );
+                prop_assert_eq!(bits(&got_reps), bits(&want_reps), "{:?} replicates", theta);
+            }
+        }
+
+        // Nested plans: every inner aggregate under four outer ones.
+        let inners = [
+            InnerAggregate::Sum, InnerAggregate::Count, InnerAggregate::Avg,
+            InnerAggregate::Min, InnerAggregate::Max,
+        ];
+        let outers = [
+            Theta::Builtin(Aggregate::Avg), Theta::Builtin(Aggregate::Max),
+            Theta::Builtin(Aggregate::Percentile(0.5)), Theta::Udf("geo_mean"),
+        ];
+        for (ti, (&inner, &outer)) in
+            inners.iter().flat_map(|i| outers.iter().map(move |o| (i, o))).enumerate()
+        {
+            let job_seed = seed ^ (100 + ti as u64) << 32;
+            let rows = (values, codes, n_codes);
+            let center = oracle::nested((outer, inner), rows, None, &ctx);
+            let mut want_rng = rng_from_seed(job_seed);
+            let (want_reps, want_ci) = oracle::bootstrap(
+                &mut want_rng, center, values.len(),
+                &|ws| oracle::nested((outer, inner), rows, Some(ws), &ctx), k, alpha,
+            );
+            let prepared = PreparedTheta { outer: plain(outer), inner: Some(inner) };
+            let got_center = prepared.estimate_range(&data, range.clone(), &ctx);
+            prop_assert_eq!(bits(&[got_center]), bits(&[center]), "{:?}({:?}) point", outer, inner);
+            let mut got_rng = rng_from_seed(job_seed);
+            let (rng, job) = (&mut got_rng, range.clone());
+            let got_ci = bootstrap_ci_prepared(rng, &prepared, &data, job, &ctx, k, alpha);
+            prop_assert_eq!(ci_bits(got_ci), ci_bits(want_ci), "{:?}({:?}) CI", outer, inner);
+            if !center.is_nan() {
+                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "nested generator");
+                // Replicate by replicate, on the weights the reference drew.
+                let mut rng = rng_from_seed(job_seed);
+                let got_reps = bootstrap_replicates(&mut rng, values.len(), k, &mut |ws| {
+                    prepared.estimate_weighted_range(&data, ws, range.clone(), &ctx)
+                });
+                prop_assert_eq!(bits(&got_reps), bits(&want_reps), "{:?}({:?})", outer, inner);
+            }
+        }
+    }
+}
