@@ -4,9 +4,9 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use aqp_obs::{name, Counter, Gauge, Histogram, JsonlSink, ObsHandle};
+use aqp_obs::{name, Counter, Gauge, Histogram, LazySink, ObsHandle};
 
-use crate::config::{AuditConfig, AuditLogConfig};
+use crate::config::AuditConfig;
 use crate::sampler::AuditSampler;
 use crate::score::{score, AuditKey, AuditScore, AuditedAggregate};
 use crate::window::{ConfusionCounts, SlidingWindow};
@@ -105,21 +105,13 @@ impl KeyState {
 }
 
 #[derive(Debug)]
-enum SinkState {
-    Disabled,
-    Unopened(AuditLogConfig),
-    Open(JsonlSink),
-    Failed,
-}
-
-#[derive(Debug)]
 struct State {
     considered: u64,
     audited: u64,
     overall: KeyState,
     per_key: BTreeMap<AuditKey, KeyState>,
     alerts: Vec<Alert>,
-    sink: SinkState,
+    sink: LazySink,
 }
 
 /// Cached metric handles (registered once; updates are lock-free).
@@ -135,16 +127,12 @@ struct Meters {
     false_positives: Counter,
     false_negatives: Counter,
     alerts: Counter,
-    log_errors: Counter,
-    /// Registered only when a JSONL log is configured, so log-less
-    /// sessions keep their metric surface unchanged.
-    sink_dropped: Option<Counter>,
     window_coverage: Gauge,
     replay_ms: Histogram,
 }
 
 impl Meters {
-    fn new(obs: &ObsHandle, has_log: bool) -> Self {
+    fn new(obs: &ObsHandle) -> Self {
         let m = &obs.metrics;
         Meters {
             considered: m.counter(name::AUDIT_CONSIDERED),
@@ -157,8 +145,6 @@ impl Meters {
             false_positives: m.counter(name::AUDIT_FALSE_POSITIVES),
             false_negatives: m.counter(name::AUDIT_FALSE_NEGATIVES),
             alerts: m.counter(name::AUDIT_ALERTS_FIRED),
-            log_errors: m.counter(name::AUDIT_LOG_ERRORS),
-            sink_dropped: has_log.then(|| m.counter(name::OBS_SINK_DROPPED_LINES)),
             window_coverage: m.gauge(name::AUDIT_WINDOW_COVERAGE),
             replay_ms: m.histogram(name::AUDIT_REPLAY_MS),
         }
@@ -184,10 +170,7 @@ impl Auditor {
     /// on `aqp.audit.log_write_errors` instead of failing queries.
     pub fn new(cfg: AuditConfig, obs: &ObsHandle) -> Self {
         let sampler = AuditSampler::new(cfg.seed, cfg.sample_rate);
-        let sink = match cfg.log.clone() {
-            Some(log) => SinkState::Unopened(log),
-            None => SinkState::Disabled,
-        };
+        let sink = LazySink::new(cfg.log.clone(), &obs.metrics, name::AUDIT_LOG_ERRORS);
         let state = State {
             considered: 0,
             audited: 0,
@@ -196,7 +179,7 @@ impl Auditor {
             alerts: Vec::new(),
             sink,
         };
-        let meters = Meters::new(obs, cfg.log.is_some());
+        let meters = Meters::new(obs);
         Auditor { cfg, sampler, meters, state: Mutex::new(state) }
     }
 
@@ -260,13 +243,7 @@ impl Auditor {
             ks.cum.push(&s);
             ks.window.push(s);
 
-            let line = audit_line(&audit, a, &s);
-            write_line(
-                &mut st.sink,
-                &line,
-                &self.meters.log_errors,
-                self.meters.sink_dropped.as_ref(),
-            );
+            st.sink.write_line(&audit_line(&audit, a, &s));
 
             let at_result = st.overall.cum.scored;
             let mut new_alerts = Vec::new();
@@ -281,13 +258,7 @@ impl Auditor {
             }
             for alert in new_alerts {
                 self.meters.alerts.inc();
-                let line = alert_line(&alert);
-                write_line(
-                &mut st.sink,
-                &line,
-                &self.meters.log_errors,
-                self.meters.sink_dropped.as_ref(),
-            );
+                st.sink.write_line(&alert_line(&alert));
                 st.alerts.push(alert.clone());
                 fired.push(alert);
             }
@@ -295,11 +266,7 @@ impl Auditor {
         if let Some(c) = st.overall.window.coverage() {
             self.meters.window_coverage.set(c);
         }
-        if let SinkState::Open(sink) = &mut st.sink {
-            if sink.flush().is_err() {
-                self.meters.log_errors.inc();
-            }
-        }
+        st.sink.flush();
         fired
     }
 
@@ -441,36 +408,6 @@ impl AuditReport {
             }
         }
         out
-    }
-}
-
-fn write_line(sink: &mut SinkState, line: &str, errors: &Counter, dropped: Option<&Counter>) {
-    loop {
-        match sink {
-            SinkState::Disabled | SinkState::Failed => return,
-            SinkState::Unopened(cfg) => {
-                match JsonlSink::open(&cfg.path, cfg.max_bytes, cfg.max_rotations) {
-                    Ok(s) => {
-                        *sink = SinkState::Open(match dropped {
-                            Some(c) => s.with_dropped_lines_counter(c.clone()),
-                            None => s,
-                        })
-                    }
-                    Err(_) => {
-                        errors.inc();
-                        *sink = SinkState::Failed;
-                        return;
-                    }
-                }
-            }
-            SinkState::Open(s) => {
-                if s.append(line).is_err() {
-                    errors.inc();
-                    *sink = SinkState::Failed;
-                }
-                return;
-            }
-        }
     }
 }
 
@@ -691,7 +628,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let o = obs();
         let mut c = cfg();
-        c.log = Some(AuditLogConfig { path: path.clone(), max_bytes: 1 << 20, max_rotations: 1 });
+        c.log = Some(crate::AuditLogConfig { path: path.clone(), max_bytes: 1 << 20, max_rotations: 1 });
         let a = Auditor::new(c, &o);
         let ord = a.should_audit().unwrap();
         a.ingest(QueryAudit {
@@ -710,7 +647,7 @@ mod tests {
     fn unwritable_log_disables_itself_without_failing_queries() {
         let o = obs();
         let mut c = cfg();
-        c.log = Some(AuditLogConfig::at("/nonexistent-dir/audit.jsonl"));
+        c.log = Some(crate::AuditLogConfig::at("/nonexistent-dir/audit.jsonl"));
         let a = Auditor::new(c, &o);
         let ord = a.should_audit().unwrap();
         let alerts = a.ingest(QueryAudit {

@@ -1,29 +1,8 @@
 //! Auditor configuration: sampling policy, window semantics, alert
 //! thresholds, and the rotating JSONL audit log.
 
-use std::path::PathBuf;
-
 /// Where (and how large) the rotating JSONL audit log is.
-#[derive(Debug, Clone)]
-pub struct AuditLogConfig {
-    /// Live log file path (rotations get `.1`, `.2`, … suffixes).
-    pub path: PathBuf,
-    /// Byte budget of the live file before rotation.
-    pub max_bytes: u64,
-    /// Rotated files to keep (0 truncates in place).
-    pub max_rotations: usize,
-}
-
-impl AuditLogConfig {
-    /// A log at `path` with the default 4 MiB budget and 3 rotations.
-    pub fn at(path: impl Into<PathBuf>) -> Self {
-        AuditLogConfig {
-            path: path.into(),
-            max_bytes: 4 << 20,
-            max_rotations: 3,
-        }
-    }
-}
+pub use aqp_obs::JsonlLogConfig as AuditLogConfig;
 
 /// Configuration of the continuous accuracy auditor.
 ///

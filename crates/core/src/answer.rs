@@ -26,6 +26,20 @@ pub enum AnswerMode {
     Exact,
 }
 
+impl AnswerMode {
+    /// The stable lowercase name of the mode — the `_telemetry.queries.mode`
+    /// column.
+    pub fn label(self) -> &'static str {
+        match self {
+            AnswerMode::Approximate => "approximate",
+            AnswerMode::ApproximateUnchecked => "approximate_unchecked",
+            AnswerMode::ExactFallback => "exact_fallback",
+            AnswerMode::PartialFallback => "partial_fallback",
+            AnswerMode::Exact => "exact",
+        }
+    }
+}
+
 /// A complete answer.
 #[derive(Debug, Clone)]
 pub struct AqpAnswer {

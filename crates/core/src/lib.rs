@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod answer;
+mod observers;
 pub mod progressive;
 pub mod sample_selection;
 pub mod session;

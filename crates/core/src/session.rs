@@ -1,9 +1,11 @@
 //! The AQP session: registration, sampling, and reliable execution.
 
-use aqp_audit::{AuditConfig, AuditReport, AuditedAggregate, Auditor, QueryAudit};
+use std::sync::Arc;
+
+use aqp_audit::{AuditConfig, AuditReport};
 use aqp_diagnostics::DiagnosticConfig;
 use aqp_exec::engine::{execute_approx, execute_exact_observed, ApproxOptions, MethodChoice};
-use aqp_exec::result::StageTimings;
+use aqp_exec::result::{AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use aqp_exec::udf::UdfRegistry;
 use aqp_obs::{name, stage, ObsHandle, QueryTrace, TraceRecorder};
 use aqp_prof::{ExplainMode, OpProfile};
@@ -12,10 +14,12 @@ use aqp_sql::rewriter::{rewrite_for_error_estimation, ResamplePlacement};
 use aqp_sql::{parse_query, plan_query, Query};
 use aqp_stats::rng::SeedStream;
 use aqp_stats::sampling::{permutation, with_replacement_indices};
+use aqp_storage::sample::Sample;
 use aqp_storage::{Catalog, SamplingStrategy, Strata, StratumMeta, Table};
 use parking_lot::Mutex;
 
 use crate::answer::{AnswerMode, AqpAnswer};
+use crate::observers::Observers;
 use crate::sample_selection::required_sample_rows;
 use crate::Result;
 
@@ -105,59 +109,32 @@ impl Default for SessionConfig {
     }
 }
 
-/// The live SLO machinery: the burn-rate engine plus the always-on
-/// flight recorder. Constructed only when `SessionConfig::slo` is set.
-struct SloRuntime {
-    engine: aqp_slo::SloEngine,
-    recorder: aqp_obs::FlightRecorder,
-}
-
-/// The live continuous profiler: the class-routing config plus the
-/// fleet-cumulative profile every query folds into. Constructed only
-/// when `SessionConfig::contprof` is set.
-struct ContProfRuntime {
-    config: aqp_prof::contprof::ContProfConfig,
-    cumulative: Mutex<aqp_prof::contprof::CumulativeProfile>,
-}
-
 /// A reliable-AQP session.
 pub struct AqpSession {
     catalog: Catalog,
     registry: Mutex<UdfRegistry>,
+    observers: Observers,
     config: SessionConfig,
-    auditor: Option<Auditor>,
-    slo: Option<SloRuntime>,
-    contprof: Option<ContProfRuntime>,
-    introspect: Option<aqp_introspect::Introspector>,
+}
+
+/// One query, parsed and planned against its leaf table, with the UDF
+/// registry as it stood when the query arrived.
+struct Prepared<'a> {
+    sql: &'a str,
+    query: Query,
+    table: Arc<Table>,
+    plan: LogicalPlan,
+    registry: UdfRegistry,
 }
 
 impl AqpSession {
     /// Create a session.
     pub fn new(config: SessionConfig) -> Self {
-        let auditor = config
-            .audit
-            .clone()
-            .map(|cfg| Auditor::new(cfg, &config.obs));
-        let slo = config.slo.clone().map(|cfg| SloRuntime {
-            recorder: aqp_obs::FlightRecorder::new(cfg.recorder.clone(), &config.obs.metrics),
-            engine: aqp_slo::SloEngine::new(cfg, &config.obs),
-        });
-        let contprof = config.contprof.clone().map(|cfg| ContProfRuntime {
-            config: cfg,
-            cumulative: Mutex::new(aqp_prof::contprof::CumulativeProfile::new()),
-        });
-        let introspect = config
-            .introspect
-            .clone()
-            .map(|cfg| aqp_introspect::Introspector::new(cfg, &config.obs));
         AqpSession {
             catalog: Catalog::new(),
             registry: Mutex::new(UdfRegistry::default()),
+            observers: Observers::new(&config),
             config,
-            auditor,
-            slo,
-            contprof,
-            introspect,
         }
     }
 
@@ -169,18 +146,18 @@ impl AqpSession {
     /// The accuracy auditor's scorekeeping so far (`None` when auditing
     /// is off).
     pub fn audit_report(&self) -> Option<AuditReport> {
-        self.auditor.as_ref().map(|a| a.report())
+        self.observers.audit_report()
     }
 
     /// The SLO engine's scorekeeping so far — burn rates, budgets,
     /// drift streams, and the alert history (`None` when SLOs are off).
     pub fn slo_report(&self) -> Option<aqp_slo::SloReport> {
-        self.slo.as_ref().map(|s| s.engine.report())
+        self.observers.slo_report()
     }
 
     /// The always-on flight recorder (`None` when SLOs are off).
     pub fn flight_recorder(&self) -> Option<&aqp_obs::FlightRecorder> {
-        self.slo.as_ref().map(|s| &s.recorder)
+        self.observers.flight_recorder()
     }
 
     /// A snapshot of the fleet-cumulative operator profile accumulated
@@ -188,7 +165,7 @@ impl AqpSession {
     /// different sessions/processes combine with
     /// [`CumulativeProfile::merge`](aqp_prof::contprof::CumulativeProfile::merge).
     pub fn cumulative_profile(&self) -> Option<aqp_prof::contprof::CumulativeProfile> {
-        self.contprof.as_ref().map(|cp| cp.cumulative.lock().clone())
+        self.observers.cumulative_profile()
     }
 
     /// Register an aggregate UDF.
@@ -211,27 +188,30 @@ impl AqpSession {
         for (i, &n) in sizes.iter().enumerate() {
             let mut rng = seeds.rng(i as u64);
             let rows = t.num_rows();
-            let idx = if n <= rows {
-                aqp_stats::sampling::without_replacement_indices(&mut rng, n, rows)
+            let (idx, strategy) = if n <= rows {
+                let idx = aqp_stats::sampling::without_replacement_indices(&mut rng, n, rows);
+                (idx, SamplingStrategy::WithoutReplacement)
             } else {
-                with_replacement_indices(&mut rng, n, rows)
+                (with_replacement_indices(&mut rng, n, rows), SamplingStrategy::WithReplacement)
             };
-            let partitions = t.num_partitions().max(1);
-            self.catalog.with_samples_mut(table, |set| {
-                set.add_from_indices(
-                    &t,
-                    &idx,
-                    if n <= rows {
-                        SamplingStrategy::WithoutReplacement
-                    } else {
-                        SamplingStrategy::WithReplacement
-                    },
-                    seeds.seed(i as u64),
-                    partitions,
-                )?;
-                Ok(())
-            })?;
+            self.add_uniform_sample(&t, &idx, strategy, seeds.seed(i as u64))?;
         }
+        Ok(())
+    }
+
+    /// Store the rows of `t` at `idx` (already shuffled) as a uniform
+    /// sample of it.
+    fn add_uniform_sample(
+        &self,
+        t: &Table,
+        idx: &[usize],
+        strategy: SamplingStrategy,
+        seed: u64,
+    ) -> Result<()> {
+        let partitions = t.num_partitions().max(1);
+        self.catalog.with_samples_mut(t.name(), |set| {
+            set.add_from_indices(t, idx, strategy, seed, partitions).map(|_| ())
+        })?;
         Ok(())
     }
 
@@ -301,53 +281,23 @@ impl AqpSession {
         let t = self.catalog.table(table)?;
         let mut rng = SeedStream::new(self.config.seed ^ seed).rng(0xFF);
         let idx = permutation(&mut rng, t.num_rows());
-        let partitions = t.num_partitions().max(1);
-        self.catalog.with_samples_mut(table, |set| {
-            set.add_from_indices(&t, &idx, SamplingStrategy::WithoutReplacement, seed, partitions)?;
-            Ok(())
-        })?;
-        Ok(())
+        self.add_uniform_sample(&t, &idx, SamplingStrategy::WithoutReplacement, seed)
     }
 
     /// Render the rewritten plan an `execute` of this SQL would run,
     /// without executing it.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let query = parse_query(sql)?;
-        let table_name = leaf_table_name(&query)?;
-        let table = self.catalog.table(&table_name)?;
+        let table = self.catalog.table(leaf_table_name(&query))?;
         let plan = plan_query(&query, table.schema())?;
         let has_samples = self
             .catalog
-            .with_samples(&table_name, |s| Ok(s.uniform_samples().next().is_some()))
+            .with_samples(table.name(), |s| Ok(s.uniform_samples().next().is_some()))
             .unwrap_or(false);
         if !has_samples {
             return Ok(plan.explain());
         }
-        let diag_cfg = self
-            .config
-            .run_diagnostics
-            .then(|| DiagnosticConfig::scaled_to(self.config.pilot_rows.max(1_000), self.config.diagnostic_p));
-        let spec = ResampleSpec {
-            bootstrap_k: self.config.bootstrap_k,
-            diagnostic: diag_cfg.as_ref().map(|c| DiagnosticWeights {
-                subsample_rows: c.subsample_rows.clone(),
-                p: c.p,
-            }),
-            seed: self.config.seed,
-        };
-        let method = if query.closed_form_applicable() {
-            ErrorMethod::ClosedForm
-        } else {
-            ErrorMethod::Bootstrap
-        };
-        Ok(rewrite_for_error_estimation(
-            plan,
-            spec,
-            method,
-            query.error_clause.map(|e| e.confidence).unwrap_or(self.config.default_confidence),
-            ResamplePlacement::PushedDown,
-        )
-        .explain())
+        Ok(self.rewrite(&query, plan, self.config.pilot_rows.max(1_000)).0.explain())
     }
 
     /// Execute a SQL query, approximately when samples and/or an error
@@ -356,20 +306,11 @@ impl AqpSession {
     ///
     /// Every execution yields a full lifecycle [`QueryTrace`] on the
     /// returned answer and feeds the session's metrics (see
-    /// `aqp_obs::name::CORE_*`).
+    /// `aqp_obs::name::CORE_*`) and observers (see `observers.rs`).
     pub fn execute(&self, sql: &str) -> Result<AqpAnswer> {
         let obs = &self.config.obs;
         obs.metrics.counter(name::CORE_QUERIES).inc();
-        // Queries over the reserved `_telemetry` namespace read the
-        // introspection tables: materialize any reservoir that changed
-        // since the last sync (and rebuild its uniform sample) first,
-        // so the answer — approximate or exact — sees current data.
-        if let Some(intr) = &self.introspect {
-            if intr.is_introspection_query(sql) {
-                intr.count_served();
-                intr.sync_into(&self.catalog)?;
-            }
-        }
+        self.observers.before(sql, &self.catalog)?;
         let started = obs.clock.now();
         let rec = obs.recorder();
         let result = self.execute_traced(sql, &rec);
@@ -378,204 +319,125 @@ impl AqpSession {
             .histogram(name::CORE_QUERY_MS)
             .record_ms(elapsed.as_secs_f64() * 1e3);
         let answer = finish_with_trace(rec, result, self.config.explain);
-        if let Some(cp) = &self.contprof {
-            if let Ok(a) = &answer {
-                let eval_started = obs.clock.now();
-                let class = cp.config.classify(sql);
-                let profile =
-                    a.profile.clone().or_else(|| OpProfile::from_trace(&a.trace));
-                if let Some(root) = profile {
-                    cp.cumulative.lock().observe(class, std::slice::from_ref(&root));
-                }
-                obs.metrics.counter(name::PROF_CONTPROF_QUERIES).inc();
-                if aqp_obs::alloc::enabled() {
-                    let m = aqp_obs::alloc::stats();
-                    obs.metrics.gauge(name::MEM_ALLOCS).set(m.allocs as f64);
-                    obs.metrics.gauge(name::MEM_ALLOC_BYTES).set(m.alloc_bytes as f64);
-                    obs.metrics.gauge(name::MEM_CURRENT_BYTES).set(m.current_bytes as f64);
-                    obs.metrics.gauge(name::MEM_PEAK_BYTES).set(m.peak_bytes as f64);
-                }
-                obs.metrics
-                    .histogram(name::PROF_CONTPROF_EVAL_MS)
-                    .record_ms(obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3);
-            }
-        }
-        let mut latency_alerts: Vec<(String, String, String)> = Vec::new();
-        if let Some(slo) = &self.slo {
-            let eval_started = obs.clock.now();
-            if let Ok(a) = &answer {
-                slo.recorder.record(a.trace.clone());
-            }
-            let class = slo.engine.classify(sql);
-            let alerts = slo.engine.observe_latency(class, elapsed, eval_started);
-            for alert in &alerts {
-                let reason =
-                    format!("slo:{}:{}", alert.severity.as_str(), alert.objective);
-                slo.recorder.dump_with_context(
-                    &reason,
-                    &obs.metrics.snapshot(),
-                    &[
-                        ("class", alert.class.as_str()),
-                        ("objective", alert.objective.as_str()),
-                        ("severity", alert.severity.as_str()),
-                        ("trigger", "latency"),
-                    ],
-                );
-            }
-            if self.introspect.is_some() {
-                latency_alerts.extend(alerts.iter().map(|a| {
-                    (
-                        a.objective.clone(),
-                        a.severity.as_str().to_string(),
-                        "latency".to_string(),
-                    )
-                }));
-            }
-            obs.metrics
-                .histogram(name::SLO_EVAL_MS)
-                .record_ms(obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3);
-        }
-        if let Some(intr) = &self.introspect {
-            if let Ok(a) = &answer {
-                if intr.should_fold(sql) {
-                    let eval_started = obs.clock.now();
-                    let profile =
-                        a.profile.clone().or_else(|| OpProfile::from_trace(&a.trace));
-                    intr.fold_query(&aqp_introspect::QueryRecord {
-                        sql,
-                        trace: &a.trace,
-                        mode: mode_label(a.mode),
-                        wall_ms: elapsed.as_secs_f64() * 1e3,
-                        sample_rows: a.sample_rows as u64,
-                        population_rows: a.population_rows as u64,
-                        groups: a.groups.len() as u64,
-                        fell_back: a.fell_back,
-                        degraded: a.degraded.is_some(),
-                        profile: profile.as_ref(),
-                        slo_alerts: &latency_alerts,
-                    });
-                    obs.metrics.histogram(name::INTROSPECT_EVAL_MS).record_ms(
-                        obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3,
-                    );
-                }
-            }
-        }
+        self.observers.finished(sql, &answer, elapsed);
         answer
+    }
+
+    /// The prologue every entry point shares: parse → leaf table → plan →
+    /// registry snapshot, with the parse and plan stages recorded on `rec`.
+    fn prepare<'a>(&self, sql: &'a str, rec: &TraceRecorder) -> Result<Prepared<'a>> {
+        let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
+        let table = self.catalog.table(leaf_table_name(&query))?;
+        let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
+        let registry = self.registry.lock().clone();
+        Ok(Prepared { sql, query, table, plan, registry })
     }
 
     /// The body of [`execute`](AqpSession::execute), recording lifecycle
     /// stages on `rec`.
     fn execute_traced(&self, sql: &str, rec: &TraceRecorder) -> Result<AqpAnswer> {
-        let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
-        let table_name = leaf_table_name(&query)?;
-        let table = self.catalog.table(&table_name)?;
-        let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
-        let registry = self.registry.lock().clone();
+        let p = self.prepare(sql, rec)?;
 
         // --- Stratified fast path: a single-column GROUP BY with a
         // matching stratified sample uses per-stratum scaling. ---
-        if query.group_by.len() == 1 && !query.is_nested() {
+        if p.query.group_by.len() == 1 && !p.query.is_nested() {
             let sel = rec.start(stage::SAMPLE_SELECTION);
-            let strat = self.catalog.with_samples(&table_name, |set| {
-                Ok(set
-                    .stratified_on(&query.group_by[0])
-                    .map(|s| (s.meta.clone(), s.data.clone())))
+            let stratified = self.catalog.with_samples(p.table.name(), |set| {
+                Ok(set.stratified_on(&p.query.group_by[0]).cloned())
             })?;
-            if let Some((meta, sample_table)) = strat {
+            if let Some(sample) = stratified {
                 rec.attr(sel, "strategy", "stratified");
-                rec.attr(sel, "sample_rows", meta.rows);
+                rec.attr(sel, "sample_rows", sample.meta.rows);
                 rec.end(sel);
-                return self.execute_on_sample(
-                    sql, &query, &plan, &table, &registry, meta, sample_table, rec,
-                );
+                return self.execute_on_sample(&p, sample, rec);
             }
             rec.end(sel);
         }
 
-        let has_samples = self
+        // One catalog read decides whether there is a sample and snapshots
+        // the candidates, so a concurrent `drop_table` (or a telemetry
+        // re-sync) between the check and the pick cannot empty the set
+        // under us. Smallest first.
+        let uniform: Vec<Sample> = self
             .catalog
-            .with_samples(&table_name, |s| Ok(s.uniform_samples().next().is_some()))
-            .unwrap_or(false);
-        if !has_samples {
-            let answer = self.exact_answer(&plan, &table, &registry, AnswerMode::Exact, rec)?;
-            return apply_having(&query, answer);
-        }
+            .with_samples(p.table.name(), |set| Ok(set.uniform_samples().cloned().collect()))
+            .unwrap_or_default();
+        let Some(largest) = uniform.last() else {
+            return self.exact_answer(&p, AnswerMode::Exact, rec);
+        };
 
         // --- Sample selection. ---
         let sel = rec.start(stage::SAMPLE_SELECTION);
-        let confidence = query
-            .error_clause
-            .map(|e| e.confidence)
-            .unwrap_or(self.config.default_confidence);
-        let wanted_rows = match query.error_clause {
+        let wanted_rows = match p.query.error_clause {
             None => usize::MAX, // largest sample
-            Some(e) => self
-                .pilot_required_rows(&plan, &table_name, table.num_rows(), &registry, e.relative_error, confidence, rec)?
-                .unwrap_or(usize::MAX),
+            Some(e) => {
+                // The smallest stored uniform sample serves as the pilot.
+                let pilot = uniform.iter().find(|s| s.meta.rows >= 1).unwrap_or(largest);
+                self.pilot_required_rows(&p, pilot, e.relative_error, rec)?.unwrap_or(usize::MAX)
+            }
         };
-        let sample = self.catalog.with_samples(&table_name, |set| {
-            let s = match set.best_for(wanted_rows) {
-                Ok(s) => s,
-                Err(_) => set.largest().expect("non-empty sample set"),
-            };
-            Ok((s.meta.clone(), s.data.clone()))
-        })?;
-        let (meta, sample_table) = sample;
+        let sample = uniform.iter().find(|s| s.meta.rows >= wanted_rows).unwrap_or(largest);
         rec.attr(sel, "strategy", "uniform");
         if wanted_rows != usize::MAX {
             rec.attr(sel, "wanted_rows", wanted_rows);
         }
-        rec.attr(sel, "sample_rows", meta.rows);
+        rec.attr(sel, "sample_rows", sample.meta.rows);
         rec.end(sel);
-        self.execute_on_sample(sql, &query, &plan, &table, &registry, meta, sample_table, rec)
+        self.execute_on_sample(&p, sample.clone(), rec)
     }
 
+    /// The confidence level of `query`'s error bars.
+    fn confidence(&self, query: &Query) -> f64 {
+        query.error_clause.map(|e| e.confidence).unwrap_or(self.config.default_confidence)
+    }
 
-    /// Run the approximate pipeline on a chosen sample (uniform or
-    /// stratified) with the per-result reliability gate and exact merge.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_on_sample(
+    /// The plan rewrite of §5.3 for a sample of `sample_rows` rows: one
+    /// consolidated resample, pushed down, under the error estimator
+    /// `query` admits — and the diagnostic's subsample ladder it embeds
+    /// (`None` when the session runs without diagnostics).
+    fn rewrite(
         &self,
-        sql: &str,
         query: &Query,
-        plan: &LogicalPlan,
-        table: &Table,
-        registry: &UdfRegistry,
-        meta: aqp_storage::SampleMeta,
-        sample_table: Table,
-        rec: &TraceRecorder,
-    ) -> Result<AqpAnswer> {
-        let confidence = query
-            .error_clause
-            .map(|e| e.confidence)
-            .unwrap_or(self.config.default_confidence);
-
-        // --- Plan rewrite (§5.3): consolidated resample, pushed down. ---
-        let diag_cfg = if self.config.run_diagnostics {
-            Some(DiagnosticConfig::scaled_to(meta.rows, self.config.diagnostic_p))
-        } else {
-            None
+        plan: LogicalPlan,
+        sample_rows: usize,
+    ) -> (LogicalPlan, Option<DiagnosticConfig>) {
+        let diagnostic = self
+            .config
+            .run_diagnostics
+            .then(|| DiagnosticConfig::scaled_to(sample_rows, self.config.diagnostic_p));
+        let spec = ResampleSpec {
+            bootstrap_k: self.config.bootstrap_k,
+            diagnostic: diagnostic.as_ref().map(|c| DiagnosticWeights {
+                subsample_rows: c.subsample_rows.clone(),
+                p: c.p,
+            }),
+            seed: self.config.seed,
         };
         let method = if query.closed_form_applicable() {
             ErrorMethod::ClosedForm
         } else {
             ErrorMethod::Bootstrap
         };
-        let spec = ResampleSpec {
-            bootstrap_k: self.config.bootstrap_k,
-            diagnostic: diag_cfg.as_ref().map(|c| DiagnosticWeights {
-                subsample_rows: c.subsample_rows.clone(),
-                p: c.p,
-            }),
-            seed: self.config.seed,
-        };
         let rewritten = rewrite_for_error_estimation(
-            plan.clone(),
+            plan,
             spec,
             method,
-            confidence,
+            self.confidence(query),
             ResamplePlacement::PushedDown,
         );
+        (rewritten, diagnostic)
+    }
+
+    /// Run the approximate pipeline on a chosen sample (uniform or
+    /// stratified) with the per-result reliability gate and exact merge.
+    fn execute_on_sample(
+        &self,
+        p: &Prepared<'_>,
+        sample: Sample,
+        rec: &TraceRecorder,
+    ) -> Result<AqpAnswer> {
+        let Sample { meta, data: sample_table } = sample;
+        let (rewritten, diag_cfg) = self.rewrite(&p.query, p.plan.clone(), meta.rows);
 
         // Per-stratum scaling for stratified samples.
         let group_contexts = meta.strata.as_ref().map(|st| {
@@ -589,7 +451,7 @@ impl AqpSession {
         let opts = ApproxOptions {
             method: MethodChoice::Auto,
             bootstrap_k: self.config.bootstrap_k,
-            alpha: confidence,
+            alpha: self.confidence(&p.query),
             diagnostic: diag_cfg,
             seed: self.config.seed,
             threads: self.config.threads,
@@ -597,28 +459,25 @@ impl AqpSession {
             obs: self.config.obs.clone(),
             faults: self.config.faults.clone(),
         };
-        let approx = match execute_approx(&rewritten, &sample_table, table.num_rows(), registry, &opts)
-        {
+        let approx = match execute_approx(
+            &rewritten,
+            &sample_table,
+            p.table.num_rows(),
+            &p.registry,
+            &opts,
+        ) {
             Ok(a) => a,
             Err(aqp_exec::ExecError::Degraded { lost_partitions, total_partitions }) => {
                 // Injected faults lost more of the sample than the
                 // recovery policy tolerates: refuse the degraded
                 // approximation and serve exact truth instead.
                 self.config.obs.metrics.counter(name::FAULTS_EXACT_FALLBACKS).inc();
-                if let Some(slo) = &self.slo {
-                    slo.recorder.dump_with_context(
-                        "exec:degraded",
-                        &self.config.obs.metrics.snapshot(),
-                        &[("trigger", "degraded_exact_fallback")],
-                    );
-                }
+                self.observers.degraded_fallback();
                 let gate = rec.start(stage::RELIABILITY_GATE);
                 rec.attr(gate, "degraded_lost_partitions", lost_partitions);
                 rec.attr(gate, "degraded_total_partitions", total_partitions);
                 rec.end(gate);
-                let answer =
-                    self.exact_answer(plan, table, registry, AnswerMode::ExactFallback, rec)?;
-                return apply_having(query, answer);
+                return self.exact_answer(p, AnswerMode::ExactFallback, rec);
             }
             Err(e) => return Err(e.into()),
         };
@@ -644,84 +503,37 @@ impl AqpSession {
             rec.attr(gate, "degraded_planned_rows", d.planned_rows);
             rec.attr(gate, "widen_factor", d.widen_factor);
         }
-        if rejected == 0 {
+        let (groups, mode) = if rejected == 0 {
             rec.end(gate);
-            self.maybe_audit(sql, &approx, None, plan, table, registry, rec);
-            return apply_having(query, AqpAnswer {
-                groups: approx.groups,
-                mode: if self.config.run_diagnostics {
-                    AnswerMode::Approximate
-                } else {
-                    AnswerMode::ApproximateUnchecked
-                },
-                fell_back: false,
-                sample_rows: approx.sample_rows,
-                population_rows: approx.population_rows,
-                timings: approx.timings,
-                trace: QueryTrace::default(),
-                plan: rewritten.explain(),
-                profile: None,
-                degraded: approx.degraded,
-            });
-        }
-
-        // Exact execution once; merge per result. The exact run's group
-        // set is authoritative (the sample can miss rare groups entirely).
-        let exact =
-            execute_exact_observed(plan, table, registry, self.config.threads, &self.config.obs)?;
-        rec.graft(exact.trace.clone());
-        // The fallback already paid for full-data truth; the auditor can
-        // score this query for free.
-        self.maybe_audit(sql, &approx, Some(&exact), plan, table, registry, rec);
-        let approx_index: std::collections::HashMap<&str, &aqp_exec::result::GroupResult> =
-            approx.groups.iter().map(|g| (g.key.as_str(), g)).collect();
-        let merged: Vec<aqp_exec::result::GroupResult> = exact
-            .groups
-            .iter()
-            .map(|(key, vals)| aqp_exec::result::GroupResult {
-                key: key.clone(),
-                aggs: vals
-                    .iter()
-                    .enumerate()
-                    .map(|(ai, &exact_v)| {
-                        if let Some(g) = approx_index.get(key.as_str()) {
-                            if let Some(a) = g.aggs.get(ai) {
-                                if a.error_bars_reliable() {
-                                    return a.clone();
-                                }
-                                // Rejected: serve exact, keep the verdict.
-                                return aqp_exec::result::AggResult {
-                                    name: a.name.clone(),
-                                    estimate: exact_v,
-                                    ci: None,
-                                    method: aqp_exec::result::MethodUsed::None,
-                                    diagnostic: a.diagnostic.clone(),
-                                };
-                            }
-                        }
-                        aqp_exec::result::AggResult {
-                            name: format!("agg{ai}"),
-                            estimate: exact_v,
-                            ci: None,
-                            method: aqp_exec::result::MethodUsed::None,
-                            diagnostic: None,
-                        }
-                    })
-                    .collect(),
-            })
-            .collect();
-        let mode = if rejected == total_results {
-            self.config.obs.metrics.counter(name::CORE_FALLBACKS_EXACT).inc();
-            AnswerMode::ExactFallback
+            self.maybe_audit(p, &approx, None, rec);
+            let mode = if self.config.run_diagnostics {
+                AnswerMode::Approximate
+            } else {
+                AnswerMode::ApproximateUnchecked
+            };
+            (approx.groups, mode)
         } else {
-            self.config.obs.metrics.counter(name::CORE_FALLBACKS_PARTIAL).inc();
-            AnswerMode::PartialFallback
+            // Exact execution once; merge per result.
+            let exact = self.run_exact(p)?;
+            rec.graft(exact.trace.clone());
+            // The fallback already paid for full-data truth; the auditor
+            // can score this query for free.
+            self.maybe_audit(p, &approx, Some(&exact), rec);
+            let merged = merge_with_exact(&exact.groups, &approx.groups);
+            let mode = if rejected == total_results {
+                self.config.obs.metrics.counter(name::CORE_FALLBACKS_EXACT).inc();
+                AnswerMode::ExactFallback
+            } else {
+                self.config.obs.metrics.counter(name::CORE_FALLBACKS_PARTIAL).inc();
+                AnswerMode::PartialFallback
+            };
+            rec.end(gate);
+            (merged, mode)
         };
-        rec.end(gate);
-        apply_having(query, AqpAnswer {
-            groups: merged,
+        apply_having(&p.query, AqpAnswer {
+            groups,
             mode,
-            fell_back: true,
+            fell_back: rejected > 0,
             sample_rows: approx.sample_rows,
             population_rows: approx.population_rows,
             timings: approx.timings,
@@ -733,86 +545,62 @@ impl AqpSession {
     }
 
     /// Execute on the specific stored uniform sample of `rows` rows
-    /// (progressive execution's per-step primitive).
+    /// (progressive execution's per-step primitive). A step is audited
+    /// like any approximate answer, but it is not a finished query:
+    /// `Observers::finished` does not hear about it.
     pub(crate) fn execute_with_sample_rows(&self, sql: &str, rows: usize) -> Result<AqpAnswer> {
         let rec = self.config.obs.recorder();
-        let result = (|| {
-            let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
-            let table_name = leaf_table_name(&query)?;
-            let table = self.catalog.table(&table_name)?;
-            let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
-            let registry = self.registry.lock().clone();
+        let result = self.prepare(sql, &rec).and_then(|p| {
             let sample = rec.in_span(stage::SAMPLE_SELECTION, || {
-                self.catalog.with_samples(&table_name, |set| {
-                    Ok(set
-                        .uniform_samples()
-                        .find(|s| s.meta.rows == rows)
-                        .map(|s| (s.meta.clone(), s.data.clone())))
+                self.catalog.with_samples(p.table.name(), |set| {
+                    Ok(set.uniform_samples().find(|s| s.meta.rows == rows).cloned())
                 })
             })?;
-            let Some((meta, sample_table)) = sample else {
-                return Err(crate::CoreError::Config(format!(
-                    "no stored uniform sample of exactly {rows} rows"
-                )));
-            };
-            self.execute_on_sample(sql, &query, &plan, &table, &registry, meta, sample_table, &rec)
-        })();
+            let sample = sample.ok_or_else(|| {
+                crate::CoreError::Config(format!("no stored uniform sample of exactly {rows} rows"))
+            })?;
+            self.execute_on_sample(&p, sample, &rec)
+        });
         finish_with_trace(rec, result, self.config.explain)
     }
 
     /// Execute exactly, ignoring samples.
     pub(crate) fn execute_exact_only(&self, sql: &str) -> Result<AqpAnswer> {
         let rec = self.config.obs.recorder();
-        let result = (|| {
-            let query = rec.in_span(stage::PARSE, || parse_query(sql))?;
-            let table_name = leaf_table_name(&query)?;
-            let table = self.catalog.table(&table_name)?;
-            let plan = rec.in_span(stage::PLAN, || plan_query(&query, table.schema()))?;
-            let registry = self.registry.lock().clone();
-            let answer = self.exact_answer(&plan, &table, &registry, AnswerMode::Exact, &rec)?;
-            apply_having(&query, answer)
-        })();
+        let result = self
+            .prepare(sql, &rec)
+            .and_then(|p| self.exact_answer(&p, AnswerMode::Exact, &rec));
         finish_with_trace(rec, result, self.config.explain)
     }
 
+    fn run_exact(&self, p: &Prepared<'_>) -> aqp_exec::Result<ExactResult> {
+        execute_exact_observed(
+            &p.plan,
+            &p.table,
+            &p.registry,
+            self.config.threads,
+            &self.config.obs,
+        )
+    }
+
+    /// The full-data answer to `p`, HAVING / ORDER BY / LIMIT applied.
     fn exact_answer(
         &self,
-        plan: &LogicalPlan,
-        table: &Table,
-        registry: &UdfRegistry,
+        p: &Prepared<'_>,
         mode: AnswerMode,
         rec: &TraceRecorder,
     ) -> Result<AqpAnswer> {
-        let exact =
-            execute_exact_observed(plan, table, registry, self.config.threads, &self.config.obs)?;
+        let exact = self.run_exact(p)?;
         rec.graft(exact.trace.clone());
-        let groups = exact
-            .groups
-            .iter()
-            .map(|(key, vals)| aqp_exec::result::GroupResult {
-                key: key.clone(),
-                aggs: vals
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &v)| aqp_exec::result::AggResult {
-                        name: format!("agg{i}"),
-                        estimate: v,
-                        ci: None,
-                        method: aqp_exec::result::MethodUsed::None,
-                        diagnostic: None,
-                    })
-                    .collect(),
-            })
-            .collect();
-        Ok(AqpAnswer {
-            groups,
+        apply_having(&p.query, AqpAnswer {
+            groups: merge_with_exact(&exact.groups, &[]),
             mode,
             fell_back: matches!(mode, AnswerMode::ExactFallback),
             sample_rows: 0,
-            population_rows: table.num_rows(),
+            population_rows: p.table.num_rows(),
             timings: StageTimings::default(),
             trace: QueryTrace::default(),
-            plan: plan.explain(),
+            plan: p.plan.explain(),
             profile: None,
             degraded: None,
         })
@@ -821,31 +609,23 @@ impl AqpSession {
     /// Consider a completed approximate query for auditing; when the
     /// deterministic sampler selects it, obtain full-data truth (reusing
     /// `exact` if the fallback path already computed it, otherwise
-    /// replaying under an `audit_replay` span) and hand the scored pairs
-    /// to the auditor. Infallible by design: an audit failure must never
+    /// replaying under an `audit_replay` span) and hand it to the
+    /// observers. Infallible by design: an audit failure must never
     /// fail or alter the query it audits.
-    #[allow(clippy::too_many_arguments)]
     fn maybe_audit(
         &self,
-        sql: &str,
-        approx: &aqp_exec::result::ApproxResult,
-        exact: Option<&aqp_exec::result::ExactResult>,
-        plan: &LogicalPlan,
-        table: &Table,
-        registry: &UdfRegistry,
+        p: &Prepared<'_>,
+        approx: &ApproxResult,
+        exact: Option<&ExactResult>,
         rec: &TraceRecorder,
     ) {
-        let Some(auditor) = &self.auditor else { return };
-        let Some(ordinal) = auditor.should_audit() else { return };
-        let obs = &self.config.obs;
-        let (truth_groups, replay_ms) = match exact {
-            Some(e) => (e.groups.clone(), 0.0),
+        let Some(ordinal) = self.observers.wants_audit() else { return };
+        let replayed;
+        let (truth, replay_ms) = match exact {
+            Some(e) => (e, 0.0),
             None => {
                 let span = rec.start(stage::AUDIT_REPLAY);
-                let started = obs.clock.now();
-                let replay =
-                    execute_exact_observed(plan, table, registry, self.config.threads, obs);
-                let ms = obs.clock.now().duration_since(started).as_secs_f64() * 1e3;
+                let (replay, took) = self.config.obs.clock.time(|| self.run_exact(p));
                 // Nest the replay's own engine spans under the
                 // audit-replay span so `StageTimings::audit_replay()`
                 // and the operator profile both see the replay cost.
@@ -853,128 +633,26 @@ impl AqpSession {
                     rec.graft(e.trace.clone());
                 }
                 rec.end(span);
-                match replay {
-                    Ok(e) => (e.groups, ms),
-                    Err(_) => return,
-                }
+                let Ok(e) = replay else { return };
+                replayed = e;
+                (&replayed, took.as_secs_f64() * 1e3)
             }
         };
-        let truth_index: std::collections::HashMap<&str, &Vec<f64>> =
-            truth_groups.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        let cfg = auditor.config();
-        let mut aggregates = Vec::new();
-        for g in &approx.groups {
-            let Some(vals) = truth_index.get(g.key.as_str()) else { continue };
-            for (ai, a) in g.aggs.iter().enumerate() {
-                let Some(&truth) = vals.get(ai) else { continue };
-                let (agg, column) = split_agg_name(&a.name);
-                aggregates.push(AuditedAggregate {
-                    agg: agg.to_string(),
-                    column: column.to_string(),
-                    family: cfg.family_of(column).to_string(),
-                    estimate: a.estimate,
-                    ci: a.ci,
-                    diagnostic_accepted: a.diagnostic.as_ref().map(|d| d.accepted),
-                    truth,
-                });
-            }
-        }
-        let slo_scores: Vec<aqp_audit::AuditScore> = if self.slo.is_some() {
-            aggregates.iter().map(aqp_audit::score).collect()
-        } else {
-            Vec::new()
-        };
-        // Fold the scored aggregates into `_telemetry.audit` before the
-        // auditor consumes them (ingest takes ownership).
-        if let Some(intr) = &self.introspect {
-            if intr.should_fold(sql) {
-                intr.fold_audit(ordinal, sql, &aggregates);
-            }
-        }
-        let audit_alerts = auditor.ingest(QueryAudit {
-            ordinal,
-            sql: sql.to_string(),
-            replay_ms,
-            aggregates,
-        });
-        if let Some(intr) = &self.introspect {
-            if intr.should_fold(sql) {
-                for alert in &audit_alerts {
-                    intr.fold_slo_alert(sql, &alert.key, "warn", "audit");
-                }
-            }
-        }
-        if let Some(slo) = &self.slo {
-            let eval_started = obs.clock.now();
-            let class = slo.engine.classify(sql);
-            let (slo_alerts, _drift) =
-                slo.engine.observe_audit(class, &slo_scores, eval_started);
-            for alert in &audit_alerts {
-                slo.recorder.dump_with_context(
-                    &format!("audit:{}", alert.key),
-                    &obs.metrics.snapshot(),
-                    &[("class", class), ("trigger", "audit"), ("alert", alert.key.as_str())],
-                );
-            }
-            for alert in &slo_alerts {
-                let reason =
-                    format!("slo:{}:{}", alert.severity.as_str(), alert.objective);
-                slo.recorder.dump_with_context(
-                    &reason,
-                    &obs.metrics.snapshot(),
-                    &[
-                        ("class", alert.class.as_str()),
-                        ("objective", alert.objective.as_str()),
-                        ("severity", alert.severity.as_str()),
-                        ("trigger", "audit_score"),
-                    ],
-                );
-            }
-            if let Some(intr) = &self.introspect {
-                if intr.should_fold(sql) {
-                    for alert in &slo_alerts {
-                        intr.fold_slo_alert(
-                            sql,
-                            &alert.objective,
-                            alert.severity.as_str(),
-                            "audit_score",
-                        );
-                    }
-                }
-            }
-            obs.metrics
-                .histogram(name::SLO_EVAL_MS)
-                .record_ms(obs.clock.now().duration_since(eval_started).as_secs_f64() * 1e3);
-        }
+        self.observers.audited(p.sql, ordinal, replay_ms, &approx.groups, &truth.groups);
     }
 
     /// Run the pilot to translate an error clause into required rows.
-    #[allow(clippy::too_many_arguments)]
     fn pilot_required_rows(
         &self,
-        plan: &LogicalPlan,
-        table_name: &str,
-        population_rows: usize,
-        registry: &UdfRegistry,
+        p: &Prepared<'_>,
+        pilot: &Sample,
         rel_err: f64,
-        confidence: f64,
         rec: &TraceRecorder,
     ) -> Result<Option<usize>> {
-        let pilot = self.catalog.with_samples(table_name, |set| {
-            // The smallest stored uniform sample serves as the pilot.
-            Ok(set
-                .best_for(1)
-                .ok()
-                .or_else(|| set.uniform_samples().next())
-                .cloned())
-        })?;
-        let Some(pilot) = pilot else {
-            return Ok(None);
-        };
         let opts = ApproxOptions {
             method: MethodChoice::Auto,
             bootstrap_k: 50,
-            alpha: confidence,
+            alpha: self.confidence(&p.query),
             diagnostic: None,
             seed: self.config.seed ^ 0xB107,
             threads: self.config.threads,
@@ -985,24 +663,49 @@ impl AqpSession {
             faults: None,
         };
         let approx =
-            execute_approx(plan, &pilot.data, population_rows, registry, &opts)?;
+            execute_approx(&p.plan, &pilot.data, p.table.num_rows(), &p.registry, &opts)?;
         // The pilot's engine stages nest under the open sample-selection
         // span — the pilot *is* part of choosing the sample.
         rec.graft(approx.trace.clone());
-        // Use the widest relative interval across groups/aggregates (the
-        // binding constraint).
-        let mut needed: Option<usize> = None;
-        for g in &approx.groups {
-            for a in &g.aggs {
-                if let Some(ci) = &a.ci {
-                    if let Some(n) = required_sample_rows(ci, approx.sample_rows, rel_err) {
-                        needed = Some(needed.map_or(n, |m: usize| m.max(n)));
-                    }
-                }
-            }
-        }
-        Ok(needed)
+        // The widest relative interval across groups/aggregates is the
+        // binding constraint.
+        let needed = approx.groups.iter().flat_map(|g| &g.aggs).filter_map(|a| {
+            required_sample_rows(a.ci.as_ref()?, approx.sample_rows, rel_err)
+        });
+        Ok(needed.max())
     }
+}
+
+/// The exact run's groups as answer groups — its group set is
+/// authoritative, the sample can miss rare groups entirely. A result
+/// `approx` served with reliable error bars keeps them; a rejected one
+/// serves the exact value and keeps its verdict; one the sample never
+/// saw is plain exact.
+fn merge_with_exact(exact: &[(String, Vec<f64>)], approx: &[GroupResult]) -> Vec<GroupResult> {
+    let served: std::collections::HashMap<&str, &GroupResult> =
+        approx.iter().map(|g| (g.key.as_str(), g)).collect();
+    let exact_agg = |name: String, estimate, diagnostic| AggResult {
+        name,
+        estimate,
+        ci: None,
+        method: MethodUsed::None,
+        diagnostic,
+    };
+    exact
+        .iter()
+        .map(|(key, vals)| GroupResult {
+            key: key.clone(),
+            aggs: vals
+                .iter()
+                .enumerate()
+                .map(|(ai, &v)| match served.get(key.as_str()).and_then(|g| g.aggs.get(ai)) {
+                    Some(a) if a.error_bars_reliable() => a.clone(),
+                    Some(a) => exact_agg(a.name.clone(), v, a.diagnostic.clone()),
+                    None => exact_agg(format!("agg{ai}"), v, None),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// Close the lifecycle recorder and attach the finished trace (plus the
@@ -1024,70 +727,14 @@ fn finish_with_trace(
     })
 }
 
-/// The `_telemetry.queries.mode` label of an answer mode.
-fn mode_label(mode: AnswerMode) -> &'static str {
-    match mode {
-        AnswerMode::Approximate => "approximate",
-        AnswerMode::ApproximateUnchecked => "approximate_unchecked",
-        AnswerMode::ExactFallback => "exact_fallback",
-        AnswerMode::PartialFallback => "partial_fallback",
-        AnswerMode::Exact => "exact",
-    }
-}
-
 /// Apply a HAVING predicate to an answer's groups: each group becomes a
 /// one-row batch of its GROUP BY keys plus its aggregate estimates
 /// (named by their SELECT aliases, positionally), and groups where the
-/// predicate is not true are dropped.
-fn apply_having(query: &Query, answer: AqpAnswer) -> Result<AqpAnswer> {
-    let answer = apply_having_inner(query, answer)?;
-    Ok(apply_order_limit(query, answer))
-}
-
-/// Sort and truncate output groups per ORDER BY / LIMIT.
-fn apply_order_limit(query: &Query, mut answer: AqpAnswer) -> AqpAnswer {
-    if let Some(o) = &query.order_by {
-        // Positional lookup: group key index or aggregate alias index.
-        let key_idx = query.group_by.iter().position(|g| g == &o.column);
-        let agg_idx = query
-            .select
-            .iter()
-            .filter_map(|item| match item {
-                aqp_sql::ast::SelectItem::Agg(_, alias) => Some(alias.as_deref()),
-                _ => None,
-            })
-            .position(|alias| alias == Some(o.column.as_str()));
-        answer.groups.sort_by(|a, b| {
-            let ord = if let Some(ai) = agg_idx {
-                a.aggs[ai].estimate.total_cmp(&b.aggs[ai].estimate)
-            } else if let Some(ki) = key_idx {
-                let part = |g: &aqp_exec::result::GroupResult| {
-                    g.key.split('\u{1f}').nth(ki).unwrap_or("").to_owned()
-                };
-                let (pa, pb) = (part(a), part(b));
-                match (pa.parse::<f64>(), pb.parse::<f64>()) {
-                    (Ok(x), Ok(y)) => x.total_cmp(&y),
-                    _ => pa.cmp(&pb),
-                }
-            } else {
-                std::cmp::Ordering::Equal
-            };
-            if o.descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-    }
-    if let Some(l) = query.limit {
-        answer.groups.truncate(l);
-    }
-    answer
-}
-
-fn apply_having_inner(query: &Query, mut answer: AqpAnswer) -> Result<AqpAnswer> {
+/// predicate is not true are dropped. ORDER BY / LIMIT then shape what
+/// is left.
+fn apply_having(query: &Query, mut answer: AqpAnswer) -> Result<AqpAnswer> {
     let Some(having) = &query.having else {
-        return Ok(answer);
+        return Ok(apply_order_limit(query, answer));
     };
     // Positional aliases of the SELECT aggregates.
     let mut aliases: Vec<Option<String>> = Vec::new();
@@ -1137,22 +784,54 @@ fn apply_having_inner(query: &Query, mut answer: AqpAnswer) -> Result<AqpAnswer>
         }
     }
     answer.groups = kept;
-    Ok(answer)
+    Ok(apply_order_limit(query, answer))
 }
 
-/// Split a display name like `AVG(time)` into `("AVG", "time")`
-/// (`COUNT(*)` → `("COUNT", "*")`; names without parens keep an empty
-/// column).
-fn split_agg_name(name: &str) -> (&str, &str) {
-    match name.split_once('(') {
-        Some((f, rest)) => (f, rest.strip_suffix(')').unwrap_or(rest)),
-        None => (name, ""),
+/// Sort and truncate output groups per ORDER BY / LIMIT.
+fn apply_order_limit(query: &Query, mut answer: AqpAnswer) -> AqpAnswer {
+    if let Some(o) = &query.order_by {
+        // Positional lookup: group key index or aggregate alias index.
+        let key_idx = query.group_by.iter().position(|g| g == &o.column);
+        let agg_idx = query
+            .select
+            .iter()
+            .filter_map(|item| match item {
+                aqp_sql::ast::SelectItem::Agg(_, alias) => Some(alias.as_deref()),
+                _ => None,
+            })
+            .position(|alias| alias == Some(o.column.as_str()));
+        answer.groups.sort_by(|a, b| {
+            let ord = if let Some(ai) = agg_idx {
+                a.aggs[ai].estimate.total_cmp(&b.aggs[ai].estimate)
+            } else if let Some(ki) = key_idx {
+                let part = |g: &aqp_exec::result::GroupResult| {
+                    g.key.split('\u{1f}').nth(ki).unwrap_or("").to_owned()
+                };
+                let (pa, pb) = (part(a), part(b));
+                match (pa.parse::<f64>(), pb.parse::<f64>()) {
+                    (Ok(x), Ok(y)) => x.total_cmp(&y),
+                    _ => pa.cmp(&pb),
+                }
+            } else {
+                std::cmp::Ordering::Equal
+            };
+            if o.descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
     }
+    if let Some(l) = query.limit {
+        answer.groups.truncate(l);
+    }
+    answer
 }
 
-fn leaf_table_name(query: &Query) -> Result<String> {
+/// The table the innermost block of `query` scans.
+fn leaf_table_name(query: &Query) -> &str {
     match &query.from {
-        aqp_sql::TableRef::Table(t) => Ok(t.clone()),
+        aqp_sql::TableRef::Table(t) => t,
         aqp_sql::TableRef::Subquery(inner) => leaf_table_name(inner),
     }
 }

@@ -39,6 +39,6 @@ pub mod reservoir;
 pub mod tables;
 
 pub use config::IntrospectConfig;
-pub use pipeline::{Introspector, QueryRecord};
+pub use pipeline::{AlertRow, Introspector, QueryRecord};
 pub use tables::{Cell, NAMESPACE, TABLE_AUDIT, TABLE_FAULTS, TABLE_METRICS, TABLE_OPS,
     TABLE_QUERIES, TABLE_SLO_ALERTS, TABLE_SPANS};

@@ -47,10 +47,13 @@ pub struct QueryRecord<'a> {
     pub degraded: bool,
     /// The per-query operator profile, when one was assembled.
     pub profile: Option<&'a OpProfile>,
-    /// SLO alerts this query latched, as `(objective, severity,
-    /// trigger)` strings.
-    pub slo_alerts: &'a [(String, String, String)],
+    /// SLO alerts this query latched.
+    pub slo_alerts: &'a [AlertRow],
 }
+
+/// One `_telemetry.slo_alerts` row as the session reports it:
+/// `(objective, severity, trigger)`.
+pub type AlertRow = (String, String, String);
 
 struct State {
     tables: Vec<TelemetryTable>,
@@ -59,14 +62,40 @@ struct State {
     /// Per-table reservoir sequence at the last catalog sync, used to
     /// skip re-materializing unchanged tables.
     synced_seq: Vec<Option<u64>>,
+    rows_ingested: Counter,
+    rows_dropped: Counter,
+}
+
+impl State {
+    /// Offer one row to `table`'s reservoir — the only way rows enter —
+    /// counting it, and whatever the full reservoir evicted for it, on
+    /// `aqp.introspect.rows_{ingested,dropped}`.
+    fn offer(&mut self, table: &str, row: Vec<Cell>) {
+        let reservoir = &mut self.tables[index_of(table)].reservoir;
+        let before = reservoir.dropped();
+        reservoir.offer(row);
+        self.rows_ingested.inc();
+        self.rows_dropped.add(reservoir.dropped() - before);
+    }
+
+    fn offer_alert(&mut self, qid: i64, class: &str, (objective, severity, trigger): &AlertRow) {
+        self.offer(
+            TABLE_SLO_ALERTS,
+            vec![
+                Cell::Int(qid),
+                Cell::Str(class.to_string()),
+                Cell::Str(objective.clone()),
+                Cell::Str(severity.clone()),
+                Cell::Str(trigger.clone()),
+            ],
+        );
+    }
 }
 
 /// The in-process introspection pipeline (see the module docs).
 pub struct Introspector {
     cfg: IntrospectConfig,
     registry: Arc<MetricsRegistry>,
-    rows_ingested: Counter,
-    rows_dropped: Counter,
     queries_folded: Counter,
     queries_served: Counter,
     syncs: Counter,
@@ -92,15 +121,20 @@ impl Introspector {
             .collect::<Vec<_>>();
         let synced_seq = vec![None; tables.len()];
         let m = &obs.metrics;
-        Introspector {
+        let state = State {
+            tables,
+            folded: 0,
+            synced_seq,
             rows_ingested: m.counter(name::INTROSPECT_ROWS_INGESTED),
             rows_dropped: m.counter(name::INTROSPECT_ROWS_DROPPED),
+        };
+        Introspector {
             queries_folded: m.counter(name::INTROSPECT_QUERIES_FOLDED),
             queries_served: m.counter(name::INTROSPECT_QUERIES_SERVED),
             syncs: m.counter(name::INTROSPECT_SYNCS),
             registry: Arc::clone(&obs.metrics),
             cfg,
-            state: Mutex::new(State { tables, folded: 0, synced_seq }),
+            state: Mutex::new(state),
         }
     }
 
@@ -136,147 +170,104 @@ impl Introspector {
         let mut state = self.state.lock();
         state.folded += 1;
         let qid = state.folded as i64;
-        // Snapshot before taking the mutable table borrow; the sample
-        // lags this query's own fold by design (point-in-time).
+        // Snapshot before this query's rows go in: the sample lags the
+        // query's own fold by design (point-in-time).
         let snap = (self.cfg.metrics_every > 0 && state.folded.is_multiple_of(self.cfg.metrics_every))
             .then(|| self.registry.snapshot());
-        let mut ingested = 0u64;
-        let mut dropped = 0u64;
-        {
-            let state = &mut *state;
-            let mut offer = |idx: usize, row: Vec<Cell>| {
-                let before = state.tables[idx].reservoir.dropped();
-                state.tables[idx].reservoir.offer(row);
-                ingested += 1;
-                dropped += state.tables[idx].reservoir.dropped() - before;
-            };
+        state.offer(
+            TABLE_QUERIES,
+            vec![
+                Cell::Int(qid),
+                Cell::Str(class.clone()),
+                Cell::Str(rec.mode.to_string()),
+                Cell::Float(rec.wall_ms),
+                Cell::Int(rec.sample_rows as i64),
+                Cell::Int(rec.population_rows as i64),
+                Cell::Int(rec.groups as i64),
+                Cell::Bool(rec.fell_back),
+                Cell::Bool(rec.degraded),
+            ],
+        );
 
-            offer(
-                index_of(TABLE_QUERIES),
+        for (i, span) in rec.trace.spans.iter().enumerate() {
+            let (stage, depth) = stage_of(rec.trace, i);
+            let wall_ms = span.duration().as_secs_f64() * 1e3;
+            state.offer(
+                TABLE_SPANS,
                 vec![
                     Cell::Int(qid),
                     Cell::Str(class.clone()),
-                    Cell::Str(rec.mode.to_string()),
-                    Cell::Float(rec.wall_ms),
-                    Cell::Int(rec.sample_rows as i64),
-                    Cell::Int(rec.population_rows as i64),
-                    Cell::Int(rec.groups as i64),
-                    Cell::Bool(rec.fell_back),
-                    Cell::Bool(rec.degraded),
+                    Cell::Str(span.name.clone()),
+                    stage,
+                    Cell::Int(depth),
+                    Cell::Float(wall_ms),
                 ],
             );
-
-            for (i, span) in rec.trace.spans.iter().enumerate() {
-                let (stage, depth) = stage_of(rec.trace, i);
-                let wall_ms = span.duration().as_secs_f64() * 1e3;
-                offer(
-                    index_of(TABLE_SPANS),
+            if let Some(kind) = fault_kind(&span.name) {
+                let task = span.attr("task").and_then(|v| v.parse::<i64>().ok());
+                let attempt = span.attr("attempt").and_then(|v| v.parse::<i64>().ok());
+                state.offer(
+                    TABLE_FAULTS,
                     vec![
                         Cell::Int(qid),
                         Cell::Str(class.clone()),
-                        Cell::Str(span.name.clone()),
-                        stage,
-                        Cell::Int(depth),
+                        Cell::Str(kind.to_string()),
+                        Cell::Int(task.unwrap_or(-1)),
+                        Cell::Int(attempt.unwrap_or(-1)),
                         Cell::Float(wall_ms),
                     ],
                 );
-                if let Some(kind) = fault_kind(&span.name) {
-                    let task = span.attr("task").and_then(|v| v.parse::<i64>().ok());
-                    let attempt = span.attr("attempt").and_then(|v| v.parse::<i64>().ok());
-                    offer(
-                        index_of(TABLE_FAULTS),
-                        vec![
-                            Cell::Int(qid),
-                            Cell::Str(class.clone()),
-                            Cell::Str(kind.to_string()),
-                            Cell::Int(task.unwrap_or(-1)),
-                            Cell::Int(attempt.unwrap_or(-1)),
-                            Cell::Float(wall_ms),
-                        ],
-                    );
-                }
             }
+        }
 
-            if let Some(profile) = rec.profile {
-                let mut stack = vec![(profile, String::new())];
-                while let Some((node, prefix)) = stack.pop() {
-                    let path = if prefix.is_empty() {
-                        node.name.clone()
-                    } else {
-                        format!("{prefix};{}", node.name)
-                    };
-                    offer(
-                        index_of(TABLE_OPS),
-                        vec![
-                            Cell::Int(qid),
-                            Cell::Str(class.clone()),
-                            Cell::Str(node.name.clone()),
-                            Cell::Str(path.clone()),
-                            Cell::Float(node.wall.as_secs_f64() * 1e3),
-                            Cell::Int(node.rows_out as i64),
-                        ],
-                    );
-                    for child in &node.children {
-                        stack.push((child, path.clone()));
-                    }
-                }
-            }
-
-            for (objective, severity, trigger) in rec.slo_alerts {
-                offer(
-                    index_of(TABLE_SLO_ALERTS),
+        if let Some(profile) = rec.profile {
+            let mut stack = vec![(profile, String::new())];
+            while let Some((node, prefix)) = stack.pop() {
+                let path = if prefix.is_empty() {
+                    node.name.clone()
+                } else {
+                    format!("{prefix};{}", node.name)
+                };
+                state.offer(
+                    TABLE_OPS,
                     vec![
                         Cell::Int(qid),
                         Cell::Str(class.clone()),
-                        Cell::Str(objective.clone()),
-                        Cell::Str(severity.clone()),
-                        Cell::Str(trigger.clone()),
+                        Cell::Str(node.name.clone()),
+                        Cell::Str(path.clone()),
+                        Cell::Float(node.wall.as_secs_f64() * 1e3),
+                        Cell::Int(node.rows_out as i64),
                     ],
                 );
+                for child in &node.children {
+                    stack.push((child, path.clone()));
+                }
             }
+        }
 
-            if let Some(snap) = &snap {
-                for (metric, v) in &snap.counters {
-                    offer(
-                        index_of(TABLE_METRICS),
-                        vec![
-                            Cell::Int(qid),
-                            Cell::Str(metric.clone()),
-                            Cell::Str("counter".to_string()),
-                            Cell::Float(*v as f64),
-                        ],
-                    );
-                }
-                for (metric, v) in &snap.gauges {
-                    offer(
-                        index_of(TABLE_METRICS),
-                        vec![
-                            Cell::Int(qid),
-                            Cell::Str(metric.clone()),
-                            Cell::Str("gauge".to_string()),
-                            Cell::Float(*v),
-                        ],
-                    );
-                }
-                for (metric, h) in &snap.histograms {
-                    offer(
-                        index_of(TABLE_METRICS),
-                        vec![
-                            Cell::Int(qid),
-                            Cell::Str(metric.clone()),
-                            Cell::Str("histogram_count".to_string()),
-                            Cell::Float(h.count as f64),
-                        ],
-                    );
-                }
+        for alert in rec.slo_alerts {
+            state.offer_alert(qid, &class, alert);
+        }
+
+        if let Some(snap) = &snap {
+            let counters = snap.counters.iter().map(|(m, v)| (m, "counter", *v as f64));
+            let gauges = snap.gauges.iter().map(|(m, v)| (m, "gauge", *v));
+            let histograms =
+                snap.histograms.iter().map(|(m, h)| (m, "histogram_count", h.count as f64));
+            for (metric, kind, value) in counters.chain(gauges).chain(histograms) {
+                state.offer(
+                    TABLE_METRICS,
+                    vec![
+                        Cell::Int(qid),
+                        Cell::Str(metric.clone()),
+                        Cell::Str(kind.to_string()),
+                        Cell::Float(value),
+                    ],
+                );
             }
         }
         drop(state);
         self.queries_folded.inc();
-        self.rows_ingested.add(ingested);
-        if dropped > 0 {
-            self.rows_dropped.add(dropped);
-        }
     }
 
     /// Fold the scored results of one audit replay into
@@ -286,9 +277,6 @@ impl Introspector {
     pub fn fold_audit(&self, ordinal: u64, sql: &str, aggregates: &[AuditedAggregate]) {
         let class = self.cfg.classes.classify(sql).to_string();
         let mut state = self.state.lock();
-        let idx = index_of(TABLE_AUDIT);
-        let mut ingested = 0u64;
-        let mut dropped = 0u64;
         for a in aggregates {
             let s = score(a);
             let row = vec![
@@ -304,40 +292,23 @@ impl Introspector {
                 opt_f64(s.covered.map(|c| f64::from(u8::from(c)))),
                 opt_f64(a.diagnostic_accepted.map(|c| f64::from(u8::from(c)))),
             ];
-            let before = state.tables[idx].reservoir.dropped();
-            state.tables[idx].reservoir.offer(row);
-            ingested += 1;
-            dropped += state.tables[idx].reservoir.dropped() - before;
-        }
-        drop(state);
-        self.rows_ingested.add(ingested);
-        if dropped > 0 {
-            self.rows_dropped.add(dropped);
+            state.offer(TABLE_AUDIT, row);
         }
     }
 
-    /// Fold one SLO alert latched outside the per-query fold (audit
+    /// Fold SLO alerts latched outside the per-query fold (audit
     /// coverage alerts fire inside the audit path, before `fold_query`
-    /// runs for that query — the row is stamped with the upcoming query
-    /// ordinal).
-    pub fn fold_slo_alert(&self, sql: &str, objective: &str, severity: &str, trigger: &str) {
-        let class = self.cfg.classes.classify(sql).to_string();
+    /// runs for that query — the rows are stamped with the upcoming
+    /// query ordinal).
+    pub fn fold_slo_alerts(&self, sql: &str, alerts: &[AlertRow]) {
+        if alerts.is_empty() {
+            return;
+        }
+        let class = self.cfg.classes.classify(sql);
         let mut state = self.state.lock();
         let qid = (state.folded + 1) as i64;
-        let idx = index_of(TABLE_SLO_ALERTS);
-        let before = state.tables[idx].reservoir.dropped();
-        state.tables[idx].reservoir.offer(vec![
-            Cell::Int(qid),
-            Cell::Str(class),
-            Cell::Str(objective.to_string()),
-            Cell::Str(severity.to_string()),
-            Cell::Str(trigger.to_string()),
-        ]);
-        let after = state.tables[idx].reservoir.dropped();
-        drop(state);
-        self.rows_ingested.inc();
-        if after > before {
-            self.rows_dropped.add(after - before);
+        for alert in alerts {
+            state.offer_alert(qid, class, alert);
         }
     }
 

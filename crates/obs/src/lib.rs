@@ -45,7 +45,7 @@ pub use metrics::{
 };
 pub use recorder::{FlightRecorder, FlightRecorderConfig};
 pub use router::{ClassRouter, ClassRule};
-pub use sink::JsonlSink;
+pub use sink::{JsonlLogConfig, JsonlSink, LazySink};
 pub use trace::{stage, QueryTrace, Span, SpanId, TraceRecorder};
 
 use std::sync::Arc;

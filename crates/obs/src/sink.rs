@@ -6,12 +6,17 @@
 //! `<path>.2`, … when it would grow past a byte budget, dropping the
 //! oldest rotation. All I/O errors are surfaced as `io::Result`; the
 //! sink never panics on the write path.
+//!
+//! Producers on the query path (the audit log, the SLO log) go through a
+//! [`LazySink`] instead: it opens the file on its first line and turns
+//! every I/O error into a counter, so a bad path disables the log and
+//! never fails a query.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::metrics::Counter;
+use crate::metrics::{Counter, MetricsRegistry};
 
 /// An append-only JSONL file with size-based rotation.
 ///
@@ -134,6 +139,90 @@ impl JsonlSink {
         if lost > 0 {
             counter.add(lost);
         }
+    }
+}
+
+/// Where (and how large) a rotating JSONL log is.
+#[derive(Debug, Clone)]
+pub struct JsonlLogConfig {
+    /// Live log file path (rotations get `.1`, `.2`, … suffixes).
+    pub path: PathBuf,
+    /// Byte budget of the live file before rotation.
+    pub max_bytes: u64,
+    /// Rotated files to keep (0 truncates in place).
+    pub max_rotations: usize,
+}
+
+impl JsonlLogConfig {
+    /// A log at `path` with the default 4 MiB budget and 3 rotations.
+    pub fn at(path: impl Into<PathBuf>) -> Self {
+        JsonlLogConfig { path: path.into(), max_bytes: 4 << 20, max_rotations: 3 }
+    }
+}
+
+#[derive(Debug)]
+enum LazyState {
+    Unopened(JsonlLogConfig),
+    Open(JsonlSink),
+    /// No log was configured, or it failed once and stays off.
+    Off,
+}
+
+/// A [`JsonlSink`] that opens on its first line and never fails its
+/// caller: an open or write error counts once on the producer's error
+/// counter and switches the log off for good (no retries on the query
+/// path); a failed flush only counts. Lines destroyed by rotation count on
+/// `aqp.obs.sink_dropped_lines`, which is registered only when a log is
+/// configured, so log-less producers keep their metric surface.
+#[derive(Debug)]
+pub struct LazySink {
+    state: LazyState,
+    errors: Counter,
+    dropped: Option<Counter>,
+}
+
+impl LazySink {
+    /// A sink for `log` (`None` drops every line), counting I/O
+    /// failures on the counter named `errors`.
+    pub fn new(log: Option<JsonlLogConfig>, metrics: &MetricsRegistry, errors: &str) -> Self {
+        let dropped = log.as_ref().map(|_| metrics.counter(crate::name::OBS_SINK_DROPPED_LINES));
+        LazySink {
+            state: log.map_or(LazyState::Off, LazyState::Unopened),
+            errors: metrics.counter(errors),
+            dropped,
+        }
+    }
+
+    /// Append one line, opening the file first if this is the first.
+    pub fn write_line(&mut self, line: &str) {
+        if let LazyState::Unopened(cfg) = &self.state {
+            self.state = match JsonlSink::open(&cfg.path, cfg.max_bytes, cfg.max_rotations) {
+                Ok(sink) => LazyState::Open(match &self.dropped {
+                    Some(c) => sink.with_dropped_lines_counter(c.clone()),
+                    None => sink,
+                }),
+                Err(_) => self.fail(),
+            };
+        }
+        if let LazyState::Open(sink) = &mut self.state {
+            if sink.append(line).is_err() {
+                self.state = self.fail();
+            }
+        }
+    }
+
+    /// Flush an open log; a failure only counts.
+    pub fn flush(&mut self) {
+        if let LazyState::Open(sink) = &mut self.state {
+            if sink.flush().is_err() {
+                self.errors.inc();
+            }
+        }
+    }
+
+    fn fail(&self) -> LazyState {
+        self.errors.inc();
+        LazyState::Off
     }
 }
 

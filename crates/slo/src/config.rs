@@ -2,7 +2,6 @@
 //! burn-rate windows/thresholds, drift-detector knobs, and the JSONL
 //! alert log.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use aqp_obs::FlightRecorderConfig;
@@ -155,22 +154,7 @@ impl Default for DriftConfig {
 }
 
 /// Where (and how large) the rotating JSONL SLO log is.
-#[derive(Debug, Clone)]
-pub struct SloLogConfig {
-    /// Live log file path (rotations get `.1`, `.2`, … suffixes).
-    pub path: PathBuf,
-    /// Byte budget of the live file before rotation.
-    pub max_bytes: u64,
-    /// Rotated files to keep (0 truncates in place).
-    pub max_rotations: usize,
-}
-
-impl SloLogConfig {
-    /// A log at `path` with the default 4 MiB budget and 3 rotations.
-    pub fn at(path: impl Into<PathBuf>) -> Self {
-        SloLogConfig { path: path.into(), max_bytes: 4 << 20, max_rotations: 3 }
-    }
-}
+pub use aqp_obs::JsonlLogConfig as SloLogConfig;
 
 /// Configuration of the fleet-level SLO engine.
 ///

@@ -23,9 +23,9 @@ use std::time::Duration;
 
 use aqp_audit::AuditScore;
 use aqp_obs::json::{push_f64, push_str_lit};
-use aqp_obs::{name, Counter, Gauge, JsonlSink, ObsHandle, Timestamp};
+use aqp_obs::{name, Counter, Gauge, LazySink, ObsHandle, Timestamp};
 
-use crate::config::{Objective, ObjectiveKind, SloConfig, SloLogConfig};
+use crate::config::{Objective, ObjectiveKind, SloConfig};
 use crate::drift::{DriftDetector, DriftSignal, DriftStatus};
 
 /// Pseudo-class prefixing the fleet-wide drift streams
@@ -193,16 +193,6 @@ impl ObjectiveState {
     }
 }
 
-/// The rotating JSONL log, opened lazily so an unwritable path only
-/// disables logging (never the query path).
-#[derive(Debug)]
-enum SinkState {
-    Disabled,
-    Unopened(SloLogConfig),
-    Open(JsonlSink),
-    Failed,
-}
-
 /// Meter handles registered once at construction.
 #[derive(Debug)]
 struct Meters {
@@ -214,10 +204,6 @@ struct Meters {
     worst_burn_slow: Gauge,
     min_budget: Gauge,
     drift_signals: Counter,
-    log_errors: Counter,
-    /// Registered only when a JSONL log is configured, so log-less
-    /// engines keep their metric surface unchanged.
-    sink_dropped: Option<Counter>,
 }
 
 /// State behind the engine lock.
@@ -227,7 +213,7 @@ struct State {
     objectives: Vec<ObjectiveState>,
     drift: BTreeMap<String, DriftDetector>,
     alerts: Vec<SloAlert>,
-    sink: SinkState,
+    sink: LazySink,
 }
 
 /// The fleet-level SLO engine. Thread-safe; the session calls it
@@ -243,10 +229,7 @@ impl SloEngine {
     /// Build an engine from `cfg`, registering its meters on `obs`.
     pub fn new(cfg: SloConfig, obs: &ObsHandle) -> Self {
         let metrics = &obs.metrics;
-        let sink = match cfg.log.clone() {
-            Some(log) => SinkState::Unopened(log),
-            None => SinkState::Disabled,
-        };
+        let sink = LazySink::new(cfg.log.clone(), metrics, name::SLO_LOG_ERRORS);
         let objectives = cfg.objectives.iter().cloned().map(ObjectiveState::new).collect();
         SloEngine {
             meters: Meters {
@@ -258,11 +241,6 @@ impl SloEngine {
                 worst_burn_slow: metrics.gauge(name::SLO_WORST_BURN_SLOW),
                 min_budget: metrics.gauge(name::SLO_MIN_BUDGET_REMAINING),
                 drift_signals: metrics.counter(name::SLO_DRIFT_SIGNALS),
-                log_errors: metrics.counter(name::SLO_LOG_ERRORS),
-                sink_dropped: cfg
-                    .log
-                    .is_some()
-                    .then(|| metrics.counter(name::OBS_SINK_DROPPED_LINES)),
             },
             state: Mutex::new(State {
                 events: 0,
@@ -351,54 +329,39 @@ impl SloEngine {
                     fired.extend(self.observe_event(&mut st, idx, !covered, now));
                 }
                 let miss = if covered { 0.0 } else { 1.0 };
-                signals.extend(self.observe_drift(&mut st, class, "coverage_miss", miss));
-                if class != FLEET_STREAM_CLASS {
-                    signals.extend(self.observe_drift(
-                        &mut st,
-                        FLEET_STREAM_CLASS,
-                        "coverage_miss",
-                        miss,
-                    ));
-                }
+                self.observe_drift(&mut st, class, "coverage_miss", miss, &mut signals);
             }
-            if let Some(rel_error) = score.rel_error {
-                if rel_error.is_finite() {
-                    signals.extend(self.observe_drift(&mut st, class, "rel_error", rel_error));
-                    if class != FLEET_STREAM_CLASS {
-                        signals.extend(self.observe_drift(
-                            &mut st,
-                            FLEET_STREAM_CLASS,
-                            "rel_error",
-                            rel_error,
-                        ));
-                    }
-                }
+            if let Some(rel_error) = score.rel_error.filter(|e| e.is_finite()) {
+                self.observe_drift(&mut st, class, "rel_error", rel_error, &mut signals);
             }
         }
         self.finish(&mut st);
         (fired, signals)
     }
 
-    /// Feed one value to the `class/stream` drift detector, logging and
-    /// counting any signal.
+    /// Feed one value to the `class/stream` drift detector and to the
+    /// fleet-wide `fleet/stream` one, logging and counting any signal.
     fn observe_drift(
         &self,
         st: &mut State,
         class: &str,
         stream: &str,
         x: f64,
-    ) -> Option<DriftSignal> {
-        let key = format!("{class}/{stream}");
-        let drift_cfg = &self.cfg.drift;
-        let signal = st
-            .drift
-            .entry(key.clone())
-            .or_insert_with(|| DriftDetector::new(&key, drift_cfg))
-            .observe(x)?;
-        self.meters.drift_signals.inc();
-        let line = drift_line(&signal);
-        write_line(&mut st.sink, &line, &self.meters.log_errors, self.meters.sink_dropped.as_ref());
-        Some(signal)
+        signals: &mut Vec<DriftSignal>,
+    ) {
+        let fleet = (class != FLEET_STREAM_CLASS).then_some(FLEET_STREAM_CLASS);
+        for class in std::iter::once(class).chain(fleet) {
+            let key = format!("{class}/{stream}");
+            let detector = st
+                .drift
+                .entry(key.clone())
+                .or_insert_with(|| DriftDetector::new(&key, &self.cfg.drift));
+            if let Some(signal) = detector.observe(x) {
+                self.meters.drift_signals.inc();
+                st.sink.write_line(&drift_line(&signal));
+                signals.push(signal);
+            }
+        }
     }
 
     /// Record one good/bad event for objective `idx` and evaluate its
@@ -469,13 +432,7 @@ impl SloEngine {
                 Severity::Page => self.meters.page_alerts.inc(),
                 Severity::Warn => self.meters.warn_alerts.inc(),
             }
-            let line = alert_line(alert);
-            write_line(
-                &mut st.sink,
-                &line,
-                &self.meters.log_errors,
-                self.meters.sink_dropped.as_ref(),
-            );
+            st.sink.write_line(&alert_line(alert));
         }
         st.alerts.extend(fired.iter().cloned());
         fired
@@ -495,11 +452,7 @@ impl SloEngine {
         self.meters.worst_burn_fast.set(worst_fast);
         self.meters.worst_burn_slow.set(worst_slow);
         self.meters.min_budget.set(min_budget);
-        if let SinkState::Open(sink) = &mut st.sink {
-            if sink.flush().is_err() {
-                self.meters.log_errors.inc();
-            }
-        }
+        st.sink.flush();
     }
 
     /// A deterministic snapshot of everything the engine knows:
@@ -630,37 +583,6 @@ impl SloReport {
             }
         }
         out
-    }
-}
-
-/// Write one line through the lazily-opened sink; failures only count.
-fn write_line(sink: &mut SinkState, line: &str, errors: &Counter, dropped: Option<&Counter>) {
-    loop {
-        match sink {
-            SinkState::Disabled | SinkState::Failed => return,
-            SinkState::Unopened(cfg) => {
-                match JsonlSink::open(&cfg.path, cfg.max_bytes, cfg.max_rotations) {
-                    Ok(s) => {
-                        *sink = SinkState::Open(match dropped {
-                            Some(c) => s.with_dropped_lines_counter(c.clone()),
-                            None => s,
-                        })
-                    }
-                    Err(_) => {
-                        errors.inc();
-                        *sink = SinkState::Failed;
-                        return;
-                    }
-                }
-            }
-            SinkState::Open(s) => {
-                if s.append(line).is_err() {
-                    errors.inc();
-                    *sink = SinkState::Failed;
-                }
-                return;
-            }
-        }
     }
 }
 
@@ -902,7 +824,7 @@ mod tests {
         let path = dir.join("slo.jsonl");
         let obs = obs();
         let engine = SloEngine::new(
-            cfg().with_log(SloLogConfig::at(&path)),
+            cfg().with_log(crate::SloLogConfig::at(&path)),
             &obs,
         );
         for i in 0..80 {
@@ -918,7 +840,7 @@ mod tests {
     fn unwritable_log_disables_itself_and_counts_errors() {
         let obs = obs();
         let engine = SloEngine::new(
-            cfg().with_log(SloLogConfig::at("/dev/null/nope/slo.jsonl")),
+            cfg().with_log(crate::SloLogConfig::at("/dev/null/nope/slo.jsonl")),
             &obs,
         );
         for i in 0..80 {

@@ -162,3 +162,35 @@ fn empty_strata_handled() {
     let total: f64 = a.groups.iter().map(|g| g.aggs[0].estimate).sum();
     assert_eq!(total, 5_000.0); // full-table strata: exact
 }
+
+#[test]
+fn samples_dropped_between_check_and_pick_do_not_panic() {
+    // The session checks that a table has samples, runs the pilot for the
+    // error clause, then picks a sample. A `drop_table` (or a telemetry
+    // re-sync) from another caller can land in between; a UDF that
+    // re-registers the table on its first call — it runs inside the pilot
+    // — forces exactly that interleaving on one thread. Picking from the
+    // then-empty set used to `expect` inside `execute`.
+    let s = AqpSession::new(SessionConfig { threads: 1, ..Default::default() });
+    s.register_table(conviva_sessions_table(20_000, 4, 1)).unwrap();
+    s.build_samples("sessions", &[1_000, 5_000], 2).unwrap();
+    let catalog = s.catalog().clone();
+    let armed = std::sync::atomic::AtomicBool::new(true);
+    s.register_udf(
+        "mean_that_drops_samples",
+        reliable_aqp::stats::estimator::Udf::new("mean_that_drops_samples", move |xs| {
+            if armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                let table = catalog.table("sessions").unwrap();
+                catalog.drop_table("sessions").unwrap();
+                catalog.register_table((*table).clone()).unwrap();
+            }
+            xs.iter().sum::<f64>() / xs.len().max(1) as f64
+        }),
+    );
+    let sql = "SELECT mean_that_drops_samples(time) FROM sessions WITHIN 5% ERROR AT CONFIDENCE 95%";
+    // The query in flight finishes on the samples it saw when it started.
+    let a = s.execute(sql).unwrap();
+    assert!(a.sample_rows > 0 && a.scalar().unwrap().estimate.is_finite(), "{}", a.summary());
+    // The next one sees a table without samples and answers exactly.
+    assert_eq!(s.execute(sql).unwrap().mode, AnswerMode::Exact);
+}

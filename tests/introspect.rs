@@ -248,6 +248,67 @@ fn introspect_overhead_is_bounded_at_five_percent() {
     );
 }
 
+/// One session shared by several threads, introspection on: user queries
+/// fold telemetry while `_telemetry.*` queries re-sync the catalog (drop +
+/// re-register clears a table's samples) under each other's feet. Every
+/// call must return `Ok` or a typed error — never panic — and user-table
+/// answers must be bit-equal to the serial run.
+#[test]
+fn concurrent_callers_get_serial_answers_and_never_panic() {
+    const USER: [&str; 4] = [
+        "SELECT AVG(time) FROM sessions",
+        "SELECT SUM(bytes) FROM sessions WHERE is_mobile = true",
+        "SELECT city, COUNT(*) FROM sessions GROUP BY city",
+        "SELECT AVG(bitrate) FROM sessions WITHIN 5% ERROR AT CONFIDENCE 95%",
+    ];
+    const TELEMETRY: [&str; 3] = [
+        "SELECT stage, AVG(wall_ms) FROM _telemetry.spans GROUP BY stage",
+        "SELECT AVG(depth) FROM _telemetry.spans WITHIN 10% ERROR AT CONFIDENCE 95%",
+        "SELECT COUNT(*) FROM _telemetry.queries",
+    ];
+    const ROUNDS: usize = 60;
+    let serial = introspected_session(7, Some(routing()), ObsHandle::isolated(Clock::mock()));
+    let expected: Vec<String> = USER.iter().map(|sql| render(&serial.execute(sql).unwrap())).collect();
+
+    let s = introspected_session(7, Some(routing()), ObsHandle::isolated(Clock::mock()));
+    // Enough folded spans for the telemetry tables to carry samples.
+    for _ in 0..10 {
+        s.execute(USER[0]).unwrap();
+    }
+    let start = std::sync::Barrier::new(4);
+    let telemetry_answers = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..2 {
+            let (s, start, expected) = (&s, &start, &expected);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    let q = (i + t) % USER.len();
+                    let a = s.execute(USER[q]).expect("a user query must not fail");
+                    assert_eq!(render(&a), expected[q], "{} diverged from the serial run", USER[q]);
+                }
+            });
+        }
+        for t in 0..2 {
+            let (s, start, telemetry_answers) = (&s, &start, &telemetry_answers);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..ROUNDS {
+                    // A re-sync racing this query may leave its table
+                    // momentarily absent: a typed error, not a panic.
+                    if s.execute(TELEMETRY[(i + t) % TELEMETRY.len()]).is_ok() {
+                        telemetry_answers.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        telemetry_answers.into_inner() > ROUNDS,
+        "most telemetry queries must answer despite the concurrent re-syncs"
+    );
+}
+
 /// Hook for the CI `introspect-smoke` job: when `INTROSPECT_SMOKE_SEED`
 /// is set, run a fixed-seed fault-injected workload, query the system's
 /// own telemetry, and write the bit-exact rendering to

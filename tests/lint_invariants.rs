@@ -51,6 +51,27 @@ fn workspace_is_analyze_clean() {
     );
 }
 
+/// The observer seam stays a seam: `session.rs` drives its observers
+/// through `observers.rs` and names none of their machinery itself.
+#[test]
+fn session_names_no_observer_machinery() {
+    let path = repo_root().join("crates/core/src/session.rs");
+    let source = std::fs::read_to_string(path).expect("session.rs is readable");
+    let code = source.split("#[cfg(test)]").next().unwrap_or(&source);
+    for banned in [
+        "SloEngine",
+        "Introspector",
+        "Auditor::",
+        "FlightRecorder::new",
+        "CumulativeProfile::new",
+        "fold_query",
+        "observe_latency",
+        "dump_with_context",
+    ] {
+        assert!(!code.contains(banned), "session.rs names `{banned}`; it belongs in observers.rs");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Fixture corpus
 // ---------------------------------------------------------------------
