@@ -8,22 +8,24 @@ use aqp_obs::{name, Counter, Gauge, Histogram, LazySink, ObsHandle};
 
 use crate::config::AuditConfig;
 use crate::sampler::AuditSampler;
-use crate::score::{score, AuditKey, AuditScore, AuditedAggregate};
+use crate::score::{AuditKey, AuditScore, AuditedAggregate};
 use crate::window::{ConfusionCounts, SlidingWindow};
 
-/// One audited query: the approximate results it served, paired with
-/// replayed truth, plus identifying context.
-#[derive(Debug, Clone)]
-pub struct QueryAudit {
+/// One audited query, borrowed for the duration of an
+/// [`Auditor::ingest`]: what identifies it, and every group-aggregate
+/// result it served paired with replayed truth and already scored (the
+/// session scores once and lends the same pairs to every observer).
+#[derive(Debug, Clone, Copy)]
+pub struct QueryAudit<'a> {
     /// The query's ordinal among considered queries (from
     /// [`Auditor::should_audit`]).
     pub ordinal: u64,
     /// The SQL text (or a rendered description) of the query.
-    pub sql: String,
+    pub sql: &'a str,
     /// Wall-clock cost of the full-data replay, in milliseconds.
     pub replay_ms: f64,
-    /// Every group-aggregate result with its truth.
-    pub aggregates: Vec<AuditedAggregate>,
+    /// Every group-aggregate result with its truth and its score.
+    pub scored: &'a [(AuditedAggregate, AuditScore)],
 }
 
 /// A fired threshold alert: a window's CI coverage dropped below the
@@ -205,45 +207,36 @@ impl Auditor {
         }
     }
 
-    /// Score one audited query's results, update windows and metrics,
+    /// Fold one audited query's scored results into windows and metrics,
     /// append to the audit log, and return any alerts that fired.
-    pub fn ingest(&self, audit: QueryAudit) -> Vec<Alert> {
+    pub fn ingest(&self, audit: QueryAudit<'_>) -> Vec<Alert> {
+        use aqp_diagnostics::DiagnosticOutcome as O;
         let mut st = self.lock();
         self.meters.replay_ms.record_ms(audit.replay_ms);
         let mut fired = Vec::new();
-        for a in &audit.aggregates {
-            let s = score(a);
+        for (a, s) in audit.scored {
             self.meters.scored.inc();
             match s.covered {
                 Some(true) => self.meters.hits.inc(),
                 Some(false) => self.meters.misses.inc(),
                 None => {}
             }
-            if let Some(o) = s.outcome {
-                match o {
-                    aqp_diagnostics::DiagnosticOutcome::TrueAccept => {
-                        self.meters.true_accepts.inc()
-                    }
-                    aqp_diagnostics::DiagnosticOutcome::TrueReject => {
-                        self.meters.true_rejects.inc()
-                    }
-                    aqp_diagnostics::DiagnosticOutcome::FalsePositive => {
-                        self.meters.false_positives.inc()
-                    }
-                    aqp_diagnostics::DiagnosticOutcome::FalseNegative => {
-                        self.meters.false_negatives.inc()
-                    }
-                }
+            match s.outcome {
+                Some(O::TrueAccept) => self.meters.true_accepts.inc(),
+                Some(O::TrueReject) => self.meters.true_rejects.inc(),
+                Some(O::FalsePositive) => self.meters.false_positives.inc(),
+                Some(O::FalseNegative) => self.meters.false_negatives.inc(),
+                None => {}
             }
             let key = AuditKey { agg: a.agg.clone(), family: a.family.clone() };
-            st.overall.cum.push(&s);
-            st.overall.window.push(s);
+            st.overall.cum.push(s);
+            st.overall.window.push(*s);
             let window = self.cfg.window;
             let ks = st.per_key.entry(key.clone()).or_insert_with(|| KeyState::new(window));
-            ks.cum.push(&s);
-            ks.window.push(s);
+            ks.cum.push(s);
+            ks.window.push(*s);
 
-            st.sink.write_line(&audit_line(&audit, a, &s));
+            st.sink.write_line(|| audit_line(&audit, a, s));
 
             let at_result = st.overall.cum.scored;
             let mut new_alerts = Vec::new();
@@ -258,7 +251,7 @@ impl Auditor {
             }
             for alert in new_alerts {
                 self.meters.alerts.inc();
-                st.sink.write_line(&alert_line(&alert));
+                st.sink.write_line(|| alert_line(&alert));
                 st.alerts.push(alert.clone());
                 fired.push(alert);
             }
@@ -421,13 +414,13 @@ fn outcome_str(o: aqp_diagnostics::DiagnosticOutcome) -> &'static str {
 }
 
 /// One JSONL line per scored result.
-fn audit_line(audit: &QueryAudit, a: &AuditedAggregate, s: &AuditScore) -> String {
+fn audit_line(audit: &QueryAudit<'_>, a: &AuditedAggregate, s: &AuditScore) -> String {
     use aqp_obs::json::{push_f64, push_str_lit};
     let mut out = String::new();
     out.push_str("{\"type\":\"audit\",\"query\":");
     out.push_str(&audit.ordinal.to_string());
     out.push_str(",\"sql\":");
-    push_str_lit(&mut out, &audit.sql);
+    push_str_lit(&mut out, audit.sql);
     out.push_str(",\"agg\":");
     push_str_lit(&mut out, &a.agg);
     out.push_str(",\"column\":");
@@ -516,6 +509,19 @@ mod tests {
         }
     }
 
+    /// Score `aggs` as the session does and ingest them as query `ordinal`.
+    fn ingest(
+        a: &Auditor,
+        ordinal: u64,
+        sql: &str,
+        replay_ms: f64,
+        aggs: Vec<AuditedAggregate>,
+    ) -> Vec<Alert> {
+        let scores: Vec<_> = aggs.iter().map(crate::score).collect();
+        let scored: Vec<_> = aggs.into_iter().zip(scores).collect();
+        a.ingest(QueryAudit { ordinal, sql, replay_ms, scored: &scored })
+    }
+
     fn cfg() -> AuditConfig {
         AuditConfig {
             sample_rate: 1.0,
@@ -546,12 +552,8 @@ mod tests {
         let mut fired = Vec::new();
         for i in 0..5 {
             let ord = a.should_audit().unwrap();
-            fired.extend(a.ingest(QueryAudit {
-                ordinal: ord,
-                sql: format!("q{i}"),
-                replay_ms: 1.0,
-                aggregates: vec![agg("MAX", "pareto", 10.0, 0.5, true, 20.0)],
-            }));
+            let aggs = vec![agg("MAX", "pareto", 10.0, 0.5, true, 20.0)];
+            fired.extend(ingest(&a, ord, &format!("q{i}"), 1.0, aggs));
         }
         assert_eq!(fired.len(), 2, "{fired:?}"); // ALL + MAX:pareto, once each
         assert!(fired.iter().any(|al| al.key == "ALL"));
@@ -574,12 +576,8 @@ mod tests {
         let a = Auditor::new(c, &o);
         let push = |covered: bool| {
             let ord = a.should_audit().unwrap();
-            a.ingest(QueryAudit {
-                ordinal: ord,
-                sql: "q".into(),
-                replay_ms: 0.1,
-                aggregates: vec![agg("AVG", "normal", 10.0, 1.0, true, if covered { 10.2 } else { 30.0 })],
-            })
+            let truth = if covered { 10.2 } else { 30.0 };
+            ingest(&a, ord, "q", 0.1, vec![agg("AVG", "normal", 10.0, 1.0, true, truth)])
         };
         let mut total = 0;
         for _ in 0..4 {
@@ -606,14 +604,10 @@ mod tests {
             let a = Auditor::new(cfg(), &o);
             for i in 0..6 {
                 let ord = a.should_audit().unwrap();
-                a.ingest(QueryAudit {
-                    ordinal: ord,
-                    // replay_ms varies run to run in production; the
-                    // report must not depend on it.
-                    replay_ms: i as f64 * 17.3,
-                    sql: format!("q{i}"),
-                    aggregates: vec![agg("AVG", "lognormal", 5.0, 1.0, true, 5.1 + i as f64 * 0.01)],
-                });
+                // replay_ms varies run to run in production; the
+                // report must not depend on it.
+                let aggs = vec![agg("AVG", "lognormal", 5.0, 1.0, true, 5.1 + i as f64 * 0.01)];
+                ingest(&a, ord, &format!("q{i}"), i as f64 * 17.3, aggs);
             }
             a.report().render_table()
         };
@@ -631,12 +625,8 @@ mod tests {
         c.log = Some(crate::AuditLogConfig { path: path.clone(), max_bytes: 1 << 20, max_rotations: 1 });
         let a = Auditor::new(c, &o);
         let ord = a.should_audit().unwrap();
-        a.ingest(QueryAudit {
-            ordinal: ord,
-            sql: "SELECT \"weird\\name\"\n\tFROM t".into(),
-            replay_ms: 0.5,
-            aggregates: vec![agg("AVG", "normal", 1.0, 0.5, true, 1.1)],
-        });
+        let sql = "SELECT \"weird\\name\"\n\tFROM t";
+        ingest(&a, ord, sql, 0.5, vec![agg("AVG", "normal", 1.0, 0.5, true, 1.1)]);
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\\\"weird\\\\name\\\"\\n\\tFROM"), "{body}");
         assert!(body.contains("\"outcome\":\"true_accept\""));
@@ -650,17 +640,12 @@ mod tests {
         c.log = Some(crate::AuditLogConfig::at("/nonexistent-dir/audit.jsonl"));
         let a = Auditor::new(c, &o);
         let ord = a.should_audit().unwrap();
-        let alerts = a.ingest(QueryAudit {
-            ordinal: ord,
-            sql: "q".into(),
-            replay_ms: 0.1,
-            aggregates: vec![agg("AVG", "normal", 1.0, 0.5, true, 1.1)],
-        });
+        let alerts = ingest(&a, ord, "q", 0.1, vec![agg("AVG", "normal", 1.0, 0.5, true, 1.1)]);
         assert!(alerts.is_empty());
         assert_eq!(o.metrics.snapshot().counter(name::AUDIT_LOG_ERRORS), Some(1));
         // Subsequent ingests do not retry (one error counted).
         let ord = a.should_audit().unwrap();
-        a.ingest(QueryAudit { ordinal: ord, sql: "q".into(), replay_ms: 0.1, aggregates: vec![] });
+        ingest(&a, ord, "q", 0.1, vec![]);
         assert_eq!(o.metrics.snapshot().counter(name::AUDIT_LOG_ERRORS), Some(1));
     }
 }

@@ -30,29 +30,6 @@ impl ConfusionCounts {
         }
     }
 
-    /// Remove one previously recorded cell (window eviction).
-    pub fn remove(&mut self, o: DiagnosticOutcome) {
-        match o {
-            DiagnosticOutcome::TrueAccept => {
-                self.true_accepts = self.true_accepts.saturating_sub(1)
-            }
-            DiagnosticOutcome::TrueReject => {
-                self.true_rejects = self.true_rejects.saturating_sub(1)
-            }
-            DiagnosticOutcome::FalsePositive => {
-                self.false_positives = self.false_positives.saturating_sub(1)
-            }
-            DiagnosticOutcome::FalseNegative => {
-                self.false_negatives = self.false_negatives.saturating_sub(1)
-            }
-        }
-    }
-
-    /// Total scored cells.
-    pub fn total(&self) -> u64 {
-        self.true_accepts + self.true_rejects + self.false_positives + self.false_negatives
-    }
-
     /// False-positive rate among diagnostic *accepts* (the paper's
     /// dangerous direction), `None` with no accepts.
     pub fn false_positive_rate(&self) -> Option<f64> {
@@ -68,17 +45,14 @@ impl ConfusionCounts {
     }
 }
 
-/// A fixed-capacity sliding window over [`AuditScore`]s with O(1)
-/// aggregate queries (running sums maintained on push/evict).
+/// A fixed-capacity sliding window over [`AuditScore`]s with an O(1)
+/// coverage query (running hit/miss counts maintained on push/evict).
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
     cap: usize,
     entries: VecDeque<AuditScore>,
     hits: u64,
     misses: u64,
-    ratio_sum: f64,
-    ratio_n: u64,
-    confusion: ConfusionCounts,
 }
 
 impl SlidingWindow {
@@ -89,9 +63,6 @@ impl SlidingWindow {
             entries: VecDeque::new(),
             hits: 0,
             misses: 0,
-            ratio_sum: 0.0,
-            ratio_n: 0,
-            confusion: ConfusionCounts::default(),
         }
     }
 
@@ -104,26 +75,12 @@ impl SlidingWindow {
                     Some(false) => self.misses = self.misses.saturating_sub(1),
                     None => {}
                 }
-                if let Some(r) = old.error_ratio {
-                    self.ratio_sum -= r;
-                    self.ratio_n = self.ratio_n.saturating_sub(1);
-                }
-                if let Some(o) = old.outcome {
-                    self.confusion.remove(o);
-                }
             }
         }
         match s.covered {
             Some(true) => self.hits += 1,
             Some(false) => self.misses += 1,
             None => {}
-        }
-        if let Some(r) = s.error_ratio {
-            self.ratio_sum += r;
-            self.ratio_n += 1;
-        }
-        if let Some(o) = s.outcome {
-            self.confusion.add(o);
         }
         self.entries.push_back(s);
     }
@@ -147,16 +104,6 @@ impl SlidingWindow {
     pub fn coverage(&self) -> Option<f64> {
         let n = self.hits + self.misses;
         (n > 0).then(|| self.hits as f64 / n as f64)
-    }
-
-    /// Mean error ratio over the window (`None` with no ratios).
-    pub fn mean_error_ratio(&self) -> Option<f64> {
-        (self.ratio_n > 0).then(|| self.ratio_sum / self.ratio_n as f64)
-    }
-
-    /// Confusion-cell counts over the window.
-    pub fn confusion(&self) -> ConfusionCounts {
-        self.confusion
     }
 }
 
@@ -190,10 +137,8 @@ mod tests {
         w.push(s(false, 4.0, DiagnosticOutcome::FalsePositive));
         w.push(s(true, 0.5, DiagnosticOutcome::TrueAccept));
         w.push(s(true, 0.5, DiagnosticOutcome::TrueAccept));
-        // The miss (and its FP cell, and its 4.0 ratio) fell out.
+        // The miss fell out.
         assert_eq!(w.coverage(), Some(1.0));
-        assert_eq!(w.confusion().false_positives, 0);
-        assert!((w.mean_error_ratio().unwrap() - 0.5).abs() < 1e-12);
         assert_eq!(w.len(), 2);
     }
 
@@ -204,8 +149,7 @@ mod tests {
         w.push(s(true, 1.0, DiagnosticOutcome::TrueAccept));
         assert_eq!(w.len(), 2);
         assert_eq!(w.coverage(), Some(1.0));
-        assert_eq!(w.mean_error_ratio(), Some(1.0));
-        assert_eq!(w.confusion().total(), 1);
+        assert_eq!(w.coverage_verdicts(), 1);
     }
 
     #[test]
@@ -215,7 +159,6 @@ mod tests {
         c.add(DiagnosticOutcome::TrueAccept);
         c.add(DiagnosticOutcome::FalsePositive);
         c.add(DiagnosticOutcome::TrueReject);
-        assert_eq!(c.total(), 4);
         assert!((c.false_positive_rate().unwrap() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(c.false_negative_rate(), Some(0.0));
         assert_eq!(ConfusionCounts::default().false_positive_rate(), None);

@@ -181,71 +181,6 @@ pub fn simulate_job<R: Rng>(
     serial_s + compute_s + reduce_s
 }
 
-/// Outcome of a fault-injected simulated job ([`simulate_job_faulty`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultyJobOutcome {
-    /// End-to-end latency in seconds, including injected delays, retry
-    /// backoff, and task timeouts.
-    pub latency_s: f64,
-    /// Tasks that exhausted their recovery policy and were dropped.
-    pub lost_tasks: usize,
-    /// Retry attempts across all tasks.
-    pub retries: usize,
-    /// Speculative clones that beat their straggling primaries.
-    pub speculative_wins: usize,
-}
-
-/// Simulate one job under deterministic fault injection.
-///
-/// The base latency is [`simulate_job`]'s; on top of it each task runs
-/// through [`aqp_faults::resolve`] (the retry/speculation/blacklist
-/// state machine lives entirely in `aqp-faults` — this crate only
-/// consumes the per-task reports) and the resulting recovery delays are
-/// scheduled in waves over the available slots, exactly like the
-/// fault-free task times. Lost tasks occupy their slot for the full
-/// delay but the job still completes — graceful degradation is the
-/// caller's concern.
-///
-/// Deterministic: same `faults.seed` and same `rng` seed ⇒ bit-identical
-/// outcome.
-pub fn simulate_job_faulty<R: Rng>(
-    job: &Job,
-    tuning: &PhysicalTuning,
-    cfg: &ClusterConfig,
-    faults: &aqp_faults::FaultConfig,
-    rng: &mut R,
-) -> FaultyJobOutcome {
-    let base = simulate_job(job, tuning, cfg, rng);
-    let plan = aqp_faults::FaultPlan::new(faults.clone());
-    let slots = cfg.slots(tuning.parallelism).max(1);
-    let mut lost_tasks = 0;
-    let mut retries = 0;
-    let mut speculative_wins = 0;
-    let delays: Vec<f64> = (0..job.num_tasks())
-        .map(|task| {
-            let report = aqp_faults::resolve(&plan, &faults.recovery, task);
-            if report.lost {
-                lost_tasks += 1;
-            }
-            for ev in &report.events {
-                match ev.kind {
-                    aqp_faults::EventKind::Retry => retries += 1,
-                    aqp_faults::EventKind::SpeculativeLaunch { won: true } => {
-                        speculative_wins += 1;
-                    }
-                    _ => {}
-                }
-            }
-            report.total_delay.as_secs_f64()
-        })
-        .collect();
-    let mut extra_s = 0.0;
-    for wave in delays.chunks(slots) {
-        extra_s += wave.iter().copied().fold(0.0f64, f64::max);
-    }
-    FaultyJobOutcome { latency_s: base + extra_s, lost_tasks, retries, speculative_wins }
-}
-
 /// Analytic latency of a back-to-back subquery sequence (the §5.2 naive
 /// plans). Deterministic given the config (stragglers enter in
 /// expectation); the `seeds` argument is kept for interface symmetry.
@@ -488,63 +423,6 @@ mod tests {
             let e = expected_straggle(&c);
             assert!(e.is_finite() && e >= 1.0, "expected straggle {e} for mult {mult}");
         }
-    }
-
-    #[test]
-    fn faulty_job_is_deterministic_and_never_faster() {
-        let job = Job::split(1_000.0, 1_000.0, 64, 10.0);
-        let t = PhysicalTuning::tuned();
-        let c = no_straggle(cfg());
-        let mut faults = aqp_faults::FaultConfig::quiescent(3);
-        faults.transient_error_prob = 0.3;
-        faults.straggler_prob = 0.2;
-        let run = || {
-            let mut rng = rng_from_seed(12);
-            simulate_job_faulty(&job, &t, &c, &faults, &mut rng)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seeds must give bit-identical outcomes");
-        let clean = {
-            let mut rng = rng_from_seed(12);
-            simulate_job(&job, &t, &c, &mut rng)
-        };
-        assert!(a.latency_s >= clean, "faults made the job faster: {} < {clean}", a.latency_s);
-        assert!(a.retries > 0, "transient errors should force retries");
-    }
-
-    #[test]
-    fn quiescent_faults_add_nothing() {
-        let job = Job::split(500.0, 500.0, 32, 5.0);
-        let t = PhysicalTuning::tuned();
-        let c = no_straggle(cfg());
-        let faults = aqp_faults::FaultConfig::quiescent(9);
-        let out = {
-            let mut rng = rng_from_seed(13);
-            simulate_job_faulty(&job, &t, &c, &faults, &mut rng)
-        };
-        let clean = {
-            let mut rng = rng_from_seed(13);
-            simulate_job(&job, &t, &c, &mut rng)
-        };
-        assert_eq!(out.latency_s, clean);
-        assert_eq!(out.lost_tasks, 0);
-        assert_eq!(out.retries, 0);
-    }
-
-    #[test]
-    fn unrecoverable_deaths_lose_every_task() {
-        let job = Job::split(500.0, 500.0, 32, 5.0);
-        let t = PhysicalTuning::tuned();
-        let c = no_straggle(cfg());
-        let mut faults = aqp_faults::FaultConfig::quiescent(4);
-        faults.worker_death_prob = 1.0;
-        faults.recovery.max_retries = 0;
-        let out = {
-            let mut rng = rng_from_seed(14);
-            simulate_job_faulty(&job, &t, &c, &faults, &mut rng)
-        };
-        assert_eq!(out.lost_tasks, job.num_tasks());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   profiler → SLO latency objectives (alerts dump the recorder) →
 //!   introspection fold, which receives those alerts;
 //! * [`wants_audit`](Observers::wants_audit) then
-//!   [`audited`](Observers::audited) around a full-data replay: scores go
-//!   to introspection and the auditor, the auditor's alerts and the scores
-//!   to the SLO engine, every alert to the recorder and to introspection;
+//!   [`audited`](Observers::audited) around a full-data replay: the seam
+//!   pairs each served result with its truth and scores it once, and lends
+//!   that one slice to introspection, the auditor and the SLO engine, which
+//!   only fold it; the auditor's alerts go on to the SLO engine, every
+//!   alert to the recorder and to introspection;
 //! * [`degraded_fallback`](Observers::degraded_fallback) when injected
 //!   faults force an exact answer.
 //!
@@ -27,7 +29,7 @@
 use std::cell::OnceCell;
 use std::time::Duration;
 
-use aqp_audit::{AuditReport, AuditScore, AuditedAggregate, Auditor, QueryAudit};
+use aqp_audit::{AuditReport, AuditedAggregate, Auditor, QueryAudit};
 use aqp_exec::result::GroupResult;
 use aqp_introspect::{AlertRow, Introspector, QueryRecord};
 use aqp_obs::{name, FlightRecorder, ObsHandle, Timestamp};
@@ -132,13 +134,6 @@ impl Observers {
                 cp.cumulative.lock().observe(class, std::slice::from_ref(root));
             }
             obs.metrics.counter(name::PROF_CONTPROF_QUERIES).inc();
-            if aqp_obs::alloc::enabled() {
-                let m = aqp_obs::alloc::stats();
-                obs.metrics.gauge(name::MEM_ALLOCS).set(m.allocs as f64);
-                obs.metrics.gauge(name::MEM_ALLOC_BYTES).set(m.alloc_bytes as f64);
-                obs.metrics.gauge(name::MEM_CURRENT_BYTES).set(m.current_bytes as f64);
-                obs.metrics.gauge(name::MEM_PEAK_BYTES).set(m.peak_bytes as f64);
-            }
             obs.metrics.histogram(name::PROF_CONTPROF_EVAL_MS).record_ms(self.ms_since(started));
         }
 
@@ -182,8 +177,10 @@ impl Observers {
 
     /// Query `ordinal` was replayed at full data: pair every `served`
     /// result with its `truth` (groups the sample invented or the replay
-    /// lacks are skipped) and hand the scored pairs round. Infallible by
-    /// design — an audit must never fail or alter the query it audits.
+    /// lacks are skipped), score each pair — here and nowhere else — and
+    /// lend the one scored slice to every observer, which only folds it.
+    /// Infallible by design — an audit must never fail or alter the query
+    /// it audits.
     pub(crate) fn audited(
         &self,
         sql: &str,
@@ -195,12 +192,12 @@ impl Observers {
         let Some(auditor) = &self.auditor else { return };
         let truth_of: std::collections::HashMap<&str, &Vec<f64>> =
             truth.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        let mut aggregates = Vec::new();
+        let mut scored = Vec::new();
         for g in served {
             let Some(vals) = truth_of.get(g.key.as_str()) else { continue };
             for (a, &truth) in g.aggs.iter().zip(vals.iter()) {
                 let (agg, column) = split_agg_name(&a.name);
-                aggregates.push(AuditedAggregate {
+                let aggregate = AuditedAggregate {
                     agg: agg.to_string(),
                     column: column.to_string(),
                     family: auditor.config().family_of(column).to_string(),
@@ -208,21 +205,17 @@ impl Observers {
                     ci: a.ci,
                     diagnostic_accepted: a.diagnostic.as_ref().map(|d| d.accepted),
                     truth,
-                });
+                };
+                let score = aqp_audit::score(&aggregate);
+                scored.push((aggregate, score));
             }
         }
-        let scores: Vec<AuditScore> = if self.slo.is_some() {
-            aggregates.iter().map(aqp_audit::score).collect()
-        } else {
-            Vec::new()
-        };
-        // `_telemetry.audit` first: the auditor's ingest takes the pairs.
+        // `_telemetry.audit` rows land before the audit's alert rows.
         let intr = self.folding(sql);
         if let Some(intr) = intr {
-            intr.fold_audit(ordinal, sql, &aggregates);
+            intr.fold_audit(ordinal, sql, &scored);
         }
-        let audit_alerts =
-            auditor.ingest(QueryAudit { ordinal, sql: sql.to_string(), replay_ms, aggregates });
+        let audit_alerts = auditor.ingest(QueryAudit { ordinal, sql, replay_ms, scored: &scored });
         if let Some(intr) = intr {
             let rows: Vec<AlertRow> = audit_alerts
                 .iter()
@@ -233,7 +226,8 @@ impl Observers {
         let Some(slo) = &self.slo else { return };
         let started = self.obs.clock.now();
         let class = slo.engine.classify(sql);
-        let (slo_alerts, _drift) = slo.engine.observe_audit(class, &scores, started);
+        let scores = scored.iter().map(|(_, score)| *score);
+        let (slo_alerts, _drift) = slo.engine.observe_audit(class, scores, started);
         for alert in &audit_alerts {
             slo.recorder.dump_with_context(
                 &format!("audit:{}", alert.key),

@@ -73,7 +73,7 @@ pub struct SessionConfig {
     /// Continuous profiling: fold every query's operator profile into a
     /// fleet-cumulative profile keyed by workload class × operator path
     /// (`None` = off, the default — with `None` nothing is constructed,
-    /// no `aqp.prof.contprof_*` / `aqp.mem.*` metrics are registered,
+    /// no `aqp.prof.contprof_*` metrics are registered,
     /// and answers/traces/metrics are bit-identical to a build without
     /// the profiler). See [`AqpSession::cumulative_profile`].
     pub contprof: Option<aqp_prof::contprof::ContProfConfig>,
@@ -354,36 +354,40 @@ impl AqpSession {
             rec.end(sel);
         }
 
-        // One catalog read decides whether there is a sample and snapshots
-        // the candidates, so a concurrent `drop_table` (or a telemetry
-        // re-sync) between the check and the pick cannot empty the set
-        // under us. Smallest first.
-        let uniform: Vec<Sample> = self
-            .catalog
-            .with_samples(p.table.name(), |set| Ok(set.uniform_samples().cloned().collect()))
-            .unwrap_or_default();
-        let Some(largest) = uniform.last() else {
+        // The smallest stored uniform sample of at least `rows` rows, else
+        // the largest. One catalog read checks and picks, and clones only
+        // what it picked, so a concurrent `drop_table` (or a telemetry
+        // re-sync) finds no gap between the two; no sample is `None`.
+        let pick = |rows: usize| {
+            let picked = self.catalog.with_samples(p.table.name(), |set| {
+                let fit = set.uniform_samples().find(|s| s.meta.rows >= rows);
+                Ok(fit.or_else(|| set.largest()).cloned())
+            });
+            picked.ok().flatten()
+        };
+        // With an error clause the first pick is the pilot (the smallest
+        // non-empty sample); without one it is the sample that runs.
+        let first_rows = if p.query.error_clause.is_some() { 1 } else { usize::MAX };
+        let Some(mut sample) = pick(first_rows) else {
             return self.exact_answer(&p, AnswerMode::Exact, rec);
         };
 
         // --- Sample selection. ---
         let sel = rec.start(stage::SAMPLE_SELECTION);
-        let wanted_rows = match p.query.error_clause {
-            None => usize::MAX, // largest sample
-            Some(e) => {
-                // The smallest stored uniform sample serves as the pilot.
-                let pilot = uniform.iter().find(|s| s.meta.rows >= 1).unwrap_or(largest);
-                self.pilot_required_rows(&p, pilot, e.relative_error, rec)?.unwrap_or(usize::MAX)
-            }
-        };
-        let sample = uniform.iter().find(|s| s.meta.rows >= wanted_rows).unwrap_or(largest);
+        let mut wanted_rows = usize::MAX; // largest sample
+        if let Some(e) = p.query.error_clause {
+            wanted_rows =
+                self.pilot_required_rows(&p, &sample, e.relative_error, rec)?.unwrap_or(usize::MAX);
+            // A set dropped while the pilot ran finishes on the pilot.
+            sample = pick(wanted_rows).unwrap_or(sample);
+        }
         rec.attr(sel, "strategy", "uniform");
         if wanted_rows != usize::MAX {
             rec.attr(sel, "wanted_rows", wanted_rows);
         }
         rec.attr(sel, "sample_rows", sample.meta.rows);
         rec.end(sel);
-        self.execute_on_sample(&p, sample.clone(), rec)
+        self.execute_on_sample(&p, sample, rec)
     }
 
     /// The confidence level of `query`'s error bars.

@@ -116,7 +116,6 @@ pub fn execute_exact_observed(
 ) -> Result<ExactResult> {
     let rec = obs.recorder();
     let span = rec.start(stage::EXACT_EXECUTION);
-    let mem0 = aqp_obs::alloc::stats();
     let scan_start = obs.clock.now();
     let (collected, scan_obs) = collect_observed(plan, table, threads, &obs.clock)?;
     record_chain_ops(&rec, &obs.clock, scan_start, plan, &scan_obs.ops, None);
@@ -147,7 +146,6 @@ pub fn execute_exact_observed(
         groups.len() as u64,
     );
     rec.attr(span, "rows_scanned", collected.pre_filter_rows);
-    record_span_mem(&rec, span, &mem0);
     rec.end(span);
     let trace = rec.finish();
     Ok(ExactResult {
@@ -184,7 +182,6 @@ pub fn execute_approx(
     // resolved against the fault plan when injection is enabled.
     let injector = opts.faults.as_ref().map(FaultInjector::new);
     let scan_span = rec.start(stage::SCAN_COLLECT);
-    let scan_mem = aqp_obs::alloc::stats();
     let scan_start = opts.obs.clock.now();
     let (collected, scan_obs, fault_summary) =
         collect_observed_faulty(plan, sample, opts.threads, &opts.obs.clock, injector.as_ref())?;
@@ -197,7 +194,6 @@ pub fn execute_approx(
     if let Some(sum) = &fault_summary {
         record_faults(&rec, &opts.obs, scan_span, scan_start, sum);
     }
-    record_span_mem(&rec, scan_span, &scan_mem);
     rec.end(scan_span);
 
     // Recovery-policy gate: decide between a (possibly degraded)
@@ -218,7 +214,6 @@ pub fn execute_approx(
 
     // Stage 2 — point estimates θ(S) from the collected data.
     let est_span = rec.start(stage::POINT_ESTIMATE);
-    let est_mem = aqp_obs::alloc::stats();
     let est_start = opts.obs.clock.now();
     let thetas = prepare_thetas(&collected, registry)?;
     let estimates: Vec<Vec<f64>> = collected
@@ -242,13 +237,11 @@ pub fn execute_approx(
         total_values(&collected),
         collected.groups.len() as u64,
     );
-    record_span_mem(&rec, est_span, &est_mem);
     rec.end(est_span);
 
     // Stage 3 — error estimation, per (group, aggregate), replicates
     // parallelized across groups.
     let err_span = rec.start(stage::ERROR_ESTIMATION);
-    let err_mem = aqp_obs::alloc::stats();
     let err_start = opts.obs.clock.now();
     let jobs: Vec<(usize, usize)> = collected
         .groups
@@ -298,12 +291,10 @@ pub fn execute_approx(
         rec.attr(id, "resamples", bootstrap_jobs * opts.bootstrap_k);
     }
     record_workers(&rec, &opts.obs, &err_workers);
-    record_span_mem(&rec, err_span, &err_mem);
     rec.end(err_span);
 
     // Stage 4 — diagnostics, same job list.
     let diag_span = rec.start(stage::DIAGNOSTICS);
-    let diag_mem = aqp_obs::alloc::stats();
     let diag_start = opts.obs.clock.now();
     let diags: Vec<Option<aqp_diagnostics::DiagnosticReport>> = match &opts.diagnostic {
         None => vec![None; jobs.len()],
@@ -361,7 +352,6 @@ pub fn execute_approx(
             rec.attr(id, "rejected", rejected);
         }
     }
-    record_span_mem(&rec, diag_span, &diag_mem);
     rec.end(diag_span);
 
     // Stage 5 — assemble the result rows.
@@ -500,20 +490,6 @@ fn record_faults(
             cursor = end;
         }
     }
-}
-
-/// Attach the counting allocator's growth since `before` to `span` as
-/// `mem_allocs` / `mem_bytes` attributes (which flow into the profile's
-/// extra attributes). A no-op — and zero trace-byte footprint — unless
-/// the `count-alloc` feature compiled the allocator in, so default
-/// builds stay bit-identical.
-fn record_span_mem(rec: &TraceRecorder, span: SpanId, before: &aqp_obs::alloc::MemStats) {
-    if !aqp_obs::alloc::enabled() {
-        return;
-    }
-    let d = aqp_obs::alloc::stats().delta_since(before);
-    rec.attr(span, "mem_allocs", d.allocs);
-    rec.attr(span, "mem_bytes", d.alloc_bytes);
 }
 
 /// Workers slower than this factor times the median are counted as

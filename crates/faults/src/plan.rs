@@ -104,11 +104,6 @@ impl FaultPlan {
         FaultPlan { cfg, seeds }
     }
 
-    /// The config the plan was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Draw the faults for attempt `attempt` of task `task`.
     ///
     /// Draws happen in a fixed order (death, transient, corruption,

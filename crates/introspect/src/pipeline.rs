@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use aqp_audit::score::{score, AuditedAggregate};
+use aqp_audit::{AuditScore, AuditedAggregate};
 use aqp_obs::{name, Counter, MetricsRegistry, ObsHandle, QueryTrace};
 use aqp_prof::OpProfile;
 use aqp_stats::rng::SeedStream;
@@ -136,11 +136,6 @@ impl Introspector {
             cfg,
             state: Mutex::new(state),
         }
-    }
-
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &IntrospectConfig {
-        &self.cfg
     }
 
     /// Does `sql` read the reserved telemetry namespace?
@@ -274,11 +269,10 @@ impl Introspector {
     /// `_telemetry.audit` — one row per audited group-aggregate, with
     /// nullable score columns so `AVG(covered)` is the coverage rate
     /// over scored results.
-    pub fn fold_audit(&self, ordinal: u64, sql: &str, aggregates: &[AuditedAggregate]) {
+    pub fn fold_audit(&self, ordinal: u64, sql: &str, scored: &[(AuditedAggregate, AuditScore)]) {
         let class = self.cfg.classes.classify(sql).to_string();
         let mut state = self.state.lock();
-        for a in aggregates {
-            let s = score(a);
+        for (a, s) in scored {
             let row = vec![
                 Cell::Int(ordinal as i64),
                 Cell::Str(class.clone()),

@@ -29,7 +29,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod clock;
 pub mod json;
 pub mod metrics;
@@ -38,7 +37,6 @@ pub mod router;
 pub mod sink;
 pub mod trace;
 
-pub use alloc::MemStats;
 pub use clock::{Clock, Timestamp};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
@@ -213,19 +211,6 @@ pub mod name {
     /// the <5% overhead budget is enforced on it; introspect enabled
     /// only).
     pub const INTROSPECT_EVAL_MS: &str = "aqp.introspect.eval_ms";
-
-    /// Heap allocations observed by the counting global allocator since
-    /// process start (gauge; 0 unless the `count-alloc` feature is on).
-    pub const MEM_ALLOCS: &str = "aqp.mem.allocs";
-    /// Heap bytes allocated since process start (gauge; cumulative, not
-    /// live; 0 unless the `count-alloc` feature is on).
-    pub const MEM_ALLOC_BYTES: &str = "aqp.mem.alloc_bytes";
-    /// Live heap bytes at the last contprof observation (gauge; 0
-    /// unless the `count-alloc` feature is on).
-    pub const MEM_CURRENT_BYTES: &str = "aqp.mem.current_bytes";
-    /// High-water mark of live heap bytes (gauge; 0 unless the
-    /// `count-alloc` feature is on).
-    pub const MEM_PEAK_BYTES: &str = "aqp.mem.peak_bytes";
 }
 
 /// A clock plus a metrics registry: the observability context that

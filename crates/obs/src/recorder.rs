@@ -6,9 +6,10 @@
 //! post-hoc evidence. The session records every completed
 //! [`QueryTrace`] into the ring (oldest evicted first, bounded memory),
 //! and when an SLO alert, an audit alert, or a degraded execution
-//! fires, [`FlightRecorder::dump`] freezes the retained traces plus the
-//! caller's [`MetricsSnapshot`] into a bit-stable JSONL artifact —
-//! appended to the configured file and kept in memory for dashboards.
+//! fires, [`FlightRecorder::dump_with_context`] freezes the retained
+//! traces plus the caller's [`MetricsSnapshot`] into a bit-stable JSONL
+//! artifact — appended to the configured file and kept in memory for
+//! dashboards.
 //!
 //! Determinism: the dump bytes are a pure function of the retained
 //! traces, the snapshot, and the dump ordinal. Under the mock clock the
@@ -136,17 +137,11 @@ impl FlightRecorder {
     /// Freeze the retained traces plus `snapshot` into a JSONL artifact
     /// for `reason`, append it to the configured path (if any), and
     /// return it. Never fails: I/O errors only increment
-    /// `aqp.obs.recorder_dump_write_errors`.
-    pub fn dump(&self, reason: &str, snapshot: &MetricsSnapshot) -> String {
-        self.dump_with_context(reason, snapshot, &[])
-    }
-
-    /// [`dump`](FlightRecorder::dump) with alert context: the given
-    /// key/value pairs are frozen into one `{"context":{...}}` line
-    /// right after the header, so a dump carries *why* it fired
-    /// (workload class, objective, the cumulative profile at alert
-    /// time) alongside the evidence. An empty `context` emits no extra
-    /// line, keeping pre-context dumps byte-identical.
+    /// `aqp.obs.recorder_dump_write_errors`. The `context` key/value
+    /// pairs are frozen into one `{"context":{...}}` line right after
+    /// the header, so a dump carries *why* it fired (workload class,
+    /// objective, trigger) alongside the evidence; an empty `context`
+    /// emits no extra line.
     pub fn dump_with_context(
         &self,
         reason: &str,
@@ -242,7 +237,7 @@ mod tests {
         assert_eq!(snap.counter(name::OBS_RECORDER_EVICTIONS), Some(7));
         assert_eq!(snap.gauge(name::OBS_RECORDER_RETAINED), Some(3.0));
         // Oldest evicted first: the retained traces are q7, q8, q9.
-        let dump = fr.dump("test", &snap);
+        let dump = fr.dump_with_context("test", &snap, &[]);
         assert!(!dump.contains("\"name\":\"q6\""), "{dump}");
         assert!(dump.contains("\"name\":\"q7\""), "{dump}");
         assert!(dump.contains("\"name\":\"q9\""), "{dump}");
@@ -261,7 +256,7 @@ mod tests {
             for i in 0..6 {
                 fr.record(trace(&format!("q{i}"), &clock));
             }
-            fr.dump("bit-stable", &metrics.snapshot())
+            fr.dump_with_context("bit-stable", &metrics.snapshot(), &[])
         };
         let a = build();
         let b = build();
@@ -296,7 +291,7 @@ mod tests {
             &metrics,
         );
         fr.record(trace("q0", &clock));
-        let plain = fr.dump("no-ctx", &metrics.snapshot());
+        let plain = fr.dump_with_context("no-ctx", &metrics.snapshot(), &[]);
         assert!(!plain.contains("\"context\""), "{plain}");
         let dump = fr.dump_with_context(
             "slo:page:latency",
@@ -320,8 +315,8 @@ mod tests {
         let path = dir.join("dumps.jsonl");
         let fr = FlightRecorder::new(FlightRecorderConfig::at(8, &path), &metrics);
         fr.record(trace("q0", &clock));
-        let first = fr.dump("one", &metrics.snapshot());
-        let second = fr.dump("two", &metrics.snapshot());
+        let first = fr.dump_with_context("one", &metrics.snapshot(), &[]);
+        let second = fr.dump_with_context("two", &metrics.snapshot(), &[]);
         let on_disk = std::fs::read_to_string(&path).expect("dump file");
         assert_eq!(on_disk, format!("{first}{second}"));
         assert_eq!(fr.last_dump().as_deref(), Some(second.as_str()));
@@ -334,7 +329,7 @@ mod tests {
             &metrics,
         );
         bad.record(trace("q1", &clock));
-        bad.dump("fails", &metrics.snapshot());
+        bad.dump_with_context("fails", &metrics.snapshot(), &[]);
         assert_eq!(
             metrics.snapshot().counter(name::OBS_RECORDER_DUMP_ERRORS),
             Some(1)

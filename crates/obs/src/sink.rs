@@ -193,8 +193,10 @@ impl LazySink {
         }
     }
 
-    /// Append one line, opening the file first if this is the first.
-    pub fn write_line(&mut self, line: &str) {
+    /// Append the line `line` renders, opening the file first if this is
+    /// the first. `line` runs only when the log is (still) on, so a
+    /// producer without a log never formats one.
+    pub fn write_line(&mut self, line: impl FnOnce() -> String) {
         if let LazyState::Unopened(cfg) = &self.state {
             self.state = match JsonlSink::open(&cfg.path, cfg.max_bytes, cfg.max_rotations) {
                 Ok(sink) => LazyState::Open(match &self.dropped {
@@ -205,7 +207,7 @@ impl LazySink {
             };
         }
         if let LazyState::Open(sink) = &mut self.state {
-            if sink.append(line).is_err() {
+            if sink.append(&line()).is_err() {
                 self.state = self.fail();
             }
         }
@@ -415,6 +417,34 @@ mod tests {
         // Absence-is-data: the registry never saw the metric at all.
         let snap = reg.snapshot();
         assert!(snap.counter(crate::name::OBS_SINK_DROPPED_LINES).is_none());
+    }
+
+    #[test]
+    fn lazy_sink_renders_a_line_only_when_the_log_is_on() {
+        let reg = crate::MetricsRegistry::new();
+        let calls = std::cell::Cell::new(0);
+        let line = || {
+            calls.set(calls.get() + 1);
+            "line".to_string()
+        };
+        // No log configured: the closure must never run.
+        let mut off = LazySink::new(None, &reg, "aqp.test.lazy_sink_errors");
+        off.write_line(line);
+        // A failed open switches the log off before the first render.
+        let bad = JsonlLogConfig::at("/dev/null/nope/lazy.jsonl");
+        let mut failed = LazySink::new(Some(bad), &reg, "aqp.test.lazy_sink_errors");
+        failed.write_line(line);
+        failed.write_line(line);
+        assert_eq!(calls.get(), 0, "a line was rendered with the sink off");
+        assert_eq!(reg.snapshot().counter("aqp.test.lazy_sink_errors"), Some(1));
+        // Open: exactly one render per line, and the bytes land.
+        let p = tmp("lazy.jsonl");
+        let _ = std::fs::remove_file(&p);
+        let mut open = LazySink::new(Some(JsonlLogConfig::at(&p)), &reg, "aqp.test.lazy_sink_errors");
+        open.write_line(line);
+        open.flush();
+        assert_eq!(calls.get(), 1);
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "line\n");
     }
 
     #[test]

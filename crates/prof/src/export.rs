@@ -1,18 +1,16 @@
 //! Bit-stable telemetry exporters in formats standard tooling consumes:
-//! chrome://tracing trace-event JSON from a [`QueryTrace`], pprof-style
-//! folded stacks (flamegraph-ready text) from a
-//! [`CumulativeProfile`](crate::contprof::CumulativeProfile), and
-//! Prometheus text exposition from a [`MetricsSnapshot`].
+//! chrome://tracing trace-event JSON from a [`QueryTrace`] and
+//! pprof-style folded stacks (flamegraph-ready text) from a
+//! [`CumulativeProfile`](crate::contprof::CumulativeProfile).
 //!
 //! Determinism: every exporter is a pure function of its input — span
-//! order is the trace's recording order, folded stacks follow the
-//! cumulative profile's `BTreeMap` order, and the metrics snapshot is
-//! already name-sorted — so two processes observing the same mock-clock
-//! workload emit byte-identical artifacts (CI diffs them in the
-//! `profile-smoke` job).
+//! order is the trace's recording order and folded stacks follow the
+//! cumulative profile's `BTreeMap` order — so two processes observing
+//! the same mock-clock workload emit byte-identical artifacts (CI diffs
+//! them in the `profile-smoke` job).
 
 use aqp_obs::json::{push_f64, push_str_lit};
-use aqp_obs::{MetricsSnapshot, QueryTrace};
+use aqp_obs::QueryTrace;
 
 use crate::contprof::CumulativeProfile;
 
@@ -87,70 +85,12 @@ pub fn folded_stacks(cum: &CumulativeProfile) -> String {
     out
 }
 
-/// Sanitize a dotted metric name for Prometheus (`aqp.core.query_ms` →
-/// `aqp_core_query_ms`).
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-/// A finite `le` bound, or `+Inf` for the overflow bucket.
-fn prom_le(le: f64) -> String {
-    if le.is_infinite() {
-        "+Inf".to_string()
-    } else {
-        let mut s = String::new();
-        push_f64(&mut s, le);
-        s
-    }
-}
-
-/// Render `snapshot` in the Prometheus text exposition format
-/// (`# TYPE` headers, `_bucket`/`_sum`/`_count` histogram series with
-/// cumulative `le` buckets). The snapshot is name-sorted, so the output
-/// is deterministic.
-pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for (name, value) in &snapshot.counters {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n} counter");
-        let _ = writeln!(out, "{n} {value}");
-    }
-    for (name, value) in &snapshot.gauges {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n} gauge");
-        out.push_str(&n);
-        out.push(' ');
-        push_f64(&mut out, *value);
-        out.push('\n');
-    }
-    for (name, h) in &snapshot.histograms {
-        let n = prom_name(name);
-        let _ = writeln!(out, "# TYPE {n} histogram");
-        // The snapshot stores per-bucket counts; Prometheus wants
-        // cumulative counts per upper bound.
-        let mut cumulative = 0u64;
-        for (le, count) in &h.buckets {
-            cumulative = cumulative.saturating_add(*count);
-            let _ = writeln!(out, "{n}_bucket{{le=\"{}\"}} {cumulative}", prom_le(*le));
-        }
-        out.push_str(&n);
-        out.push_str("_sum ");
-        push_f64(&mut out, h.sum_ms);
-        out.push('\n');
-        let _ = writeln!(out, "{n}_count {}", h.count);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::contprof::CumulativeProfile;
     use crate::OpProfile;
-    use aqp_obs::{Clock, MetricsRegistry, TraceRecorder};
+    use aqp_obs::{Clock, TraceRecorder};
     use std::time::Duration;
 
     fn sample_trace() -> QueryTrace {
@@ -202,25 +142,5 @@ mod tests {
         cum.observe("alpha", &forest(1));
         let folded = folded_stacks(&cum);
         assert_eq!(folded, "alpha;Scan 1000000\nzeta;Scan 2000000\n");
-    }
-
-    #[test]
-    fn prometheus_text_covers_all_three_kinds_with_cumulative_buckets() {
-        let m = MetricsRegistry::new();
-        m.counter("aqp.test.prom_hits").add(7);
-        m.gauge("aqp.test.prom_level").set(2.5);
-        let h = m.histogram_with("aqp.test.prom_ms", &[1.0, 10.0]);
-        h.record_ms(0.5);
-        h.record_ms(5.0);
-        h.record_ms(50.0);
-        let text = prometheus_text(&m.snapshot());
-        assert_eq!(text, prometheus_text(&m.snapshot()));
-        assert!(text.contains("# TYPE aqp_test_prom_hits counter\naqp_test_prom_hits 7\n"));
-        assert!(text.contains("# TYPE aqp_test_prom_level gauge\naqp_test_prom_level 2.5\n"));
-        assert!(text.contains("aqp_test_prom_ms_bucket{le=\"1\"} 1\n"), "{text}");
-        assert!(text.contains("aqp_test_prom_ms_bucket{le=\"10\"} 2\n"), "{text}");
-        assert!(text.contains("aqp_test_prom_ms_bucket{le=\"+Inf\"} 3\n"), "{text}");
-        assert!(text.contains("aqp_test_prom_ms_sum 55.5\n"), "{text}");
-        assert!(text.contains("aqp_test_prom_ms_count 3\n"), "{text}");
     }
 }

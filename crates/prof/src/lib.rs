@@ -7,8 +7,7 @@
 //! plus row/batch/byte counters, the sample fraction, and attributed
 //! bootstrap resamples. This crate stitches those spans back into a
 //! plan-shaped [`OpProfile`] tree — the `EXPLAIN ANALYZE` view — and
-//! renders it as an indented text tree or canonical single-line JSON
-//! (appendable to an [`aqp_obs::JsonlSink`]).
+//! renders it as an indented text tree or canonical single-line JSON.
 //!
 //! Per-worker busy spans (`worker`) recorded under the same stage are
 //! attached to the operator that drove the pool, together with the
@@ -31,7 +30,7 @@ pub mod export;
 use std::time::Duration;
 
 use aqp_obs::json::{push_f64, push_str_lit};
-use aqp_obs::{slowdown_factor, JsonlSink, QueryTrace, Span};
+use aqp_obs::{slowdown_factor, QueryTrace, Span};
 
 /// How the session surfaces operator profiles on its answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -485,11 +484,6 @@ impl OpProfile {
         }
         out.push('}');
     }
-
-    /// Append the JSON rendering as one line of `sink`.
-    pub fn append_jsonl(&self, sink: &mut JsonlSink) -> std::io::Result<()> {
-        sink.append(&self.to_json())
-    }
 }
 
 /// Check every stage span that contains operator spans: the sum of
@@ -766,26 +760,6 @@ mod tests {
         let scan = tree.find("Scan").expect("scan");
         assert_eq!(scan.rows_per_s, Some(25_000.0));
         assert_eq!(scan.bytes_per_s, Some(600_000.0));
-    }
-
-    #[test]
-    fn jsonl_sink_round_trip() {
-        let dir = std::env::temp_dir().join(format!(
-            "aqp_prof_sink_{}_{}",
-            std::process::id(),
-            "t1"
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("profiles.jsonl");
-        let tree = OpProfile::from_trace(&engine_like_trace()).expect("tree");
-        let mut sink =
-            JsonlSink::open(path.to_str().expect("utf8 path"), 1 << 20, 1).expect("open");
-        tree.append_jsonl(&mut sink).expect("append");
-        sink.flush().expect("flush");
-        let data = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(data, format!("{}\n", tree.to_json()));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl SloEngine {
         }
     }
 
-    /// The configuration the engine was built with.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
     /// The workload class of `sql` under this engine's class rules.
     pub fn classify<'a>(&'a self, sql: &str) -> &'a str {
         self.cfg.classify(sql)
@@ -307,7 +302,7 @@ impl SloEngine {
     pub fn observe_audit(
         &self,
         class: &str,
-        scores: &[AuditScore],
+        scores: impl IntoIterator<Item = AuditScore>,
         now: Timestamp,
     ) -> (Vec<SloAlert>, Vec<DriftSignal>) {
         let mut st = self.lock();
@@ -358,7 +353,7 @@ impl SloEngine {
                 .or_insert_with(|| DriftDetector::new(&key, &self.cfg.drift));
             if let Some(signal) = detector.observe(x) {
                 self.meters.drift_signals.inc();
-                st.sink.write_line(&drift_line(&signal));
+                st.sink.write_line(|| drift_line(&signal));
                 signals.push(signal);
             }
         }
@@ -432,7 +427,7 @@ impl SloEngine {
                 Severity::Page => self.meters.page_alerts.inc(),
                 Severity::Warn => self.meters.warn_alerts.inc(),
             }
-            st.sink.write_line(&alert_line(alert));
+            st.sink.write_line(|| alert_line(alert));
         }
         st.alerts.extend(fired.iter().cloned());
         fired
@@ -727,11 +722,11 @@ mod tests {
             outcome: None,
         };
         for i in 0..30 {
-            engine.observe_audit("default", &[hit], ts(i));
+            engine.observe_audit("default", [hit], ts(i));
         }
         let before = engine.report().objectives[0].budget_remaining;
         for i in 30..60 {
-            engine.observe_audit("default", &[miss], ts(i));
+            engine.observe_audit("default", [miss], ts(i));
         }
         let report = engine.report();
         let after = report.objectives[0].budget_remaining;
@@ -763,7 +758,7 @@ mod tests {
             outcome: None,
         };
         for i in 0..40 {
-            let (_, signals) = engine.observe_audit("healthy", &[hit], ts(i));
+            let (_, signals) = engine.observe_audit("healthy", [hit], ts(i));
             assert!(signals.is_empty(), "healthy baseline must not signal at {i}");
         }
         // The "tail" class is brand new: its own stream is constant-bad
@@ -772,7 +767,7 @@ mod tests {
         // within a handful of miscalibrated queries.
         let mut fleet_signal_at = None;
         for i in 40..60 {
-            let (_, signals) = engine.observe_audit("tail", &[miss], ts(i));
+            let (_, signals) = engine.observe_audit("tail", [miss], ts(i));
             assert!(
                 signals.iter().all(|s| s.stream.starts_with("fleet/")),
                 "the baseline-free tail stream must stay quiet: {signals:?}"
@@ -802,7 +797,7 @@ mod tests {
                 let covered = i % 4 != 0;
                 engine.observe_audit(
                     "default",
-                    &[AuditScore {
+                    [AuditScore {
                         covered: Some(covered),
                         rel_error: Some(if covered { 0.02 } else { 0.4 }),
                         error_ratio: None,

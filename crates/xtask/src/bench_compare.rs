@@ -4,10 +4,9 @@
 //!
 //! A metric's name encodes which direction is "worse": latencies and
 //! required-sample-size metrics regress *upward*, speedups and coverage
-//! regress *downward*, and plain counters (operator counts, scored
-//! audits, worker counts) are direction-neutral — drift beyond the
-//! threshold is reported but never fails the run. Exits nonzero on any
-//! directional regression unless `--warn-only` is given.
+//! regress *downward*, and plain counters are direction-neutral — drift
+//! beyond the threshold is reported but never fails the run. Exits
+//! nonzero on any directional regression unless `--warn-only` is given.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -24,23 +23,13 @@ enum Direction {
 }
 
 fn direction(name: &str) -> Direction {
-    if name.contains("per_sec") || name.contains("per_s") || name.contains("throughput") {
+    if name.contains("per_sec") || name.contains("throughput") {
         // Throughput regresses downward; checked before the `_s` suffix
-        // rule so `rows_per_sec`/`rows_per_s`-style names never read as
-        // latencies.
+        // rule so `rows_per_sec`-style names never read as latencies.
         Direction::LowerWorse
-    } else if name.ends_with("_s")
-        || name.ends_with("_ms")
-        || name.contains("mean_rows")
-        || name.contains("alerts")
-        || name.contains("drift")
-        || name.contains("overhead")
-    {
-        // On the fixed miscalibrated SLO leg, *more* alerts or drift
-        // signals than the stamped baseline means detection got noisier.
+    } else if name.ends_with("_s") || name.ends_with("_ms") || name.contains("mean_rows") {
         Direction::HigherWorse
-    } else if name.contains("speedup") || name.contains("coverage") || name.contains("budget") {
-        // Remaining error budget regresses downward, like coverage.
+    } else if name.contains("speedup") || name.contains("coverage") {
         Direction::LowerWorse
     } else {
         Direction::Neutral
@@ -242,18 +231,6 @@ mod tests {
         let r = compare(&old, &new, 0.2);
         assert_eq!(r.regressions, 1);
         assert!(r.lines.iter().any(|l| l.starts_with("FAIL") && l.contains("throughput")));
-    }
-
-    #[test]
-    fn ingest_rate_and_overhead_have_directions() {
-        // `..._per_s` is a throughput (regresses downward) even though
-        // it ends with `_s`; `overhead_pct` regresses upward.
-        let old =
-            metrics(&[("introspect.ingest_rows_per_s", 1e5), ("introspect.overhead_pct", 1.0)]);
-        let new =
-            metrics(&[("introspect.ingest_rows_per_s", 5e4), ("introspect.overhead_pct", 2.0)]);
-        let r = compare(&old, &new, 0.2);
-        assert_eq!(r.regressions, 2);
     }
 
     #[test]

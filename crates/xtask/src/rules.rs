@@ -51,10 +51,6 @@ pub const METRIC_FAMILIES: &[&str] = &[
     // retention, and catalog-sync accounting for the `_telemetry.*`
     // tables.
     "introspect",
-    // Memory-accounting gauges fed by the opt-in counting allocator
-    // (crates/obs/src/alloc.rs); a family of its own so dashboards can
-    // slice heap series apart from the obs substrate's bookkeeping.
-    "mem",
     "obs",
     "prof",
     "slo",
@@ -151,9 +147,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "Literal metric names registered via `counter`/`gauge`/\
                   `histogram`/`histogram_with` must match \
                   `aqp.<family>.<snake_case>` with the family drawn from \
-                  the sanctioned list (`aqp.slo.*`, `aqp.obs.*`, \
-                  `aqp.mem.*`, …); computed names (the `aqp_obs::name` \
-                  constants) are the sanctioned indirection.",
+                  the sanctioned list (`aqp.slo.*`, `aqp.obs.*`, …); \
+                  computed names (the `aqp_obs::name` constants) are the \
+                  sanctioned indirection.",
     },
     RuleInfo {
         name: "fault-hygiene",

@@ -167,6 +167,8 @@ fn same_seed_audits_bit_identically() {
 #[test]
 fn miscalibrated_error_bars_fire_an_alert() {
     let obs = ObsHandle::isolated(Clock::mock());
+    let log = std::env::temp_dir().join(format!("aqp-audit-golden-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
     // The paper's cautionary tale as a live workload: bootstrap MAX over
     // a Pareto tail with the diagnostic disabled. Coverage collapses.
     let s = AqpSession::new(SessionConfig {
@@ -181,6 +183,7 @@ fn miscalibrated_error_bars_fire_an_alert() {
             coverage_alert_below: 0.9,
             min_window_for_alert: 8,
             column_families: vec![("payload_kb".into(), "pareto".into())],
+            log: Some(reliable_aqp::audit::AuditLogConfig::at(&log)),
             ..Default::default()
         }),
         ..Default::default()
@@ -201,6 +204,12 @@ fn miscalibrated_error_bars_fire_an_alert() {
     assert!(r.alerts.iter().any(|a| a.key.contains("pareto") || a.key == "ALL"));
     let fired = obs.metrics.snapshot().counter(name::AUDIT_ALERTS_FIRED).unwrap_or(0);
     assert!(fired >= 1, "alert counter must record the firing");
+    // Every audit and alert line, byte for byte as the commit before the
+    // log line became a closure wrote them (seeded, mock clock).
+    assert!(
+        std::fs::read_to_string(&log).unwrap() == include_str!("golden/audit_log.jsonl"),
+        "audit log bytes changed (tests/golden/audit_log.jsonl)"
+    );
 }
 
 #[test]

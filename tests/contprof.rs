@@ -5,14 +5,14 @@
 //! bound on a real clock.
 //!
 //! The CI `profile-smoke` job re-runs [`dump_artifact_for_ci_smoke`]
-//! under `PROFILE_SMOKE_SEED` and byte-diffs the folded-stack, chrome
-//! trace, and Prometheus artifacts across independent processes.
+//! under `PROFILE_SMOKE_SEED` and byte-diffs the folded-stack and chrome
+//! trace artifacts across independent processes.
 
 use proptest::prelude::*;
 
 use reliable_aqp::obs::{name, Clock, ObsHandle, Timestamp, TraceRecorder};
 use reliable_aqp::prof::contprof::{ContProfConfig, CumulativeProfile};
-use reliable_aqp::prof::export::{chrome_trace, folded_stacks, prometheus_text};
+use reliable_aqp::prof::export::{chrome_trace, folded_stacks};
 use reliable_aqp::workload::conviva_sessions_table;
 use reliable_aqp::{AqpSession, OpProfile, SessionConfig};
 
@@ -69,9 +69,9 @@ fn contprof_is_off_by_default_with_zero_footprint() {
         s.execute("SELECT AVG(time) FROM sessions").unwrap();
     }
     assert!(s.cumulative_profile().is_none(), "no profiler was configured");
-    // Not a single contprof or memory metric may even be registered.
+    // Not a single contprof metric may even be registered.
     let snap = obs.metrics.snapshot();
-    let leaked = |k: &str| k.starts_with("aqp.prof.contprof") || k.starts_with("aqp.mem.");
+    let leaked = |k: &str| k.starts_with("aqp.prof.contprof");
     assert!(
         snap.counters.iter().all(|(k, _)| !leaked(k))
             && snap.gauges.iter().all(|(k, _)| !leaked(k))
@@ -113,7 +113,7 @@ fn enabling_contprof_leaves_answers_and_traces_bit_identical() {
             .snapshot()
             .to_jsonl()
             .lines()
-            .filter(|l| !l.contains("aqp.prof.contprof") && !l.contains("aqp.mem."))
+            .filter(|l| !l.contains("aqp.prof.contprof"))
             .map(|l| format!("{l}\n"))
             .collect();
         (answers, traces, metrics)
@@ -121,37 +121,26 @@ fn enabling_contprof_leaves_answers_and_traces_bit_identical() {
     let off = run(None);
     let on = run(Some(routing()));
     assert_eq!(off.0, on.0, "answers changed when continuous profiling was enabled");
-    // Under `count-alloc`, per-stage mem attrs carry live allocator
-    // counts that are not run-to-run reproducible (by contract the
-    // feature is excluded from bit-stable artifacts); the byte compares
-    // hold in default builds, which is what CI runs.
-    if !reliable_aqp::obs::alloc::enabled() {
-        assert_eq!(off.1, on.1, "traces changed when continuous profiling was enabled");
-        assert_eq!(off.2, on.2, "shared metrics changed when continuous profiling was enabled");
-    }
+    assert_eq!(off.1, on.1, "traces changed when continuous profiling was enabled");
+    assert_eq!(off.2, on.2, "shared metrics changed when continuous profiling was enabled");
 }
 
 #[test]
 fn cumulative_profile_accumulates_and_exports_deterministically() {
     let run = || {
         let obs = ObsHandle::isolated(Clock::mock());
-        let s = profiled_session(11, Some(routing()), obs.clone());
+        let s = profiled_session(11, Some(routing()), obs);
         for _ in 0..4 {
             s.execute("SELECT AVG(time) FROM sessions").unwrap();
             s.execute("SELECT city, COUNT(*) FROM sessions GROUP BY city").unwrap();
         }
         let cum = s.cumulative_profile().expect("contprof is on");
-        (cum.to_json(), folded_stacks(&cum), prometheus_text(&obs.metrics.snapshot()), cum)
+        (cum.to_json(), folded_stacks(&cum), cum)
     };
-    let (json_a, folded_a, prom_a, cum) = run();
-    let (json_b, folded_b, prom_b, _) = run();
+    let (json_a, folded_a, cum) = run();
+    let (json_b, folded_b, _) = run();
     assert_eq!(json_a, json_b, "cumulative JSON must be bit-stable across runs");
     assert_eq!(folded_a, folded_b, "folded stacks must be bit-stable across runs");
-    if !reliable_aqp::obs::alloc::enabled() {
-        // The `aqp.mem.*` gauges carry live allocator counts under
-        // `count-alloc`; the exposition is bit-stable in default builds.
-        assert_eq!(prom_a, prom_b, "Prometheus text must be bit-stable across runs");
-    }
     assert_eq!(cum.queries_observed(), 8);
     assert_eq!(cum.classes(), 2, "AVG → default, GROUP BY → dashboards");
     assert!(cum.paths() > 0);
@@ -172,11 +161,7 @@ fn chrome_trace_export_is_bit_stable_and_well_formed() {
         chrome_trace(&a.trace)
     };
     let (a, b) = (run(), run());
-    if !reliable_aqp::obs::alloc::enabled() {
-        // Mem attrs on stage spans are live allocator counts under
-        // `count-alloc`; the export is bit-stable in default builds.
-        assert_eq!(a, b, "chrome trace must be bit-stable across runs");
-    }
+    assert_eq!(a, b, "chrome trace must be bit-stable across runs");
     assert!(a.starts_with("{\"traceEvents\":["), "{a}");
     assert!(a.ends_with("]}\n"), "{a}");
     assert!(a.contains("\"ph\":\"X\""), "complete events only: {a}");
@@ -274,8 +259,7 @@ fn dump_artifact_for_ci_smoke() {
     };
     let dir = std::path::Path::new("target").join("profile-dumps");
     std::fs::create_dir_all(&dir).unwrap();
-    let obs = ObsHandle::isolated(Clock::mock());
-    let s = profiled_session(seed, Some(routing()), obs.clone());
+    let s = profiled_session(seed, Some(routing()), ObsHandle::isolated(Clock::mock()));
     let mut last_trace = None;
     for i in 0..12 {
         let sql = match i % 3 {
@@ -290,11 +274,6 @@ fn dump_artifact_for_ci_smoke() {
     std::fs::write(
         dir.join(format!("seed_{seed}.chrome.json")),
         chrome_trace(&last_trace.expect("queries ran")),
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join(format!("seed_{seed}.prom")),
-        prometheus_text(&obs.metrics.snapshot()),
     )
     .unwrap();
 }

@@ -134,10 +134,8 @@ fn enabling_introspection_leaves_answers_and_traces_bit_identical() {
     let off = run(None);
     let on = run(Some(routing()));
     assert_eq!(off.0, on.0, "answers changed when introspection was enabled");
-    if !reliable_aqp::obs::alloc::enabled() {
-        assert_eq!(off.1, on.1, "traces changed when introspection was enabled");
-        assert_eq!(off.2, on.2, "shared metrics changed when introspection was enabled");
-    }
+    assert_eq!(off.1, on.1, "traces changed when introspection was enabled");
+    assert_eq!(off.2, on.2, "shared metrics changed when introspection was enabled");
 }
 
 #[test]

@@ -264,16 +264,32 @@ fn transcript() -> (String, Vec<String>) {
     if partial_fallbacks == 0 {
         missing.push("a partial fallback".into());
     }
+
+    // One score, three folds: the SLO `tail` class is exactly the
+    // `MAX(payload_kb)` results, the auditor keys them `MAX:pareto`, and
+    // `_telemetry.audit` (synced by the queries above) holds a row each —
+    // all three read the seam's one scored slice, so they count the same
+    // results and the same misses.
+    let rows = s.catalog().table("_telemetry.audit").unwrap().to_batch().unwrap();
+    let (agg, covered) =
+        (rows.column_by_name("agg").unwrap(), rows.column_by_name("covered").unwrap());
+    let tail: Vec<f64> = (0..rows.num_rows())
+        .filter(|&i| agg.value(i).unwrap().to_string() == "MAX")
+        .filter_map(|i| covered.f64_at(i))
+        .collect();
+    let (n, misses) = (tail.len() as u64, tail.iter().filter(|&&c| c == 0.0).count() as u64);
+    let key = audit.keys.iter().find(|k| k.key == "MAX:pareto").unwrap();
+    let objective = slo.objectives.iter().find(|o| o.id == "tail/coverage_ge_95").unwrap();
+    assert_eq!(
+        ((key.scored, key.coverage), (objective.events, objective.bad)),
+        ((n, Some((n - misses) as f64 / n as f64)), (n, misses)),
+        "_telemetry.audit vs the auditor's MAX:pareto key and the SLO tail coverage objective"
+    );
     (out, missing)
 }
 
 #[test]
 fn all_four_hooks_reproduce_the_recorded_transcript() {
-    // `count-alloc` stamps live allocator counts on spans; bit-stable
-    // artifacts exclude that feature by contract.
-    if reliable_aqp::obs::alloc::enabled() {
-        return;
-    }
     let (got, missing) = transcript();
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let want = std::fs::read_to_string(root.join(GOLDEN)).unwrap_or_default();

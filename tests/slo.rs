@@ -115,14 +115,8 @@ fn enabling_slo_leaves_answers_and_traces_bit_identical() {
         coverage_slo().with_latency(SloConfig::DEFAULT_CLASS, 0.95, 40.0),
     ));
     assert_eq!(off.0, on.0, "answers changed when the SLO engine was enabled");
-    // Under `count-alloc`, stage spans carry live allocator counts that
-    // are not reproducible across runs (the feature is excluded from
-    // bit-stable artifacts by contract); default builds — what CI runs —
-    // keep the byte-for-byte guarantee.
-    if !reliable_aqp::obs::alloc::enabled() {
-        assert_eq!(off.1, on.1, "traces changed when the SLO engine was enabled");
-        assert_eq!(off.2, on.2, "shared metrics changed when the SLO engine was enabled");
-    }
+    assert_eq!(off.1, on.1, "traces changed when the SLO engine was enabled");
+    assert_eq!(off.2, on.2, "shared metrics changed when the SLO engine was enabled");
 }
 
 #[test]
@@ -161,7 +155,10 @@ fn drift_fires_before_the_audit_window_alert() {
     // the drift detectors flag the same stream within a handful of
     // queries — that gap is the whole point of running them online.
     let obs = ObsHandle::isolated(Clock::mock());
-    let s = miscalibrated_session(obs.clone(), coverage_slo());
+    let log = std::env::temp_dir().join(format!("aqp-slo-golden-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&log);
+    let slo = coverage_slo().with_log(reliable_aqp::slo::SloLogConfig::at(&log));
+    let s = miscalibrated_session(obs.clone(), slo);
     for _ in 0..30 {
         s.execute("SELECT AVG(payload_kb) FROM events").unwrap();
     }
@@ -201,6 +198,12 @@ fn drift_fires_before_the_audit_window_alert() {
         report.drift.iter().any(|d| d.stream.starts_with("fleet/") && d.signals > 0),
         "the fleet stream carries the cross-class baseline: {:?}",
         report.drift
+    );
+    // Every alert and drift line, byte for byte as the commit before the
+    // log line became a closure wrote them (seeded, mock clock).
+    assert!(
+        std::fs::read_to_string(&log).unwrap() == include_str!("golden/slo_log.jsonl"),
+        "SLO log bytes changed (tests/golden/slo_log.jsonl)"
     );
 }
 
