@@ -79,13 +79,12 @@ impl DiagnosticConfig {
         if self.p < 2 {
             return Err("p must be at least 2".into());
         }
-        if self.subsample_rows.is_empty() {
+        let Some(&bk) = self.subsample_rows.last() else {
             return Err("need at least one subsample size".into());
-        }
+        };
         if !self.subsample_rows.windows(2).all(|w| w[0] < w[1]) {
             return Err("subsample sizes must be strictly increasing".into());
         }
-        let bk = *self.subsample_rows.last().unwrap();
         if bk * self.p > sample_rows {
             return Err(format!(
                 "p·b_k = {} exceeds the sample size {sample_rows}; cannot form disjoint subsamples",

@@ -1,15 +1,32 @@
-//! Algorithm 1 of the paper (the Kleiner et al. diagnostic).
+//! Algorithm 1 of the paper (the Kleiner et al. diagnostic), verdict first.
 //!
-//! Two layers:
+//! [`diagnose`] is the only implementation of the acceptance rule in the
+//! tree. It does not take a table of estimates: it *pulls* θ̂(level, j) —
+//! θ on the j-th of the p disjoint subsamples of size b_level — and
+//! ξ(level, j) — ξ's interval half-width there — from its caller, in the
+//! order that fixes the verdict soonest, and stops as soon as it is fixed:
 //!
-//! 1. [`evaluate_from_estimates`] — the pure decision kernel. Takes, for
-//!    each subsample size b_i, the subsample point estimates
-//!    t̂ᵢ₁..t̂ᵢₚ and ξ's interval half-widths x̂ᵢ₁..x̂ᵢₚ, plus θ(S); computes
-//!    xᵢ (the per-size true half-width), the summary statistics Δᵢ, σᵢ,
-//!    πᵢ, and checks the acceptance criteria. The query engine's
-//!    diagnostic *operator* feeds this kernel from a single scan.
-//! 2. [`run_diagnostic`] — a self-contained driver over a values vector,
-//!    used by the stats-level experiments and tests.
+//! 1. θ̂ on all p subsamples of the **last** level (no resampling) gives
+//!    the per-size true half-width x_k.
+//! 2. ξ on those subsamples, j = 0, 1, …, counting the ones within c₃ of
+//!    x_k, until the count plus the subsamples left can no longer reach
+//!    ρ·p. Most refusals end here, a few ξ in.
+//! 3. Only if π_k ≥ ρ held: Δ_k and σ_k, then down the ladder i = k..1.
+//!    Level i − 1 is evaluated only if some check reads it — its own
+//!    (i − 1 ≥ 1), or level i's when Δᵢ ≥ c₁ or σᵢ ≥ c₂ makes the
+//!    comparison with the level below matter. The first failed check ends
+//!    the run.
+//!
+//! The verdict is the conjunction of the same checks, each computed by the
+//! same float expressions, as evaluating every level in full — a
+//! conjunction does not care in which order its terms are read, and every
+//! ξ(level, j) draws from an RNG stream of its own, so an evaluation
+//! skipped changes no other. `tests/properties.rs` holds the full
+//! evaluation as the reference.
+//!
+//! [`run_diagnostic`] drives it over a plain values vector for the
+//! stats-level experiments; the query engine drives it over the data one
+//! scan collected.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,48 +37,78 @@ use aqp_stats::rng::SeedStream;
 
 use crate::config::DiagnosticConfig;
 
-/// Per-subsample-size inputs to the decision kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LevelEstimates {
-    /// Subsample size b_i in pre-filter rows.
-    pub b: usize,
-    /// θ evaluated on each of the p disjoint subsamples.
-    pub theta_hats: Vec<f64>,
-    /// ξ's interval half-width on each subsample (NaN = ξ degenerate
-    /// there).
-    pub xi_half_widths: Vec<f64>,
-}
-
-/// Per-size summary in the report.
+/// Summary of one subsample size the run evaluated.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LevelReport {
+    /// Index of this size in `DiagnosticConfig::subsample_rows`.
+    pub level: usize,
     /// Subsample size b_i.
     pub b: usize,
     /// The per-size ground-truth half-width xᵢ (smallest symmetric
-    /// interval around θ(S) covering α·p of the subsample estimates).
+    /// interval around θ(S) covering α·p of the subsample estimates); NaN
+    /// when θ was degenerate on every subsample.
     pub x: f64,
-    /// Δᵢ = |mean(x̂ᵢ·) − xᵢ| / xᵢ — relative deviation of the mean.
+    /// How many of the level's p subsamples ξ ran on: p, unless the
+    /// level's outcome was fixed earlier.
+    pub xi_evaluated: usize,
+    /// Δᵢ = |mean(x̂ᵢ·) − xᵢ| / xᵢ — relative deviation of the mean. NaN
+    /// when the last level stopped on π before every ξ was in.
     pub mean_deviation: f64,
-    /// σᵢ = stddev(x̂ᵢ·) / xᵢ — relative spread.
+    /// σᵢ = stddev(x̂ᵢ·) / xᵢ — relative spread. NaN as for Δᵢ.
     pub relative_spread: f64,
-    /// πᵢ — proportion of subsamples with |x̂ᵢⱼ − xᵢ|/xᵢ ≤ c₃.
+    /// πᵢ — proportion of subsamples with |x̂ᵢⱼ − xᵢ|/xᵢ ≤ c₃; of those
+    /// evaluated, over p, when the level was cut short.
     pub close_proportion: f64,
-    /// Whether Δᵢ was acceptable (only meaningful for i ≥ 2).
-    pub deviation_ok: bool,
-    /// Whether σᵢ was acceptable (only meaningful for i ≥ 2).
-    pub spread_ok: bool,
+}
+
+/// One of Algorithm 1's three checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Criterion {
+    /// Δᵢ < Δᵢ₋₁ or Δᵢ < c₁.
+    Deviation,
+    /// σᵢ < σᵢ₋₁ or σᵢ < c₂.
+    Spread,
+    /// π_k ≥ ρ.
+    Proportion,
+}
+
+/// What fixed the verdict.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Decision {
+    /// Every check held.
+    Accepted,
+    /// `criterion` failed at level `level` (an index into
+    /// `DiagnosticConfig::subsample_rows`); no check after it was read.
+    Failed {
+        /// The check that failed.
+        criterion: Criterion,
+        /// The level it failed at.
+        level: usize,
+    },
+    /// The diagnostic could not run (the reason says why) and therefore
+    /// vouches for nothing.
+    Refused(String),
 }
 
 /// The diagnostic's output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DiagnosticReport {
-    /// Per-size summaries, smallest b first.
+    /// Summaries of the levels evaluated, smallest b first — the last
+    /// level, then as far down the ladder as the verdict needed.
     pub levels: Vec<LevelReport>,
-    /// π_k ≥ ρ?
-    pub final_proportion_ok: bool,
+    /// Why the verdict is what it is.
+    pub decision: Decision,
     /// The overall verdict: `true` means "confidence-interval estimation
     /// works well for this query; it is safe to show ξ's error bars".
     pub accepted: bool,
+}
+
+impl DiagnosticReport {
+    /// Close a run: count it on `aqp.diagnostics.*` and build the report.
+    fn closing(levels: Vec<LevelReport>, decision: Decision) -> Self {
+        record_verdict(&decision);
+        DiagnosticReport { levels, accepted: decision == Decision::Accepted, decision }
+    }
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -76,138 +123,134 @@ fn stddev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// The decision kernel: Algorithm 1 given precomputed estimates.
+/// Algorithm 1, pulling its inputs on demand (module docs give the order).
 ///
 /// `theta_s` is θ(S), the full-sample point estimate the per-size true
-/// intervals are centered on. Levels must be ordered by increasing b.
-pub fn evaluate_from_estimates(
+/// intervals are centered on; `cfg.subsample_rows` lists the levels by
+/// increasing b. `theta_hat(level, j)` returns θ̂ on subsample j of that
+/// level (NaN = degenerate there) together with whatever the caller
+/// prepared to compute it; `xi(level, j, θ̂, prepared)` gets both back and
+/// returns ξ's half-width on the same subsample (NaN = ξ degenerate). ξ
+/// is asked only after every θ̂ of its level, in order of j, at most once.
+///
+/// An empty level list is refused, not a panic.
+pub fn diagnose<P>(
     theta_s: f64,
-    levels: &[LevelEstimates],
     cfg: &DiagnosticConfig,
+    theta_hat: impl Fn(usize, usize) -> (f64, P),
+    xi: impl Fn(usize, usize, f64, P) -> f64,
 ) -> DiagnosticReport {
-    assert!(!levels.is_empty(), "diagnostic needs at least one level");
-
-    let mut reports: Vec<LevelReport> = Vec::with_capacity(levels.len());
-    for level in levels {
-        // Drop degenerate estimates (NaN θ̂ on an empty subsample, or ξ
-        // failures); they count against π implicitly by shrinking the
-        // numerator but not p.
+    let Some(last) = cfg.k().checked_sub(1) else {
+        let reason = "no subsample sizes to judge".to_string();
+        return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
+    };
+    let p = cfg.p;
+    let evaluate = |level: usize| -> LevelReport {
+        let subsamples: Vec<(f64, P)> = (0..p).map(|j| theta_hat(level, j)).collect();
+        // Degenerate estimates (NaN θ̂ on an empty subsample, ξ failures)
+        // are dropped; they count against π by shrinking the numerator
+        // but not p.
         let t_hats: Vec<f64> =
-            level.theta_hats.iter().copied().filter(|t| t.is_finite()).collect();
-        let x_hats: Vec<f64> =
-            level.xi_half_widths.iter().copied().filter(|x| x.is_finite()).collect();
-        let p = level.theta_hats.len().max(1);
-
-        if t_hats.is_empty() || x_hats.is_empty() {
-            reports.push(LevelReport {
-                b: level.b,
-                x: f64::NAN,
-                mean_deviation: f64::INFINITY,
-                relative_spread: f64::INFINITY,
-                close_proportion: 0.0,
-                deviation_ok: false,
-                spread_ok: false,
-            });
-            continue;
-        }
-
-        // xᵢ: smallest symmetric interval around θ(S) covering α of the
-        // subsample estimates.
-        let x = symmetric_half_width(theta_s, &t_hats, cfg.alpha);
-
-        let (mean_dev, spread, close) = if x > 0.0 {
-            let d = (mean(&x_hats) - x).abs() / x;
-            let s = stddev(&x_hats) / x;
-            let close = level
-                .xi_half_widths
-                .iter()
-                .filter(|&&xh| xh.is_finite() && ((xh - x) / x).abs() <= cfg.c3)
-                .count() as f64
-                / p as f64;
-            (d, s, close)
-        } else {
-            // Degenerate truth (constant estimator): accept iff ξ also
-            // reports (near-)zero error.
-            let all_zero = x_hats.iter().all(|&xh| xh.abs() < 1e-12);
-            if all_zero {
-                (0.0, 0.0, 1.0)
-            } else {
-                (f64::INFINITY, f64::INFINITY, 0.0)
-            }
+            subsamples.iter().map(|(t, _)| *t).filter(|t| t.is_finite()).collect();
+        let mut report = LevelReport {
+            level,
+            b: cfg.subsample_rows[level],
+            x: f64::NAN,
+            xi_evaluated: 0,
+            mean_deviation: f64::INFINITY,
+            relative_spread: f64::INFINITY,
+            close_proportion: 0.0,
         };
+        if t_hats.is_empty() {
+            return report;
+        }
+        let x = symmetric_half_width(theta_s, &t_hats, cfg.alpha);
+        report.x = x;
+        let mut x_hats = Vec::with_capacity(p);
+        let mut close = 0usize;
+        for (j, (t, prepared)) in subsamples.into_iter().enumerate() {
+            let xh = xi(level, j, t, prepared);
+            report.xi_evaluated = j + 1;
+            if xh.is_finite() {
+                x_hats.push(xh);
+                if x > 0.0 {
+                    close += usize::from(((xh - x) / x).abs() <= cfg.c3);
+                } else if xh.abs() >= 1e-12 {
+                    // Degenerate truth (constant estimator) holds only if
+                    // ξ reports (near-)zero error everywhere too.
+                    return report;
+                }
+            }
+            // π_k can no longer reach ρ: the test is the final one's, on
+            // the count if every subsample still to come were close.
+            if level == last && x > 0.0 && ((close + p - 1 - j) as f64 / p as f64) < cfg.rho {
+                report.close_proportion = close as f64 / p as f64;
+                (report.mean_deviation, report.relative_spread) = (f64::NAN, f64::NAN);
+                return report;
+            }
+        }
+        if !x_hats.is_empty() {
+            (report.mean_deviation, report.relative_spread, report.close_proportion) = if x > 0.0 {
+                ((mean(&x_hats) - x).abs() / x, stddev(&x_hats) / x, close as f64 / p as f64)
+            } else {
+                (0.0, 0.0, 1.0)
+            };
+        }
+        report
+    };
 
-        reports.push(LevelReport {
-            b: level.b,
-            x,
-            mean_deviation: mean_dev,
-            relative_spread: spread,
-            close_proportion: close,
-            deviation_ok: true, // filled below for i ≥ 2
-            spread_ok: true,
-        });
+    let mut levels = vec![evaluate(last)];
+    let mut decision = if levels[0].close_proportion >= cfg.rho {
+        Decision::Accepted
+    } else {
+        Decision::Failed { criterion: Criterion::Proportion, level: last }
+    };
+    // Deviations and spreads decreasing or small, from the top down; a
+    // single-level ladder is the final-proportion check alone.
+    let mut i = last;
+    while decision == Decision::Accepted && i > 0 {
+        let (dev, spread) = (levels[last - i].mean_deviation, levels[last - i].relative_spread);
+        if i == 1 && dev < cfg.c1 && spread < cfg.c2 {
+            break; // level 0 has no check of its own, and level 1's does not read it
+        }
+        let below = evaluate(i - 1);
+        if !(dev < below.mean_deviation || dev < cfg.c1) {
+            decision = Decision::Failed { criterion: Criterion::Deviation, level: i };
+        } else if !(spread < below.relative_spread || spread < cfg.c2) {
+            decision = Decision::Failed { criterion: Criterion::Spread, level: i };
+        }
+        levels.push(below);
+        i -= 1;
     }
-
-    // Acceptance criteria: deviations/spreads decreasing or small, final
-    // proportion large.
-    let mut accepted = true;
-    for i in 1..reports.len() {
-        let dev_ok = reports[i].mean_deviation < reports[i - 1].mean_deviation
-            || reports[i].mean_deviation < cfg.c1;
-        let spread_ok = reports[i].relative_spread < reports[i - 1].relative_spread
-            || reports[i].relative_spread < cfg.c2;
-        reports[i].deviation_ok = dev_ok;
-        reports[i].spread_ok = spread_ok;
-        accepted &= dev_ok && spread_ok;
-    }
-    let final_proportion_ok = reports.last().map(|r| r.close_proportion >= cfg.rho).unwrap_or(false);
-    accepted &= final_proportion_ok;
-    // A single-level diagnostic degenerates to the final-proportion check.
-
-    let report = DiagnosticReport { levels: reports, final_proportion_ok, accepted };
-    record_verdict(&report);
-    report
+    levels.reverse();
+    DiagnosticReport::closing(levels, decision)
 }
 
-/// Telemetry for every diagnostic run: the verdict plus per-check
-/// failure counts, on the global metrics registry
-/// (`aqp.diagnostics.*`). Handles are cached; each run costs a handful
-/// of atomic adds.
-fn record_verdict(report: &DiagnosticReport) {
-    use std::sync::OnceLock;
-    struct Handles {
-        accepted: aqp_obs::Counter,
-        rejected: aqp_obs::Counter,
-        deviation: aqp_obs::Counter,
-        spread: aqp_obs::Counter,
-        proportion: aqp_obs::Counter,
-    }
-    static H: OnceLock<Handles> = OnceLock::new();
-    let h = H.get_or_init(|| {
-        let reg = aqp_obs::MetricsRegistry::global();
-        Handles {
-            accepted: reg.counter(aqp_obs::name::DIAG_ACCEPTED),
-            rejected: reg.counter(aqp_obs::name::DIAG_REJECTED),
-            deviation: reg.counter(aqp_obs::name::DIAG_DEVIATION_FAILURES),
-            spread: reg.counter(aqp_obs::name::DIAG_SPREAD_FAILURES),
-            proportion: reg.counter(aqp_obs::name::DIAG_PROPORTION_FAILURES),
-        }
+/// Telemetry for every diagnostic run: the verdict and, for a rejection,
+/// the one check that decided it, on the global metrics registry
+/// (`aqp.diagnostics.*`). Handles are cached; each run costs one or two
+/// atomic adds.
+fn record_verdict(decision: &Decision) {
+    use aqp_obs::name;
+    static H: std::sync::OnceLock<[aqp_obs::Counter; 5]> = std::sync::OnceLock::new();
+    let [accepted, rejected, deviation, spread, proportion] = H.get_or_init(|| {
+        [
+            name::DIAG_ACCEPTED,
+            name::DIAG_REJECTED,
+            name::DIAG_DEVIATION_FAILURES,
+            name::DIAG_SPREAD_FAILURES,
+            name::DIAG_PROPORTION_FAILURES,
+        ]
+        .map(|n| aqp_obs::MetricsRegistry::global().counter(n))
     });
-    if report.accepted {
-        h.accepted.inc();
-    } else {
-        h.rejected.inc();
+    match decision {
+        Decision::Accepted => return accepted.inc(),
+        Decision::Refused(_) => {}
+        Decision::Failed { criterion: Criterion::Deviation, .. } => deviation.inc(),
+        Decision::Failed { criterion: Criterion::Spread, .. } => spread.inc(),
+        Decision::Failed { criterion: Criterion::Proportion, .. } => proportion.inc(),
     }
-    let dev_failures = report.levels.iter().filter(|l| !l.deviation_ok).count();
-    let spread_failures = report.levels.iter().filter(|l| !l.spread_ok).count();
-    if dev_failures > 0 {
-        h.deviation.add(dev_failures as u64);
-    }
-    if spread_failures > 0 {
-        h.spread.add(spread_failures as u64);
-    }
-    if !report.final_proportion_ok {
-        h.proportion.inc();
-    }
+    rejected.inc();
 }
 
 /// Self-contained Algorithm 1 over a values vector.
@@ -217,7 +260,8 @@ fn record_verdict(report: &DiagnosticReport) {
 /// consecutive chunks valid disjoint subsamples. `ctx` carries the
 /// pre-filter sample row count n and population size. Subsample sizes are
 /// interpreted in pre-filter rows and mapped to value counts via the
-/// sample's selectivity.
+/// sample's selectivity. A config that does not fit the sample is
+/// refused ([`Decision::Refused`] names what is wrong with it).
 pub fn run_diagnostic(
     values: &[f64],
     ctx: &SampleContext,
@@ -226,37 +270,32 @@ pub fn run_diagnostic(
     cfg: &DiagnosticConfig,
     seeds: SeedStream,
 ) -> DiagnosticReport {
-    cfg.validate(ctx.sample_rows).unwrap_or_else(|e| panic!("invalid diagnostic config: {e}"));
-    let est = theta.as_estimator();
-    let theta_s = est.estimate(values, ctx);
-    let selectivity = values.len() as f64 / ctx.sample_rows as f64;
-
-    let mut levels = Vec::with_capacity(cfg.k());
-    for (li, &b) in cfg.subsample_rows.iter().enumerate() {
-        // m values per subsample ≈ selectivity · b.
-        let m = ((b as f64 * selectivity).round() as usize).min(values.len() / cfg.p.max(1));
-        let sub_ctx = ctx.subsample(b);
-        let mut theta_hats = Vec::with_capacity(cfg.p);
-        let mut xi_half_widths = Vec::with_capacity(cfg.p);
-        for j in 0..cfg.p {
-            let chunk: &[f64] = if m == 0 {
-                &[]
-            } else {
-                let start = j * m;
-                &values[start..(start + m).min(values.len())]
-            };
-            theta_hats.push(est.estimate(chunk, &sub_ctx));
-            let mut rng = seeds.derive(li as u64).rng(j as u64);
-            let hw = xi
-                .confidence_interval(&mut rng, chunk, &sub_ctx, theta, cfg.alpha)
-                .map(|ci| ci.half_width)
-                .unwrap_or(f64::NAN);
-            xi_half_widths.push(hw);
-        }
-        levels.push(LevelEstimates { b, theta_hats, xi_half_widths });
+    if let Err(reason) = cfg.validate(ctx.sample_rows) {
+        let reason = format!("invalid diagnostic config: {reason}");
+        return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
     }
-
-    evaluate_from_estimates(theta_s, &levels, cfg)
+    let est = theta.as_estimator();
+    let selectivity = values.len() as f64 / ctx.sample_rows as f64;
+    let subsample = |level: usize, j: usize| {
+        let b = cfg.subsample_rows[level];
+        // m values per subsample ≈ selectivity · b; p·m ≤ |values|.
+        let m = ((b as f64 * selectivity).round() as usize).min(values.len() / cfg.p);
+        (&values[j * m..(j + 1) * m], ctx.subsample(b))
+    };
+    diagnose(
+        est.estimate(values, ctx),
+        cfg,
+        |level, j| {
+            let (chunk, sub_ctx) = subsample(level, j);
+            (est.estimate(chunk, &sub_ctx), ())
+        },
+        |level, j, _theta_hat, ()| {
+            let (chunk, sub_ctx) = subsample(level, j);
+            let mut rng = seeds.derive(level as u64).rng(j as u64);
+            xi.confidence_interval(&mut rng, chunk, &sub_ctx, theta, cfg.alpha)
+                .map_or(f64::NAN, |ci| ci.half_width)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -295,8 +334,8 @@ mod tests {
             SeedStream::new(3),
         );
         assert!(report.accepted, "{report:#?}");
-        assert!(report.final_proportion_ok);
-        assert_eq!(report.levels.len(), 3);
+        assert_eq!(report.decision, Decision::Accepted);
+        assert_eq!(report.levels.last().map(|l| (l.level, l.xi_evaluated)), Some((2, 50)));
     }
 
     #[test]
@@ -338,20 +377,28 @@ mod tests {
         assert!(!report.accepted, "{report:#?}");
     }
 
+    /// `diagnose` fed from a table: per level, (θ̂ⱼ, x̂ⱼ) for j in 0..p.
+    fn diagnose_table(
+        theta_s: f64,
+        levels: &[(Vec<f64>, Vec<f64>)],
+        cfg: &DiagnosticConfig,
+    ) -> DiagnosticReport {
+        diagnose(theta_s, cfg, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
+    }
+
+    fn alternating(s: f64, p: usize) -> Vec<f64> {
+        (0..p).map(|j| if j % 2 == 0 { s } else { -s }).collect()
+    }
+
     #[test]
     fn kernel_accepts_perfect_estimates() {
         // Synthetic: ξ returns exactly the truth at every level.
-        let theta_s = 0.0;
-        let spread = |b: usize| 1.0 / (b as f64).sqrt();
-        let levels: Vec<LevelEstimates> = [100usize, 200, 400]
+        let levels: Vec<(Vec<f64>, Vec<f64>)> = [100usize, 200, 400]
             .iter()
             .map(|&b| {
-                let s = spread(b);
                 // Estimates symmetric around theta_s at ±s: truth x = s.
-                let theta_hats: Vec<f64> =
-                    (0..20).map(|j| if j % 2 == 0 { s } else { -s }).collect();
-                let xi_half_widths = vec![s; 20];
-                LevelEstimates { b, theta_hats, xi_half_widths }
+                let s = 1.0 / (b as f64).sqrt();
+                (alternating(s, 20), vec![s; 20])
             })
             .collect();
         let cfg = DiagnosticConfig {
@@ -359,51 +406,44 @@ mod tests {
             subsample_rows: vec![100, 200, 400],
             ..DiagnosticConfig::fast()
         };
-        let r = evaluate_from_estimates(theta_s, &levels, &cfg);
+        let r = diagnose_table(0.0, &levels, &cfg);
         assert!(r.accepted, "{r:#?}");
+        assert_eq!(r.decision, Decision::Accepted);
+        // Δ₂, σ₂ and Δ₁, σ₁ are all below c₁ / c₂: level 1 is read for its
+        // own check, level 0 by nobody.
+        assert_eq!(r.levels.iter().map(|l| l.level).collect::<Vec<_>>(), vec![1, 2]);
         for l in &r.levels {
             assert!(l.mean_deviation < 1e-9);
             assert_eq!(l.close_proportion, 1.0);
+            assert_eq!(l.xi_evaluated, 20);
         }
     }
 
     #[test]
     fn kernel_rejects_growing_deviation() {
-        // ξ's deviation from truth grows with b and exceeds c1.
-        let theta_s = 0.0;
-        let levels: Vec<LevelEstimates> = [(100usize, 1.0), (200, 2.0), (400, 4.0)]
-            .iter()
-            .map(|&(b, factor)| {
-                let theta_hats: Vec<f64> =
-                    (0..20).map(|j| if j % 2 == 0 { 1.0 } else { -1.0 }).collect();
-                // Truth x = 1; ξ reports `factor`, increasingly wrong.
-                LevelEstimates { b, theta_hats, xi_half_widths: vec![factor; 20] }
-            })
-            .collect();
+        // Truth x = 1 everywhere; ξ reports `factor`, increasingly wrong.
+        let levels: Vec<(Vec<f64>, Vec<f64>)> =
+            [1.2, 1.3, 1.4].iter().map(|&f| (alternating(1.0, 20), vec![f; 20])).collect();
         let cfg = DiagnosticConfig {
             p: 20,
             subsample_rows: vec![100, 200, 400],
             ..DiagnosticConfig::fast()
         };
-        let r = evaluate_from_estimates(theta_s, &levels, &cfg);
-        assert!(!r.accepted, "{r:#?}");
-        assert!(!r.final_proportion_ok);
+        let r = diagnose_table(0.0, &levels, &cfg);
+        // π₂ = 1 (0.4 ≤ c₃), but Δ₂ = 0.4 ≥ c₁ and ≥ Δ₁ = 0.3.
+        assert_eq!(r.decision, Decision::Failed { criterion: Criterion::Deviation, level: 2 });
+        assert!(!r.accepted);
+        assert_eq!(r.levels.iter().map(|l| l.level).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]
     fn kernel_rejects_when_final_proportion_low() {
         // Deviation/spread fine on average but half the subsamples are way
         // off at b_k.
-        let theta_s = 0.0;
-        let theta_hats: Vec<f64> = (0..20).map(|j| if j % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let good = LevelEstimates {
-            b: 100,
-            theta_hats: theta_hats.clone(),
-            xi_half_widths: vec![1.0; 20],
-        };
         let mut mixed_widths = vec![1.0; 10];
         mixed_widths.extend(vec![10.0; 10]); // 50% far off
-        let bad = LevelEstimates { b: 200, theta_hats, xi_half_widths: mixed_widths };
+        let levels =
+            [(alternating(1.0, 20), vec![1.0; 20]), (alternating(1.0, 20), mixed_widths)];
         let cfg = DiagnosticConfig {
             p: 20,
             subsample_rows: vec![100, 200],
@@ -411,36 +451,65 @@ mod tests {
             c2: 10.0,
             ..DiagnosticConfig::fast()
         };
-        let r = evaluate_from_estimates(theta_s, &[good, bad], &cfg);
-        assert!(!r.final_proportion_ok);
+        let r = diagnose_table(0.0, &levels, &cfg);
+        assert_eq!(r.decision, Decision::Failed { criterion: Criterion::Proportion, level: 1 });
         assert!(!r.accepted);
+        // ρ·p = 19 needed: the second miss (j = 11) fixes the verdict, and
+        // the level below is never looked at.
+        assert_eq!(r.levels.len(), 1);
+        assert_eq!(r.levels[0].xi_evaluated, 12);
+        assert!(r.levels[0].mean_deviation.is_nan());
+    }
+
+    #[test]
+    fn proportion_exactly_rho_is_accepted() {
+        // 19 of 20 close is π = 0.95 = ρ: the stop must not fire on equality.
+        let mut widths = vec![1.0; 20];
+        widths[7] = 10.0;
+        let cfg = DiagnosticConfig {
+            p: 20,
+            subsample_rows: vec![100],
+            ..DiagnosticConfig::fast()
+        };
+        let r = diagnose_table(0.0, &[(alternating(1.0, 20), widths.clone())], &cfg);
+        assert!(r.accepted, "{r:#?}");
+        assert_eq!(r.levels[0].xi_evaluated, 20);
+        widths[13] = 10.0;
+        let r = diagnose_table(0.0, &[(alternating(1.0, 20), widths)], &cfg);
+        assert!(!r.accepted);
+        assert_eq!(r.levels[0].xi_evaluated, 14);
     }
 
     #[test]
     fn degenerate_truth_accepts_zero_error_estimates() {
         // Constant data: every subsample estimate equals θ(S); truth x = 0.
-        let levels = vec![LevelEstimates {
-            b: 100,
-            theta_hats: vec![5.0; 10],
-            xi_half_widths: vec![0.0; 10],
-        }];
         let cfg =
             DiagnosticConfig { p: 10, subsample_rows: vec![100], ..DiagnosticConfig::fast() };
-        let r = evaluate_from_estimates(5.0, &levels, &cfg);
+        let r = diagnose_table(5.0, &[(vec![5.0; 10], vec![0.0; 10])], &cfg);
         assert!(r.accepted, "{r:#?}");
+        // ...and refuses at the first subsample where ξ disagrees.
+        let mut widths = vec![0.0; 10];
+        widths[3] = 0.5;
+        let r = diagnose_table(5.0, &[(vec![5.0; 10], widths)], &cfg);
+        assert_eq!(r.decision, Decision::Failed { criterion: Criterion::Proportion, level: 0 });
+        assert_eq!(r.levels[0].xi_evaluated, 4);
     }
 
     #[test]
     fn nan_estimates_are_degenerate_not_fatal() {
-        let levels = vec![LevelEstimates {
-            b: 100,
-            theta_hats: vec![f64::NAN; 10],
-            xi_half_widths: vec![f64::NAN; 10],
-        }];
         let cfg =
             DiagnosticConfig { p: 10, subsample_rows: vec![100], ..DiagnosticConfig::fast() };
-        let r = evaluate_from_estimates(5.0, &levels, &cfg);
+        let r = diagnose_table(5.0, &[(vec![f64::NAN; 10], vec![f64::NAN; 10])], &cfg);
         assert!(!r.accepted);
+        assert_eq!(r.levels[0].xi_evaluated, 0);
+    }
+
+    #[test]
+    fn empty_ladder_is_refused() {
+        let cfg = DiagnosticConfig { subsample_rows: vec![], ..DiagnosticConfig::fast() };
+        let r = diagnose_table(1.0, &[], &cfg);
+        assert!(!r.accepted);
+        assert!(matches!(&r.decision, Decision::Refused(why) if why.contains("no subsample")));
     }
 
     #[test]
@@ -470,21 +539,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid diagnostic config")]
-    fn invalid_config_panics() {
+    fn invalid_config_is_refused() {
         let cfg = DiagnosticConfig {
             p: 100,
             subsample_rows: vec![1000],
             ..DiagnosticConfig::fast()
         };
         let ctx = SampleContext::new(100, 1000);
-        run_diagnostic(
+        let r = run_diagnostic(
             &[1.0; 100],
             &ctx,
             &Theta::Builtin(Aggregate::Avg),
             &EstimationMethod::ClosedForm,
             &cfg,
             SeedStream::new(1),
+        );
+        assert!(!r.accepted);
+        assert!(r.levels.is_empty());
+        assert!(
+            matches!(&r.decision, Decision::Refused(why) if why.contains("exceeds the sample size")),
+            "{r:#?}"
         );
     }
 }

@@ -15,10 +15,10 @@
 //!
 //! * [`config::DiagnosticConfig`] — the parameters (p, k, b₁..b_k, c₁, c₂,
 //!   c₃, ρ), defaulting to the paper's settings.
-//! * [`kleiner`] — Algorithm 1 itself, in two layers: a pure decision
-//!   kernel over precomputed per-subsample estimates (reused by the
-//!   engine's diagnostic operator), and a convenience driver that computes
-//!   those estimates from a values vector.
+//! * [`kleiner`] — Algorithm 1 itself: one lazy driver that pulls
+//!   per-subsample estimates from its caller and stops when the verdict
+//!   is fixed (the engine's diagnostic operator feeds it from the
+//!   collected data), and a convenience caller over a values vector.
 //! * [`ground_truth`] — the expensive "ideal diagnostic" used to measure
 //!   the real diagnostic's false-positive/negative rates (Fig. 4).
 
@@ -31,4 +31,4 @@ pub mod kleiner;
 
 pub use config::DiagnosticConfig;
 pub use ground_truth::DiagnosticOutcome;
-pub use kleiner::{run_diagnostic, DiagnosticReport, LevelEstimates, LevelReport};
+pub use kleiner::{diagnose, run_diagnostic, Criterion, Decision, DiagnosticReport, LevelReport};

@@ -10,8 +10,9 @@
 //! The produced *numbers* are statistically equivalent to the optimized
 //! engine's; only the work wasted to produce them differs.
 
-use aqp_diagnostics::kleiner::{evaluate_from_estimates, LevelEstimates};
-use aqp_diagnostics::DiagnosticConfig;
+use std::cell::OnceCell;
+
+use aqp_diagnostics::{diagnose, DiagnosticConfig};
 use aqp_obs::trace::stage;
 use aqp_sql::logical::LogicalPlan;
 use aqp_stats::bootstrap::bootstrap_ci_around;
@@ -19,10 +20,10 @@ use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
-use crate::collect::{collect, AggData};
+use crate::collect::collect;
 use crate::engine::{ApproxOptions, MethodChoice};
 use crate::result::{AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
-use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, PreparedTheta};
+use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::Result;
 
@@ -70,17 +71,13 @@ pub fn execute_baseline(
     for (gi, _group) in collected.groups.iter().enumerate() {
         let mut group_cis = Vec::new();
         for (ai, theta) in thetas.iter().enumerate() {
-            let use_cf = match opts.method {
-                MethodChoice::Auto => theta.closed_form_applicable(),
-                MethodChoice::ClosedForm => true,
-                MethodChoice::Bootstrap => false,
-            };
-            if use_cf {
+            if wants_closed_form(opts, theta) {
                 // Naive closed form: a second full scan to compute the
                 // variance statistics.
                 let re = collect(plan, sample, opts.threads)?;
                 let data = &re.groups[gi].aggs[ai];
-                match closed_form_ci_prepared(theta, data, 0..data.values.len(), &ctx, opts.alpha) {
+                let whole = theta.bind(data, 0..data.values.len(), &ctx);
+                match closed_form_ci_prepared(&whole, opts.alpha) {
                     Some(ci) => {
                         group_cis.push((Some(ci), MethodUsed::ClosedForm));
                         continue;
@@ -100,7 +97,7 @@ pub fn execute_baseline(
             let subquery = &mut |weights: &[u32]| match collect(plan, sample, opts.threads) {
                 Ok(re) => {
                     let data = &re.groups[gi].aggs[ai];
-                    theta.estimate_weighted_range(data, weights, 0..rows, &ctx)
+                    theta.bind(data, 0..rows, &ctx).estimate_weighted(weights)
                 }
                 Err(e) => {
                     scan_error.get_or_insert(e);
@@ -122,37 +119,32 @@ pub fn execute_baseline(
     // Phase 3 — diagnostics via subqueries: every subsample is extracted
     // by a fresh scan, and (for the bootstrap) resampled K times.
     let diag_span = rec.start(stage::DIAGNOSTICS);
-    let mut diags: Vec<Vec<Option<aqp_diagnostics::DiagnosticReport>>> = Vec::new();
-    if let Some(cfg) = &opts.diagnostic {
-        for (gi, _group) in collected.groups.iter().enumerate() {
-            let mut group_diags = Vec::new();
-            for (ai, theta) in thetas.iter().enumerate() {
-                let report = naive_diagnostic(
-                    plan, sample, gi, ai, theta, &collected.groups[gi].aggs[ai], &ctx, cfg, opts,
-                    seeds.derive(0xD1A6).derive((gi * 64 + ai) as u64),
-                )?;
-                group_diags.push(Some(report));
-            }
-            diags.push(group_diags);
-        }
-    } else {
-        diags = collected
-            .groups
-            .iter()
-            .map(|g| vec![None; g.aggs.len()])
-            .collect();
-    }
+    let diags = (0..collected.groups.len())
+        .map(|gi| {
+            let judge = |(ai, theta)| {
+                let cfg = opts.diagnostic.as_ref()?;
+                let job_seeds = seeds.derive(0xD1A6).derive((gi * 64 + ai) as u64);
+                Some(naive_diagnostic(
+                    plan, sample, gi, ai, theta, estimates[gi][ai], &ctx, cfg, opts, job_seeds,
+                ))
+            };
+            thetas.iter().enumerate().map(|job| judge(job).transpose()).collect()
+        })
+        .collect::<Result<Vec<Vec<Option<aqp_diagnostics::DiagnosticReport>>>>>()?;
     rec.end(diag_span);
 
     let asm_span = rec.start(stage::ASSEMBLE);
     let groups = collected
         .groups
         .iter()
+        .zip(diags)
         .enumerate()
-        .map(|(gi, g)| GroupResult {
+        .map(|(gi, (g, group_diags))| GroupResult {
             key: g.key.clone(),
-            aggs: (0..g.aggs.len())
-                .map(|ai| AggResult {
+            aggs: group_diags
+                .into_iter()
+                .enumerate()
+                .map(|(ai, diagnostic)| AggResult {
                     name: collected
                         .agg_exprs
                         .get(ai)
@@ -161,7 +153,7 @@ pub fn execute_baseline(
                     estimate: estimates[gi][ai],
                     ci: cis[gi][ai].0,
                     method: cis[gi][ai].1,
-                    diagnostic: diags[gi][ai].clone(),
+                    diagnostic,
                 })
                 .collect(),
         })
@@ -179,6 +171,18 @@ pub fn execute_baseline(
     })
 }
 
+/// Whether ξ is the closed form for `theta` under `opts.method`.
+fn wants_closed_form(opts: &ApproxOptions, theta: &PreparedTheta) -> bool {
+    match opts.method {
+        MethodChoice::Auto => theta.closed_form_applicable(),
+        MethodChoice::ClosedForm => true,
+        MethodChoice::Bootstrap => false,
+    }
+}
+
+/// Algorithm 1 the §5.2 way: every subsample the diagnostic asks about
+/// is extracted by a fresh scan of the sample — once for θ̂, and once more
+/// for ξ, whose K resample subqueries then run over it.
 #[allow(clippy::too_many_arguments)]
 fn naive_diagnostic(
     plan: &LogicalPlan,
@@ -186,46 +190,46 @@ fn naive_diagnostic(
     gi: usize,
     ai: usize,
     theta: &PreparedTheta,
-    data: &AggData,
+    theta_s: f64,
     ctx: &SampleContext,
     cfg: &DiagnosticConfig,
     opts: &ApproxOptions,
     seeds: SeedStream,
 ) -> Result<aqp_diagnostics::DiagnosticReport> {
-    let theta_s = theta.estimate(data, ctx);
-    let mut levels = Vec::with_capacity(cfg.subsample_rows.len());
-    for (li, &b) in cfg.subsample_rows.iter().enumerate() {
-        let sub_ctx = ctx.subsample(b);
-        let level_seeds = seeds.derive(li as u64);
-        let mut theta_hats = Vec::with_capacity(cfg.p);
-        let mut xi_half_widths = Vec::with_capacity(cfg.p);
-        for j in 0..cfg.p {
-            // The naive plan re-scans the sample to materialize each
-            // subsample.
-            let re = collect(plan, sample, opts.threads)?;
-            let fresh = &re.groups[gi].aggs[ai];
-            let range = fresh.range_for_rows(j * b, (j + 1) * b, ctx.sample_rows);
-            theta_hats.push(theta.estimate_range(fresh, range.clone(), &sub_ctx));
-
-            let use_cf = match opts.method {
-                MethodChoice::Auto => theta.closed_form_applicable(),
-                MethodChoice::ClosedForm => true,
-                MethodChoice::Bootstrap => false,
-            };
-            let ci = if use_cf {
-                closed_form_ci_prepared(theta, fresh, range, &sub_ctx, opts.alpha)
-            } else {
-                // K resample subqueries over the subsample.
-                let mut rng = level_seeds.rng(j as u64);
-                let (k, alpha) = (opts.bootstrap_k, opts.alpha);
-                bootstrap_ci_prepared(&mut rng, theta, fresh, range, &sub_ctx, k, alpha)
-            };
-            let hw = ci.map_or(f64::NAN, |ci| ci.half_width);
-            xi_half_widths.push(hw);
+    let scan_error = OnceCell::new();
+    let rescanned = |level: usize, j: usize, eval: &dyn Fn(BoundTheta<'_>) -> f64| {
+        let b = cfg.subsample_rows[level];
+        match collect(plan, sample, opts.threads) {
+            Ok(re) => {
+                let fresh = &re.groups[gi].aggs[ai];
+                let range = fresh.range_for_rows(j * b, (j + 1) * b, ctx.sample_rows);
+                eval(theta.bind(fresh, range, &ctx.subsample(b)))
+            }
+            Err(e) => {
+                let _ = scan_error.set(e); // the first one is reported
+                f64::NAN
+            }
         }
-        levels.push(LevelEstimates { b, theta_hats, xi_half_widths });
-    }
-    Ok(evaluate_from_estimates(theta_s, &levels, cfg))
+    };
+    let use_cf = wants_closed_form(opts, theta);
+    let report = diagnose(
+        theta_s,
+        cfg,
+        |level, j| (rescanned(level, j, &|mut bound| bound.estimate()), ()),
+        |level, j, theta_hat, ()| {
+            rescanned(level, j, &|mut bound| {
+                let ci = if use_cf {
+                    closed_form_ci_prepared(&bound, opts.alpha)
+                } else {
+                    let mut rng = seeds.derive(level as u64).rng(j as u64);
+                    let (k, alpha) = (opts.bootstrap_k, opts.alpha);
+                    bootstrap_ci_prepared(&mut rng, &mut bound, theta_hat, k, alpha)
+                };
+                ci.map_or(f64::NAN, |ci| ci.half_width)
+            })
+        },
+    );
+    scan_error.into_inner().map_or(Ok(report), Err)
 }
 
 #[cfg(test)]

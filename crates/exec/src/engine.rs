@@ -5,10 +5,7 @@
 //! then *reused* by the point estimate, all bootstrap replicates, and all
 //! diagnostic subsamples — no repeated scans, no tuple duplication.
 
-use std::ops::Range;
-
-use aqp_diagnostics::kleiner::{evaluate_from_estimates, LevelEstimates};
-use aqp_diagnostics::DiagnosticConfig;
+use aqp_diagnostics::{diagnose, DiagnosticConfig};
 use aqp_faults::{DegradedInfo, EventKind, FaultConfig, FaultInjector, ScanFaultSummary};
 use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
@@ -20,7 +17,7 @@ use aqp_storage::Table;
 use crate::collect::{collect_observed, collect_observed_faulty, AggData, Collected, OpStats};
 use crate::parallel::{default_threads, parallel_map_observed, WorkerStat};
 use crate::result::{AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
-use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, PreparedTheta};
+use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::Result;
 
@@ -255,7 +252,8 @@ pub fn execute_approx(
             let theta = &thetas[ai];
             let ctx = ctx_for(&collected.groups[gi].key);
             let job_seeds = seeds.derive(0xC1).derive((gi * 64 + ai) as u64);
-            error_ci(theta, data, 0..data.values.len(), &ctx, opts, &job_seeds, 0)
+            let mut whole = theta.bind(data, 0..data.values.len(), &ctx);
+            error_ci(&mut whole, estimates[gi][ai], opts, &job_seeds, 0)
         });
     // Degraded runs widen every interval by the conservative factor.
     let cis: Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)> = match &degraded_info {
@@ -317,18 +315,16 @@ pub fn execute_approx(
             let cfg = &cfg;
             let (out, diag_workers) =
                 parallel_map_observed(jobs.clone(), opts.threads, &opts.obs.clock, |(gi, ai)| {
-                    let data = &collected.groups[gi].aggs[ai];
-                    let theta = &thetas[ai];
-                    let ctx = ctx_for(&collected.groups[gi].key);
-                    Some(run_diagnostic_on_data(
-                        theta,
-                        data,
-                        &ctx,
-                        collected.pre_filter_rows,
+                    let subsamples = Subsamples {
+                        theta: &thetas[ai],
+                        data: &collected.groups[gi].aggs[ai],
+                        ctx: ctx_for(&collected.groups[gi].key),
+                        row_window: collected.pre_filter_rows,
                         cfg,
                         opts,
-                        seeds.derive(0xD1).derive((gi * 64 + ai) as u64),
-                    ))
+                        seeds: seeds.derive(0xD1).derive((gi * 64 + ai) as u64),
+                    };
+                    Some(subsamples.diagnose(estimates[gi][ai]))
                 });
             record_workers(&rec, &opts.obs, &diag_workers);
             out
@@ -356,27 +352,25 @@ pub fn execute_approx(
 
     // Stage 5 — assemble the result rows.
     let asm_span = rec.start(stage::ASSEMBLE);
-    let mut groups: Vec<GroupResult> = Vec::with_capacity(collected.groups.len());
-    let mut job_iter = 0usize;
-    for (gi, g) in collected.groups.iter().enumerate() {
-        let mut aggs = Vec::with_capacity(g.aggs.len());
-        for (ai, &estimate) in estimates[gi].iter().enumerate() {
-            let (ci, method) = cis[job_iter];
-            let diagnostic = diags[job_iter].clone();
-            job_iter += 1;
-            aggs.push(AggResult {
-                name: collected
-                    .agg_exprs
-                    .get(ai)
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|| format!("agg{ai}")),
-                estimate,
-                ci,
-                method,
-                diagnostic,
-            });
-        }
-        groups.push(GroupResult { key: g.key.clone(), aggs });
+    let mut groups: Vec<GroupResult> = collected
+        .groups
+        .iter()
+        .map(|g| GroupResult { key: g.key.clone(), aggs: Vec::with_capacity(g.aggs.len()) })
+        .collect();
+    // Jobs are in (group, aggregate) order; each one's CI and report move
+    // into its result row.
+    for ((&(gi, ai), (ci, method)), diagnostic) in jobs.iter().zip(cis).zip(diags) {
+        groups[gi].aggs.push(AggResult {
+            name: collected
+                .agg_exprs
+                .get(ai)
+                .map(|a| a.to_string())
+                .unwrap_or_else(|| format!("agg{ai}")),
+            estimate: estimates[gi][ai],
+            ci,
+            method,
+            diagnostic,
+        });
     }
     rec.end(asm_span);
 
@@ -598,80 +592,88 @@ fn total_values(collected: &Collected) -> u64 {
         .sum()
 }
 
-/// The error estimate ξ over `range` of the collected data — the whole
-/// range for the answer's error bars, a borrowed sub-range for each of the
-/// diagnostic's disjoint subsamples — with resamples drawn from
-/// `seeds.rng(label)`.
+/// The error estimate ξ of a bound θ — the whole range for the answer's
+/// error bars, a borrowed sub-range for each of the diagnostic's disjoint
+/// subsamples — around `center`, θ's estimate on that range, with
+/// resamples drawn from `seeds.rng(label)`.
 fn error_ci(
-    theta: &PreparedTheta,
-    data: &AggData,
-    range: Range<usize>,
-    ctx: &SampleContext,
+    bound: &mut BoundTheta<'_>,
+    center: f64,
     opts: &ApproxOptions,
     seeds: &SeedStream,
     label: u64,
 ) -> (Option<aqp_stats::ci::Ci>, MethodUsed) {
-    let use_closed_form = match opts.method {
-        MethodChoice::Auto => theta.closed_form_applicable(),
-        MethodChoice::ClosedForm => true,
-        MethodChoice::Bootstrap => false,
-    };
-    if use_closed_form {
-        match closed_form_ci_prepared(theta, data, range.clone(), ctx, opts.alpha) {
+    // `Auto` takes the closed form when there is one (it says so itself).
+    if opts.method != MethodChoice::Bootstrap {
+        match closed_form_ci_prepared(bound, opts.alpha) {
             Some(ci) => return (Some(ci), MethodUsed::ClosedForm),
-            None => {
-                if matches!(opts.method, MethodChoice::ClosedForm) {
-                    return (None, MethodUsed::None);
-                }
-            }
+            None if opts.method == MethodChoice::ClosedForm => return (None, MethodUsed::None),
+            None => {}
         }
     }
     let mut rng = seeds.rng(label);
-    let (k, alpha) = (opts.bootstrap_k, opts.alpha);
-    match bootstrap_ci_prepared(&mut rng, theta, data, range, ctx, k, alpha) {
+    match bootstrap_ci_prepared(&mut rng, bound, center, opts.bootstrap_k, opts.alpha) {
         Some(ci) => (Some(ci), MethodUsed::Bootstrap),
         None => (None, MethodUsed::None),
     }
 }
 
-/// The diagnostic operator: Algorithm 1 over the already-collected data.
+/// The diagnostic operator's view of one (group, aggregate) job: the p
+/// disjoint subsamples of each level, as row ranges of the
+/// already-collected data.
 ///
 /// `row_window` is the total pre-filter row count the positions in
 /// `data` index into (the whole sample). For uniform samples it equals
 /// `ctx.sample_rows`; for a stratified group, `ctx.sample_rows` is the
 /// *stratum's* sample size while positions still span the whole sample,
 /// so subsample contexts are scaled by the stratum's share.
-#[allow(clippy::too_many_arguments)]
-fn run_diagnostic_on_data(
-    theta: &PreparedTheta,
-    data: &AggData,
-    ctx: &SampleContext,
+struct Subsamples<'a> {
+    theta: &'a PreparedTheta,
+    data: &'a AggData,
+    ctx: SampleContext,
     row_window: usize,
-    cfg: &DiagnosticConfig,
-    opts: &ApproxOptions,
+    cfg: &'a DiagnosticConfig,
+    opts: &'a ApproxOptions,
     seeds: SeedStream,
-) -> aqp_diagnostics::DiagnosticReport {
-    let theta_s = theta.estimate(data, ctx);
-    let share = if row_window == 0 { 1.0 } else { ctx.sample_rows as f64 / row_window as f64 };
-    let mut levels = Vec::with_capacity(cfg.subsample_rows.len());
-    for (li, &b) in cfg.subsample_rows.iter().enumerate() {
+}
+
+impl Subsamples<'_> {
+    /// θ bound to subsample `j` of `level`. Disjoint subsamples are
+    /// *pre-filter row* ranges of the shuffled sample, so filtered counts
+    /// vary binomially across subsamples as they do across real samples.
+    fn bind(&self, level: usize, j: usize) -> BoundTheta<'_> {
+        let b = self.cfg.subsample_rows[level];
+        let share = match self.row_window {
+            0 => 1.0,
+            window => self.ctx.sample_rows as f64 / window as f64,
+        };
         let sub_rows = ((b as f64 * share).round() as usize).max(1);
-        let sub_ctx = SampleContext::new(sub_rows, ctx.population_rows);
-        let level_seeds = seeds.derive(li as u64);
-        let mut theta_hats = Vec::with_capacity(cfg.p);
-        let mut xi_half_widths = Vec::with_capacity(cfg.p);
-        for j in 0..cfg.p {
-            // Disjoint subsamples are *pre-filter row* ranges of the
-            // shuffled sample, so filtered counts vary binomially across
-            // subsamples as they do across real samples.
-            let range = data.range_for_rows(j * b, (j + 1) * b, row_window);
-            theta_hats.push(theta.estimate_range(data, range.clone(), &sub_ctx));
-            let (ci, _) = error_ci(theta, data, range, &sub_ctx, opts, &level_seeds, j as u64);
-            xi_half_widths.push(ci.map_or(f64::NAN, |ci| ci.half_width));
-        }
-        levels.push(LevelEstimates { b, theta_hats, xi_half_widths });
+        let sub_ctx = SampleContext::new(sub_rows, self.ctx.population_rows);
+        let range = self.data.range_for_rows(j * b, (j + 1) * b, self.row_window);
+        self.theta.bind(self.data, range, &sub_ctx)
     }
-    evaluate_from_estimates(theta_s, &levels, cfg)
+
+    /// ξ's half-width on a bound subsample, around the θ̂ the driver
+    /// already has. Each (level, j) draws from a stream of its own, so
+    /// neither the order of evaluation nor what is skipped shows in it.
+    fn xi(&self, level: usize, j: usize, theta_hat: f64, mut bound: BoundTheta<'_>) -> f64 {
+        let level_seeds = self.seeds.derive(level as u64);
+        let (ci, _) = error_ci(&mut bound, theta_hat, self.opts, &level_seeds, j as u64);
+        ci.map_or(f64::NAN, |ci| ci.half_width)
+    }
+
+    /// Algorithm 1 over the collected data, around `theta_s` = θ(S).
+    fn diagnose(&self, theta_s: f64) -> aqp_diagnostics::DiagnosticReport {
+        diagnose(
+            theta_s,
+            self.cfg,
+            |level, j| {
+                let mut bound = self.bind(level, j);
+                (bound.estimate(), bound)
+            },
+            |level, j, theta_hat, bound| self.xi(level, j, theta_hat, bound),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -942,6 +944,91 @@ mod tests {
                 stage_span.name,
                 stage_span.duration()
             );
+        }
+    }
+
+    /// What the verdict-first order rests on: ξ(level, j) is a function
+    /// of (level, j) alone — its own RNG stream, no state carried from
+    /// one subsample to the next — so evaluating the cells last to first
+    /// gives the half-widths of first to last, bit for bit.
+    #[test]
+    fn subsample_error_estimates_do_not_depend_on_evaluation_order() {
+        let pop = population(30_000, 40);
+        let sample = sample_of(&pop, 6_000, 41);
+        let registry = UdfRegistry::default();
+        let opts = ApproxOptions { seed: 42, bootstrap_k: 30, ..Default::default() };
+        let cfg = DiagnosticConfig::scaled_to(6_000, 20);
+        for sql in [
+            "SELECT MAX(time) FROM sessions WHERE city = 'NYC'",
+            "SELECT trimmed_mean(time) FROM sessions",
+            "SELECT AVG(s) FROM (SELECT SUM(time) AS s FROM sessions GROUP BY user_id)",
+            "SELECT AVG(time) FROM sessions",
+        ] {
+            let plan = plan_of(sql, &pop);
+            let collected = crate::collect::collect(&plan, &sample, 2).unwrap();
+            let thetas = prepare_thetas(&collected, &registry).unwrap();
+            let subsamples = Subsamples {
+                theta: &thetas[0],
+                data: &collected.groups[0].aggs[0],
+                ctx: SampleContext::new(collected.pre_filter_rows, pop.num_rows()),
+                row_window: collected.pre_filter_rows,
+                cfg: &cfg,
+                opts: &opts,
+                seeds: SeedStream::new(43),
+            };
+            let cells: Vec<(usize, usize)> =
+                (0..cfg.k()).flat_map(|level| (0..cfg.p).map(move |j| (level, j))).collect();
+            let xi = |&(level, j): &(usize, usize)| {
+                let mut bound = subsamples.bind(level, j);
+                let theta_hat = bound.estimate();
+                subsamples.xi(level, j, theta_hat, bound).to_bits()
+            };
+            let forward: Vec<u64> = cells.iter().map(xi).collect();
+            let mut backward: Vec<u64> = cells.iter().rev().map(xi).collect();
+            backward.reverse();
+            assert_eq!(forward, backward, "{sql}");
+            let distinct: std::collections::HashSet<u64> = forward.iter().copied().collect();
+            assert!(distinct.len() > cells.len() / 2, "{sql}: half-widths barely vary");
+        }
+    }
+
+    /// A degraded run rescales the ladder to the rows that survived; when
+    /// that collapses three sizes into two, or into one, the diagnostic
+    /// still runs, and its report indexes the ladder it ran on.
+    #[test]
+    fn degraded_ladders_collapsed_to_one_or_two_levels_still_diagnose() {
+        use aqp_diagnostics::Decision;
+        let pop = population(40_000, 50);
+        let sample = sample_of(&pop, 8_000, 51);
+        let plan = plan_of("SELECT AVG(time) FROM sessions", &pop);
+        let registry = UdfRegistry::default();
+        // Every partition keeps a quarter of its rows.
+        let mut faults = FaultConfig::quiescent(5);
+        faults.truncation_prob = 1.0;
+        faults.truncation_keep = 0.25;
+        faults.recovery.max_lost_fraction = 1.0;
+        for (ladder, levels_left) in [(vec![2, 4, 5], 1), (vec![2, 4, 8], 2)] {
+            let cfg = DiagnosticConfig { p: 20, subsample_rows: ladder, ..DiagnosticConfig::fast() };
+            let opts = ApproxOptions {
+                seed: 52,
+                diagnostic: Some(cfg),
+                faults: Some(faults.clone()),
+                ..Default::default()
+            };
+            let run = || execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
+            let approx = run();
+            let degraded = approx.degraded.as_ref().expect("truncated everywhere");
+            assert_eq!(degraded.effective_rows * 4, degraded.planned_rows);
+            let report = approx.scalar().unwrap().diagnostic.clone().unwrap();
+            assert_eq!(report.levels.last().map(|l| l.level), Some(levels_left - 1), "{report:#?}");
+            assert!(report.levels.iter().all(|l| l.b == l.level + 1), "{report:#?}");
+            match &report.decision {
+                Decision::Accepted => assert!(report.accepted),
+                Decision::Failed { level, .. } => assert!(*level < levels_left && !report.accepted),
+                Decision::Refused(why) => panic!("refused: {why}"),
+            }
+            let again = run().scalar().unwrap().diagnostic.clone().unwrap();
+            assert_eq!(format!("{report:?}"), format!("{again:?}"));
         }
     }
 

@@ -18,7 +18,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use aqp_sql::ast::{AggExpr, AggFunc};
-use aqp_stats::bootstrap::{bootstrap_ci, bootstrap_ci_around};
+use aqp_stats::bootstrap::bootstrap_ci_around;
 use aqp_stats::ci::Ci;
 use aqp_stats::closed_form::closed_form_ci;
 use aqp_stats::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
@@ -168,59 +168,71 @@ impl PreparedTheta {
 
     /// Point estimate over collected data (full range).
     pub fn estimate(&self, data: &AggData, ctx: &SampleContext) -> f64 {
-        self.estimate_range(data, 0..data.values.len(), ctx)
+        self.bind(data, 0..data.values.len(), ctx).estimate()
     }
 
-    /// Point estimate over a contiguous sub-range of the collected data —
-    /// used by the diagnostic's disjoint subsamples.
-    pub fn estimate_range(&self, data: &AggData, range: Range<usize>, ctx: &SampleContext) -> f64 {
-        match self.nested(data, range.clone(), ctx) {
-            Some(mut nested) => nested.eval(None),
-            None => self.outer.estimate(&data.values[range], ctx),
-        }
-    }
-
-    /// Weighted (resample) estimate over a contiguous sub-range.
-    pub fn estimate_weighted_range(
-        &self,
-        data: &AggData,
-        weights: &[u32],
-        range: Range<usize>,
-        ctx: &SampleContext,
-    ) -> f64 {
-        debug_assert_eq!(range.len(), weights.len());
-        match self.nested(data, range.clone(), ctx) {
-            Some(mut nested) => nested.eval(Some(weights)),
-            None => self.outer.as_estimator().estimate_weighted(&data.values[range], weights, ctx),
-        }
-    }
-
-    /// The two-level evaluator over `range`, when both the plan and the
-    /// data are nested.
-    fn nested<'a>(
+    /// Bind θ to `range` of the collected data — the whole range for the
+    /// answer, a borrowed sub-range for each diagnostic subsample. When
+    /// both the plan and the data are nested, this is where the inner
+    /// codes are renumbered for the range: once, for the point estimate
+    /// and every replicate on it.
+    pub fn bind<'a>(
         &'a self,
         data: &'a AggData,
         range: Range<usize>,
         ctx: &SampleContext,
-    ) -> Option<NestedTheta<'a>> {
-        let (inner, nd) = (self.inner?, data.nested.as_ref()?);
-        // Inner codes renumbered densely over the range, in code order:
-        // surviving groups come out in the order a scan over all the
-        // plan's codes would give, from accumulators the size of the range.
-        let codes = &nd.codes[range.clone()];
-        let mut distinct = codes.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        Some(NestedTheta {
-            values: &data.values[range],
-            groups: codes.iter().map(|c| distinct.partition_point(|d| d < c)).collect(),
-            inner,
-            outer: &self.outer,
-            scale: ctx.scale(),
-            acc: vec![0.0; distinct.len()],
-            weight: vec![0; distinct.len()],
-            group_values: Vec::with_capacity(distinct.len()),
-        })
+    ) -> BoundTheta<'a> {
+        let values = &data.values[range.clone()];
+        let nested = self.inner.zip(data.nested.as_ref()).map(|(inner, nd)| {
+            // Inner codes renumbered densely over the range, in code
+            // order: surviving groups come out in the order a scan over
+            // all the plan's codes would give, from accumulators the size
+            // of the range.
+            let codes = &nd.codes[range];
+            let mut distinct = codes.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            NestedTheta {
+                values,
+                groups: codes.iter().map(|c| distinct.partition_point(|d| d < c)).collect(),
+                inner,
+                outer: &self.outer,
+                scale: ctx.scale(),
+                acc: vec![0.0; distinct.len()],
+                weight: vec![0; distinct.len()],
+                group_values: Vec::with_capacity(distinct.len()),
+            }
+        });
+        BoundTheta { theta: self, values, ctx: *ctx, nested }
+    }
+}
+
+/// A [`PreparedTheta`] bound to one row range ([`PreparedTheta::bind`]):
+/// the point estimate, the closed form and the K replicates of one job
+/// all run on it.
+pub struct BoundTheta<'a> {
+    theta: &'a PreparedTheta,
+    values: &'a [f64],
+    ctx: SampleContext,
+    nested: Option<NestedTheta<'a>>,
+}
+
+impl BoundTheta<'_> {
+    /// θ on the bound range.
+    pub fn estimate(&mut self) -> f64 {
+        match &mut self.nested {
+            Some(nested) => nested.eval(None),
+            None => self.theta.outer.estimate(self.values, &self.ctx),
+        }
+    }
+
+    /// θ on a resample of the bound range, one weight per row.
+    pub fn estimate_weighted(&mut self, weights: &[u32]) -> f64 {
+        debug_assert_eq!(self.values.len(), weights.len());
+        match &mut self.nested {
+            Some(nested) => nested.eval(Some(weights)),
+            None => self.theta.outer.as_estimator().estimate_weighted(self.values, weights, &self.ctx),
+        }
     }
 }
 
@@ -275,41 +287,36 @@ impl NestedTheta<'_> {
     }
 }
 
-/// Bootstrap CI for a prepared θ over `range` of the collected data: θ is
-/// prepared once and handed to the stats-level replicate loop.
+/// Bootstrap CI of the bound θ around `center` — its own estimate on the
+/// range, which every caller has already computed — from the stats-level
+/// replicate loop.
 pub fn bootstrap_ci_prepared(
     rng: &mut Rng,
-    theta: &PreparedTheta,
-    data: &AggData,
-    range: Range<usize>,
-    ctx: &SampleContext,
+    bound: &mut BoundTheta<'_>,
+    center: f64,
     k: usize,
     alpha: f64,
 ) -> Option<Ci> {
-    match theta.nested(data, range.clone(), ctx) {
-        Some(mut nested) => {
-            let center = nested.eval(None);
+    let rows = bound.values.len();
+    match &mut bound.nested {
+        Some(nested) => {
             let replicate = &mut |weights: &[u32]| nested.eval(Some(weights));
-            bootstrap_ci_around(rng, center, range.len(), replicate, k, alpha)
+            bootstrap_ci_around(rng, center, rows, replicate, k, alpha)
         }
-        None => bootstrap_ci(rng, &data.values[range], ctx, theta.outer.as_estimator(), k, alpha),
+        None => {
+            let mut replicate = bound.theta.outer.as_estimator().replicator(bound.values, &bound.ctx);
+            bootstrap_ci_around(rng, center, rows, &mut *replicate, k, alpha)
+        }
     }
 }
 
-/// Closed-form CI for a prepared θ over `range` of the collected data, or
-/// `None` when not applicable.
-pub fn closed_form_ci_prepared(
-    theta: &PreparedTheta,
-    data: &AggData,
-    range: Range<usize>,
-    ctx: &SampleContext,
-    alpha: f64,
-) -> Option<Ci> {
-    if !theta.closed_form_applicable() {
+/// Closed-form CI of the bound θ, or `None` when not applicable.
+pub fn closed_form_ci_prepared(bound: &BoundTheta<'_>, alpha: f64) -> Option<Ci> {
+    if !bound.theta.closed_form_applicable() {
         return None;
     }
-    let agg = theta.outer.builtin()?;
-    closed_form_ci(&agg, &data.values[range], ctx, alpha)
+    let agg = bound.theta.outer.builtin()?;
+    closed_form_ci(&agg, bound.values, &bound.ctx, alpha)
 }
 
 #[cfg(test)]
@@ -393,7 +400,7 @@ mod tests {
             PreparedTheta::prepare(&agg(AggFunc::Avg), Some(&agg(AggFunc::Sum)), &reg()).unwrap();
         // Weights kill group 1 entirely: inner sums [1+2·2, —, 4] = [5, 4].
         let weights = [1u32, 2, 0, 1, 0];
-        let v = theta.estimate_weighted_range(&data, &weights, 0..5, &ctx);
+        let v = theta.bind(&data, 0..5, &ctx).estimate_weighted(&weights);
         assert!((v - 4.5).abs() < 1e-12, "{v}");
     }
 
@@ -427,9 +434,11 @@ mod tests {
         let theta =
             PreparedTheta::prepare(&agg(AggFunc::Avg), Some(&agg(AggFunc::Sum)), &reg()).unwrap();
         let mut rng = rng_from_seed(1);
-        let ci = bootstrap_ci_prepared(&mut rng, &theta, &data, 0..1000, &ctx, 100, 0.95).unwrap();
+        let mut bound = theta.bind(&data, 0..1000, &ctx);
+        let direct = bound.estimate();
+        assert_eq!(direct, theta.estimate(&data, &ctx));
+        let ci = bootstrap_ci_prepared(&mut rng, &mut bound, direct, 100, 0.95).unwrap();
         assert!(ci.half_width > 0.0);
-        let direct = theta.estimate(&data, &ctx);
         assert_eq!(ci.center, direct);
     }
 
@@ -438,8 +447,8 @@ mod tests {
         let data = AggData { values: (0..100).map(|i| i as f64).collect(), positions: Vec::new(), nested: None };
         let ctx = SampleContext::new(100, 1000);
         let avg = PreparedTheta::prepare(&agg(AggFunc::Avg), None, &reg()).unwrap();
-        assert!(closed_form_ci_prepared(&avg, &data, 0..100, &ctx, 0.95).is_some());
+        assert!(closed_form_ci_prepared(&avg.bind(&data, 0..100, &ctx), 0.95).is_some());
         let max = PreparedTheta::prepare(&agg(AggFunc::Max), None, &reg()).unwrap();
-        assert!(closed_form_ci_prepared(&max, &data, 0..100, &ctx, 0.95).is_none());
+        assert!(closed_form_ci_prepared(&max.bind(&data, 0..100, &ctx), 0.95).is_none());
     }
 }

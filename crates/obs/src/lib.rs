@@ -78,11 +78,11 @@ pub mod name {
     pub const DIAG_ACCEPTED: &str = "aqp.diagnostics.accepted";
     /// Diagnostic runs that rejected the error estimate.
     pub const DIAG_REJECTED: &str = "aqp.diagnostics.rejected";
-    /// Per-level deviation checks that failed (|θ−θS| too large).
+    /// Diagnostic runs rejected by a deviation check (Δᵢ neither below Δᵢ₋₁ nor below c₁); one per run, the deciding check.
     pub const DIAG_DEVIATION_FAILURES: &str = "aqp.diagnostics.deviation_check_failures";
-    /// Per-level spread checks that failed (ξ widths not shrinking).
+    /// Diagnostic runs rejected by a spread check (σᵢ neither below σᵢ₋₁ nor below c₂); one per run, the deciding check.
     pub const DIAG_SPREAD_FAILURES: &str = "aqp.diagnostics.spread_check_failures";
-    /// Final-proportion checks that failed (too few OK subsamples).
+    /// Diagnostic runs rejected by the final proportion (π_k < ρ), the first check read; one per run, the deciding check.
     pub const DIAG_PROPORTION_FAILURES: &str = "aqp.diagnostics.proportion_check_failures";
     /// Cluster-sim jobs simulated.
     pub const CLUSTER_JOBS: &str = "aqp.cluster.jobs_simulated";

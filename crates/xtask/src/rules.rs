@@ -34,8 +34,9 @@ use crate::lexer::matching_close;
 use std::path::Path;
 
 /// Crates whose library code must be panic-free (the request path).
-pub const PANIC_FREE_CRATES: &[&str] =
-    &["exec", "core", "stats", "storage", "obs", "prof", "faults", "slo", "introspect"];
+pub const PANIC_FREE_CRATES: &[&str] = &[
+    "exec", "core", "stats", "storage", "obs", "prof", "faults", "slo", "introspect", "diagnostics",
+];
 
 /// Sanctioned metric families: the `<family>` of `aqp.<family>.<name>`.
 /// One entry per workspace crate that registers metrics, so a typo'd
@@ -125,7 +126,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "panic-freedom",
         tier: "token",
-        scope: "library code of exec, core, stats, storage, obs, prof, faults, slo",
+        scope: "library code of exec, core, stats, storage, obs, prof, faults, slo, introspect, diagnostics",
         summary: "Pipeline library code must not contain `panic!`, \
                   `unreachable!`, `todo!`, `unimplemented!`, or `.unwrap()`; \
                   return typed errors, or `.expect(\"<invariant>\")` where \

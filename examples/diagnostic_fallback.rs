@@ -13,6 +13,7 @@
 //! Pass `--metrics out.jsonl` to dump the metrics snapshot (diagnostic
 //! accept/reject counters, fallback rates) as JSONL.
 
+use reliable_aqp::diagnostics::{Decision, DiagnosticReport};
 use reliable_aqp::{AnswerMode, AqpSession, SessionConfig};
 use reliable_aqp::workload::facebook_events_table;
 
@@ -32,14 +33,7 @@ fn run(session: &AqpSession, sql: &str) {
                 r.method,
                 elapsed
             );
-            if let Some(d) = &r.diagnostic {
-                for l in &d.levels {
-                    println!(
-                        "      level b={:<6} truth hw={:<10.4} mean-dev={:<8.3} spread={:<8.3} close={:.2}",
-                        l.b, l.x, l.mean_deviation, l.relative_spread, l.close_proportion
-                    );
-                }
-            }
+            explain(r.diagnostic.as_ref());
         }
         AnswerMode::ExactFallback | AnswerMode::PartialFallback => {
             println!(
@@ -47,8 +41,29 @@ fn run(session: &AqpSession, sql: &str) {
                 r.estimate,
                 elapsed
             );
+            explain(r.diagnostic.as_ref());
         }
         AnswerMode::Exact => println!("    exact: {:.4}", r.estimate),
+    }
+}
+
+/// Why the diagnostic decided as it did: the deciding check, and the
+/// levels it had to evaluate to get there (a refusal usually stops a few
+/// subsamples into the last level and never looks at the others).
+fn explain(report: Option<&DiagnosticReport>) {
+    let Some(d) = report else { return };
+    match &d.decision {
+        Decision::Accepted => println!("      decided by: every check held"),
+        Decision::Failed { criterion, level } => {
+            println!("      decided by: {criterion:?} check failed at level {level}")
+        }
+        Decision::Refused(why) => println!("      decided by: diagnostic could not run ({why})"),
+    }
+    for l in &d.levels {
+        println!(
+            "      level {} b={:<6} truth hw={:<10.4} mean-dev={:<8.3} spread={:<8.3} close={:.2} (xi ran on {} subsamples)",
+            l.level, l.b, l.x, l.mean_deviation, l.relative_spread, l.close_proportion, l.xi_evaluated
+        );
     }
 }
 

@@ -1270,8 +1270,12 @@ proptest! {
             // The engine's entry point, on the borrowed sub-range.
             let prepared = PreparedTheta { outer: plain(theta), inner: None };
             let mut got_rng = rng_from_seed(job_seed);
-            let (rng, job) = (&mut got_rng, range.clone());
-            let got_ci = bootstrap_ci_prepared(rng, &prepared, &data, job, &ctx, k, alpha);
+            // One binding serves θ̂ and, around it, the CI — as the
+            // diagnostic uses it.
+            let mut bound = prepared.bind(&data, range.clone(), &ctx);
+            let got_center = bound.estimate();
+            prop_assert_eq!(bits(&[got_center]), bits(&[center]), "{:?} point", theta);
+            let got_ci = bootstrap_ci_prepared(&mut got_rng, &mut bound, got_center, k, alpha);
             prop_assert_eq!(ci_bits(got_ci), ci_bits(want_ci), "{:?} CI, range {:?}", theta, range);
             if !center.is_nan() {
                 prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{:?} generator", theta);
@@ -1306,20 +1310,380 @@ proptest! {
                 &|ws| oracle::nested((outer, inner), rows, Some(ws), &ctx), k, alpha,
             );
             let prepared = PreparedTheta { outer: plain(outer), inner: Some(inner) };
-            let got_center = prepared.estimate_range(&data, range.clone(), &ctx);
+            // One binding (one dense renumbering of the inner codes) for
+            // the point estimate and the K replicates after it.
+            let mut bound = prepared.bind(&data, range.clone(), &ctx);
+            let got_center = bound.estimate();
             prop_assert_eq!(bits(&[got_center]), bits(&[center]), "{:?}({:?}) point", outer, inner);
             let mut got_rng = rng_from_seed(job_seed);
-            let (rng, job) = (&mut got_rng, range.clone());
-            let got_ci = bootstrap_ci_prepared(rng, &prepared, &data, job, &ctx, k, alpha);
+            let got_ci = bootstrap_ci_prepared(&mut got_rng, &mut bound, got_center, k, alpha);
             prop_assert_eq!(ci_bits(got_ci), ci_bits(want_ci), "{:?}({:?}) CI", outer, inner);
             if !center.is_nan() {
                 prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "nested generator");
                 // Replicate by replicate, on the weights the reference drew.
                 let mut rng = rng_from_seed(job_seed);
                 let got_reps = bootstrap_replicates(&mut rng, values.len(), k, &mut |ws| {
-                    prepared.estimate_weighted_range(&data, ws, range.clone(), &ctx)
+                    prepared.bind(&data, range.clone(), &ctx).estimate_weighted(ws)
                 });
                 prop_assert_eq!(bits(&got_reps), bits(&want_reps), "{:?}({:?})", outer, inner);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The full evaluation of Algorithm 1: `evaluate_from_estimates` as it
+// stood before the verdict-first driver (PR 16), kept as the reference.
+// It takes the whole table of θ̂ and x̂ — every level, every subsample —
+// computes xᵢ, Δᵢ, σᵢ, πᵢ for all of them and only then reads the checks.
+// It skips nothing and stops nowhere, so it stays as the oracle of the
+// driver that does (`diagnostics::kleiner::diagnose`).
+// ---------------------------------------------------------------------
+
+mod diagnostic_oracle {
+    use reliable_aqp::diagnostics::DiagnosticConfig;
+    use reliable_aqp::stats::ci::symmetric_half_width;
+
+    /// θ̂ and ξ's half-width on each of the p subsamples of one level.
+    #[derive(Debug, Clone)]
+    pub struct Level {
+        pub theta_hats: Vec<f64>,
+        pub xi_half_widths: Vec<f64>,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    pub struct LevelStats {
+        pub x: f64,
+        pub mean_deviation: f64,
+        pub relative_spread: f64,
+        pub close_proportion: f64,
+        /// Meaningful for i ≥ 1 only; `true` at level 0.
+        pub deviation_ok: bool,
+        pub spread_ok: bool,
+    }
+
+    #[derive(Debug)]
+    pub struct Full {
+        pub levels: Vec<LevelStats>,
+        pub final_proportion_ok: bool,
+        pub accepted: bool,
+    }
+
+    fn mean(xs: &[f64]) -> f64 {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+
+    fn stddev(xs: &[f64]) -> f64 {
+        if xs.len() < 2 {
+            return 0.0;
+        }
+        let m = mean(xs);
+        (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
+    }
+
+    /// Whether ξ's half-width `xh` counts towards π at truth `x > 0`.
+    pub fn close(xh: f64, x: f64, c3: f64) -> bool {
+        xh.is_finite() && ((xh - x) / x).abs() <= c3
+    }
+
+    pub fn evaluate(theta_s: f64, levels: &[Level], cfg: &DiagnosticConfig) -> Full {
+        let mut reports: Vec<LevelStats> = Vec::with_capacity(levels.len());
+        for level in levels {
+            let t_hats: Vec<f64> =
+                level.theta_hats.iter().copied().filter(|t| t.is_finite()).collect();
+            let x_hats: Vec<f64> =
+                level.xi_half_widths.iter().copied().filter(|x| x.is_finite()).collect();
+            let p = level.theta_hats.len().max(1);
+
+            if t_hats.is_empty() || x_hats.is_empty() {
+                reports.push(LevelStats {
+                    x: f64::NAN,
+                    mean_deviation: f64::INFINITY,
+                    relative_spread: f64::INFINITY,
+                    close_proportion: 0.0,
+                    deviation_ok: false,
+                    spread_ok: false,
+                });
+                continue;
+            }
+
+            let x = symmetric_half_width(theta_s, &t_hats, cfg.alpha);
+            let (mean_dev, spread, close) = if x > 0.0 {
+                let d = (mean(&x_hats) - x).abs() / x;
+                let s = stddev(&x_hats) / x;
+                let close =
+                    level.xi_half_widths.iter().filter(|&&xh| close(xh, x, cfg.c3)).count() as f64
+                        / p as f64;
+                (d, s, close)
+            } else {
+                let all_zero = x_hats.iter().all(|&xh| xh.abs() < 1e-12);
+                if all_zero {
+                    (0.0, 0.0, 1.0)
+                } else {
+                    (f64::INFINITY, f64::INFINITY, 0.0)
+                }
+            };
+            reports.push(LevelStats {
+                x,
+                mean_deviation: mean_dev,
+                relative_spread: spread,
+                close_proportion: close,
+                deviation_ok: true,
+                spread_ok: true,
+            });
+        }
+
+        let mut accepted = true;
+        for i in 1..reports.len() {
+            let dev_ok = reports[i].mean_deviation < reports[i - 1].mean_deviation
+                || reports[i].mean_deviation < cfg.c1;
+            let spread_ok = reports[i].relative_spread < reports[i - 1].relative_spread
+                || reports[i].relative_spread < cfg.c2;
+            reports[i].deviation_ok = dev_ok;
+            reports[i].spread_ok = spread_ok;
+            accepted &= dev_ok && spread_ok;
+        }
+        let final_proportion_ok =
+            reports.last().map(|r| r.close_proportion >= cfg.rho).unwrap_or(false);
+        accepted &= final_proportion_ok;
+        Full { levels: reports, final_proportion_ok, accepted }
+    }
+}
+
+/// `x` moved `ulps` representable values up (or down).
+fn nudge(x: f64, ulps: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 384, ..ProptestConfig::default() })]
+
+    /// The verdict-first driver returns the verdict of the full evaluation
+    /// and names a check that evaluation also finds failed; every level it
+    /// reports in full carries the reference's x, Δ, σ, π bit for bit; and
+    /// a counting source shows it asked for nothing the verdict did not
+    /// need. Tables of 1–4 levels and p of 2–40 mix benign levels, levels
+    /// that miss c₃ at a chosen rate (among them exactly as many misses as
+    /// ρ·p allows, one fewer and one more), NaN / ±Inf θ̂ and ξ, all-NaN
+    /// levels, degenerate truth under zero, tiny and non-zero ξ, and ξ
+    /// placed a few ulp either side of c₁, c₂ and c₃.
+    #[test]
+    fn lazy_diagnostic_matches_the_full_evaluation(
+        seed in 0u64..1_000_000,
+        shape in (1usize..5, 2usize..41, 0usize..6, 0usize..4),
+    ) {
+        use diagnostic_oracle::{self as oracle, Level};
+        use rand::RngExt;
+        use reliable_aqp::diagnostics::{diagnose, Criterion, Decision, DiagnosticConfig};
+        use std::cell::{Cell, RefCell};
+
+        let (k, p, rho_choice, c_choice) = shape;
+        let mut rng = rng_from_seed(seed);
+        let rho = [0.95, 0.9, 0.75, 0.5, 1.0, nudge(0.95, rng.random_range(-3..4))][rho_choice];
+        let (c1, c2, c3) = [(0.2, 0.2, 0.5), (0.2, 0.2, 0.5), (0.05, 0.3, 0.1), (1.0, 0.01, 2.0)][c_choice];
+        let cfg = DiagnosticConfig {
+            p,
+            subsample_rows: (1..=k).map(|i| 10 << i).collect(),
+            c1, c2, c3, rho,
+            alpha: 0.95,
+        };
+        // Fewest close subsamples that satisfy π ≥ ρ, by the final test's
+        // own expression.
+        let need = (0..=p).find(|&n| n as f64 / p as f64 >= rho);
+
+        // θ(S) = 0 and θ̂ = ±s make the truth exactly s at any α.
+        let theta_s = if rng.random_bool(0.1) { f64::NAN } else { 0.0 };
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut levels: Vec<Level> = Vec::with_capacity(k);
+        for li in 0..k {
+            let s = 8.0 / (1u64 << li) as f64 * rng.random_range(0.9..1.1);
+            let mut theta_hats: Vec<f64> =
+                (0..p).map(|j| if j % 2 == 0 { s } else { -s }).collect();
+            // The last level is benign more often than not, so that the
+            // walk down the ladder is what most cases exercise.
+            let kind = if li == k - 1 && rng.random_bool(0.4) { 0 } else { rng.random_range(0..10u32) };
+            let mut xi: Vec<f64> = match kind {
+                // ξ right up to noise; the noise decides Δ and σ.
+                0..=2 => {
+                    let noise = [0.0, 0.01, 0.15, 0.4][rng.random_range(0..4usize)];
+                    (0..p).map(|_| s * (1.0 + rng.random_range(-1.0..=1.0) * noise)).collect()
+                }
+                // A chosen number of subsamples far off, at random places:
+                // what ρ·p allows, one fewer, one more, or any.
+                3..=4 => {
+                    let allowed = need.map_or(0, |n| p - n);
+                    let misses = match rng.random_range(0..4u32) {
+                        0 => allowed.saturating_sub(1),
+                        1 => allowed,
+                        2 => (allowed + 1).min(p),
+                        _ => rng.random_range(0..=p),
+                    };
+                    let mut widths = vec![s; p];
+                    let mut left = misses;
+                    while left > 0 {
+                        let j = rng.random_range(0..p);
+                        if widths[j] == s {
+                            widths[j] = if rng.random_bool(0.2) { f64::NAN } else { s * 40.0 };
+                            left -= 1;
+                        }
+                    }
+                    widths
+                }
+                // Every ξ the same, a few ulp either side of where Δ meets
+                // c₁ (σ = 0) or where a subsample stops being close (c₃).
+                5 => {
+                    let at = if rng.random_bool(0.5) { c1 } else { c3 };
+                    let up = rng.random_bool(0.5);
+                    let v = if up { s * (1.0 + at) } else { s * (1.0 - at) };
+                    vec![nudge(v, rng.random_range(-3..4)); p]
+                }
+                // Two values ±d around s: Δ ≈ 0 and σ a few ulp either
+                // side of c₂ (exactly for even p, nearly for odd).
+                6 => {
+                    let d = s * c2 * ((p - 1) as f64 / p as f64).sqrt();
+                    let d = nudge(d, rng.random_range(-3..4));
+                    (0..p).map(|j| if j % 2 == 0 { s + d } else { s - d }).collect()
+                }
+                // Degenerate truth: every θ̂ is θ(S); ξ all zero, tiny, or
+                // non-zero somewhere.
+                7 => {
+                    theta_hats = vec![0.0; p];
+                    let mut widths = vec![[0.0, 1e-13, -1e-13][rng.random_range(0..3usize)]; p];
+                    if rng.random_bool(0.5) {
+                        widths[rng.random_range(0..p)] = [1e-12, 0.3, f64::INFINITY, f64::NAN][rng.random_range(0..4usize)];
+                    }
+                    widths
+                }
+                // A level θ or ξ is degenerate on everywhere.
+                8 => {
+                    if rng.random_bool(0.5) {
+                        theta_hats = vec![f64::NAN; p];
+                    }
+                    if rng.random_bool(0.7) { vec![f64::NAN; p] } else { vec![s; p] }
+                }
+                // Anything, specials included.
+                _ => (0..p).map(|_| s * rng.random_range(0.0..3.0f64)).collect(),
+            };
+            if rng.random_bool(0.25) {
+                let rate = [0.02, 0.2, 0.9][rng.random_range(0..3usize)];
+                for j in 0..p {
+                    if rng.random_bool(rate) {
+                        theta_hats[j] = specials[rng.random_range(0..3usize)];
+                    }
+                    if rng.random_bool(rate) {
+                        xi[j] = specials[rng.random_range(0..3usize)];
+                    }
+                }
+            }
+            levels.push(Level { theta_hats, xi_half_widths: xi });
+        }
+
+        // The counting source: how often each level was asked for θ̂, and
+        // for which subsamples, in which order, it was asked for ξ.
+        let theta_calls = vec![Cell::new(0usize); k];
+        let xi_calls: Vec<RefCell<Vec<usize>>> = vec![RefCell::new(Vec::new()); k];
+        let got = diagnose(
+            theta_s,
+            &cfg,
+            |l, j| {
+                theta_calls[l].set(theta_calls[l].get() + 1);
+                (levels[l].theta_hats[j], ())
+            },
+            |l, j, theta_hat, ()| {
+                assert_eq!(bits(&[theta_hat]), bits(&[levels[l].theta_hats[j]]), "θ̂ handed to ξ");
+                assert_eq!(theta_calls[l].get(), p, "ξ before every θ̂ of its level");
+                xi_calls[l].borrow_mut().push(j);
+                levels[l].xi_half_widths[j]
+            },
+        );
+        let want = oracle::evaluate(theta_s, &levels, &cfg);
+        let last = k - 1;
+
+        // Same verdict, for a reason the full evaluation agrees with.
+        prop_assert_eq!(got.accepted, want.accepted, "{:?}\n{:?}\n{:?}", got, want, levels);
+        prop_assert_eq!(got.accepted, got.decision == Decision::Accepted);
+        let lowest_read = match got.decision.clone() {
+            Decision::Accepted => {
+                // Level 0 is read only if level 1's check had to compare.
+                let l1_small = k >= 2
+                    && want.levels[1].mean_deviation < c1
+                    && want.levels[1].relative_spread < c2;
+                if l1_small { 1 } else { 0 }
+            }
+            Decision::Failed { criterion: Criterion::Proportion, level } => {
+                prop_assert_eq!(level, last);
+                prop_assert!(!want.final_proportion_ok);
+                last
+            }
+            Decision::Failed { criterion, level } => {
+                prop_assert!(level >= 1 && want.final_proportion_ok);
+                // Every check above the deciding one held.
+                prop_assert!(want.levels[level + 1..].iter().all(|l| l.deviation_ok && l.spread_ok));
+                let l = &want.levels[level];
+                match criterion {
+                    Criterion::Deviation => prop_assert!(!l.deviation_ok),
+                    _ => prop_assert!(l.deviation_ok && !l.spread_ok),
+                }
+                level - 1
+            }
+            Decision::Refused(why) => {
+                prop_assert!(false, "refused: {}", why);
+                0
+            }
+        };
+
+        // Laziness: nothing below the lowest level a check read, every
+        // level at or above it asked for all its θ̂, ξ in order and once.
+        let reported: Vec<usize> = got.levels.iter().map(|l| l.level).collect();
+        prop_assert_eq!(&reported, &(lowest_read..k).collect::<Vec<_>>(), "{:?}", got.decision);
+        for l in 0..k {
+            let asked = xi_calls[l].borrow();
+            if l < lowest_read {
+                prop_assert_eq!((theta_calls[l].get(), asked.len()), (0, 0), "level {} untouched", l);
+                continue;
+            }
+            prop_assert_eq!(theta_calls[l].get(), p);
+            prop_assert_eq!(&*asked, &(0..asked.len()).collect::<Vec<_>>(), "ξ order at level {}", l);
+            let (report, full) = (&got.levels[l - lowest_read], &want.levels[l]);
+            prop_assert_eq!(report.xi_evaluated, asked.len());
+
+            // From the table: the level's truth, and how many ξ its
+            // outcome needs.
+            let t_hats: Vec<f64> =
+                levels[l].theta_hats.iter().copied().filter(|t| t.is_finite()).collect();
+            let xs = &levels[l].xi_half_widths;
+            let x = if t_hats.is_empty() { f64::NAN } else { symmetric_half_width(theta_s, &t_hats, 0.95) };
+            prop_assert_eq!(bits(&[report.x]), bits(&[x]), "x at level {}", l);
+            if xs.iter().any(|xh| xh.is_finite()) {
+                // (Without a finite ξ the reference does not get to x.)
+                prop_assert_eq!(bits(&[full.x]), bits(&[x]));
+            }
+            let mut pi_stop = None;
+            let needed = if t_hats.is_empty() {
+                0
+            } else if x.is_nan() || x <= 0.0 {
+                // Degenerate truth: up to the first finite non-zero ξ.
+                xs.iter().position(|xh| xh.is_finite() && xh.abs() >= 1e-12).map_or(p, |j| j + 1)
+            } else if l == last {
+                // The π stop: the miss that puts ρ·p out of reach, no later.
+                let allowed = need.map_or(0, |n| p - n);
+                let mut misses = 0;
+                pi_stop = xs.iter().position(|&xh| {
+                    misses += usize::from(!oracle::close(xh, x, c3));
+                    misses > allowed
+                });
+                prop_assert_eq!(pi_stop.is_some(), !want.final_proportion_ok);
+                pi_stop.map_or(p, |j| j + 1)
+            } else {
+                p
+            };
+            prop_assert_eq!(asked.len(), needed, "ξ calls at level {} ({:?})", l, got.decision);
+            if pi_stop.is_none() {
+                let stats = [report.mean_deviation, report.relative_spread, report.close_proportion];
+                let full = [full.mean_deviation, full.relative_spread, full.close_proportion];
+                prop_assert_eq!(bits(&stats), bits(&full), "Δ, σ, π at level {}", l);
+            } else {
+                prop_assert!(report.mean_deviation.is_nan() && report.relative_spread.is_nan());
             }
         }
     }
