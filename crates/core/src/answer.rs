@@ -114,7 +114,9 @@ impl AqpAnswer {
                         );
                     }
                     None => {
-                        let _ = writeln!(out, "{key}{} = {:.4}  (exact)", a.name, a.estimate);
+                        let why = a.bars_not_computed();
+                        let why = why.map_or_else(String::new, |w| format!("; bars not computed: {w}"));
+                        let _ = writeln!(out, "{key}{} = {:.4}  (exact{why})", a.name, a.estimate);
                     }
                 }
             }
@@ -166,5 +168,19 @@ mod tests {
         assert!(s.contains("12.5"));
         assert!(s.contains("95% conf"));
         assert!(s.contains("1000/100000"));
+    }
+
+    #[test]
+    fn summary_says_why_a_refused_result_has_no_bars() {
+        use aqp_diagnostics::{Criterion, Decision, DiagnosticReport};
+        let mut a = answer();
+        let cell = &mut a.groups[0].aggs[0];
+        cell.ci = None;
+        assert!(a.summary().contains("= 12.5000  (exact)\n"), "{}", a.summary());
+        let decision = Decision::Failed { criterion: Criterion::Spread, level: 1 };
+        let cell = &mut a.groups[0].aggs[0];
+        cell.diagnostic = Some(DiagnosticReport { levels: Vec::new(), decision, accepted: false });
+        let s = a.summary();
+        assert!(s.contains("(exact; bars not computed: refused (Spread, level 1))"), "{s}");
     }
 }

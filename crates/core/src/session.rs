@@ -5,7 +5,7 @@ use std::sync::Arc;
 use aqp_audit::{AuditConfig, AuditReport};
 use aqp_diagnostics::DiagnosticConfig;
 use aqp_exec::engine::{execute_approx, execute_exact_observed, ApproxOptions, MethodChoice};
-use aqp_exec::result::{AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
+use aqp_exec::result::{AggResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use aqp_exec::udf::UdfRegistry;
 use aqp_obs::{name, stage, ObsHandle, QueryTrace, TraceRecorder};
 use aqp_prof::{ExplainMode, OpProfile};
@@ -463,7 +463,7 @@ impl AqpSession {
             obs: self.config.obs.clone(),
             faults: self.config.faults.clone(),
         };
-        let approx = match execute_approx(
+        let mut approx = match execute_approx(
             &rewritten,
             &sample_table,
             p.table.num_rows(),
@@ -485,7 +485,7 @@ impl AqpSession {
             }
             Err(e) => return Err(e.into()),
         };
-        rec.graft(approx.trace.clone());
+        rec.graft(std::mem::take(&mut approx.trace));
 
         // --- Reliability gate, per result (§2.1: each group-aggregate is
         // its own query). Rejected results are replaced with exact values;
@@ -507,9 +507,20 @@ impl AqpSession {
             rec.attr(gate, "degraded_planned_rows", d.planned_rows);
             rec.attr(gate, "widen_factor", d.widen_factor);
         }
+        // The executor computed no bars for the results its diagnostic
+        // refused, and only the auditor scores those (the reject row of
+        // Fig. 4): what they would be computed from outlives this point —
+        // and the exact run below — only for a query the auditor selects.
+        let audit = self.observers.wants_audit();
+        if audit.is_none() || rejected == 0 {
+            approx.bar_inputs = None;
+        }
         let (groups, mode) = if rejected == 0 {
             rec.end(gate);
-            self.maybe_audit(p, &approx, None, rec);
+            // Every result has its bars; the auditor replays for the truth.
+            if let Some(ordinal) = audit {
+                self.audit_with_replay(p, ordinal, &approx.groups, rec);
+            }
             let mode = if self.config.run_diagnostics {
                 AnswerMode::Approximate
             } else {
@@ -519,11 +530,18 @@ impl AqpSession {
         } else {
             // Exact execution once; merge per result.
             let exact = self.run_exact(p)?;
-            rec.graft(exact.trace.clone());
+            rec.graft(exact.trace);
             // The fallback already paid for full-data truth; the auditor
-            // can score this query for free.
-            self.maybe_audit(p, &approx, Some(&exact), rec);
-            let merged = merge_with_exact(&exact.groups, &approx.groups);
+            // can score this query for the price of the skipped bars.
+            if let Some(ordinal) = audit {
+                let clock = &self.config.obs.clock;
+                let ((jobs, resamples), took) = clock.time(|| approx.fill_refused_bars(&opts));
+                rec.attr(gate, "audit_bars_jobs", jobs);
+                rec.attr(gate, "audit_bars_resamples", resamples);
+                rec.attr(gate, "audit_bars_ms", format_args!("{:.3}", took.as_secs_f64() * 1e3));
+                self.observers.audited(p.sql, ordinal, 0.0, &approx.groups, &exact.groups);
+            }
+            let merged = merge_with_exact(exact.groups, approx.groups);
             let mode = if rejected == total_results {
                 self.config.obs.metrics.counter(name::CORE_FALLBACKS_EXACT).inc();
                 AnswerMode::ExactFallback
@@ -595,9 +613,9 @@ impl AqpSession {
         rec: &TraceRecorder,
     ) -> Result<AqpAnswer> {
         let exact = self.run_exact(p)?;
-        rec.graft(exact.trace.clone());
+        rec.graft(exact.trace);
         apply_having(&p.query, AqpAnswer {
-            groups: merge_with_exact(&exact.groups, &[]),
+            groups: merge_with_exact(exact.groups, Vec::new()),
             mode,
             fell_back: matches!(mode, AnswerMode::ExactFallback),
             sample_rows: 0,
@@ -610,39 +628,30 @@ impl AqpSession {
         })
     }
 
-    /// Consider a completed approximate query for auditing; when the
-    /// deterministic sampler selects it, obtain full-data truth (reusing
-    /// `exact` if the fallback path already computed it, otherwise
-    /// replaying under an `audit_replay` span) and hand it to the
-    /// observers. Infallible by design: an audit failure must never
-    /// fail or alter the query it audits.
-    fn maybe_audit(
+    /// The auditor selected a query whose results all kept their bars:
+    /// replay it at full data under an `audit_replay` span and hand served
+    /// and truth to the observers. Infallible by design: an audit failure
+    /// must never fail or alter the query it audits.
+    fn audit_with_replay(
         &self,
         p: &Prepared<'_>,
-        approx: &ApproxResult,
-        exact: Option<&ExactResult>,
+        ordinal: u64,
+        served: &[GroupResult],
         rec: &TraceRecorder,
     ) {
-        let Some(ordinal) = self.observers.wants_audit() else { return };
-        let replayed;
-        let (truth, replay_ms) = match exact {
-            Some(e) => (e, 0.0),
-            None => {
-                let span = rec.start(stage::AUDIT_REPLAY);
-                let (replay, took) = self.config.obs.clock.time(|| self.run_exact(p));
-                // Nest the replay's own engine spans under the
-                // audit-replay span so `StageTimings::audit_replay()`
-                // and the operator profile both see the replay cost.
-                if let Ok(e) = &replay {
-                    rec.graft(e.trace.clone());
-                }
-                rec.end(span);
-                let Ok(e) = replay else { return };
-                replayed = e;
-                (&replayed, took.as_secs_f64() * 1e3)
-            }
-        };
-        self.observers.audited(p.sql, ordinal, replay_ms, &approx.groups, &truth.groups);
+        let span = rec.start(stage::AUDIT_REPLAY);
+        let (replay, took) = self.config.obs.clock.time(|| self.run_exact(p));
+        // Nest the replay's own engine spans under the audit-replay span
+        // so `StageTimings::audit_replay()` and the operator profile both
+        // see the replay cost.
+        let truth = replay.ok().map(|e| {
+            rec.graft(e.trace);
+            e.groups
+        });
+        rec.end(span);
+        if let Some(truth) = truth {
+            self.observers.audited(p.sql, ordinal, took.as_secs_f64() * 1e3, served, &truth);
+        }
     }
 
     /// Run the pilot to translate an error clause into required rows.
@@ -682,32 +691,28 @@ impl AqpSession {
 
 /// The exact run's groups as answer groups — its group set is
 /// authoritative, the sample can miss rare groups entirely. A result
-/// `approx` served with reliable error bars keeps them; a rejected one
-/// serves the exact value and keeps its verdict; one the sample never
-/// saw is plain exact.
-fn merge_with_exact(exact: &[(String, Vec<f64>)], approx: &[GroupResult]) -> Vec<GroupResult> {
-    let served: std::collections::HashMap<&str, &GroupResult> =
-        approx.iter().map(|g| (g.key.as_str(), g)).collect();
-    let exact_agg = |name: String, estimate, diagnostic| AggResult {
-        name,
-        estimate,
-        ci: None,
-        method: MethodUsed::None,
-        diagnostic,
-    };
+/// `approx` served with reliable error bars moves over with them; a
+/// rejected one serves the exact value and keeps its verdict; one the
+/// sample never saw is plain exact.
+fn merge_with_exact(exact: Vec<(String, Vec<f64>)>, approx: Vec<GroupResult>) -> Vec<GroupResult> {
+    let mut served: std::collections::HashMap<String, Vec<AggResult>> =
+        approx.into_iter().map(|g| (g.key, g.aggs)).collect();
     exact
-        .iter()
-        .map(|(key, vals)| GroupResult {
-            key: key.clone(),
-            aggs: vals
-                .iter()
-                .enumerate()
-                .map(|(ai, &v)| match served.get(key.as_str()).and_then(|g| g.aggs.get(ai)) {
-                    Some(a) if a.error_bars_reliable() => a.clone(),
-                    Some(a) => exact_agg(a.name.clone(), v, a.diagnostic.clone()),
-                    None => exact_agg(format!("agg{ai}"), v, None),
-                })
-                .collect(),
+        .into_iter()
+        .map(|(key, vals)| {
+            let mut served = served.remove(&key).unwrap_or_default().into_iter();
+            let aggs = vals.into_iter().enumerate().map(|(ai, v)| match served.next() {
+                Some(a) if a.error_bars_reliable() => a,
+                Some(a) => AggResult { estimate: v, ci: None, method: MethodUsed::None, ..a },
+                None => AggResult {
+                    name: format!("agg{ai}"),
+                    estimate: v,
+                    ci: None,
+                    method: MethodUsed::None,
+                    diagnostic: None,
+                },
+            });
+            GroupResult { aggs: aggs.collect(), key }
         })
         .collect()
 }

@@ -22,7 +22,7 @@ use aqp_storage::Table;
 
 use crate::collect::collect;
 use crate::engine::{ApproxOptions, MethodChoice};
-use crate::result::{AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
+use crate::result::{refused, AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::Result;
@@ -65,12 +65,35 @@ pub fn execute_baseline(
         .collect();
     rec.end(scan_span);
 
-    // Phase 2 — error estimation via repeated subqueries.
+    // Phase 2 — diagnostics via subqueries: every subsample is extracted
+    // by a fresh scan, and (for the bootstrap) resampled K times. As in the
+    // optimized engine it runs first and decides whose bars are computed.
+    let diag_span = rec.start(stage::DIAGNOSTICS);
+    let diags = (0..collected.groups.len())
+        .map(|gi| {
+            let judge = |(ai, theta)| {
+                let cfg = opts.diagnostic.as_ref()?;
+                let job_seeds = seeds.derive(0xD1A6).derive((gi * 64 + ai) as u64);
+                Some(naive_diagnostic(
+                    plan, sample, gi, ai, theta, estimates[gi][ai], &ctx, cfg, opts, job_seeds,
+                ))
+            };
+            thetas.iter().enumerate().map(|job| judge(job).transpose()).collect()
+        })
+        .collect::<Result<Vec<Vec<Option<aqp_diagnostics::DiagnosticReport>>>>>()?;
+    rec.end(diag_span);
+
+    // Phase 3 — error estimation via repeated subqueries, for every cell
+    // the diagnostic did not refuse.
     let err_span = rec.start(stage::ERROR_ESTIMATION);
     let mut cis: Vec<Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)>> = Vec::new();
     for (gi, _group) in collected.groups.iter().enumerate() {
         let mut group_cis = Vec::new();
         for (ai, theta) in thetas.iter().enumerate() {
+            if refused(&diags[gi][ai]) {
+                group_cis.push((None, MethodUsed::None));
+                continue;
+            }
             if wants_closed_form(opts, theta) {
                 // Naive closed form: a second full scan to compute the
                 // variance statistics.
@@ -116,23 +139,6 @@ pub fn execute_baseline(
     }
     rec.end(err_span);
 
-    // Phase 3 — diagnostics via subqueries: every subsample is extracted
-    // by a fresh scan, and (for the bootstrap) resampled K times.
-    let diag_span = rec.start(stage::DIAGNOSTICS);
-    let diags = (0..collected.groups.len())
-        .map(|gi| {
-            let judge = |(ai, theta)| {
-                let cfg = opts.diagnostic.as_ref()?;
-                let job_seeds = seeds.derive(0xD1A6).derive((gi * 64 + ai) as u64);
-                Some(naive_diagnostic(
-                    plan, sample, gi, ai, theta, estimates[gi][ai], &ctx, cfg, opts, job_seeds,
-                ))
-            };
-            thetas.iter().enumerate().map(|job| judge(job).transpose()).collect()
-        })
-        .collect::<Result<Vec<Vec<Option<aqp_diagnostics::DiagnosticReport>>>>>()?;
-    rec.end(diag_span);
-
     let asm_span = rec.start(stage::ASSEMBLE);
     let groups = collected
         .groups
@@ -168,6 +174,7 @@ pub fn execute_baseline(
         timings: StageTimings::from_trace(&trace),
         trace,
         degraded: None,
+        bar_inputs: None,
     })
 }
 

@@ -5,7 +5,7 @@
 //! then *reused* by the point estimate, all bootstrap replicates, and all
 //! diagnostic subsamples — no repeated scans, no tuple duplication.
 
-use aqp_diagnostics::{diagnose, DiagnosticConfig};
+use aqp_diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
 use aqp_faults::{DegradedInfo, EventKind, FaultConfig, FaultInjector, ScanFaultSummary};
 use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
@@ -16,7 +16,7 @@ use aqp_storage::Table;
 
 use crate::collect::{collect_observed, collect_observed_faulty, AggData, Collected, OpStats};
 use crate::parallel::{default_threads, parallel_map_observed, WorkerStat};
-use crate::result::{AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
+use crate::result::{refused, AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::Result;
@@ -116,7 +116,7 @@ pub fn execute_exact_observed(
     let scan_start = obs.clock.now();
     let (collected, scan_obs) = collect_observed(plan, table, threads, &obs.clock)?;
     record_chain_ops(&rec, &obs.clock, scan_start, plan, &scan_obs.ops, None);
-    record_workers(&rec, obs, &scan_obs.workers);
+    record_workers(&rec, obs, &scan_obs.workers, None, obs.clock.now());
     let agg_start = obs.clock.now();
     let ctx = SampleContext::population(collected.pre_filter_rows);
     let thetas = prepare_thetas(&collected, registry)?;
@@ -133,15 +133,8 @@ pub fn execute_exact_observed(
             (g.key.clone(), vals)
         })
         .collect();
-    record_plan_op(
-        &rec,
-        &obs.clock,
-        agg_start,
-        plan,
-        "Aggregate",
-        total_values(&collected),
-        groups.len() as u64,
-    );
+    let agg_span = (agg_start, obs.clock.now());
+    record_plan_op(&rec, agg_span, None, plan, "Aggregate", total_values(&collected), groups.len() as u64);
     rec.attr(span, "rows_scanned", collected.pre_filter_rows);
     rec.end(span);
     let trace = rec.finish();
@@ -187,7 +180,7 @@ pub fn execute_approx(
     let sample_fraction = (population_rows > 0)
         .then(|| collected.pre_filter_rows as f64 / population_rows as f64);
     record_chain_ops(&rec, &opts.obs.clock, scan_start, plan, &scan_obs.ops, sample_fraction);
-    record_workers(&rec, &opts.obs, &scan_obs.workers);
+    record_workers(&rec, &opts.obs, &scan_obs.workers, None, opts.obs.clock.now());
     if let Some(sum) = &fault_summary {
         record_faults(&rec, &opts.obs, scan_span, scan_start, sum);
     }
@@ -200,14 +193,16 @@ pub fn execute_approx(
     // bars can only get wider, never narrower (DESIGN §12).
     let degraded_info = degradation_gate(fault_summary.as_ref(), opts)?;
 
+    // Per-stratum scaling where the sample has it, the sample's own elsewhere.
     let default_ctx = SampleContext::new(collected.pre_filter_rows, population_rows);
-    let ctx_for = |key: &str| -> SampleContext {
-        opts.group_contexts
-            .as_ref()
-            .and_then(|m| m.get(key))
-            .map(|&(s, p)| SampleContext::new(s, p))
-            .unwrap_or(default_ctx)
-    };
+    let contexts: Vec<SampleContext> = collected
+        .groups
+        .iter()
+        .map(|g| match opts.group_contexts.as_ref().and_then(|m| m.get(&g.key)) {
+            Some(&(s, p)) => SampleContext::new(s, p),
+            None => default_ctx,
+        })
+        .collect();
 
     // Stage 2 — point estimates θ(S) from the collected data.
     let est_span = rec.start(stage::POINT_ESTIMATE);
@@ -216,86 +211,28 @@ pub fn execute_approx(
     let estimates: Vec<Vec<f64>> = collected
         .groups
         .iter()
-        .map(|g| {
-            let ctx = ctx_for(&g.key);
-            g.aggs
-                .iter()
-                .zip(&thetas)
-                .map(|(data, theta)| theta.estimate(data, &ctx))
-                .collect()
-        })
+        .zip(&contexts)
+        .map(|(g, ctx)| g.aggs.iter().zip(&thetas).map(|(data, theta)| theta.estimate(data, ctx)).collect())
         .collect();
-    record_plan_op(
-        &rec,
-        &opts.obs.clock,
-        est_start,
-        plan,
-        "Aggregate",
-        total_values(&collected),
-        collected.groups.len() as u64,
-    );
+    let span = (est_start, opts.obs.clock.now());
+    let (values, groups) = (total_values(&collected), collected.groups.len() as u64);
+    record_plan_op(&rec, span, None, plan, "Aggregate", values, groups);
     rec.end(est_span);
+    let inputs = BarInputs { collected, thetas, estimates, contexts };
+    let (collected, estimates) = (&inputs.collected, &inputs.estimates);
 
-    // Stage 3 — error estimation, per (group, aggregate), replicates
-    // parallelized across groups.
-    let err_span = rec.start(stage::ERROR_ESTIMATION);
-    let err_start = opts.obs.clock.now();
+    // Stage 3 — diagnostics, per (group, aggregate), parallelized across
+    // groups. It reads θ(S) and the collected data, never the answer's
+    // bars, so it runs before them and decides which are computed.
     let jobs: Vec<(usize, usize)> = collected
         .groups
         .iter()
         .enumerate()
         .flat_map(|(gi, g)| (0..g.aggs.len()).map(move |ai| (gi, ai)))
         .collect();
-    let (cis, err_workers): (Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)>, Vec<WorkerStat>) =
-        parallel_map_observed(jobs.clone(), opts.threads, &opts.obs.clock, |(gi, ai)| {
-            let data = &collected.groups[gi].aggs[ai];
-            let theta = &thetas[ai];
-            let ctx = ctx_for(&collected.groups[gi].key);
-            let job_seeds = seeds.derive(0xC1).derive((gi * 64 + ai) as u64);
-            let mut whole = theta.bind(data, 0..data.values.len(), &ctx);
-            error_ci(&mut whole, estimates[gi][ai], opts, &job_seeds, 0)
-        });
-    // Degraded runs widen every interval by the conservative factor.
-    let cis: Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)> = match &degraded_info {
-        Some(d) if d.widen_factor > 1.0 => cis
-            .into_iter()
-            .map(|(ci, m)| {
-                let widened = ci.map(|c| {
-                    aqp_stats::ci::Ci::new(c.center, c.half_width * d.widen_factor, c.confidence)
-                });
-                (widened, m)
-            })
-            .collect(),
-        _ => cis,
-    };
-    if let Some(d) = &degraded_info {
-        rec.attr(err_span, "widen_factor", d.widen_factor);
-        rec.attr(err_span, "effective_rows", d.effective_rows);
-        rec.attr(err_span, "planned_rows", d.planned_rows);
-    }
-    let bootstrap_jobs = cis.iter().filter(|(_, m)| *m == MethodUsed::Bootstrap).count();
-    rec.attr(err_span, "jobs", jobs.len());
-    rec.attr(err_span, "bootstrap_jobs", bootstrap_jobs);
-    rec.attr(err_span, "resamples", bootstrap_jobs * opts.bootstrap_k);
-    if let Some(id) = record_plan_op(
-        &rec,
-        &opts.obs.clock,
-        err_start,
-        plan,
-        "ErrorEstimate",
-        jobs.len() as u64,
-        cis.iter().filter(|(ci, _)| ci.is_some()).count() as u64,
-    ) {
-        rec.attr(id, "resamples", bootstrap_jobs * opts.bootstrap_k);
-    }
-    record_workers(&rec, &opts.obs, &err_workers);
-    rec.end(err_span);
-
-    // Stage 4 — diagnostics, same job list.
-    let diag_span = rec.start(stage::DIAGNOSTICS);
     let diag_start = opts.obs.clock.now();
-    let diags: Vec<Option<aqp_diagnostics::DiagnosticReport>> = match &opts.diagnostic {
-        None => vec![None; jobs.len()],
+    let (diags, diag_workers) = match &opts.diagnostic {
+        None => (vec![None; jobs.len()], Vec::new()),
         Some(cfg) => {
             // Degraded runs judge the sample that actually survived:
             // shrink the subsample sizes by the effective/planned ratio
@@ -313,42 +250,70 @@ pub fn execute_approx(
                 _ => cfg.clone(),
             };
             let cfg = &cfg;
-            let (out, diag_workers) =
-                parallel_map_observed(jobs.clone(), opts.threads, &opts.obs.clock, |(gi, ai)| {
-                    let subsamples = Subsamples {
-                        theta: &thetas[ai],
-                        data: &collected.groups[gi].aggs[ai],
-                        ctx: ctx_for(&collected.groups[gi].key),
-                        row_window: collected.pre_filter_rows,
-                        cfg,
-                        opts,
-                        seeds: seeds.derive(0xD1).derive((gi * 64 + ai) as u64),
-                    };
-                    Some(subsamples.diagnose(estimates[gi][ai]))
-                });
-            record_workers(&rec, &opts.obs, &diag_workers);
-            out
+            parallel_map_observed(jobs.clone(), opts.threads, &opts.obs.clock, |(gi, ai)| {
+                let subsamples = Subsamples {
+                    theta: &inputs.thetas[ai],
+                    data: &collected.groups[gi].aggs[ai],
+                    ctx: inputs.contexts[gi],
+                    row_window: collected.pre_filter_rows,
+                    cfg,
+                    opts,
+                    seeds: seeds.derive(0xD1).derive((gi * 64 + ai) as u64),
+                };
+                Some(subsamples.diagnose(estimates[gi][ai]))
+            })
         }
     };
+    let diag_ran = (diag_start, opts.obs.clock.now());
+
+    // Stage 4 — error estimation, for every cell not refused: a refused
+    // cell's bars are shown to nobody but the auditor, who asks for them
+    // with `ApproxResult::fill_refused_bars`.
+    let err_span = rec.start(stage::ERROR_ESTIMATION);
+    let err_start = opts.obs.clock.now();
+    let kept: Vec<(usize, usize)> =
+        jobs.iter().zip(&diags).filter(|(_, d)| !refused(d)).map(|(&job, _)| job).collect();
+    let widen = degraded_info.as_ref().map_or(1.0, |d| d.widen_factor);
+    let (bars, err_workers) = inputs.bars(&kept, opts, widen);
+    if let Some(d) = &degraded_info {
+        rec.attr(err_span, "widen_factor", d.widen_factor);
+        rec.attr(err_span, "effective_rows", d.effective_rows);
+        rec.attr(err_span, "planned_rows", d.planned_rows);
+    }
+    // Work done, not cells: the refused ones are counted apart.
+    let bootstrap_jobs = bars.iter().filter(|(_, m)| *m == MethodUsed::Bootstrap).count();
+    let resamples = bootstrap_jobs * opts.bootstrap_k;
+    rec.attr(err_span, "jobs", kept.len());
+    rec.attr(err_span, "bootstrap_jobs", bootstrap_jobs);
+    rec.attr(err_span, "resamples", resamples);
+    rec.attr(err_span, "skipped_refused", jobs.len() - kept.len());
+    let with_ci = bars.iter().filter(|(ci, _)| ci.is_some()).count() as u64;
+    let err_ran = (err_start, opts.obs.clock.now());
+    if let Some(id) = record_plan_op(&rec, err_ran, None, plan, "ErrorEstimate", jobs.len() as u64, with_ci) {
+        rec.attr(id, "resamples", resamples);
+        rec.attr(id, "skipped_refused", jobs.len() - kept.len());
+    }
+    record_workers(&rec, &opts.obs, &err_workers, None, err_ran.1);
+    rec.end(err_span);
+
+    // The diagnostics stage goes on record here, with the times it ran at:
+    // spans stay in plan order, leaf to root, whatever order the stages
+    // ran in (`OpProfile::from_trace` splits executions on it).
+    let diag_span = rec.record_span(stage::DIAGNOSTICS, diag_ran.0, diag_ran.1);
+    record_workers(&rec, &opts.obs, &diag_workers, Some(diag_span), diag_ran.1);
     let accepted = diags.iter().flatten().filter(|d| d.accepted).count();
     let rejected = diags.iter().flatten().count() - accepted;
     rec.attr(diag_span, "accepted", accepted);
     rec.attr(diag_span, "rejected", rejected);
     if opts.diagnostic.is_some() {
-        if let Some(id) = record_plan_op(
-            &rec,
-            &opts.obs.clock,
-            diag_start,
-            plan,
-            "Diagnostic",
-            jobs.len() as u64,
-            (accepted + rejected) as u64,
-        ) {
+        let judged = (accepted + rejected) as u64;
+        if let Some(id) =
+            record_plan_op(&rec, diag_ran, Some(diag_span), plan, "Diagnostic", jobs.len() as u64, judged)
+        {
             rec.attr(id, "accepted", accepted);
             rec.attr(id, "rejected", rejected);
         }
     }
-    rec.end(diag_span);
 
     // Stage 5 — assemble the result rows.
     let asm_span = rec.start(stage::ASSEMBLE);
@@ -357,9 +322,12 @@ pub fn execute_approx(
         .iter()
         .map(|g| GroupResult { key: g.key.clone(), aggs: Vec::with_capacity(g.aggs.len()) })
         .collect();
-    // Jobs are in (group, aggregate) order; each one's CI and report move
-    // into its result row.
-    for ((&(gi, ai), (ci, method)), diagnostic) in jobs.iter().zip(cis).zip(diags) {
+    // Jobs are in (group, aggregate) order; each one's report moves into
+    // its result row, and so do its bars unless it was refused.
+    let mut bars = bars.into_iter();
+    for (&(gi, ai), diagnostic) in jobs.iter().zip(diags) {
+        let bar = if refused(&diagnostic) { None } else { bars.next() };
+        let (ci, method) = bar.unwrap_or((None, MethodUsed::None));
         groups[gi].aggs.push(AggResult {
             name: collected
                 .agg_exprs
@@ -382,7 +350,70 @@ pub fn execute_approx(
         timings: StageTimings::from_trace(&trace),
         trace,
         degraded: degraded_info,
+        bar_inputs: Some(inputs),
     })
+}
+
+/// What error estimation reads, kept by the [`ApproxResult`] so that the
+/// bars of the cells the diagnostic refused can be computed on demand.
+#[derive(Debug, Clone)]
+pub struct BarInputs {
+    collected: Collected,
+    thetas: Vec<PreparedTheta>,
+    /// θ(S) per (group, aggregate).
+    estimates: Vec<Vec<f64>>,
+    /// Sizing context per group.
+    contexts: Vec<SampleContext>,
+}
+
+impl BarInputs {
+    /// ξ over the whole range of each of `jobs`, half-widths widened by
+    /// `widen` (the conservative factor of a degraded run). Every job draws
+    /// from a stream of its own, so its bars do not depend on which other
+    /// jobs run, or when.
+    fn bars(
+        &self,
+        jobs: &[(usize, usize)],
+        opts: &ApproxOptions,
+        widen: f64,
+    ) -> (Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)>, Vec<WorkerStat>) {
+        let seeds = SeedStream::new(opts.seed).derive(0xC1);
+        parallel_map_observed(jobs.to_vec(), opts.threads, &opts.obs.clock, |(gi, ai)| {
+            let data = &self.collected.groups[gi].aggs[ai];
+            let mut whole = self.thetas[ai].bind(data, 0..data.values.len(), &self.contexts[gi]);
+            let job_seeds = seeds.derive((gi * 64 + ai) as u64);
+            let (mut ci, method) = error_ci(&mut whole, self.estimates[gi][ai], opts, &job_seeds, 0);
+            if let Some(ci) = ci.as_mut().filter(|_| widen > 1.0) {
+                ci.half_width *= widen;
+            }
+            (ci, method)
+        })
+    }
+}
+
+impl ApproxResult {
+    /// Compute the bars `execute_approx` skipped — those of the cells its
+    /// diagnostic refused — as it would have under the same `opts`, and
+    /// release the retained inputs. Returns how many cells were filled and
+    /// how many resamples that drew; a second call finds nothing to do.
+    pub fn fill_refused_bars(&mut self, opts: &ApproxOptions) -> (usize, usize) {
+        let Some(inputs) = self.bar_inputs.take() else { return (0, 0) };
+        let jobs: Vec<(usize, usize)> = self
+            .groups
+            .iter()
+            .enumerate()
+            .flat_map(|(gi, g)| (0..g.aggs.len()).filter(|&ai| g.aggs[ai].refused()).map(move |ai| (gi, ai)))
+            .collect();
+        let widen = self.degraded.as_ref().map_or(1.0, |d| d.widen_factor);
+        let (bars, _) = inputs.bars(&jobs, opts, widen);
+        let mut resamples = 0;
+        for (&(gi, ai), (ci, method)) in jobs.iter().zip(bars) {
+            resamples += opts.bootstrap_k * usize::from(method == MethodUsed::Bootstrap);
+            let cell = &mut self.groups[gi].aggs[ai];
+            (cell.ci, cell.method) = (ci, method);
+        }
+        (jobs.len(), resamples)
+    }
 }
 
 /// Apply the recovery policy to the scan's fault summary: refuse with a
@@ -490,14 +521,20 @@ fn record_faults(
 /// stragglers (`aqp.exec.stragglers_detected`).
 const STRAGGLER_FACTOR: f64 = 2.0;
 
-/// Record per-worker busy times as child spans of the currently open
-/// stage and feed the worker histogram / straggler counter.
-fn record_workers(rec: &TraceRecorder, obs: &ObsHandle, workers: &[WorkerStat]) {
+/// Record per-worker busy times, each ending at `end`, as child spans of
+/// the currently open stage (or `under` a completed one) and feed the
+/// worker histogram / straggler counter.
+fn record_workers(
+    rec: &TraceRecorder,
+    obs: &ObsHandle,
+    workers: &[WorkerStat],
+    under: Option<SpanId>,
+    end: Timestamp,
+) {
     let hist = obs.metrics.histogram(name::EXEC_WORKER_MS);
     for w in workers {
-        let end = obs.clock.now();
         let start = Timestamp::from_nanos(end.nanos().saturating_sub(w.busy.as_nanos() as u64));
-        let id = rec.record_span("worker", start, end);
+        let id = rec.record_span_under(under, "worker", start, end);
         rec.attr(id, "worker", w.worker);
         rec.attr(id, "items", w.items);
         hist.record(w.busy);
@@ -555,14 +592,14 @@ fn record_chain_ops(
 }
 
 /// Record one `op:` span for the plan node named `name` (e.g. the
-/// `Aggregate` driving the point-estimate stage), spanning
-/// `[start, now]` inside the currently open stage span. Returns `None`
+/// `Aggregate` driving the point-estimate stage) over `span`, inside the
+/// currently open stage span or `under` a closed one. Returns `None`
 /// without recording when the plan has no such node (engines running
 /// unrewritten plans simply skip those operators).
 fn record_plan_op(
     rec: &TraceRecorder,
-    clock: &Clock,
-    start: Timestamp,
+    (start, end): (Timestamp, Timestamp),
+    under: Option<SpanId>,
     plan: &LogicalPlan,
     name: &str,
     rows_in: u64,
@@ -572,7 +609,7 @@ fn record_plan_op(
         .nodes_preorder()
         .into_iter()
         .find(|(_, n)| n.op_name() == name)?;
-    let id = rec.record_span(&format!("op:{name}"), start, clock.now());
+    let id = rec.record_span_under(under, &format!("op:{name}"), start, end);
     rec.attr(id, "node_id", node_id);
     rec.attr(id, "detail", node.describe());
     rec.attr(id, "rows_in", rows_in);
@@ -663,7 +700,7 @@ impl Subsamples<'_> {
     }
 
     /// Algorithm 1 over the collected data, around `theta_s` = θ(S).
-    fn diagnose(&self, theta_s: f64) -> aqp_diagnostics::DiagnosticReport {
+    fn diagnose(&self, theta_s: f64) -> DiagnosticReport {
         diagnose(
             theta_s,
             self.cfg,
@@ -913,10 +950,14 @@ mod tests {
         let ids: Vec<usize> =
             ops.iter().map(|s| s.attr("node_id").unwrap().parse().unwrap()).collect();
         assert!(ids.windows(2).all(|w| w[1] < w[0]), "ids not descending: {ids:?}");
-        // The error-estimate op carries the attributed resample count
-        // (one bootstrap job × K = 20), the resample op its weight count.
+        // The error-estimate op carries the resamples it drew (one
+        // bootstrap job × K = 20, none if the diagnostic refused the cell,
+        // which then counts as skipped), the resample op its weight count.
         let err = ops.iter().find(|s| s.name == "op:ErrorEstimate").unwrap();
-        assert_eq!(err.attr("resamples"), Some("20"));
+        let refused = approx.scalar().unwrap().refused();
+        assert_eq!(err.attr("resamples"), Some(if refused { "0" } else { "20" }));
+        assert_eq!(err.attr("skipped_refused"), Some(if refused { "1" } else { "0" }));
+        assert_eq!(err.attr("rows_in"), Some("1"));
         // The resample op's weight count: K=20 bootstrap + 2 levels × p=20
         // diagnostic columns (Fig. 6(a)).
         let rs = ops.iter().find(|s| s.name == "op:Resample").unwrap();
@@ -945,6 +986,52 @@ mod tests {
                 stage_span.duration()
             );
         }
+    }
+
+    /// A refused cell leaves the executor without bars; filled on demand,
+    /// they are the bars of a run that refuses nothing (no diagnostic, so
+    /// every bar computed inline) — per-stratum contexts included.
+    #[test]
+    fn refused_bars_filled_on_demand_are_the_inline_ones() {
+        let pop = population(100_000, 60);
+        let sample = sample_of(&pop, 24_000, 61);
+        let plan = plan_of("SELECT city, MAX(time), AVG(time) FROM sessions GROUP BY city", &pop);
+        let registry = UdfRegistry::default();
+        // Strata of their own sizes, as a stratified sample declares them.
+        let strata = ["NYC", "SF", "LA", "CHI"].iter().zip([6_100, 5_900, 6_050, 5_950]);
+        let group_contexts = strata.map(|(city, n)| (city.to_string(), (n, n * 4))).collect();
+        let opts = ApproxOptions {
+            seed: 62,
+            bootstrap_k: 30,
+            threads: 2,
+            group_contexts: Some(group_contexts),
+            ..Default::default()
+        };
+        let all = execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
+        let judged = opts.clone().with_scaled_diagnostic(24_000, 20);
+        let mut lazy = execute_approx(&plan, &sample, pop.num_rows(), &registry, &judged).unwrap();
+        let cells = |r: &ApproxResult| -> Vec<AggResult> {
+            r.groups.iter().flat_map(|g| g.aggs.clone()).collect()
+        };
+        let refused: Vec<bool> = cells(&lazy).iter().map(AggResult::refused).collect();
+        assert!(refused.iter().any(|r| *r) && !refused.iter().all(|r| *r), "{refused:?}");
+        for ((got, want), refused) in cells(&lazy).iter().zip(cells(&all)).zip(&refused) {
+            assert_eq!(got.estimate.to_bits(), want.estimate.to_bits());
+            let skipped = (None, MethodUsed::None);
+            assert_eq!((got.ci, got.method), if *refused { skipped } else { (want.ci, want.method) });
+        }
+        let span = lazy.trace.find(stage::ERROR_ESTIMATION).unwrap();
+        let skipped = refused.iter().filter(|r| **r).count();
+        assert_eq!(span.attr("skipped_refused"), Some(skipped.to_string().as_str()));
+        assert_eq!(span.attr("jobs"), Some((8 - skipped).to_string().as_str()));
+
+        let (filled, resamples) = lazy.fill_refused_bars(&judged);
+        assert_eq!(filled, skipped);
+        assert!(resamples > 0 && resamples % 30 == 0, "{resamples}");
+        for (got, want) in cells(&lazy).iter().zip(cells(&all)) {
+            assert_eq!((got.ci, got.method), (want.ci, want.method), "{}", got.name);
+        }
+        assert_eq!(lazy.fill_refused_bars(&judged), (0, 0));
     }
 
     /// What the verdict-first order rests on: ξ(level, j) is a function

@@ -16,7 +16,9 @@
 //! * [`theta`] — prepared query estimators θ, including the nested
 //!   two-level aggregates of QSet-2, with weighted (resample) evaluation.
 //! * [`engine`] — the optimized executor (`execute_approx`): point
-//!   estimate + bootstrap/closed-form error + diagnostic from one pass.
+//!   estimate + diagnostic + bootstrap/closed-form error from one pass;
+//!   the diagnostic runs first and the bars of a result it refuses are
+//!   computed only on demand (`ApproxResult::fill_refused_bars`).
 //! * [`baseline`] — the §5.2 naive executor: one physical re-scan per
 //!   bootstrap subquery and per diagnostic subquery, kept as the measured
 //!   baseline for the Fig. 7/8 experiments.
@@ -27,8 +29,10 @@
 //!
 //! Every `execute_approx` call records an `aqp_obs::QueryTrace` (scan →
 //! point estimate → error estimation → diagnostics → assemble, with
-//! per-worker child spans) returned in `ApproxResult::trace`; timing
-//! reads the clock in `ApproxOptions::obs` so tests can use a mock.
+//! per-worker child spans: plan order, leaf to root — the diagnostics
+//! span starts before the error-estimation one) returned in
+//! `ApproxResult::trace`; timing reads the clock in `ApproxOptions::obs`
+//! so tests can use a mock.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use aqp_diagnostics::DiagnosticReport;
+use aqp_diagnostics::{Decision, DiagnosticReport};
 use aqp_obs::trace::stage;
 use aqp_obs::QueryTrace;
 use aqp_stats::ci::Ci;
@@ -101,11 +101,33 @@ pub struct AggResult {
 }
 
 impl AggResult {
+    /// Whether the diagnostic ran and refused this result. The executor
+    /// computes no error bars for a refused result; whoever still wants
+    /// them asks with [`ApproxResult::fill_refused_bars`].
+    pub fn refused(&self) -> bool {
+        refused(&self.diagnostic)
+    }
+
+    /// For a refused result, why it has no error bars — `refused
+    /// (Proportion, level 2)` names the check that decided and its level.
+    pub fn bars_not_computed(&self) -> Option<String> {
+        match &self.diagnostic.as_ref()?.decision {
+            Decision::Accepted => None,
+            Decision::Failed { criterion, level } => Some(format!("refused ({criterion:?}, level {level})")),
+            Decision::Refused(why) => Some(format!("refused ({why})")),
+        }
+    }
+
     /// §4's end decision: error bars may be shown iff a CI exists and the
     /// diagnostic (if run) accepted.
     pub fn error_bars_reliable(&self) -> bool {
         self.ci.is_some() && self.diagnostic.as_ref().map(|d| d.accepted).unwrap_or(true)
     }
+}
+
+/// Whether a cell's diagnostic ran and said no.
+pub(crate) fn refused(diagnostic: &Option<DiagnosticReport>) -> bool {
+    diagnostic.as_ref().is_some_and(|d| !d.accepted)
 }
 
 /// One group's results.
@@ -133,6 +155,10 @@ pub struct ApproxResult {
     /// Present when injected faults shrank the sample: how much was
     /// lost and the factor every CI half-width was widened by.
     pub degraded: Option<aqp_faults::DegradedInfo>,
+    /// What the bars of refused results would be computed from, until
+    /// [`fill_refused_bars`](ApproxResult::fill_refused_bars) uses it up
+    /// or the caller drops it (`None` from the §5.2 baseline).
+    pub bar_inputs: Option<crate::engine::BarInputs>,
 }
 
 impl ApproxResult {
@@ -226,6 +252,14 @@ mod tests {
         let mut no_ci = base.clone();
         no_ci.ci = None;
         assert!(!no_ci.error_bars_reliable());
+        assert!(!no_ci.refused() && no_ci.bars_not_computed().is_none());
+        // A refused result says which check refused it.
+        let decision =
+            Decision::Failed { criterion: aqp_diagnostics::Criterion::Proportion, level: 2 };
+        let report = DiagnosticReport { levels: Vec::new(), decision, accepted: false };
+        let refused = AggResult { diagnostic: Some(report), ..no_ci };
+        assert!(refused.refused() && !refused.error_bars_reliable());
+        assert_eq!(refused.bars_not_computed().as_deref(), Some("refused (Proportion, level 2)"));
     }
 
     #[test]

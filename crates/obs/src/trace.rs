@@ -268,8 +268,24 @@ impl TraceRecorder {
     /// Attach a completed leaf span (e.g. a worker's task timing)
     /// under the currently open span.
     pub fn record_span(&self, name: &str, start: Timestamp, end: Timestamp) -> SpanId {
+        self.record_span_under(None, name, start, end)
+    }
+
+    /// Attach a completed span under `parent`, itself open or completed
+    /// (`None`: under the currently open span). This is how a stage that
+    /// did not run in the order it is recorded in — the engine's
+    /// diagnostic, which runs before error estimation and sits above it in
+    /// the plan — goes on record whole: the stage with `record_span`, then
+    /// its workers and its operator under it.
+    pub fn record_span_under(
+        &self,
+        parent: Option<SpanId>,
+        name: &str,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> SpanId {
         let mut st = self.lock();
-        let parent = st.open.last().copied();
+        let parent = parent.map(|p| p.0).or_else(|| st.open.last().copied());
         let idx = st.spans.len();
         st.spans.push(Span {
             name: name.to_string(),
@@ -448,6 +464,35 @@ mod tests {
         let t = rec.finish();
         assert_eq!(t.spans[1].parent, Some(0));
         assert_eq!(t.spans[1].duration(), Duration::from_millis(2));
+    }
+
+    #[test]
+    fn record_span_under_attaches_to_a_completed_stage() {
+        let clock = Clock::mock();
+        let rec = TraceRecorder::new(clock.clone());
+        // The diagnostic runs first ...
+        let ran_from = clock.now();
+        adv(&clock, 2);
+        let ran_to = clock.now();
+        // ... and goes on record after the stage below it in the plan.
+        let live = rec.start(stage::ERROR_ESTIMATION);
+        adv(&clock, 1);
+        rec.record_span("op:ErrorEstimate", ran_to, clock.now());
+        rec.end(live);
+        let late = rec.record_span(stage::DIAGNOSTICS, ran_from, ran_to);
+        rec.record_span_under(Some(late), "worker", ran_from, ran_to);
+        rec.record_span_under(Some(late), "op:Diagnostic", ran_from, ran_to);
+        let t = rec.finish();
+        let names: Vec<&str> = t.spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["error_estimation", "op:ErrorEstimate", "diagnostics", "worker", "op:Diagnostic"]
+        );
+        let parents: Vec<Option<usize>> = t.spans.iter().map(|s| s.parent).collect();
+        assert_eq!(parents, [None, Some(0), None, Some(2), Some(2)]);
+        assert!(t.spans[2].start_ns < t.spans[0].start_ns);
+        assert_eq!(t.stage_duration(stage::DIAGNOSTICS), Some(Duration::from_millis(2)));
+        assert_eq!(t.total(), Duration::from_millis(3));
     }
 
     #[test]

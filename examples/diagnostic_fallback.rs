@@ -41,6 +41,9 @@ fn run(session: &AqpSession, sql: &str) {
                 r.estimate,
                 elapsed
             );
+            if let Some(why) = r.bars_not_computed() {
+                println!("      bars not computed: {why}");
+            }
             explain(r.diagnostic.as_ref());
         }
         AnswerMode::Exact => println!("    exact: {:.4}", r.estimate),

@@ -321,3 +321,102 @@ fn sink_dropped_lines_absent_without_log_and_exact_with_rotation() {
         "dropped ({dropped}) + surviving ({surviving}) must equal lines written ({total_lines})"
     );
 }
+
+/// A session whose diagnostic refuses most of what it is asked: MAX over
+/// the Pareto tail, alone and per country next to a benign AVG (a partial
+/// fallback). Returns the answers, each rendered as bit patterns, with
+/// whether its trace shows refused bars computed for the auditor.
+fn refusing_workload(obs: ObsHandle, sample_rate: f64) -> (AqpSession, Vec<(String, bool)>) {
+    let s = AqpSession::new(SessionConfig {
+        seed: 3,
+        threads: 1,
+        bootstrap_k: 40,
+        diagnostic_p: 50,
+        obs,
+        audit: Some(AuditConfig {
+            sample_rate,
+            seed: 11,
+            column_families: vec![("payload_kb".into(), "pareto".into())],
+            ..Default::default()
+        }),
+        ..Default::default()
+    });
+    s.register_table(facebook_events_table(20_000, 4, 2)).unwrap();
+    s.build_samples("events", &[4_000], 7).unwrap();
+    let mut answers = Vec::new();
+    for i in 0..12 {
+        let sql = match i % 2 {
+            0 => "SELECT MAX(payload_kb) FROM events",
+            _ => "SELECT country, MAX(payload_kb), AVG(score) FROM events GROUP BY country",
+        };
+        let a = s.execute(sql).unwrap();
+        assert!(a.fell_back, "{sql}: {}", a.summary());
+        let stage_attr = |stage: &str, key: &str| -> Option<u64> {
+            a.trace.find(stage)?.attr(key)?.parse().ok()
+        };
+        // The executor left the refused cells without bars ...
+        let skipped = stage_attr(stage::ERROR_ESTIMATION, "skipped_refused").unwrap();
+        assert!(skipped >= 1, "{sql}: nothing was refused");
+        // ... and the gate filled exactly those, or none at all.
+        let filled = stage_attr(stage::RELIABILITY_GATE, "audit_bars_jobs");
+        assert!(filled.is_none() || filled == Some(skipped), "{sql}: {filled:?} of {skipped}");
+        if i % 2 == 0 {
+            // One bootstrap cell: K resamples, drawn for the auditor or never.
+            assert_eq!(stage_attr(stage::ERROR_ESTIMATION, "resamples"), Some(0));
+            let drawn = stage_attr(stage::RELIABILITY_GATE, "audit_bars_resamples");
+            assert_eq!(drawn, filled.map(|_| 40), "{sql}");
+        }
+        let cells: Vec<String> = a
+            .groups
+            .iter()
+            .flat_map(|g| g.aggs.iter().map(move |r| (g, r)))
+            .map(|(g, r)| {
+                let ci = r.ci.map(|c| (c.center.to_bits(), c.half_width.to_bits()));
+                format!("{} {} {:x} {ci:?} {:?}", g.key, r.name, r.estimate.to_bits(), r.method)
+            })
+            .collect();
+        answers.push((cells.join("\n"), filled.is_some()));
+    }
+    (s, answers)
+}
+
+/// `aqp.audit.*` of `refusing_workload(_, 1.0)` at the commit before bars
+/// were lazy, which computed every bar of every query: 192 refused cells
+/// (84 whose bars missed the truth, 108 whose bars covered it), 6 accepted.
+const PARENT_TRUE_REJECTS: u64 = 84;
+const PARENT_FALSE_NEGATIVES: u64 = 108;
+const PARENT_TRUE_ACCEPTS: u64 = 6;
+const PARENT_FALSE_POSITIVES: u64 = 0;
+const PARENT_SCORED: u64 = 198;
+
+#[test]
+fn a_selected_query_scores_its_refused_cells_in_the_reject_row() {
+    let obs = ObsHandle::isolated(Clock::mock());
+    let (s, answers) = refusing_workload(obs.clone(), 1.0);
+    assert!(answers.iter().all(|(_, filled)| *filled), "rate 1.0 audits every query");
+    let r = s.audit_report().unwrap();
+    assert_eq!((r.considered, r.audited), (12, 12));
+    // The Fig. 4 reject row, as the commit before bars were lazy scored it
+    // (it computed every bar for every query).
+    let snap = obs.metrics.snapshot();
+    let count = |name| snap.counter(name).unwrap_or(0);
+    assert_eq!(count(name::AUDIT_TRUE_REJECTS), PARENT_TRUE_REJECTS);
+    assert_eq!(count(name::AUDIT_FALSE_NEGATIVES), PARENT_FALSE_NEGATIVES);
+    assert_eq!(count(name::AUDIT_TRUE_ACCEPTS), PARENT_TRUE_ACCEPTS);
+    assert_eq!(count(name::AUDIT_FALSE_POSITIVES), PARENT_FALSE_POSITIVES);
+    assert_eq!(count(name::AUDIT_RESULTS_SCORED), PARENT_SCORED);
+}
+
+#[test]
+fn an_unselected_query_never_computes_its_refused_bars() {
+    let (s, answers) = refusing_workload(ObsHandle::isolated(Clock::mock()), 0.4);
+    let r = s.audit_report().unwrap();
+    let filled = answers.iter().filter(|(_, filled)| *filled).count() as u64;
+    assert_eq!((r.considered, r.audited), (12, filled), "a fill per selected query, no other");
+    assert!(0 < filled && filled < 12, "the seed must leave both kinds: {filled}");
+    // Audited or not, the caller gets the same answer: the bars computed
+    // for the auditor stay with the auditor.
+    let (_, all_audited) = refusing_workload(ObsHandle::isolated(Clock::mock()), 1.0);
+    let served = |a: &[(String, bool)]| a.iter().map(|(cells, _)| cells.clone()).collect::<Vec<_>>();
+    assert_eq!(served(&answers), served(&all_audited));
+}

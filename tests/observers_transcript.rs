@@ -10,7 +10,13 @@
 //!
 //! The golden file was recorded by the commit *before* `observers.rs`
 //! existed; a refactor of how the session drives its observers must
-//! reproduce it unchanged. On a mismatch the test writes what it got to
+//! reproduce it unchanged. It has been re-recorded once since, when the
+//! executor stopped computing the error bars of diagnostic-refused results
+//! (EXPERIMENTS.md "Bars on demand" lists the 97 lines that moved, by
+//! class: `error_estimation` / `op:ErrorEstimate` / worker / gate span
+//! attributes, two cumulative-profile rows and the one telemetry answer
+//! that averages `rows_out`; every other answer line is the original's).
+//! On a mismatch the test writes what it got to
 //! `target/observers_transcript.actual.txt` for `diff`.
 
 use reliable_aqp::audit::AuditConfig;

@@ -53,10 +53,17 @@ fn profile_covers_the_plan_with_rows_and_workers() {
     for op in ["Scan", "Filter", "Resample", "Aggregate", "ErrorEstimate"] {
         assert!(names.contains(op), "missing {op} in {names:?}");
     }
-    // Every operator moved rows.
+    // Every operator moved rows; `ErrorEstimate` puts out one per bar it
+    // computed and counts the cells the diagnostic refused apart.
     for n in &nodes {
+        let skipped = n.extra.iter().find(|(k, _)| k == "skipped_refused");
+        let skipped: u64 = skipped.map_or(0, |(_, v)| v.parse().expect("a count"));
+        match n.name.as_str() {
+            "ErrorEstimate" => assert_eq!(n.rows_out + skipped, n.rows_in, "{n:?}"),
+            _ => assert_eq!(skipped, 0, "{n:?}"),
+        }
         assert!(
-            n.rows_in > 0 && n.rows_out > 0,
+            n.rows_in > 0 && n.rows_out + skipped > 0,
             "operator {} (#{}) has zero rows",
             n.name,
             n.node_id

@@ -1197,6 +1197,7 @@ proptest! {
         };
         use reliable_aqp::exec::UdfRegistry;
         use reliable_aqp::stats::bootstrap::bootstrap_replicates;
+        let _counter = RESAMPLE_COUNTER.lock().unwrap_or_else(|p| p.into_inner());
 
         let (n, n_codes, k_choice, special) = shape;
         let k = [1, 7, 100][k_choice];
@@ -1685,6 +1686,274 @@ proptest! {
             } else {
                 prop_assert!(report.mean_deviation.is_nan() && report.relative_spread.is_nan());
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bars on demand: `execute_approx` asks the diagnostic first and computes
+// the error bars of the cells it accepted; the refused cells' bars wait
+// for `ApproxResult::fill_refused_bars`. The reference is the order the
+// engine ran before — stage 3, ξ over the whole range of *every* cell,
+// then stage 4, Algorithm 1 per cell — rebuilt here from `collect`, the
+// prepared θs, the stats-level intervals and the diagnostic driver, with
+// nothing of `exec::engine` in it.
+// ---------------------------------------------------------------------
+
+/// Held by every test here that draws bootstrap resamples: they all count
+/// on the one process-wide `aqp.stats.bootstrap_resamples`, and
+/// `lazy_bars_match_the_eager_pipeline` asserts exact deltas of it.
+static RESAMPLE_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn resamples_drawn() -> u64 {
+    reliable_aqp::obs::MetricsRegistry::global()
+        .counter(reliable_aqp::obs::name::STATS_BOOTSTRAP_RESAMPLES)
+        .get()
+}
+
+mod eager_pipeline {
+    use reliable_aqp::diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
+    use reliable_aqp::exec::collect::collect_observed_faulty;
+    use reliable_aqp::exec::engine::MethodChoice;
+    use reliable_aqp::exec::result::MethodUsed;
+    use reliable_aqp::exec::theta::{
+        bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta,
+    };
+    use reliable_aqp::exec::{ApproxOptions, ExecError, UdfRegistry};
+    use reliable_aqp::faults::FaultInjector;
+    use reliable_aqp::obs::Clock;
+    use reliable_aqp::sql::LogicalPlan;
+    use reliable_aqp::stats::ci::Ci;
+    use reliable_aqp::stats::estimator::SampleContext;
+    use reliable_aqp::stats::rng::SeedStream;
+    use reliable_aqp::storage::Table;
+
+    /// One (group, aggregate) cell of the eager pipeline: it always has
+    /// its bars, whatever the verdict.
+    #[derive(Debug)]
+    pub struct Cell {
+        pub key: String,
+        pub estimate: f64,
+        pub ci: Option<Ci>,
+        pub method: MethodUsed,
+        pub report: DiagnosticReport,
+    }
+
+    pub struct Eager {
+        pub cells: Vec<Cell>,
+        /// Resamples drawn by stage 3 and by stage 4.
+        pub bar_resamples: u64,
+        pub ladder_resamples: u64,
+    }
+
+    /// ξ as `MethodChoice::Auto` picks it: the closed form when there is
+    /// one, else K resamples from `seeds.rng(label)`.
+    fn xi(
+        bound: &mut BoundTheta<'_>,
+        center: f64,
+        opts: &ApproxOptions,
+        seeds: &SeedStream,
+        label: u64,
+    ) -> (Option<Ci>, MethodUsed) {
+        assert_eq!(opts.method, MethodChoice::Auto);
+        if let Some(ci) = closed_form_ci_prepared(bound, opts.alpha) {
+            return (Some(ci), MethodUsed::ClosedForm);
+        }
+        let mut rng = seeds.rng(label);
+        match bootstrap_ci_prepared(&mut rng, bound, center, opts.bootstrap_k, opts.alpha) {
+            Some(ci) => (Some(ci), MethodUsed::Bootstrap),
+            None => (None, MethodUsed::None),
+        }
+    }
+
+    /// Stage 3 for every cell, then stage 4 for every cell, on a uniform
+    /// sample. `Err` is the scan's typed refusal.
+    pub fn run(
+        plan: &LogicalPlan,
+        sample: &Table,
+        population_rows: usize,
+        registry: &UdfRegistry,
+        opts: &ApproxOptions,
+        cfg: &DiagnosticConfig,
+    ) -> Result<Eager, ExecError> {
+        let injector = opts.faults.as_ref().map(FaultInjector::new);
+        let (collected, _, faults) =
+            collect_observed_faulty(plan, sample, 1, &Clock::mock(), injector.as_ref())?;
+        let degraded = faults.filter(|f| f.degraded());
+        let widen = degraded.as_ref().map_or(1.0, |f| f.widen_factor());
+        // A degraded run judges the sample that survived.
+        let mut cfg = cfg.clone();
+        if let Some(f) = degraded.as_ref().filter(|f| f.planned_rows > 0) {
+            let ratio = f.effective_rows as f64 / f.planned_rows as f64;
+            for b in &mut cfg.subsample_rows {
+                *b = ((*b as f64 * ratio).round() as usize).max(1);
+            }
+            cfg.subsample_rows.dedup();
+        }
+        let rows = collected.pre_filter_rows;
+        let ctx = SampleContext::new(rows, population_rows);
+        let seeds = SeedStream::new(opts.seed);
+        let thetas: Vec<PreparedTheta> = collected
+            .agg_exprs
+            .iter()
+            .map(|a| PreparedTheta::prepare(a, collected.inner_agg.as_ref(), registry))
+            .collect::<Result<_, _>>()?;
+
+        let before = super::resamples_drawn();
+        let mut cells = Vec::new();
+        for (gi, g) in collected.groups.iter().enumerate() {
+            for (ai, data) in g.aggs.iter().enumerate() {
+                let mut whole = thetas[ai].bind(data, 0..data.values.len(), &ctx);
+                let estimate = whole.estimate();
+                let job_seeds = seeds.derive(0xC1).derive((gi * 64 + ai) as u64);
+                let (mut ci, method) = xi(&mut whole, estimate, opts, &job_seeds, 0);
+                if let Some(ci) = ci.as_mut().filter(|_| widen > 1.0) {
+                    *ci = Ci::new(ci.center, ci.half_width * widen, ci.confidence);
+                }
+                cells.push((g.key.clone(), estimate, ci, method));
+            }
+        }
+        let bars_done = super::resamples_drawn();
+
+        let mut out = Vec::with_capacity(cells.len());
+        let mut cells = cells.into_iter();
+        for (gi, g) in collected.groups.iter().enumerate() {
+            for (ai, data) in g.aggs.iter().enumerate() {
+                let (key, estimate, ci, method) = cells.next().expect("one per cell");
+                let job_seeds = seeds.derive(0xD1).derive((gi * 64 + ai) as u64);
+                let report = diagnose(
+                    estimate,
+                    &cfg,
+                    |level, j| {
+                        let b = cfg.subsample_rows[level];
+                        let range = data.range_for_rows(j * b, (j + 1) * b, rows);
+                        let sub = SampleContext::new(b.max(1), population_rows);
+                        let mut bound = thetas[ai].bind(data, range, &sub);
+                        (bound.estimate(), bound)
+                    },
+                    |level, j, theta_hat, mut bound| {
+                        let level_seeds = job_seeds.derive(level as u64);
+                        let (ci, _) = xi(&mut bound, theta_hat, opts, &level_seeds, j as u64);
+                        ci.map_or(f64::NAN, |ci| ci.half_width)
+                    },
+                );
+                out.push(Cell { key, estimate, ci, method, report });
+            }
+        }
+        Ok(Eager {
+            cells: out,
+            bar_resamples: bars_done - before,
+            ladder_resamples: super::resamples_drawn() - bars_done,
+        })
+    }
+}
+
+const LAZY_BAR_QUERIES: &[&str] = &[
+    "SELECT AVG(time) FROM sessions{}",
+    "SELECT SUM(bytes), COUNT(*) FROM sessions{}",
+    "SELECT VARIANCE(time), STDDEV(bitrate) FROM sessions{}",
+    "SELECT MAX(time) FROM sessions{}",
+    "SELECT PERCENTILE(time, 90), MIN(bitrate) FROM sessions{}",
+    "SELECT trimmed_mean(time) FROM sessions{}",
+    "SELECT AVG(s) FROM (SELECT SUM(time) AS s FROM sessions{} GROUP BY user_id)",
+    "SELECT city, AVG(time), MAX(bitrate) FROM sessions{} GROUP BY city",
+];
+
+const LAZY_BAR_FILTERS: &[&str] =
+    &["", " WHERE is_mobile = true", " WHERE bitrate > 1200", " WHERE time < 60 AND buffer_ratio < 0.5"];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// The lazy order gives what the eager one gave: every cell's estimate
+    /// and report; the bars of every cell the diagnostic did not refuse,
+    /// bit for bit; no bars on a refused cell until they are asked for, and
+    /// then the eager pipeline's — interval, method and widen factor — bit
+    /// for bit. It draws exactly the resamples of the ladder and of the
+    /// bars it computed, and the fill exactly those of the bars it skipped.
+    #[test]
+    fn lazy_bars_match_the_eager_pipeline(
+        query in (0usize..LAZY_BAR_QUERIES.len(), 0usize..LAZY_BAR_FILTERS.len()),
+        seeds in (0u64..8, 0u64..1_000),
+        four_threads in any::<bool>(),
+        fault_seed in prop::option::of(0u64..1_000),
+        p in 8usize..17,
+    ) {
+        use reliable_aqp::diagnostics::DiagnosticConfig;
+        use reliable_aqp::exec::result::MethodUsed;
+        use reliable_aqp::exec::{execute_approx, ApproxOptions, ExecError, UdfRegistry};
+        use reliable_aqp::obs::{Clock, ObsHandle};
+        use reliable_aqp::sql::plan_query;
+        use reliable_aqp::workload::conviva_sessions_table;
+
+        const POPULATION_ROWS: usize = 80_000;
+        const K: usize = 24;
+        let sql = LAZY_BAR_QUERIES[query.0].replace("{}", LAZY_BAR_FILTERS[query.1]);
+        let sample = conviva_sessions_table(4_000, 8, seeds.0);
+        let plan = plan_query(&parse_query(&sql).unwrap(), sample.schema()).unwrap();
+        let registry = UdfRegistry::default();
+        let cfg = DiagnosticConfig::scaled_to(4_000, p);
+        let faults = fault_seed.map(|seed| {
+            fault_config_from((seed, 0.15, 0.0, 0.0), (0.4, 0.5, 0.0), (0, false))
+        });
+        let opts = ApproxOptions {
+            seed: seeds.1,
+            bootstrap_k: K,
+            threads: if four_threads { 4 } else { 1 },
+            diagnostic: Some(cfg.clone()),
+            obs: ObsHandle::isolated(Clock::mock()),
+            faults,
+            ..Default::default()
+        };
+
+        let _counter = RESAMPLE_COUNTER.lock().unwrap_or_else(|p| p.into_inner());
+        let eager = eager_pipeline::run(&plan, &sample, POPULATION_ROWS, &registry, &opts, &cfg);
+        let before = resamples_drawn();
+        let lazy = execute_approx(&plan, &sample, POPULATION_ROWS, &registry, &opts);
+        let lazy_drew = resamples_drawn() - before;
+        let both = match (eager, lazy) {
+            (Ok(e), Ok(l)) => Some((e, l)),
+            // Every partition lost: both orders refuse alike.
+            (Err(ExecError::Unrecoverable(_)), Err(ExecError::Unrecoverable(_))) => None,
+            (e, l) => panic!("{sql}: eager {:?} vs lazy {:?}", e.map(|e| e.cells), l.map(|l| l.groups)),
+        };
+        if let Some((eager, mut lazy)) = both {
+            let cells = |r: &reliable_aqp::exec::ApproxResult| -> Vec<(String, reliable_aqp::exec::AggResult)> {
+                r.groups.iter().flat_map(|g| g.aggs.iter().map(|a| (g.key.clone(), a.clone()))).collect()
+            };
+            let served = cells(&lazy);
+            prop_assert_eq!(served.len(), eager.cells.len(), "{}", &sql);
+            let (mut kept_bootstrap, mut refused_bootstrap) = (0u64, 0u64);
+            for ((key, got), want) in served.iter().zip(&eager.cells) {
+                prop_assert_eq!(key, &want.key);
+                prop_assert_eq!(got.estimate.to_bits(), want.estimate.to_bits(), "{} {}", &sql, key);
+                let report = got.diagnostic.as_ref().expect("the diagnostic ran");
+                prop_assert_eq!(format!("{report:?}"), format!("{:?}", want.report), "{} {}", &sql, key);
+                if report.accepted {
+                    prop_assert_eq!(ci_bits(got.ci), ci_bits(want.ci), "{} {}", &sql, key);
+                    prop_assert_eq!(got.method, want.method);
+                    kept_bootstrap += u64::from(want.method == MethodUsed::Bootstrap);
+                } else {
+                    prop_assert!(got.refused() && got.ci.is_none() && got.method == MethodUsed::None,
+                        "{sql} {key}: a refused cell left the executor with {:?} {:?}", got.ci, got.method);
+                    refused_bootstrap += u64::from(want.method == MethodUsed::Bootstrap);
+                }
+            }
+            // Resamples: K per bootstrap job, counted where they are drawn.
+            prop_assert_eq!(eager.bar_resamples, (kept_bootstrap + refused_bootstrap) * K as u64);
+            prop_assert_eq!(lazy_drew, eager.ladder_resamples + kept_bootstrap * K as u64, "{}", &sql);
+
+            let before = resamples_drawn();
+            let refused = served.iter().filter(|(_, a)| a.refused()).count();
+            prop_assert_eq!(lazy.fill_refused_bars(&opts), (refused, (refused_bootstrap * K as u64) as usize));
+            prop_assert_eq!(resamples_drawn() - before, refused_bootstrap * K as u64, "{}", &sql);
+            for ((key, got), want) in cells(&lazy).iter().zip(&eager.cells) {
+                prop_assert_eq!(ci_bits(got.ci), ci_bits(want.ci), "{} {} after the fill", &sql, key);
+                prop_assert_eq!(got.method, want.method);
+            }
+            // Nothing is left to fill, and nothing more is drawn.
+            prop_assert_eq!(lazy.fill_refused_bars(&opts), (0, 0));
+            prop_assert_eq!(resamples_drawn() - before, refused_bootstrap * K as u64);
         }
     }
 }
