@@ -21,7 +21,7 @@ use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
 use crate::collect::collect;
-use crate::engine::{ApproxOptions, MethodChoice};
+use crate::engine::{prepare_thetas, ApproxOptions, MethodChoice, MAX_AGGREGATES};
 use crate::result::{refused, AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
@@ -47,11 +47,7 @@ pub fn execute_baseline(
     let scan_span = rec.start(stage::SCAN_COLLECT);
     let collected = collect(plan, sample, opts.threads)?;
     let ctx = SampleContext::new(collected.pre_filter_rows, population_rows);
-    let thetas: Vec<PreparedTheta> = collected
-        .agg_exprs
-        .iter()
-        .map(|a| PreparedTheta::prepare(a, collected.inner_agg.as_ref(), registry))
-        .collect::<Result<Vec<_>>>()?;
+    let thetas = prepare_thetas(&collected, registry)?;
     let estimates: Vec<Vec<f64>> = collected
         .groups
         .iter()
@@ -73,7 +69,7 @@ pub fn execute_baseline(
         .map(|gi| {
             let judge = |(ai, theta)| {
                 let cfg = opts.diagnostic.as_ref()?;
-                let job_seeds = seeds.derive(0xD1A6).derive((gi * 64 + ai) as u64);
+                let job_seeds = seeds.derive(0xD1A6).derive((gi * MAX_AGGREGATES + ai) as u64);
                 Some(naive_diagnostic(
                     plan, sample, gi, ai, theta, estimates[gi][ai], &ctx, cfg, opts, job_seeds,
                 ))
@@ -114,7 +110,7 @@ pub fn execute_baseline(
             }
             // Naive bootstrap: K subqueries, each a full re-scan of the
             // sample followed by a weighted aggregation of what it found.
-            let mut rng = seeds.derive(0xBA5E).rng((gi * 64 + ai) as u64);
+            let mut rng = seeds.derive(0xBA5E).rng((gi * MAX_AGGREGATES + ai) as u64);
             let rows = collected.groups[gi].aggs[ai].values.len();
             let mut scan_error = None;
             let subquery = &mut |weights: &[u32]| match collect(plan, sample, opts.threads) {
@@ -140,6 +136,7 @@ pub fn execute_baseline(
     rec.end(err_span);
 
     let asm_span = rec.start(stage::ASSEMBLE);
+    let names: Vec<String> = collected.agg_exprs.iter().map(|a| a.to_string()).collect();
     let groups = collected
         .groups
         .iter()
@@ -151,11 +148,7 @@ pub fn execute_baseline(
                 .into_iter()
                 .enumerate()
                 .map(|(ai, diagnostic)| AggResult {
-                    name: collected
-                        .agg_exprs
-                        .get(ai)
-                        .map(|a| a.to_string())
-                        .unwrap_or_else(|| format!("agg{ai}")),
+                    name: names[ai].clone(),
                     estimate: estimates[gi][ai],
                     ci: cis[gi][ai].0,
                     method: cis[gi][ai].1,

@@ -23,7 +23,7 @@ use aqp_obs::Clock;
 use aqp_sql::ast::{AggExpr, AggFunc};
 use aqp_sql::expr::{eval, eval_selected, narrow};
 use aqp_sql::logical::LogicalPlan;
-use aqp_storage::{Batch, Column, Table};
+use aqp_storage::{Batch, Column, Table, Value};
 
 use crate::parallel::{parallel_map_observed, WorkerStat};
 use crate::{ExecError, Result};
@@ -285,93 +285,223 @@ fn run_chain<'a>(
     Ok((current, sel, deltas))
 }
 
-/// Render the composite group key of `row` from the key columns.
-fn render_key(batch: &Batch, key_cols: &[usize], row: usize) -> String {
-    let mut s = String::new();
-    for (j, &c) in key_cols.iter().enumerate() {
-        if j > 0 {
-            s.push('\u{1f}'); // unit separator keeps composite keys unambiguous
-        }
-        match batch.column(c).value(row) {
-            Ok(v) => {
-                use std::fmt::Write;
-                let _ = write!(s, "{v}");
-            }
-            Err(_) => s.push('?'),
-        }
-    }
-    s
+/// A key's string: its cells by `Value`'s `Display`, a unit separator
+/// between them to keep composite keys unambiguous.
+fn join_cells(cells: impl Iterator<Item = Value>) -> String {
+    use std::fmt::Write;
+    cells.enumerate().fold(String::new(), |mut key, (j, cell)| {
+        let _ = write!(key, "{}{cell}", if j > 0 { "\u{1f}" } else { "" });
+        key
+    })
 }
 
-/// The typed code of one key cell: dictionary code, integer or float
-/// bits, or bool; `None` for NULL. Equal codes render equal key strings.
+/// The canonical typed code of one key cell: dictionary code, integer or
+/// float bits (every NaN payload prints `NaN`, so they share one code), or
+/// bool; `None` for NULL. Equal codes render equal key strings, and on a
+/// column that is not a string column different codes render different
+/// ones.
 fn key_code(col: &Column, row: usize) -> Option<u64> {
     if col.is_null(row) {
         return None;
     }
     Some(match col {
         Column::Int { values, .. } => values[row] as u64,
-        Column::Float { values, .. } => values[row].to_bits(),
+        Column::Float { values, .. } => if values[row].is_nan() { f64::NAN } else { values[row] }.to_bits(),
         Column::Bool { values, .. } => u64::from(values[row]),
         Column::Str { codes, .. } => u64::from(codes[row]),
     })
 }
 
-/// Resolve the group of every selection entry on typed codes: a slot
-/// table indexed by dictionary code (or bool) for a single string (or
-/// boolean) key, a hash of the code tuple otherwise. A key string is
-/// rendered once per distinct typed key and groups are identified by
-/// that string, so codes that render alike (NaN payloads, a `'NULL'`
-/// string and NULL) share a group exactly as rendered keys always did.
-/// Returns the partition-local group id per entry and each group's key,
-/// in first-seen order.
-fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Vec<String>) {
-    let mut keys: Vec<String> = Vec::new();
-    let mut by_key: HashMap<String, u32> = HashMap::new();
+/// The value a [`key_code`] of `col` stands for; `None` for a string
+/// column, whose codes do not identify a key (`'NULL'` and NULL, duplicate
+/// dictionary entries, separators inside strings).
+fn decoder(col: &Column) -> Option<fn(u64) -> Value> {
+    match col {
+        Column::Int { .. } => Some(|code| Value::Int(code as i64)),
+        Column::Float { .. } => Some(|code| Value::Float(f64::from_bits(code))),
+        Column::Bool { .. } => Some(|code| Value::Bool(code != 0)),
+        Column::Str { .. } => None,
+    }
+}
+
+/// Distinct typed code tuples in first-seen order, found through an
+/// open-addressing table that is looked up and never iterated.
+struct CodeGroups {
+    /// Cells per tuple (key columns); at least one.
+    width: usize,
+    /// Group `g`'s tuple is `cells[g * width..][..width]`; `None` is NULL.
+    cells: Vec<Option<u64>>,
+    /// A group id per slot, `UNSEEN` where none: a power of two, at most
+    /// half full, probed linearly.
+    slots: Vec<u32>,
+}
+
+/// No group yet, in every table of group ids here.
+const UNSEEN: u32 = u32::MAX;
+
+impl CodeGroups {
+    fn new(width: usize) -> Self {
+        CodeGroups { width, cells: Vec::new(), slots: vec![UNSEEN; 16] }
+    }
+
+    fn len(&self) -> usize {
+        self.cells.len() / self.width
+    }
+
+    fn tuple(&self, g: usize) -> &[Option<u64>] {
+        &self.cells[g * self.width..][..self.width]
+    }
+
+    /// Where the probe for `key` starts: per cell, the high half folded
+    /// into the low one, then a Fibonacci multiply, of which the *top*
+    /// bits index the table. Every input bit reaches them; the low bits of
+    /// a bare multiply would put every float with a zero low mantissa
+    /// (1.5, 3.0, k·0.5) in one probe chain.
+    fn home(&self, key: &[Option<u64>]) -> usize {
+        let hash = key.iter().fold(0u64, |h, cell| {
+            let x = h ^ cell.unwrap_or(0x5851_F42D_4C95_7F2D); // NULL: any fixed word
+            (x ^ (x >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id of `key`'s group, the next free one when it is new.
+    fn id_of(&mut self, key: &[Option<u64>]) -> u32 {
+        if self.cells.len() * 2 >= self.slots.len() * self.width {
+            // Double the table and seat every tuple again, in id order.
+            self.slots = vec![UNSEEN; self.slots.len() * 2];
+            for tuple in std::mem::take(&mut self.cells).chunks(self.width) {
+                self.id_of(tuple);
+            }
+        }
+        let mut at = self.home(key);
+        while self.slots[at] != UNSEEN && self.tuple(self.slots[at] as usize) != key {
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        if self.slots[at] == UNSEEN {
+            self.slots[at] = self.len() as u32;
+            self.cells.extend_from_slice(key);
+        }
+        self.slots[at]
+    }
+}
+
+/// The distinct group keys of one scan — a partition's, or in `merge` all
+/// partitions' — in first-seen order, and what identifies a group.
+enum Keys {
+    /// The rendered string: the key holds a `Str` column (or no column).
+    Rendered(Vec<String>, HashMap<String, u32>),
+    /// The typed code tuple, with what renders each cell. No string
+    /// exists until [`Keys::into_rendered`] — for a nested plan's inner
+    /// keys, never.
+    Typed(Vec<fn(u64) -> Value>, CodeGroups),
+}
+
+impl Keys {
+    fn len(&self) -> usize {
+        match self {
+            Keys::Rendered(keys, _) => keys.len(),
+            Keys::Typed(_, groups) => groups.len(),
+        }
+    }
+
+    /// An empty set that identifies groups the way `self` does.
+    fn like(&self) -> Keys {
+        match self {
+            Keys::Rendered(..) => Keys::Rendered(Vec::new(), HashMap::new()),
+            Keys::Typed(decode, groups) => Keys::Typed(decode.clone(), CodeGroups::new(groups.width)),
+        }
+    }
+
+    /// The id of the group rendered `key`, the next free one when new
+    /// (only then is the string copied).
+    fn intern(keys: &mut Vec<String>, ids: &mut HashMap<String, u32>, key: &str) -> u32 {
+        if let Some(&g) = ids.get(key) {
+            return g;
+        }
+        keys.push(key.to_owned());
+        ids.insert(key.to_owned(), keys.len() as u32 - 1);
+        keys.len() as u32 - 1
+    }
+
+    /// The id here of `from`'s group `local`, the next free one when new.
+    fn adopt(&mut self, from: &Keys, local: usize) -> Result<u32> {
+        match (self, from) {
+            (Keys::Rendered(keys, ids), Keys::Rendered(part, _)) => Ok(Keys::intern(keys, ids, &part[local])),
+            (Keys::Typed(_, all), Keys::Typed(_, part)) => Ok(all.id_of(part.tuple(local))),
+            _ => Err(ExecError::PlanInvariant("partitions disagree on the group key's types".into())),
+        }
+    }
+
+    /// Every key as its string, once per group: the typed cells through
+    /// `Value`'s `Display`, as `join_cells` joins them.
+    fn into_rendered(self) -> Vec<String> {
+        match self {
+            Keys::Rendered(keys, _) => keys,
+            Keys::Typed(decode, groups) => (0..groups.len())
+                .map(|g| groups.tuple(g).iter().zip(&decode))
+                .map(|cells| join_cells(cells.map(|(cell, value)| cell.map_or(Value::Null, value))))
+                .collect(),
+        }
+    }
+}
+
+/// Resolve the group of every selection entry. Key columns that are all
+/// `Int` / `Float` / `Bool` identify a group by its typed code tuple: that
+/// is the relation "renders the same string" (integers and booleans print
+/// injectively, floats too once NaNs share a code, and no such cell can
+/// print the separator or spell a NULL), at no string per row or group. A
+/// key that holds a string column identifies groups by the rendered
+/// string, so a `'NULL'` string and NULL share a group as rendered keys
+/// always did; it is rendered once per distinct code tuple. Either way a
+/// row finds its tuple through the partition's [`CodeGroups`], and a
+/// single column whose codes are dense through a slot table in front of
+/// it. Returns the partition-local group id per entry and the groups'
+/// keys.
+fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Keys) {
+    let cols: Vec<&Column> = key_cols.iter().map(|&c| batch.column(c)).collect();
+    let decode = cols.iter().map(|col| decoder(col)).collect::<Option<Vec<_>>>();
+    let mut tuples = CodeGroups::new(cols.len());
+    let mut code = Vec::with_capacity(cols.len());
+    // For a key with a string column, the group of each distinct tuple:
+    // its string's.
+    let (mut keys, mut ids, mut seen) = (Vec::new(), HashMap::new(), Vec::new());
     let mut group_of = |row: usize| {
-        *by_key.entry(render_key(batch, key_cols, row)).or_insert_with_key(|key| {
-            keys.push(key.clone());
-            keys.len() as u32 - 1
-        })
+        code.clear();
+        code.extend(cols.iter().map(|col| key_code(col, row)));
+        let tuple = tuples.id_of(&code);
+        if decode.is_some() {
+            return tuple;
+        }
+        if tuple as usize == seen.len() {
+            let cell = |col: &&Column| col.value(row).unwrap_or_else(|_| Value::Str("?".into()));
+            seen.push(Keys::intern(&mut keys, &mut ids, &join_cells(cols.iter().map(cell))));
+        }
+        seen[tuple as usize]
     };
-    const UNSEEN: u32 = u32::MAX;
-    // A single key whose codes are small and dense: (column, code count).
-    let coded = match key_cols {
-        &[c] => match batch.column(c) {
-            col @ Column::Str { dict, .. } => Some((col, dict.len())),
-            col @ Column::Bool { .. } => Some((col, 2)),
-            _ => None,
-        },
+    // A single column whose codes are dense by construction — a dictionary's,
+    // a boolean's — gets a slot table in front of the map: the column and
+    // how many codes it has.
+    let dense = match cols.as_slice() {
+        [col @ Column::Str { dict, .. }] => Some((*col, dict.len())),
+        [col @ Column::Bool { .. }] => Some((*col, 2)),
         _ => None,
     };
-    let gids = if let Some((col, n)) = coded {
-        let mut slots = vec![UNSEEN; n + 1]; // the last is NULL's
-        let mut gid = |row: usize| {
-            let slot = key_code(col, row).map_or(n, |code| code as usize);
-            if slots[slot] == UNSEEN {
-                slots[slot] = group_of(row);
-            }
-            slots[slot]
-        };
-        sel.iter().map(|&r| gid(r as usize)).collect()
-    } else {
-        let mut by_code: HashMap<Vec<Option<u64>>, u32> = HashMap::new();
-        let mut code = Vec::with_capacity(key_cols.len());
-        let mut gid = |row: usize| {
-            code.clear();
-            code.extend(key_cols.iter().map(|&c| key_code(batch.column(c), row)));
-            match by_code.get(code.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    let g = group_of(row);
-                    by_code.insert(code.clone(), g);
-                    g
+    let gids = match dense {
+        Some((col, n)) => {
+            let mut slots = vec![UNSEEN; n + 1]; // the last is NULL's
+            let mut gid = |row: usize| {
+                let slot = key_code(col, row).map_or(n, |code| code as usize);
+                if slots[slot] == UNSEEN {
+                    slots[slot] = group_of(row);
                 }
-            }
-        };
-        sel.iter().map(|&r| gid(r as usize)).collect()
+                slots[slot]
+            };
+            sel.iter().map(|&r| gid(r as usize)).collect()
+        }
+        None => sel.iter().map(|&r| group_of(r as usize)).collect(),
     };
-    (gids, keys)
+    (gids, decode.map_or(Keys::Rendered(keys, ids), |decode| Keys::Typed(decode, tuples)))
 }
 
 /// One aggregate's values in one partition, grouped: group `g`'s block is
@@ -387,14 +517,14 @@ struct Blocks {
 /// What one surviving partition contributes, copied out of it by the
 /// worker that scanned it.
 struct PartitionScan {
-    /// Rendered keys of the partition's groups, in first-seen order.
-    keys: Vec<String>,
+    /// The partition's groups, in first-seen order.
+    keys: Keys,
     /// Where each group's block starts (sized for a value per entry).
     starts: Vec<usize>,
     /// One entry per collected aggregate.
     aggs: Vec<Blocks>,
-    /// Rendered inner-group keys of a nested plan, in first-seen order.
-    inner_keys: Vec<String>,
+    /// The inner groups of a nested plan, in first-seen order.
+    inner_keys: Keys,
     // Per chain operator, this partition's counter deltas.
     op_deltas: Vec<OpDelta>,
 }
@@ -420,12 +550,15 @@ fn scan_partition(
         .collect::<aqp_storage::Result<Vec<_>>>()?;
     let (inner_gids, inner_keys) = match inner_key {
         Some(k) => assign_groups(&batch, &[batch.schema().index_of(k)?], &sel),
-        None => Default::default(),
+        None => (Vec::new(), Keys::Rendered(Vec::new(), HashMap::new())),
     };
     // The global group needs no ids at all; it exists once a row (nested:
     // a partition) survives.
     let (gids, keys) = match key_cols.as_slice() {
-        [] if inner_key.is_some() || !sel.is_empty() => (Vec::new(), vec![String::new()]),
+        [] => {
+            let exists = inner_key.is_some() || !sel.is_empty();
+            (Vec::new(), Keys::Rendered(vec![String::new(); usize::from(exists)], HashMap::new()))
+        }
         key_cols => assign_groups(&batch, key_cols, &sel),
     };
     // Group sizes, turned into block starts by a running sum.
@@ -654,8 +787,10 @@ pub fn collect_observed_faulty(
 
 /// Merge the partition scans, in partition order, into the final groups
 /// (sorted by key): per group and aggregate one exact reservation, then
-/// one block copy per partition. A nested plan's partition-local inner
-/// codes become global first-seen codes.
+/// one block copy per partition. Partition groups become global ones on
+/// what identifies them ([`Keys`]), and a key is rendered once per global
+/// group; a nested plan's partition-local inner codes become global
+/// first-seen codes and are never rendered.
 fn merge(
     scans: Vec<Result<Option<PartitionScan>>>,
     n_aggs: usize,
@@ -663,30 +798,30 @@ fn merge(
 ) -> Result<Vec<Group>> {
     let scans: Vec<PartitionScan> =
         scans.into_iter().filter_map(Result::transpose).collect::<Result<_>>()?;
+    let Some(first) = scans.first() else { return Ok(Vec::new()) };
 
     // Global groups in first-seen order with the number of values each
     // aggregate receives, and every partition group's global index.
-    let mut keys: Vec<&str> = Vec::new();
+    let mut keys = first.keys.like();
     let mut sizes: Vec<Vec<usize>> = Vec::new();
-    let mut index: HashMap<&str, usize> = HashMap::new();
     let mut global_of = Vec::new();
     for scan in &scans {
-        for (local, key) in scan.keys.iter().enumerate() {
-            let g = *index.entry(key).or_insert_with(|| {
-                keys.push(key);
+        for local in 0..scan.keys.len() {
+            let g = keys.adopt(&scan.keys, local)? as usize;
+            if g == sizes.len() {
                 sizes.push(vec![0; n_aggs]);
-                keys.len() - 1
-            });
+            }
             let counts = scan.aggs.iter().map(|b| b.ends[local] - scan.starts[local]);
             sizes[g].iter_mut().zip(counts).for_each(|(n, count)| *n += count);
             global_of.push(g);
         }
     }
     let mut groups: Vec<Group> = keys
+        .into_rendered()
         .into_iter()
         .zip(sizes)
         .map(|(key, sizes)| Group {
-            key: key.to_owned(),
+            key,
             aggs: sizes
                 .into_iter()
                 .map(|n| AggData {
@@ -698,10 +833,9 @@ fn merge(
         })
         .collect();
 
-    let mut code_index: HashMap<&str, u32> = HashMap::new();
+    let mut inner_keys = first.inner_keys.like();
     let mut global_of = global_of.into_iter();
     for scan in &scans {
-        const UNSEEN: u32 = u32::MAX;
         let mut code_of = vec![UNSEEN; scan.inner_keys.len()];
         for (local, g) in (0..scan.keys.len()).zip(global_of.by_ref()) {
             for (data, part) in groups[g].aggs.iter_mut().zip(&scan.aggs) {
@@ -712,17 +846,17 @@ fn merge(
                 for &local in &part.codes[block] {
                     let code = &mut code_of[local as usize];
                     if *code == UNSEEN {
-                        let next = code_index.len() as u32;
-                        *code = *code_index.entry(&scan.inner_keys[local as usize]).or_insert(next);
+                        *code = inner_keys.adopt(&scan.inner_keys, local as usize)?;
                     }
                     nested.codes.push(*code);
                 }
-                nested.n_codes = code_index.len();
+                nested.n_codes = inner_keys.len();
             }
         }
     }
-    // Deterministic group order regardless of partition interleaving.
-    groups.sort_by(|a, b| a.key.cmp(&b.key));
+    // Deterministic group order regardless of partition interleaving (keys
+    // are distinct, so an unstable sort has one outcome).
+    groups.sort_unstable_by(|a, b| a.key.cmp(&b.key));
     Ok(groups)
 }
 
@@ -960,6 +1094,80 @@ mod tests {
                 ("a|0".to_string(), vec![1])
             ]
         );
+    }
+
+    /// Probes over all lookups of the keys just inserted: one per key plus
+    /// how far each sits from where its probe starts.
+    fn probes(keys: impl Iterator<Item = u64>) -> usize {
+        let mut map = CodeGroups::new(1);
+        let n = keys.map(|k| map.id_of(&[Some(k)])).count();
+        assert_eq!(map.len(), n, "keys are distinct");
+        let mask = map.slots.len() - 1;
+        let seats = map.slots.iter().enumerate().filter(|(_, &g)| g != UNSEEN);
+        n + seats.map(|(at, &g)| at.wrapping_sub(map.home(map.tuple(g as usize))) & mask).sum::<usize>()
+    }
+
+    #[test]
+    fn typed_map_probes_patterned_keys_like_random_ones() {
+        // Floats with a zero low mantissa differ only in their top bits,
+        // strided and negative integers only in a few: a hash that lets
+        // either end up in the table index alone chains them all.
+        let mut rng = aqp_stats::rng::rng_from_seed(7);
+        let random = probes((0..10_000).map(|_| rand::RngExt::random::<u64>(&mut rng)));
+        assert!(random < 20_000, "random keys: {random} probes for 10 000 keys");
+        let round = probes((0..10_000).map(|k| (k as f64 * 0.5).to_bits()));
+        let dense = probes(0..10_000);
+        let strided = probes((0..10_000).map(|k| k << 20));
+        let negative = probes((0..10_000).map(|k| (-(k as i64) * 3) as u64));
+        for (what, n) in [("k * 0.5", round), ("0..n", dense), ("k << 20", strided), ("-3k", negative)] {
+            assert!(n <= 3 * random, "{what}: {n} probes against {random} for random keys");
+        }
+    }
+
+    #[test]
+    fn typed_map_numbers_tuples_in_first_seen_order_across_growth() {
+        // NULL is no code: (NULL, 0), (0, NULL) and (0, 0) are three groups.
+        let mut map = CodeGroups::new(2);
+        let tuple = |i: u64| [(!i.is_multiple_of(7)).then_some(i / 2), (!i.is_multiple_of(5)).then_some(i % 2)];
+        let mut first_seen: Vec<[Option<u64>; 2]> = Vec::new();
+        for round in 0..2 {
+            for i in 0..3_000 {
+                let want = first_seen.iter().position(|t| *t == tuple(i)).unwrap_or_else(|| {
+                    assert_eq!(round, 0, "the second round finds every tuple");
+                    first_seen.push(tuple(i));
+                    first_seen.len() - 1
+                });
+                assert_eq!(map.id_of(&tuple(i)) as usize, want, "tuple {:?}", tuple(i));
+            }
+        }
+        assert_eq!(map.len(), first_seen.len());
+        assert!(map.len() * 2 <= map.slots.len() && map.slots.len() > 16, "grew, half full at most");
+        assert!((0..map.len()).all(|g| map.tuple(g) == first_seen[g]));
+    }
+
+    #[test]
+    fn typed_keys_render_once_per_group_as_values_display() {
+        // Int × Float × Bool with NULLs: typed identity, the rendering of
+        // `Value`'s `Display`, string order ("10" < "2").
+        let schema = Schema::new(vec![
+            Field::nullable("i", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("b", DataType::Bool),
+        ])
+        .unwrap();
+        let i = Column::from_opt_i64s(vec![Some(10), Some(2), None, Some(10), Some(i64::MIN), Some(2)]);
+        let f = Column::from_f64s(vec![0.5, -0.0, 2.5, 0.5, f64::NEG_INFINITY, 0.0]);
+        let b = Column::from_bools(vec![true, false, true, true, false, false]);
+        let t = Table::from_batch("t", Batch::new(schema, vec![i, f, b]).unwrap(), 3).unwrap();
+        let plan = plan_query(&parse_query("SELECT i, f, b, COUNT(*) FROM t GROUP BY i, f, b").unwrap(), t.schema())
+            .unwrap();
+        let c = collect(&plan, &t, 2).unwrap();
+        let keys: Vec<String> = c.groups.iter().map(|g| g.key.replace('\u{1f}', "|")).collect();
+        assert_eq!(
+            keys,
+            ["-9223372036854775808|-inf|false", "10|0.5|true", "2|-0|false", "2|0|false", "NULL|2.5|true"]
+        );
+        assert_eq!(c.groups[1].aggs[0].positions, vec![0, 3]);
     }
 
     #[test]

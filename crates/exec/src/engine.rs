@@ -19,7 +19,7 @@ use crate::parallel::{default_threads, parallel_map_observed, WorkerStat};
 use crate::result::{refused, AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
-use crate::Result;
+use crate::{ExecError, Result};
 
 /// How the executor picks the error-estimation technique.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +146,16 @@ pub fn execute_exact_observed(
     })
 }
 
-fn prepare_thetas(collected: &Collected, registry: &UdfRegistry) -> Result<Vec<PreparedTheta>> {
+/// Aggregates per SELECT list, the stride of a cell's seed stream.
+pub(crate) const MAX_AGGREGATES: usize = 64;
+
+/// One prepared θ per SELECT aggregate — at most [`MAX_AGGREGATES`]: cell
+/// (group, aggregate) draws from the stream `group * MAX_AGGREGATES +
+/// aggregate`, which a wider list would make two cells share.
+pub(crate) fn prepare_thetas(collected: &Collected, registry: &UdfRegistry) -> Result<Vec<PreparedTheta>> {
+    if collected.agg_exprs.len() > MAX_AGGREGATES {
+        return Err(ExecError::Unsupported(format!("more than {MAX_AGGREGATES} aggregates in one SELECT list")));
+    }
     collected
         .agg_exprs
         .iter()
@@ -258,7 +267,7 @@ pub fn execute_approx(
                     row_window: collected.pre_filter_rows,
                     cfg,
                     opts,
-                    seeds: seeds.derive(0xD1).derive((gi * 64 + ai) as u64),
+                    seeds: seeds.derive(0xD1).derive((gi * MAX_AGGREGATES + ai) as u64),
                 };
                 Some(subsamples.diagnose(estimates[gi][ai]))
             })
@@ -325,15 +334,13 @@ pub fn execute_approx(
     // Jobs are in (group, aggregate) order; each one's report moves into
     // its result row, and so do its bars unless it was refused.
     let mut bars = bars.into_iter();
+    // Rendered once per query, cloned per cell.
+    let names: Vec<String> = collected.agg_exprs.iter().map(|a| a.to_string()).collect();
     for (&(gi, ai), diagnostic) in jobs.iter().zip(diags) {
         let bar = if refused(&diagnostic) { None } else { bars.next() };
         let (ci, method) = bar.unwrap_or((None, MethodUsed::None));
         groups[gi].aggs.push(AggResult {
-            name: collected
-                .agg_exprs
-                .get(ai)
-                .map(|a| a.to_string())
-                .unwrap_or_else(|| format!("agg{ai}")),
+            name: names[ai].clone(),
             estimate: estimates[gi][ai],
             ci,
             method,
@@ -381,7 +388,7 @@ impl BarInputs {
         parallel_map_observed(jobs.to_vec(), opts.threads, &opts.obs.clock, |(gi, ai)| {
             let data = &self.collected.groups[gi].aggs[ai];
             let mut whole = self.thetas[ai].bind(data, 0..data.values.len(), &self.contexts[gi]);
-            let job_seeds = seeds.derive((gi * 64 + ai) as u64);
+            let job_seeds = seeds.derive((gi * MAX_AGGREGATES + ai) as u64);
             let (mut ci, method) = error_ci(&mut whole, self.estimates[gi][ai], opts, &job_seeds, 0);
             if let Some(ci) = ci.as_mut().filter(|_| widen > 1.0) {
                 ci.half_width *= widen;
@@ -428,7 +435,7 @@ fn degradation_gate(
         _ => return Ok(None),
     };
     if sum.total_partitions > 0 && sum.lost_partitions == sum.total_partitions {
-        return Err(crate::ExecError::Unrecoverable(format!(
+        return Err(ExecError::Unrecoverable(format!(
             "all {} sample partitions lost to injected faults",
             sum.total_partitions
         )));
@@ -439,7 +446,7 @@ fn degradation_gate(
         sum.lost_partitions as f64 / sum.total_partitions as f64
     };
     if lost_fraction > cfg.recovery.max_lost_fraction {
-        return Err(crate::ExecError::Degraded {
+        return Err(ExecError::Degraded {
             lost_partitions: sum.lost_partitions,
             total_partitions: sum.total_partitions,
         });

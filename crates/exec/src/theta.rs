@@ -189,18 +189,32 @@ impl PreparedTheta {
             // all the plan's codes would give, from accumulators the size
             // of the range.
             let codes = &nd.codes[range];
-            let mut distinct = codes.to_vec();
-            distinct.sort_unstable();
-            distinct.dedup();
+            // A range at least as long as the code space (the answer's whole
+            // range) ranks its codes through a presence table, a shorter one
+            // (a diagnostic subsample) sorts its own: O(len + n_codes)
+            // against O(len log len), the same numbering.
+            let long = codes.len() >= nd.n_codes && codes.iter().all(|&c| (c as usize) < nd.n_codes);
+            let (groups, present): (Vec<usize>, usize) = if long {
+                let mut rank = vec![0; nd.n_codes];
+                codes.iter().for_each(|&c| rank[c as usize] = 1);
+                let mut present = 0;
+                rank.iter_mut().for_each(|r| present += std::mem::replace(r, present));
+                (codes.iter().map(|&c| rank[c as usize]).collect(), present)
+            } else {
+                let mut distinct = codes.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                (codes.iter().map(|c| distinct.partition_point(|d| d < c)).collect(), distinct.len())
+            };
             NestedTheta {
                 values,
-                groups: codes.iter().map(|c| distinct.partition_point(|d| d < c)).collect(),
+                groups,
                 inner,
                 outer: &self.outer,
                 scale: ctx.scale(),
-                acc: vec![0.0; distinct.len()],
-                weight: vec![0; distinct.len()],
-                group_values: Vec::with_capacity(distinct.len()),
+                acc: vec![0.0; present],
+                weight: vec![0; present],
+                group_values: Vec::with_capacity(present),
             }
         });
         BoundTheta { theta: self, values, ctx: *ctx, nested }
@@ -386,6 +400,36 @@ mod tests {
             PreparedTheta::prepare(&agg(AggFunc::Max), Some(&agg(AggFunc::Avg)), &reg()).unwrap();
         // Inner avgs: [1.5, 3, 4.5]; outer MAX = 4.5.
         assert!((theta.estimate(&data, &ctx) - 4.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_numbering_is_the_sorts_on_whole_and_partial_ranges() {
+        // 40 codes of which multiples of 3 never occur, 200 rows: ranges of
+        // 40 rows or more take the presence table, shorter ones the sort.
+        // Both number the codes present in the range densely, in code order.
+        let codes: Vec<u32> = (0..200u32).map(|i| (i * 7 + i / 9) % 40).filter(|c| c % 3 != 0).collect();
+        let rows = codes.len();
+        let data = AggData {
+            values: (0..rows).map(|i| i as f64).collect(),
+            positions: Vec::new(),
+            nested: Some(NestedData { codes: codes.clone(), n_codes: 40 }),
+        };
+        let theta =
+            PreparedTheta::prepare(&agg(AggFunc::Avg), Some(&agg(AggFunc::Sum)), &reg()).unwrap();
+        let ctx = SampleContext::population(rows);
+        for range in [0..rows, 0..40, 13..53, 90..rows, 0..39, 5..6, 100..117, 7..7] {
+            let mut distinct = codes[range.clone()].to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let want: Vec<usize> =
+                codes[range.clone()].iter().map(|c| distinct.binary_search(c).unwrap()).collect();
+            let nested = theta.bind(&data, range.clone(), &ctx).nested.unwrap();
+            assert_eq!(nested.groups, want, "{range:?}");
+            assert_eq!(nested.acc.len(), distinct.len(), "{range:?}");
+        }
+        // A code outside `0..n_codes` (hand-built data) keeps the sort.
+        let wild = AggData { nested: Some(NestedData { codes: vec![9, 2, 9, 5], n_codes: 3 }), ..data.clone() };
+        assert_eq!(theta.bind(&wild, 0..4, &ctx).nested.unwrap().groups, [2, 0, 2, 1]);
     }
 
     #[test]

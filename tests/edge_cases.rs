@@ -194,3 +194,24 @@ fn samples_dropped_between_check_and_pick_do_not_panic() {
     // The next one sees a table without samples and answers exactly.
     assert_eq!(s.execute(sql).unwrap().mode, AnswerMode::Exact);
 }
+
+#[test]
+fn a_select_list_wider_than_the_seed_stride_is_a_typed_error() {
+    // Cell (group, aggregate) draws its weights from stream
+    // `group * 64 + aggregate`: with a 65th aggregate, cells (g, 64) and
+    // (g + 1, 0) would share their Poisson draws. 64 run; 65 are refused
+    // where the thetas are prepared, approximately and exactly.
+    let s = AqpSession::new(SessionConfig::default());
+    s.register_table(conviva_sessions_table(5_000, 4, 1)).unwrap();
+    let list = |n: usize| (0..n).map(|i| format!("SUM(time + {i})")).collect::<Vec<_>>().join(", ");
+    let refused = |s: &AqpSession| match s.execute(&format!("SELECT {} FROM sessions", list(65))) {
+        Err(aqp_core::CoreError::Exec(reliable_aqp::exec::ExecError::Unsupported(why))) => why,
+        other => panic!("expected a typed refusal, got {other:?}"),
+    };
+    assert!(refused(&s).contains("more than 64 aggregates"), "exact path");
+    s.build_samples("sessions", &[1_000], 2).unwrap();
+    assert!(refused(&s).contains("more than 64 aggregates"), "approximate path");
+    let a = s.execute(&format!("SELECT is_mobile, {} FROM sessions GROUP BY is_mobile", list(64))).unwrap();
+    assert_eq!((a.groups.len(), a.groups[0].aggs.len()), (2, 64));
+    assert!(a.groups.iter().flat_map(|g| &g.aggs).all(|r| r.estimate.is_finite()));
+}

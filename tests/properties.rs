@@ -616,18 +616,43 @@ mod scan_oracle {
 
     /// A table with nullable columns of every type; the cells include
     /// NaN (two payloads), ±0.0, ±Inf, and a `'NULL'` string next to
-    /// real NULLs.
-    pub fn table(seed: u64, rows: usize, partitions: usize) -> Table {
+    /// real NULLs; `n` is NULL in every row. `wide` draws `i` and `f` from
+    /// about as many distinct values as there are rows, so that the scan's
+    /// tables of typed group codes grow and collide and most groups span
+    /// partitions: integers up from 0, down from 0, up from `i64::MIN` and
+    /// down from `i64::MAX`; floats `k * 0.5` of either sign (zero low
+    /// mantissa), subnormals, and the special cells.
+    pub fn table(seed: u64, rows: usize, partitions: usize, wide: bool) -> Table {
         let mut rng = rng_from_seed(seed);
         let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
         let floats = [0.0, -0.0, 1.5, -2.25, 3.0, f64::NAN, nan2, f64::INFINITY, f64::NEG_INFINITY];
         let strs = ["a", "b", "NULL", "cc", ""];
         let mut null = |p: f64| rng.random_bool(p);
         let mut pick = rng_from_seed(seed ^ 0x5EED);
-        let i: Vec<Option<i64>> =
-            (0..rows).map(|_| (!null(0.15)).then(|| pick.random_range(-3i64..4))).collect();
+        let wide_int = |k: i64| match k % 4 {
+            0 => k,
+            1 => -k,
+            2 => i64::MIN + k / 4,
+            _ => i64::MAX - k / 4,
+        };
+        let wide_float = |k: i64| match k % 4 {
+            0 => k as f64 * 0.5,
+            1 => k as f64 * -0.5,
+            2 => f64::from_bits(k as u64 / 4), // 0.0, then subnormals
+            _ => floats[(k / 4) as usize % floats.len()],
+        };
+        let domain = rows.max(1) as i64;
+        let i: Vec<Option<i64>> = (0..rows)
+            .map(|_| match wide {
+                true => (!null(0.05)).then(|| wide_int(pick.random_range(0..domain))),
+                false => (!null(0.15)).then(|| pick.random_range(-3i64..4)),
+            })
+            .collect();
         let f: Vec<Option<f64>> = (0..rows)
-            .map(|_| (!null(0.15)).then(|| floats[pick.random_range(0..floats.len())]))
+            .map(|_| match wide {
+                true => (!null(0.05)).then(|| wide_float(pick.random_range(0..domain))),
+                false => (!null(0.15)).then(|| floats[pick.random_range(0..floats.len())]),
+            })
             .collect();
         let b: Vec<Option<bool>> =
             (0..rows).map(|_| (!null(0.2)).then(|| pick.random_range(0..2) == 1)).collect();
@@ -640,6 +665,7 @@ mod scan_oracle {
             Field::nullable("b", DataType::Bool),
             Field::nullable("s", DataType::Str),
             Field::new("x", DataType::Float),
+            Field::nullable("n", DataType::Int),
         ])
         .unwrap();
         let s = Column::Str {
@@ -656,6 +682,7 @@ mod scan_oracle {
             },
             s,
             Column::from_f64s(x),
+            Column::from_opt_i64s(vec![None; rows]),
         ];
         Table::from_batch("t", Batch::new(schema, columns).unwrap(), partitions).unwrap()
     }
@@ -911,7 +938,9 @@ const SCAN_AGGS: &[&str] = &[
     "AVG(exp(i)), SUM(3)",
 ];
 
-const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i"];
+// Keys without a string column are identified by typed codes, the others
+// (and the global group) by the rendered string.
+const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i", "b, i", "n", "i, n, f"];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
@@ -921,27 +950,30 @@ proptest! {
     /// order, nested codes — over nullable columns of every type, special
     /// float cells, NULL and composite group keys, `TABLESAMPLE
     /// POISSONIZED`, lost and truncated partitions, nested plans, and for
-    /// one and four threads.
+    /// one and four threads. A third of the cases scan a high-cardinality
+    /// table (up to 2 000 rows in up to 16 partitions, `i` and `f` with
+    /// about as many distinct values as rows).
     #[test]
     fn collect_matches_the_row_wise_oracle(
         seed in 0u64..1_000_000,
         shape in (0usize..1_000, 0usize..1_000, 0usize..1_000, 0usize..4),
         layout in (1usize..120, 1usize..6),
+        wide in (0usize..3, 1usize..2_000, 1usize..17),
         faults in (0u64..1_000, 0.0..0.6f64, 0.0..0.9f64, 0.05..1.0f64),
     ) {
         use reliable_aqp::exec::collect::{collect, collect_observed_faulty};
         use reliable_aqp::faults::FaultInjector;
         use reliable_aqp::obs::Clock;
 
-        let (rows, partitions) = layout;
-        let table = scan_oracle::table(seed, rows, partitions);
+        let (rows, partitions) = if wide.0 == 0 { (wide.1, wide.2) } else { layout };
+        let table = scan_oracle::table(seed, rows, partitions, wide.0 == 0);
         let filter = SCAN_FILTERS[shape.0 % SCAN_FILTERS.len()];
         let aggs = SCAN_AGGS[shape.1 % SCAN_AGGS.len()];
         let keys = SCAN_KEYS[shape.2 % SCAN_KEYS.len()];
         let from = if shape.3 == 1 { "t TABLESAMPLE POISSONIZED (130)" } else { "t" };
         let sql = if shape.3 == 2 {
             // Nested: the inner key cycles through the single-column keys.
-            let key = ["s", "f", "i", "b"][shape.2 % 4];
+            let key = ["s", "f", "i", "b", "n"][shape.2 % 5];
             let outer = ["AVG(v)", "AVG(v), COUNT(v)"][shape.1 % 2];
             let inner = ["SUM(x)", "COUNT(*)", "AVG(f)"][shape.1 % 3];
             format!("SELECT {outer} FROM (SELECT {inner} AS v FROM {from} {filter} GROUP BY {key})")
