@@ -17,21 +17,16 @@
 //!   (§6.2),
 //! * [`query_model`] — maps a query's statistical profile to the job
 //!   sequences produced by the naive (§5.2), plan-optimized (§5.3), and
-//!   physically-tuned (§6) execution strategies,
-//! * [`autotune`] — the paper's stated future work: automatic selection
-//!   of the degree of parallelism (and the cache fraction) by searching
-//!   the latency model.
+//!   physically-tuned (§6) execution strategies.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod config;
 pub mod query_model;
 pub mod sim;
 pub mod task;
 
-pub use autotune::{auto_tune_parallelism, auto_tune_workload};
 pub use config::{ClusterConfig, PhysicalTuning};
 pub use query_model::{simulate_query, PlanMode, QueryProfile, SimTimings};
 pub use sim::simulate_job;

@@ -1,5 +1,6 @@
 //! The AQP session: registration, sampling, and reliable execution.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use aqp_audit::{AuditConfig, AuditReport};
@@ -14,8 +15,10 @@ use aqp_sql::rewriter::{rewrite_for_error_estimation, ResamplePlacement};
 use aqp_sql::{parse_query, plan_query, Query};
 use aqp_stats::rng::SeedStream;
 use aqp_stats::sampling::{permutation, with_replacement_indices};
-use aqp_storage::sample::Sample;
-use aqp_storage::{Catalog, SamplingStrategy, Strata, StratumMeta, Table};
+use aqp_storage::sample::{Sample, SampleMeta};
+use aqp_storage::{
+    Batch, Catalog, Column, DataType, Field, SamplingStrategy, Schema, Strata, StratumMeta, Table, Value,
+};
 use parking_lot::Mutex;
 
 use crate::answer::{AnswerMode, AqpAnswer};
@@ -39,9 +42,6 @@ pub struct SessionConfig {
     pub run_diagnostics: bool,
     /// Confidence when a query has no explicit error clause.
     pub default_confidence: f64,
-    /// Pilot sample rows used when translating an error clause into a
-    /// sample size.
-    pub pilot_rows: usize,
     /// Observability context: the clock every stage span reads and the
     /// registry session counters/histograms land on. Defaults to the
     /// real clock + process-global registry; tests that assert exact
@@ -97,7 +97,6 @@ impl Default for SessionConfig {
             diagnostic_p: 100,
             run_diagnostics: true,
             default_confidence: 0.95,
-            pilot_rows: 2_000,
             obs: ObsHandle::default(),
             audit: None,
             explain: ExplainMode::Off,
@@ -290,14 +289,13 @@ impl AqpSession {
         let query = parse_query(sql)?;
         let table = self.catalog.table(leaf_table_name(&query))?;
         let plan = plan_query(&query, table.schema())?;
-        let has_samples = self
-            .catalog
-            .with_samples(table.name(), |s| Ok(s.uniform_samples().next().is_some()))
-            .unwrap_or(false);
-        if !has_samples {
-            return Ok(plan.explain());
-        }
-        Ok(self.rewrite(&query, plan, self.config.pilot_rows.max(1_000)).0.explain())
+        // The sample a query without an error clause runs on.
+        let largest =
+            self.catalog.with_samples(table.name(), |set| Ok(set.largest().map(|s| s.meta.clone())));
+        Ok(match largest.ok().flatten() {
+            Some(meta) => annotate(plan, &query, &self.approx_options(&query, &meta)).explain(),
+            None => plan.explain(),
+        })
     }
 
     /// Execute a SQL query, approximately when samples and/or an error
@@ -390,46 +388,29 @@ impl AqpSession {
         self.execute_on_sample(&p, sample, rec)
     }
 
-    /// The confidence level of `query`'s error bars.
-    fn confidence(&self, query: &Query) -> f64 {
-        query.error_clause.map(|e| e.confidence).unwrap_or(self.config.default_confidence)
-    }
-
-    /// The plan rewrite of §5.3 for a sample of `sample_rows` rows: one
-    /// consolidated resample, pushed down, under the error estimator
-    /// `query` admits — and the diagnostic's subsample ladder it embeds
-    /// (`None` when the session runs without diagnostics).
-    fn rewrite(
-        &self,
-        query: &Query,
-        plan: LogicalPlan,
-        sample_rows: usize,
-    ) -> (LogicalPlan, Option<DiagnosticConfig>) {
-        let diagnostic = self
-            .config
-            .run_diagnostics
-            .then(|| DiagnosticConfig::scaled_to(sample_rows, self.config.diagnostic_p));
-        let spec = ResampleSpec {
-            bootstrap_k: self.config.bootstrap_k,
-            diagnostic: diagnostic.as_ref().map(|c| DiagnosticWeights {
-                subsample_rows: c.subsample_rows.clone(),
-                p: c.p,
+    /// The one statement of an approximate run of `query` on the sample
+    /// `meta` describes: estimator choice, K, α (the query's own confidence,
+    /// else the session's), the diagnostic's ladder, seed, and per-stratum
+    /// scaling. The plan annotation ([`annotate`]), the pilot's options and
+    /// the α the diagnostic judges at are all derived from this value.
+    fn approx_options(&self, query: &Query, meta: &SampleMeta) -> ApproxOptions {
+        let config = &self.config;
+        ApproxOptions {
+            method: MethodChoice::Auto,
+            bootstrap_k: config.bootstrap_k,
+            alpha: query.error_clause.map_or(config.default_confidence, |e| e.confidence),
+            diagnostic: config
+                .run_diagnostics
+                .then(|| DiagnosticConfig::scaled_to(meta.rows, config.diagnostic_p)),
+            seed: config.seed,
+            threads: config.threads,
+            group_contexts: meta.strata.as_ref().map(|st| {
+                let sizes = |g: &StratumMeta| (g.key.clone(), (g.sample_rows, g.population_rows));
+                st.groups.iter().map(sizes).collect()
             }),
-            seed: self.config.seed,
-        };
-        let method = if query.closed_form_applicable() {
-            ErrorMethod::ClosedForm
-        } else {
-            ErrorMethod::Bootstrap
-        };
-        let rewritten = rewrite_for_error_estimation(
-            plan,
-            spec,
-            method,
-            self.confidence(query),
-            ResamplePlacement::PushedDown,
-        );
-        (rewritten, diagnostic)
+            obs: config.obs.clone(),
+            faults: config.faults.clone(),
+        }
     }
 
     /// Run the approximate pipeline on a chosen sample (uniform or
@@ -441,28 +422,10 @@ impl AqpSession {
         rec: &TraceRecorder,
     ) -> Result<AqpAnswer> {
         let Sample { meta, data: sample_table } = sample;
-        let (rewritten, diag_cfg) = self.rewrite(&p.query, p.plan.clone(), meta.rows);
-
-        // Per-stratum scaling for stratified samples.
-        let group_contexts = meta.strata.as_ref().map(|st| {
-            st.groups
-                .iter()
-                .map(|g| (g.key.clone(), (g.sample_rows, g.population_rows)))
-                .collect::<std::collections::HashMap<_, _>>()
-        });
+        let opts = self.approx_options(&p.query, &meta);
+        let rewritten = annotate(p.plan.clone(), &p.query, &opts);
 
         // --- Approximate execution. ---
-        let opts = ApproxOptions {
-            method: MethodChoice::Auto,
-            bootstrap_k: self.config.bootstrap_k,
-            alpha: self.confidence(&p.query),
-            diagnostic: diag_cfg,
-            seed: self.config.seed,
-            threads: self.config.threads,
-            group_contexts,
-            obs: self.config.obs.clone(),
-            faults: self.config.faults.clone(),
-        };
         let mut approx = match execute_approx(
             &rewritten,
             &sample_table,
@@ -552,7 +515,7 @@ impl AqpSession {
             rec.end(gate);
             (merged, mode)
         };
-        apply_having(&p.query, AqpAnswer {
+        apply_having(p, AqpAnswer {
             groups,
             mode,
             fell_back: rejected > 0,
@@ -614,7 +577,7 @@ impl AqpSession {
     ) -> Result<AqpAnswer> {
         let exact = self.run_exact(p)?;
         rec.graft(exact.trace);
-        apply_having(&p.query, AqpAnswer {
+        apply_having(p, AqpAnswer {
             groups: merge_with_exact(exact.groups, Vec::new()),
             mode,
             fell_back: matches!(mode, AnswerMode::ExactFallback),
@@ -663,17 +626,13 @@ impl AqpSession {
         rec: &TraceRecorder,
     ) -> Result<Option<usize>> {
         let opts = ApproxOptions {
-            method: MethodChoice::Auto,
             bootstrap_k: 50,
-            alpha: self.confidence(&p.query),
             diagnostic: None,
             seed: self.config.seed ^ 0xB107,
-            threads: self.config.threads,
-            group_contexts: None,
-            obs: self.config.obs.clone(),
             // The pilot sizes samples; it must not be perturbed by
             // injected faults (the real query still is).
             faults: None,
+            ..self.approx_options(&p.query, &pilot.meta)
         };
         let approx =
             execute_approx(&p.plan, &pilot.data, p.table.num_rows(), &p.registry, &opts)?;
@@ -687,6 +646,26 @@ impl AqpSession {
         });
         Ok(needed.max())
     }
+}
+
+/// The plan rewrite of §5.3 for a run under `opts`: one consolidated
+/// resample (K weights plus the diagnostic ladder's), pushed down, under
+/// the error estimator `query` admits at the run's α.
+fn annotate(plan: LogicalPlan, query: &Query, opts: &ApproxOptions) -> LogicalPlan {
+    let spec = ResampleSpec {
+        bootstrap_k: opts.bootstrap_k,
+        diagnostic: opts.diagnostic.as_ref().map(|c| DiagnosticWeights {
+            subsample_rows: c.subsample_rows.clone(),
+            p: c.p,
+        }),
+        seed: opts.seed,
+    };
+    let method = match opts.method {
+        MethodChoice::Bootstrap => ErrorMethod::Bootstrap,
+        MethodChoice::Auto if !query.closed_form_applicable() => ErrorMethod::Bootstrap,
+        MethodChoice::Auto | MethodChoice::ClosedForm => ErrorMethod::ClosedForm,
+    };
+    rewrite_for_error_estimation(plan, spec, method, opts.alpha, ResamplePlacement::PushedDown)
 }
 
 /// The exact run's groups as answer groups — its group set is
@@ -736,105 +715,96 @@ fn finish_with_trace(
     })
 }
 
-/// Apply a HAVING predicate to an answer's groups: each group becomes a
-/// one-row batch of its GROUP BY keys plus its aggregate estimates
-/// (named by their SELECT aliases, positionally), and groups where the
-/// predicate is not true are dropped. ORDER BY / LIMIT then shape what
-/// is left.
-fn apply_having(query: &Query, mut answer: AqpAnswer) -> Result<AqpAnswer> {
-    let Some(having) = &query.having else {
-        return Ok(apply_order_limit(query, answer));
-    };
-    // Positional aliases of the SELECT aggregates.
-    let mut aliases: Vec<Option<String>> = Vec::new();
-    for item in &query.select {
-        if let aqp_sql::ast::SelectItem::Agg(_, alias) = item {
-            aliases.push(alias.clone());
-        }
-    }
-    let keep = |group: &aqp_exec::result::GroupResult| -> Result<bool> {
-        let mut fields = Vec::new();
-        let mut cols = Vec::new();
-        // Group keys: numeric when parseable, string otherwise.
-        let parts: Vec<&str> = if query.group_by.is_empty() {
-            Vec::new()
-        } else {
-            group.key.split('\u{1f}').collect()
-        };
-        for (name, part) in query.group_by.iter().zip(parts) {
-            match part.parse::<f64>() {
-                Ok(v) => {
-                    fields.push(aqp_storage::Field::new(name.clone(), aqp_storage::DataType::Float));
-                    cols.push(aqp_storage::Column::from_f64s(vec![v]));
-                }
-                Err(_) => {
-                    fields.push(aqp_storage::Field::new(name.clone(), aqp_storage::DataType::Str));
-                    cols.push(aqp_storage::Column::from_strs(&[part]));
-                }
-            }
-        }
-        for (alias, agg) in aliases.iter().zip(&group.aggs) {
-            if let Some(alias) = alias {
-                fields.push(aqp_storage::Field::new(alias.clone(), aqp_storage::DataType::Float));
-                cols.push(aqp_storage::Column::from_f64s(vec![agg.estimate]));
-            }
-        }
-        let schema = aqp_storage::Schema::new(fields)?;
-        let batch = aqp_storage::Batch::new(schema, cols)?;
-        // One explicit row: a global query without aliased aggregates
-        // gives HAVING a batch with no columns to count rows from.
-        let mask = aqp_sql::expr::eval_predicate_selected(having, &batch, &[0])?;
-        Ok(mask.first().copied().unwrap_or(false))
-    };
-    let mut kept = Vec::with_capacity(answer.groups.len());
-    for g in answer.groups.drain(..) {
-        if keep(&g)? {
-            kept.push(g);
-        }
-    }
-    answer.groups = kept;
-    Ok(apply_order_limit(query, answer))
+/// The aliases of the SELECT aggregates, positionally.
+fn agg_aliases(query: &Query) -> impl Iterator<Item = Option<&str>> {
+    query.select.iter().filter_map(|item| match item {
+        aqp_sql::ast::SelectItem::Agg(_, alias) => Some(alias.as_deref()),
+        _ => None,
+    })
 }
 
-/// Sort and truncate output groups per ORDER BY / LIMIT.
-fn apply_order_limit(query: &Query, mut answer: AqpAnswer) -> AqpAnswer {
-    if let Some(o) = &query.order_by {
-        // Positional lookup: group key index or aggregate alias index.
-        let key_idx = query.group_by.iter().position(|g| g == &o.column);
-        let agg_idx = query
-            .select
-            .iter()
-            .filter_map(|item| match item {
-                aqp_sql::ast::SelectItem::Agg(_, alias) => Some(alias.as_deref()),
-                _ => None,
-            })
-            .position(|alias| alias == Some(o.column.as_str()));
-        answer.groups.sort_by(|a, b| {
-            let ord = if let Some(ai) = agg_idx {
-                a.aggs[ai].estimate.total_cmp(&b.aggs[ai].estimate)
-            } else if let Some(ki) = key_idx {
-                let part = |g: &aqp_exec::result::GroupResult| {
-                    g.key.split('\u{1f}').nth(ki).unwrap_or("").to_owned()
-                };
-                let (pa, pb) = (part(a), part(b));
-                match (pa.parse::<f64>(), pb.parse::<f64>()) {
-                    (Ok(x), Ok(y)) => x.total_cmp(&y),
-                    _ => pa.cmp(&pb),
-                }
-            } else {
-                std::cmp::Ordering::Equal
-            };
-            if o.descending {
-                ord.reverse()
-            } else {
-                ord
+/// Column `ki` of the GROUP BY key (`name` in the scanned table's
+/// `schema`), one row per group, typed as the table declares it — a `Str`
+/// zip code is not a number, whatever its rendering parses as. A typed
+/// column's NULL cell (rendered `NULL`) is NULL; a `Str` column's NULL and
+/// `'NULL'` already share a group upstream and stay that string.
+fn key_column(schema: &Schema, name: &str, ki: usize, groups: &[GroupResult]) -> Result<Column> {
+    let cells = groups.iter().map(|g| g.key.split('\u{1f}').nth(ki).unwrap_or(""));
+    Ok(match schema.field(name)?.data_type {
+        DataType::Str => Column::from_strs(&cells.collect::<Vec<_>>()),
+        DataType::Int => Column::from_opt_i64s(cells.map(|c| c.parse().ok()).collect()),
+        DataType::Float => Column::from_opt_f64s(cells.map(|c| c.parse().ok()).collect()),
+        DataType::Bool => {
+            let cells: Vec<Option<bool>> = cells.map(|c| c.parse().ok()).collect();
+            Column::Bool {
+                values: cells.iter().map(|c| c.unwrap_or_default()).collect(),
+                validity: Some(cells.iter().map(Option::is_some).collect()),
             }
-        });
+        }
+    })
+}
+
+/// Apply a HAVING predicate to an answer's groups: one batch with a row
+/// per group — its GROUP BY keys (see [`key_column`]) plus its aggregate
+/// estimates, named by their SELECT aliases, positionally — and groups
+/// where the predicate is not true are dropped. ORDER BY / LIMIT then
+/// shape what is left.
+fn apply_having(p: &Prepared<'_>, mut answer: AqpAnswer) -> Result<AqpAnswer> {
+    let (query, schema) = (&p.query, p.table.schema());
+    if let Some(having) = &query.having {
+        let mut fields = Vec::new();
+        let mut cols = Vec::new();
+        for (ki, name) in query.group_by.iter().enumerate() {
+            let col = key_column(schema, name, ki, &answer.groups)?;
+            fields.push(Field::new(name.clone(), col.data_type()));
+            cols.push(col);
+        }
+        for (ai, alias) in agg_aliases(query).enumerate() {
+            if let Some(alias) = alias {
+                let estimates = answer.groups.iter().map(|g| g.aggs[ai].estimate).collect();
+                fields.push(Field::new(alias, DataType::Float));
+                cols.push(Column::from_f64s(estimates));
+            }
+        }
+        let batch = Batch::new(Schema::new(fields)?, cols)?;
+        // The rows are named explicitly: a global query without aliased
+        // aggregates gives HAVING a batch with no columns to count them from.
+        let rows: Vec<u32> = (0..answer.groups.len() as u32).collect();
+        let mut keep = aqp_sql::expr::eval_predicate_selected(having, &batch, &rows)?.into_iter();
+        answer.groups.retain(|_| keep.next().unwrap_or(false));
+    }
+    apply_order_limit(query, schema, answer)
+}
+
+/// Sort and truncate output groups per ORDER BY / LIMIT. A group key
+/// sorts by its column's type (NULL first), an aggregate by its estimate.
+fn apply_order_limit(query: &Query, schema: &Schema, mut answer: AqpAnswer) -> Result<AqpAnswer> {
+    if let Some(o) = &query.order_by {
+        let directed = |ord: Ordering| if o.descending { ord.reverse() } else { ord };
+        // Positional lookup: aggregate alias index or group key index.
+        if let Some(ai) = agg_aliases(query).position(|alias| alias == Some(o.column.as_str())) {
+            answer.groups.sort_by(|a, b| directed(a.aggs[ai].estimate.total_cmp(&b.aggs[ai].estimate)));
+        } else if let Some(ki) = query.group_by.iter().position(|g| g == &o.column) {
+            let col = key_column(schema, &o.column, ki, &answer.groups)?;
+            let cells = (0..col.len()).map(|i| col.value(i)).collect::<aqp_storage::Result<Vec<_>>>()?;
+            let mut keyed: Vec<(Value, GroupResult)> = cells.into_iter().zip(answer.groups).collect();
+            keyed.sort_by(|(a, _), (b, _)| {
+                directed(match (a, b) {
+                    (Value::Int(x), Value::Int(y)) => x.cmp(y),
+                    (Value::Float(x), Value::Float(y)) => x.total_cmp(y),
+                    (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+                    (Value::Str(x), Value::Str(y)) => x.cmp(y),
+                    // One column, one type: what is left is NULL against a value.
+                    (x, y) => y.is_null().cmp(&x.is_null()),
+                })
+            });
+            answer.groups = keyed.into_iter().map(|(_, g)| g).collect();
+        }
     }
     if let Some(l) = query.limit {
         answer.groups.truncate(l);
     }
-    answer
+    Ok(answer)
 }
 
 /// The table the innermost block of `query` scans.
@@ -1089,6 +1059,63 @@ mod tests {
             .execute("SELECT city, COUNT(*) FROM sessions GROUP BY city HAVING city = 'NYC'")
             .unwrap();
         assert_eq!(k.groups.iter().map(|g| g.key.as_str()).collect::<Vec<_>>(), ["NYC"]);
+    }
+
+    /// HAVING and ORDER BY read a key cell as its column's type, not as
+    /// whatever its rendering happens to parse as.
+    #[test]
+    fn having_and_order_by_type_keys_from_the_schema() {
+        let zips = ["10001", "94103", "1e3", "nan", "inf"];
+        let rows = 40;
+        let fields = vec![
+            Field::new("zip", DataType::Str),
+            Field::new("is_mobile", DataType::Bool),
+            Field::new("score", DataType::Float),
+            Field::new("v", DataType::Float),
+        ];
+        let zip: Vec<&str> = (0..rows).map(|i| zips[i % 5]).collect();
+        let scores = [2.5, f64::NAN, -1.0, 10.0];
+        let columns = vec![
+            Column::from_strs(&zip),
+            Column::from_bools((0..rows).map(|i| i % 4 == 0).collect()),
+            Column::from_f64s((0..rows).map(|i| scores[i % 4]).collect()),
+            Column::from_f64s((0..rows).map(|i| i as f64).collect()),
+        ];
+        let batch = Batch::new(Schema::new(fields).unwrap(), columns).unwrap();
+        let s = AqpSession::new(SessionConfig::default());
+        s.register_table(Table::from_batch("t", batch, 2).unwrap()).unwrap();
+        let keys = |sql: &str| -> Vec<String> {
+            s.execute(sql).unwrap().groups.into_iter().map(|g| g.key).collect()
+        };
+
+        // A string that looks like a number is still a string.
+        for zip in zips {
+            let sql = format!("SELECT zip, COUNT(*) FROM t GROUP BY zip HAVING zip = '{zip}'");
+            assert_eq!(keys(&sql), [zip], "{sql}");
+        }
+        assert_eq!(
+            keys("SELECT zip, COUNT(*) FROM t GROUP BY zip ORDER BY zip"),
+            ["10001", "1e3", "94103", "inf", "nan"]
+        );
+        assert_eq!(
+            keys("SELECT zip, COUNT(*) FROM t GROUP BY zip ORDER BY zip DESC LIMIT 2"),
+            ["nan", "inf"]
+        );
+
+        // A Bool key compares as a bool.
+        let sql = "SELECT is_mobile, AVG(v) FROM t GROUP BY is_mobile HAVING is_mobile = true";
+        assert_eq!(keys(sql), ["true"]);
+        let sql = "SELECT is_mobile, AVG(v) FROM t GROUP BY is_mobile ORDER BY is_mobile";
+        assert_eq!(keys(sql), ["false", "true"]);
+
+        // A Float key with NaN: numeric order (NaN last, as `total_cmp`
+        // has it), and NaN satisfies no comparison.
+        let sql = "SELECT score, COUNT(*) FROM t GROUP BY score ORDER BY score";
+        assert_eq!(keys(sql), ["-1", "2.5", "10", "NaN"]);
+        let sql = "SELECT score, COUNT(*) FROM t GROUP BY score HAVING score > 0 ORDER BY score DESC";
+        assert_eq!(keys(sql), ["10", "2.5"]);
+        let sql = "SELECT score, COUNT(*) AS c FROM t GROUP BY score HAVING score < 3 AND c = 10";
+        assert_eq!(keys(sql).len(), 2);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// Paper defaults (Appendix A): p = 100, k = 3, c₁ = 0.2, c₂ = 0.2,
 /// c₃ = 0.5, ρ = 0.95 (the paper's β), on subsamples of 50 MB / 100 MB /
-/// 200 MB. We parameterize subsamples by *row count*; [`DiagnosticConfig::paper_defaults`]
-/// converts the paper's megabytes at its ~100-byte production row width.
+/// 200 MB. We parameterize subsamples by *row count*, scaled to the sample
+/// at hand ([`DiagnosticConfig::scaled_to`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiagnosticConfig {
     /// Number of simulated subsamples p at each size.
@@ -23,30 +23,14 @@ pub struct DiagnosticConfig {
     /// Minimum proportion of size-b_k subsamples whose estimate is within
     /// c₃ of the truth (ρ).
     pub rho: f64,
-    /// Interval coverage α the error estimates target.
+    /// Interval coverage α for [`run_diagnostic`](crate::run_diagnostic),
+    /// which has no other statement of it. The query engine never reads
+    /// this: it judges at the α its bars are computed at
+    /// (`ApproxOptions::alpha`).
     pub alpha: f64,
 }
 
 impl DiagnosticConfig {
-    /// The paper's settings, with 50/100/200 MB subsamples converted to
-    /// rows at `bytes_per_row`.
-    pub fn paper_defaults(bytes_per_row: usize) -> Self {
-        let mb = 1_000_000usize;
-        DiagnosticConfig {
-            p: 100,
-            subsample_rows: vec![
-                50 * mb / bytes_per_row,
-                100 * mb / bytes_per_row,
-                200 * mb / bytes_per_row,
-            ],
-            c1: 0.2,
-            c2: 0.2,
-            c3: 0.5,
-            rho: 0.95,
-            alpha: 0.95,
-        }
-    }
-
     /// Sizes scaled to a sample of `sample_rows` rows: three geometric
     /// levels ending at `sample_rows / p`, the largest size for which p
     /// disjoint subsamples exist.
@@ -106,22 +90,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_defaults_match_appendix() {
-        let cfg = DiagnosticConfig::paper_defaults(100);
-        assert_eq!(cfg.p, 100);
-        assert_eq!(cfg.subsample_rows, vec![500_000, 1_000_000, 2_000_000]);
-        assert_eq!(cfg.c1, 0.2);
-        assert_eq!(cfg.c2, 0.2);
-        assert_eq!(cfg.c3, 0.5);
-        assert_eq!(cfg.rho, 0.95);
-        assert_eq!(cfg.k(), 3);
-    }
-
-    #[test]
     fn scaled_sizes_fit_disjointly() {
         let cfg = DiagnosticConfig::scaled_to(100_000, 50);
         cfg.validate(100_000).unwrap();
         assert_eq!(*cfg.subsample_rows.last().unwrap() * cfg.p, 100_000);
+        // Appendix A's thresholds.
+        assert_eq!((cfg.c1, cfg.c2, cfg.c3, cfg.rho, cfg.k()), (0.2, 0.2, 0.5, 0.95, 3));
     }
 
     #[test]

@@ -127,16 +127,19 @@ fn stddev(xs: &[f64]) -> f64 {
 ///
 /// `theta_s` is θ(S), the full-sample point estimate the per-size true
 /// intervals are centered on; `cfg.subsample_rows` lists the levels by
-/// increasing b. `theta_hat(level, j)` returns θ̂ on subsample j of that
-/// level (NaN = degenerate there) together with whatever the caller
-/// prepared to compute it; `xi(level, j, θ̂, prepared)` gets both back and
-/// returns ξ's half-width on the same subsample (NaN = ξ degenerate). ξ
-/// is asked only after every θ̂ of its level, in order of j, at most once.
+/// increasing b; `alpha` is the coverage ξ's intervals are computed at,
+/// which the per-size truth must share. `theta_hat(level, j)` returns θ̂
+/// on subsample j of that level (NaN = degenerate there) together with
+/// whatever the caller prepared to compute it; `xi(level, j, θ̂, prepared)`
+/// gets both back and returns ξ's half-width on the same subsample (NaN =
+/// ξ degenerate). ξ is asked only after every θ̂ of its level, in order of
+/// j, at most once.
 ///
 /// An empty level list is refused, not a panic.
 pub fn diagnose<P>(
     theta_s: f64,
     cfg: &DiagnosticConfig,
+    alpha: f64,
     theta_hat: impl Fn(usize, usize) -> (f64, P),
     xi: impl Fn(usize, usize, f64, P) -> f64,
 ) -> DiagnosticReport {
@@ -164,7 +167,7 @@ pub fn diagnose<P>(
         if t_hats.is_empty() {
             return report;
         }
-        let x = symmetric_half_width(theta_s, &t_hats, cfg.alpha);
+        let x = symmetric_half_width(theta_s, &t_hats, alpha);
         report.x = x;
         let mut x_hats = Vec::with_capacity(p);
         let mut close = 0usize;
@@ -285,6 +288,7 @@ pub fn run_diagnostic(
     diagnose(
         est.estimate(values, ctx),
         cfg,
+        cfg.alpha,
         |level, j| {
             let (chunk, sub_ctx) = subsample(level, j);
             (est.estimate(chunk, &sub_ctx), ())
@@ -383,7 +387,7 @@ mod tests {
         levels: &[(Vec<f64>, Vec<f64>)],
         cfg: &DiagnosticConfig,
     ) -> DiagnosticReport {
-        diagnose(theta_s, cfg, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
+        diagnose(theta_s, cfg, cfg.alpha, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
     }
 
     fn alternating(s: f64, p: usize) -> Vec<f64> {

@@ -215,6 +215,7 @@ fn naive_diagnostic(
     let report = diagnose(
         theta_s,
         cfg,
+        opts.alpha,
         |level, j| (rescanned(level, j, &|mut bound| bound.estimate()), ()),
         |level, j, theta_hat, ()| {
             rescanned(level, j, &|mut bound| {

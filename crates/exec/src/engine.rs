@@ -40,11 +40,13 @@ pub struct ApproxOptions {
     pub method: MethodChoice,
     /// Bootstrap resample count K.
     pub bootstrap_k: usize,
-    /// Interval coverage α.
+    /// Interval coverage α: of the answer's bars and of everything the
+    /// diagnostic compares them with.
     pub alpha: f64,
-    /// Run the diagnostic with this configuration (`None` = skip). The
-    /// config's subsample sizes are interpreted against the sample's
-    /// pre-filter row count.
+    /// Run the diagnostic with this ladder and these thresholds (`None` =
+    /// skip). The config's subsample sizes are interpreted against the
+    /// sample's pre-filter row count; its own `alpha` is not read — the
+    /// diagnostic judges at [`alpha`](ApproxOptions::alpha) above.
     pub diagnostic: Option<DiagnosticConfig>,
     /// Root seed for all Poisson weight streams.
     pub seed: u64,
@@ -80,14 +82,6 @@ impl Default for ApproxOptions {
             obs: ObsHandle::default(),
             faults: None,
         }
-    }
-}
-
-impl ApproxOptions {
-    /// Enable the diagnostic with sizes scaled to `sample_rows`.
-    pub fn with_scaled_diagnostic(mut self, sample_rows: usize, p: usize) -> Self {
-        self.diagnostic = Some(DiagnosticConfig::scaled_to(sample_rows, p));
-        self
     }
 }
 
@@ -711,6 +705,7 @@ impl Subsamples<'_> {
         diagnose(
             theta_s,
             self.cfg,
+            self.opts.alpha,
             |level, j| {
                 let mut bound = self.bind(level, j);
                 (bound.estimate(), bound)
@@ -851,8 +846,11 @@ mod tests {
         let sample = sample_of(&pop, 30_000, 17);
         let plan = plan_of("SELECT AVG(time) FROM sessions", &pop);
         let registry = UdfRegistry::default();
-        let opts = ApproxOptions { seed: 18, ..Default::default() }
-            .with_scaled_diagnostic(30_000, 50);
+        let opts = ApproxOptions {
+            seed: 18,
+            diagnostic: Some(DiagnosticConfig::scaled_to(30_000, 50)),
+            ..Default::default()
+        };
         let approx = execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
         let r = approx.scalar().unwrap();
         let d = r.diagnostic.as_ref().unwrap();
@@ -926,9 +924,9 @@ mod tests {
             threads: 2,
             method: MethodChoice::Bootstrap,
             bootstrap_k: 20,
+            diagnostic: Some(DiagnosticConfig::scaled_to(5_000, 20)),
             ..Default::default()
-        }
-        .with_scaled_diagnostic(5_000, 20);
+        };
         let approx = execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
 
         // One op: span per plan operator, each tagged with its preorder
@@ -995,6 +993,49 @@ mod tests {
         }
     }
 
+    /// The ladder config's own `alpha` is not an input of either executor:
+    /// at 99 % both compare ξ with a 99 % truth, so Δ on the last level is
+    /// the noise of that truth's quantile — within c₁ on a typical draw —
+    /// not the 1.31 ratio of the two normal quantiles on every draw, and
+    /// most of what is accepted at 95 % is accepted.
+    #[test]
+    fn both_executors_judge_at_the_options_alpha() {
+        let pop = population(100_000, 70);
+        let plan = plan_of("SELECT AVG(time) FROM sessions", &pop);
+        let registry = UdfRegistry::default();
+        let cfg = DiagnosticConfig::scaled_to(20_000, 50);
+        assert_eq!(cfg.alpha, 0.95);
+        type Executor =
+            fn(&LogicalPlan, &Table, usize, &UdfRegistry, &ApproxOptions) -> Result<ApproxResult>;
+        let executors: [(&str, Executor); 2] =
+            [("optimized", execute_approx), ("baseline", crate::baseline::execute_baseline)];
+        for (name, execute) in executors {
+            let judged_at = |alpha: f64| -> (usize, f64) {
+                let mut deviations = Vec::new();
+                let mut accepted = 0;
+                for sample_seed in 71..=82 {
+                    let sample = sample_of(&pop, 20_000, sample_seed);
+                    let diagnostic = Some(cfg.clone());
+                    let opts = ApproxOptions { seed: 72, alpha, diagnostic, threads: 2, ..Default::default() };
+                    let result = execute(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
+                    let cell = result.scalar().unwrap();
+                    assert!(cell.ci.is_none_or(|ci| ci.confidence == alpha), "{name}: {cell:?}");
+                    let report = cell.diagnostic.as_ref().unwrap();
+                    accepted += usize::from(report.accepted);
+                    let last = report.levels.last().unwrap();
+                    // NaN: the level stopped on π before every ξ was in.
+                    deviations.push(if last.mean_deviation.is_nan() { f64::INFINITY } else { last.mean_deviation });
+                }
+                deviations.sort_by(f64::total_cmp);
+                (accepted, deviations[deviations.len() / 2])
+            };
+            let (accepted_95, median_95) = judged_at(0.95);
+            let (accepted_99, median_99) = judged_at(0.99);
+            assert!(median_95 < cfg.c1 && median_99 < cfg.c1, "{name}: Δ {median_95} / {median_99}");
+            assert!(accepted_95 >= 8 && 2 * accepted_99 >= accepted_95, "{name}: {accepted_95} / {accepted_99}");
+        }
+    }
+
     /// A refused cell leaves the executor without bars; filled on demand,
     /// they are the bars of a run that refuses nothing (no diagnostic, so
     /// every bar computed inline) — per-stratum contexts included.
@@ -1015,7 +1056,8 @@ mod tests {
             ..Default::default()
         };
         let all = execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
-        let judged = opts.clone().with_scaled_diagnostic(24_000, 20);
+        let judged =
+            ApproxOptions { diagnostic: Some(DiagnosticConfig::scaled_to(24_000, 20)), ..opts.clone() };
         let mut lazy = execute_approx(&plan, &sample, pop.num_rows(), &registry, &judged).unwrap();
         let cells = |r: &ApproxResult| -> Vec<AggResult> {
             r.groups.iter().flat_map(|g| g.aggs.clone()).collect()

@@ -19,8 +19,8 @@
 //! retention is a pure function of *(seed, event sequence)*, so a
 //! fixed-seed run folds a bit-identical table — and a fixed-seed
 //! introspection query returns a bit-identical answer + CI + verdict —
-//! across processes. The CI `introspect-smoke` job byte-diffs exactly
-//! that.
+//! across processes (`tests/golden/introspect_seed7.txt` pins exactly
+//! that).
 //!
 //! # Recursion guard
 //!

@@ -6,8 +6,8 @@
 //! Determinism: every exporter is a pure function of its input — span
 //! order is the trace's recording order and folded stacks follow the
 //! cumulative profile's `BTreeMap` order — so two processes observing
-//! the same mock-clock workload emit byte-identical artifacts (CI diffs
-//! them in the `profile-smoke` job).
+//! the same mock-clock workload emit byte-identical artifacts
+//! (`tests/golden/profile_seed7.*` pin one workload's).
 
 use aqp_obs::json::{push_f64, push_str_lit};
 use aqp_obs::QueryTrace;

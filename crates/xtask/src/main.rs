@@ -1,4 +1,4 @@
-//! `xtask` — workspace invariant checking and benchmark tooling.
+//! `xtask` — workspace invariant checking and corpus tooling.
 //!
 //! Subcommands:
 //!
@@ -19,8 +19,6 @@
 //!   and byte-compares the re-rendered `[expect]` body, `bless`
 //!   re-records it, `drift` re-records under `target/corpus-rebless`
 //!   and fails on any byte difference against the committed corpus.
-//! * `bench-compare` — diff two `BENCH_aqp.json` trajectory documents
-//!   and fail on latency/coverage regressions beyond a threshold.
 //! * `metrics-inventory` — regenerate (or `--check`) `docs/METRICS.md`
 //!   from the metric constants in `aqp_obs::name`.
 //! * `lints-inventory` — regenerate (or `--check`) `docs/LINTS.md`
@@ -29,7 +27,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bench_compare;
 mod config;
 mod index;
 mod lexer;
@@ -52,7 +49,6 @@ fn main() -> ExitCode {
         Some((cmd, rest)) => match cmd.as_str() {
             "analyze" | "lint" => analyze_cmd(rest),
             "corpus" => corpus_cmd(rest),
-            "bench-compare" => bench_compare::run(rest),
             "metrics-inventory" => metrics_inventory::run(rest),
             "lints-inventory" => lints_inventory::run(rest),
             other => {
@@ -154,7 +150,6 @@ fn usage() -> ExitCode {
     eprintln!("  analyze [--root PATH] [--config PATH] [--report PATH]");
     eprintln!("          [--check-budget] [--update-budget-baseline]   (alias: lint)");
     eprintln!("  corpus <verify|bless|drift> [--dir DIR] [--out DIR] [--report PATH]");
-    eprintln!("  bench-compare <old.json> <new.json> [--threshold FRAC] [--warn-only]");
     eprintln!("  metrics-inventory [--root PATH] [--check]");
     eprintln!("  lints-inventory [--root PATH] [--check]");
     ExitCode::from(2)

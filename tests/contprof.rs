@@ -4,9 +4,11 @@
 //! (proptest), bit-stable exporter output, and a <5% fold-in overhead
 //! bound on a real clock.
 //!
-//! The CI `profile-smoke` job re-runs [`dump_artifact_for_ci_smoke`]
-//! under `PROFILE_SMOKE_SEED` and byte-diffs the folded-stack and chrome
-//! trace artifacts across independent processes.
+//! [`dump_artifact_for_ci_smoke`] pins the folded-stack and chrome trace
+//! artifacts of one profiled workload byte for byte
+//! (`tests/golden/profile_seed7.*`).
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -247,19 +249,11 @@ fn contprof_overhead_is_bounded_at_five_percent() {
     );
 }
 
-/// Hook for the CI `profile-smoke` job: when `PROFILE_SMOKE_SEED` is
-/// set, run a fixed-seed profiled workload and write the folded-stack,
-/// chrome trace, and Prometheus artifacts to `target/profile-dumps/` so
-/// the job can byte-diff them across independent processes.
+/// A fixed-seed profiled workload's folded stacks and the chrome trace of
+/// its last query, byte for byte.
 #[test]
 fn dump_artifact_for_ci_smoke() {
-    let Some(seed) = std::env::var("PROFILE_SMOKE_SEED").ok().and_then(|s| s.parse::<u64>().ok())
-    else {
-        return;
-    };
-    let dir = std::path::Path::new("target").join("profile-dumps");
-    std::fs::create_dir_all(&dir).unwrap();
-    let s = profiled_session(seed, Some(routing()), ObsHandle::isolated(Clock::mock()));
+    let s = profiled_session(7, Some(routing()), ObsHandle::isolated(Clock::mock()));
     let mut last_trace = None;
     for i in 0..12 {
         let sql = match i % 3 {
@@ -270,10 +264,7 @@ fn dump_artifact_for_ci_smoke() {
         last_trace = Some(s.execute(sql).unwrap().trace);
     }
     let cum = s.cumulative_profile().expect("contprof is on");
-    std::fs::write(dir.join(format!("seed_{seed}.folded")), folded_stacks(&cum)).unwrap();
-    std::fs::write(
-        dir.join(format!("seed_{seed}.chrome.json")),
-        chrome_trace(&last_trace.expect("queries ran")),
-    )
-    .unwrap();
+    common::assert_matches_golden("profile_seed7.folded", &folded_stacks(&cum));
+    let trace = chrome_trace(&last_trace.expect("queries ran"));
+    common::assert_matches_golden("profile_seed7.chrome.json", &trace);
 }

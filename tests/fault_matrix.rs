@@ -10,8 +10,10 @@
 //!   than fault-free ones, and their empirical coverage over a
 //!   fixed-seed harness stays within two points of the fault-free run.
 //!
-//! The CI `fault-smoke` job re-runs [`dump_trace_for_ci_smoke`] under
-//! `FAULT_MATRIX_SEED` and diffs the emitted traces across processes.
+//! [`dump_trace_for_ci_smoke`] pins the JSONL trace of one mixed-fault
+//! query per seed (`tests/golden/fault_trace_seed{1,2,3}.jsonl`).
+
+mod common;
 
 use reliable_aqp::exec::{execute_approx, execute_exact, ApproxOptions, ExecError, UdfRegistry};
 use reliable_aqp::faults::{FaultConfig, RecoveryPolicy, StragglerDelay};
@@ -305,32 +307,24 @@ fn degraded_coverage_tracks_fault_free_coverage() {
 // the bootstrap error-estimation path under heavy truncation and pins
 // the degraded widen factor (and the widened CI bits) in its [expect].
 
-/// Hook for the CI `fault-smoke` job: when `FAULT_MATRIX_SEED` is set,
-/// run one mixed-fault query and dump its JSONL trace to
-/// `target/fault-traces/seed_<seed>.jsonl` so the job can diff traces
-/// across independent processes.
+/// One mixed-fault query per seed: its JSONL trace (every injected
+/// fault, retry and speculative launch), byte for byte.
 #[test]
 fn dump_trace_for_ci_smoke() {
-    let Some(seed) = std::env::var("FAULT_MATRIX_SEED").ok().and_then(|s| s.parse::<u64>().ok())
-    else {
-        return;
-    };
-    let table = sample_table(seed);
-    let registry = UdfRegistry::default();
-    let plan = plan_for("SELECT AVG(time) FROM sessions", &table);
-    let mut cfg = FaultConfig::quiescent(seed);
-    cfg.worker_death_prob = 0.15;
-    cfg.transient_error_prob = 0.3;
-    cfg.truncation_prob = 0.3;
-    cfg.truncation_keep = 0.5;
-    cfg.straggler_prob = 0.4;
-    cfg.recovery.max_lost_fraction = 1.0; // always complete, however degraded
-    let res =
-        execute_approx(&plan, &table, POPULATION_ROWS, &registry, &opts_with(Some(cfg), seed))
-            .expect("a fully loss-tolerant policy must complete");
-    let dir = std::path::Path::new("target/fault-traces");
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join(format!("seed_{seed}.jsonl"));
-    std::fs::write(&path, res.trace.to_jsonl()).unwrap();
-    assert!(path.exists());
+    for seed in 1..=3 {
+        let table = sample_table(seed);
+        let registry = UdfRegistry::default();
+        let plan = plan_for("SELECT AVG(time) FROM sessions", &table);
+        let mut cfg = FaultConfig::quiescent(seed);
+        cfg.worker_death_prob = 0.15;
+        cfg.transient_error_prob = 0.3;
+        cfg.truncation_prob = 0.3;
+        cfg.truncation_keep = 0.5;
+        cfg.straggler_prob = 0.4;
+        cfg.recovery.max_lost_fraction = 1.0; // always complete, however degraded
+        let res =
+            execute_approx(&plan, &table, POPULATION_ROWS, &registry, &opts_with(Some(cfg), seed))
+                .expect("a fully loss-tolerant policy must complete");
+        common::assert_matches_golden(&format!("fault_trace_seed{seed}.jsonl"), &res.trace.to_jsonl());
+    }
 }

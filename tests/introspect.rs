@@ -5,10 +5,11 @@
 //! queries out of their own telemetry, and a <5% fold-in overhead bound
 //! on a real clock.
 //!
-//! The CI `introspect-smoke` job re-runs [`dump_artifact_for_ci_smoke`]
-//! under `INTROSPECT_SMOKE_SEED` and byte-diffs the rendered answers
-//! (estimates, CIs, and diagnostic verdicts as exact bit patterns)
-//! across independent processes.
+//! [`dump_artifact_for_ci_smoke`] pins the rendered answers (estimates,
+//! CIs, and diagnostic verdicts as exact bit patterns) of one
+//! fault-injected run (`tests/golden/introspect_seed7.txt`).
+
+mod common;
 
 use reliable_aqp::faults::FaultConfig;
 use reliable_aqp::obs::{name, Clock, ObsHandle};
@@ -307,20 +308,11 @@ fn concurrent_callers_get_serial_answers_and_never_panic() {
     );
 }
 
-/// Hook for the CI `introspect-smoke` job: when `INTROSPECT_SMOKE_SEED`
-/// is set, run a fixed-seed fault-injected workload, query the system's
-/// own telemetry, and write the bit-exact rendering to
-/// `target/introspect-dumps/` so the job can byte-diff it across
-/// independent processes.
+/// A fixed-seed fault-injected workload, then the system's own telemetry
+/// queried: the bit-exact rendering of every answer.
 #[test]
 fn dump_artifact_for_ci_smoke() {
-    let Some(seed) =
-        std::env::var("INTROSPECT_SMOKE_SEED").ok().and_then(|s| s.parse::<u64>().ok())
-    else {
-        return;
-    };
-    let dir = std::path::Path::new("target").join("introspect-dumps");
-    std::fs::create_dir_all(&dir).unwrap();
+    let seed = 7;
     let obs = ObsHandle::isolated(Clock::mock());
     // Fault draws are fixed per (cfg.seed, task, attempt): seed 3 is a
     // stream where the truncation draw fires, so `_telemetry.faults` is
@@ -363,5 +355,5 @@ fn dump_artifact_for_ci_smoke() {
         out.push_str(&format!("== {sql}\n"));
         out.push_str(&render(&s.execute(sql).unwrap()));
     }
-    std::fs::write(dir.join(format!("seed_{seed}.txt")), out).unwrap();
+    common::assert_matches_golden("introspect_seed7.txt", &out);
 }

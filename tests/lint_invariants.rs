@@ -72,6 +72,48 @@ fn session_names_no_observer_machinery() {
     }
 }
 
+/// An approximate run is stated once: `AqpSession::approx_options` builds
+/// the one `ApproxOptions` (and in it the one diagnostic ladder), every
+/// other options value in `session.rs` is a struct-update of it, and the
+/// §5.3 plan annotation is rewritten in one place, from that value.
+#[test]
+fn an_approximate_run_is_stated_once() {
+    let non_test = |rel: &str| {
+        let source = std::fs::read_to_string(repo_root().join(rel)).expect(rel);
+        source.split("#[cfg(test)]").next().unwrap_or_default().to_owned()
+    };
+    let session = non_test("crates/core/src/session.rs");
+    // A struct expression, as opposed to the builder's `-> ApproxOptions {`.
+    let literals: Vec<&str> = session
+        .split("ApproxOptions {")
+        .skip(1)
+        .zip(session.split("ApproxOptions {"))
+        .filter(|(_, before)| !before.trim_end().ends_with("->"))
+        .map(|(body, _)| body.split("};").next().unwrap_or(body))
+        .collect();
+    let updates = literals.iter().filter(|l| l.contains("..self.approx_options(")).count();
+    assert_eq!(
+        (literals.len() - updates, session.matches("DiagnosticConfig::scaled_to").count()),
+        (1, 1),
+        "session.rs states an approximate run in more than one place ({} literals, {updates} \
+         struct-updates of the builder's value)",
+        literals.len()
+    );
+    let struct_body = session.split("pub struct SessionConfig {").nth(1).unwrap_or_default();
+    let struct_body = struct_body.split("\n}").next().unwrap_or_default();
+    assert!(!struct_body.contains("pilot_rows"), "SessionConfig::pilot_rows reached no rendered byte");
+
+    let mut rewrites = Vec::new();
+    for dir in ["crates/core/src", "crates/exec/src"] {
+        for entry in std::fs::read_dir(repo_root().join(dir)).expect(dir) {
+            let rel = format!("{dir}/{}", entry.expect(dir).file_name().to_string_lossy());
+            let calls = non_test(&rel).matches("rewrite_for_error_estimation(").count();
+            rewrites.extend(vec![rel; calls]);
+        }
+    }
+    assert_eq!(rewrites, ["crates/core/src/session.rs"], "the plan annotation has one author");
+}
+
 // ---------------------------------------------------------------------
 // Fixture corpus
 // ---------------------------------------------------------------------

@@ -17,7 +17,9 @@
 //! attributes, two cumulative-profile rows and the one telemetry answer
 //! that averages `rows_out`; every other answer line is the original's).
 //! On a mismatch the test writes what it got to
-//! `target/observers_transcript.actual.txt` for `diff`.
+//! `target/observers_transcript.txt.actual` for `diff`.
+
+mod common;
 
 use reliable_aqp::audit::AuditConfig;
 use reliable_aqp::faults::FaultConfig;
@@ -28,8 +30,6 @@ use reliable_aqp::workload::{conviva_sessions_table, facebook_events_table};
 use reliable_aqp::{
     AnswerMode, AqpAnswer, AqpSession, ContProfConfig, IntrospectConfig, SessionConfig,
 };
-
-const GOLDEN: &str = "tests/golden/observers_transcript.txt";
 
 /// The user queries, cycled in order. `sessions` and `events` have four
 /// partitions, `sessions_wide` eight: fault draws are a function of
@@ -297,22 +297,6 @@ fn transcript() -> (String, Vec<String>) {
 #[test]
 fn all_four_hooks_reproduce_the_recorded_transcript() {
     let (got, missing) = transcript();
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let want = std::fs::read_to_string(root.join(GOLDEN)).unwrap_or_default();
-    if got != want {
-        let actual = root.join("target").join("observers_transcript.actual.txt");
-        std::fs::create_dir_all(actual.parent().unwrap()).unwrap();
-        std::fs::write(&actual, &got).unwrap();
-        assert!(missing.is_empty(), "the query list no longer produces: {missing:?}");
-        let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
-        panic!(
-            "transcript differs from {GOLDEN} (first differing line: {:?}, {} vs {} lines); \
-             wrote {}",
-            line.map(|l| l + 1),
-            got.lines().count(),
-            want.lines().count(),
-            actual.display()
-        );
-    }
+    common::assert_matches_golden("observers_transcript.txt", &got);
     assert!(missing.is_empty(), "the query list no longer produces: {missing:?}");
 }

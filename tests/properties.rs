@@ -1618,6 +1618,7 @@ proptest! {
         let got = diagnose(
             theta_s,
             &cfg,
+            cfg.alpha,
             |l, j| {
                 theta_calls[l].set(theta_calls[l].get() + 1);
                 (levels[l].theta_hats[j], ())
@@ -1856,6 +1857,7 @@ mod eager_pipeline {
                 let report = diagnose(
                     estimate,
                     &cfg,
+                    opts.alpha,
                     |level, j| {
                         let b = cfg.subsample_rows[level];
                         let range = data.range_for_rows(j * b, (j + 1) * b, rows);

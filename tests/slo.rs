@@ -4,8 +4,10 @@
 //! signals that beat the audit window to the punch, and a <5%
 //! wall-clock overhead bound when everything is switched on.
 //!
-//! The CI `slo-smoke` job re-runs [`dump_artifact_for_ci_smoke`] under
-//! `SLO_SMOKE_SEED` and byte-diffs the recorder dumps across processes.
+//! [`dump_artifact_for_ci_smoke`] pins the recorder dumps of one replay
+//! byte for byte (`tests/golden/slo_dump_seed7.jsonl`).
+
+mod common;
 
 use reliable_aqp::audit::AuditConfig;
 use reliable_aqp::faults::FaultConfig;
@@ -284,19 +286,13 @@ fn slo_overhead_is_bounded_at_five_percent() {
     );
 }
 
-/// Hook for the CI `slo-smoke` job: when `SLO_SMOKE_SEED` is set, run
-/// the miscalibrated replay with the recorder appending to
-/// `target/slo-dumps/seed_<seed>.jsonl` so the job can byte-diff dump
-/// artifacts across independent processes.
+/// The miscalibrated replay with the recorder appending to a file: every
+/// dump it writes, byte for byte.
 #[test]
 fn dump_artifact_for_ci_smoke() {
-    let Some(seed) = std::env::var("SLO_SMOKE_SEED").ok().and_then(|s| s.parse::<u64>().ok())
-    else {
-        return;
-    };
-    let dir = std::path::Path::new("target").join("slo-dumps");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/slo-dumps");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("seed_{seed}.jsonl"));
+    let path = dir.join("seed_7.jsonl");
     let _ = std::fs::remove_file(&path);
     let slo = SloConfig::new()
         .with_coverage(SloConfig::DEFAULT_CLASS, 0.95)
@@ -306,5 +302,6 @@ fn dump_artifact_for_ci_smoke() {
     for _ in 0..40 {
         s.execute("SELECT MAX(payload_kb) FROM events").unwrap();
     }
-    assert!(path.exists(), "the smoke run must write {}", path.display());
+    let dumps = std::fs::read_to_string(&path).expect("the replay must write its dumps");
+    common::assert_matches_golden("slo_dump_seed7.jsonl", &dumps);
 }
