@@ -4,6 +4,12 @@
 //! bootstrap applies. The registry maps SQL-level names to concrete
 //! [`aqp_stats::estimator::Udf`]s. The stock library mirrors the
 //! Conviva-style UDFs shipped with `aqp-stats`.
+//!
+//! How a UDF's resamples are evaluated is the UDF's own business: one
+//! registered with a weighted form (`Udf::with_weighted`, which every
+//! stock UDF has) takes the weight column, a bare closure gets each
+//! resample expanded into a buffer. Nothing here or in the engine asks
+//! which — both arrive through `QueryEstimator::replicator`.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -258,30 +258,60 @@ impl QueryEstimator for Aggregate {
 /// The boxed function type a [`Udf`] wraps.
 pub type UdfFn = Arc<dyn Fn(&[f64]) -> f64 + Send + Sync>;
 
-/// A black-box user-defined aggregate over the values vector (§2.3.2:
-/// "black-box user defined functions (UDFs)" have no closed form; only the
-/// bootstrap applies).
+/// The weighted form of a [`Udf`] ([`Udf::with_weighted`]).
+pub type WeightedUdfFn = Arc<dyn for<'a> Fn(&'a [f64]) -> Replicator<'a> + Send + Sync>;
+
+/// A user-defined aggregate over the values vector (§2.3.2: "black-box
+/// user defined functions (UDFs)" have no closed form; only the bootstrap
+/// applies).
 ///
-/// Weighted evaluation expands the weight-encoded multiset and calls the
-/// UDF — intentionally generic and unoptimized, matching the paper's
-/// framing of UDFs as opaque.
+/// The function is the definition: θ(S), every subsample's θ̂ and the
+/// exact path call it. A resample is evaluated in one of two ways, chosen
+/// by what the UDF supplies. A bare closure is opaque, so each resample is
+/// expanded ([`Udf::expand`]) into a buffer and the function called on
+/// it. A UDF that also has a *weighted form* accepts the weight column the
+/// way the built-in aggregates do (§5.3.1) and never sees a duplicated
+/// tuple; every stock UDF ([`udfs`]) has one.
 #[derive(Clone)]
 pub struct Udf {
     name: String,
     f: UdfFn,
+    weighted: Option<WeightedUdfFn>,
 }
 
 impl Udf {
     /// Wrap a function of the (filtered) values vector as a UDF aggregate.
     pub fn new(name: impl Into<String>, f: impl Fn(&[f64]) -> f64 + Send + Sync + 'static) -> Self {
-        Udf { name: name.into(), f: Arc::new(f) }
+        Udf { name: name.into(), f: Arc::new(f), weighted: None }
+    }
+
+    /// Supply the weighted form. `prepare` is called once per bootstrap
+    /// job with the job's values (the answer's, or one diagnostic
+    /// subsample's) and does there whatever depends on the values alone;
+    /// the [`Replicator`] it returns is called once per resample with
+    /// that resample's weights and must return what the function returns
+    /// on [`Udf::expand`] of them, up to floating-point rounding — weights
+    /// beyond the values, or values beyond the weights, count as absent.
+    pub fn with_weighted(
+        mut self,
+        prepare: impl for<'a> Fn(&'a [f64]) -> Replicator<'a> + Send + Sync + 'static,
+    ) -> Self {
+        self.weighted = Some(Arc::new(prepare));
+        self
+    }
+
+    /// Whether resamples are evaluated on weights ([`Udf::with_weighted`])
+    /// and not on an expansion.
+    pub fn has_weighted_form(&self) -> bool {
+        self.weighted.is_some()
     }
 
     /// The multiset expansion a weighted evaluation stands for: `values[i]`
-    /// repeated `weights[i]` times, in row order. The engine no longer
-    /// calls this (a bootstrap job expands into one reused buffer, see
-    /// [`QueryEstimator::replicator`]); it is the definition that tests
-    /// and `benches/weighted_agg.rs` compare against.
+    /// repeated `weights[i]` times, in row order. The engine does not call
+    /// this (an opaque UDF's bootstrap job expands into one reused buffer,
+    /// see [`QueryEstimator::replicator`]; a weighted one expands
+    /// nothing); it is the definition that the contract tests and
+    /// `benches/weighted_agg.rs` compare against.
     pub fn expand(values: &[f64], weights: &[u32]) -> Vec<f64> {
         let total: usize = weights.iter().map(|&w| w as usize).sum();
         let mut out = Vec::with_capacity(total);
@@ -313,9 +343,14 @@ impl QueryEstimator for Udf {
         self.replicator(values, ctx)(weights)
     }
 
-    /// Expands every resample into one buffer that lives as long as the
-    /// job, in [`Udf::expand`]'s order, and calls the function on it.
+    /// The weighted form prepared for `values` where the UDF has one.
+    /// Otherwise every resample is expanded into one buffer that lives as
+    /// long as the job, in [`Udf::expand`]'s order, and the function
+    /// called on it.
     fn replicator<'a>(&'a self, values: &'a [f64], _ctx: &'a SampleContext) -> Replicator<'a> {
+        if let Some(prepare) = &self.weighted {
+            return prepare(values);
+        }
         let mut expanded = Vec::new();
         Box::new(move |weights| {
             let weights = &weights[..weights.len().min(values.len())];
@@ -342,10 +377,11 @@ impl QueryEstimator for Udf {
 
 /// Library of UDFs characteristic of the Conviva workload (§3: 42.07% of
 /// Conviva queries contain at least one UDF). These exercise different
-/// smoothness regimes:
+/// smoothness regimes. Each carries a weighted form ([`Udf::with_weighted`])
+/// that computes the same estimator on (value, weight) pairs.
 pub mod udfs {
-    use super::Udf;
-    use crate::quantile::{quantile, quantile_mut};
+    use super::{Replicator, Udf};
+    use crate::quantile::{quantile, quantile_mut, weighted_sum, SortedJob};
 
     /// Trimmed mean over the central `(lo, hi)` quantile band — smooth,
     /// bootstrap-friendly.
@@ -374,6 +410,19 @@ pub mod udfs {
                 sum / n as f64
             }
         })
+        .with_weighted(move |xs| band_mean_job(xs, lo, Some(hi)))
+    }
+
+    /// The weighted form of a mean over the band from the resample's
+    /// `lo`-quantile up to its `hi`-quantile, or up to everything: one
+    /// sort per job, the edges found on each resample's weights.
+    fn band_mean_job(xs: &[f64], lo: f64, hi: Option<f64>) -> Replicator<'_> {
+        let mut job = SortedJob::new(xs);
+        Box::new(move |ws| {
+            job.load(ws);
+            let top = hi.map_or(Some(f64::INFINITY), |hi| job.quantile(hi));
+            job.quantile(lo).zip(top).map_or(f64::NAN, |(a, b)| job.band_mean(a, b))
+        })
     }
 
     /// Mean of the top `frac` fraction — MAX-like outlier sensitivity,
@@ -396,6 +445,7 @@ pub mod udfs {
             }
             sum / n as f64
         })
+        .with_weighted(move |xs| band_mean_job(xs, 1.0 - frac, None))
     }
 
     /// Geometric mean of positive values — moderately smooth nonlinearity.
@@ -415,6 +465,19 @@ pub mod udfs {
                 (s / n as f64).exp()
             }
         })
+        // One `ln` per value per job; a row the filter drops weighs 0.
+        .with_weighted(|xs| {
+            let logs: Vec<(f64, u32)> =
+                xs.iter().map(|&x| if x > 0.0 { (x.ln(), u32::MAX) } else { (0.0, 0) }).collect();
+            Box::new(move |ws| {
+                let (s, n) = weighted_sum(logs.iter().zip(ws).map(|(&(l, keep), &w)| (l, w & keep)));
+                if n == 0 {
+                    f64::NAN
+                } else {
+                    (s / n as f64).exp()
+                }
+            })
+        })
     }
 
     /// Coefficient of variation (stddev/mean) — a smooth ratio statistic.
@@ -422,6 +485,20 @@ pub mod udfs {
         Udf::new("coeff_of_variation", |xs| {
             let m = crate::moments::Moments::from_slice(xs);
             m.std_dev_sample() / m.mean()
+        })
+        // Two passes per resample: its mean, then the squares centred on
+        // it, so a resample of tied rows has variance 0 to rounding.
+        .with_weighted(|xs| {
+            Box::new(move |ws| {
+                let rows = || xs.iter().copied().zip(ws.iter().copied());
+                let (sum, n) = weighted_sum(rows());
+                if n < 2 {
+                    return f64::NAN;
+                }
+                let mean = sum / n as f64;
+                let (m2, _) = weighted_sum(rows().map(|(x, w)| ((x - mean) * (x - mean), w)));
+                (m2 / (n - 1) as f64).sqrt() / mean
+            })
         })
     }
 
@@ -433,6 +510,18 @@ pub mod udfs {
                 return f64::NAN;
             }
             xs.iter().filter(|&&x| x > threshold).count() as f64 / xs.len() as f64
+        })
+        // Sums of 0s and 1s are exact, so bit for bit the expansion's.
+        .with_weighted(move |xs| {
+            Box::new(move |ws| {
+                let rows = xs.iter().zip(ws).map(|(&x, &w)| (f64::from(u8::from(x > threshold)), w));
+                let (above, n) = weighted_sum(rows);
+                if n == 0 {
+                    f64::NAN
+                } else {
+                    above / n as f64
+                }
+            })
         })
     }
 }
@@ -556,6 +645,7 @@ mod tests {
         // Order-sensitive, so a stale or misplaced slot in the reused
         // expansion buffer shows: Σ i·xᵢ over the expanded multiset.
         let ramp = Udf::new("ramp", |xs| xs.iter().enumerate().map(|(i, x)| i as f64 * x).sum());
+        assert!(!ramp.has_weighted_form());
         let median = Aggregate::Percentile(0.5);
         let values = [3.0, -1.0, 4.0, 1.0, 5.0, 9.0];
         let mut ramp_job = ramp.replicator(&values, &CTX);
@@ -568,6 +658,117 @@ mod tests {
                 median.estimate_weighted(&values, &weights, &CTX).to_bits(),
                 "{weights:?}"
             );
+        }
+    }
+
+    /// The five stock UDFs, by the name each is registered under.
+    fn stock() -> [(&'static str, Udf); 5] {
+        [
+            ("trimmed_mean", udfs::trimmed_mean(0.1, 0.9)),
+            ("top_decile_mean", udfs::top_fraction_mean(0.1)),
+            ("geo_mean", udfs::geometric_mean()),
+            ("cov", udfs::coeff_of_variation()),
+            ("frac_above", udfs::frac_above(2.5)),
+        ]
+    }
+
+    /// The contract of [`Udf::with_weighted`], over every stock UDF: on the
+    /// resample a weight vector encodes, the weighted form returns what the
+    /// function returns on the expansion — both non-finite, or equal to
+    /// 1e-12 of the larger, where "larger" is floored by the size of what
+    /// the estimate sums (the mean |x| of the weighted rows: a mean that
+    /// cancels to 0 is only that accurate on either side; for the ratio
+    /// `cov`, 1) and stretched by the conditioning of the mean that `cov`
+    /// divides by (1 on a positive column). One replicator serves every
+    /// weight vector of a case, in turn, and must give bit for bit what a
+    /// fresh one gives; `frac_above` counts, so it must give the
+    /// expansion's bits.
+    #[test]
+    fn weighted_forms_match_the_expansion() {
+        use crate::resample::poisson_weights;
+        use rand::RngExt;
+        let specials = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut compared = 0;
+        for seed in 0..48u64 {
+            let mut rng = crate::rng::rng_from_seed(seed);
+            for n in [0usize, 1, 2, 3, 40, 1_000] {
+                // Ties throughout (one decimal); then per seed: a skewed
+                // positive column, one with zeros and negatives (what
+                // `geo_mean` filters), a constant one, and either of the
+                // first two with NaN / ±Inf cells.
+                let shape = seed % 5;
+                let values: Vec<f64> = (0..n)
+                    .map(|_| {
+                        let x = (-40.0 * rng.random::<f64>().ln()).round() / 10.0 + 0.1;
+                        match shape {
+                            2 => 417.3,
+                            _ if shape >= 3 && rng.random_bool(0.05) => specials[rng.random_range(0..4)],
+                            1 | 4 => x - 3.0,
+                            _ => x,
+                        }
+                    })
+                    .collect();
+                let heavy = |others: u32| {
+                    let mut ws = vec![others; n];
+                    ws.iter_mut().skip(n / 3).take(1).for_each(|w| *w = 50);
+                    ws
+                };
+                let mut heavy_among_draws = poisson_weights(&mut rng, n);
+                heavy_among_draws.iter_mut().take(1).for_each(|w| *w = 17);
+                let weight_vectors = [
+                    poisson_weights(&mut rng, n),
+                    vec![0; n],
+                    heavy(0),
+                    poisson_weights(&mut rng, n),
+                    heavy(1),
+                    heavy_among_draws,
+                    poisson_weights(&mut rng, n / 2),
+                    poisson_weights(&mut rng, n + 7),
+                ];
+                for (name, udf) in stock() {
+                    assert!(udf.has_weighted_form(), "{name}");
+                    let mut job = udf.replicator(&values, &CTX);
+                    for ws in &weight_vectors {
+                        let got = job(ws);
+                        let fresh = udf.replicator(&values, &CTX)(ws);
+                        assert_eq!(got.to_bits(), fresh.to_bits(), "{name} reused, seed {seed} n {n}");
+                        let want = udf.estimate(&Udf::expand(&values, ws), &CTX);
+                        if name == "frac_above" {
+                            let same = got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan();
+                            assert!(same, "{name}: {got} vs {want}, seed {seed} n {n}");
+                            continue;
+                        }
+                        let rows = || values.iter().zip(ws).filter(|(x, &w)| w > 0 && x.is_finite());
+                        let weight: f64 = rows().map(|(_, &w)| w as f64).sum();
+                        let mean_abs = rows().map(|(x, &w)| x.abs() * w as f64).sum::<f64>() / weight;
+                        let mean = rows().map(|(x, &w)| x * w as f64).sum::<f64>() / weight;
+                        let (floor, conditioning) =
+                            if name == "cov" { (1.0, mean_abs / mean.abs()) } else { (mean_abs, 1.0) };
+                        let size = got.abs().max(want.abs()).max(floor);
+                        assert!(
+                            !got.is_finite() && !want.is_finite()
+                                || (got - want).abs() <= 1e-12 * conditioning * size,
+                            "{name}: weighted {got:e} vs expansion {want:e}, seed {seed} n {n} ws {:?}",
+                            &ws[..ws.len().min(8)]
+                        );
+                        compared += usize::from(got.is_finite());
+                    }
+                }
+            }
+        }
+        assert!(compared > 3_000, "{compared} finite comparisons");
+    }
+
+    #[test]
+    fn a_udf_without_a_weighted_form_expands() {
+        // The same function, opaque: the expansion path is the reference.
+        let (values, ws) = ([3.0, 1.0, 4.0, 1.5, 9.0], [2u32, 0, 1, 3, 1]);
+        for (name, udf) in stock() {
+            let f = udf.clone();
+            let opaque = Udf::new(name, move |xs| f.estimate(xs, &CTX));
+            assert!(!opaque.has_weighted_form());
+            let want = udf.estimate(&Udf::expand(&values, &ws), &CTX);
+            assert_eq!(opaque.estimate_weighted(&values, &ws, &CTX).to_bits(), want.to_bits(), "{name}");
         }
     }
 

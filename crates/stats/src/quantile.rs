@@ -96,6 +96,115 @@ pub(crate) fn weighted_quantile_ordered(
     None
 }
 
+/// `Σ w·x` and `Σ w` over `rows`. A zero-weight row is absent from the
+/// resample even where `x` is infinite or NaN (`0 · ∞` is NaN), so a
+/// non-finite sum is taken again over the weighted rows alone.
+pub(crate) fn weighted_sum(rows: impl Iterator<Item = (f64, u32)> + Clone) -> (f64, u64) {
+    fn fold(rows: impl Iterator<Item = (f64, u32)>) -> (f64, u64) {
+        rows.fold((0.0, 0), |(sum, n), (x, w)| (sum + x * w as f64, n + w as u64))
+    }
+    let (sum, n) = fold(rows.clone());
+    if sum.is_finite() {
+        (sum, n)
+    } else {
+        fold(rows.filter(|&(_, w)| w > 0))
+    }
+}
+
+/// One bootstrap job's values in ascending `total_cmp` order, and each
+/// resample's weights gathered into that order: the type-7 quantiles of
+/// the multiset the weights encode, and the mean of a band between two of
+/// them, without expanding it.
+pub(crate) struct SortedJob {
+    order: Vec<u32>,
+    sorted: Vec<f64>,
+    /// `sorted[numbers]` is everything but the NaNs (negative ones sort
+    /// first, positive ones last), which no band contains.
+    numbers: std::ops::Range<usize>,
+    /// The current resample's weights, in sorted order.
+    weights: Vec<u32>,
+    /// The weight of each run of `CHUNK` sorted rows, and of all of them.
+    chunks: Vec<u64>,
+    total: u64,
+}
+
+const CHUNK: usize = 64;
+
+impl SortedJob {
+    pub(crate) fn new(xs: &[f64]) -> Self {
+        let order = argsort(xs);
+        let sorted: Vec<f64> = order.iter().map(|&i| xs[i as usize]).collect();
+        let numbers = sorted.partition_point(|x| x.total_cmp(&f64::NEG_INFINITY).is_lt())
+            ..sorted.partition_point(|x| x.total_cmp(&f64::INFINITY).is_le());
+        let (weights, chunks) = (vec![0; xs.len()], vec![0; xs.len().div_ceil(CHUNK)]);
+        SortedJob { order, sorted, numbers, weights, chunks, total: 0 }
+    }
+
+    /// Take the next resample: `ws[i]` copies of `xs[i]`, rows beyond the
+    /// shorter of the two ignored. Every slot is rewritten.
+    pub(crate) fn load(&mut self, ws: &[u32]) {
+        let runs = self.weights.chunks_mut(CHUNK).zip(self.order.chunks(CHUNK));
+        for (sum, (slots, rows)) in self.chunks.iter_mut().zip(runs) {
+            *sum = 0;
+            for (slot, &i) in slots.iter_mut().zip(rows) {
+                *slot = ws.get(i as usize).copied().unwrap_or(0);
+                *sum += *slot as u64;
+            }
+        }
+        self.total = self.chunks.iter().sum();
+    }
+
+    /// [`quantile`] of the resample: the two order statistics are found
+    /// through the chunk weights, then row by row inside one chunk.
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
+        let pos = q.clamp(0.0, 1.0) * self.total.checked_sub(1)? as f64;
+        let lo = pos.floor() as u64;
+        // Copy `lo` (< total) is in the first row whose weight, added to
+        // that of the rows `before` it, exceeds `lo`.
+        let (mut row, mut before) = (0, 0u64);
+        for &chunk in &self.chunks {
+            if before + chunk > lo {
+                break;
+            }
+            before += chunk;
+            row += CHUNK;
+        }
+        while before + self.weights[row] as u64 <= lo {
+            before += self.weights[row] as u64;
+            row += 1;
+        }
+        let at_lo = self.sorted[row];
+        if pos.ceil() as u64 == lo {
+            return Some(at_lo);
+        }
+        // Copy `lo + 1` is the same row's, or the next weighted row's.
+        let at_hi = if lo + 1 < before + self.weights[row] as u64 {
+            at_lo
+        } else {
+            let next = self.weights[row + 1..].iter().position(|&w| w > 0)?;
+            self.sorted[row + 1 + next]
+        };
+        let frac = pos - lo as f64;
+        Some(at_lo * (1.0 - frac) + at_hi * frac)
+    }
+
+    /// Mean of the resample's copies with `a ≤ x ≤ b`, NaN when none.
+    pub(crate) fn band_mean(&self, a: f64, b: f64) -> f64 {
+        let numbers = &self.sorted[self.numbers.clone()];
+        let from = numbers.partition_point(|&x| x < a);
+        let to = numbers.partition_point(|&x| x <= b);
+        // No `x >= a` holds of a NaN edge; `x <= b` of one gave `to = 0`.
+        let Some(band) = numbers.get(from..to).filter(|_| !a.is_nan()) else { return f64::NAN };
+        let weights = &self.weights[self.numbers.start + from..];
+        let (sum, n) = weighted_sum(band.iter().copied().zip(weights.iter().copied()));
+        if n == 0 {
+            f64::NAN
+        } else {
+            sum / n as f64
+        }
+    }
+}
+
 /// All of several quantiles in one sort.
 pub fn quantiles(xs: &[f64], qs: &[f64]) -> Option<Vec<f64>> {
     if xs.is_empty() {

@@ -72,6 +72,36 @@ fn session_names_no_observer_machinery() {
     }
 }
 
+/// The stock library has no expanding UDF: every name the stock registry
+/// resolves, and every UDF kind `aqp_workload` instantiates (`frac_above`
+/// among them), accepts a weight column — so a sixth stock UDF added
+/// without a weighted form cannot quietly bring tuple duplication back.
+#[test]
+fn the_stock_library_has_no_expanding_udf() {
+    use reliable_aqp::exec::UdfRegistry;
+    use reliable_aqp::workload::statquery::{OwnedTheta, ThetaKind, UdfKind};
+    let registry = UdfRegistry::with_stock_library();
+    let names = registry.names();
+    assert!(names.len() >= 4, "{names:?}");
+    for name in names {
+        let udf = registry.resolve(&name).expect("a listed name resolves");
+        assert!(udf.has_weighted_form(), "stock UDF {name} has no weighted form (Udf::with_weighted)");
+    }
+    let kinds = [
+        UdfKind::TrimmedMean,
+        UdfKind::TopDecileMean,
+        UdfKind::GeoMean,
+        UdfKind::Cov,
+        UdfKind::FracAbove(0.5),
+    ];
+    for kind in kinds {
+        let OwnedTheta::Udf(udf) = ThetaKind::Udf(kind).instantiate() else {
+            panic!("{kind:?} instantiates a UDF");
+        };
+        assert!(udf.has_weighted_form(), "workload UDF {kind:?} has no weighted form");
+    }
+}
+
 /// An approximate run is stated once: `AqpSession::approx_options` builds
 /// the one `ApproxOptions` (and in it the one diagnostic ladder), every
 /// other options value in `session.rs` is a struct-update of it, and the

@@ -15,6 +15,11 @@ use aqp_sql::{parse_query, plan_query};
 use aqp_storage::Table;
 use reliable_aqp::workload::conviva_sessions_table;
 
+/// Held by every test here that draws bootstrap resamples: they share the
+/// process-wide `aqp.stats.bootstrap_resamples`, and the weighted-UDF
+/// differential asserts exact deltas of it.
+static RESAMPLE_COUNTER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn setup(rows: usize, n: usize, seed: u64) -> (Table, Table) {
     use aqp_stats::rng::rng_from_seed;
     use aqp_stats::sampling::without_replacement_indices;
@@ -28,6 +33,7 @@ fn setup(rows: usize, n: usize, seed: u64) -> (Table, Table) {
 
 #[test]
 fn baseline_and_optimized_executors_agree() {
+    let _counter = RESAMPLE_COUNTER.lock().unwrap_or_else(|p| p.into_inner());
     let (pop, sample) = setup(60_000, 12_000, 1);
     let registry = UdfRegistry::default();
     for sql in [
@@ -91,6 +97,7 @@ fn resample_placement_does_not_change_collected_data() {
 fn bootstrap_interval_statistically_consistent_across_seeds() {
     // The optimized executor's bootstrap interval should fluctuate around
     // the same value across RNG seeds (no seed-dependent bias).
+    let _counter = RESAMPLE_COUNTER.lock().unwrap_or_else(|p| p.into_inner());
     let (pop, sample) = setup(80_000, 16_000, 3);
     let registry = UdfRegistry::default();
     let q = parse_query("SELECT PERCENTILE(time, 50) FROM sessions").unwrap();
@@ -111,6 +118,87 @@ fn bootstrap_interval_statistically_consistent_across_seeds() {
     for w in &widths {
         assert!((w - mean).abs() / mean < 0.5, "width {w} vs mean {mean}: {widths:?}");
     }
+}
+
+/// A UDF's weighted form changes what a resample costs and the last bits
+/// of the bars, nothing else: the same queries through two sessions — the
+/// stock library, and the same five functions registered as bare closures
+/// (which the engine can only expand) — give equal modes, verdicts and
+/// `Decision`s, bit-equal estimates, half-widths within 1e-9, and draw
+/// exactly as many resamples, on every seed, diagnostics on.
+#[test]
+fn weighted_udfs_answer_as_their_expansions_do() {
+    use aqp_stats::estimator::{udfs, QueryEstimator, SampleContext, Udf};
+    use reliable_aqp::{AqpSession, SessionConfig};
+    let _counter = RESAMPLE_COUNTER.lock().unwrap_or_else(|p| p.into_inner());
+    let resamples = || {
+        let registry = reliable_aqp::obs::MetricsRegistry::global();
+        registry.counter(reliable_aqp::obs::name::STATS_BOOTSTRAP_RESAMPLES).get()
+    };
+    const QUERIES: [&str; 7] = [
+        "SELECT trimmed_mean(time) FROM sessions",
+        "SELECT geo_mean(time) FROM sessions WHERE bitrate > 2000",
+        "SELECT cov(bitrate) FROM sessions",
+        "SELECT top_decile_mean(time) FROM sessions GROUP BY site",
+        "SELECT frac_above_60(time) FROM sessions WHERE is_mobile = true",
+        "SELECT cov(bitrate), top_decile_mean(time) FROM sessions WHERE city = 'NYC'",
+        "SELECT trimmed_mean(bytes) FROM sessions WHERE time > 400",
+    ];
+    let stock = UdfRegistry::default();
+    let library: Vec<(String, Udf)> = (stock.names().into_iter())
+        .map(|name| (name.clone(), (*stock.resolve(&name).unwrap()).clone()))
+        .chain([("frac_above_60".to_string(), udfs::frac_above(60.0))])
+        .collect();
+    assert_eq!(library.len(), 5);
+    let (mut approximate, mut with_bars) = (0, 0);
+    for seed in 1..=20u64 {
+        let session = |opaque: bool| {
+            let s = AqpSession::new(SessionConfig { seed, threads: 2, ..Default::default() });
+            s.register_table(conviva_sessions_table(30_000, 4, seed)).unwrap();
+            s.build_samples("sessions", &[6_000], seed).unwrap();
+            for (name, udf) in library.clone() {
+                assert!(udf.has_weighted_form(), "{name}");
+                let everything = SampleContext::population(0);
+                let f = udf.clone();
+                let bare = Udf::new(name.clone(), move |xs| f.estimate(xs, &everything));
+                s.register_udf(&name, if opaque { bare } else { udf });
+            }
+            s
+        };
+        let (weighted, expanding) = (session(false), session(true));
+        for sql in QUERIES {
+            let before = resamples();
+            let got = weighted.execute(sql).unwrap();
+            let drawn = resamples() - before;
+            let want = expanding.execute(sql).unwrap();
+            assert_eq!(resamples() - before - drawn, drawn, "seed {seed}: resamples of {sql}");
+            assert_eq!(got.mode, want.mode, "seed {seed}: {sql}");
+            assert_eq!(got.groups.len(), want.groups.len(), "seed {seed}: {sql}");
+            approximate += usize::from(!got.fell_back);
+            for (g, w) in got.groups.iter().zip(&want.groups) {
+                assert_eq!(g.key, w.key);
+                for (g, w) in g.aggs.iter().zip(&w.aggs) {
+                    let at = format!("seed {seed}: {sql} [{}]", g.name);
+                    assert_eq!(g.estimate.to_bits(), w.estimate.to_bits(), "{at}");
+                    assert_eq!(g.method, w.method, "{at}");
+                    let verdict = |r: &aqp_exec::result::AggResult| {
+                        r.diagnostic.as_ref().map(|d| (d.accepted, d.decision.clone()))
+                    };
+                    assert_eq!(verdict(g), verdict(w), "{at}");
+                    assert_eq!(g.ci.is_some(), w.ci.is_some(), "{at}");
+                    if let (Some(g), Some(w)) = (g.ci, w.ci) {
+                        assert_eq!(g.center.to_bits(), w.center.to_bits(), "{at}");
+                        assert_eq!(g.confidence.to_bits(), w.confidence.to_bits(), "{at}");
+                        let apart = (g.half_width - w.half_width).abs();
+                        assert!(apart <= 1e-9 * w.half_width.abs(), "{at}: ±{} vs ±{}", g.half_width, w.half_width);
+                        with_bars += 1;
+                    }
+                }
+            }
+        }
+    }
+    // The comparison is of approximate answers with bars, not of fallbacks.
+    assert!(approximate >= 40 && with_bars >= 40, "{approximate} approximate, {with_bars} with bars");
 }
 
 // `weighted_aggregation_matches_physical_duplication_through_the_engine`

@@ -1019,7 +1019,9 @@ proptest! {
 // quantile is a full sort, a weighted quantile filters `w > 0` and sorts,
 // a nested plan accumulates over all `n_codes` inner codes. It prepares
 // nothing and reuses nothing, so it stays as the oracle of the kernel
-// that does (`stats::bootstrap`, `exec::theta`).
+// that does (`stats::bootstrap`, `exec::theta`) — bit for bit, except
+// where a UDF's weighted form (PR 21) sums the same terms in another
+// order: there the replicates and the interval agree to 1e-9.
 // ---------------------------------------------------------------------
 
 mod bootstrap_oracle {
@@ -1070,7 +1072,8 @@ mod bootstrap_oracle {
     fn udf(name: &str, xs: &[f64]) -> f64 {
         let band_mean = |keep: &dyn Fn(f64) -> bool, empty: f64| {
             let kept: Vec<f64> = xs.iter().copied().filter(|&x| keep(x)).collect();
-            if kept.is_empty() { empty } else { kept.iter().sum::<f64>() / kept.len() as f64 }
+            // Added up from +0.0 as the UDFs do (`sum()` starts at -0.0).
+            if kept.is_empty() { empty } else { kept.iter().fold(0.0, |s, x| s + x) / kept.len() as f64 }
         };
         match name {
             "trimmed_mean" => match (quantile(xs, 0.1), quantile(xs, 0.9)) {
@@ -1205,13 +1208,26 @@ fn ci_bits(ci: Option<reliable_aqp::stats::ci::Ci>) -> Option<[u64; 3]> {
     ci.map(|c| [c.center.to_bits(), c.half_width.to_bits(), c.confidence.to_bits()])
 }
 
+/// Equal to rounding: the same bits, both NaN, or within 1e-9 of the
+/// larger — floored by `scale`, the size of the values behind them, since
+/// a mean that cancels or a half-width of rounding dust is only accurate
+/// to that.
+fn close(a: f64, b: f64, scale: f64) -> bool {
+    a.to_bits() == b.to_bits()
+        || a.is_nan() && b.is_nan()
+        || (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(scale)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Replicates and intervals of the replicate kernel equal the
     /// reference bootstrap's bit for bit, and both leave the generator at
     /// the same point — for every `Aggregate` variant, the four stock
-    /// UDFs and every `InnerAggregate`, on values with ties, NaN (two
+    /// UDFs as opaque closures (the expansion path) and every
+    /// `InnerAggregate`; the stock UDFs' weighted forms draw the same
+    /// weights, drop the same NaN replicates and agree to 1e-9. On values
+    /// with ties, NaN (two
     /// payloads), ±0.0 and ±Inf, on the whole collected range and on the
     /// sub-ranges the diagnostic cuts (empty and one-value ones among
     /// them, whose resamples are often all-zero), for K of 1, 7 and 100.
@@ -1275,11 +1291,22 @@ proptest! {
         let values = &data.values[range.clone()];
         let codes = &data.nested.as_ref().unwrap().codes[range.clone()];
 
-        let registry = UdfRegistry::default();
-        let plain = |theta: Theta| match theta {
+        // The stock library (weighted forms), and the same functions as
+        // bare closures, which the engine can only expand.
+        let stock = UdfRegistry::default();
+        let mut opaque = UdfRegistry::empty();
+        for name in oracle::STOCK_UDFS {
+            let udf = stock.resolve(name).unwrap();
+            prop_assert!(udf.has_weighted_form());
+            let everything = SampleContext::population(0);
+            opaque.register(name, Udf::new(name, move |xs| udf.estimate(xs, &everything)));
+        }
+        let resolve = |registry: &UdfRegistry, theta: Theta| match theta {
             Theta::Builtin(a) => PlainTheta::Builtin(a),
             Theta::Udf(name) => PlainTheta::Udf(registry.resolve(name).unwrap()),
         };
+        let plain = |theta: Theta| resolve(&opaque, theta);
+        let scale = values.iter().filter(|x| x.is_finite()).fold(1.0, |m: f64, x| m.max(x.abs()));
         let builtins = [
             Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance,
             Aggregate::StdDev, Aggregate::Min, Aggregate::Max, Aggregate::Percentile(0.5),
@@ -1310,8 +1337,9 @@ proptest! {
             prop_assert_eq!(bits(&[got_center]), bits(&[center]), "{:?} point", theta);
             let got_ci = bootstrap_ci_prepared(&mut got_rng, &mut bound, got_center, k, alpha);
             prop_assert_eq!(ci_bits(got_ci), ci_bits(want_ci), "{:?} CI, range {:?}", theta, range);
+            let want_rng_end = want_rng.next_u64();
             if !center.is_nan() {
-                prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{:?} generator", theta);
+                prop_assert_eq!(got_rng.next_u64(), want_rng_end, "{:?} generator", theta);
                 // The replicates themselves, from the loop the CI ran.
                 let mut rng = rng_from_seed(job_seed);
                 let estimator = prepared.outer.as_estimator();
@@ -1319,6 +1347,35 @@ proptest! {
                     &mut rng, values.len(), k, &mut *estimator.replicator(values, &ctx),
                 );
                 prop_assert_eq!(bits(&got_reps), bits(&want_reps), "{:?} replicates", theta);
+            }
+
+            // The weighted form: the same draws, the same estimator.
+            let Theta::Udf(name) = theta else { continue };
+            let prepared = PreparedTheta { outer: resolve(&stock, theta), inner: None };
+            let mut got_rng = rng_from_seed(job_seed);
+            let mut bound = prepared.bind(&data, range.clone(), &ctx);
+            let got_center = bound.estimate();
+            prop_assert_eq!(bits(&[got_center]), bits(&[center]), "{} point", name);
+            let got_ci = bootstrap_ci_prepared(&mut got_rng, &mut bound, got_center, k, alpha);
+            prop_assert_eq!(got_ci.is_some(), want_ci.is_some(), "{} CI, range {:?}", name, range);
+            if let (Some(got), Some(want)) = (got_ci, want_ci) {
+                prop_assert_eq!(got.center.to_bits(), want.center.to_bits());
+                prop_assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+                prop_assert!(
+                    close(got.half_width, want.half_width, scale),
+                    "{} half-width {:e} vs {:e}, range {:?}", name, got.half_width, want.half_width, range
+                );
+            }
+            if !center.is_nan() {
+                prop_assert_eq!(got_rng.next_u64(), want_rng_end, "{} generator", name);
+                let mut rng = rng_from_seed(job_seed);
+                let estimator = prepared.outer.as_estimator();
+                let got_reps = bootstrap_replicates(
+                    &mut rng, values.len(), k, &mut *estimator.replicator(values, &ctx),
+                );
+                for (i, (got, want)) in got_reps.iter().zip(&want_reps).enumerate() {
+                    prop_assert!(close(*got, *want, scale), "{} replicate {}: {:e} vs {:e}", name, i, got, want);
+                }
             }
         }
 
