@@ -17,10 +17,10 @@
 //! | `fig8_optimizations` | Fig. 8(a)–(f) — speedup CDFs + parallelism/cache sweeps |
 //! | `fig9_optimized_latency` | Fig. 9(a)/(b) — optimized per-query latency decomposition |
 //! | `table_workload_stats` | §3's workload-composition and failure-rate numbers |
+//! | `table_audit_coverage` | §3's failure rates audited continuously: coverage per (aggregate, verdict) cell and the alert a miscalibrated session fires |
 //!
-//! Criterion microbenches (`cargo bench -p aqp-bench`) cover the §5.1
-//! resampling claims, weighted aggregation, error-estimation overheads,
-//! and the diagnostic's cost.
+//! Wall-clock timing is not here: `benchmark/` (`BENCHMARK.json`) is the
+//! one harness, and the kernel costs are its `per_layer` metrics.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

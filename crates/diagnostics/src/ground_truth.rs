@@ -140,46 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn diagnostic_generalizes_to_the_jackknife() {
-        // §4.1: "the diagnostic can be applied in principle to any error
-        // estimation procedure". The jackknife has a different failure
-        // envelope than the bootstrap — consistent for smooth means,
-        // inconsistent for extremes — and the diagnostic must track it.
-        let mut rng = rng_from_seed(21);
-        let pop: Vec<f64> =
-            (0..150_000).map(|_| sample_lognormal(&mut rng, 1.0, 0.5)).collect();
-        let n = 10_000;
-        // Smooth θ: jackknife works; diagnostic should accept.
-        let ok = evaluate_diagnostic(
-            &pop,
-            &Theta::Builtin(Aggregate::Avg),
-            &EstimationMethod::Jackknife { g: 100 },
-            n,
-            &DiagnosticConfig::scaled_to(n, 100),
-            // Seed picked where the 40-run ideal coverage estimate lands
-            // Correct and the diagnostic's own ~3–9% false-negative rate
-            // (Fig. 4) does not fire; both sides are marginal statistics.
-            &AccuracyConfig { runs: 40, truth_runs: 400, ..AccuracyConfig::fast() },
-            SeedStream::new(30),
-        );
-        assert_eq!(ok.outcome, DiagnosticOutcome::TrueAccept, "{ok:?}");
-
-        // Extreme θ: jackknife variance collapses; diagnostic must reject.
-        let mut rng = rng_from_seed(23);
-        let pop: Vec<f64> = (0..150_000).map(|_| sample_pareto(&mut rng, 1.0, 1.3)).collect();
-        let bad = evaluate_diagnostic(
-            &pop,
-            &Theta::Builtin(Aggregate::Max),
-            &EstimationMethod::Jackknife { g: 100 },
-            n,
-            &DiagnosticConfig::scaled_to(n, 100),
-            &AccuracyConfig { runs: 40, truth_runs: 400, ..AccuracyConfig::fast() },
-            SeedStream::new(24),
-        );
-        assert_eq!(bad.outcome, DiagnosticOutcome::TrueReject, "{bad:?}");
-    }
-
-    #[test]
     fn diagnostic_agrees_with_ideal_on_pathological_max() {
         let mut rng = rng_from_seed(2);
         let pop: Vec<f64> = (0..300_000).map(|_| sample_pareto(&mut rng, 1.0, 1.1)).collect();

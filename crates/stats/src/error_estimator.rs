@@ -10,7 +10,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bootstrap::bootstrap_ci;
-use crate::jackknife::jackknife_ci;
 use crate::ci::Ci;
 use crate::closed_form::closed_form_ci;
 use crate::estimator::{Aggregate, QueryEstimator, SampleContext};
@@ -84,14 +83,6 @@ pub enum EstimationMethod {
         /// Precomputed population value range.
         range: RangeHint,
     },
-    /// Delete-d grouped jackknife with `g` blocks — applicable to any θ
-    /// (like the bootstrap), but with a different failure envelope
-    /// (inconsistent for quantiles/extremes even where the bootstrap
-    /// holds). Exists to demonstrate §4.1's "plug in any ξ".
-    Jackknife {
-        /// Number of leave-out blocks g.
-        g: usize,
-    },
 }
 
 impl ErrorEstimator for EstimationMethod {
@@ -102,7 +93,6 @@ impl ErrorEstimator for EstimationMethod {
             EstimationMethod::LargeDeviation { inequality, .. } => {
                 format!("large-deviation({inequality:?})")
             }
-            EstimationMethod::Jackknife { g } => format!("jackknife(g={g})"),
         }
     }
 
@@ -118,8 +108,6 @@ impl ErrorEstimator for EstimationMethod {
                 theta.builtin(),
                 Some(Aggregate::Avg | Aggregate::Sum | Aggregate::Count)
             ),
-            // Like the bootstrap, the jackknife evaluates any θ.
-            EstimationMethod::Jackknife { .. } => true,
         }
     }
 
@@ -145,9 +133,6 @@ impl ErrorEstimator for EstimationMethod {
             EstimationMethod::LargeDeviation { inequality, range } => {
                 let agg = theta.builtin()?;
                 large_deviation_ci(&agg, values, ctx, *range, *inequality, alpha)
-            }
-            EstimationMethod::Jackknife { g } => {
-                jackknife_ci(values, ctx, theta.as_estimator(), *g, alpha)
             }
         }
     }

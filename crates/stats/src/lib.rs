@@ -13,8 +13,6 @@
 //! * Poissonized and exact-multinomial resampling ([`resample`]),
 //! * the nonparametric bootstrap ([`bootstrap`]),
 //! * closed-form CLT variance estimates ([`closed_form`]),
-//! * the delete-d jackknife ([`jackknife`]) — a third ξ exercising the
-//!   diagnostic's generality,
 //! * large-deviation (Hoeffding/Bernstein) bounds ([`large_deviation`]),
 //! * symmetric centered confidence intervals, the true-interval
 //!   construction, and the δ accuracy metric ([`ci`]),
@@ -36,7 +34,6 @@ pub mod coverage;
 pub mod dist;
 pub mod error_estimator;
 pub mod estimator;
-pub mod jackknife;
 pub mod large_deviation;
 pub mod moments;
 pub mod quantile;

@@ -63,6 +63,7 @@ impl SpannedTok {
     }
 
     /// The string-literal content, if this token is one.
+    #[cfg(test)]
     pub fn str_lit(&self) -> Option<&str> {
         match &self.tok {
             Tok::Str(s) => Some(s.as_str()),

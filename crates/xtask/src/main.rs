@@ -19,10 +19,10 @@
 //!   and byte-compares the re-rendered `[expect]` body, `bless`
 //!   re-records it, `drift` re-records under `target/corpus-rebless`
 //!   and fails on any byte difference against the committed corpus.
-//! * `metrics-inventory` — regenerate (or `--check`) `docs/METRICS.md`
-//!   from the metric constants in `aqp_obs::name`.
-//! * `lints-inventory` — regenerate (or `--check`) `docs/LINTS.md`
-//!   from the rule catalog in `rules::RULES`.
+//! * `metrics-inventory` / `lints-inventory` — regenerate (or `--check`)
+//!   `docs/METRICS.md` from the metric constants in `aqp_obs::name` and
+//!   `docs/LINTS.md` from the rule catalog in `rules::RULES`; both are
+//!   one [`GeneratedDoc`] each, run and checked by the same code.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,12 +49,13 @@ fn main() -> ExitCode {
         Some((cmd, rest)) => match cmd.as_str() {
             "analyze" | "lint" => analyze_cmd(rest),
             "corpus" => corpus_cmd(rest),
-            "metrics-inventory" => metrics_inventory::run(rest),
-            "lints-inventory" => lints_inventory::run(rest),
-            other => {
-                eprintln!("xtask: unknown command `{other}`");
-                usage()
-            }
+            other => match GENERATED_DOCS.iter().find(|d| d.command == other) {
+                Some(doc) => doc.run(rest),
+                None => {
+                    eprintln!("xtask: unknown command `{other}`");
+                    usage()
+                }
+            },
         },
         None => usage(),
     }
@@ -150,9 +151,103 @@ fn usage() -> ExitCode {
     eprintln!("  analyze [--root PATH] [--config PATH] [--report PATH]");
     eprintln!("          [--check-budget] [--update-budget-baseline]   (alias: lint)");
     eprintln!("  corpus <verify|bless|drift> [--dir DIR] [--out DIR] [--report PATH]");
-    eprintln!("  metrics-inventory [--root PATH] [--check]");
-    eprintln!("  lints-inventory [--root PATH] [--check]");
+    for doc in &GENERATED_DOCS {
+        eprintln!("  {} [--root PATH] [--check]", doc.command);
+    }
     ExitCode::from(2)
+}
+
+/// A document rendered from the code and committed: one subcommand
+/// regenerates it (or, with `--check`, reports whether it is current) and
+/// one `docs` rule of `analyze` fails while it is stale.
+pub struct GeneratedDoc {
+    /// The subcommand that regenerates the document.
+    pub command: &'static str,
+    /// The `analyze` rule that fires when the document is stale.
+    pub rule: &'static str,
+    /// Repo-relative source of truth; a tree without it has no such document.
+    pub source: &'static str,
+    /// Repo-relative path of the generated document.
+    pub target: &'static str,
+    /// What a stale document is out of date with.
+    pub truth: &'static str,
+    /// The stale finding's hint.
+    pub hint: &'static str,
+    /// Render the document for the repo under a root.
+    pub render: fn(&Path) -> Result<String, String>,
+}
+
+/// Every generated document.
+const GENERATED_DOCS: [GeneratedDoc; 2] = [metrics_inventory::DOC, lints_inventory::DOC];
+
+impl GeneratedDoc {
+    /// `Some(reason)` when the document under `root` is not what the code
+    /// renders.
+    fn staleness(&self, root: &Path) -> Option<String> {
+        let expected = match (self.render)(root) {
+            Ok(md) => md,
+            Err(e) => return Some(e),
+        };
+        match std::fs::read_to_string(root.join(self.target)) {
+            Ok(current) if current == expected => None,
+            Ok(_) => Some(format!("out of date with {}", self.truth)),
+            Err(_) => Some("missing".to_string()),
+        }
+    }
+
+    /// `<command> [--root PATH] [--check]`.
+    fn run(&self, args: &[String]) -> ExitCode {
+        let Self { command, target, .. } = self;
+        let mut root: Option<PathBuf> = None;
+        let mut check = false;
+        let mut i = 0;
+        while i < args.len() {
+            match args[i].as_str() {
+                "--root" if i + 1 < args.len() => {
+                    root = Some(PathBuf::from(&args[i + 1]));
+                    i += 2;
+                }
+                "--check" => {
+                    check = true;
+                    i += 1;
+                }
+                other => {
+                    eprintln!("xtask {command}: unexpected argument `{other}`");
+                    eprintln!("usage: cargo run -p xtask -- {command} [--root PATH] [--check]");
+                    return ExitCode::from(2);
+                }
+            }
+        }
+        let root = root.unwrap_or_else(default_root);
+        if check {
+            return match self.staleness(&root) {
+                None => {
+                    println!("{command}: {target} is current");
+                    ExitCode::SUCCESS
+                }
+                Some(reason) => {
+                    println!("{command}: {target} is {reason} — {}", self.hint);
+                    ExitCode::FAILURE
+                }
+            };
+        }
+        let path = root.join(target);
+        let written = (self.render)(&root).and_then(|md| {
+            std::fs::create_dir_all(path.parent().unwrap_or(&root))
+                .and_then(|()| std::fs::write(&path, md))
+                .map_err(|e| format!("writing {target}: {e}"))
+        });
+        match written {
+            Ok(()) => {
+                println!("{command}: wrote {target}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("xtask {command}: {e}");
+                ExitCode::FAILURE
+            }
+        }
+    }
 }
 
 /// Run the golden-corpus driver (`crates/conformance`). Delegated to a
@@ -220,25 +315,17 @@ fn analyze(root: &Path, cfg_path: &Path, report: Option<&Path>) -> Result<bool, 
 
     // Generated docs must match what the code declares. Guarded on the
     // respective source existing so synthetic fixture trees are exempt.
-    if root.join(metrics_inventory::SOURCE).is_file() {
-        if let Some(reason) = metrics_inventory::staleness(root) {
-            findings.push(Finding {
-                file: metrics_inventory::TARGET.to_string(),
-                line: 1,
-                rule: "metrics-docs",
-                token: reason,
-                hint: "regenerate with `cargo run -p xtask -- metrics-inventory`",
-            });
+    for doc in &GENERATED_DOCS {
+        if !root.join(doc.source).is_file() {
+            continue;
         }
-    }
-    if root.join(lints_inventory::SOURCE).is_file() {
-        if let Some(reason) = lints_inventory::staleness(root) {
+        if let Some(reason) = doc.staleness(root) {
             findings.push(Finding {
-                file: lints_inventory::TARGET.to_string(),
+                file: doc.target.to_string(),
                 line: 1,
-                rule: "lints-docs",
+                rule: doc.rule,
                 token: reason,
-                hint: "regenerate with `cargo run -p xtask -- lints-inventory`",
+                hint: doc.hint,
             });
         }
     }

@@ -18,16 +18,6 @@
 //! * `crate-hygiene` — crate roots carry `#![deny(unsafe_code)]` and
 //!   `#![warn(missing_docs)]`; manifests route every dependency through
 //!   `[workspace.dependencies]`.
-//! * `metric-naming` — string literals registered via
-//!   `counter`/`gauge`/`histogram`/`histogram_with` must follow the
-//!   `aqp.<crate>.<snake_case>` convention so dashboards can group
-//!   series by crate; computed names and `#[cfg(test)]` modules are
-//!   exempt.
-//! * `fault-hygiene` — real sleeps (`thread::sleep`) and hand-rolled
-//!   retry loops are forbidden outside `crates/faults`: delays must be
-//!   charged through `aqp_obs::Clock` and retry policy must route
-//!   through `aqp_faults::RecoveryPolicy`, or fault-injected runs stop
-//!   being deterministic and mock-clock-fast.
 
 use crate::index::FileTokens;
 use crate::lexer::matching_close;
@@ -36,32 +26,7 @@ use std::path::Path;
 /// Crates whose library code must be panic-free (the request path).
 pub const PANIC_FREE_CRATES: &[&str] = &[
     "exec", "core", "stats", "storage", "obs", "prof", "faults", "slo", "introspect", "diagnostics",
-];
-
-/// Sanctioned metric families: the `<family>` of `aqp.<family>.<name>`.
-/// One entry per workspace crate that registers metrics, so a typo'd
-/// family (`aqp.sol.*`) cannot silently fork a new series.
-pub const METRIC_FAMILIES: &[&str] = &[
-    "audit",
-    "cluster",
-    "core",
-    "diagnostics",
-    "exec",
-    "faults",
-    // Self-hosted telemetry analytics (crates/introspect): fold-in,
-    // retention, and catalog-sync accounting for the `_telemetry.*`
-    // tables.
-    "introspect",
-    "obs",
-    "prof",
-    "slo",
-    "sql",
-    "stats",
-    "storage",
-    "workload",
-    // The sanctioned family for throwaway series registered by tests
-    // and doc examples (integration tests are not `#[cfg(test)]`).
-    "test",
+    "sql", "audit",
 ];
 
 /// One lint finding.
@@ -126,7 +91,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "panic-freedom",
         tier: "token",
-        scope: "library code of exec, core, stats, storage, obs, prof, faults, slo, introspect, diagnostics",
+        scope: "library code of exec, core, stats, storage, obs, prof, faults, slo, introspect, diagnostics, \
+                sql, audit",
         summary: "Pipeline library code must not contain `panic!`, \
                   `unreachable!`, `todo!`, `unimplemented!`, or `.unwrap()`; \
                   return typed errors, or `.expect(\"<invariant>\")` where \
@@ -142,35 +108,14 @@ pub const RULES: &[RuleInfo] = &[
                   in one place.",
     },
     RuleInfo {
-        name: "metric-naming",
-        tier: "token",
-        scope: "all sources outside #[cfg(test)]",
-        summary: "Literal metric names registered via `counter`/`gauge`/\
-                  `histogram`/`histogram_with` must match \
-                  `aqp.<family>.<snake_case>` with the family drawn from \
-                  the sanctioned list (`aqp.slo.*`, `aqp.obs.*`, …); \
-                  computed names (the `aqp_obs::name` constants) are the \
-                  sanctioned indirection.",
-    },
-    RuleInfo {
-        name: "fault-hygiene",
-        tier: "token",
-        scope: "all sources outside crates/faults and test code",
-        summary: "Real sleeps and hand-rolled retry loops are forbidden: \
-                  delays are charged through `aqp_obs::Clock` and retry \
-                  policy routes through `aqp_faults::RecoveryPolicy`, so \
-                  fault-injected runs stay deterministic and mock-clock \
-                  fast.",
-    },
-    RuleInfo {
         name: "lock-order",
         tier: "semantic",
         scope: "non-test fns of all workspace crates",
         summary: "Builds the lock acquisition graph over every \
                   `Mutex`/`RwLock` field and fails on a guard held across a \
                   call that can acquire another lock, same-lock re-entry, \
-                  and acquisition-order cycles — the deadlock guard for the \
-                  multi-tenant service.",
+                  and acquisition-order cycles — the deadlock guard for a \
+                  session shared across threads.",
     },
     RuleInfo {
         name: "determinism-taint",
@@ -226,8 +171,6 @@ pub fn check_file(f: &FileTokens) -> Vec<Finding> {
     let mut out = Vec::new();
     rng_discipline(f, &mut out);
     nan_safety(f, &mut out);
-    metric_naming(f, &mut out);
-    fault_hygiene(f, &mut out);
     if f.is_lib && PANIC_FREE_CRATES.contains(&f.krate.as_str()) {
         panic_freedom(f, &mut out);
     }
@@ -346,63 +289,6 @@ fn nan_safety(f: &FileTokens, out: &mut Vec<Finding>) {
     }
 }
 
-/// `metric-naming`: literal names passed to the metric registration
-/// methods (`.counter(` / `.gauge(` / `.histogram(` / `.histogram_with(`)
-/// must match `aqp.<crate>.<snake_case>`.
-///
-/// The lexer hands literal *values* straight to the rule, so a call
-/// whose first argument is a [`crate::lexer::Tok::Str`] is judged;
-/// computed names (constants, `format!`) are skipped — the
-/// `aqp_obs::name` constants are the sanctioned indirection — and
-/// `#[cfg(test)]` modules may register throwaway names.
-fn metric_naming(f: &FileTokens, out: &mut Vec<Finding>) {
-    const REG_FNS: &[&str] = &["counter", "gauge", "histogram", "histogram_with"];
-    let toks = &f.toks;
-    for (i, t) in toks.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        if !REG_FNS.contains(&id) {
-            continue;
-        }
-        // Only method-call positions (`.counter("…")`) with a literal
-        // first argument.
-        if i == 0 || !toks[i - 1].is_punct('.') {
-            continue;
-        }
-        if !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        let Some(name) = toks.get(i + 2).and_then(|n| n.str_lit()) else { continue };
-        if f.in_test(t.line) {
-            continue;
-        }
-        if !valid_metric_name(name) {
-            out.push(Finding {
-                file: f.rel.clone(),
-                line: t.line,
-                rule: "metric-naming",
-                token: format!("{id}(\"{name}\")"),
-                hint: "metric names must be `aqp.<crate>.<snake_case>` (≥3 dot-separated \
-                       lowercase segments); prefer the aqp_obs::name constants",
-            });
-        }
-    }
-}
-
-/// `aqp.<family>.<snake_case>`: at least three dot-separated segments,
-/// the first literally `aqp`, the second a sanctioned
-/// [`METRIC_FAMILIES`] entry (`aqp.slo.*`, `aqp.obs.*`, …), the rest
-/// lowercase snake_case starting with a letter.
-fn valid_metric_name(name: &str) -> bool {
-    let segs: Vec<&str> = name.split('.').collect();
-    segs.len() >= 3
-        && segs[0] == "aqp"
-        && METRIC_FAMILIES.contains(&segs[1])
-        && segs[1..].iter().all(|s| {
-            s.as_bytes().first().is_some_and(|c| c.is_ascii_lowercase())
-                && s.bytes().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')
-        })
-}
-
 /// `panic-freedom` for library code of the pipeline crates.
 fn panic_freedom(f: &FileTokens, out: &mut Vec<Finding>) {
     let toks = &f.toks;
@@ -438,73 +324,6 @@ fn panic_freedom(f: &FileTokens, out: &mut Vec<Finding>) {
                     hint: "propagate the error (`?`) or use .expect(\"<invariant>\") \
                            to document why this cannot fail",
                 });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// `fault-hygiene`: real sleeps and hand-rolled retry loops outside
-/// `crates/faults`.
-///
-/// A `thread::sleep` stalls a worker for wall-clock time the mock clock
-/// cannot steer, and an ad-hoc `for attempt in ..`/`while retries < ..`
-/// loop scatters recovery policy across the codebase. Both belong in
-/// `crates/faults`, where delays are charged via `Clock::advance` and
-/// the single retry state machine (`aqp_faults::resolve`) lives. Test
-/// trees and `#[cfg(test)]` modules are exempt — tests may sweep
-/// attempts and seeds freely.
-fn fault_hygiene(f: &FileTokens, out: &mut Vec<Finding>) {
-    if f.krate == "faults" {
-        return; // the one sanctioned home for fault timing and retries
-    }
-    let comps: Vec<&str> = Path::new(&f.rel).iter().filter_map(|c| c.to_str()).collect();
-    if comps.iter().any(|c| matches!(*c, "tests" | "benches" | "examples")) {
-        return;
-    }
-    let toks = &f.toks;
-    for (i, t) in toks.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        if f.in_test(t.line) {
-            continue;
-        }
-        match id {
-            // `thread::sleep(..)` / `clock.sleep(..)` call sites.
-            "sleep"
-                if i > 0
-                    && (toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'))
-                    && i + 1 < toks.len()
-                    && toks[i + 1].is_punct('(') =>
-            {
-                out.push(Finding {
-                    file: f.rel.clone(),
-                    line: t.line,
-                    rule: "fault-hygiene",
-                    token: "sleep(..)".into(),
-                    hint: "real sleeps stall workers for unsteerable wall-clock time; \
-                           charge delays through aqp_obs::Clock::advance (see crates/faults)",
-                });
-            }
-            // Loop headers that mention retries/attempts.
-            "for" | "while" | "loop" => {
-                let retryish = toks[i + 1..]
-                    .iter()
-                    .take(8)
-                    .filter_map(|t| t.ident())
-                    .any(|w| {
-                        let w = w.to_ascii_lowercase();
-                        w.contains("retry") || w.contains("retries") || w.contains("attempt")
-                    });
-                if retryish {
-                    out.push(Finding {
-                        file: f.rel.clone(),
-                        line: t.line,
-                        rule: "fault-hygiene",
-                        token: format!("{id} .. retry/attempt .."),
-                        hint: "hand-rolled retry loops scatter recovery policy; route \
-                               retries through aqp_faults::{RecoveryPolicy, resolve}",
-                    });
-                }
             }
             _ => {}
         }
@@ -686,91 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_rule_enforces_the_naming_convention() {
-        // Conforming literals pass.
-        let f = rules_on(
-            "crates/exec/src/engine.rs",
-            "let c = reg.counter(\"aqp.exec.rows_scanned\");\n\
-             let h = m.histogram_with(\"aqp.exec.scan_ms\", &[1.0]);",
-        );
-        assert!(f.is_empty(), "{f:?}");
-        // The slo family is sanctioned.
-        let f = rules_on(
-            "crates/slo/src/engine.rs",
-            "let g = m.gauge(\"aqp.slo.worst_burn_fast\");",
-        );
-        assert!(f.is_empty(), "{f:?}");
-        // Wrong prefix, too few segments, non-snake-case, or an unknown
-        // family (`aqp.sol.*` would silently fork a series) all fail.
-        for bad in [
-            "exec.rows",
-            "aqp.rows",
-            "aqp.Exec.rows",
-            "aqp.exec.rowsScanned",
-            "aqp.exec.",
-            "aqp.sol.burn_rate",
-        ] {
-            let src = format!("let c = reg.counter(\"{bad}\");");
-            let f = rules_on("crates/exec/src/engine.rs", &src);
-            assert_eq!(f.len(), 1, "{bad}: {f:?}");
-            assert_eq!(f[0].rule, "metric-naming");
-            assert!(f[0].token.contains(bad));
-        }
-        // Gauges and plain histograms are covered too.
-        let f = rules_on("src/x.rs", "reg.gauge(\"bad\"); reg.histogram(\"also_bad\");");
-        assert_eq!(f.len(), 2, "{f:?}");
-    }
-
-    #[test]
-    fn metric_rule_skips_computed_names_and_test_modules() {
-        // A constant or computed name is the sanctioned indirection.
-        let f = rules_on(
-            "crates/core/src/session.rs",
-            "let c = m.counter(name::FALLBACKS); let h = m.histogram(&format!(\"aqp.core.{stage}_ms\"));",
-        );
-        assert!(f.is_empty(), "{f:?}");
-        // cfg(test) modules may register throwaway names.
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() { reg.counter(\"hits\"); }\n}";
-        let f = rules_on("crates/obs/src/metrics.rs", src);
-        assert!(f.is_empty(), "{f:?}");
-        // `fn counter(...)` definitions are not call sites.
-        let f = rules_on("src/x.rs", "fn counter(name: &str) {}");
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn fault_hygiene_forbids_sleeps_and_retry_loops() {
-        let f = rules_on("crates/exec/src/parallel.rs", "std::thread::sleep(d);");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "fault-hygiene");
-        assert!(f[0].token.contains("sleep"));
-        let f = rules_on("src/x.rs", "for attempt in 0..3 { run(); }");
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "fault-hygiene");
-        let f = rules_on("crates/core/src/helper.rs", "while n_retries < max { go(); }");
-        assert_eq!(f.len(), 1, "{f:?}");
-        let f = rules_on("crates/sql/src/parse.rs", "loop { if attempts > 3 { break; } }");
-        assert_eq!(f.len(), 1, "{f:?}");
-    }
-
-    #[test]
-    fn fault_hygiene_exempts_faults_crate_and_test_code() {
-        // The faults crate is the sanctioned home for retry machinery.
-        let f = rules_on(
-            "crates/faults/src/recovery.rs",
-            "for attempt in 0..=policy.max_retries { go(); }",
-        );
-        assert!(f.is_empty(), "{f:?}");
-        // cfg(test) modules and test trees may sweep attempts freely.
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n  fn t() { for attempt in 0..3 {} }\n}";
-        assert!(rules_on("crates/exec/src/engine.rs", src).is_empty());
-        assert!(rules_on("tests/fault_matrix.rs", "for attempt in 0..3 {}").is_empty());
-        // Ordinary loops and mentions in comments/strings don't trip it.
-        assert!(rules_on("src/x.rs", "for row in rows { push(row); }").is_empty());
-        assert!(rules_on("src/x.rs", "// retry loops are bad\nlet s = \"sleep(\";").is_empty());
-    }
-
-    #[test]
     fn hygiene_rule_requires_crate_root_attrs() {
         let f = rules_on("crates/exec/src/lib.rs", "//! Docs.\n#![deny(unsafe_code)]\n");
         assert_eq!(f.len(), 1, "{f:?}");
@@ -806,8 +540,6 @@ mod tests {
             "nan-safety",
             "panic-freedom",
             "crate-hygiene",
-            "metric-naming",
-            "fault-hygiene",
             "lock-order",
             "determinism-taint",
             "widen-only-ci",

@@ -1001,7 +1001,7 @@ mod tests {
                 "pub fn run() { helper_parse(); }\n",
             ),
             (
-                "crates/sql/src/parser.rs",
+                "crates/workload/src/parser.rs",
                 "pub fn helper_parse() { inner_parse(); }\n\
                  fn inner_parse() { panic!(\"boom\"); }\n",
             ),
@@ -1017,7 +1017,7 @@ mod tests {
         let f = run(&[
             ("crates/core/src/session.rs", "pub fn run() { helper_ok(); }\n"),
             (
-                "crates/sql/src/parser.rs",
+                "crates/workload/src/parser.rs",
                 "pub fn helper_ok() { let x = 1; }\n\
                  #[cfg(test)]\nmod t { fn boom() { panic!(\"x\"); } }\n",
             ),

@@ -54,7 +54,6 @@ fn main() {
     let methods: Vec<(&str, EstimationMethod)> = vec![
         ("closed-form CLT", EstimationMethod::ClosedForm),
         ("bootstrap (K=300)", EstimationMethod::Bootstrap { k: 300 }),
-        ("jackknife (g=100)", EstimationMethod::Jackknife { g: 100 }),
         (
             "Hoeffding bound",
             EstimationMethod::LargeDeviation {

@@ -144,6 +144,116 @@ fn an_approximate_run_is_stated_once() {
     assert_eq!(rewrites, ["crates/core/src/session.rs"], "the plan annotation has one author");
 }
 
+/// `(repo-relative path, non-test code)` of every source file under
+/// `crates/*/src` and `src/`: the lines above the file's `#[cfg(test)]
+/// mod`, comment lines dropped.
+fn library_sources() -> Vec<(String, String)> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir") {
+            let path = entry.expect("readable dir entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = repo_root();
+    let mut files = Vec::new();
+    walk(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        walk(&krate.expect("readable dir entry").path().join("src"), &mut files);
+    }
+    files.sort();
+    files
+        .iter()
+        .map(|path| {
+            let source = std::fs::read_to_string(path).expect("readable source");
+            let lines: Vec<&str> = source.lines().collect();
+            let end = (0..lines.len())
+                .find(|&i| {
+                    lines[i].trim() == "#[cfg(test)]"
+                        && lines.get(i + 1).is_some_and(|l| l.trim_start().starts_with("mod "))
+                })
+                .unwrap_or(lines.len());
+            let code: Vec<&str> =
+                lines[..end].iter().copied().filter(|l| !l.trim_start().starts_with("//")).collect();
+            let rel = path.strip_prefix(&root).expect("under the repo").to_string_lossy().into_owned();
+            (rel, code.join("\n"))
+        })
+        .collect()
+}
+
+/// Metric names are stated once, in `aqp_obs::name`: no library code
+/// registers a series from a string literal (so a typo cannot fork one),
+/// and every constant there is `aqp.<crate>.<snake_case>` (so dashboards
+/// can group series by crate).
+#[test]
+fn no_metric_is_registered_from_a_literal() {
+    for (rel, code) in library_sources() {
+        for call in [".counter(", ".gauge(", ".histogram(", ".histogram_with("] {
+            for (at, _) in code.match_indices(call) {
+                let arg = code[at + call.len()..].trim_start();
+                assert!(
+                    !arg.starts_with('"'),
+                    "{rel}: `{call}{}` registers a literal; use an aqp_obs::name constant",
+                    arg.lines().next().unwrap_or_default()
+                );
+            }
+        }
+    }
+
+    let obs = std::fs::read_to_string(repo_root().join("crates/obs/src/lib.rs")).expect("obs lib.rs");
+    let module = obs.split("pub mod name {").nth(1).expect("aqp_obs::name exists");
+    let module = module.split("\n}").next().unwrap_or(module);
+    let names: Vec<&str> = module
+        .lines()
+        .filter(|l| l.trim_start().starts_with("pub const "))
+        .map(|l| l.split('"').nth(1).unwrap_or_else(|| panic!("no literal on `{l}`")))
+        .collect();
+    assert!(!names.is_empty(), "found no constant in aqp_obs::name");
+    let snake = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_lowercase())
+            && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    for name in names {
+        let segments: Vec<&str> = name.split('.').collect();
+        assert!(
+            segments.len() >= 3
+                && segments[0] == "aqp"
+                && repo_root().join("crates").join(segments[1]).is_dir()
+                && segments[1..].iter().all(|s| snake(s)),
+            "`{name}` is not aqp.<crate>.<snake_case>"
+        );
+    }
+}
+
+/// Delays and retries live in `crates/faults`: anywhere else a real sleep
+/// stalls a worker for time the mock clock cannot steer, and a hand-rolled
+/// retry loop is recovery policy `aqp_faults::resolve` does not know of.
+#[test]
+fn no_real_sleep_or_ad_hoc_retry_outside_the_fault_layer() {
+    for (rel, code) in library_sources() {
+        if rel.starts_with("crates/faults/") {
+            continue;
+        }
+        for line in code.lines() {
+            assert!(!line.contains("sleep("), "{rel}: `{}` sleeps; charge the Clock", line.trim());
+            let words: Vec<String> = line
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .map(str::to_ascii_lowercase)
+                .collect();
+            let header = words.iter().position(|w| matches!(w.as_str(), "for" | "while" | "loop"));
+            let retries = header.is_some_and(|at| {
+                words[at..].iter().any(|w| {
+                    w.contains("retry") || w.contains("retries") || w.contains("attempt")
+                })
+            });
+            assert!(!retries, "{rel}: `{}` retries by hand; use aqp_faults::resolve", line.trim());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Fixture corpus
 // ---------------------------------------------------------------------
