@@ -769,7 +769,7 @@ fn apply_having(p: &Prepared<'_>, mut answer: AqpAnswer) -> Result<AqpAnswer> {
         let batch = Batch::new(Schema::new(fields)?, cols)?;
         // The rows are named explicitly: a global query without aliased
         // aggregates gives HAVING a batch with no columns to count them from.
-        let rows: Vec<u32> = (0..answer.groups.len() as u32).collect();
+        let rows = aqp_sql::expr::Selection::Prefix(answer.groups.len());
         let mut keep = aqp_sql::expr::eval_predicate_selected(having, &batch, &rows)?.into_iter();
         answer.groups.retain(|_| keep.next().unwrap_or(false));
     }

@@ -20,12 +20,18 @@ use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
-use crate::collect::collect;
+use crate::collect::{collect, scan, Collected};
 use crate::engine::{prepare_thetas, ApproxOptions, MethodChoice, MAX_AGGREGATES};
 use crate::result::{refused, AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::Result;
+
+/// One of the scans the naive plan repeats. It leaves out the row positions:
+/// only a diagnostic subsample is cut by them, and that scan is [`collect`].
+fn rescan(plan: &LogicalPlan, sample: &Table, opts: &ApproxOptions) -> Result<Collected> {
+    scan(plan, sample, opts.threads, &aqp_obs::Clock::Real, None, false).map(|(collected, ..)| collected)
+}
 
 /// Execute approximately with the naive §5.2 strategy: one physical
 /// re-scan per bootstrap subquery and per diagnostic subsample.
@@ -45,7 +51,7 @@ pub fn execute_baseline(
 
     // Phase 1 — the query itself (one scan, same as optimized).
     let scan_span = rec.start(stage::SCAN_COLLECT);
-    let collected = collect(plan, sample, opts.threads)?;
+    let collected = rescan(plan, sample, opts)?;
     let ctx = SampleContext::new(collected.pre_filter_rows, population_rows);
     let thetas = prepare_thetas(&collected, registry)?;
     let estimates: Vec<Vec<f64>> = collected
@@ -93,7 +99,7 @@ pub fn execute_baseline(
             if wants_closed_form(opts, theta) {
                 // Naive closed form: a second full scan to compute the
                 // variance statistics.
-                let re = collect(plan, sample, opts.threads)?;
+                let re = rescan(plan, sample, opts)?;
                 let data = &re.groups[gi].aggs[ai];
                 let whole = theta.bind(data, 0..data.values.len(), &ctx);
                 match closed_form_ci_prepared(&whole, opts.alpha) {
@@ -113,7 +119,7 @@ pub fn execute_baseline(
             let mut rng = seeds.derive(0xBA5E).rng((gi * MAX_AGGREGATES + ai) as u64);
             let rows = collected.groups[gi].aggs[ai].values.len();
             let mut scan_error = None;
-            let subquery = &mut |weights: &[u32]| match collect(plan, sample, opts.threads) {
+            let subquery = &mut |weights: &[u32]| match rescan(plan, sample, opts) {
                 Ok(re) => {
                     let data = &re.groups[gi].aggs[ai];
                     theta.bind(data, 0..rows, &ctx).estimate_weighted(weights)

@@ -8,20 +8,23 @@
 //!
 //! The pass is a selection-vector pipeline (DESIGN §4 item 2): each
 //! worker scans a partition, never copied, down to a selection of row ids
-//! plus typed group ids and reads every aggregate's argument through the
-//! selection into one block of values per group (`scan_partition`);
-//! `merge` then copies the blocks together in partition order. The
-//! output is bit-identical to a row-at-a-time scan with string group
-//! keys (`tests/properties.rs` holds that scan as the oracle).
+//! plus typed group ids, turns the ids into one slot per entry — the
+//! grouped selection — and scatters every aggregate's argument through it
+//! into one block of values per group (`scan_partition`); `merge` then
+//! copies the blocks together in partition order. Row positions are
+//! written once per partition, and only for a caller whose diagnostic
+//! reads them. The output is bit-identical to a row-at-a-time scan with
+//! string group keys (`tests/properties.rs` holds that scan as the oracle).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use aqp_faults::{FaultInjector, ScanFaultSummary};
 use aqp_obs::Clock;
 use aqp_sql::ast::{AggExpr, AggFunc};
-use aqp_sql::expr::{eval, eval_selected, narrow};
+use aqp_sql::expr::{eval, eval_selected, narrow, Selection};
 use aqp_sql::logical::LogicalPlan;
 use aqp_storage::{Batch, Column, Table, Value};
 
@@ -220,23 +223,23 @@ fn decompose(plan: &LogicalPlan) -> Result<PlanShape<'_>> {
     Ok(PlanShape { chain: chain_rev, inner_agg, top_agg })
 }
 
-/// Run the pass-through chain over the first `keep_rows` rows of one
-/// partition without copying, slicing or gathering it: the chain carries
-/// a selection of partition-local row ids that `Filter` narrows and
-/// `TableSample` repeats (`Resample` is a no-op here). Returns the batch
-/// the selection indexes (the partition's own unless a `Project` replaced
-/// it), the selection, and per chain operator the rows/bytes/busy-time
-/// deltas for this partition.
+/// Run the pass-through chain over the kept rows of one partition without
+/// copying, slicing or gathering it: the chain carries a selection of
+/// partition-local row ids — the prefix `0..keep_rows` until a `Filter`
+/// narrows it or a `TableSample` repeats it (`Resample` is a no-op here).
+/// Returns the batch the selection indexes (the partition's own unless a
+/// `Project` replaced it), the selection, and per chain operator the
+/// rows/bytes/busy-time deltas for this partition.
 fn run_chain<'a>(
     chain: &[&LogicalPlan],
-    batch: &'a Batch,
-    keep_rows: usize,
+    item: &ScanItem<'a>,
     clock: &Clock,
-) -> Result<(Cow<'a, Batch>, Vec<u32>, Vec<OpDelta>)> {
+) -> Result<(Cow<'a, Batch>, Selection, Vec<OpDelta>)> {
+    let batch = item.part.batch();
     let mut current = Cow::Borrowed(batch);
     // Every id is a row of `batch`, and stays one: filters only drop ids,
     // sampling only repeats them, projections keep the row count.
-    let mut sel: Vec<u32> = (0..keep_rows.min(batch.num_rows()) as u32).collect();
+    let mut sel = Selection::Prefix(item.keep_rows.min(batch.num_rows()));
     let mut deltas = Vec::with_capacity(chain.len());
     for node in chain {
         let start = clock.now();
@@ -245,16 +248,15 @@ fn run_chain<'a>(
             LogicalPlan::Scan { .. } | LogicalPlan::Resample { .. } => {}
             LogicalPlan::TableSample { rate, seed, .. } => {
                 // Repeat each row Poisson(rate) times (§5.2's explicit
-                // operator). Deterministic per (seed, partition content)
-                // via the first surviving row id.
-                let mut rng = aqp_stats::rng::SeedStream::new(*seed)
-                    .rng(sel.first().copied().unwrap_or(0) as u64);
+                // operator), from a stream of the partition's own: the
+                // label is where its rows start in the effective sample.
+                let mut rng = aqp_stats::rng::SeedStream::new(*seed).rng(u64::from(item.offset));
                 let mut repeated = Vec::with_capacity(sel.len());
-                for &row in &sel {
+                for &row in sel.rows() {
                     let w = aqp_stats::dist::sample_poisson(&mut rng, *rate);
                     repeated.resize(repeated.len() + w as usize, row);
                 }
-                sel = repeated;
+                sel = Selection::Rows(repeated);
             }
             LogicalPlan::Filter { predicate, .. } => narrow(predicate, &current, &mut sel)?,
             LogicalPlan::Project { exprs, .. } => {
@@ -365,24 +367,38 @@ impl CodeGroups {
         (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The id of `key`'s group, the next free one when it is new.
+    /// The id of `key`'s group, the next free one when it is new. Inlined,
+    /// a one-cell key (`&[cell]`) is hashed and compared as a scalar; only
+    /// a new group can make the table grow.
+    #[inline]
     fn id_of(&mut self, key: &[Option<u64>]) -> u32 {
-        if self.cells.len() * 2 >= self.slots.len() * self.width {
-            // Double the table and seat every tuple again, in id order.
-            self.slots = vec![UNSEEN; self.slots.len() * 2];
-            for tuple in std::mem::take(&mut self.cells).chunks(self.width) {
-                self.id_of(tuple);
-            }
-        }
         let mut at = self.home(key);
-        while self.slots[at] != UNSEEN && self.tuple(self.slots[at] as usize) != key {
+        while self.slots[at] != UNSEEN {
+            let g = self.slots[at] as usize;
+            let same = match key {
+                [cell] => self.cells[g] == *cell,
+                _ => self.tuple(g) == key,
+            };
+            if same {
+                return g as u32;
+            }
             at = (at + 1) & (self.slots.len() - 1);
         }
-        if self.slots[at] == UNSEEN {
-            self.slots[at] = self.len() as u32;
-            self.cells.extend_from_slice(key);
+        let g = self.len() as u32;
+        self.slots[at] = g;
+        self.cells.extend_from_slice(key);
+        if self.cells.len() * 2 > self.slots.len() * self.width {
+            // Double the table and seat every group again, in id order.
+            self.slots = vec![UNSEEN; self.slots.len() * 2];
+            for g in 0..self.len() {
+                let mut at = self.home(self.tuple(g));
+                while self.slots[at] != UNSEEN {
+                    at = (at + 1) & (self.slots.len() - 1);
+                }
+                self.slots[at] = g as u32;
+            }
         }
-        self.slots[at]
+        g
     }
 }
 
@@ -467,9 +483,17 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, K
     // its string's.
     let (mut keys, mut ids, mut seen) = (Vec::new(), HashMap::new(), Vec::new());
     let mut group_of = |row: usize| {
-        code.clear();
-        code.extend(cols.iter().map(|col| key_code(col, row)));
-        let tuple = tuples.id_of(&code);
+        let tuple = match cols.as_slice() {
+            // A lone string column sits behind the slot table below, which
+            // hands over each code once: every call brings a new tuple.
+            [_] if decode.is_none() => seen.len() as u32,
+            [col] => tuples.id_of(&[key_code(col, row)]),
+            cols => {
+                code.clear();
+                code.extend(cols.iter().map(|col| key_code(col, row)));
+                tuples.id_of(&code)
+            }
+        };
         if decode.is_some() {
             return tuple;
         }
@@ -504,14 +528,24 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, K
     (gids, decode.map_or(Keys::Rendered(keys, ids), |decode| Keys::Typed(decode, tuples)))
 }
 
-/// One aggregate's values in one partition, grouped: group `g`'s block is
-/// `starts[g]..ends[g]` of every vector.
+/// The grouped selection of one partition: a slot per selection entry,
+/// group `g`'s block of slots being `starts[g]..ends[g]` in selection
+/// order, and what is known of a slot besides an aggregate's value.
+struct Slots {
+    ends: Vec<usize>,
+    /// The row's position in the effective sample; empty when no
+    /// diagnostic will read positions.
+    positions: Vec<u32>,
+    /// Nested plans: the row's index into `inner_keys`.
+    codes: Vec<u32>,
+}
+
+/// One aggregate's values in one partition, a slot each.
 struct Blocks {
     values: Vec<f64>,
-    positions: Vec<u32>,
-    /// Nested plans: per value, its index into `inner_keys`.
-    codes: Vec<u32>,
-    ends: Vec<usize>,
+    /// Its own for an argument that is NULL in some selected row, which
+    /// gets no slot; every other aggregate shares the partition's.
+    slots: Arc<Slots>,
 }
 
 /// What one surviving partition contributes, copied out of it by the
@@ -529,27 +563,29 @@ struct PartitionScan {
     op_deltas: Vec<OpDelta>,
 }
 
-/// Scan one partition: run the chain, resolve group ids, and read every
-/// aggregate's argument through the selection into one block per group.
-/// `None` when the partition was lost.
+/// Scan one partition: run the chain, resolve group ids once, turn them
+/// into a slot per selection entry, and scatter every aggregate's argument
+/// through the selection into its slots. `None` when the partition was
+/// lost.
 fn scan_partition(
     chain: &[&LogicalPlan],
     item: ScanItem<'_>,
     group_by: &[String],
     aggs: &[AggExpr],
     inner_key: Option<&str>,
+    with_positions: bool,
     clock: &Clock,
 ) -> Result<Option<PartitionScan>> {
     if item.lost {
         return Ok(None);
     }
-    let (batch, sel, op_deltas) = run_chain(chain, item.part.batch(), item.keep_rows, clock)?;
+    let (batch, mut sel, op_deltas) = run_chain(chain, &item, clock)?;
     let key_cols = group_by
         .iter()
         .map(|k| batch.schema().index_of(k))
         .collect::<aqp_storage::Result<Vec<_>>>()?;
     let (inner_gids, inner_keys) = match inner_key {
-        Some(k) => assign_groups(&batch, &[batch.schema().index_of(k)?], &sel),
+        Some(k) => assign_groups(&batch, &[batch.schema().index_of(k)?], sel.rows()),
         None => (Vec::new(), Keys::Rendered(Vec::new(), HashMap::new())),
     };
     // The global group needs no ids at all; it exists once a row (nested:
@@ -559,34 +595,57 @@ fn scan_partition(
             let exists = inner_key.is_some() || !sel.is_empty();
             (Vec::new(), Keys::Rendered(vec![String::new(); usize::from(exists)], HashMap::new()))
         }
-        key_cols => assign_groups(&batch, key_cols, &sel),
+        key_cols => assign_groups(&batch, key_cols, sel.rows()),
     };
     // Group sizes, turned into block starts by a running sum.
     let mut starts = vec![0; keys.len()];
     gids.iter().for_each(|&g| starts[g as usize] += 1);
     let mut at = 0;
     starts.iter_mut().for_each(|s| at += std::mem::replace(s, at));
+    // The slot of every entry that is a number (`numbers`: which are,
+    // `None` for all) — the next free one of its group's block, or of the
+    // global group's without `gids`; `None` where that is the entry's own
+    // index — and what the slots hold. An entry that is no number gets the
+    // spare slot after the last block.
+    let n = sel.len();
+    let slots = |numbers: Option<&[bool]>| {
+        let mut ends = starts.clone();
+        let dest: Option<Vec<u32>> = (numbers.is_some() || !gids.is_empty()).then(|| {
+            let slot = |k: usize| {
+                if numbers.is_some_and(|is| !is[k]) {
+                    return n as u32;
+                }
+                let end = &mut ends[gids.get(k).map_or(0, |&g| g as usize)];
+                *end += 1;
+                *end as u32 - 1
+            };
+            (0..n).map(slot).collect()
+        });
+        if dest.is_none() {
+            ends.iter_mut().for_each(|end| *end = n);
+        }
+        let mut positions = vec![0; if with_positions { n + 1 } else { 0 }];
+        if with_positions {
+            sel.scatter(dest.as_deref(), &mut positions, |row| item.offset + row as u32);
+        }
+        let mut codes = vec![0; inner_gids.len() + 1];
+        Selection::Prefix(inner_gids.len()).scatter(dest.as_deref(), &mut codes, |k| inner_gids[k]);
+        (dest, Arc::new(Slots { ends, positions, codes }))
+    };
+    let shared = slots(None);
     let mut out = Vec::with_capacity(aggs.len());
     for agg in aggs {
-        let arg = agg.arg.as_ref().map(|e| eval_selected(e, &batch, &sel)).transpose()?;
-        let (mut values, mut positions) = (vec![0.0; sel.len()], vec![0; sel.len()]);
-        let mut codes = vec![0; inner_gids.len()];
-        let mut ends = starts.clone();
-        let mut push = |k: usize, x: f64| {
-            let end = &mut ends[gids.get(k).map_or(0, |&g| g as usize)];
-            values[*end] = x;
-            positions[*end] = item.offset + sel[k];
-            if let Some(code) = codes.get_mut(*end) {
-                *code = inner_gids[k];
-            }
-            *end += 1;
-        };
         // `COUNT(*)` counts every entry; an argument, its non-NULL numbers.
-        match &arg {
-            None => (0..sel.len()).for_each(|k| push(k, 1.0)),
-            Some(e) => e.for_each_f64(&sel, push),
-        }
-        out.push(Blocks { values, positions, codes, ends });
+        let Some(arg) = &agg.arg else {
+            out.push(Blocks { values: vec![1.0; n], slots: shared.1.clone() });
+            continue;
+        };
+        let arg = eval_selected(arg, &batch, &sel)?;
+        let own = arg.numbers(&sel).map(|numbers| slots(Some(&numbers)));
+        let (dest, slots) = own.as_ref().unwrap_or(&shared);
+        let mut values = vec![0.0; n + 1];
+        arg.scatter_f64(&sel, dest.as_deref(), &mut values);
+        out.push(Blocks { values, slots: slots.clone() });
     }
     Ok(Some(PartitionScan { keys, starts, aggs: out, inner_keys, op_deltas }))
 }
@@ -713,6 +772,21 @@ pub fn collect_observed_faulty(
     clock: &Clock,
     injector: Option<&FaultInjector>,
 ) -> Result<(Collected, CollectObs, Option<ScanFaultSummary>)> {
+    scan(plan, table, threads, clock, injector, true)
+}
+
+/// [`collect_observed_faulty`], leaving every `AggData::positions` empty
+/// unless `with_positions`: only the diagnostic's row-range subsampling
+/// reads them, so the exact path, the pilot and the baseline's plain
+/// scans do not ask.
+pub(crate) fn scan(
+    plan: &LogicalPlan,
+    table: &Table,
+    threads: usize,
+    clock: &Clock,
+    injector: Option<&FaultInjector>,
+    with_positions: bool,
+) -> Result<(Collected, CollectObs, Option<ScanFaultSummary>)> {
     let shape = decompose(plan)?;
     let LogicalPlan::Aggregate { group_by: top_group_by, aggs: top_aggs, .. } = shape.top_agg
     else {
@@ -757,10 +831,10 @@ pub fn collect_observed_faulty(
     let (items, fault_summary) = fault_resolved_items(table, injector, clock);
     let pre_filter_rows = items.iter().map(|item| item.keep_rows).sum(); // a lost one keeps 0
     let (scans, workers) = parallel_map_observed(items, threads, clock, |item| {
-        scan_partition(chain, item, group_by, collected_aggs, inner_key, clock)
+        scan_partition(chain, item, group_by, collected_aggs, inner_key, with_positions, clock)
     });
     let ops = chain_stats(plan, chain, &scans);
-    let mut groups = merge(scans, collected_aggs.len(), inner.is_some())?;
+    let mut groups = merge(scans, collected_aggs.len(), inner.is_some(), with_positions)?;
     if inner.is_some() {
         // Duplicate the single collected values vector across outer
         // aggregates if the SELECT list has several.
@@ -795,6 +869,7 @@ fn merge(
     scans: Vec<Result<Option<PartitionScan>>>,
     n_aggs: usize,
     nested: bool,
+    with_positions: bool,
 ) -> Result<Vec<Group>> {
     let scans: Vec<PartitionScan> =
         scans.into_iter().filter_map(Result::transpose).collect::<Result<_>>()?;
@@ -811,7 +886,7 @@ fn merge(
             if g == sizes.len() {
                 sizes.push(vec![0; n_aggs]);
             }
-            let counts = scan.aggs.iter().map(|b| b.ends[local] - scan.starts[local]);
+            let counts = scan.aggs.iter().map(|b| b.slots.ends[local] - scan.starts[local]);
             sizes[g].iter_mut().zip(counts).for_each(|(n, count)| *n += count);
             global_of.push(g);
         }
@@ -826,7 +901,7 @@ fn merge(
                 .into_iter()
                 .map(|n| AggData {
                     values: Vec::with_capacity(n),
-                    positions: Vec::with_capacity(n),
+                    positions: Vec::with_capacity(if with_positions { n } else { 0 }),
                     nested: nested.then(|| NestedData { codes: Vec::with_capacity(n), n_codes: 0 }),
                 })
                 .collect(),
@@ -839,11 +914,14 @@ fn merge(
         let mut code_of = vec![UNSEEN; scan.inner_keys.len()];
         for (local, g) in (0..scan.keys.len()).zip(global_of.by_ref()) {
             for (data, part) in groups[g].aggs.iter_mut().zip(&scan.aggs) {
-                let block = scan.starts[local]..part.ends[local];
+                let slots = &part.slots;
+                let block = scan.starts[local]..slots.ends[local];
                 data.values.extend_from_slice(&part.values[block.clone()]);
-                data.positions.extend_from_slice(&part.positions[block.clone()]);
+                if with_positions {
+                    data.positions.extend_from_slice(&slots.positions[block.clone()]);
+                }
                 let Some(nested) = &mut data.nested else { continue };
-                for &local in &part.codes[block] {
+                for &local in &slots.codes[block] {
                     let code = &mut code_of[local as usize];
                     if *code == UNSEEN {
                         *code = inner_keys.adopt(&scan.inner_keys, local as usize)?;
@@ -1008,6 +1086,44 @@ mod tests {
     }
 
     #[test]
+    fn tablesample_draws_a_stream_per_partition() {
+        // 16 equal partitions: with one stream for all of them, row k of
+        // each would repeat alike and every count be a multiple of 16.
+        let rows = 16 * 40;
+        let schema = Schema::new(vec![Field::new("x", DataType::Float)]).unwrap();
+        let x = Column::from_f64s((0..rows).map(f64::from).collect());
+        let t = Table::from_batch("t", Batch::new(schema, vec![x]).unwrap(), 16).unwrap();
+        let q = parse_query("SELECT SUM(x) FROM t TABLESAMPLE POISSONIZED (100)").unwrap();
+        let plan = plan_query(&q, t.schema()).unwrap();
+        let c = collect(&plan, &t, 2).unwrap();
+        // How often each row of a partition was repeated, per partition.
+        let mut times = vec![[0u32; 40]; 16];
+        for p in &c.groups[0].aggs[0].positions {
+            times[*p as usize / 40][*p as usize % 40] += 1;
+        }
+        let distinct: std::collections::BTreeSet<_> = times.iter().collect();
+        assert_eq!(distinct.len(), 16, "every partition draws its own multiplicities");
+        let n = c.groups[0].aggs[0].values.len();
+        assert!((rows as usize * 3 / 4..rows as usize * 5 / 4).contains(&n), "Poisson(1) of {rows} rows: {n}");
+    }
+
+    #[test]
+    fn a_fused_first_filter_counts_rows_like_any_filter() {
+        // `user_id > 1` straight over the scan: compared and compacted over
+        // the kept prefix, no vector of row ids before it.
+        let t = sessions();
+        let q = parse_query("SELECT city, SUM(time) FROM sessions WHERE user_id > 1 GROUP BY city").unwrap();
+        let plan = plan_query(&q, t.schema()).unwrap();
+        for threads in [1, 2] {
+            let (_, obs) = collect_observed(&plan, &t, threads, &Clock::Real).unwrap();
+            let [scan, filter] = obs.ops.as_slice() else { panic!("Scan, Filter") };
+            assert_eq!((scan.rows_in, scan.rows_out, scan.batches, scan.bytes), (6, 6, 3, 6 * 3 * 8));
+            assert_eq!(filter.name, "Filter");
+            assert_eq!((filter.rows_in, filter.rows_out, filter.batches, filter.bytes), (6, 4, 3, 4 * 3 * 8));
+        }
+    }
+
+    #[test]
     fn project_keeps_the_selection_valid() {
         use aqp_sql::ast::{BinOp, Expr};
         let t = sessions();
@@ -1036,11 +1152,15 @@ mod tests {
         let (b, b_obs) = collect_observed(&projected, &t, 2, &Clock::Real).unwrap();
         assert_eq!(a.groups, b.groups);
         assert!(a.groups.iter().any(|g| !g.aggs[0].values.is_empty()));
-        // Counters follow the selection: the filter keeps 4 of 6 rows, and
-        // bytes are 8 per cell of the rows leaving over the batch's columns.
-        let filter = a_obs.ops.iter().find(|o| o.name == "Filter").unwrap();
-        assert_eq!((filter.rows_in, filter.rows_out, filter.bytes), (6, 4, 4 * 3 * 8));
-        let sampled = a_obs.ops.last().unwrap().rows_out;
+        // Counters follow the selection: the filter takes what the sampling
+        // repeated and drops rows, and bytes are 8 per cell of the rows
+        // leaving over the batch's columns.
+        let [_, sample, filter] = a_obs.ops.as_slice() else { panic!("Scan, TableSample, Filter") };
+        assert_eq!((sample.name, filter.name), ("TableSample", "Filter"));
+        assert_eq!(filter.rows_in, sample.rows_out);
+        assert!(filter.rows_out < filter.rows_in);
+        assert_eq!(filter.bytes, filter.rows_out * 3 * 8);
+        let sampled = filter.rows_out;
         let project = b_obs.ops.last().unwrap();
         assert_eq!(project.name, "Project");
         assert_eq!((project.rows_in, project.rows_out), (sampled, sampled));

@@ -14,7 +14,7 @@ use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
-use crate::collect::{collect_observed, collect_observed_faulty, AggData, Collected, OpStats};
+use crate::collect::{scan, AggData, Collected, OpStats};
 use crate::parallel::{default_threads, parallel_map_observed, WorkerStat};
 use crate::result::{refused, AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
@@ -108,7 +108,7 @@ pub fn execute_exact_observed(
     let rec = obs.recorder();
     let span = rec.start(stage::EXACT_EXECUTION);
     let scan_start = obs.clock.now();
-    let (collected, scan_obs) = collect_observed(plan, table, threads, &obs.clock)?;
+    let (collected, scan_obs, _) = scan(plan, table, threads, &obs.clock, None, false)?;
     record_chain_ops(&rec, &obs.clock, scan_start, plan, &scan_obs.ops, None);
     record_workers(&rec, obs, &scan_obs.workers, None, obs.clock.now());
     let agg_start = obs.clock.now();
@@ -176,8 +176,10 @@ pub fn execute_approx(
     let injector = opts.faults.as_ref().map(FaultInjector::new);
     let scan_span = rec.start(stage::SCAN_COLLECT);
     let scan_start = opts.obs.clock.now();
-    let (collected, scan_obs, fault_summary) =
-        collect_observed_faulty(plan, sample, opts.threads, &opts.obs.clock, injector.as_ref())?;
+    // Positions are the diagnostic's to read: a run without one (the
+    // pilot) does not build them.
+    let (clock, diagnosed) = (&opts.obs.clock, opts.diagnostic.is_some());
+    let (collected, scan_obs, fault_summary) = scan(plan, sample, opts.threads, clock, injector.as_ref(), diagnosed)?;
     rec.attr(scan_span, "sample_rows", collected.pre_filter_rows);
     rec.attr(scan_span, "groups", collected.groups.len());
     let sample_fraction = (population_rows > 0)

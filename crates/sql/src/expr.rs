@@ -1,22 +1,102 @@
 //! Selection-vector expression evaluation over columnar batches.
 //!
-//! A *selection* is a `&[u32]` of batch row ids (gaps and repeats
-//! allowed). Expressions are evaluated for the selected rows only:
-//! columns are read in place through the selection, literals stay
-//! scalars, and a comparison against a string literal is resolved once
-//! per dictionary entry. Filters [`narrow`] a selection instead of
-//! copying rows; `AND` narrows successively. [`eval`] and
-//! [`eval_predicate`] are the same kernel over the identity selection.
+//! A [`Selection`] names batch rows: the prefix `0..n` a scan starts
+//! from, or a vector of row ids (gaps and repeats allowed). Expressions
+//! are evaluated for the selected rows only: columns are read in place
+//! through the selection, literals stay scalars, and a comparison
+//! against a string literal is resolved once per dictionary entry.
+//! Filters [`narrow`] a selection instead of copying rows: `column <op>
+//! constant` compares and compacts in one typed loop, `AND` narrows
+//! successively, everything else keeps the entries of a truth vector.
+//! [`eval`] and [`eval_predicate`] are the same kernel over every row.
 
 use aqp_storage::{Batch, Column, Value};
 
 use crate::ast::{BinOp, Expr};
 use crate::{Result, SqlError};
 
+/// The batch rows a scan carries down its operator chain, in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Selection {
+    /// Rows `0..n`: nothing has narrowed or repeated them yet, and no
+    /// vector of their ids exists.
+    Prefix(usize),
+    /// These row ids (gaps and repeats allowed).
+    Rows(Vec<u32>),
+}
+
+impl Selection {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        match self {
+            Selection::Prefix(n) => *n,
+            Selection::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// True when no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row ids as a slice, written out first if they were a prefix.
+    pub fn rows(&mut self) -> &[u32] {
+        if let Selection::Prefix(n) = *self {
+            *self = Selection::Rows((0..n as u32).collect());
+        }
+        let Selection::Rows(rows) = self else { return &[] }; // written out above
+        rows
+    }
+
+    /// `out[dest[k]] = cell(row k)` for every entry `k`, `out[k]` without
+    /// a `dest`. `out` has a slot for every entry (every `dest`).
+    pub fn scatter<T>(&self, dest: Option<&[u32]>, out: &mut [T], cell: impl Fn(usize) -> T) {
+        match (self, dest) {
+            (Selection::Prefix(n), None) => out.iter_mut().zip(0..*n).for_each(|(o, r)| *o = cell(r)),
+            (Selection::Rows(rows), None) => {
+                out.iter_mut().zip(rows).for_each(|(o, &r)| *o = cell(r as usize));
+            }
+            (Selection::Prefix(n), Some(dest)) => {
+                dest.iter().zip(0..*n).for_each(|(&d, r)| out[d as usize] = cell(r));
+            }
+            (Selection::Rows(rows), Some(dest)) => {
+                dest.iter().zip(rows).for_each(|(&d, &r)| out[d as usize] = cell(r as usize));
+            }
+        }
+    }
+
+    /// Keep the entries `keep(k, row k)` holds for, order and repeats
+    /// preserved. Branch-free: every entry is written, the cursor moves
+    /// past the kept ones only.
+    fn retain(&mut self, keep: impl Fn(usize, usize) -> bool) {
+        match self {
+            Selection::Prefix(n) => {
+                let mut rows = vec![0; *n];
+                let mut kept = 0;
+                for r in 0..*n {
+                    rows[kept] = r as u32;
+                    kept += usize::from(keep(r, r));
+                }
+                rows.truncate(kept);
+                *self = Selection::Rows(rows);
+            }
+            Selection::Rows(rows) => {
+                let mut kept = 0;
+                for k in 0..rows.len() {
+                    let r = rows[k];
+                    rows[kept] = r;
+                    kept += usize::from(keep(k, r as usize));
+                }
+                rows.truncate(kept);
+            }
+        }
+    }
+}
+
 /// An expression evaluated for the rows a selection names.
 #[derive(Debug)]
 pub enum Evaluated<'a> {
-    /// A batch column read in place: entry `k` is row `sel[k]`.
+    /// A batch column read in place: entry `k` is row `k` of the selection.
     Column(&'a Column),
     /// A literal: one value for every entry.
     Scalar(&'a Value),
@@ -25,17 +105,35 @@ pub enum Evaluated<'a> {
 }
 
 impl Evaluated<'_> {
-    /// Call `f(k, x)` for every selection entry `k` whose value is a
-    /// non-NULL number `x` (ints and bools coerce; strings never are).
-    pub fn for_each_f64(&self, sel: &[u32], mut f: impl FnMut(usize, f64)) {
+    /// Which entries are numbers (ints and bools coerce; NULLs and strings
+    /// never are), `None` when every one is.
+    pub fn numbers(&self, sel: &Selection) -> Option<Vec<bool>> {
+        let col = match self {
+            Evaluated::Dense(c) => return Evaluated::Column(c).numbers(&Selection::Prefix(sel.len())),
+            Evaluated::Scalar(v) => return v.as_f64().is_none().then(|| vec![false; sel.len()]),
+            Evaluated::Column(
+                Column::Float { validity: None, .. } | Column::Int { validity: None, .. } | Column::Bool { validity: None, .. },
+            ) => return None,
+            Evaluated::Column(c) => c,
+        };
+        let mut numbers = vec![false; sel.len()];
+        sel.scatter(None, &mut numbers, |r| col.f64_at(r).is_some());
+        numbers.contains(&false).then_some(numbers)
+    }
+
+    /// [`Selection::scatter`] of the entries' numbers, in one typed loop;
+    /// an entry that is no number writes an unspecified one, or none.
+    pub fn scatter_f64(&self, sel: &Selection, dest: Option<&[u32]>, out: &mut [f64]) {
+        let every = Selection::Prefix(sel.len());
         match self {
-            Evaluated::Column(c) => numeric_rows(c, sel.iter().map(|&r| r as usize), f),
-            Evaluated::Dense(c) => numeric_rows(c, 0..sel.len(), f),
-            Evaluated::Scalar(v) => {
-                if let Some(x) = v.as_f64() {
-                    (0..sel.len()).for_each(|k| f(k, x));
-                }
+            Evaluated::Dense(c) => Evaluated::Column(c).scatter_f64(&every, dest, out),
+            Evaluated::Scalar(v) => every.scatter(dest, out, |_| v.as_f64().unwrap_or(0.0)),
+            Evaluated::Column(Column::Float { values, .. }) => sel.scatter(dest, out, |r| values[r]),
+            Evaluated::Column(Column::Int { values, .. }) => sel.scatter(dest, out, |r| values[r] as f64),
+            Evaluated::Column(Column::Bool { values, .. }) => {
+                sel.scatter(dest, out, |r| f64::from(u8::from(values[r])));
             }
+            Evaluated::Column(Column::Str { .. }) => {}
         }
     }
 
@@ -44,10 +142,13 @@ impl Evaluated<'_> {
         matches!(self, Col(Column::Str { .. }) | Dense(Column::Str { .. }) | Scalar(Value::Str(_)))
     }
 
-    fn str_at(&self, sel: &[u32], k: usize) -> Option<&str> {
+    fn str_at(&self, sel: &Selection, k: usize) -> Option<&str> {
         let (c, r) = match self {
             Evaluated::Scalar(v) => return v.as_str(),
-            Evaluated::Column(c) => (*c, sel[k] as usize),
+            Evaluated::Column(c) => (*c, match sel {
+                Selection::Prefix(_) => k,
+                Selection::Rows(rows) => rows[k] as usize,
+            }),
             Evaluated::Dense(c) => (c, k),
         };
         match c {
@@ -56,28 +157,6 @@ impl Evaluated<'_> {
             }
             _ => None,
         }
-    }
-}
-
-fn numeric_rows(c: &Column, rows: impl Iterator<Item = usize>, f: impl FnMut(usize, f64)) {
-    fn each(
-        rows: impl Iterator<Item = usize>,
-        validity: &Option<Vec<bool>>,
-        get: impl Fn(usize) -> f64,
-        mut f: impl FnMut(usize, f64),
-    ) {
-        match validity {
-            None => rows.enumerate().for_each(|(k, r)| f(k, get(r))),
-            Some(m) => rows.enumerate().filter(|&(_, r)| m[r]).for_each(|(k, r)| f(k, get(r))),
-        }
-    }
-    match c {
-        Column::Float { values, validity } => each(rows, validity, |r| values[r], f),
-        Column::Int { values, validity } => each(rows, validity, |r| values[r] as f64, f),
-        Column::Bool { values, validity } => {
-            each(rows, validity, |r| f64::from(u8::from(values[r])), f);
-        }
-        Column::Str { .. } => {}
     }
 }
 
@@ -97,17 +176,20 @@ impl<T: Copy> Lane<T> {
 }
 
 /// Numeric view (strings become NULLs).
-fn num(e: &Evaluated<'_>, sel: &[u32]) -> Lane<f64> {
+fn num(e: &Evaluated<'_>, sel: &Selection) -> Lane<f64> {
     if let Evaluated::Scalar(v) = e {
         return Lane::Const(v.as_f64());
     }
-    let mut rows = vec![None; sel.len()];
-    e.for_each_f64(sel, |k, x| rows[k] = Some(x));
-    Lane::Rows(rows)
+    let mut xs = vec![0.0; sel.len()];
+    e.scatter_f64(sel, None, &mut xs);
+    Lane::Rows(match e.numbers(sel) {
+        None => xs.into_iter().map(Some).collect(),
+        Some(numbers) => xs.into_iter().zip(numbers).map(|(x, is)| is.then_some(x)).collect(),
+    })
 }
 
 /// Three-valued boolean view: numbers are true when non-zero.
-fn tri(e: &Evaluated<'_>, sel: &[u32]) -> Lane<bool> {
+fn tri(e: &Evaluated<'_>, sel: &Selection) -> Lane<bool> {
     match num(e, sel) {
         Lane::Const(c) => Lane::Const(c.map(|x| x != 0.0)),
         Lane::Rows(v) => Lane::Rows(v.into_iter().map(|x| x.map(|x| x != 0.0)).collect()),
@@ -118,15 +200,11 @@ fn plan_err(message: String) -> SqlError {
     SqlError::Plan { message }
 }
 
-fn identity(batch: &Batch) -> Vec<u32> {
-    (0..batch.num_rows() as u32).collect()
-}
-
 /// Evaluate `expr` over every row of `batch`, yielding a column of
 /// `batch.num_rows()` values.
 pub fn eval(expr: &Expr, batch: &Batch) -> Result<Column> {
     let n = batch.num_rows();
-    Ok(match eval_selected(expr, batch, &identity(batch))? {
+    Ok(match eval_selected(expr, batch, &Selection::Prefix(n))? {
         Evaluated::Column(c) => c.clone(),
         Evaluated::Dense(c) => c,
         Evaluated::Scalar(v) => match v {
@@ -144,7 +222,7 @@ pub fn eval(expr: &Expr, batch: &Batch) -> Result<Column> {
 /// Evaluate a predicate, mapping NULL ("unknown") to `false` — SQL filter
 /// semantics.
 pub fn eval_predicate(expr: &Expr, batch: &Batch) -> Result<Vec<bool>> {
-    eval_predicate_selected(expr, batch, &identity(batch))
+    eval_predicate_selected(expr, batch, &Selection::Prefix(batch.num_rows()))
 }
 
 fn column<'a>(batch: &'a Batch, name: &str) -> Result<&'a Column> {
@@ -162,7 +240,7 @@ fn from_opt_bools(vals: Vec<Option<bool>>) -> Column {
 /// `sel` is trusted like a slice index: the caller keeps every row id
 /// below `batch.num_rows()` (a narrowed or repeated selection of valid
 /// ids stays valid), and a row the batch does not have panics.
-pub fn eval_selected<'a>(expr: &'a Expr, batch: &'a Batch, sel: &[u32]) -> Result<Evaluated<'a>> {
+pub fn eval_selected<'a>(expr: &'a Expr, batch: &'a Batch, sel: &Selection) -> Result<Evaluated<'a>> {
     let n = sel.len();
     Ok(match expr {
         Expr::Column(name) => Evaluated::Column(column(batch, name)?),
@@ -191,94 +269,145 @@ pub fn eval_selected<'a>(expr: &'a Expr, batch: &'a Batch, sel: &[u32]) -> Resul
 }
 
 /// Which entries of `sel` satisfy `expr`; NULL ("unknown") is not true.
-pub fn eval_predicate_selected(expr: &Expr, batch: &Batch, sel: &[u32]) -> Result<Vec<bool>> {
-    if let Expr::Binary { op, lhs, rhs } = expr {
-        if matches!(op, BinOp::And | BinOp::Or) {
-            // Only truth survives a filter, and `l AND r` / `l OR r` is
-            // true exactly when the truths of `l` and `r` say so.
-            let mut l = eval_predicate_selected(lhs, batch, sel)?;
-            let r = eval_predicate_selected(rhs, batch, sel)?;
-            let both = *op == BinOp::And;
-            l.iter_mut().zip(r).for_each(|(a, b)| *a = if both { *a && b } else { *a || b });
-            return Ok(l);
-        }
-        // `column <op> constant`, the shape filters have (the mirrored
-        // spelling takes the general route).
-        if let (true, Expr::Column(name), Some(c)) = (is_comparison(*op), &**lhs, constant(rhs)) {
-            return Ok(column_vs_constant(column(batch, name)?, *op, c, sel));
-        }
+pub fn eval_predicate_selected(expr: &Expr, batch: &Batch, sel: &Selection) -> Result<Vec<bool>> {
+    if let Some(fused) = fused(expr, batch)? {
+        let mut truth = vec![false; sel.len()];
+        fused.run(Mark(sel, &mut truth));
+        return Ok(truth);
+    }
+    if let Expr::Binary { op: op @ (BinOp::And | BinOp::Or), lhs, rhs } = expr {
+        let l = eval_predicate_selected(lhs, batch, sel)?;
+        return Ok(combined(*op, l, eval_predicate_selected(rhs, batch, sel)?));
     }
     let t = tri(&eval_selected(expr, batch, sel)?, sel);
     Ok((0..sel.len()).map(|k| t.at(k) == Some(true)).collect())
 }
 
+/// Only truth survives a filter, and `l AND r` / `l OR r` is true exactly
+/// when the truths of `l` and `r` say so — per entry, or per dictionary
+/// entry.
+fn combined(op: BinOp, mut l: Vec<bool>, r: Vec<bool>) -> Vec<bool> {
+    l.iter_mut().zip(r).for_each(|(a, b)| *a = if op == BinOp::And { *a && b } else { *a || b });
+    l
+}
+
 /// Keep in `sel` only the entries satisfying `predicate` (order and
 /// repeats preserved).
-pub fn narrow(predicate: &Expr, batch: &Batch, sel: &mut Vec<u32>) -> Result<()> {
+pub fn narrow(predicate: &Expr, batch: &Batch, sel: &mut Selection) -> Result<()> {
+    if let Some(fused) = fused(predicate, batch)? {
+        fused.run(Narrow(sel));
+        return Ok(());
+    }
     if let Expr::Binary { op: BinOp::And, lhs, rhs } = predicate {
         narrow(lhs, batch, sel)?;
         return narrow(rhs, batch, sel);
     }
     let keep = eval_predicate_selected(predicate, batch, sel)?;
-    // Branch-free compaction: always copy, advance only past kept entries.
-    let mut kept = 0;
-    for k in 0..sel.len() {
-        sel[kept] = sel[k];
-        kept += usize::from(keep[k]);
-    }
-    sel.truncate(kept);
+    sel.retain(|k, _| keep[k]);
     Ok(())
 }
 
-/// A constant comparison operand: a number (`None` = NULL) or a string.
-#[derive(Clone, Copy)]
-enum Constant<'a> {
-    Num(Option<f64>),
-    Str(&'a str),
+/// A predicate that one typed loop decides row by row.
+enum Fused<'a> {
+    /// `column <op> number`, the shape filters have (the mirrored spelling
+    /// takes the general route); `None` for a constant that is NULL or a
+    /// string against numbers, which nothing compares to.
+    Number(&'a Column, BinOp, Option<f64>),
+    /// Comparisons of one string column with string literals, `AND`ed and
+    /// `OR`ed at will: its codes and NULL mask, and the truth of each
+    /// dictionary entry.
+    Dictionary(&'a [u32], &'a Option<Vec<bool>>, Vec<bool>),
 }
 
-fn constant(e: &Expr) -> Option<Constant<'_>> {
+fn fused<'a>(expr: &Expr, batch: &'a Batch) -> Result<Option<Fused<'a>>> {
+    let Expr::Binary { op, lhs, rhs } = expr else { return Ok(None) };
+    if let BinOp::And | BinOp::Or = op {
+        let (Some(Fused::Dictionary(codes, mask, table)), Some(Fused::Dictionary(other, _, right))) =
+            (fused(lhs, batch)?, fused(rhs, batch)?)
+        else {
+            return Ok(None);
+        };
+        return Ok(std::ptr::eq(codes, other).then(|| Fused::Dictionary(codes, mask, combined(*op, table, right))));
+    }
+    let (true, Expr::Column(name)) = (is_comparison(*op), &**lhs) else { return Ok(None) };
+    let col = column(batch, name)?;
+    Ok(match (col, &**rhs) {
+        (Column::Str { dict, codes, validity }, Expr::Literal(Value::Str(s))) => {
+            let table = dict.iter().map(|d| ord_matches(*op, d.as_str().cmp(s))).collect();
+            Some(Fused::Dictionary(codes, validity, table))
+        }
+        (_, rhs) => number(rhs).map(|x| Fused::Number(col, *op, x)),
+    })
+}
+
+/// A constant's number, `Some(None)` when it has none (NULL, a string).
+fn number(e: &Expr) -> Option<Option<f64>> {
     match e {
-        Expr::Literal(Value::Str(s)) => Some(Constant::Str(s)),
-        Expr::Literal(v) => Some(Constant::Num(v.as_f64())),
-        Expr::Neg(inner) => Some(Constant::Num(match constant(inner)? {
-            Constant::Num(x) => x.map(|v| -v),
-            Constant::Str(_) => None,
-        })),
+        Expr::Literal(v) => Some(v.as_f64()),
+        Expr::Neg(inner) => Some(number(inner)?.map(|x| -x)),
         _ => None,
     }
 }
 
-/// `col <op> c` per selection entry: one dictionary-sized truth table
-/// for strings, a typed loop for numbers. A string against a number, and
-/// anything against NULL or NaN, is unknown.
-#[allow(clippy::double_comparisons)] // `v != x` would call a NaN unequal; SQL calls it unknown
-fn column_vs_constant(col: &Column, op: BinOp, c: Constant<'_>, sel: &[u32]) -> Vec<bool> {
-    fn mark(col: &Column, sel: &[u32], out: &mut [bool], pred: impl Fn(f64) -> bool) {
-        numeric_rows(col, sel.iter().map(|&r| r as usize), |k, v| out[k] = pred(v));
+/// What the truth of a fused predicate, row by row, is fed to.
+trait Sink {
+    fn run(self, truth: impl Fn(usize) -> bool);
+}
+
+/// Compare and compact: the selection keeps the rows that compare true.
+struct Narrow<'a>(&'a mut Selection);
+
+impl Sink for Narrow<'_> {
+    fn run(self, truth: impl Fn(usize) -> bool) {
+        self.0.retain(|_, r| truth(r));
     }
-    let mut out = vec![false; sel.len()];
-    match (col, c) {
-        (Column::Str { dict, codes, .. }, Constant::Str(s)) => {
-            let table: Vec<bool> =
-                dict.iter().map(|d| ord_matches(op, d.as_str().cmp(s))).collect();
-            for (o, &r) in out.iter_mut().zip(sel) {
-                let r = r as usize;
-                *o = !col.is_null(r) && table.get(codes[r] as usize).copied().unwrap_or(false);
+}
+
+/// The truth of every entry of a selection, for the general route.
+struct Mark<'a>(&'a Selection, &'a mut [bool]);
+
+impl Sink for Mark<'_> {
+    fn run(self, truth: impl Fn(usize) -> bool) {
+        self.0.scatter(None, self.1, truth);
+    }
+}
+
+impl Fused<'_> {
+    /// The predicate's truth by row, into `sink`: the column's type, its
+    /// NULL mask and the operator are resolved outside the loop, a number
+    /// cell compares as `f64`, a string cell by its code. A string against
+    /// a number, and anything against NULL or NaN, is unknown: not true.
+    #[allow(clippy::double_comparisons)] // `v != x` would call a NaN unequal; SQL calls it unknown
+    fn run(self, sink: impl Sink) {
+        fn masked(validity: &Option<Vec<bool>>, sink: impl Sink, truth: impl Fn(usize) -> bool) {
+            match validity {
+                None => sink.run(truth),
+                Some(m) => sink.run(|r| m[r] && truth(r)),
             }
         }
-        (_, Constant::Num(Some(x))) => match op {
-            BinOp::Eq => mark(col, sel, &mut out, |v| v == x),
-            BinOp::Ne => mark(col, sel, &mut out, |v| v < x || v > x),
-            BinOp::Lt => mark(col, sel, &mut out, |v| v < x),
-            BinOp::Le => mark(col, sel, &mut out, |v| v <= x),
-            BinOp::Gt => mark(col, sel, &mut out, |v| v > x),
-            BinOp::Ge => mark(col, sel, &mut out, |v| v >= x),
-            _ => {}
-        },
-        _ => {}
+        fn numeric(col: &Column, sink: impl Sink, pred: impl Fn(f64) -> bool) {
+            match col {
+                Column::Float { values, validity } => masked(validity, sink, |r| pred(values[r])),
+                Column::Int { values, validity } => masked(validity, sink, |r| pred(values[r] as f64)),
+                Column::Bool { values, validity } => {
+                    masked(validity, sink, |r| pred(f64::from(u8::from(values[r]))));
+                }
+                Column::Str { .. } => sink.run(|_| false),
+            }
+        }
+        match self {
+            Fused::Dictionary(codes, validity, table) => {
+                masked(validity, sink, |r| table.get(codes[r] as usize).copied().unwrap_or(false));
+            }
+            Fused::Number(col, BinOp::Eq, Some(x)) => numeric(col, sink, |v| v == x),
+            Fused::Number(col, BinOp::Ne, Some(x)) => numeric(col, sink, |v| v < x || v > x),
+            Fused::Number(col, BinOp::Lt, Some(x)) => numeric(col, sink, |v| v < x),
+            Fused::Number(col, BinOp::Le, Some(x)) => numeric(col, sink, |v| v <= x),
+            Fused::Number(col, BinOp::Gt, Some(x)) => numeric(col, sink, |v| v > x),
+            Fused::Number(col, BinOp::Ge, Some(x)) => numeric(col, sink, |v| v >= x),
+            Fused::Number(..) => sink.run(|_| false),
+        }
     }
-    out
 }
 
 fn is_comparison(op: BinOp) -> bool {
@@ -298,7 +427,7 @@ fn ord_matches(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-fn binary(op: BinOp, l: &Evaluated<'_>, r: &Evaluated<'_>, sel: &[u32]) -> Column {
+fn binary(op: BinOp, l: &Evaluated<'_>, r: &Evaluated<'_>, sel: &Selection) -> Column {
     let n = sel.len();
     let arith = |f: fn(f64, f64) -> Option<f64>| {
         let (a, b) = (num(l, sel), num(r, sel));
@@ -437,6 +566,10 @@ mod tests {
         assert_eq!(eval_predicate(&e, &b).unwrap(), vec![false, true, true, true]);
         let e = E::binary(BinOp::Ne, E::col("time"), E::lit(20.0));
         assert_eq!(eval_predicate(&e, &b).unwrap(), vec![true, false, true, true]);
+        let e = E::binary(BinOp::Gt, E::col("time"), E::lit(20.0));
+        assert_eq!(eval_predicate(&e, &b).unwrap(), vec![false, false, true, true]);
+        let e = E::binary(BinOp::Lt, E::col("time"), E::lit(20.0));
+        assert_eq!(eval_predicate(&e, &b).unwrap(), vec![true, false, false, false]);
     }
 
     #[test]
@@ -525,16 +658,20 @@ mod tests {
     /// Gaps (row 2 skipped), repeats (row 4 twice) and out-of-order rows.
     const SEL: [u32; 5] = [4, 0, 4, 3, 1];
 
+    fn sel() -> Selection {
+        Selection::Rows(SEL.to_vec())
+    }
+
     /// Three-valued result per selection entry.
     fn tri_over(e: &E, b: &Batch) -> Vec<Option<bool>> {
-        let v = eval_selected(e, b, &SEL).unwrap();
-        let lane = tri(&v, &SEL);
+        let v = eval_selected(e, b, &sel()).unwrap();
+        let lane = tri(&v, &sel());
         (0..SEL.len()).map(|k| lane.at(k)).collect()
     }
 
     fn nums_over(e: &E, b: &Batch) -> Vec<Option<f64>> {
-        let v = eval_selected(e, b, &SEL).unwrap();
-        let lane = num(&v, &SEL);
+        let v = eval_selected(e, b, &sel()).unwrap();
+        let lane = num(&v, &sel());
         (0..SEL.len()).map(|k| lane.at(k)).collect()
     }
 
@@ -551,16 +688,16 @@ mod tests {
         assert_eq!(tri_over(&or, &b), [t, t, t, t, n]);
         assert_eq!(tri_over(&E::Not(Box::new(and.clone())), &b), [n, f, n, t, t]);
         // A filter keeps exactly the true entries, by either route.
-        let truth = |e: &E| eval_predicate_selected(e, &b, &SEL).unwrap();
+        let truth = |e: &E| eval_predicate_selected(e, &b, &sel()).unwrap();
         assert_eq!(truth(&and), [false, true, false, false, false]);
         assert_eq!(truth(&or), [true, true, true, true, false]);
         assert_eq!(truth(&E::Not(Box::new(or.clone()))), [false; 5]);
-        let mut sel = SEL.to_vec();
-        narrow(&and, &b, &mut sel).unwrap();
-        assert_eq!(sel, [0]);
-        let mut sel = SEL.to_vec();
-        narrow(&or, &b, &mut sel).unwrap();
-        assert_eq!(sel, [4, 0, 4, 3]); // order and the repeat survive
+        let mut kept = sel();
+        narrow(&and, &b, &mut kept).unwrap();
+        assert_eq!(kept, Selection::Rows(vec![0]));
+        let mut kept = sel();
+        narrow(&or, &b, &mut kept).unwrap();
+        assert_eq!(kept, Selection::Rows(vec![4, 0, 4, 3])); // order and the repeat survive
     }
 
     #[test]
@@ -596,9 +733,9 @@ mod tests {
         for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge] {
             let e = E::binary(op, E::col("f"), E::lit(1.0));
             assert_eq!(tri_over(&e, &b)[4], n, "{op:?} against NaN");
-            assert!(!eval_predicate_selected(&e, &b, &SEL).unwrap()[4]);
+            assert!(!eval_predicate_selected(&e, &b, &sel()).unwrap()[4]);
             let nan = E::binary(op, E::col("i"), E::lit(f64::NAN));
-            assert_eq!(eval_predicate_selected(&nan, &b, &SEL).unwrap(), [false; 5]);
+            assert_eq!(eval_predicate_selected(&nan, &b, &sel()).unwrap(), [false; 5]);
         }
         // A string against a number is unknown, whichever side and route.
         for e in [
@@ -608,11 +745,11 @@ mod tests {
             E::binary(BinOp::Gt, E::col("f"), E::lit("x")),
         ] {
             assert_eq!(tri_over(&e, &b), [n; 5], "{e}");
-            assert_eq!(eval_predicate_selected(&e, &b, &SEL).unwrap(), [false; 5], "{e}");
+            assert_eq!(eval_predicate_selected(&e, &b, &sel()).unwrap(), [false; 5], "{e}");
         }
         // Strings compare as strings, with the literal on either side.
         let lt = E::binary(BinOp::Lt, E::col("s"), E::lit("y"));
-        let truth = |e: &E| eval_predicate_selected(e, &b, &SEL).unwrap();
+        let truth = |e: &E| eval_predicate_selected(e, &b, &sel()).unwrap();
         assert_eq!(truth(&lt), [false, true, false, true, false]);
         let mirrored = E::binary(BinOp::Gt, E::lit("y"), E::col("s"));
         assert_eq!(tri_over(&mirrored, &b), tri_over(&lt, &b));
@@ -623,11 +760,50 @@ mod tests {
     }
 
     #[test]
+    fn string_comparisons_fuse_within_one_column_only() {
+        // `AND` / `OR` of comparisons of one string column is a truth table
+        // over its dictionary; over two columns it takes the general route.
+        // Either way the filter keeps what three-valued evaluation calls true.
+        let schema = Schema::new(vec![Field::nullable("a", DataType::Str), Field::new("b", DataType::Str)]).unwrap();
+        let a = Column::Str {
+            dict: vec!["x".into(), "y".into(), "z".into()],
+            codes: vec![0, 1, 9, 0, 2, 1],
+            validity: Some(vec![true, true, false, true, true, true]),
+        };
+        let b = Batch::new(schema, vec![a, Column::from_strs(&["p", "q", "p", "q", "p", "p"])]).unwrap();
+        let cmp = |op, col: &str, lit: &str| E::binary(op, E::col(col), E::lit(lit));
+        let one = E::binary(BinOp::Or, cmp(BinOp::Eq, "a", "x"), cmp(BinOp::Gt, "a", "y"));
+        let two = E::binary(BinOp::Or, cmp(BinOp::Eq, "a", "x"), cmp(BinOp::Eq, "b", "q"));
+        assert!(matches!(fused(&one, &b), Ok(Some(Fused::Dictionary(..)))));
+        assert!(matches!(fused(&two, &b), Ok(None)));
+        let both = E::binary(BinOp::And, one.clone(), cmp(BinOp::Ne, "a", "z"));
+        assert!(matches!(fused(&both, &b), Ok(Some(Fused::Dictionary(..)))));
+        let mixed = E::binary(BinOp::And, two.clone(), E::binary(BinOp::Or, one.clone(), cmp(BinOp::Lt, "b", "q")));
+        for (e, want) in [
+            (&one, vec![0, 3, 4]),
+            (&two, vec![0, 1, 3]),
+            (&both, vec![0, 3]),
+            (&mixed, vec![0, 3]),
+        ] {
+            for start in [Selection::Prefix(6), Selection::Rows(vec![5, 4, 4, 3, 2, 1, 0])] {
+                let general = tri(&eval_selected(e, &b, &start).unwrap(), &start);
+                let truth = eval_predicate_selected(e, &b, &start).unwrap();
+                assert_eq!(truth, (0..start.len()).map(|k| general.at(k) == Some(true)).collect::<Vec<_>>(), "{e}");
+                let mut kept = start.clone();
+                narrow(e, &b, &mut kept).unwrap();
+                let mut rows = start.clone().rows().to_vec();
+                rows.retain(|r| want.contains(r));
+                assert_eq!(kept, Selection::Rows(rows), "{e}");
+            }
+        }
+    }
+
+    #[test]
     fn selection_sets_the_row_count() {
         // No columns at all: constants still evaluate, once per entry.
         let empty = Batch::new(Schema::new(vec![]).unwrap(), vec![]).unwrap();
         let one = E::binary(BinOp::Eq, E::lit(1i64), E::lit(1i64));
-        assert_eq!(eval_predicate_selected(&one, &empty, &[0]).unwrap(), [true]);
-        assert_eq!(eval_predicate_selected(&one, &empty, &[]).unwrap(), [false; 0]);
+        assert_eq!(eval_predicate_selected(&one, &empty, &Selection::Prefix(1)).unwrap(), [true]);
+        assert_eq!(eval_predicate_selected(&one, &empty, &Selection::Prefix(0)).unwrap(), [false; 0]);
     }
 }

@@ -802,8 +802,9 @@ mod scan_oracle {
                         rows.retain(|(_, row)| eval(predicate, schema, row).as_bool() == Some(true));
                     }
                     LogicalPlan::TableSample { rate, seed, .. } => {
-                        let first = rows.first().map_or(0, |(r, _)| *r);
-                        let mut rng = SeedStream::new(*seed).rng(first as u64);
+                        // A stream per partition, labelled by where its
+                        // rows start in the effective sample.
+                        let mut rng = SeedStream::new(*seed).rng(offset as u64);
                         let mut out = Vec::new();
                         for row in rows {
                             for _ in 0..sample_poisson(&mut rng, *rate) {
@@ -901,25 +902,39 @@ fn assert_collected_identical(
     }
 }
 
+// The first filter of a chain runs over the kept prefix of a partition,
+// every later conjunct (and any filter under `TABLESAMPLE`) over row ids.
+// `column <op> number` and string comparisons of one column are fused
+// kernels; mirrored spellings, arithmetic, `NOT`, and `OR` across columns
+// take the general route.
 const SCAN_FILTERS: &[&str] = &[
     "",
     "WHERE x > 1",
     "WHERE f > 0",
     "WHERE f <> 3",
+    "WHERE f <> 1.5",
+    "WHERE i > 0.5",
+    "WHERE i <= -1.5 AND x >= 0",
     "WHERE 2 >= i",
     "WHERE i = f",
     "WHERE b = true",
     "WHERE b",
+    "WHERE b <> 1 AND f < 2",
     "WHERE s = 'a' OR s = 'NULL'",
     "WHERE s <> 'b' AND s <> 'cc' AND x < 10",
+    "WHERE x > -3 AND s >= 'b'",
+    "WHERE (s = 'a' OR s > 'c') AND i <> 0",
+    "WHERE s = 'a' OR b = true",
     "WHERE 'b' <= s",
     "WHERE s = 3",
     "WHERE f > 'a'",
     "WHERE s = NULL",
+    "WHERE x < -NULL",
     "WHERE NOT (i > 0)",
     "WHERE NOT (s = 'a') OR f < 0",
     "WHERE b = false OR x > 2 AND i <> 1",
     "WHERE x / i > 1",
+    "WHERE x / i > 1 AND x > -2 AND NOT (s = 'a')",
     "WHERE log(f) > 0 OR sqrt(x) < 2",
     "WHERE -x < 2 AND x > -5",
     "WHERE ifnull(i, 0) >= 1",
@@ -928,11 +943,14 @@ const SCAN_FILTERS: &[&str] = &[
     "WHERE x > 100",
 ];
 
+// `x` has no NULL, so its aggregates share the partition's slots and
+// positions; an argument that is NULL in a selected row gets its own.
 const SCAN_AGGS: &[&str] = &[
     "AVG(x)",
     "COUNT(*)",
     "SUM(f)",
     "AVG(i), COUNT(*), MAX(b)",
+    "SUM(x), AVG(i), MIN(x), COUNT(n)",
     "SUM(x * 2 + i)",
     "COUNT(s), MIN(f / i)",
     "AVG(exp(i)), SUM(3)",
@@ -942,6 +960,102 @@ const SCAN_AGGS: &[&str] = &[
 // (and the global group) by the rendered string.
 const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i", "b, i", "n", "i, n, f"];
 
+/// The query of one scan case: `shape` 1 samples the table with
+/// `TABLESAMPLE POISSONIZED`, 2 nests (the inner key cycling through the
+/// single-column keys), anything else is a plain (grouped) aggregate.
+fn scan_sql(filter: usize, aggs: usize, keys: usize, shape: usize) -> String {
+    let filter = SCAN_FILTERS[filter % SCAN_FILTERS.len()];
+    let from = if shape == 1 { "t TABLESAMPLE POISSONIZED (130)" } else { "t" };
+    let group_by = SCAN_KEYS[keys % SCAN_KEYS.len()];
+    if shape == 2 {
+        let key = ["s", "f", "i", "b", "n"][keys % 5];
+        let outer = ["AVG(v)", "AVG(v), COUNT(v)"][aggs % 2];
+        let inner = ["SUM(x)", "COUNT(*)", "AVG(f)"][aggs % 3];
+        format!("SELECT {outer} FROM (SELECT {inner} AS v FROM {from} {filter} GROUP BY {key})")
+    } else if group_by.is_empty() {
+        format!("SELECT {} FROM {from} {filter}", SCAN_AGGS[aggs % SCAN_AGGS.len()])
+    } else {
+        format!("SELECT {group_by}, {} FROM {from} {filter} GROUP BY {group_by}", SCAN_AGGS[aggs % SCAN_AGGS.len()])
+    }
+}
+
+/// `collect` equals the row-wise oracle on every field of `Collected`, for
+/// one and four threads, on the whole table and with the partitions
+/// `faults` loses and truncates; and `execute_exact`, which collects
+/// without positions, equals θ over the oracle's values bit for bit.
+fn assert_scan_matches_oracle(table: &reliable_aqp::storage::Table, sql: &str, faults: &reliable_aqp::faults::FaultConfig) {
+    use reliable_aqp::exec::collect::{collect, collect_observed_faulty};
+    use reliable_aqp::exec::theta::PreparedTheta;
+    use reliable_aqp::exec::{execute_exact, UdfRegistry};
+    use reliable_aqp::faults::FaultInjector;
+    use reliable_aqp::obs::Clock;
+
+    let query = parse_query(sql).unwrap();
+    let plan = reliable_aqp::sql::plan_query(&query, table.schema()).unwrap();
+    let want = scan_oracle::collect(&plan, table, None);
+    let registry = UdfRegistry::with_stock_library();
+    let ctx = SampleContext::population(want.pre_filter_rows);
+    let thetas: Result<Vec<PreparedTheta>, _> =
+        want.agg_exprs.iter().map(|a| PreparedTheta::prepare(a, want.inner_agg.as_ref(), &registry)).collect();
+    for threads in [1, 4] {
+        let got = collect(&plan, table, threads).unwrap();
+        assert_collected_identical(&got, &want, &format!("{sql} / {threads} thread(s)"));
+        let exact = execute_exact(&plan, table, &registry, threads);
+        let Ok(thetas) = &thetas else {
+            assert!(exact.is_err(), "{sql}: an unsupported θ is refused");
+            continue;
+        };
+        let exact = exact.unwrap();
+        assert_eq!(exact.rows_scanned, want.pre_filter_rows, "{sql}");
+        let bits = |key: &str, vals: Vec<f64>| (key.to_string(), vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        let theta_over = |g: &reliable_aqp::exec::collect::Group| {
+            bits(&g.key, g.aggs.iter().zip(thetas).map(|(data, theta)| theta.estimate(data, &ctx)).collect())
+        };
+        assert_eq!(
+            exact.groups.into_iter().map(|(key, vals)| bits(&key, vals)).collect::<Vec<_>>(),
+            want.groups.iter().map(theta_over).collect::<Vec<_>>(),
+            "{sql} / exact / {threads} thread(s)"
+        );
+    }
+
+    // The same scan with partitions lost and truncated.
+    let want = scan_oracle::collect(&plan, table, Some(faults));
+    let injector = FaultInjector::new(faults);
+    for threads in [1, 4] {
+        let (got, _, summary) =
+            collect_observed_faulty(&plan, table, threads, &Clock::Real, Some(&injector)).unwrap();
+        assert_collected_identical(&got, &want, &format!("{sql} / faulty / {threads}"));
+        assert_eq!(summary.unwrap().effective_rows, want.pre_filter_rows, "{sql}");
+    }
+}
+
+fn scan_faults(seed: u64, death: f64, truncation: f64, keep: f64) -> reliable_aqp::faults::FaultConfig {
+    let mut cfg = reliable_aqp::faults::FaultConfig::quiescent(seed);
+    cfg.worker_death_prob = death;
+    cfg.truncation_prob = truncation;
+    cfg.truncation_keep = keep;
+    cfg.recovery.max_retries = 0;
+    cfg
+}
+
+/// Every filter with every aggregate list — hence every scan kernel: fused
+/// and general filters first and later in a chain, over a prefix and over
+/// repeated row ids, shared and own slots — against the oracle, the keys
+/// and the plan shape cycling, on a small table and a high-cardinality one.
+#[test]
+fn every_scan_kernel_is_held_to_the_row_wise_oracle() {
+    let tables = [scan_oracle::table(11, 90, 4, false), scan_oracle::table(12, 400, 7, true)];
+    for (t, table) in tables.iter().enumerate() {
+        let faults = scan_faults(5 + t as u64, 0.2, 0.4, 0.6);
+        for filter in 0..SCAN_FILTERS.len() {
+            for aggs in 0..SCAN_AGGS.len() {
+                let sql = scan_sql(filter, aggs, filter + 3 * aggs + t, filter + aggs + t);
+                assert_scan_matches_oracle(table, &sql, &faults);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 160, ..ProptestConfig::default() })]
 
@@ -950,9 +1064,10 @@ proptest! {
     /// order, nested codes — over nullable columns of every type, special
     /// float cells, NULL and composite group keys, `TABLESAMPLE
     /// POISSONIZED`, lost and truncated partitions, nested plans, and for
-    /// one and four threads. A third of the cases scan a high-cardinality
-    /// table (up to 2 000 rows in up to 16 partitions, `i` and `f` with
-    /// about as many distinct values as rows).
+    /// one and four threads; so does the exact path on its answers. A third
+    /// of the cases scan a high-cardinality table (up to 2 000 rows in up
+    /// to 16 partitions, `i` and `f` with about as many distinct values as
+    /// rows).
     #[test]
     fn collect_matches_the_row_wise_oracle(
         seed in 0u64..1_000_000,
@@ -961,52 +1076,10 @@ proptest! {
         wide in (0usize..3, 1usize..2_000, 1usize..17),
         faults in (0u64..1_000, 0.0..0.6f64, 0.0..0.9f64, 0.05..1.0f64),
     ) {
-        use reliable_aqp::exec::collect::{collect, collect_observed_faulty};
-        use reliable_aqp::faults::FaultInjector;
-        use reliable_aqp::obs::Clock;
-
         let (rows, partitions) = if wide.0 == 0 { (wide.1, wide.2) } else { layout };
         let table = scan_oracle::table(seed, rows, partitions, wide.0 == 0);
-        let filter = SCAN_FILTERS[shape.0 % SCAN_FILTERS.len()];
-        let aggs = SCAN_AGGS[shape.1 % SCAN_AGGS.len()];
-        let keys = SCAN_KEYS[shape.2 % SCAN_KEYS.len()];
-        let from = if shape.3 == 1 { "t TABLESAMPLE POISSONIZED (130)" } else { "t" };
-        let sql = if shape.3 == 2 {
-            // Nested: the inner key cycles through the single-column keys.
-            let key = ["s", "f", "i", "b", "n"][shape.2 % 5];
-            let outer = ["AVG(v)", "AVG(v), COUNT(v)"][shape.1 % 2];
-            let inner = ["SUM(x)", "COUNT(*)", "AVG(f)"][shape.1 % 3];
-            format!("SELECT {outer} FROM (SELECT {inner} AS v FROM {from} {filter} GROUP BY {key})")
-        } else if keys.is_empty() {
-            format!("SELECT {aggs} FROM {from} {filter}")
-        } else {
-            format!("SELECT {keys}, {aggs} FROM {from} {filter} GROUP BY {keys}")
-        };
-        let query = parse_query(&sql).unwrap();
-        let plan = reliable_aqp::sql::plan_query(&query, table.schema()).unwrap();
-
-        let want = scan_oracle::collect(&plan, &table, None);
-        for threads in [1, 4] {
-            let got = collect(&plan, &table, threads).unwrap();
-            assert_collected_identical(&got, &want, &format!("{sql} / {threads} thread(s)"));
-        }
-
-        // The same scan with partitions lost and truncated.
-        let (fault_seed, death, trunc, keep) = faults;
-        let mut cfg = reliable_aqp::faults::FaultConfig::quiescent(fault_seed);
-        cfg.worker_death_prob = death;
-        cfg.truncation_prob = trunc;
-        cfg.truncation_keep = keep;
-        cfg.recovery.max_retries = 0;
-        let want = scan_oracle::collect(&plan, &table, Some(&cfg));
-        let injector = FaultInjector::new(&cfg);
-        for threads in [1, 4] {
-            let (got, _, summary) =
-                collect_observed_faulty(&plan, &table, threads, &Clock::Real, Some(&injector))
-                    .unwrap();
-            assert_collected_identical(&got, &want, &format!("{sql} / faulty / {threads}"));
-            prop_assert_eq!(summary.unwrap().effective_rows, want.pre_filter_rows);
-        }
+        let sql = scan_sql(shape.0, shape.1, shape.2, shape.3);
+        assert_scan_matches_oracle(&table, &sql, &scan_faults(faults.0, faults.1, faults.2, faults.3));
     }
 }
 
