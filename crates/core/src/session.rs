@@ -183,34 +183,24 @@ impl AqpSession {
     /// stored pre-shuffled so any contiguous range is a uniform sample).
     pub fn build_samples(&self, table: &str, sizes: &[usize], seed: u64) -> Result<()> {
         let t = self.catalog.table(table)?;
+        let rows = t.num_rows();
+        if rows == 0 {
+            return Err(crate::CoreError::Config(format!("table {table} has no rows to sample")));
+        }
         let seeds = SeedStream::new(self.config.seed ^ seed);
         for (i, &n) in sizes.iter().enumerate() {
             let mut rng = seeds.rng(i as u64);
-            let rows = t.num_rows();
             let (idx, strategy) = if n <= rows {
                 let idx = aqp_stats::sampling::without_replacement_indices(&mut rng, n, rows);
                 (idx, SamplingStrategy::WithoutReplacement)
             } else {
                 (with_replacement_indices(&mut rng, n, rows), SamplingStrategy::WithReplacement)
             };
-            self.add_uniform_sample(&t, &idx, strategy, seeds.seed(i as u64))?;
+            let partitions = t.num_partitions().max(1);
+            self.catalog.with_samples_mut(table, |set| {
+                set.add_from_indices(&t, &idx, strategy, seeds.seed(i as u64), partitions).map(|_| ())
+            })?;
         }
-        Ok(())
-    }
-
-    /// Store the rows of `t` at `idx` (already shuffled) as a uniform
-    /// sample of it.
-    fn add_uniform_sample(
-        &self,
-        t: &Table,
-        idx: &[usize],
-        strategy: SamplingStrategy,
-        seed: u64,
-    ) -> Result<()> {
-        let partitions = t.num_partitions().max(1);
-        self.catalog.with_samples_mut(t.name(), |set| {
-            set.add_from_indices(t, idx, strategy, seed, partitions).map(|_| ())
-        })?;
         Ok(())
     }
 
@@ -274,15 +264,6 @@ impl AqpSession {
         Ok(())
     }
 
-    /// Rebuild the largest sample as a full shuffle of the table (useful
-    /// for exactness testing).
-    pub fn build_full_shuffle(&self, table: &str, seed: u64) -> Result<()> {
-        let t = self.catalog.table(table)?;
-        let mut rng = SeedStream::new(self.config.seed ^ seed).rng(0xFF);
-        let idx = permutation(&mut rng, t.num_rows());
-        self.add_uniform_sample(&t, &idx, SamplingStrategy::WithoutReplacement, seed)
-    }
-
     /// Render the rewritten plan an `execute` of this SQL would run,
     /// without executing it.
     pub fn explain(&self, sql: &str) -> Result<String> {
@@ -293,7 +274,7 @@ impl AqpSession {
         let largest =
             self.catalog.with_samples(table.name(), |set| Ok(set.largest().map(|s| s.meta.clone())));
         Ok(match largest.ok().flatten() {
-            Some(meta) => annotate(plan, &query, &self.approx_options(&query, &meta)).explain(),
+            Some(meta) => annotate(plan, &query, &self.approx_options(&query, &meta)?).explain(),
             None => plan.explain(),
         })
     }
@@ -393,9 +374,20 @@ impl AqpSession {
     /// else the session's), the diagnostic's ladder, seed, and per-stratum
     /// scaling. The plan annotation ([`annotate`]), the pilot's options and
     /// the α the diagnostic judges at are all derived from this value.
-    fn approx_options(&self, query: &Query, meta: &SampleMeta) -> ApproxOptions {
+    ///
+    /// A configuration that admits no such run — a default confidence
+    /// outside (0, 1), a diagnostic of no subsamples — is a
+    /// `CoreError::Config` here, so no options value is built from one.
+    fn approx_options(&self, query: &Query, meta: &SampleMeta) -> Result<ApproxOptions> {
         let config = &self.config;
-        ApproxOptions {
+        if !(config.default_confidence > 0.0 && config.default_confidence < 1.0) {
+            let c = config.default_confidence;
+            return Err(crate::CoreError::Config(format!("default_confidence {c} is outside (0, 1)")));
+        }
+        if config.diagnostic_p == 0 {
+            return Err(crate::CoreError::Config("diagnostic_p must be at least 1".into()));
+        }
+        Ok(ApproxOptions {
             method: MethodChoice::Auto,
             bootstrap_k: config.bootstrap_k,
             alpha: query.error_clause.map_or(config.default_confidence, |e| e.confidence),
@@ -410,7 +402,7 @@ impl AqpSession {
             }),
             obs: config.obs.clone(),
             faults: config.faults.clone(),
-        }
+        })
     }
 
     /// Run the approximate pipeline on a chosen sample (uniform or
@@ -422,7 +414,7 @@ impl AqpSession {
         rec: &TraceRecorder,
     ) -> Result<AqpAnswer> {
         let Sample { meta, data: sample_table } = sample;
-        let opts = self.approx_options(&p.query, &meta);
+        let opts = self.approx_options(&p.query, &meta)?;
         let rewritten = annotate(p.plan.clone(), &p.query, &opts);
 
         // --- Approximate execution. ---
@@ -632,7 +624,7 @@ impl AqpSession {
             // The pilot sizes samples; it must not be perturbed by
             // injected faults (the real query still is).
             faults: None,
-            ..self.approx_options(&p.query, &pilot.meta)
+            ..self.approx_options(&p.query, &pilot.meta)?
         };
         let approx =
             execute_approx(&p.plan, &pilot.data, p.table.num_rows(), &p.registry, &opts)?;

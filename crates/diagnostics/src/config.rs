@@ -33,9 +33,10 @@ pub struct DiagnosticConfig {
 impl DiagnosticConfig {
     /// Sizes scaled to a sample of `sample_rows` rows: three geometric
     /// levels ending at `sample_rows / p`, the largest size for which p
-    /// disjoint subsamples exist.
+    /// disjoint subsamples exist (`p = 0`, which [`validate`](Self::validate)
+    /// rejects, is sized as `p = 1`).
     pub fn scaled_to(sample_rows: usize, p: usize) -> Self {
-        let bk = (sample_rows / p).max(4);
+        let bk = (sample_rows / p.max(1)).max(4);
         DiagnosticConfig {
             p,
             subsample_rows: vec![(bk / 4).max(1), (bk / 2).max(2), bk],

@@ -45,11 +45,6 @@ impl DiagnosticOutcome {
             (true, false) => DiagnosticOutcome::FalseNegative,
         }
     }
-
-    /// Did the diagnostic's decision match the ideal?
-    pub fn is_correct(self) -> bool {
-        matches!(self, DiagnosticOutcome::TrueAccept | DiagnosticOutcome::TrueReject)
-    }
 }
 
 /// Full evaluation of the diagnostic for one (θ, ξ, population) triple.
@@ -112,8 +107,6 @@ mod tests {
         assert_eq!(DiagnosticOutcome::from_verdicts(false, false), TrueReject);
         assert_eq!(DiagnosticOutcome::from_verdicts(false, true), FalsePositive);
         assert_eq!(DiagnosticOutcome::from_verdicts(true, false), FalseNegative);
-        assert!(TrueAccept.is_correct() && TrueReject.is_correct());
-        assert!(!FalsePositive.is_correct() && !FalseNegative.is_correct());
     }
 
     #[test]

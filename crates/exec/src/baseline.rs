@@ -46,6 +46,7 @@ pub fn execute_baseline(
     registry: &UdfRegistry,
     opts: &ApproxOptions,
 ) -> Result<ApproxResult> {
+    opts.check_alpha()?;
     let seeds = SeedStream::new(opts.seed);
     let rec = opts.obs.recorder();
 

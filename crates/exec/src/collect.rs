@@ -1139,7 +1139,7 @@ mod tests {
         let LogicalPlan::Aggregate { input, group_by, .. } = &direct else {
             panic!("planner emits an aggregate root")
         };
-        let doubled = Expr::binary(BinOp::Mul, Expr::col("time"), Expr::lit(2i64));
+        let doubled = Expr::binary(BinOp::Mul, Expr::col("time"), Expr::Literal(2i64.into()));
         let projected = LogicalPlan::Aggregate {
             input: Box::new(LogicalPlan::Project {
                 input: input.clone(),

@@ -85,6 +85,17 @@ impl Default for ApproxOptions {
     }
 }
 
+impl ApproxOptions {
+    /// Both executors refuse, before any work, an α no interval can be
+    /// read at: a quantile exists strictly inside (0, 1) only.
+    pub(crate) fn check_alpha(&self) -> Result<()> {
+        if self.alpha > 0.0 && self.alpha < 1.0 {
+            return Ok(());
+        }
+        Err(ExecError::Unsupported(format!("confidence {} is outside (0, 1)", self.alpha)))
+    }
+}
+
 /// Execute `plan` exactly over `table` (the fallback path when the
 /// diagnostic rejects, and the ground-truth oracle in tests), timed on
 /// the default (real) clock against the global registry.
@@ -167,6 +178,7 @@ pub fn execute_approx(
     registry: &UdfRegistry,
     opts: &ApproxOptions,
 ) -> Result<ApproxResult> {
+    opts.check_alpha()?;
     let seeds = SeedStream::new(opts.seed);
     opts.obs.metrics.counter(name::EXEC_APPROX_QUERIES).inc();
     let rec = opts.obs.recorder();
@@ -386,8 +398,8 @@ impl BarInputs {
             let mut whole = self.thetas[ai].bind(data, 0..data.values.len(), &self.contexts[gi]);
             let job_seeds = seeds.derive((gi * MAX_AGGREGATES + ai) as u64);
             let (mut ci, method) = error_ci(&mut whole, self.estimates[gi][ai], opts, &job_seeds, 0);
-            if let Some(ci) = ci.as_mut().filter(|_| widen > 1.0) {
-                ci.half_width *= widen;
+            if let Some(ci) = ci.as_mut() {
+                ci.widen(widen);
             }
             (ci, method)
         })
@@ -1012,6 +1024,12 @@ mod tests {
         let executors: [(&str, Executor); 2] =
             [("optimized", execute_approx), ("baseline", crate::baseline::execute_baseline)];
         for (name, execute) in executors {
+            // An α no quantile exists for is refused before any work.
+            for alpha in [0.0, 1.0, 1.5, f64::NAN] {
+                let opts = ApproxOptions { alpha, ..Default::default() };
+                let refused = execute(&plan, &pop, pop.num_rows(), &registry, &opts);
+                assert!(matches!(refused, Err(ExecError::Unsupported(_))), "{name} at α = {alpha}");
+            }
             let judged_at = |alpha: f64| -> (usize, f64) {
                 let mut deviations = Vec::new();
                 let mut accepted = 0;

@@ -65,12 +65,6 @@ impl IntrospectConfig {
         self
     }
 
-    /// Set the per-table row budget (at least 1).
-    pub fn with_budget_rows(mut self, budget: usize) -> Self {
-        self.budget_rows = budget.max(1);
-        self
-    }
-
     /// Snapshot the metrics registry every `n`th folded query (`0`
     /// disables `_telemetry.metrics`).
     pub fn with_metrics_every(mut self, n: u64) -> Self {
@@ -91,33 +85,11 @@ impl IntrospectConfig {
         self.allow_recursive = allow;
         self
     }
-
-    /// Set the uniform-sample fraction over materialized tables
-    /// (clamped to `(0, 1]`).
-    pub fn with_sample_fraction(mut self, fraction: f64) -> Self {
-        self.sample_fraction = if fraction.is_finite() {
-            fraction.clamp(1e-3, 1.0)
-        } else {
-            0.5
-        };
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builders_clamp_degenerate_values() {
-        let c = IntrospectConfig::new()
-            .with_budget_rows(0)
-            .with_sample_fraction(f64::NAN);
-        assert_eq!(c.budget_rows, 1);
-        assert!((c.sample_fraction - 0.5).abs() < 1e-12);
-        let c = IntrospectConfig::new().with_sample_fraction(7.0);
-        assert!((c.sample_fraction - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn default_guard_is_engaged() {

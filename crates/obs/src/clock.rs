@@ -73,11 +73,6 @@ impl Clock {
         Clock::Mock(Arc::new(AtomicU64::new(nanos)))
     }
 
-    /// Whether this is a mock (deterministic) clock.
-    pub fn is_mock(&self) -> bool {
-        matches!(self, Clock::Mock(_))
-    }
-
     /// The current time on this clock.
     pub fn now(&self) -> Timestamp {
         match self {
@@ -113,7 +108,6 @@ mod tests {
     #[test]
     fn mock_clock_is_deterministic_and_shared_across_clones() {
         let c = Clock::mock();
-        assert!(c.is_mock());
         assert_eq!(c.now(), Timestamp::from_nanos(0));
         let c2 = c.clone();
         c.advance(Duration::from_micros(5));

@@ -248,14 +248,6 @@ impl ObsHandle {
         }
     }
 
-    /// Same registry, different clock.
-    pub fn with_clock(&self, clock: Clock) -> Self {
-        ObsHandle {
-            clock,
-            metrics: Arc::clone(&self.metrics),
-        }
-    }
-
     /// A trace recorder reading this handle's clock.
     pub fn recorder(&self) -> TraceRecorder {
         TraceRecorder::new(self.clock.clone())
@@ -307,7 +299,6 @@ mod tests {
         let b = ObsHandle::global();
         a.metrics.counter("aqp.test.shared_handle").add(2);
         assert!(b.metrics.counter("aqp.test.shared_handle").get() >= 2);
-        assert!(!a.clock.is_mock());
     }
 
     #[test]
@@ -319,7 +310,6 @@ mod tests {
             None
         );
         assert_eq!(iso.metrics.snapshot().counter("aqp.test.isolated_only"), Some(1));
-        assert!(iso.clock.is_mock());
     }
 
     #[test]

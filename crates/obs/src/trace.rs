@@ -93,11 +93,6 @@ impl QueryTrace {
         self.spans.iter().find(|s| s.name == name)
     }
 
-    /// Duration of the first span with this name, if present.
-    pub fn stage_duration(&self, name: &str) -> Option<Duration> {
-        self.find(name).map(|s| s.duration())
-    }
-
     /// End-to-end span of the trace (earliest start to latest end).
     pub fn total(&self) -> Duration {
         let start = self.spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
@@ -361,11 +356,9 @@ mod tests {
         let t = rec.finish();
         assert_eq!(t.spans.len(), 3);
         assert_eq!(t.stages().len(), 2); // parse + execute are roots
-        assert_eq!(t.stage_duration(stage::PARSE), Some(Duration::from_millis(2)));
-        assert_eq!(
-            t.stage_duration(stage::ERROR_ESTIMATION),
-            Some(Duration::from_millis(5))
-        );
+        let duration_of = |name| t.find(name).map(Span::duration);
+        assert_eq!(duration_of(stage::PARSE), Some(Duration::from_millis(2)));
+        assert_eq!(duration_of(stage::ERROR_ESTIMATION), Some(Duration::from_millis(5)));
         assert_eq!(t.find(stage::ERROR_ESTIMATION).and_then(|s| s.attr("resamples")), Some("100"));
         assert_eq!(t.spans[2].parent, Some(1));
         assert_eq!(t.total(), Duration::from_millis(8));
@@ -491,7 +484,7 @@ mod tests {
         let parents: Vec<Option<usize>> = t.spans.iter().map(|s| s.parent).collect();
         assert_eq!(parents, [None, Some(0), None, Some(2), Some(2)]);
         assert!(t.spans[2].start_ns < t.spans[0].start_ns);
-        assert_eq!(t.stage_duration(stage::DIAGNOSTICS), Some(Duration::from_millis(2)));
+        assert_eq!(t.find(stage::DIAGNOSTICS).map(Span::duration), Some(Duration::from_millis(2)));
         assert_eq!(t.total(), Duration::from_millis(3));
     }
 

@@ -232,13 +232,6 @@ impl CumulativeProfile {
         self.queries.values().fold(0u64, |a, &n| a.saturating_add(n))
     }
 
-    /// Total operator self time across all cells, nanoseconds.
-    pub fn total_self_ns(&self) -> u64 {
-        self.entries
-            .values()
-            .fold(0u64, |a, c| a.saturating_add(c.self_ns))
-    }
-
     /// The counters for `(class, path)`, if observed.
     pub fn get(&self, class: &str, path: &str) -> Option<&OpCounters> {
         self.entries.get(&(class.to_string(), path.to_string()))
@@ -351,7 +344,6 @@ mod tests {
         assert_eq!(leaf.self_ns, 4_000_000);
         assert_eq!(leaf.rows_out, 160);
         assert_eq!(leaf.rows_per_s(), Some(160.0 / 0.004));
-        assert_eq!(cum.total_self_ns(), 12_000_000);
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl BinOp {
             BinOp::Or => "OR",
         }
     }
-
-    /// Whether the result is boolean.
-    pub fn is_predicate(self) -> bool {
-        !matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
-    }
 }
 
 /// Scalar (per-row) expressions.
@@ -116,8 +111,9 @@ impl Expr {
         Expr::Column(name.into())
     }
 
-    /// Shorthand literal.
-    pub fn lit(v: impl Into<Value>) -> Expr {
+    /// Shorthand literal, for this crate's tests: no library code builds one.
+    #[cfg(test)]
+    pub(crate) fn lit(v: impl Into<Value>) -> Expr {
         Expr::Literal(v.into())
     }
 

@@ -227,11 +227,18 @@ impl Parser {
 
         let error_clause = if self.consume_keyword_if("within") {
             let rel = self.number()?;
+            if !(rel.is_finite() && rel >= 0.0) {
+                return Err(self.error(format!("WITHIN needs a finite, non-negative error, got {rel}%")));
+            }
             self.consume_symbol(Sym::Percent)?;
             self.consume_keyword("error")?;
             let confidence = if self.consume_keyword_if("at") {
                 self.consume_keyword("confidence")?;
                 let c = self.number()?;
+                // An interval is read off a quantile strictly inside (0, 1).
+                if !(c > 0.0 && c < 100.0) {
+                    return Err(self.error(format!("CONFIDENCE must lie strictly between 0% and 100%, got {c}%")));
+                }
                 self.consume_symbol(Sym::Percent)?;
                 c / 100.0
             } else {
@@ -473,6 +480,17 @@ mod tests {
         let q = parse_query("SELECT COUNT(*) FROM t WITHIN 5% ERROR").unwrap();
         let e = q.error_clause.unwrap();
         assert!((e.confidence - 0.95).abs() < 1e-12);
+    }
+
+    #[test]
+    fn error_clause_refuses_a_confidence_no_quantile_has() {
+        for clause in ["AT CONFIDENCE 100%", "AT CONFIDENCE 150%", "AT CONFIDENCE 0%", "AT CONFIDENCE 1e400%"] {
+            let err = parse_query(&format!("SELECT AVG(x) FROM t WITHIN 5% ERROR {clause}")).unwrap_err();
+            assert!(matches!(err, SqlError::Parse { .. }), "{clause}: {err:?}");
+        }
+        assert!(parse_query("SELECT AVG(x) FROM t WITHIN 1e400% ERROR").is_err());
+        let edge = parse_query("SELECT AVG(x) FROM t WITHIN 0% ERROR AT CONFIDENCE 99.9%").unwrap();
+        assert_eq!(edge.error_clause.map(|e| e.relative_error), Some(0.0));
     }
 
     #[test]

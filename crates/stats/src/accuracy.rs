@@ -96,8 +96,8 @@ impl AccuracyConfig {
 /// Evaluate `xi` for query θ over `population` (the values column of D,
 /// post-filter semantics as in [`crate::estimator`]).
 ///
-/// `population` must be non-empty and `cfg.sample_rows` ≤ reasonable
-/// memory. Deterministic given `seeds`.
+/// An empty `population` is [`AccuracyVerdict::NotApplicable`];
+/// `cfg.sample_rows` ≤ reasonable memory. Deterministic given `seeds`.
 pub fn evaluate_error_estimator(
     population: &[f64],
     theta: &Theta<'_>,
@@ -105,13 +105,12 @@ pub fn evaluate_error_estimator(
     cfg: &AccuracyConfig,
     seeds: SeedStream,
 ) -> AccuracyReport {
-    assert!(!population.is_empty(), "empty population");
     let est = theta.as_estimator();
     let pop_ctx = SampleContext::population(population.len());
     let theta_d = est.estimate(population, &pop_ctx);
     let ctx = SampleContext::new(cfg.sample_rows, population.len());
 
-    if !xi.applicable(theta) {
+    if population.is_empty() || !xi.applicable(theta) {
         return AccuracyReport {
             verdict: AccuracyVerdict::NotApplicable,
             theta_d,
@@ -137,11 +136,7 @@ pub fn evaluate_error_estimator(
             truth_draws.push(t);
         }
     }
-    let true_half_width = if truth_draws.is_empty() {
-        f64::NAN
-    } else {
-        symmetric_half_width(theta_d, &truth_draws, cfg.alpha)
-    };
+    let true_half_width = symmetric_half_width(theta_d, &truth_draws, cfg.alpha);
 
     // 2. ξ's interval on each evaluation sample, and its δ.
     let eval_stream = seeds.derive(0x6576_616c); // "eval"
@@ -195,7 +190,8 @@ pub fn evaluate_error_estimator(
 mod tests {
     use super::*;
     use crate::dist::{sample_lognormal, sample_pareto};
-    use crate::error_estimator::{default_bootstrap, EstimationMethod};
+    use crate::bootstrap::DEFAULT_REPLICATES;
+    use crate::error_estimator::EstimationMethod;
     use crate::estimator::Aggregate;
     use crate::large_deviation::{Inequality, RangeHint};
     use crate::rng::rng_from_seed;
@@ -248,7 +244,7 @@ mod tests {
         let report = evaluate_error_estimator(
             &pop,
             &Theta::Builtin(Aggregate::Max),
-            &default_bootstrap(),
+            &EstimationMethod::Bootstrap { k: DEFAULT_REPLICATES },
             &cfg,
             SeedStream::new(13),
         );
@@ -267,6 +263,11 @@ mod tests {
             SeedStream::new(14),
         );
         assert_eq!(report.verdict, AccuracyVerdict::NotApplicable);
+        // Nor is anything to an empty population.
+        let avg = Theta::Builtin(Aggregate::Avg);
+        let report =
+            evaluate_error_estimator(&[], &avg, &EstimationMethod::ClosedForm, &cfg, SeedStream::new(14));
+        assert_eq!((report.verdict, report.runs), (AccuracyVerdict::NotApplicable, 0));
     }
 
     #[test]
@@ -295,14 +296,14 @@ mod tests {
         let a = evaluate_error_estimator(
             &pop,
             &Theta::Builtin(Aggregate::Sum),
-            &default_bootstrap(),
+            &EstimationMethod::Bootstrap { k: DEFAULT_REPLICATES },
             &cfg,
             SeedStream::new(16),
         );
         let b = evaluate_error_estimator(
             &pop,
             &Theta::Builtin(Aggregate::Sum),
-            &default_bootstrap(),
+            &EstimationMethod::Bootstrap { k: DEFAULT_REPLICATES },
             &cfg,
             SeedStream::new(16),
         );

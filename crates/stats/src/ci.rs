@@ -72,6 +72,13 @@ impl Ci {
             self.half_width / self.center.abs()
         }
     }
+
+    /// Multiply the half-width by `factor`, or by 1 where `factor` is
+    /// below 1 or NaN: the one place outside this module's constructors
+    /// that changes a half-width, and it cannot narrow one.
+    pub fn widen(&mut self, factor: f64) {
+        self.half_width *= factor.max(1.0);
+    }
 }
 
 /// The smallest half-width `a` such that at least a proportion `alpha` of
@@ -80,9 +87,13 @@ impl Ci {
 /// With `draws` sampled from Dist(θ(S)) and `center = θ(D)` this is the
 /// paper's *true confidence interval*; with `draws` the bootstrap replicate
 /// distribution and `center = θ(S)` it is the bootstrap's estimate.
+///
+/// NaN when `draws` is empty; an `alpha` outside \[0, 1\] covers as the
+/// nearer bound does (one draw, or all of them).
 pub fn symmetric_half_width(center: f64, draws: &[f64], alpha: f64) -> f64 {
-    assert!(!draws.is_empty(), "need at least one draw");
-    assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
+    if draws.is_empty() {
+        return f64::NAN;
+    }
     let mut dev: Vec<f64> = draws.iter().map(|&d| (d - center).abs()).collect();
     dev.sort_by(f64::total_cmp);
     // ceil(alpha * K) draws must be covered; index is that count - 1.
@@ -128,11 +139,6 @@ impl Delta {
     pub fn is_optimistic(&self) -> bool {
         self.0 < -DELTA_BAND
     }
-
-    /// |δ| ≤ 0.2.
-    pub fn is_acceptable(&self) -> bool {
-        !self.is_pessimistic() && !self.is_optimistic()
-    }
 }
 
 #[cfg(test)]
@@ -175,9 +181,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn half_width_rejects_empty() {
-        symmetric_half_width(0.0, &[], 0.95);
+    fn half_width_of_no_draws_is_nan_and_alpha_saturates() {
+        assert!(symmetric_half_width(0.0, &[], 0.95).is_nan());
+        let draws = vec![-5.0, -1.0, 1.0, 5.0];
+        assert_eq!(symmetric_half_width(0.0, &draws, 1.5), 5.0);
+        assert_eq!(symmetric_half_width(0.0, &draws, -0.5), 1.0);
+        assert_eq!(symmetric_half_width(0.0, &draws, f64::NAN), 1.0);
+    }
+
+    /// `Ci::widen` against the guarded multiply it replaced in
+    /// `exec::engine` (`if widen > 1.0 { half_width *= widen }`), bit for bit.
+    #[test]
+    fn widen_never_narrows() {
+        for factor in [0.5, 1.0, 4.0, f64::NAN] {
+            for half_width in [0.0, 2.5, 1e300, f64::NAN, f64::INFINITY] {
+                let mut guarded = half_width;
+                if factor > 1.0 {
+                    guarded *= factor;
+                }
+                let mut ci = Ci { center: 10.0, half_width, confidence: 0.95 };
+                ci.widen(factor);
+                assert_eq!(ci.half_width.to_bits(), guarded.to_bits(), "{half_width} widened by {factor}");
+                assert!(half_width.is_nan() || ci.half_width >= half_width);
+            }
+        }
     }
 
     #[test]
@@ -192,11 +219,11 @@ mod tests {
     fn delta_classification() {
         assert!(Delta::compute(1.3, 1.0).is_pessimistic());
         assert!(Delta::compute(0.7, 1.0).is_optimistic());
-        assert!(Delta::compute(1.1, 1.0).is_acceptable());
-        assert!(Delta::compute(0.9, 1.0).is_acceptable());
-        // Exactly on the band edges is acceptable.
-        assert!(Delta::compute(1.2, 1.0).is_acceptable());
-        assert!(Delta::compute(0.8, 1.0).is_acceptable());
+        // Inside the band, its edges included, is neither.
+        for estimated in [1.1, 0.9, 1.2, 0.8] {
+            let d = Delta::compute(estimated, 1.0);
+            assert!(!d.is_pessimistic() && !d.is_optimistic(), "{estimated}");
+        }
     }
 
     #[test]

@@ -91,8 +91,8 @@ pub fn closed_form_std_error(
 }
 
 /// Closed-form confidence interval: normal approximation
-/// `θ(S) ± z_{(1+α)/2} · σ̂`. `None` when the aggregate has no closed form
-/// or the sample is too small to estimate σ̂.
+/// `θ(S) ± z_{(1+α)/2} · σ̂`. `None` when the aggregate has no closed form,
+/// the sample is too small to estimate σ̂, or `alpha` is outside \[0, 1).
 pub fn closed_form_ci(
     agg: &Aggregate,
     values: &[f64],
@@ -101,10 +101,10 @@ pub fn closed_form_ci(
 ) -> Option<Ci> {
     let se = closed_form_std_error(agg, values, ctx)?;
     let center = crate::estimator::QueryEstimator::estimate(agg, values, ctx);
-    if center.is_nan() || se.is_nan() {
+    let z = normal_quantile(0.5 + alpha / 2.0);
+    if center.is_nan() || se.is_nan() || z.is_nan() || z < 0.0 {
         return None;
     }
-    let z = normal_quantile(0.5 + alpha / 2.0);
     Some(Ci::new(center, z * se, alpha))
 }
 

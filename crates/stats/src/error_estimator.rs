@@ -138,11 +138,6 @@ impl ErrorEstimator for EstimationMethod {
     }
 }
 
-/// Convenience: a sensible default bootstrap configuration.
-pub fn default_bootstrap() -> EstimationMethod {
-    EstimationMethod::Bootstrap { k: crate::bootstrap::DEFAULT_REPLICATES }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,7 +146,7 @@ mod tests {
 
     #[test]
     fn applicability_matrix() {
-        let boot = default_bootstrap();
+        let boot = EstimationMethod::Bootstrap { k: 100 };
         let cf = EstimationMethod::ClosedForm;
         let ld = EstimationMethod::LargeDeviation {
             inequality: Inequality::Hoeffding,
@@ -207,7 +202,7 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         let names = [
-            default_bootstrap().name(),
+            EstimationMethod::Bootstrap { k: 100 }.name(),
             EstimationMethod::ClosedForm.name(),
             EstimationMethod::LargeDeviation {
                 inequality: Inequality::Hoeffding,

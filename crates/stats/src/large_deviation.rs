@@ -23,10 +23,9 @@ pub struct RangeHint {
 }
 
 impl RangeHint {
-    /// Construct a range hint (min ≤ max required).
+    /// Construct a range hint; bounds given in the other order are swapped.
     pub fn new(min: f64, max: f64) -> Self {
-        assert!(min <= max, "RangeHint requires min <= max");
-        RangeHint { min, max }
+        RangeHint { min: min.min(max), max: max.max(min) }
     }
 
     /// The width b − a.
@@ -43,10 +42,9 @@ impl RangeHint {
 
 /// Hoeffding half-width for the mean of `m` iid observations bounded in
 /// `range`, at confidence `alpha`:
-/// `t = (b − a) · sqrt(ln(2/(1−α)) / (2m))`.
+/// `t = (b − a) · sqrt(ln(2/(1−α)) / (2m))` — not finite for `m = 0` or
+/// an `alpha` outside \[0, 1), which [`large_deviation_ci`] refuses.
 pub fn hoeffding_mean_half_width(range: RangeHint, m: usize, alpha: f64) -> f64 {
-    assert!(m > 0);
-    assert!((0.0..1.0).contains(&alpha));
     let delta = 1.0 - alpha;
     range.width() * ((2.0 / delta).ln() / (2.0 * m as f64)).sqrt()
 }
@@ -54,9 +52,8 @@ pub fn hoeffding_mean_half_width(range: RangeHint, m: usize, alpha: f64) -> f64 
 /// Bernstein half-width for the mean: uses an (empirical) variance proxy
 /// so it tightens on low-variance data while retaining the worst-case
 /// range term: `t = sqrt(2σ²ln(2/δ)/m) + (b−a)·ln(2/δ)/(3m)` (empirical
-/// Bernstein form, Maurer & Pontil).
+/// Bernstein form, Maurer & Pontil); not finite where Hoeffding's is not.
 pub fn bernstein_mean_half_width(range: RangeHint, variance: f64, m: usize, alpha: f64) -> f64 {
-    assert!(m > 0);
     let delta = 1.0 - alpha;
     let l = (2.0 / delta).ln();
     (2.0 * variance.max(0.0) * l / m as f64).sqrt() + range.width() * l / (3.0 * m as f64)
@@ -75,7 +72,8 @@ pub enum Inequality {
 ///
 /// Applicable to AVG, SUM, COUNT (mean-type); returns `None` otherwise —
 /// MIN/MAX/percentiles/UDFs have no bounded-differences formulation in
-/// the systems the paper surveys (Aqua, OLA).
+/// the systems the paper surveys (Aqua, OLA) — and for an `alpha` outside
+/// \[0, 1).
 pub fn large_deviation_ci(
     agg: &Aggregate,
     values: &[f64],
@@ -85,7 +83,7 @@ pub fn large_deviation_ci(
     alpha: f64,
 ) -> Option<Ci> {
     let n = ctx.sample_rows;
-    if n == 0 {
+    if n == 0 || !(0.0..1.0).contains(&alpha) {
         return None;
     }
     let center = agg.estimate(values, ctx);
@@ -250,8 +248,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn range_hint_rejects_inverted() {
-        RangeHint::new(1.0, 0.0);
+    fn inverted_hints_are_swapped_and_hostile_alpha_is_refused() {
+        let r = RangeHint::new(1.0, 0.0);
+        assert_eq!((r.min, r.max), (0.0, 1.0));
+        let ctx = SampleContext::new(4, 100);
+        for alpha in [1.0, 1.5, -0.1, f64::NAN] {
+            let ci = large_deviation_ci(&Aggregate::Avg, &[1.0, 2.0], &ctx, r, Inequality::Hoeffding, alpha);
+            assert_eq!(ci, None, "{alpha}");
+        }
     }
 }

@@ -39,16 +39,6 @@ pub fn resample_size(weights: &[u32]) -> u64 {
     weights.iter().map(|&w| w as u64).sum()
 }
 
-/// Analytic probability that a Poissonized resample of a sample of size
-/// `n` has size within `[lo, hi]` (normal approximation with continuity
-/// correction; §5.1 quotes ≈0.9999994 for n = 10,000 and ±5%).
-pub fn poissonized_size_probability(n: usize, lo: u64, hi: u64) -> f64 {
-    let mu = n as f64;
-    let sigma = (n as f64).sqrt();
-    let phi = |x: f64| crate::dist::normal_cdf(x);
-    phi((hi as f64 + 0.5 - mu) / sigma) - phi((lo as f64 - 0.5 - mu) / sigma)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,10 +54,8 @@ mod tests {
 
     #[test]
     fn poissonized_size_concentrates() {
-        // §5.1: for |S| = 10,000, P(size ∈ [9500, 10500]) ≈ 0.9999994.
-        let p = poissonized_size_probability(10_000, 9_500, 10_500);
-        assert!(p > 0.999_999 && p <= 1.0, "p = {p}");
-        // Empirically, sizes should stay within ±5% across many resamples.
+        // §5.1: for |S| = 10,000, P(size ∈ [9500, 10500]) ≈ 0.9999994, so
+        // sizes stay within ±5% across many resamples.
         let mut rng = rng_from_seed(2);
         for _ in 0..200 {
             let w = poisson_weights(&mut rng, 10_000);
@@ -91,13 +79,5 @@ mod tests {
         let a = poisson_weights(&mut rng_from_seed(9), 100);
         let b = poisson_weights(&mut rng_from_seed(9), 100);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn size_probability_monotone_in_width() {
-        let narrow = poissonized_size_probability(10_000, 9_900, 10_100);
-        let wide = poissonized_size_probability(10_000, 9_000, 11_000);
-        assert!(narrow < wide);
-        assert!(narrow > 0.5); // ±1% is already the ±1σ band
     }
 }

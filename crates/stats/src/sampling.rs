@@ -8,20 +8,24 @@
 
 use rand::{Rng, RngExt};
 
-/// `n` indices drawn uniformly with replacement from `0..len`.
+/// `n` indices drawn uniformly with replacement from `0..len`; none when
+/// `len` is 0, an empty population having no row to draw.
 pub fn with_replacement_indices<R: Rng>(rng: &mut R, n: usize, len: usize) -> Vec<usize> {
-    assert!(len > 0, "cannot sample from an empty population");
+    if len == 0 {
+        return Vec::new();
+    }
     (0..n).map(|_| rng.random_range(0..len)).collect()
 }
 
 /// `n` distinct indices drawn uniformly without replacement from `0..len`,
-/// in random order (partial Fisher–Yates, O(len) memory, O(n) swaps).
+/// in random order (partial Fisher–Yates, O(len) memory, O(n) swaps); all
+/// `len` of them when `n` asks for more than exist.
 pub fn without_replacement_indices<R: Rng>(
     rng: &mut R,
     n: usize,
     len: usize,
 ) -> Vec<usize> {
-    assert!(n <= len, "cannot draw {n} distinct indices from {len}");
+    let n = n.min(len);
     let mut pool: Vec<usize> = (0..len).collect();
     for i in 0..n {
         let j = rng.random_range(i..len);
@@ -71,10 +75,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn without_replacement_overdraw_panics() {
+    fn overdraws_and_empty_populations_saturate() {
         let mut rng = rng_from_seed(3);
-        without_replacement_indices(&mut rng, 11, 10);
+        let mut all = without_replacement_indices(&mut rng, 11, 10);
+        all.sort_unstable();
+        assert_eq!(all, (0..10).collect::<Vec<_>>());
+        assert!(with_replacement_indices(&mut rng, 5, 0).is_empty());
+        assert!(without_replacement_indices(&mut rng, 5, 0).is_empty());
     }
 
     #[test]

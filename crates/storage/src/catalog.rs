@@ -43,14 +43,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Replace or insert a table unconditionally.
-    pub fn put_table(&self, table: Table) {
-        let mut inner = self.inner.write();
-        let name = table.name().to_owned();
-        inner.tables.insert(name.clone(), Arc::new(table));
-        inner.samples.entry(name).or_default();
-    }
-
     /// Fetch a table by name.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.inner
@@ -64,14 +56,6 @@ impl Catalog {
     /// True if a table with this name is registered.
     pub fn has_table(&self, name: &str) -> bool {
         self.inner.read().tables.contains_key(name)
-    }
-
-    /// Names of all registered tables, sorted so callers (and anything
-    /// they export) see a stable order regardless of hash seeding.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.read().tables.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Mutate the sample set of `table` through `f`.
@@ -138,11 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_registration_fails_but_put_overwrites() {
+    fn duplicate_registration_fails() {
         let cat = Catalog::new();
         cat.register_table(tiny("a")).unwrap();
         assert!(cat.register_table(tiny("a")).is_err());
-        cat.put_table(tiny("a")); // silently replaces
         assert!(cat.has_table("a"));
     }
 
@@ -157,9 +140,9 @@ mod tests {
         })
         .unwrap();
         let n = cat
-            .with_samples("a", |set| Ok(set.best_for(1)?.meta.rows))
+            .with_samples("a", |set| Ok(set.largest().map(|s| s.meta.rows)))
             .unwrap();
-        assert_eq!(n, 2);
+        assert_eq!(n, Some(2));
         cat.drop_table("a").unwrap();
         assert!(cat.with_samples("a", |_| Ok(())).is_err());
     }

@@ -221,23 +221,6 @@ impl Column {
         out
     }
 
-    /// Direct access to float storage when the column is `Float` with no
-    /// nulls — the aggregate hot path.
-    pub fn f64_slice(&self) -> Option<&[f64]> {
-        match self {
-            Column::Float { values, validity: None } => Some(values),
-            _ => None,
-        }
-    }
-
-    /// Direct access to the dictionary codes of a string column.
-    pub fn str_codes(&self) -> Option<(&[String], &[u32])> {
-        match self {
-            Column::Str { dict, codes, .. } => Some((dict, codes)),
-            _ => None,
-        }
-    }
-
     /// Take the rows at `indices` (with repetition allowed), producing a new
     /// column. Out-of-range indices are an error.
     pub fn gather(&self, indices: &[usize]) -> Result<Column> {
@@ -421,10 +404,15 @@ impl Column {
 mod tests {
     use super::*;
 
+    fn dict_of(c: &Column) -> &[String] {
+        let Column::Str { dict, .. } = c else { panic!("{c:?} is not a string column") };
+        dict
+    }
+
     #[test]
     fn dictionary_encoding_dedups() {
         let c = Column::from_strs(&["NYC", "SF", "NYC", "NYC"]);
-        let (dict, codes) = c.str_codes().unwrap();
+        let Column::Str { dict, codes, .. } = &c else { panic!("{c:?} is not a string column") };
         assert_eq!(dict.len(), 2);
         assert_eq!(codes, &[0, 1, 0, 0]);
         assert_eq!(c.value(2).unwrap(), Value::Str("NYC".into()));
@@ -477,7 +465,7 @@ mod tests {
         let c = Column::from_strs(&["a", "b", "a", "c"]);
         let s = c.slice(2, 2).unwrap();
         assert_eq!(s.value(1).unwrap(), Value::Str("c".into()));
-        assert_eq!(s.str_codes().unwrap().0.len(), 3);
+        assert_eq!(dict_of(&s).len(), 3);
     }
 
     #[test]
@@ -492,8 +480,7 @@ mod tests {
         let s2 = Column::from_strs(&["b", "c"]);
         let s = Column::concat(&[s1, s2]).unwrap();
         assert_eq!(s.value(2).unwrap(), Value::Str("b".into()));
-        let (dict, _) = s.str_codes().unwrap();
-        assert_eq!(dict.len(), 3);
+        assert_eq!(dict_of(&s).len(), 3);
     }
 
     #[test]
@@ -501,13 +488,5 @@ mod tests {
         let a = Column::from_f64s(vec![1.0]);
         let b = Column::from_i64s(vec![1]);
         assert!(Column::concat(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn f64_slice_fast_path() {
-        let c = Column::from_f64s(vec![1.0, 2.0]);
-        assert_eq!(c.f64_slice().unwrap(), &[1.0, 2.0]);
-        let n = Column::from_opt_f64s(vec![None]);
-        assert!(n.f64_slice().is_none());
     }
 }

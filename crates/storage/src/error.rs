@@ -34,13 +34,6 @@ pub enum StorageError {
     },
     /// Schemas were expected to be identical but differ.
     SchemaMismatch(String),
-    /// A sample was requested that the catalog does not hold.
-    SampleNotFound {
-        /// Table the sample was requested for.
-        table: String,
-        /// Requested minimum number of rows.
-        min_rows: usize,
-    },
     /// Generic invalid-argument error.
     InvalidArgument(String),
 }
@@ -61,9 +54,6 @@ impl fmt::Display for StorageError {
                 write!(f, "row index {index} out of bounds for length {len}")
             }
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
-            StorageError::SampleNotFound { table, min_rows } => {
-                write!(f, "no sample of table {table} with at least {min_rows} rows")
-            }
             StorageError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -81,8 +71,6 @@ mod tests {
         assert!(e.to_string().contains("city"));
         let e = StorageError::LengthMismatch { expected: 3, actual: 5 };
         assert!(e.to_string().contains('3') && e.to_string().contains('5'));
-        let e = StorageError::SampleNotFound { table: "t".into(), min_rows: 10 };
-        assert!(e.to_string().contains("10"));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::StorageError;
 use crate::table::Table;
 use crate::Result;
 
@@ -53,16 +52,6 @@ pub struct Strata {
     pub groups: Vec<StratumMeta>,
 }
 
-impl Strata {
-    /// Look up a stratum's (sample_rows, population_rows) by key.
-    pub fn sizes_for(&self, key: &str) -> Option<(usize, usize)> {
-        self.groups
-            .iter()
-            .find(|g| g.key == key)
-            .map(|g| (g.sample_rows, g.population_rows))
-    }
-}
-
 /// Metadata describing one stored sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SampleMeta {
@@ -78,27 +67,6 @@ pub struct SampleMeta {
     pub seed: u64,
     /// Strata layout, present only for stratified samples.
     pub strata: Option<Strata>,
-}
-
-impl SampleMeta {
-    /// `rows / source_rows` — the sampling fraction.
-    pub fn fraction(&self) -> f64 {
-        if self.source_rows == 0 {
-            0.0
-        } else {
-            self.rows as f64 / self.source_rows as f64
-        }
-    }
-
-    /// Scale factor to unbias SUM/COUNT-style aggregates computed on the
-    /// sample (footnote 3: the sample sum times `|D|/|S|`).
-    pub fn scale_factor(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.source_rows as f64 / self.rows as f64
-        }
-    }
 }
 
 /// One stored sample: its metadata plus the sampled rows as a table.
@@ -173,24 +141,6 @@ impl SampleSet {
         self.samples.is_empty()
     }
 
-    /// BlinkDB-style runtime selection: the *smallest* stored sample with
-    /// at least `min_rows` rows (smallest = cheapest that satisfies the
-    /// error budget).
-    pub fn best_for(&self, min_rows: usize) -> Result<&Sample> {
-        self.samples
-            .iter()
-            .filter(|s| s.meta.strata.is_none())
-            .find(|s| s.meta.rows >= min_rows)
-            .ok_or_else(|| StorageError::SampleNotFound {
-                table: self
-                    .samples
-                    .first()
-                    .map(|s| s.meta.source_table.clone())
-                    .unwrap_or_default(),
-                min_rows,
-            })
-    }
-
     /// The largest stored *uniform* sample, if any.
     pub fn largest(&self) -> Option<&Sample> {
         self.samples.iter().rev().find(|s| s.meta.strata.is_none())
@@ -261,20 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_and_scale() {
-        let m = SampleMeta {
-            source_table: "t".into(),
-            rows: 100,
-            source_rows: 1000,
-            strategy: SamplingStrategy::WithReplacement,
-            seed: 0,
-            strata: None,
-        };
-        assert!((m.fraction() - 0.1).abs() < 1e-12);
-        assert!((m.scale_factor() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn add_and_select_best() {
         let src = source(100);
         let mut set = SampleSet::new();
@@ -289,12 +225,9 @@ mod tests {
         )
         .unwrap();
 
-        // Smallest sample satisfying the bound is chosen.
-        let s = set.best_for(3).unwrap();
-        assert_eq!(s.meta.rows, 4);
-        let s = set.best_for(10).unwrap();
-        assert_eq!(s.meta.rows, 50);
-        assert!(set.best_for(51).is_err());
+        // Smallest first, so the first that satisfies a bound is the cheapest.
+        let first_of = |min_rows| set.uniform_samples().find(|s| s.meta.rows >= min_rows).map(|s| s.meta.rows);
+        assert_eq!((first_of(3), first_of(10), first_of(51)), (Some(4), Some(50), None));
         assert_eq!(set.largest().unwrap().meta.rows, 50);
     }
 
@@ -310,16 +243,12 @@ mod tests {
         };
         set.add_stratified(&src, &[0, 1, 2], strata, 9, 1).unwrap();
         // Uniform selection never returns the stratified sample.
-        assert_eq!(set.best_for(1).unwrap().meta.rows, 20);
-        assert!(set.best_for(21).is_err());
+        assert_eq!(set.uniform_samples().map(|s| s.meta.rows).collect::<Vec<_>>(), [20]);
         assert_eq!(set.largest().unwrap().meta.rows, 20);
         // Strata lookup works.
         let st = set.stratified_on("x").unwrap();
         assert_eq!(st.meta.rows, 3);
-        assert_eq!(st.meta.strata.as_ref().unwrap().sizes_for("0"), Some((3, 50)));
-        assert_eq!(st.meta.strata.as_ref().unwrap().sizes_for("nope"), None);
         assert!(set.stratified_on("y").is_none());
-        assert_eq!(set.uniform_samples().count(), 1);
     }
 
     #[test]

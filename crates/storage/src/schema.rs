@@ -19,11 +19,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// True for types that coerce to `f64` and may feed aggregates.
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float | DataType::Bool)
-    }
-
     /// Lowercase SQL-ish name, used in error messages and plan printouts.
     pub fn name(self) -> &'static str {
         match self {
@@ -111,11 +106,6 @@ impl Schema {
         Ok(&self.fields[self.index_of(name)?])
     }
 
-    /// Field at position `i`.
-    pub fn field_at(&self, i: usize) -> &Field {
-        &self.fields[i]
-    }
-
     /// A new schema containing only the named columns, in the given order.
     pub fn project(&self, names: &[&str]) -> Result<Schema> {
         let fields = names
@@ -164,16 +154,6 @@ mod tests {
     fn projection_preserves_order() {
         let s = sessions();
         let p = s.project(&["bytes", "city"]).unwrap();
-        assert_eq!(p.field_at(0).name, "bytes");
-        assert_eq!(p.field_at(1).name, "city");
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn numeric_types() {
-        assert!(DataType::Int.is_numeric());
-        assert!(DataType::Float.is_numeric());
-        assert!(DataType::Bool.is_numeric());
-        assert!(!DataType::Str.is_numeric());
+        assert_eq!(p.fields().iter().map(|f| f.name.as_str()).collect::<Vec<_>>(), ["bytes", "city"]);
     }
 }

@@ -32,11 +32,6 @@ impl Partition {
         &self.batch
     }
 
-    /// Cheap shared handle to the rows.
-    pub fn batch_arc(&self) -> Arc<Batch> {
-        Arc::clone(&self.batch)
-    }
-
     /// Position within the owning table.
     pub fn index(&self) -> usize {
         self.index
@@ -77,30 +72,6 @@ impl Table {
         Ok(Table { name: name.into(), schema, partitions })
     }
 
-    /// Build a table from pre-existing partitions; all must share the
-    /// table schema.
-    pub fn from_partition_batches(
-        name: impl Into<String>,
-        schema: Schema,
-        batches: Vec<Batch>,
-    ) -> Result<Self> {
-        if batches.is_empty() {
-            return Err(StorageError::InvalidArgument("table needs at least one partition".into()));
-        }
-        if let Some(b) = batches.iter().find(|b| *b.schema() != schema) {
-            return Err(StorageError::SchemaMismatch(format!(
-                "partition schema {:?} differs from table schema",
-                b.schema()
-            )));
-        }
-        let partitions = batches
-            .into_iter()
-            .enumerate()
-            .map(|(i, b)| Partition::new(i, b))
-            .collect();
-        Ok(Table { name: name.into(), schema, partitions })
-    }
-
     /// Table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -132,34 +103,6 @@ impl Table {
         let batches: Vec<Batch> =
             self.partitions.iter().map(|p| p.batch().clone()).collect();
         Batch::concat(&batches)
-    }
-
-    /// A new table containing the contiguous row range `[start, start+len)`
-    /// of this table, as a single partition. Used to carve subsamples out of
-    /// a shuffled sample (§4: "subsamples generated by disjointly
-    /// partitioning S are themselves mutually independent simple random
-    /// samples from D").
-    pub fn row_range(&self, name: impl Into<String>, start: usize, len: usize) -> Result<Table> {
-        let total = self.num_rows();
-        if start + len > total {
-            return Err(StorageError::RowOutOfBounds { index: start + len, len: total });
-        }
-        // Walk partitions, slicing the overlap of each with [start, start+len).
-        let mut pieces: Vec<Batch> = Vec::new();
-        let mut offset = 0usize;
-        let end = start + len;
-        for p in &self.partitions {
-            let p_start = offset;
-            let p_end = offset + p.num_rows();
-            offset = p_end;
-            let lo = start.max(p_start);
-            let hi = end.min(p_end);
-            if lo < hi {
-                pieces.push(p.batch().slice(lo - p_start, hi - lo)?);
-            }
-        }
-        let batch = Batch::concat(&pieces)?;
-        Table::from_batch(name, batch, 1)
     }
 }
 
@@ -197,32 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn row_range_spans_partitions() {
-        let t = table(10, 3); // partitions of 4,3,3
-        let r = t.row_range("sub", 3, 4).unwrap(); // rows 3..7
-        let xs = r.to_batch().unwrap().column(0).to_f64_vec();
-        assert_eq!(xs, vec![3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn row_range_out_of_bounds() {
-        let t = table(5, 2);
-        assert!(t.row_range("sub", 3, 4).is_err());
-    }
-
-    #[test]
     fn zero_partitions_rejected() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
         let batch = Batch::new(schema, vec![Column::from_i64s(vec![1])]).unwrap();
         assert!(Table::from_batch("t", batch, 0).is_err());
-    }
-
-    #[test]
-    fn from_partition_batches_checks_schema() {
-        let s1 = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
-        let s2 = Schema::new(vec![Field::new("y", DataType::Int)]).unwrap();
-        let b1 = Batch::new(s1.clone(), vec![Column::from_i64s(vec![1])]).unwrap();
-        let b2 = Batch::new(s2, vec![Column::from_i64s(vec![2])]).unwrap();
-        assert!(Table::from_partition_batches("t", s1, vec![b1, b2]).is_err());
     }
 }

@@ -170,7 +170,9 @@ mod tests {
     fn sessions_city_skew() {
         let t = conviva_sessions_table(20_000, 2, 2);
         let b = t.to_batch().unwrap();
-        let (dict, codes) = b.column_by_name("city").unwrap().str_codes().unwrap();
+        let aqp_storage::Column::Str { dict, codes, .. } = b.column_by_name("city").unwrap() else {
+            panic!("city is a string column");
+        };
         let nyc_code = dict.iter().position(|c| c == "NYC").unwrap() as u32;
         let nyc_frac =
             codes.iter().filter(|&&c| c == nyc_code).count() as f64 / codes.len() as f64;

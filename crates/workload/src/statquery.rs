@@ -196,11 +196,6 @@ impl DataSpec {
             .collect()
     }
 
-    /// Whether the spec has a heavy (infinite-variance-like) tail.
-    pub fn heavy_tailed(&self) -> bool {
-        matches!(self, DataSpec::Pareto { alpha } if *alpha <= 2.0)
-    }
-
     /// An approximate median of the distribution — used to set
     /// data-adaptive UDF thresholds (a fixed threshold degenerates to
     /// p ≈ 0 or 1 on most specs, which is not what production
@@ -512,8 +507,6 @@ mod tests {
         assert!(xs.iter().all(|&x| (0.0..=10.0).contains(&x)));
         let xs = DataSpec::Pareto { alpha: 1.2 }.generate(1000, 2);
         assert!(xs.iter().all(|&x| x >= 1.0));
-        assert!(DataSpec::Pareto { alpha: 1.2 }.heavy_tailed());
-        assert!(!DataSpec::Pareto { alpha: 2.5 }.heavy_tailed());
         let xs = DataSpec::ZeroInflatedLognormal { zero_frac: 0.5, sigma: 1.0 }.generate(1000, 3);
         let zeros = xs.iter().filter(|&&x| x == 0.0).count();
         assert!(zeros > 400 && zeros < 600, "zeros {zeros}");

@@ -6,9 +6,8 @@
 //! held, and which bindings have hash-ordered types. This module builds
 //! that index with name-based resolution — deliberately *not* a type
 //! checker. The heuristics favour precision (few false positives) and
-//! determinism (all containers are ordered), and every rule that
-//! consumes the index has an allowlist escape hatch for the cases the
-//! approximation gets wrong.
+//! determinism (all containers are ordered); where the approximation
+//! gets a case wrong, the exception is written into the rule.
 
 use crate::lexer::{cfg_test_line_ranges, lex, matching_close, SpannedTok};
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,8 +63,6 @@ pub struct FnItem {
     pub name: String,
     /// Index into [`WorkspaceIndex::files`].
     pub file: usize,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token range of the body: `(open_brace, close_brace)` inclusive.
     pub body: (usize, usize),
     /// Inside a `#[cfg(test)]` region or a test tree.
@@ -327,7 +324,6 @@ fn extract_fns(fi: usize, f: &FileTokens, fns: &mut Vec<FnItem>) {
             i += 1;
             continue;
         };
-        let line = toks[i].line;
         // Find the body `{` (or `;` for bodyless trait/extern decls),
         // skipping the parenthesised parameter list.
         let mut j = i + 2;
@@ -368,9 +364,8 @@ fn extract_fns(fi: usize, f: &FileTokens, fns: &mut Vec<FnItem>) {
         fns.push(FnItem {
             name: name.to_string(),
             file: fi,
-            line,
             body: (open, close),
-            in_test: in_test_tree || f.in_test(line),
+            in_test: in_test_tree || f.in_test(toks[i].line),
         });
         // Continue scanning *inside* the body too: nested fns get their
         // own (inner) items and sites are attributed to the innermost.

@@ -1,10 +1,9 @@
 //! A std-only Rust lexer for the `analyze` rules.
 //!
 //! The rules must never fire on text inside comments or literals (a doc
-//! example mentioning `thread_rng` is not a violation), and several of
-//! the semantic rules need to see literal *values* (metric names, widen
-//! factors). So instead of the old masked-source line scanner this
-//! module produces a typed token stream:
+//! example mentioning `thread_rng` is not a violation). So instead of
+//! the old masked-source line scanner this module produces a typed token
+//! stream (no rule reads a literal's value today; the tests do):
 //!
 //! * [`Tok::Ident`] — identifiers and keywords;
 //! * [`Tok::Punct`] — single punctuation characters;
@@ -72,6 +71,7 @@ impl SpannedTok {
     }
 
     /// The numeric-literal text, if this token is one.
+    #[cfg(test)]
     pub fn num(&self) -> Option<&str> {
         match &self.tok {
             Tok::Num(s) => Some(s.as_str()),

@@ -2,8 +2,8 @@
 //! findings. The semantic (index-backed) rules live in `semrules.rs`;
 //! [`RULES`] catalogs both families for the generated `docs/LINTS.md`.
 //!
-//! Rule families (see `crates/xtask/lint.toml` for the allowlist and
-//! README.md for the rationale):
+//! Rule families (README.md has the rationale; there is no allowlist — an
+//! exception is part of its rule, like `RNG_CONSTRUCTION_SITE`):
 //!
 //! * `rng-discipline` — every random stream must derive from an explicit
 //!   seed through `aqp_stats::rng`; entropy-based constructors and raw
@@ -12,9 +12,10 @@
 //!   `partial_cmp(..).unwrap()/expect(..)` and no `sort_by`-family call
 //!   built on `partial_cmp`; use `f64::total_cmp`.
 //! * `panic-freedom` — library code of the AQP pipeline crates must not
-//!   contain `panic!`, `unreachable!`, `todo!`, `unimplemented!`, or
-//!   `.unwrap()`; return typed errors (or `.expect` with an invariant
-//!   message where infallibility is provable).
+//!   contain `panic!`, `unreachable!`, `todo!`, `unimplemented!`,
+//!   `assert!`, `assert_eq!`, `assert_ne!`, or `.unwrap()`; return typed
+//!   errors (or `.expect` with an invariant message where infallibility
+//!   is provable, `debug_assert!` where the caller guarantees it).
 //! * `crate-hygiene` — crate roots carry `#![deny(unsafe_code)]` and
 //!   `#![warn(missing_docs)]`; manifests route every dependency through
 //!   `[workspace.dependencies]`.
@@ -23,7 +24,10 @@ use crate::index::FileTokens;
 use crate::lexer::matching_close;
 use std::path::Path;
 
-/// Crates whose library code must be panic-free (the request path).
+/// Crates whose library code must be panic-free (the request path). Their
+/// library code names no workspace crate outside this set
+/// (`tests/lint_invariants.rs`), so a token rule over these twelve sees
+/// every panic site a query can reach inside the workspace.
 pub const PANIC_FREE_CRATES: &[&str] = &[
     "exec", "core", "stats", "storage", "obs", "prof", "faults", "slo", "introspect", "diagnostics",
     "sql", "audit",
@@ -56,7 +60,7 @@ impl std::fmt::Display for Finding {
 
 /// One entry of the rule catalog rendered into `docs/LINTS.md`.
 pub struct RuleInfo {
-    /// Rule family name as it appears in findings and `lint.toml`.
+    /// Rule family name as it appears in findings.
     pub name: &'static str,
     /// Analysis tier: `token`, `semantic`, `manifest`, or `docs`.
     pub tier: &'static str,
@@ -64,6 +68,8 @@ pub struct RuleInfo {
     pub scope: &'static str,
     /// What it enforces and why.
     pub summary: &'static str,
+    /// What it has caught in this repository, as far as any PR wrote down.
+    pub caught: &'static str,
 }
 
 /// Every rule the analyzer enforces, in catalog order.
@@ -71,12 +77,13 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "rng-discipline",
         tier: "token",
-        scope: "all sources",
+        scope: "all sources; `seed_from_u64` is sanctioned in crates/stats/src/rng.rs",
         summary: "Random streams must derive from an explicit seed via \
                   `aqp_stats::rng`; entropy constructors (`thread_rng`, \
                   `from_entropy`, `rand::rng()`) and raw `seed_from_u64` \
                   reseeding are forbidden so every answer is reproducible \
                   from its recorded seed.",
+        caught: "nothing recorded",
     },
     RuleInfo {
         name: "nan-safety",
@@ -87,6 +94,7 @@ pub const RULES: &[RuleInfo] = &[
                   `sort_by`-family comparator built on `partial_cmp`; use \
                   `f64::total_cmp` so NaN cannot panic or destabilize an \
                   ordering.",
+        caught: "nothing recorded",
     },
     RuleInfo {
         name: "panic-freedom",
@@ -94,9 +102,17 @@ pub const RULES: &[RuleInfo] = &[
         scope: "library code of exec, core, stats, storage, obs, prof, faults, slo, introspect, diagnostics, \
                 sql, audit",
         summary: "Pipeline library code must not contain `panic!`, \
-                  `unreachable!`, `todo!`, `unimplemented!`, or `.unwrap()`; \
-                  return typed errors, or `.expect(\"<invariant>\")` where \
-                  infallibility is provable.",
+                  `unreachable!`, `todo!`, `unimplemented!`, `assert!`, \
+                  `assert_eq!`, `assert_ne!`, or `.unwrap()`; return typed \
+                  errors, `.expect(\"<invariant>\")` where infallibility is \
+                  provable, or `debug_assert!` where the caller guarantees \
+                  the precondition.",
+        caught: "PR 24, once it counted `assert!`: twelve in `stats`, five of \
+                 them reachable from `AqpSession::execute` / `build_samples` \
+                 (a 100 % or 150 % confidence, `default_confidence: 1.0`, a \
+                 zero-row table); before that nothing recorded — \
+                 `diagnostics`, `sql` and `audit` joined the set with zero \
+                 findings (PRs 17, 22)",
     },
     RuleInfo {
         name: "crate-hygiene",
@@ -106,6 +122,7 @@ pub const RULES: &[RuleInfo] = &[
                   `#![warn(missing_docs)]`; every member dependency routes \
                   through `[workspace.dependencies]` so versions are pinned \
                   in one place.",
+        caught: "nothing recorded",
     },
     RuleInfo {
         name: "lock-order",
@@ -116,6 +133,8 @@ pub const RULES: &[RuleInfo] = &[
                   call that can acquire another lock, same-lock re-entry, \
                   and acquisition-order cycles — the deadlock guard for a \
                   session shared across threads.",
+        caught: "nothing recorded: every lock is a leaf by its model, and \
+                 nothing else checks that (ROADMAP 7(b))",
     },
     RuleInfo {
         name: "determinism-taint",
@@ -128,26 +147,8 @@ pub const RULES: &[RuleInfo] = &[
                   over `HashMap`/`HashSet` unless the result is \
                   order-insensitive, collected into a BTree container, or \
                   re-sorted.",
-    },
-    RuleInfo {
-        name: "widen-only-ci",
-        tier: "semantic",
-        scope: "library code of exec, stats, faults outside #[cfg(test)]",
-        summary: "Assignments to half-width-like bindings (`half_width`, \
-                  `ci_*`, `*margin*`, `hw`) and the half-width argument of \
-                  `Ci::new` must be provably non-narrowing: fresh \
-                  computations, `+`, `max`, or multiplication by a `widen` \
-                  factor. Narrowing needs an allowlist entry with a \
-                  justification.",
-    },
-    RuleInfo {
-        name: "panic-reachability",
-        tier: "semantic",
-        scope: "library code of the panic-free crates outside #[cfg(test)]",
-        summary: "Extends panic-freedom across the call graph: a pipeline \
-                  library fn calling (transitively, by name resolution) a \
-                  function that can panic is flagged even when the panic \
-                  site lives in another crate.",
+        caught: "PR 6: `Catalog::table_names` returned hash-ordered names \
+                 (sorted then; the function had no caller and went at PR 24)",
     },
     RuleInfo {
         name: "metrics-docs",
@@ -156,6 +157,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "The generated metrics inventory must match the constants \
                   in `aqp_obs::name`; regenerate with `cargo run -p xtask \
                   -- metrics-inventory`.",
+        caught: "nothing recorded",
     },
     RuleInfo {
         name: "lints-docs",
@@ -163,6 +165,7 @@ pub const RULES: &[RuleInfo] = &[
         scope: "docs/LINTS.md",
         summary: "The generated rule catalog must match this table; \
                   regenerate with `cargo run -p xtask -- lints-inventory`.",
+        caught: "nothing recorded",
     },
 ];
 
@@ -186,8 +189,12 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Finding> {
     check_file(&FileTokens::new(rel, src))
 }
 
+/// The one file that may call `seed_from_u64`: `rng_from_seed` wraps
+/// `StdRng::seed_from_u64` there so seed provenance stays auditable.
+const RNG_CONSTRUCTION_SITE: &str = "crates/stats/src/rng.rs";
+
 /// `rng-discipline`: forbid entropy constructors everywhere and raw
-/// `seed_from_u64` outside the sanctioned construction site (allowlisted).
+/// `seed_from_u64` outside [`RNG_CONSTRUCTION_SITE`].
 fn rng_discipline(f: &FileTokens, out: &mut Vec<Finding>) {
     let toks = &f.toks;
     for (i, t) in toks.iter().enumerate() {
@@ -201,7 +208,7 @@ fn rng_discipline(f: &FileTokens, out: &mut Vec<Finding>) {
                 hint: "entropy-based RNG construction breaks reproducibility; derive a \
                        stream from an explicit seed via aqp_stats::rng::SeedStream",
             }),
-            "seed_from_u64" => out.push(Finding {
+            "seed_from_u64" if f.rel != RNG_CONSTRUCTION_SITE => out.push(Finding {
                 file: f.rel.clone(),
                 line: t.line,
                 rule: "rng-discipline",
@@ -299,14 +306,17 @@ fn panic_freedom(f: &FileTokens, out: &mut Vec<Finding>) {
         }
         let is_macro = i + 1 < toks.len() && toks[i + 1].is_punct('!');
         match id {
-            "panic" | "unreachable" | "todo" | "unimplemented" if is_macro => {
+            "panic" | "unreachable" | "todo" | "unimplemented" | "assert" | "assert_eq" | "assert_ne"
+                if is_macro =>
+            {
                 out.push(Finding {
                     file: f.rel.clone(),
                     line: t.line,
                     rule: "panic-freedom",
                     token: format!("{id}!"),
                     hint: "library code on the query path must not abort; return a \
-                           typed error (e.g. ExecError) instead",
+                           typed error (e.g. ExecError), or debug_assert! what the \
+                           caller guarantees",
                 });
             }
             "unwrap"
@@ -429,6 +439,10 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         let f = rules_on("src/x.rs", "let r = StdRng::seed_from_u64(42);");
         assert_eq!(f.len(), 1);
+        // The sanctioned site may reseed, and nothing else there is exempt.
+        let site = "pub fn rng_from_seed(s: u64) -> StdRng { StdRng::seed_from_u64(s) }";
+        assert!(rules_on(RNG_CONSTRUCTION_SITE, site).is_empty());
+        assert_eq!(rules_on(RNG_CONSTRUCTION_SITE, "let r = thread_rng();").len(), 1);
     }
 
     #[test]
@@ -482,6 +496,9 @@ mod tests {
         let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }";
         assert_eq!(rules_on("crates/exec/src/engine.rs", src).len(), 1);
         assert_eq!(rules_on("crates/stats/src/ci.rs", "fn g() { panic!(\"x\") }").len(), 1);
+        let asserts = "fn g(a: u8) { assert!(a > 0); assert_eq!(a, 1); assert_ne!(a, 2); debug_assert!(a < 9); }";
+        let f = rules_on("crates/stats/src/ci.rs", asserts);
+        assert_eq!(f.iter().map(|x| x.token.as_str()).collect::<Vec<_>>(), ["assert!", "assert_eq!", "assert_ne!"]);
         // Same code in a bench, a test tree, or a non-pipeline crate: clean.
         assert!(rules_on("crates/exec/benches/b.rs", src).is_empty());
         assert!(rules_on("tests/properties.rs", src).is_empty());
@@ -542,8 +559,6 @@ mod tests {
             "crate-hygiene",
             "lock-order",
             "determinism-taint",
-            "widen-only-ci",
-            "panic-reachability",
             "metrics-docs",
             "lints-docs",
         ] {

@@ -12,28 +12,16 @@
 //!   rule), thread ids, and iteration over `HashMap`/`HashSet` in
 //!   library code unless the result is demonstrably order-insensitive
 //!   or re-sorted.
-//! * `widen-only-ci` — in `exec`/`stats`/`faults`, assignments to
-//!   half-width-like bindings (and the half-width argument of
-//!   `Ci::new`) must be provably non-narrowing: fresh computations,
-//!   additions, `max`, or multiplication by a `widen` factor. Anything
-//!   else (subtraction, division, `min`, unknown factors) fails unless
-//!   allowlisted with a justification.
-//! * `panic-reachability` — extends panic-freedom from textual matches
-//!   to call-graph reachability: a library fn of a panic-free crate
-//!   calling (transitively) into a function that can panic is caught
-//!   even when the panic lives in another crate.
 
 use crate::index::{LockAcq, WorkspaceIndex};
 use crate::lexer::{matching_close, SpannedTok};
-use crate::rules::{Finding, PANIC_FREE_CRATES};
+use crate::rules::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Run every semantic rule; append findings.
 pub fn check(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
     lock_order(idx, out);
     determinism_taint(idx, out);
-    widen_only_ci(idx, out);
-    panic_reachability(idx, out);
 }
 
 /// Pretty `crate::field` form of a lock class.
@@ -529,342 +517,6 @@ fn is_for_in_context(toks: &[SpannedTok], i: usize, prev: &SpannedTok) -> bool {
     k > 0 && toks[k - 1].is_ident("in")
 }
 
-// ---------------------------------------------------------------------
-// widen-only-ci
-// ---------------------------------------------------------------------
-
-/// Crates whose half-width arithmetic is checked.
-const WIDEN_CRATES: &[&str] = &["exec", "stats", "faults"];
-
-/// Does an identifier name a half-width-like quantity?
-fn hw_like(name: &str) -> bool {
-    name.contains("half_width")
-        || name.starts_with("ci_")
-        || name.contains("margin")
-        || name == "hw"
-        || name.ends_with("_hw")
-}
-
-fn widen_only_ci(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
-    for f in idx.files.iter() {
-        if !f.is_lib || !WIDEN_CRATES.contains(&f.krate.as_str()) {
-            continue;
-        }
-        let toks = &f.toks;
-        for (i, t) in toks.iter().enumerate() {
-            if f.in_test(t.line) {
-                continue;
-            }
-            let Some(id) = t.ident() else { continue };
-            if !hw_like(id) {
-                continue;
-            }
-            // Compound assignment: `hw -= …`, `hw /= …` always narrow;
-            // `hw *= x` narrows unless x is widen-ish.
-            if let (Some(op), Some(eq)) = (toks.get(i + 1), toks.get(i + 2)) {
-                if eq.is_punct('=') {
-                    let bad = (op.is_punct('-') || op.is_punct('/'))
-                        || (op.is_punct('*') && !widenish_operand(toks, i + 3));
-                    if (op.is_punct('-') || op.is_punct('/') || op.is_punct('*')) && bad {
-                        out.push(widen_finding(f, t.line, id, "compound assignment narrows"));
-                        continue;
-                    }
-                }
-            }
-            // Plain assignment `id = expr;` / `let id = expr;` (`==`
-            // and `=>` excluded).
-            let is_assign = toks.get(i + 1).is_some_and(|n| n.is_punct('='))
-                && !toks.get(i + 2).is_some_and(|n| n.is_punct('=') || n.is_punct('>'));
-            if !is_assign {
-                continue;
-            }
-            let expr = expr_range(toks, i + 2);
-            if let Some(reason) = narrowing_reason(toks, expr.0, expr.1) {
-                out.push(widen_finding(f, t.line, id, reason));
-            }
-        }
-        // The half-width argument of `Ci::new(center, hw, confidence)`.
-        for (i, t) in toks.iter().enumerate() {
-            if f.in_test(t.line) || !t.is_ident("Ci") {
-                continue;
-            }
-            if !(toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|t| t.is_ident("new"))
-                && toks.get(i + 4).is_some_and(|t| t.is_punct('(')))
-            {
-                continue;
-            }
-            let Some(close) = matching_close(toks, i + 4) else { continue };
-            // Second top-level comma-separated argument.
-            let mut depth = 0i32;
-            let mut arg_starts = vec![i + 5];
-            for (k, tk) in toks.iter().enumerate().take(close).skip(i + 5) {
-                if tk.is_punct('(') || tk.is_punct('[') || tk.is_punct('{') {
-                    depth += 1;
-                } else if tk.is_punct(')') || tk.is_punct(']') || tk.is_punct('}') {
-                    depth -= 1;
-                } else if depth == 0 && tk.is_punct(',') {
-                    arg_starts.push(k + 1);
-                }
-            }
-            if arg_starts.len() < 3 {
-                continue;
-            }
-            let (s, e) = (arg_starts[1], arg_starts[2] - 1);
-            if let Some(reason) = narrowing_reason(toks, s, e) {
-                out.push(widen_finding(f, toks[i].line, "Ci::new(.., half_width, ..)", reason));
-            }
-        }
-    }
-}
-
-fn widen_finding(f: &crate::index::FileTokens, line: u32, token: &str, reason: &str) -> Finding {
-    Finding {
-        file: f.rel.clone(),
-        line,
-        rule: "widen-only-ci",
-        token: format!("{token} ({reason})"),
-        hint: "half-width updates must be provably non-narrowing (fresh computation, \
-               +, max, or a x>=1 widen factor); narrowing needs an allowlist entry \
-               whose reason justifies it",
-    }
-}
-
-/// Token range `(start, end_exclusive)` of the expression starting at
-/// `start`: up to the `;`/`,` at relative depth 0 or the enclosing
-/// close.
-fn expr_range(toks: &[SpannedTok], start: usize) -> (usize, usize) {
-    let mut depth = 0i32;
-    let mut k = start;
-    while k < toks.len() {
-        let t = &toks[k];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return (start, k);
-            }
-        } else if depth == 0 && (t.is_punct(';') || t.is_punct(',')) {
-            return (start, k);
-        }
-        k += 1;
-    }
-    (start, toks.len())
-}
-
-/// `Some(reason)` when the expression can narrow a half-width it reads.
-///
-/// Fresh computations (no half-width-like *value* read) pass; so do
-/// additions, `max`, and multiplications by widen-ish factors.
-fn narrowing_reason(toks: &[SpannedTok], s: usize, e: usize) -> Option<&'static str> {
-    let reads_hw = (s..e).any(|k| {
-        let Some(id) = toks[k].ident() else { return false };
-        hw_like(id) && !toks.get(k + 1).is_some_and(|n| n.is_punct('('))
-    });
-    if !reads_hw {
-        return None;
-    }
-    for k in s..e {
-        let t = &toks[k];
-        if t.is_punct('-') {
-            // `->` (return types in closures) is not a subtraction.
-            if toks.get(k + 1).is_some_and(|n| n.is_punct('>')) {
-                continue;
-            }
-            return Some("subtraction can narrow");
-        }
-        if t.is_punct('/') {
-            return Some("division can narrow");
-        }
-        if t.is_ident("min") && k > 0 && toks[k - 1].is_punct('.') {
-            return Some("min can narrow");
-        }
-        if t.is_ident("clamp") && k > 0 && toks[k - 1].is_punct('.') {
-            return Some("clamp can narrow");
-        }
-        if t.is_punct('*') {
-            // Deref (`*guard`) has no left operand expression; treat a
-            // `*` preceded by an operator/opening token as a deref.
-            let prev_is_operand = k > 0
-                && (toks[k - 1].ident().is_some()
-                    || toks[k - 1].is_punct(')')
-                    || toks[k - 1].num_like());
-            if !prev_is_operand {
-                continue;
-            }
-            if !widenish_operand(toks, k + 1) && !widenish_before(toks, k) {
-                return Some("multiplication by an unproven factor");
-            }
-        }
-    }
-    None
-}
-
-trait NumLike {
-    fn num_like(&self) -> bool;
-}
-impl NumLike for SpannedTok {
-    fn num_like(&self) -> bool {
-        self.num().is_some()
-    }
-}
-
-/// Is the operand starting at `k` provably >= 1 or a widen factor?
-fn widenish_operand(toks: &[SpannedTok], k: usize) -> bool {
-    let Some(t) = toks.get(k) else { return false };
-    if let Some(n) = t.num() {
-        return num_at_least_one(n);
-    }
-    // An identifier chain ending in a widen-ish name: `d.widen_factor`,
-    // `sum.widen_factor()`, `widen`.
-    let mut j = k;
-    let mut last = "";
-    while let Some(id) = toks.get(j).and_then(|t| t.ident()) {
-        last = id;
-        if toks.get(j + 1).is_some_and(|n| n.is_punct('.')) {
-            j += 2;
-        } else {
-            break;
-        }
-    }
-    last.contains("widen")
-}
-
-/// Is the operand ending just before the `*` at `k` widen-ish?
-fn widenish_before(toks: &[SpannedTok], k: usize) -> bool {
-    if k == 0 {
-        return false;
-    }
-    let t = &toks[k - 1];
-    if let Some(n) = t.num() {
-        return num_at_least_one(n);
-    }
-    t.ident().is_some_and(|id| id.contains("widen"))
-}
-
-/// Parse a numeric literal's text and check `>= 1`.
-fn num_at_least_one(text: &str) -> bool {
-    let clean: String = text
-        .trim_end_matches(|c: char| c.is_ascii_alphabetic())
-        .replace('_', "");
-    clean.parse::<f64>().map(|v| v >= 1.0).unwrap_or(false)
-}
-
-// ---------------------------------------------------------------------
-// panic-reachability
-// ---------------------------------------------------------------------
-
-/// Is `fns[i]` library code of a panic-free crate (directly covered by
-/// the textual `panic-freedom` rule)?
-fn in_panic_free_scope(idx: &WorkspaceIndex, i: usize) -> bool {
-    let f = &idx.files[idx.fns[i].file];
-    f.is_lib && PANIC_FREE_CRATES.contains(&f.krate.as_str()) && !idx.fns[i].in_test
-}
-
-fn panic_reachability(idx: &WorkspaceIndex, out: &mut Vec<Finding>) {
-    // Direct panic sites per fn: panic-family macros and `.unwrap()`.
-    let mut direct: Vec<bool> = vec![false; idx.fns.len()];
-    for (fi, f) in idx.files.iter().enumerate() {
-        let toks = &f.toks;
-        for (i, t) in toks.iter().enumerate() {
-            let Some(id) = t.ident() else { continue };
-            let is_panic_macro = matches!(id, "panic" | "unreachable" | "todo" | "unimplemented")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-            let is_unwrap = id == "unwrap"
-                && i > 0
-                && toks[i - 1].is_punct('.')
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-                && toks.get(i + 2).is_some_and(|n| n.is_punct(')'));
-            if !is_panic_macro && !is_unwrap {
-                continue;
-            }
-            if f.in_test(t.line) {
-                continue;
-            }
-            if let Some(owner) = idx.innermost_fn(fi, i) {
-                if !idx.fns[owner].in_test {
-                    direct[owner] = true;
-                }
-            }
-        }
-    }
-
-    // Transitive may-panic over resolvable calls.
-    let mut may_panic = direct.clone();
-    let mut why: Vec<Option<usize>> = vec![None; idx.fns.len()];
-    loop {
-        let mut changed = false;
-        for i in 0..idx.fns.len() {
-            if may_panic[i] {
-                continue;
-            }
-            for c in &idx.facts[i].calls {
-                if let Some(g) = idx.resolve_call(idx.fns[i].file, c) {
-                    if may_panic[g] {
-                        may_panic[i] = true;
-                        why[i] = Some(g);
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    if std::env::var("AQP_ANALYZE_DEBUG").is_ok() {
-        for (i, item) in idx.fns.iter().enumerate() {
-            if !may_panic[i] { continue; }
-            let f = &idx.files[item.file];
-            let mut chain = format!("{}::{} ({}:{})", f.krate, item.name, f.rel, item.line);
-            let mut cur = i;
-            while let Some(g) = why[cur] {
-                let gi = &idx.fns[g];
-                let gf = &idx.files[gi.file];
-                chain.push_str(&format!(" -> {}::{} ({}:{})", gf.krate, gi.name, gf.rel, gi.line));
-                cur = g;
-            }
-            eprintln!("may-panic: {chain}");
-        }
-    }
-
-    // Findings: a panic-free-scope fn calling a may-panic fn that is
-    // *not* itself in panic-free scope (those already carry their own
-    // direct findings, so reporting the caller too would double-count).
-    for (i, item) in idx.fns.iter().enumerate() {
-        if !in_panic_free_scope(idx, i) {
-            continue;
-        }
-        let file = &idx.files[item.file];
-        for c in &idx.facts[i].calls {
-            if file.in_test(c.line) {
-                continue;
-            }
-            let Some(g) = idx.resolve_call(item.file, c) else { continue };
-            if !may_panic[g] || in_panic_free_scope(idx, g) || idx.fns[g].in_test {
-                continue;
-            }
-            let target = &idx.fns[g];
-            let tfile = &idx.files[target.file];
-            out.push(Finding {
-                file: file.rel.clone(),
-                line: c.line,
-                rule: "panic-reachability",
-                token: format!(
-                    "`{}` ({}:{}) can panic",
-                    c.name, tfile.rel, target.line
-                ),
-                hint: "library code on the query path must not abort, even through \
-                       helpers in other crates; make the callee return a typed error \
-                       or allowlist the call with the invariant that protects it",
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,68 +612,5 @@ mod tests {
              }\n",
         )]);
         assert!(rules_of(&f).iter().all(|r| *r != "determinism-taint"), "{f:?}");
-    }
-
-    #[test]
-    fn widen_only_flags_narrowing_assignments() {
-        let f = run(&[(
-            "crates/stats/src/ci.rs",
-            "fn f(mut half_width: f64, cap: f64) -> f64 {\n\
-               half_width = half_width * 0.5;\n\
-               half_width\n\
-             }\n",
-        )]);
-        assert!(rules_of(&f).contains(&"widen-only-ci"), "{f:?}");
-        let f = run(&[(
-            "crates/exec/src/e.rs",
-            "fn g(hw: f64, cap: f64) -> f64 { let ci_half = hw.min(cap); ci_half }\n",
-        )]);
-        assert!(rules_of(&f).contains(&"widen-only-ci"), "{f:?}");
-    }
-
-    #[test]
-    fn widen_only_allows_widening_and_fresh_values() {
-        let f = run(&[(
-            "crates/exec/src/e.rs",
-            "fn g(c: Ci, d: Deg, draws: &[f64]) -> f64 {\n\
-               let half_width = c.half_width * d.widen_factor;\n\
-               let ci_hw = half_width.max(0.0);\n\
-               let hw = compute_from(draws);\n\
-               half_width + ci_hw + hw\n\
-             }\n",
-        )]);
-        assert!(rules_of(&f).iter().all(|r| *r != "widen-only-ci"), "{f:?}");
-    }
-
-    #[test]
-    fn panic_reachability_crosses_crates() {
-        let f = run(&[
-            (
-                "crates/core/src/session.rs",
-                "pub fn run() { helper_parse(); }\n",
-            ),
-            (
-                "crates/workload/src/parser.rs",
-                "pub fn helper_parse() { inner_parse(); }\n\
-                 fn inner_parse() { panic!(\"boom\"); }\n",
-            ),
-        ]);
-        assert!(
-            f.iter().any(|x| x.rule == "panic-reachability" && x.token.contains("helper_parse")),
-            "{f:?}"
-        );
-    }
-
-    #[test]
-    fn panic_reachability_ignores_clean_and_test_callees() {
-        let f = run(&[
-            ("crates/core/src/session.rs", "pub fn run() { helper_ok(); }\n"),
-            (
-                "crates/workload/src/parser.rs",
-                "pub fn helper_ok() { let x = 1; }\n\
-                 #[cfg(test)]\nmod t { fn boom() { panic!(\"x\"); } }\n",
-            ),
-        ]);
-        assert!(rules_of(&f).iter().all(|r| *r != "panic-reachability"), "{f:?}");
     }
 }

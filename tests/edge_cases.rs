@@ -216,6 +216,51 @@ fn a_select_list_wider_than_the_seed_stride_is_a_typed_error() {
     assert!(a.groups.iter().flat_map(|g| &g.aggs).all(|r| r.estimate.is_finite()));
 }
 
+/// What a user can type and a deployment can misconfigure: each of these
+/// five aborted the process from inside `stats` or `diagnostics`
+/// (`normal_quantile`, `symmetric_half_width`, a division by `p`,
+/// `with_replacement_indices`). The front door refuses every one by type,
+/// and keeps answering.
+#[test]
+fn hostile_confidence_and_config_are_typed_errors() {
+    use aqp_core::CoreError;
+    use reliable_aqp::sql::SqlError;
+    let session = |config: SessionConfig| {
+        let s = AqpSession::new(config);
+        s.register_table(conviva_sessions_table(5_000, 4, 1)).unwrap();
+        s.build_samples("sessions", &[1_000], 2).unwrap();
+        s
+    };
+    let both = |s: &AqpSession, sql: &str| [s.execute(sql).map(drop), s.explain(sql).map(drop)];
+
+    let s = session(SessionConfig::default());
+    for confidence in ["100%", "150%"] {
+        let sql = format!("SELECT AVG(time) FROM sessions WITHIN 5% ERROR AT CONFIDENCE {confidence}");
+        for refused in both(&s, &sql) {
+            assert!(matches!(refused, Err(CoreError::Sql(SqlError::Parse { .. }))), "{confidence}: {refused:?}");
+        }
+    }
+    let a = s.execute("SELECT AVG(time) FROM sessions WITHIN 5% ERROR AT CONFIDENCE 99%").unwrap();
+    assert!(a.scalar().unwrap().estimate.is_finite());
+
+    let misconfigured = [
+        SessionConfig { default_confidence: 1.0, ..SessionConfig::default() },
+        SessionConfig { diagnostic_p: 0, ..SessionConfig::default() },
+    ];
+    for config in misconfigured {
+        let s = session(config);
+        for refused in both(&s, "SELECT AVG(time) FROM sessions") {
+            assert!(matches!(refused, Err(CoreError::Config(_))), "{refused:?}");
+        }
+    }
+
+    let s = AqpSession::new(SessionConfig::default());
+    s.register_table(single_column_table("empty", Vec::new())).unwrap();
+    let refused = s.build_samples("empty", &[10], 1);
+    assert!(matches!(refused, Err(CoreError::Config(_))), "{refused:?}");
+    assert_eq!(s.execute("SELECT COUNT(*) FROM empty").unwrap().scalar().unwrap().estimate, 0.0);
+}
+
 /// Algorithm 1 compares ξ's half-widths with a ground truth *at the same
 /// coverage*. With the ladder's α pinned at 95 % while ξ ran at the
 /// query's confidence, four in five of the benign queries below became

@@ -13,10 +13,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// The four whole-workspace semantic rules; the corpus must carry at
+/// The two whole-workspace semantic rules; the corpus must carry at
 /// least two positive and two negative fixtures for each.
-const SEMANTIC_RULES: [&str; 4] =
-    ["lock-order", "determinism-taint", "widen-only-ci", "panic-reachability"];
+const SEMANTIC_RULES: [&str; 2] = ["lock-order", "determinism-taint"];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -43,12 +42,6 @@ fn workspace_is_analyze_clean() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("aqp-analyze: OK"), "unexpected output: {stdout}");
-    // Budgets must stay tight: a passing run with shrinkable budgets is a
-    // stale allowlist.
-    assert!(
-        !stdout.contains("can shrink") && !stdout.contains("unused"),
-        "allowlist has slack — tighten lint.toml:\n{stdout}"
-    );
 }
 
 /// The observer seam stays a seam: `session.rs` drives its observers
@@ -228,6 +221,71 @@ fn no_metric_is_registered_from_a_literal() {
     }
 }
 
+/// `panic-freedom` is a token rule over the library code of the crates
+/// `PANIC_FREE_CRATES` lists, and it is enough: that code names no
+/// workspace crate outside the list, so no call from it lands in code the
+/// rule does not read. (The call-graph rule that used to look for such
+/// calls could, for that reason, no longer fire.)
+#[test]
+fn panic_free_crates_name_no_workspace_crate_outside_the_set() {
+    let rules = std::fs::read_to_string(repo_root().join("crates/xtask/src/rules.rs")).expect("rules.rs");
+    let list = rules.split("pub const PANIC_FREE_CRATES: &[&str] = &[").nth(1).expect("the constant exists");
+    let list = list.split("];").next().unwrap_or_default();
+    let panic_free: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
+    assert!(panic_free.len() >= 12 && panic_free.contains(&"exec"), "{panic_free:?}");
+
+    // The library names of every other workspace crate, the facade included.
+    let mut outside = vec!["reliable_aqp".to_owned()];
+    for krate in std::fs::read_dir(repo_root().join("crates")).expect("crates/ exists") {
+        let dir = krate.expect("readable dir entry").file_name().to_string_lossy().into_owned();
+        if !panic_free.contains(&dir.as_str()) {
+            outside.push(if dir == "xtask" { dir } else { format!("aqp_{dir}") });
+        }
+    }
+    assert!(outside.iter().any(|c| c == "aqp_workload"), "{outside:?}");
+    for (rel, code) in library_sources() {
+        let krate = rel.strip_prefix("crates/").and_then(|r| r.split('/').next()).unwrap_or_default();
+        if !panic_free.contains(&krate) {
+            continue;
+        }
+        for line in code.lines() {
+            for name in &outside {
+                assert!(
+                    !line.contains(name.as_str()),
+                    "{rel}: `{}` names {name}, whose code panic-freedom does not read",
+                    line.trim()
+                );
+            }
+        }
+    }
+}
+
+/// Error bars only widen: a half-width is set where an interval is built
+/// and changed by `Ci::widen` alone, which multiplies by at least 1 — so
+/// no library line outside `stats/src/ci.rs` assigns to the field. (The
+/// degraded-run oracles in `fault_matrix.rs` and `properties.rs` check the
+/// widening itself.)
+#[test]
+fn only_ci_rs_assigns_to_a_half_width() {
+    for (rel, code) in library_sources() {
+        if rel == "crates/stats/src/ci.rs" {
+            continue;
+        }
+        for line in code.lines() {
+            for (at, field) in line.match_indices(".half_width") {
+                let after = &line[at + field.len()..];
+                if after.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
+                    continue; // a longer name
+                }
+                let after = after.trim_start();
+                let compound = ["+=", "-=", "*=", "/="].iter().any(|op| after.starts_with(op));
+                let plain = after.starts_with('=') && !after.starts_with("==") && !after.starts_with("=>");
+                assert!(!compound && !plain, "{rel}: `{}` assigns to a half-width; use Ci::widen", line.trim());
+            }
+        }
+    }
+}
+
 /// Delays and retries live in `crates/faults`: anywhere else a real sleep
 /// stalls a worker for time the mock clock cannot steer, and a hand-rolled
 /// retry loop is recovery policy `aqp_faults::resolve` does not know of.
@@ -328,7 +386,7 @@ fn load_corpus() -> Vec<Fixture> {
 #[test]
 fn fixture_corpus_drives_every_rule() {
     let corpus = load_corpus();
-    assert!(corpus.len() >= 16, "fixture corpus shrank to {} cases", corpus.len());
+    assert!(corpus.len() >= 10, "fixture corpus shrank to {} cases", corpus.len());
 
     for fx in &corpus {
         let dir = std::env::temp_dir()
@@ -383,82 +441,4 @@ fn fixture_corpus_drives_every_rule() {
         assert!(pos >= 2, "only {pos} positive fixture(s) for {rule}");
         assert!(neg >= 2, "only {neg} negative fixture(s) for {rule}");
     }
-}
-
-// ---------------------------------------------------------------------
-// Allowlist, report, and budget plumbing
-// ---------------------------------------------------------------------
-
-#[test]
-fn fixture_allowlist_suppresses_budgeted_findings() {
-    let dir = std::env::temp_dir().join(format!("aqp-analyze-allow-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("src")).expect("mkdir fixture");
-    std::fs::write(
-        dir.join("src/gen.rs"),
-        "pub fn f() { let _ = seeder.seed_from_u64(7); }\n",
-    )
-    .expect("write fixture");
-    std::fs::write(
-        dir.join("lint.toml"),
-        "[[allow]]\nrule = \"rng-discipline\"\nfile = \"src/gen.rs\"\nmax = 1\nreason = \"fixture\"\n",
-    )
-    .expect("write allowlist");
-
-    let config = dir.join("lint.toml");
-    let out = run_analyze(&[
-        "--root",
-        dir.to_str().expect("utf-8 temp path"),
-        "--config",
-        config.to_str().expect("utf-8 temp path"),
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    std::fs::remove_dir_all(&dir).expect("cleanup fixture");
-
-    assert!(out.status.success(), "allowlisted finding still failed:\n{stdout}");
-    assert!(stdout.contains("1 finding(s) allowlisted"), "{stdout}");
-}
-
-#[test]
-fn report_json_is_bit_stable_across_runs() {
-    let dir = std::env::temp_dir().join(format!("aqp-analyze-report-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(dir.join("crates/exec/src")).expect("mkdir fixture");
-    std::fs::write(
-        dir.join("crates/exec/src/lib.rs"),
-        "#![deny(unsafe_code)]\n#![warn(missing_docs)]\n//! F.\n\n/// Panics.\npub fn f(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n",
-    )
-    .expect("write fixture");
-
-    let root = dir.to_str().expect("utf-8 temp path").to_owned();
-    let mut reports = Vec::new();
-    for run in ["r1.json", "r2.json"] {
-        let report = dir.join(run);
-        let out = run_analyze(&[
-            "--root",
-            &root,
-            "--report",
-            report.to_str().expect("utf-8 temp path"),
-        ]);
-        assert!(!out.status.success(), "violating fixture was accepted");
-        reports.push(std::fs::read(&report).expect("report written"));
-    }
-    std::fs::remove_dir_all(&dir).expect("cleanup fixture");
-
-    assert_eq!(reports[0], reports[1], "findings JSON differs across identical runs");
-    let text = String::from_utf8(reports[0].clone()).expect("utf-8 report");
-    for key in ["\"schema\"", "\"findings\"", "\"rules\"", "panic-freedom"] {
-        assert!(text.contains(key), "report missing {key}:\n{text}");
-    }
-}
-
-#[test]
-fn budget_check_passes_against_committed_baseline() {
-    let out = run_analyze(&["--check-budget"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success() && stdout.contains("budget OK"),
-        "check-budget failed on the committed lint.toml:\n{stdout}{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
