@@ -1,7 +1,7 @@
 //! The auditor: sampling decisions, score ingestion, sliding windows,
 //! alerting, metrics, and the JSONL audit log.
 
-use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::sync::Mutex;
 
 use aqp_obs::{name, Counter, Gauge, Histogram, LazySink, ObsHandle};
@@ -25,7 +25,7 @@ pub struct QueryAudit<'a> {
     /// Wall-clock cost of the full-data replay, in milliseconds.
     pub replay_ms: f64,
     /// Every group-aggregate result with its truth and its score.
-    pub scored: &'a [(AuditedAggregate, AuditScore)],
+    pub scored: &'a [(AuditedAggregate<'a>, AuditScore)],
 }
 
 /// A fired threshold alert: a window's CI coverage dropped below the
@@ -111,7 +111,8 @@ struct State {
     considered: u64,
     audited: u64,
     overall: KeyState,
-    per_key: BTreeMap<AuditKey, KeyState>,
+    /// Sorted by key; a key is allocated only when it is first seen.
+    per_key: Vec<(AuditKey, KeyState)>,
     alerts: Vec<Alert>,
     sink: LazySink,
 }
@@ -177,7 +178,7 @@ impl Auditor {
             considered: 0,
             audited: 0,
             overall: KeyState::new(cfg.window),
-            per_key: BTreeMap::new(),
+            per_key: Vec::new(),
             alerts: Vec::new(),
             sink,
         };
@@ -211,7 +212,8 @@ impl Auditor {
     /// append to the audit log, and return any alerts that fired.
     pub fn ingest(&self, audit: QueryAudit<'_>) -> Vec<Alert> {
         use aqp_diagnostics::DiagnosticOutcome as O;
-        let mut st = self.lock();
+        let mut guard = self.lock();
+        let st = &mut *guard;
         self.meters.replay_ms.record_ms(audit.replay_ms);
         let mut fired = Vec::new();
         for (a, s) in audit.scored {
@@ -228,28 +230,26 @@ impl Auditor {
                 Some(O::FalseNegative) => self.meters.false_negatives.inc(),
                 None => {}
             }
-            let key = AuditKey { agg: a.agg.clone(), family: a.family.clone() };
+            let probe = |(k, _): &(AuditKey, KeyState)| {
+                (k.agg.as_str(), k.family.as_str()).cmp(&(a.agg, a.family))
+            };
+            let i = st.per_key.binary_search_by(probe).unwrap_or_else(|i| {
+                let key = AuditKey { agg: a.agg.to_string(), family: a.family.to_string() };
+                st.per_key.insert(i, (key, KeyState::new(self.cfg.window)));
+                i
+            });
             st.overall.cum.push(s);
-            st.overall.window.push(*s);
-            let window = self.cfg.window;
-            let ks = st.per_key.entry(key.clone()).or_insert_with(|| KeyState::new(window));
+            st.overall.window.push(s.covered);
+            let (key, ks) = &mut st.per_key[i];
             ks.cum.push(s);
-            ks.window.push(*s);
+            ks.window.push(s.covered);
 
             st.sink.write_line(|| audit_line(&audit, a, s));
 
             let at_result = st.overall.cum.scored;
-            let mut new_alerts = Vec::new();
-            if let Some(alert) = self.check_alert("ALL", &mut st.overall, at_result) {
-                new_alerts.push(alert);
-            }
-            let key_name = key.to_string();
-            if let Some(ks) = st.per_key.get_mut(&key) {
-                if let Some(alert) = self.check_alert(&key_name, ks, at_result) {
-                    new_alerts.push(alert);
-                }
-            }
-            for alert in new_alerts {
+            let overall = self.check_alert(&"ALL", &mut st.overall, at_result);
+            let per_key = self.check_alert(&*key, ks, at_result);
+            for alert in overall.into_iter().chain(per_key) {
                 self.meters.alerts.inc();
                 st.sink.write_line(|| alert_line(&alert));
                 st.alerts.push(alert.clone());
@@ -264,8 +264,9 @@ impl Auditor {
     }
 
     /// Evaluate the coverage alert for one key, honoring the re-arm
-    /// latch (one alert per downward crossing).
-    fn check_alert(&self, key_name: &str, ks: &mut KeyState, at_result: u64) -> Option<Alert> {
+    /// latch (one alert per downward crossing). The key is rendered only
+    /// when an alert fires.
+    fn check_alert(&self, key: &dyn Display, ks: &mut KeyState, at_result: u64) -> Option<Alert> {
         let verdicts = ks.window.coverage_verdicts();
         let coverage = ks.window.coverage()?;
         if verdicts < self.cfg.min_window_for_alert as u64 {
@@ -275,7 +276,7 @@ impl Auditor {
             if ks.armed {
                 ks.armed = false;
                 return Some(Alert {
-                    key: key_name.to_string(),
+                    key: key.to_string(),
                     coverage,
                     threshold: self.cfg.coverage_alert_below,
                     window_len: verdicts,
@@ -414,7 +415,7 @@ fn outcome_str(o: aqp_diagnostics::DiagnosticOutcome) -> &'static str {
 }
 
 /// One JSONL line per scored result.
-fn audit_line(audit: &QueryAudit<'_>, a: &AuditedAggregate, s: &AuditScore) -> String {
+fn audit_line(audit: &QueryAudit<'_>, a: &AuditedAggregate<'_>, s: &AuditScore) -> String {
     use aqp_obs::json::{push_f64, push_str_lit};
     let mut out = String::new();
     out.push_str("{\"type\":\"audit\",\"query\":");
@@ -422,11 +423,11 @@ fn audit_line(audit: &QueryAudit<'_>, a: &AuditedAggregate, s: &AuditScore) -> S
     out.push_str(",\"sql\":");
     push_str_lit(&mut out, audit.sql);
     out.push_str(",\"agg\":");
-    push_str_lit(&mut out, &a.agg);
+    push_str_lit(&mut out, a.agg);
     out.push_str(",\"column\":");
-    push_str_lit(&mut out, &a.column);
+    push_str_lit(&mut out, a.column);
     out.push_str(",\"family\":");
-    push_str_lit(&mut out, &a.family);
+    push_str_lit(&mut out, a.family);
     out.push_str(",\"estimate\":");
     push_f64(&mut out, a.estimate);
     if let Some(ci) = &a.ci {
@@ -497,11 +498,18 @@ mod tests {
         ObsHandle::isolated(Clock::mock())
     }
 
-    fn agg(name: &str, family: &str, estimate: f64, hw: f64, accepted: bool, truth: f64) -> AuditedAggregate {
+    fn agg<'a>(
+        name: &'a str,
+        family: &'a str,
+        estimate: f64,
+        hw: f64,
+        accepted: bool,
+        truth: f64,
+    ) -> AuditedAggregate<'a> {
         AuditedAggregate {
-            agg: name.into(),
-            column: "x".into(),
-            family: family.into(),
+            agg: name,
+            column: "x",
+            family,
             estimate,
             ci: Some(Ci::new(estimate, hw, 0.95)),
             diagnostic_accepted: Some(accepted),
@@ -515,7 +523,7 @@ mod tests {
         ordinal: u64,
         sql: &str,
         replay_ms: f64,
-        aggs: Vec<AuditedAggregate>,
+        aggs: Vec<AuditedAggregate<'_>>,
     ) -> Vec<Alert> {
         let scores: Vec<_> = aggs.iter().map(crate::score).collect();
         let scored: Vec<_> = aggs.into_iter().zip(scores).collect();

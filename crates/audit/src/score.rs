@@ -18,16 +18,17 @@ use aqp_diagnostics::DiagnosticOutcome;
 use aqp_stats::ci::Ci;
 
 /// One group-aggregate result handed to the auditor, paired with the
-/// full-data truth obtained by replay.
+/// full-data truth obtained by replay. The names borrow from the served
+/// result and the auditor's config: scoring a cell allocates nothing.
 #[derive(Debug, Clone)]
-pub struct AuditedAggregate {
+pub struct AuditedAggregate<'a> {
     /// Aggregate function name, e.g. `AVG`, `MAX`, `trimmed_mean`.
-    pub agg: String,
+    pub agg: &'a str,
     /// Input column (`*` for `COUNT(*)`).
-    pub column: String,
+    pub column: &'a str,
     /// Distribution-family label of the input column (see
     /// `AuditConfig::column_families`).
-    pub family: String,
+    pub family: &'a str,
     /// The approximate point estimate served to the user.
     pub estimate: f64,
     /// The claimed confidence interval, if error estimation produced
@@ -58,7 +59,7 @@ pub struct AuditScore {
 
 /// Score one audited result. Total: never panics, NaN-safe (non-finite
 /// inputs yield `None` scores rather than poisoned aggregates).
-pub fn score(a: &AuditedAggregate) -> AuditScore {
+pub fn score(a: &AuditedAggregate<'_>) -> AuditScore {
     let finite = a.estimate.is_finite() && a.truth.is_finite();
     let covered = match (&a.ci, finite) {
         (Some(ci), true) => Some(ci.contains(a.truth)),
@@ -103,11 +104,16 @@ impl std::fmt::Display for AuditKey {
 mod tests {
     use super::*;
 
-    fn audited(estimate: f64, hw: f64, accepted: Option<bool>, truth: f64) -> AuditedAggregate {
+    fn audited(
+        estimate: f64,
+        hw: f64,
+        accepted: Option<bool>,
+        truth: f64,
+    ) -> AuditedAggregate<'static> {
         AuditedAggregate {
-            agg: "AVG".into(),
-            column: "x".into(),
-            family: "normal".into(),
+            agg: "AVG",
+            column: "x",
+            family: "normal",
             estimate,
             ci: Some(Ci::new(estimate, hw, 0.95)),
             diagnostic_accepted: accepted,

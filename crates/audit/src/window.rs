@@ -4,8 +4,6 @@ use std::collections::VecDeque;
 
 use aqp_diagnostics::DiagnosticOutcome;
 
-use crate::score::AuditScore;
-
 /// Counts of the four diagnostic confusion-matrix cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionCounts {
@@ -45,18 +43,19 @@ impl ConfusionCounts {
     }
 }
 
-/// A fixed-capacity sliding window over [`AuditScore`]s with an O(1)
-/// coverage query (running hit/miss counts maintained on push/evict).
+/// A fixed-capacity sliding window over coverage verdicts (`None` for a
+/// score without a CI) with an O(1) coverage query (running hit/miss
+/// counts maintained on push/evict).
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
     cap: usize,
-    entries: VecDeque<AuditScore>,
+    entries: VecDeque<Option<bool>>,
     hits: u64,
     misses: u64,
 }
 
 impl SlidingWindow {
-    /// A window keeping the last `cap` scores (capacity at least 1).
+    /// A window keeping the last `cap` verdicts (capacity at least 1).
     pub fn new(cap: usize) -> Self {
         SlidingWindow {
             cap: cap.max(1),
@@ -66,26 +65,26 @@ impl SlidingWindow {
         }
     }
 
-    /// Push one score, evicting the oldest at capacity.
-    pub fn push(&mut self, s: AuditScore) {
+    /// Push one score's coverage verdict, evicting the oldest at capacity.
+    pub fn push(&mut self, covered: Option<bool>) {
         if self.entries.len() == self.cap {
             if let Some(old) = self.entries.pop_front() {
-                match old.covered {
+                match old {
                     Some(true) => self.hits = self.hits.saturating_sub(1),
                     Some(false) => self.misses = self.misses.saturating_sub(1),
                     None => {}
                 }
             }
         }
-        match s.covered {
+        match covered {
             Some(true) => self.hits += 1,
             Some(false) => self.misses += 1,
             None => {}
         }
-        self.entries.push_back(s);
+        self.entries.push_back(covered);
     }
 
-    /// Scores currently in the window.
+    /// Verdicts currently in the window.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -95,7 +94,7 @@ impl SlidingWindow {
         self.entries.is_empty()
     }
 
-    /// Scores in the window that carry a coverage verdict (had a CI).
+    /// Entries in the window that carry a coverage verdict (had a CI).
     pub fn coverage_verdicts(&self) -> u64 {
         self.hits + self.misses
     }
@@ -111,21 +110,12 @@ impl SlidingWindow {
 mod tests {
     use super::*;
 
-    fn s(covered: bool, ratio: f64, outcome: DiagnosticOutcome) -> AuditScore {
-        AuditScore {
-            covered: Some(covered),
-            rel_error: Some(ratio * 0.1),
-            error_ratio: Some(ratio),
-            outcome: Some(outcome),
-        }
-    }
-
     #[test]
     fn coverage_over_window() {
         let mut w = SlidingWindow::new(4);
         assert_eq!(w.coverage(), None);
         for covered in [true, true, true, false] {
-            w.push(s(covered, 0.5, DiagnosticOutcome::TrueAccept));
+            w.push(Some(covered));
         }
         assert_eq!(w.coverage(), Some(0.75));
         assert_eq!(w.len(), 4);
@@ -134,9 +124,9 @@ mod tests {
     #[test]
     fn eviction_slides_the_stats() {
         let mut w = SlidingWindow::new(2);
-        w.push(s(false, 4.0, DiagnosticOutcome::FalsePositive));
-        w.push(s(true, 0.5, DiagnosticOutcome::TrueAccept));
-        w.push(s(true, 0.5, DiagnosticOutcome::TrueAccept));
+        w.push(Some(false));
+        w.push(Some(true));
+        w.push(Some(true));
         // The miss fell out.
         assert_eq!(w.coverage(), Some(1.0));
         assert_eq!(w.len(), 2);
@@ -145,8 +135,8 @@ mod tests {
     #[test]
     fn scores_without_verdicts_occupy_slots_but_not_rates() {
         let mut w = SlidingWindow::new(3);
-        w.push(AuditScore { covered: None, rel_error: None, error_ratio: None, outcome: None });
-        w.push(s(true, 1.0, DiagnosticOutcome::TrueAccept));
+        w.push(None);
+        w.push(Some(true));
         assert_eq!(w.len(), 2);
         assert_eq!(w.coverage(), Some(1.0));
         assert_eq!(w.coverage_verdicts(), 1);

@@ -63,8 +63,8 @@ pub struct AqpAnswer {
     /// The EXPLAIN rendering of the (rewritten) plan that ran.
     pub plan: String,
     /// The EXPLAIN ANALYZE operator profile assembled from
-    /// [`AqpAnswer::trace`] — populated only when the session's
-    /// [`ExplainMode`](aqp_prof::ExplainMode) is not `Off`.
+    /// [`AqpAnswer::trace`] (`None` only when the trace holds no operator
+    /// span).
     pub profile: Option<OpProfile>,
     /// Present when injected faults shrank the sample the answer was
     /// computed from: how many rows/partitions were lost and the factor

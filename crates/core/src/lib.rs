@@ -49,7 +49,7 @@ pub use session::{AqpSession, SessionConfig};
 
 pub use aqp_introspect::IntrospectConfig;
 pub use aqp_prof::contprof::{ContProfConfig, CumulativeProfile};
-pub use aqp_prof::{ExplainMode, OpProfile};
+pub use aqp_prof::OpProfile;
 
 pub use aqp_faults::{FaultConfig, RecoveryPolicy, StragglerDelay};
 

@@ -26,7 +26,6 @@
 //! introspect), so an interface would need a type to carry that flow and
 //! would have one implementation.
 
-use std::cell::OnceCell;
 use std::time::Duration;
 
 use aqp_audit::{AuditReport, AuditedAggregate, Auditor, QueryAudit};
@@ -34,7 +33,6 @@ use aqp_exec::result::GroupResult;
 use aqp_introspect::{AlertRow, Introspector, QueryRecord};
 use aqp_obs::{name, FlightRecorder, ObsHandle, Timestamp};
 use aqp_prof::contprof::{ContProfConfig, CumulativeProfile};
-use aqp_prof::OpProfile;
 use aqp_slo::{SloAlert, SloEngine, SloReport};
 use aqp_storage::Catalog;
 use parking_lot::Mutex;
@@ -114,24 +112,16 @@ impl Observers {
     }
 
     /// A query finished after `elapsed` on the session clock. A failed
-    /// query still spends latency budget; only answers are profiled,
-    /// recorded and folded.
+    /// query still spends latency budget; only answers are recorded and
+    /// folded, each with the operator profile it carries.
     pub(crate) fn finished(&self, sql: &str, answer: &Result<AqpAnswer>, elapsed: Duration) {
         let obs = &self.obs;
         let answer = answer.as_ref().ok();
-        // The operator profile, assembled by whichever observer asks first.
-        let built = OnceCell::new();
-        let profile = || {
-            let a = answer?;
-            let from_trace = || built.get_or_init(|| OpProfile::from_trace(&a.trace)).as_ref();
-            a.profile.as_ref().or_else(from_trace)
-        };
-
-        if let (Some(cp), Some(_)) = (&self.contprof, answer) {
+        if let (Some(cp), Some(a)) = (&self.contprof, answer) {
             let started = obs.clock.now();
             let class = cp.config.classify(sql);
-            if let Some(root) = profile() {
-                cp.cumulative.lock().observe(class, std::slice::from_ref(root));
+            if let Some(root) = &a.profile {
+                cp.cumulative.lock().observe(class, root);
             }
             obs.metrics.counter(name::PROF_CONTPROF_QUERIES).inc();
             obs.metrics.histogram(name::PROF_CONTPROF_EVAL_MS).record_ms(self.ms_since(started));
@@ -161,7 +151,7 @@ impl Observers {
                 groups: a.groups.len() as u64,
                 fell_back: a.fell_back,
                 degraded: a.degraded.is_some(),
-                profile: profile(),
+                profile: a.profile.as_ref(),
                 slo_alerts: &latency_alerts,
             });
             obs.metrics.histogram(name::INTROSPECT_EVAL_MS).record_ms(self.ms_since(started));
@@ -198,9 +188,9 @@ impl Observers {
             for (a, &truth) in g.aggs.iter().zip(vals.iter()) {
                 let (agg, column) = split_agg_name(&a.name);
                 let aggregate = AuditedAggregate {
-                    agg: agg.to_string(),
-                    column: column.to_string(),
-                    family: auditor.config().family_of(column).to_string(),
+                    agg,
+                    column,
+                    family: auditor.config().family_of(column),
                     estimate: a.estimate,
                     ci: a.ci,
                     diagnostic_accepted: a.diagnostic.as_ref().map(|d| d.accepted),

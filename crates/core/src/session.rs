@@ -9,7 +9,7 @@ use aqp_exec::engine::{execute_approx, execute_exact_observed, ApproxOptions, Me
 use aqp_exec::result::{AggResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use aqp_exec::udf::UdfRegistry;
 use aqp_obs::{name, stage, ObsHandle, QueryTrace, TraceRecorder};
-use aqp_prof::{ExplainMode, OpProfile};
+use aqp_prof::OpProfile;
 use aqp_sql::logical::{DiagnosticWeights, ErrorMethod, LogicalPlan, ResampleSpec};
 use aqp_sql::rewriter::{rewrite_for_error_estimation, ResamplePlacement};
 use aqp_sql::{parse_query, plan_query, Query};
@@ -52,11 +52,6 @@ pub struct SessionConfig {
     /// diagnostic verdicts (`None` = off, the default; auditing adds
     /// replay cost proportional to its sample rate).
     pub audit: Option<AuditConfig>,
-    /// EXPLAIN ANALYZE: when not [`ExplainMode::Off`], every answer
-    /// carries an operator-level profile tree assembled from its trace
-    /// (see [`AqpAnswer::profile`]). `Text` vs `Json` only affects how
-    /// front ends render it; profile assembly is identical.
-    pub explain: ExplainMode,
     /// Deterministic fault injection for approximate scans (`None` =
     /// off, the default — with `None` the pipeline is bit-identical to
     /// a build without the fault layer). When set, queries survive the
@@ -99,7 +94,6 @@ impl Default for SessionConfig {
             default_confidence: 0.95,
             obs: ObsHandle::default(),
             audit: None,
-            explain: ExplainMode::Off,
             faults: None,
             slo: None,
             contprof: None,
@@ -160,9 +154,7 @@ impl AqpSession {
     }
 
     /// A snapshot of the fleet-cumulative operator profile accumulated
-    /// so far (`None` when continuous profiling is off). Snapshots from
-    /// different sessions/processes combine with
-    /// [`CumulativeProfile::merge`](aqp_prof::contprof::CumulativeProfile::merge).
+    /// so far (`None` when continuous profiling is off).
     pub fn cumulative_profile(&self) -> Option<aqp_prof::contprof::CumulativeProfile> {
         self.observers.cumulative_profile()
     }
@@ -297,7 +289,7 @@ impl AqpSession {
         obs.metrics
             .histogram(name::CORE_QUERY_MS)
             .record_ms(elapsed.as_secs_f64() * 1e3);
-        let answer = finish_with_trace(rec, result, self.config.explain);
+        let answer = finish_with_trace(rec, result);
         self.observers.finished(sql, &answer, elapsed);
         answer
     }
@@ -538,7 +530,7 @@ impl AqpSession {
             })?;
             self.execute_on_sample(&p, sample, &rec)
         });
-        finish_with_trace(rec, result, self.config.explain)
+        finish_with_trace(rec, result)
     }
 
     /// Execute exactly, ignoring samples.
@@ -547,7 +539,7 @@ impl AqpSession {
         let result = self
             .prepare(sql, &rec)
             .and_then(|p| self.exact_answer(&p, AnswerMode::Exact, &rec));
-        finish_with_trace(rec, result, self.config.explain)
+        finish_with_trace(rec, result)
     }
 
     fn run_exact(&self, p: &Prepared<'_>) -> aqp_exec::Result<ExactResult> {
@@ -688,20 +680,14 @@ fn merge_with_exact(exact: Vec<(String, Vec<f64>)>, approx: Vec<GroupResult>) ->
         .collect()
 }
 
-/// Close the lifecycle recorder and attach the finished trace (plus the
-/// stage timings derived from it, and — when `explain` asks for one —
-/// the operator profile) to a successful answer.
-fn finish_with_trace(
-    rec: TraceRecorder,
-    result: Result<AqpAnswer>,
-    explain: ExplainMode,
-) -> Result<AqpAnswer> {
+/// Close the lifecycle recorder and attach the finished trace, the stage
+/// timings and the operator profile derived from it to a successful
+/// answer.
+fn finish_with_trace(rec: TraceRecorder, result: Result<AqpAnswer>) -> Result<AqpAnswer> {
     let trace = rec.finish();
     result.map(|mut a| {
         a.timings = StageTimings::from_trace(&trace);
-        if explain != ExplainMode::Off {
-            a.profile = OpProfile::from_trace(&trace);
-        }
+        a.profile = OpProfile::from_trace(&trace);
         a.trace = trace;
         a
     })

@@ -27,8 +27,7 @@
 //! Introspection queries are themselves queries; folding them back into
 //! the tables they read would make every dashboard refresh perturb the
 //! data it displays. Queries that reference the `_telemetry` namespace
-//! are therefore excluded from fold-in unless
-//! [`IntrospectConfig::with_recursive`] opts in.
+//! are therefore never folded in.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

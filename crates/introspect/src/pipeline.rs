@@ -23,6 +23,18 @@ use crate::config::IntrospectConfig;
 use crate::tables::{Cell, TelemetryTable, TABLE_AUDIT, TABLE_FAULTS, TABLE_METRICS, TABLE_NAMES,
     TABLE_OPS, TABLE_QUERIES, TABLE_SLO_ALERTS, TABLE_SPANS};
 
+/// Row budget of each `_telemetry.*` reservoir; beyond it, seeded
+/// reservoir downsampling keeps a uniform subset.
+const BUDGET_ROWS: usize = 4096;
+/// Fraction of a materialized table the uniform sample the approximate
+/// path runs on covers.
+const SAMPLE_FRACTION: f64 = 0.5;
+/// Tables smaller than this are registered without samples, so queries
+/// over them run exact (sampling 20 rows buys nothing).
+const MIN_ROWS_FOR_SAMPLING: usize = 64;
+/// Partition count of materialized tables and their samples.
+const PARTITIONS: usize = 2;
+
 /// Everything the session knows about one finished query, borrowed for
 /// the duration of the fold.
 #[derive(Debug)]
@@ -45,7 +57,7 @@ pub struct QueryRecord<'a> {
     pub fell_back: bool,
     /// Whether fault losses degraded the sample (widened CIs).
     pub degraded: bool,
-    /// The per-query operator profile, when one was assembled.
+    /// The answer's operator profile.
     pub profile: Option<&'a OpProfile>,
     /// SLO alerts this query latched.
     pub slo_alerts: &'a [AlertRow],
@@ -117,7 +129,7 @@ impl Introspector {
         let tables = TABLE_NAMES
             .iter()
             .enumerate()
-            .map(|(i, name)| TelemetryTable::new(name, cfg.budget_rows, seeds.seed(i as u64)))
+            .map(|(i, name)| TelemetryTable::new(name, BUDGET_ROWS, seeds.seed(i as u64)))
             .collect::<Vec<_>>();
         let synced_seq = vec![None; tables.len()];
         let m = &obs.metrics;
@@ -144,10 +156,10 @@ impl Introspector {
     }
 
     /// The recursion guard: should this query's telemetry fold into the
-    /// tables? Non-telemetry queries always fold; telemetry queries
-    /// fold only when [`IntrospectConfig::allow_recursive`] opted in.
+    /// tables? Non-telemetry queries fold; telemetry queries never do —
+    /// a dashboard refresh must not perturb the data it displays.
     pub fn should_fold(&self, sql: &str) -> bool {
-        self.cfg.allow_recursive || !self.is_introspection_query(sql)
+        !self.is_introspection_query(sql)
     }
 
     /// Count one served introspection query
@@ -276,9 +288,9 @@ impl Introspector {
             let row = vec![
                 Cell::Int(ordinal as i64),
                 Cell::Str(class.clone()),
-                Cell::Str(a.agg.clone()),
-                Cell::Str(a.column.clone()),
-                Cell::Str(a.family.clone()),
+                Cell::Str(a.agg.to_string()),
+                Cell::Str(a.column.to_string()),
+                Cell::Str(a.family.to_string()),
                 Cell::Float(a.estimate),
                 Cell::Float(a.truth),
                 opt_f64(s.rel_error),
@@ -319,15 +331,14 @@ impl Introspector {
             if state.synced_seq[i] == Some(seq) && catalog.has_table(t.name) {
                 continue;
             }
-            let table = t.materialize(self.cfg.partitions)?;
+            let table = t.materialize(PARTITIONS)?;
             let rows = table.num_rows();
             // drop_table also clears the previous version's samples; a
             // missing table (first sync) is fine.
             let _ = catalog.drop_table(t.name);
             catalog.register_table(table)?;
-            if rows >= self.cfg.min_rows_for_sampling.max(1) {
-                let n = ((rows as f64 * self.cfg.sample_fraction).round() as usize)
-                    .clamp(1, rows);
+            if rows >= MIN_ROWS_FOR_SAMPLING {
+                let n = ((rows as f64 * SAMPLE_FRACTION).round() as usize).clamp(1, rows);
                 // The sample must be a pure function of (seed, event
                 // sequence) too: derive its rng from the table index
                 // and the reservoir sequence of this materialization.
@@ -342,7 +353,7 @@ impl Introspector {
                         &idx,
                         SamplingStrategy::WithoutReplacement,
                         seeds.seed(seq),
-                        self.cfg.partitions.max(1),
+                        PARTITIONS,
                     )?;
                     Ok(())
                 })?;

@@ -347,46 +347,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Render as a human-readable aligned table.
-    pub fn render_table(&self) -> String {
-        let width = self
-            .counters
-            .iter()
-            .map(|(k, _)| k.len())
-            .chain(self.gauges.iter().map(|(k, _)| k.len()))
-            .chain(self.histograms.iter().map(|(k, _)| k.len()))
-            .max()
-            .unwrap_or(4)
-            .max(4);
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (k, v) in &self.counters {
-                out.push_str(&format!("  {k:<width$}  {v}\n"));
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (k, v) in &self.gauges {
-                out.push_str(&format!("  {k:<width$}  {v:.4}\n"));
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (k, h) in &self.histograms {
-                out.push_str(&format!(
-                    "  {k:<width$}  n={} mean={:.3}ms p50={:.3}ms p95={:.3}ms p99={:.3}ms\n",
-                    h.count,
-                    h.mean_ms(),
-                    h.p50,
-                    h.p95,
-                    h.p99,
-                ));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -508,18 +468,5 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
-    }
-
-    #[test]
-    fn table_rendering_lists_all_sections() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c").inc();
-        reg.gauge("g").set(0.5);
-        reg.histogram("h").record(Duration::from_millis(2));
-        let t = reg.snapshot().render_table();
-        assert!(t.contains("counters:"));
-        assert!(t.contains("gauges:"));
-        assert!(t.contains("histograms:"));
-        assert!(t.contains("n=1"));
     }
 }

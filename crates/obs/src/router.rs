@@ -36,12 +36,6 @@ impl ClassRouter {
 
     /// Append a rule routing queries whose SQL contains `sql_contains`
     /// to `class`. Rules are tried in registration order.
-    pub fn with_rule(mut self, class: &str, sql_contains: &str) -> Self {
-        self.push_rule(class, sql_contains);
-        self
-    }
-
-    /// In-place form of [`ClassRouter::with_rule`].
     pub fn push_rule(&mut self, class: &str, sql_contains: &str) {
         self.rules.push(ClassRule {
             class: class.to_string(),
@@ -74,11 +68,18 @@ impl ClassRouter {
 mod tests {
     use super::*;
 
+    /// A router of `rules`, registered in order.
+    fn router(rules: &[(&str, &str)]) -> ClassRouter {
+        let mut r = ClassRouter::new();
+        for (class, sql_contains) in rules {
+            r.push_rule(class, sql_contains);
+        }
+        r
+    }
+
     #[test]
     fn first_match_wins_with_default_fallback() {
-        let r = ClassRouter::new()
-            .with_rule("interactive", "AVG(")
-            .with_rule("batch", "SUM(");
+        let r = router(&[("interactive", "AVG("), ("batch", "SUM(")]);
         assert_eq!(r.classify("SELECT AVG(time) FROM sessions"), "interactive");
         assert_eq!(r.classify("SELECT SUM(bytes) FROM sessions"), "batch");
         // Both rules match; registration order decides.
@@ -96,7 +97,7 @@ mod tests {
 
     #[test]
     fn matching_is_case_sensitive() {
-        let r = ClassRouter::new().with_rule("dash", "FROM sessions");
+        let r = router(&[("dash", "FROM sessions")]);
         assert_eq!(r.classify("SELECT 1 FROM SESSIONS"), DEFAULT_CLASS);
         assert_eq!(r.classify("SELECT 1 FROM sessions"), "dash");
     }
@@ -107,11 +108,9 @@ mod tests {
         // registered first claims queries matching both. Pin both
         // orderings so a future "longest match wins" change cannot land
         // silently.
-        let broad_first =
-            ClassRouter::new().with_rule("broad", "AVG(").with_rule("narrow", "AVG(time)");
+        let broad_first = router(&[("broad", "AVG("), ("narrow", "AVG(time)")]);
         assert_eq!(broad_first.classify("SELECT AVG(time) FROM s"), "broad");
-        let narrow_first =
-            ClassRouter::new().with_rule("narrow", "AVG(time)").with_rule("broad", "AVG(");
+        let narrow_first = router(&[("narrow", "AVG(time)"), ("broad", "AVG(")]);
         assert_eq!(narrow_first.classify("SELECT AVG(time) FROM s"), "narrow");
         // A query matching only the broad pattern still falls through
         // the narrow rule to the broad one.
@@ -122,7 +121,7 @@ mod tests {
     fn empty_substring_rule_matches_every_query() {
         // An empty needle is contained in every haystack: such a rule
         // is a catch-all and shadows everything registered after it.
-        let r = ClassRouter::new().with_rule("all", "").with_rule("never", "SELECT");
+        let r = router(&[("all", ""), ("never", "SELECT")]);
         assert_eq!(r.classify("SELECT 1"), "all");
         assert_eq!(r.classify(""), "all");
     }
@@ -131,10 +130,11 @@ mod tests {
     fn duplicate_class_names_keep_first_match_semantics() {
         // Two rules may route to the same class; the router never
         // deduplicates or reorders.
-        let r = ClassRouter::new()
-            .with_rule("reports", "GROUP BY city")
-            .with_rule("interactive", "AVG(")
-            .with_rule("reports", "GROUP BY site");
+        let r = router(&[
+            ("reports", "GROUP BY city"),
+            ("interactive", "AVG("),
+            ("reports", "GROUP BY site"),
+        ]);
         assert_eq!(r.classify("SELECT site, AVG(b) FROM s GROUP BY site"), "interactive");
         assert_eq!(r.classify("SELECT city, SUM(b) FROM s GROUP BY city"), "reports");
         assert_eq!(r.classify("SELECT site, SUM(b) FROM s GROUP BY site"), "reports");

@@ -1,4 +1,4 @@
-//! Continuous profiling: fold per-query [`OpProfile`] forests into a
+//! Continuous profiling: fold every answer's [`OpProfile`] into a
 //! fleet-cumulative profile keyed by *workload class × operator path*.
 //!
 //! A single `EXPLAIN ANALYZE` tree dies with its query; a fleet answers
@@ -10,16 +10,10 @@
 //! the SLO engine uses, so profiles and objectives slice the fleet the
 //! same way.
 //!
-//! # Merge algebra
-//!
-//! Cross-process shards combine with [`CumulativeProfile::merge`]. The
-//! state is a map from `(class, path)` to saturating-sum counters, so
-//! the merge is **associative** and **commutative** by construction:
-//! every counter is a sum, map union is order-insensitive, and the map
-//! is a `BTreeMap`, so any merge order of the same shards yields the
-//! same bytes from [`CumulativeProfile::to_json`] and the folded-stack
-//! exporter ([`crate::export::folded_stacks`]). `tests/contprof.rs`
-//! asserts both properties with proptest and a cross-process byte diff.
+//! The state is a `BTreeMap` from `(class, path)` to saturating-sum
+//! counters, so the order concurrent callers fold their queries in does
+//! not reach the bytes of [`CumulativeProfile::to_json`]
+//! (`tests/contprof.rs` holds that with proptest).
 
 use std::collections::BTreeMap;
 
@@ -31,8 +25,7 @@ use crate::OpProfile;
 pub const DEFAULT_CLASS: &str = aqp_obs::router::DEFAULT_CLASS;
 
 /// Separator between operator names in a cumulative profile path
-/// (root-first: `ErrorEstimate;Filter;Scan`), matching the folded
-/// flamegraph stack syntax.
+/// (root-first: `ErrorEstimate;Filter;Scan`).
 pub const PATH_SEPARATOR: char = ';';
 
 /// Configuration for the session's continuous profiler: workload
@@ -67,7 +60,7 @@ impl ContProfConfig {
 
 /// Saturating-sum counters for one `(class, operator path)` cell of the
 /// cumulative profile. Every field is additive, which is what makes the
-/// shard merge associative and order-insensitive.
+/// fold order-insensitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounters {
     /// How many times this operator path was observed.
@@ -94,7 +87,7 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    /// Componentwise saturating sum — the merge operator.
+    /// Componentwise saturating sum.
     fn absorb(&mut self, other: &OpCounters) {
         self.executions = self.executions.saturating_add(other.executions);
         self.wall_ns = self.wall_ns.saturating_add(other.wall_ns);
@@ -106,18 +99,6 @@ impl OpCounters {
         self.resamples = self.resamples.saturating_add(other.resamples);
         self.worker_busy_ns = self.worker_busy_ns.saturating_add(other.worker_busy_ns);
         self.worker_idle_ns = self.worker_idle_ns.saturating_add(other.worker_idle_ns);
-    }
-
-    /// Cumulative output throughput in rows per second (`None` when no
-    /// wall time has accumulated).
-    pub fn rows_per_s(&self) -> Option<f64> {
-        (self.wall_ns > 0).then(|| self.rows_out as f64 / (self.wall_ns as f64 / 1e9))
-    }
-
-    /// Cumulative data throughput in bytes per second (`None` when no
-    /// wall time has accumulated).
-    pub fn bytes_per_s(&self) -> Option<f64> {
-        (self.wall_ns > 0).then(|| self.bytes as f64 / (self.wall_ns as f64 / 1e9))
     }
 
     /// One operator node folded into counters: wall, self time (wall
@@ -154,9 +135,8 @@ impl OpCounters {
 }
 
 /// The fleet-cumulative operator profile: per-`(class, path)` counters
-/// plus per-class query counts. Deterministically ordered (`BTreeMap`),
-/// associatively mergeable, and exportable as canonical JSON or folded
-/// flamegraph stacks.
+/// plus per-class query counts, deterministically ordered (`BTreeMap`)
+/// and exported as canonical JSONL.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CumulativeProfile {
     /// `(class, root-first ';'-joined operator path)` → counters.
@@ -171,14 +151,11 @@ impl CumulativeProfile {
         Self::default()
     }
 
-    /// Fold one query's operator forest (see [`OpProfile::forest`])
-    /// into the profile under `class`.
-    pub fn observe(&mut self, class: &str, forest: &[OpProfile]) {
+    /// Fold one query's operator tree into the profile under `class`.
+    pub fn observe(&mut self, class: &str, tree: &OpProfile) {
         let n = self.queries.entry(class.to_string()).or_insert(0);
         *n = n.saturating_add(1);
-        for tree in forest {
-            self.observe_node(class, "", tree);
-        }
+        self.observe_node(class, "", tree);
     }
 
     fn observe_node(&mut self, class: &str, prefix: &str, node: &OpProfile) {
@@ -200,23 +177,6 @@ impl CumulativeProfile {
         }
     }
 
-    /// Merge another shard into this one. Associative and
-    /// order-insensitive: counters sum, query counts sum, map union.
-    pub fn merge(&mut self, other: &CumulativeProfile) {
-        for (key, counters) in &other.entries {
-            self.entries.entry(key.clone()).or_default().absorb(counters);
-        }
-        for (class, n) in &other.queries {
-            let q = self.queries.entry(class.clone()).or_insert(0);
-            *q = q.saturating_add(*n);
-        }
-    }
-
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.queries.is_empty()
-    }
-
     /// Number of distinct `(class, path)` cells.
     pub fn paths(&self) -> usize {
         self.entries.len()
@@ -235,13 +195,6 @@ impl CumulativeProfile {
     /// The counters for `(class, path)`, if observed.
     pub fn get(&self, class: &str, path: &str) -> Option<&OpCounters> {
         self.entries.get(&(class.to_string(), path.to_string()))
-    }
-
-    /// Iterate cells in deterministic `(class, path)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str, &OpCounters)> {
-        self.entries
-            .iter()
-            .map(|((class, path), c)| (class.as_str(), path.as_str(), c))
     }
 
     /// Canonical single-line-per-cell JSONL (deterministic key order),
@@ -330,8 +283,8 @@ mod tests {
     fn observe_accumulates_paths_and_self_times() {
         let clock = Clock::mock();
         let mut cum = CumulativeProfile::new();
-        cum.observe("c", &[tree(&clock, 2)]);
-        cum.observe("c", &[tree(&clock, 2)]);
+        cum.observe("c", &tree(&clock, 2));
+        cum.observe("c", &tree(&clock, 2));
         assert_eq!(cum.classes(), 1);
         assert_eq!(cum.queries_observed(), 2);
         assert_eq!(cum.paths(), 3);
@@ -343,43 +296,14 @@ mod tests {
         let leaf = cum.get("c", "Aggregate;Filter;Scan").expect("leaf cell");
         assert_eq!(leaf.self_ns, 4_000_000);
         assert_eq!(leaf.rows_out, 160);
-        assert_eq!(leaf.rows_per_s(), Some(160.0 / 0.004));
-    }
-
-    #[test]
-    fn merge_is_associative_and_order_insensitive() {
-        let clock = Clock::mock();
-        let shard = |class: &str, n: u64| {
-            let mut c = CumulativeProfile::new();
-            for _ in 0..n {
-                c.observe(class, &[tree(&clock, 1)]);
-            }
-            c
-        };
-        let (a, b, c) = (shard("x", 1), shard("y", 2), shard("x", 3));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-        assert_eq!(left.to_json(), right.to_json());
-        let mut rev = c.clone();
-        rev.merge(&b);
-        rev.merge(&a);
-        assert_eq!(left, rev, "merge must be order-insensitive");
-        assert_eq!(left.queries_observed(), 6);
-        assert_eq!(left.get("x", "Aggregate").expect("x root").executions, 4);
     }
 
     #[test]
     fn to_json_is_deterministic_and_single_header() {
         let clock = Clock::mock();
         let mut cum = CumulativeProfile::new();
-        cum.observe("b", &[tree(&clock, 1)]);
-        cum.observe("a", &[tree(&clock, 1)]);
+        cum.observe("b", &tree(&clock, 1));
+        cum.observe("a", &tree(&clock, 1));
         let json = cum.to_json();
         assert_eq!(json, cum.clone().to_json());
         assert!(json.starts_with("{\"contprof\":\"aqp-contprof/v1\",\"classes\":{\"a\":1,\"b\":1}}\n"));

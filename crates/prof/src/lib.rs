@@ -6,8 +6,9 @@
 //! carrying the operator's preorder `node_id` within the executed plan
 //! plus row/batch/byte counters, the sample fraction, and attributed
 //! bootstrap resamples. This crate stitches those spans back into a
-//! plan-shaped [`OpProfile`] tree — the `EXPLAIN ANALYZE` view — and
-//! renders it as an indented text tree or canonical single-line JSON.
+//! plan-shaped [`OpProfile`] tree — the `EXPLAIN ANALYZE` view every
+//! answer carries — and renders it as an indented text tree. The machine
+//! form is the trace's own JSONL, which carries the same `op:` spans.
 //!
 //! Per-worker busy spans (`worker`) recorded under the same stage are
 //! attached to the operator that drove the pool, together with the
@@ -25,27 +26,10 @@
 #![warn(missing_docs)]
 
 pub mod contprof;
-pub mod export;
 
 use std::time::Duration;
 
-use aqp_obs::json::{push_f64, push_str_lit};
 use aqp_obs::{slowdown_factor, QueryTrace, Span};
-
-/// How the session surfaces operator profiles on its answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExplainMode {
-    /// No profile is built (the default; op spans are still recorded in
-    /// the trace, they are just not assembled into a tree).
-    #[default]
-    Off,
-    /// Build the profile; callers render it with
-    /// [`OpProfile::render_text`].
-    Text,
-    /// Build the profile; callers render it with
-    /// [`OpProfile::to_json`].
-    Json,
-}
 
 /// One worker's share of the pool that executed an operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,25 +213,16 @@ fn workers_under(trace: &QueryTrace, parent: usize) -> Vec<WorkerProfile> {
 }
 
 impl OpProfile {
-    /// All operator trees recoverable from `trace`, in recording order.
+    /// The main execution's operator tree.
     ///
     /// The engine records one `op:` span per operator in descending
     /// `node_id` order (scan first, plan root last), so each maximal
-    /// strictly-descending run of node ids is one execution's tree —
-    /// a trace holding a pilot run, the main approximate run, an exact
-    /// fallback, and an audit replay yields one tree per execution.
-    pub fn forest(trace: &QueryTrace) -> Vec<OpProfile> {
-        split_runs(trace)
-            .into_iter()
-            .filter_map(|run| Self::assemble_run(trace, run))
-            .map(|(tree, _)| tree)
-            .collect()
-    }
-
-    /// The main execution's operator tree: the first tree whose
-    /// operators sit directly under a root stage span (the engine's own
-    /// stages are roots; pilot runs and audit replays nest deeper).
-    /// Falls back to the first tree when none qualifies.
+    /// strictly-descending run of node ids is one execution's tree — a
+    /// trace holding a pilot run, the main approximate run, an exact
+    /// fallback and an audit replay holds one tree per execution. The
+    /// main one is the first tree whose operators sit directly under a
+    /// root stage span (the engine's own stages are roots; pilot runs and
+    /// audit replays nest deeper); the first tree when none qualifies.
     pub fn from_trace(trace: &QueryTrace) -> Option<OpProfile> {
         let mut trees: Vec<(OpProfile, bool)> = split_runs(trace)
             .into_iter()
@@ -404,86 +379,6 @@ impl OpProfile {
             c.render_into(out, depth + 1);
         }
     }
-
-    /// Canonical single-line JSON for the whole tree (deterministic key
-    /// order; optional fields omitted when absent).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.json_into(&mut out);
-        out
-    }
-
-    fn json_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        out.push_str("{\"op\":");
-        push_str_lit(out, &self.name);
-        let _ = write!(out, ",\"node_id\":{}", self.node_id);
-        out.push_str(",\"detail\":");
-        push_str_lit(out, &self.detail);
-        out.push_str(",\"wall_ms\":");
-        push_f64(out, self.wall.as_secs_f64() * 1e3);
-        let _ = write!(
-            out,
-            ",\"rows_in\":{},\"rows_out\":{},\"batches\":{},\"bytes\":{}",
-            self.rows_in, self.rows_out, self.batches, self.bytes
-        );
-        if let Some(r) = self.rows_per_s {
-            out.push_str(",\"rows_per_s\":");
-            push_f64(out, r);
-        }
-        if let Some(b) = self.bytes_per_s {
-            out.push_str(",\"bytes_per_s\":");
-            push_f64(out, b);
-        }
-        if let Some(f) = self.sample_fraction {
-            out.push_str(",\"sample_fraction\":");
-            push_f64(out, f);
-        }
-        if let Some(r) = self.resamples {
-            let _ = write!(out, ",\"resamples\":{r}");
-        }
-        if !self.workers.is_empty() {
-            out.push_str(",\"workers\":[");
-            for (i, w) in self.workers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"worker\":{},\"items\":{},\"busy_ms\":", w.worker, w.items);
-                push_f64(out, w.busy.as_secs_f64() * 1e3);
-                out.push_str(",\"idle_ms\":");
-                push_f64(out, w.idle.as_secs_f64() * 1e3);
-                out.push('}');
-            }
-            out.push(']');
-        }
-        if let Some(s) = self.straggler_slowdown {
-            out.push_str(",\"straggler_slowdown\":");
-            push_f64(out, s);
-        }
-        if !self.extra.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (k, v)) in self.extra.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_str_lit(out, k);
-                out.push(':');
-                push_str_lit(out, v);
-            }
-            out.push('}');
-        }
-        if !self.children.is_empty() {
-            out.push_str(",\"children\":[");
-            for (i, c) in self.children.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                c.json_into(out);
-            }
-            out.push(']');
-        }
-        out.push('}');
-    }
 }
 
 /// Check every stage span that contains operator spans: the sum of
@@ -603,11 +498,8 @@ mod tests {
     }
 
     #[test]
-    fn forest_rebuilds_the_plan_chain() {
-        let trace = engine_like_trace();
-        let trees = OpProfile::forest(&trace);
-        assert_eq!(trees.len(), 1);
-        let root = &trees[0];
+    fn from_trace_rebuilds_the_plan_chain() {
+        let root = &OpProfile::from_trace(&engine_like_trace()).expect("tree");
         assert_eq!(root.name, "ErrorEstimate");
         assert_eq!(root.node_id, 0);
         assert_eq!(root.resamples, Some(100));
@@ -692,12 +584,12 @@ mod tests {
             rec.attr(sp, "node_id", id);
         }
         rec.end(s2);
-        let trace = rec.finish();
-        let trees = OpProfile::forest(&trace);
-        assert_eq!(trees.len(), 2);
-        assert_eq!(trees[0].len(), 3);
-        assert_eq!(trees[1].len(), 2);
-        assert_eq!(trees[1].name, "Aggregate");
+        // Both stages are roots: the first execution is the profile, and
+        // the replay's ids do not graft onto it.
+        let tree = OpProfile::from_trace(&rec.finish()).expect("tree");
+        assert_eq!(tree.len(), 3);
+        let ids: Vec<usize> = tree.nodes().iter().map(|n| n.node_id).collect();
+        assert_eq!(ids, [0, 1, 2]);
     }
 
     #[test]
@@ -722,18 +614,15 @@ mod tests {
         rec.attr(sp, "node_id", 1);
         rec.attr(sp, "rows_in", 1000);
         rec.end(main);
-        let trace = rec.finish();
-        assert_eq!(OpProfile::forest(&trace).len(), 2);
-        let tree = OpProfile::from_trace(&trace).expect("tree");
+        let tree = OpProfile::from_trace(&rec.finish()).expect("tree");
         assert_eq!(tree.rows_in, 1000, "must pick the root-stage execution");
     }
 
     #[test]
-    fn render_text_and_json_are_deterministic() {
+    fn render_text_is_deterministic() {
         let a = OpProfile::from_trace(&engine_like_trace()).expect("tree");
         let b = OpProfile::from_trace(&engine_like_trace()).expect("tree");
         assert_eq!(a.render_text(), b.render_text());
-        assert_eq!(a.to_json(), b.to_json());
         let text = a.render_text();
         assert!(text.contains("Scan[sessions]  (op #3, wall 4.000ms)"));
         assert!(text.contains("rows 100 -> 25"));
@@ -741,14 +630,6 @@ mod tests {
         assert!(text.contains("25000 rows/s"), "{text}");
         assert!(text.contains("600000 B/s"), "{text}");
         assert!(text.contains("workers[2] busy=[2.000, 5.000]ms slowdown=x1.00"));
-        let json = a.to_json();
-        assert!(json.starts_with("{\"op\":\"ErrorEstimate\""));
-        assert!(json.contains("\"resamples\":100"));
-        assert!(json.contains("\"sample_fraction\":0.05"));
-        assert!(json.contains("\"rows_per_s\":25000"), "{json}");
-        assert!(json.contains("\"bytes_per_s\":600000"), "{json}");
-        assert!(json.contains("\"children\":["));
-        assert!(!json.contains('\n'));
     }
 
     #[test]
@@ -795,10 +676,5 @@ mod tests {
         assert!(!recs[0].holds());
         assert_eq!(recs[0].op_total, ms(2));
         assert_eq!(recs[0].wall, ms(1));
-    }
-
-    #[test]
-    fn explain_mode_defaults_off() {
-        assert_eq!(ExplainMode::default(), ExplainMode::Off);
     }
 }

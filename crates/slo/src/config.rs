@@ -1,8 +1,7 @@
-//! Declarative SLO configuration: workload classes, objectives,
-//! burn-rate windows/thresholds, drift-detector knobs, and the JSONL
-//! alert log.
-
-use std::time::Duration;
+//! Declarative SLO configuration: workload classes, objectives, the
+//! JSONL alert log and the flight recorder. The burn-rate windows and
+//! thresholds and the drift detectors' knobs are constants of
+//! `engine.rs` and `drift.rs`.
 
 use aqp_obs::FlightRecorderConfig;
 
@@ -72,96 +71,14 @@ impl Objective {
     }
 }
 
-/// Burn-rate thresholds for the two window pairs, following the
-/// multiwindow multi-burn-rate recipe: page when the budget is burning
-/// ~14× too fast on the fast pair, warn at ~6× on the slow pair, and
-/// re-arm the latch once the burn drops below `clear_below`.
-#[derive(Debug, Clone)]
-pub struct BurnThresholds {
-    /// Page when `min(burn_5m, burn_1h)` is at or above this.
-    pub page: f64,
-    /// Warn when `min(burn_6h, burn_3d)` is at or above this.
-    pub warn: f64,
-    /// Re-arm a latched alert once the pair burn drops below this.
-    pub clear_below: f64,
-    /// Events required in the 1h window before alerts may latch —
-    /// burn rates over a near-empty window are meaningless.
-    pub min_events: u64,
-}
-
-impl Default for BurnThresholds {
-    fn default() -> Self {
-        BurnThresholds { page: 14.4, warn: 6.0, clear_below: 1.0, min_events: 20 }
-    }
-}
-
-/// Evaluation windows. All timestamps come from the session's
-/// `aqp_obs::Clock`, so under the mock clock the whole evaluation is
-/// deterministic.
-#[derive(Debug, Clone)]
-pub struct SloWindows {
-    /// Short window of the fast (page) pair.
-    pub fast_short: Duration,
-    /// Long window of the fast (page) pair.
-    pub fast_long: Duration,
-    /// Short window of the slow (warn) pair.
-    pub slow_short: Duration,
-    /// Long window of the slow (warn) pair — also the error-budget
-    /// accounting period.
-    pub slow_long: Duration,
-    /// Granularity of the good/bad event buckets.
-    pub bucket: Duration,
-}
-
-impl Default for SloWindows {
-    fn default() -> Self {
-        SloWindows {
-            fast_short: Duration::from_secs(5 * 60),
-            fast_long: Duration::from_secs(60 * 60),
-            slow_short: Duration::from_secs(6 * 60 * 60),
-            slow_long: Duration::from_secs(3 * 24 * 60 * 60),
-            bucket: Duration::from_secs(60),
-        }
-    }
-}
-
-/// Online drift-detector knobs (EWMA control chart + Page-Hinkley).
-#[derive(Debug, Clone)]
-pub struct DriftConfig {
-    /// EWMA smoothing weight λ in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// EWMA control-limit width in baseline standard deviations.
-    pub ewma_k: f64,
-    /// Page-Hinkley tolerated magnitude δ (drift smaller than this is
-    /// ignored).
-    pub ph_delta: f64,
-    /// Page-Hinkley alarm threshold λ on the accumulated excess.
-    pub ph_lambda: f64,
-    /// Events before either detector may signal (baseline warm-up).
-    pub min_samples: u64,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            ewma_alpha: 0.1,
-            ewma_k: 4.0,
-            ph_delta: 0.005,
-            ph_lambda: 2.0,
-            min_samples: 10,
-        }
-    }
-}
-
 /// Where (and how large) the rotating JSONL SLO log is.
 pub use aqp_obs::JsonlLogConfig as SloLogConfig;
 
 /// Configuration of the fleet-level SLO engine.
 ///
 /// Off by default at the session level (the session's `slo` field is
-/// `None`). `Default`/[`SloConfig::new`] carries the recommended
-/// windows, burn thresholds, and drift knobs but *no objectives*; add
-/// them with the builder methods.
+/// `None`). `Default`/[`SloConfig::new`] has *no objectives*; add them
+/// with the builder methods.
 #[derive(Debug, Clone, Default)]
 pub struct SloConfig {
     /// Class-assignment rules, checked in order (the shared
@@ -169,12 +86,6 @@ pub struct SloConfig {
     pub classes: ClassRouter,
     /// The declared objectives.
     pub objectives: Vec<Objective>,
-    /// Burn-rate alert thresholds.
-    pub thresholds: BurnThresholds,
-    /// Evaluation windows.
-    pub windows: SloWindows,
-    /// Drift-detector knobs.
-    pub drift: DriftConfig,
     /// Rotating JSONL log for alerts and drift signals (`None` = no log).
     pub log: Option<SloLogConfig>,
     /// Flight-recorder sizing and dump path.
@@ -185,7 +96,7 @@ impl SloConfig {
     /// The class queries fall into when no [`ClassRule`] matches.
     pub const DEFAULT_CLASS: &'static str = aqp_obs::router::DEFAULT_CLASS;
 
-    /// Recommended knobs, no objectives.
+    /// No objectives, no log, the default recorder.
     pub fn new() -> Self {
         SloConfig::default()
     }
@@ -270,16 +181,5 @@ mod tests {
             kind: ObjectiveKind::Coverage { floor: 1.0 },
         };
         assert!(strict.allowance() > 0.0);
-    }
-
-    #[test]
-    fn default_windows_follow_the_multiwindow_recipe() {
-        let w = SloWindows::default();
-        assert_eq!(w.fast_short, Duration::from_secs(300));
-        assert_eq!(w.fast_long, Duration::from_secs(3600));
-        assert_eq!(w.slow_short, Duration::from_secs(21600));
-        assert_eq!(w.slow_long, Duration::from_secs(259200));
-        let t = BurnThresholds::default();
-        assert!(t.page > t.warn && t.warn > t.clear_below);
     }
 }

@@ -7,7 +7,17 @@
 //! no randomness, no wall clock — so a seeded run signals at exactly
 //! the same event ordinal every time.
 
-use crate::config::DriftConfig;
+/// EWMA smoothing weight λ in `(0, 1]`.
+const EWMA_ALPHA: f64 = 0.1;
+/// EWMA control-limit width in baseline standard deviations.
+const EWMA_K: f64 = 4.0;
+/// Page-Hinkley tolerated magnitude δ (drift smaller than this is
+/// ignored).
+const PH_DELTA: f64 = 0.005;
+/// Page-Hinkley alarm threshold λ on the accumulated excess.
+const PH_LAMBDA: f64 = 2.0;
+/// Events before either detector may signal (baseline warm-up).
+const MIN_SAMPLES: u64 = 10;
 
 /// Which detector raised a [`DriftSignal`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,10 +71,8 @@ impl std::fmt::Display for DriftSignal {
 /// baseline mean by `k` asymptotic EWMA standard deviations
 /// (`σ·sqrt(λ/(2−λ))`), with baseline mean/variance tracked by
 /// Welford's algorithm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Ewma {
-    alpha: f64,
-    k: f64,
     n: u64,
     mean: f64,
     m2: f64,
@@ -72,38 +80,32 @@ struct Ewma {
 }
 
 impl Ewma {
-    fn new(cfg: &DriftConfig) -> Self {
-        Ewma { alpha: cfg.ewma_alpha, k: cfg.ewma_k, n: 0, mean: 0.0, m2: 0.0, z: 0.0 }
-    }
-
     /// Observe `x`; returns the deviation in σ units when out of
     /// control (upward only).
-    fn observe(&mut self, x: f64, min_samples: u64) -> Option<f64> {
+    fn observe(&mut self, x: f64) -> Option<f64> {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.z = if self.n == 1 { x } else { self.alpha * x + (1.0 - self.alpha) * self.z };
-        if self.n <= min_samples || self.n < 2 {
+        self.z = if self.n == 1 { x } else { EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * self.z };
+        if self.n <= MIN_SAMPLES || self.n < 2 {
             return None;
         }
         let var = self.m2 / (self.n - 1) as f64;
-        let sigma_z = (var * self.alpha / (2.0 - self.alpha)).sqrt();
+        let sigma_z = (var * EWMA_ALPHA / (2.0 - EWMA_ALPHA)).sqrt();
         if sigma_z <= 0.0 {
             return None;
         }
         let dev = (self.z - self.mean) / sigma_z;
-        (dev > self.k).then_some(dev)
+        (dev > EWMA_K).then_some(dev)
     }
 }
 
 /// Page-Hinkley test for an upward mean shift: accumulate
 /// `x_t − mean_t − δ` and signal when the accumulation exceeds its
 /// running minimum by λ.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PageHinkley {
-    delta: f64,
-    lambda: f64,
     n: u64,
     mean: f64,
     m: f64,
@@ -111,28 +113,17 @@ struct PageHinkley {
 }
 
 impl PageHinkley {
-    fn new(cfg: &DriftConfig) -> Self {
-        PageHinkley {
-            delta: cfg.ph_delta,
-            lambda: cfg.ph_lambda,
-            n: 0,
-            mean: 0.0,
-            m: 0.0,
-            m_min: 0.0,
-        }
-    }
-
     /// Observe `x`; returns the accumulated excess when it crosses λ.
-    fn observe(&mut self, x: f64, min_samples: u64) -> Option<f64> {
+    fn observe(&mut self, x: f64) -> Option<f64> {
         self.n += 1;
         self.mean += (x - self.mean) / self.n as f64;
-        self.m += x - self.mean - self.delta;
+        self.m += x - self.mean - PH_DELTA;
         self.m_min = self.m_min.min(self.m);
-        if self.n <= min_samples {
+        if self.n <= MIN_SAMPLES {
             return None;
         }
         let excess = self.m - self.m_min;
-        (excess > self.lambda).then_some(excess)
+        (excess > PH_LAMBDA).then_some(excess)
     }
 }
 
@@ -141,7 +132,6 @@ impl PageHinkley {
 /// signal again.
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
-    cfg: DriftConfig,
     stream: String,
     ewma: Ewma,
     ph: PageHinkley,
@@ -152,12 +142,11 @@ pub struct DriftDetector {
 
 impl DriftDetector {
     /// A fresh detector pair for `stream`.
-    pub fn new(stream: &str, cfg: &DriftConfig) -> Self {
+    pub fn new(stream: &str) -> Self {
         DriftDetector {
-            cfg: cfg.clone(),
             stream: stream.to_string(),
-            ewma: Ewma::new(cfg),
-            ph: PageHinkley::new(cfg),
+            ewma: Ewma::default(),
+            ph: PageHinkley::default(),
             events: 0,
             signals: 0,
             last_signal_at: None,
@@ -168,9 +157,8 @@ impl DriftDetector {
     /// Page-Hinkley verdict wins when both fire at once).
     pub fn observe(&mut self, x: f64) -> Option<DriftSignal> {
         self.events += 1;
-        let min = self.cfg.min_samples;
-        let ph = self.ph.observe(x, min);
-        let ewma = self.ewma.observe(x, min);
+        let ph = self.ph.observe(x);
+        let ewma = self.ewma.observe(x);
         let (detector, statistic) = match (ph, ewma) {
             (Some(s), _) => (Detector::PageHinkley, s),
             (None, Some(s)) => (Detector::Ewma, s),
@@ -179,8 +167,8 @@ impl DriftDetector {
         self.signals += 1;
         self.last_signal_at = Some(self.events);
         // Re-baseline so the detector can flag a later episode.
-        self.ewma = Ewma::new(&self.cfg);
-        self.ph = PageHinkley::new(&self.cfg);
+        self.ewma = Ewma::default();
+        self.ph = PageHinkley::default();
         Some(DriftSignal {
             stream: self.stream.clone(),
             detector,
@@ -218,7 +206,7 @@ mod tests {
     use super::*;
 
     fn detector() -> DriftDetector {
-        DriftDetector::new("t/stream", &DriftConfig::default())
+        DriftDetector::new("t/stream")
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! Everything is timestamped by the session's `aqp_obs::Clock`; under
 //! the mock clock the full alert sequence is a pure function of
 //! (seed, event sequence).
+//!
+//! The windows and thresholds are constants: they are the recipe's, no
+//! caller has ever set another, and the SLO goldens pin them.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
@@ -34,6 +37,28 @@ use crate::drift::{DriftDetector, DriftSignal, DriftStatus};
 /// rides in on a *new* workload class — whose class stream has no
 /// healthy baseline to deviate from — is still caught.
 pub const FLEET_STREAM_CLASS: &str = "fleet";
+
+const NS_PER_S: u64 = 1_000_000_000;
+/// Short window of the fast (page) pair: 5 minutes.
+const FAST_SHORT_NS: u64 = 5 * 60 * NS_PER_S;
+/// Long window of the fast (page) pair: 1 hour.
+const FAST_LONG_NS: u64 = 60 * 60 * NS_PER_S;
+/// Short window of the slow (warn) pair: 6 hours.
+const SLOW_SHORT_NS: u64 = 6 * 60 * 60 * NS_PER_S;
+/// Long window of the slow (warn) pair, also the error-budget accounting
+/// period: 3 days.
+const SLOW_LONG_NS: u64 = 3 * 24 * 60 * 60 * NS_PER_S;
+/// Granularity of the good/bad event buckets: 1 minute.
+const BUCKET_NS: u64 = 60 * NS_PER_S;
+/// Page when `min(burn_5m, burn_1h)` is at or above this (~14× too fast).
+const PAGE_BURN: f64 = 14.4;
+/// Warn when `min(burn_6h, burn_3d)` is at or above this.
+const WARN_BURN: f64 = 6.0;
+/// Re-arm a latched alert once the pair burn drops below this.
+const CLEAR_BELOW: f64 = 1.0;
+/// Events required in the 1h window before alerts may latch: burn rates
+/// over a near-empty window are meaningless.
+const MIN_EVENTS: u64 = 20;
 
 /// Alert severity, by window pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,13 +160,13 @@ impl ObjectiveState {
     }
 
     /// Record one event into the bucket for `now_ns`, evicting buckets
-    /// that fell out of the retention horizon.
-    fn record(&mut self, bad: bool, now_ns: u64, bucket_ns: u64, retain_ns: u64) {
+    /// that fell out of the 3-day retention horizon.
+    fn record(&mut self, bad: bool, now_ns: u64) {
         self.events += 1;
         if bad {
             self.bad += 1;
         }
-        let start_ns = now_ns - now_ns % bucket_ns.max(1);
+        let start_ns = now_ns - now_ns % BUCKET_NS;
         match self.buckets.back_mut() {
             Some(b) if b.start_ns == start_ns => {
                 if bad {
@@ -156,9 +181,9 @@ impl ObjectiveState {
                 bad: u64::from(bad),
             }),
         }
-        let horizon = now_ns.saturating_sub(retain_ns);
+        let horizon = now_ns.saturating_sub(SLOW_LONG_NS);
         while let Some(front) = self.buckets.front() {
-            if front.start_ns.saturating_add(bucket_ns) <= horizon {
+            if front.start_ns.saturating_add(BUCKET_NS) <= horizon {
                 self.buckets.pop_front();
             } else {
                 break;
@@ -167,12 +192,12 @@ impl ObjectiveState {
     }
 
     /// `(bad, total)` event counts over the trailing `window_ns`.
-    fn window_counts(&self, now_ns: u64, window_ns: u64, bucket_ns: u64) -> (u64, u64) {
+    fn window_counts(&self, now_ns: u64, window_ns: u64) -> (u64, u64) {
         let horizon = now_ns.saturating_sub(window_ns);
         let mut bad = 0;
         let mut total = 0;
         for b in self.buckets.iter().rev() {
-            if b.start_ns.saturating_add(bucket_ns) <= horizon {
+            if b.start_ns.saturating_add(BUCKET_NS) <= horizon {
                 break;
             }
             bad += b.bad;
@@ -183,8 +208,8 @@ impl ObjectiveState {
 
     /// Burn rate over the trailing `window_ns`: `bad_fraction /
     /// allowance`, 0 when the window is empty.
-    fn burn(&self, now_ns: u64, window_ns: u64, bucket_ns: u64) -> f64 {
-        let (bad, total) = self.window_counts(now_ns, window_ns, bucket_ns);
+    fn burn(&self, now_ns: u64, window_ns: u64) -> f64 {
+        let (bad, total) = self.window_counts(now_ns, window_ns);
         if total == 0 {
             0.0
         } else {
@@ -350,7 +375,7 @@ impl SloEngine {
             let detector = st
                 .drift
                 .entry(key.clone())
-                .or_insert_with(|| DriftDetector::new(&key, &self.cfg.drift));
+                .or_insert_with(|| DriftDetector::new(&key));
             if let Some(signal) = detector.observe(x) {
                 self.meters.drift_signals.inc();
                 st.sink.write_line(|| drift_line(&signal));
@@ -369,26 +394,21 @@ impl SloEngine {
             self.meters.bad.inc();
         }
         let now_ns = now.nanos();
-        let w = &self.cfg.windows;
-        let bucket_ns = w.bucket.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let retain_ns = w.slow_long.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let th = &self.cfg.thresholds;
         let mut fired = Vec::new();
         let Some(o) = st.objectives.get_mut(idx) else {
             return fired;
         };
-        o.record(bad, now_ns, bucket_ns, retain_ns);
-        let window_ns = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let fast_short = o.burn(now_ns, window_ns(w.fast_short), bucket_ns);
-        let fast_long = o.burn(now_ns, window_ns(w.fast_long), bucket_ns);
-        let slow_short = o.burn(now_ns, window_ns(w.slow_short), bucket_ns);
-        let slow_long = o.burn(now_ns, window_ns(w.slow_long), bucket_ns);
+        o.record(bad, now_ns);
+        let fast_short = o.burn(now_ns, FAST_SHORT_NS);
+        let fast_long = o.burn(now_ns, FAST_LONG_NS);
+        let slow_short = o.burn(now_ns, SLOW_SHORT_NS);
+        let slow_long = o.burn(now_ns, SLOW_LONG_NS);
         o.burn_fast = fast_short.min(fast_long);
         o.burn_slow = slow_short.min(slow_long);
         o.budget_remaining = (1.0 - slow_long).max(0.0);
-        let (_, eligible) = o.window_counts(now_ns, window_ns(w.fast_long), bucket_ns);
-        let enough = eligible >= th.min_events;
-        if enough && o.burn_fast >= th.page {
+        let (_, eligible) = o.window_counts(now_ns, FAST_LONG_NS);
+        let enough = eligible >= MIN_EVENTS;
+        if enough && o.burn_fast >= PAGE_BURN {
             if o.page_armed {
                 o.page_armed = false;
                 fired.push(SloAlert {
@@ -397,15 +417,15 @@ impl SloEngine {
                     class: o.objective.class.clone(),
                     burn_short: fast_short,
                     burn_long: fast_long,
-                    threshold: th.page,
+                    threshold: PAGE_BURN,
                     budget_remaining: o.budget_remaining,
                     at_event,
                 });
             }
-        } else if o.burn_fast < th.clear_below {
+        } else if o.burn_fast < CLEAR_BELOW {
             o.page_armed = true;
         }
-        if enough && o.burn_slow >= th.warn {
+        if enough && o.burn_slow >= WARN_BURN {
             if o.warn_armed {
                 o.warn_armed = false;
                 fired.push(SloAlert {
@@ -414,12 +434,12 @@ impl SloEngine {
                     class: o.objective.class.clone(),
                     burn_short: slow_short,
                     burn_long: slow_long,
-                    threshold: th.warn,
+                    threshold: WARN_BURN,
                     budget_remaining: o.budget_remaining,
                     at_event,
                 });
             }
-        } else if o.burn_slow < th.clear_below {
+        } else if o.burn_slow < CLEAR_BELOW {
             o.warn_armed = true;
         }
         for alert in &fired {

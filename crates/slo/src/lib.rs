@@ -36,11 +36,7 @@ pub mod config;
 pub mod drift;
 pub mod engine;
 
-pub use config::{
-    BurnThresholds, ClassRouter, ClassRule, DriftConfig, Objective, ObjectiveKind, SloConfig,
-    SloLogConfig,
-    SloWindows,
-};
+pub use config::{ClassRouter, ClassRule, Objective, ObjectiveKind, SloConfig, SloLogConfig};
 pub use drift::{Detector, DriftDetector, DriftSignal, DriftStatus};
 pub use engine::{
     ObjectiveStatus, Severity, SloAlert, SloEngine, SloReport, FLEET_STREAM_CLASS,

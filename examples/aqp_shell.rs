@@ -25,19 +25,13 @@
 //! works like any other query — error bars included.
 //!
 //! Launch with `--metrics out.jsonl` to dump the session's metrics
-//! snapshot as JSONL when the shell exits. Launch with `--explain`
-//! (annotated text tree) or `--explain-json` (one JSON object per
-//! query) to print the EXPLAIN ANALYZE operator profile after every
-//! query. Launch with `--flame out.folded` to profile the whole shell
-//! session continuously and write folded flamegraph stacks on exit, or
-//! `--chrome-trace out.json` to write the last query's trace in
-//! chrome://tracing format on exit.
+//! snapshot as JSONL when the shell exits. Launch with `--explain` to
+//! print the EXPLAIN ANALYZE operator profile after every query.
 
 use std::io::{BufRead, Write};
 
-use reliable_aqp::prof::export::{chrome_trace, folded_stacks};
 use reliable_aqp::workload::conviva_sessions_table;
-use reliable_aqp::{AqpSession, ContProfConfig, ExplainMode, IntrospectConfig, SessionConfig};
+use reliable_aqp::{AqpSession, IntrospectConfig, SessionConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -45,25 +39,11 @@ fn main() {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
     };
     let metrics_path = flag_value("--metrics");
-    let flame_path = flag_value("--flame");
-    let chrome_path = flag_value("--chrome-trace");
-    let explain = if args.iter().any(|a| a == "--explain-json") {
-        ExplainMode::Json
-    } else if args.iter().any(|a| a == "--explain") {
-        ExplainMode::Text
-    } else {
-        ExplainMode::Off
-    };
+    let explain = args.iter().any(|a| a == "--explain");
     let rows = 1_000_000;
     eprintln!("loading {rows}-row synthetic `sessions` table ...");
     let session = AqpSession::new(SessionConfig {
         seed: 1,
-        explain,
-        // `--flame` profiles every query of the shell session; split the
-        // error-bounded queries from the plain ones, like quickstart.
-        contprof: flame_path
-            .is_some()
-            .then(|| ContProfConfig::new().with_class("bounded", "WITHIN")),
         // The shell watches itself: telemetry folds into `_telemetry.*`
         // so the operator can query the session about the session.
         introspect: Some(IntrospectConfig::new().with_class("bounded", "WITHIN")),
@@ -75,7 +55,6 @@ fn main() {
          to query the shell's own telemetry."
     );
 
-    let mut last_trace = None;
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     loop {
@@ -194,17 +173,8 @@ fn main() {
             Ok(answer) => {
                 print!("{}", answer.summary());
                 println!("({:?})", answer.timings.total());
-                if let Some(profile) = &answer.profile {
-                    match explain {
-                        ExplainMode::Text => {
-                            println!("EXPLAIN ANALYZE:\n{}", profile.render_text())
-                        }
-                        ExplainMode::Json => println!("{}", profile.to_json()),
-                        ExplainMode::Off => {}
-                    }
-                }
-                if chrome_path.is_some() {
-                    last_trace = Some(answer.trace);
+                if let Some(profile) = answer.profile.as_ref().filter(|_| explain) {
+                    println!("EXPLAIN ANALYZE:\n{}", profile.render_text());
                 }
             }
             Err(e) => println!("error: {e}"),
@@ -215,26 +185,6 @@ fn main() {
         match std::fs::write(&path, snapshot.to_jsonl()) {
             Ok(()) => eprintln!("metrics snapshot written to {path}"),
             Err(e) => eprintln!("failed writing metrics snapshot to {path}: {e}"),
-        }
-    }
-    if let Some(path) = flame_path {
-        let cum = session.cumulative_profile().expect("contprof is on under --flame");
-        match std::fs::write(&path, folded_stacks(&cum)) {
-            Ok(()) => eprintln!(
-                "folded stacks written to {path} ({} queries, {} paths)",
-                cum.queries_observed(),
-                cum.paths()
-            ),
-            Err(e) => eprintln!("failed writing folded stacks to {path}: {e}"),
-        }
-    }
-    if let Some(path) = chrome_path {
-        match &last_trace {
-            Some(trace) => match std::fs::write(&path, chrome_trace(trace)) {
-                Ok(()) => eprintln!("chrome trace written to {path}"),
-                Err(e) => eprintln!("failed writing chrome trace to {path}: {e}"),
-            },
-            None => eprintln!("no query ran; nothing to write to {path}"),
         }
     }
     eprintln!("bye");

@@ -138,15 +138,12 @@ fn main() {
             ..Default::default()
         }),
         slo: Some(SloConfig::new().with_coverage(SloConfig::DEFAULT_CLASS, 0.95)),
-        introspect: Some(IntrospectConfig {
-            min_rows_for_sampling: 32,
-            ..IntrospectConfig::new().with_class("dashboards", "GROUP BY")
-        }),
+        introspect: Some(IntrospectConfig::new().with_class("dashboards", "GROUP BY")),
         ..Default::default()
     });
     healthy.register_table(conviva_sessions_table(rows, 8, 1)).expect("register");
     healthy.build_samples("sessions", &[rows / 5], 6).expect("samples");
-    for i in 0..120 {
+    for i in 0..150 {
         let sql = match i % 3 {
             0 => "SELECT AVG(time) FROM sessions",
             1 => "SELECT SUM(time) FROM sessions",
@@ -171,15 +168,12 @@ fn main() {
             ..Default::default()
         }),
         slo: Some(SloConfig::new().with_coverage(SloConfig::DEFAULT_CLASS, 0.95)),
-        introspect: Some(IntrospectConfig {
-            min_rows_for_sampling: 32,
-            ..IntrospectConfig::new()
-        }),
+        introspect: Some(IntrospectConfig::new()),
         ..Default::default()
     });
     suspect.register_table(facebook_events_table(rows, 8, 2)).expect("register");
     suspect.build_samples("events", &[rows / 5], 7).expect("samples");
-    for _ in 0..60 {
+    for _ in 0..75 {
         suspect.execute("SELECT MAX(payload_kb) FROM events").expect("query");
     }
 

@@ -12,25 +12,17 @@
 //!
 //! Pass `--metrics out.jsonl` to dump the session's metrics snapshot
 //! (counters, fallback rates, latency percentiles) as JSONL. Pass
-//! `--explain` (annotated text tree) or `--explain-json` (one JSON
-//! object per query) to print the EXPLAIN ANALYZE operator profile of
-//! each query. Pass `--flame out.folded` to enable continuous profiling
-//! and write the cumulative operator profile as folded flamegraph
-//! stacks, or `--chrome-trace out.json` to write the last query's trace
-//! in chrome://tracing format (load it at <https://ui.perfetto.dev>).
+//! `--explain` to print the EXPLAIN ANALYZE operator profile every
+//! answer carries.
 
 use reliable_aqp::obs::{Clock, MetricsRegistry};
-use reliable_aqp::prof::export::{chrome_trace, folded_stacks};
 use reliable_aqp::workload::conviva_sessions_table;
-use reliable_aqp::{AqpAnswer, AqpSession, ContProfConfig, ExplainMode, SessionConfig};
+use reliable_aqp::{AqpAnswer, AqpSession, SessionConfig};
 
-/// Print an answer's operator profile per the chosen mode.
-fn print_profile(answer: &AqpAnswer, mode: ExplainMode) {
-    let Some(profile) = &answer.profile else { return };
-    match mode {
-        ExplainMode::Text => println!("EXPLAIN ANALYZE:\n{}", profile.render_text()),
-        ExplainMode::Json => println!("{}", profile.to_json()),
-        ExplainMode::Off => {}
+/// Print an answer's operator profile when `--explain` asked for it.
+fn print_profile(answer: &AqpAnswer, explain: bool) {
+    if let Some(profile) = answer.profile.as_ref().filter(|_| explain) {
+        println!("EXPLAIN ANALYZE:\n{}", profile.render_text());
     }
 }
 
@@ -40,15 +32,7 @@ fn main() {
         args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
     };
     let metrics_path = flag_value("--metrics");
-    let flame_path = flag_value("--flame");
-    let chrome_path = flag_value("--chrome-trace");
-    let explain = if args.iter().any(|a| a == "--explain-json") {
-        ExplainMode::Json
-    } else if args.iter().any(|a| a == "--explain") {
-        ExplainMode::Text
-    } else {
-        ExplainMode::Off
-    };
+    let explain = args.iter().any(|a| a == "--explain");
     let clock = Clock::real();
     let rows = 2_000_000;
     println!("building a {rows}-row sessions table ...");
@@ -57,16 +41,7 @@ fn main() {
     // Seed chosen so the diagnostic accepts the benign AVG (most seeds do;
     // a few land in its ~few-percent false-negative band and would fall
     // back to exact, which is safe but defeats this demo).
-    let session = AqpSession::new(SessionConfig {
-        seed: 1,
-        explain,
-        // `--flame` wants the fleet view, so profile continuously with
-        // the error-bounded queries split from the plain ones.
-        contprof: flame_path
-            .is_some()
-            .then(|| ContProfConfig::new().with_class("bounded", "WITHIN")),
-        ..Default::default()
-    });
+    let session = AqpSession::new(SessionConfig { seed: 1, ..Default::default() });
     session.register_table(table).expect("register");
     println!("building uniform samples (2.5% and 5%) ...");
     session.build_samples("sessions", &[rows / 40, rows / 20], 7).expect("sample");
@@ -122,22 +97,6 @@ fn main() {
         match std::fs::write(&path, snapshot.to_jsonl()) {
             Ok(()) => println!("metrics snapshot written to {path}"),
             Err(e) => eprintln!("failed writing metrics snapshot to {path}: {e}"),
-        }
-    }
-    if let Some(path) = flame_path {
-        let cum = session.cumulative_profile().expect("contprof is on under --flame");
-        match std::fs::write(&path, folded_stacks(&cum)) {
-            Ok(()) => println!(
-                "folded stacks written to {path} ({} paths; render with flamegraph.pl or inferno)",
-                cum.paths()
-            ),
-            Err(e) => eprintln!("failed writing folded stacks to {path}: {e}"),
-        }
-    }
-    if let Some(path) = chrome_path {
-        match std::fs::write(&path, chrome_trace(&tight.trace)) {
-            Ok(()) => println!("chrome trace written to {path} (open at https://ui.perfetto.dev)"),
-            Err(e) => eprintln!("failed writing chrome trace to {path}: {e}"),
         }
     }
 }

@@ -96,10 +96,7 @@ fn main() {
         }),
         faults: Some(faults),
         slo: Some(slo),
-        introspect: Some(IntrospectConfig {
-            min_rows_for_sampling: 32,
-            ..IntrospectConfig::new().with_class("tail", "MAX(")
-        }),
+        introspect: Some(IntrospectConfig::new().with_class("tail", "MAX(")),
         ..Default::default()
     });
 

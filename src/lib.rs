@@ -35,8 +35,8 @@
 
 pub use aqp_core::answer::AnswerMode;
 pub use aqp_core::{
-    AqpAnswer, AqpSession, ContProfConfig, CumulativeProfile, ExplainMode, IntrospectConfig,
-    OpProfile, SessionConfig,
+    AqpAnswer, AqpSession, ContProfConfig, CumulativeProfile, IntrospectConfig, OpProfile,
+    SessionConfig,
 };
 
 /// Observability: clock abstraction, metrics registry, query traces.

@@ -1,12 +1,10 @@
-//! End-to-end acceptance for continuous profiling and telemetry export:
-//! zero footprint when disabled, bit-identical answers/traces/metrics
-//! when enabled, an associative order-insensitive shard merge
-//! (proptest), bit-stable exporter output, and a <5% fold-in overhead
-//! bound on a real clock.
+//! End-to-end acceptance for continuous profiling: zero footprint when
+//! disabled, bit-identical answers/traces/metrics when enabled, a fold
+//! whose bytes do not depend on the order queries arrive in (proptest),
+//! and a <5% fold-in overhead bound on a real clock.
 //!
-//! [`dump_artifact_for_ci_smoke`] pins the folded-stack and chrome trace
-//! artifacts of one profiled workload byte for byte
-//! (`tests/golden/profile_seed7.*`).
+//! [`dump_artifact_for_ci_smoke`] pins the cumulative profile of one
+//! profiled workload byte for byte (`tests/golden/profile_seed7.jsonl`).
 
 mod common;
 
@@ -14,7 +12,6 @@ use proptest::prelude::*;
 
 use reliable_aqp::obs::{name, Clock, ObsHandle, Timestamp, TraceRecorder};
 use reliable_aqp::prof::contprof::{ContProfConfig, CumulativeProfile};
-use reliable_aqp::prof::export::{chrome_trace, folded_stacks};
 use reliable_aqp::workload::conviva_sessions_table;
 use reliable_aqp::{AqpSession, OpProfile, SessionConfig};
 
@@ -41,23 +38,24 @@ fn routing() -> ContProfConfig {
     ContProfConfig::new().with_class("dashboards", "GROUP BY")
 }
 
-/// A nested 3-op profile (Scan inside Filter inside Aggregate) whose
-/// per-op self time is exactly `ms_each` milliseconds.
-fn synthetic_tree(clock: &Clock, ms_each: u64) -> OpProfile {
+/// A chain of the first `depth` of Aggregate ⊃ Filter ⊃ Scan ⊃ Resample,
+/// each operator nested in its parent, whose per-op self time is exactly
+/// `ms_each` milliseconds.
+fn synthetic_tree(clock: &Clock, depth: usize, ms_each: u64) -> OpProfile {
+    const OPS: [&str; 4] = ["op:Aggregate", "op:Filter", "op:Scan", "op:Resample"];
     let rec = TraceRecorder::new(clock.clone());
     let stage = rec.start("scan_collect");
     let t0 = clock.now();
-    clock.advance(std::time::Duration::from_millis(3 * ms_each));
-    for (name, id, walls) in
-        [("op:Scan", 2usize, 1u64), ("op:Filter", 1, 2), ("op:Aggregate", 0, 3)]
-    {
+    clock.advance(std::time::Duration::from_millis(depth as u64 * ms_each));
+    for id in (0..depth).rev() {
+        let walls = (depth - id) as u64;
         let end = Timestamp::from_nanos(t0.nanos() + walls * ms_each * 1_000_000);
-        let sp = rec.record_span(name, t0, end);
+        let sp = rec.record_span(OPS[id], t0, end);
         rec.attr(sp, "node_id", id);
-        rec.attr(sp, "rows_in", 100);
-        rec.attr(sp, "rows_out", 80);
+        rec.attr(sp, "rows_in", 100 * walls);
+        rec.attr(sp, "rows_out", 80 * walls);
         rec.attr(sp, "batches", 1);
-        rec.attr(sp, "bytes", 640);
+        rec.attr(sp, "bytes", 640 * walls);
     }
     rec.end(stage);
     OpProfile::from_trace(&rec.finish()).expect("profile")
@@ -137,83 +135,48 @@ fn cumulative_profile_accumulates_and_exports_deterministically() {
             s.execute("SELECT city, COUNT(*) FROM sessions GROUP BY city").unwrap();
         }
         let cum = s.cumulative_profile().expect("contprof is on");
-        (cum.to_json(), folded_stacks(&cum), cum)
+        (cum.to_json(), cum)
     };
-    let (json_a, folded_a, cum) = run();
-    let (json_b, folded_b, _) = run();
+    let (json_a, cum) = run();
+    let (json_b, _) = run();
     assert_eq!(json_a, json_b, "cumulative JSON must be bit-stable across runs");
-    assert_eq!(folded_a, folded_b, "folded stacks must be bit-stable across runs");
     assert_eq!(cum.queries_observed(), 8);
     assert_eq!(cum.classes(), 2, "AVG → default, GROUP BY → dashboards");
     assert!(cum.paths() > 0);
-    // Every folded line is `class;Op[;Op...] <self_ns>`.
-    for line in folded_a.lines() {
-        let (stack, self_ns) = line.rsplit_once(' ').expect("folded line shape");
-        assert!(stack.contains(';'), "stack `{stack}` must start with its class");
-        self_ns.parse::<u64>().expect("self time is integral nanoseconds");
+    // A header line, then one `(class, path)` cell per line.
+    assert_eq!(json_a.lines().count(), 1 + cum.paths());
+    for line in json_a.lines().skip(1) {
+        assert!(line.starts_with("{\"class\":"), "{line}");
     }
-}
-
-#[test]
-fn chrome_trace_export_is_bit_stable_and_well_formed() {
-    let run = || {
-        let obs = ObsHandle::isolated(Clock::mock());
-        let s = profiled_session(13, Some(routing()), obs);
-        let a = s.execute("SELECT AVG(time) FROM sessions").unwrap();
-        chrome_trace(&a.trace)
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(a, b, "chrome trace must be bit-stable across runs");
-    assert!(a.starts_with("{\"traceEvents\":["), "{a}");
-    assert!(a.ends_with("]}\n"), "{a}");
-    assert!(a.contains("\"ph\":\"X\""), "complete events only: {a}");
-    assert!(a.contains("\"name\":\"op:Scan\""), "operator spans exported: {a}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The shard merge is associative and order-insensitive: folding the
-    /// same shards in any grouping and any order yields identical state
-    /// and identical exported bytes.
+    /// A session shared by concurrent callers folds their queries in
+    /// whatever order they finish: two permutations of the same operator
+    /// trees yield the same bytes.
     #[test]
-    fn merge_is_associative_and_order_insensitive(
-        ops in prop::collection::vec((0usize..3, 1u64..6), 1..12),
-        order in prop::collection::vec(0usize..3, 3..4),
+    fn folding_is_independent_of_order(
+        ops in prop::collection::vec((0usize..3, 1usize..5, 1u64..6, any::<u32>()), 1..12),
     ) {
         let clock = Clock::mock();
         let classes = ["interactive", "reports", "batch"];
-        let mut shards = [
-            CumulativeProfile::new(),
-            CumulativeProfile::new(),
-            CumulativeProfile::new(),
-        ];
-        for (i, &(class, ms)) in ops.iter().enumerate() {
-            let tree = synthetic_tree(&clock, ms);
-            shards[i % 3].observe(classes[class], std::slice::from_ref(&tree));
-        }
-        // Associativity: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
-        let mut left = shards[0].clone();
-        left.merge(&shards[1]);
-        left.merge(&shards[2]);
-        let mut bc = shards[1].clone();
-        bc.merge(&shards[2]);
-        let mut right = shards[0].clone();
-        right.merge(&bc);
-        prop_assert_eq!(&left, &right);
-        // Order-insensitivity: any shard order yields the same bytes.
-        let mut permuted = CumulativeProfile::new();
-        for &i in &order {
-            permuted.merge(&shards[i]);
-        }
-        let mut reference = CumulativeProfile::new();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        for &i in &sorted {
-            reference.merge(&shards[i]);
-        }
-        prop_assert_eq!(permuted.to_json(), reference.to_json());
-        prop_assert_eq!(folded_stacks(&permuted), folded_stacks(&reference));
+        let trees: Vec<(&str, OpProfile)> = ops
+            .iter()
+            .map(|&(class, depth, ms, _)| (classes[class], synthetic_tree(&clock, depth, ms)))
+            .collect();
+        let fold = |order: &[usize]| {
+            let mut cum = CumulativeProfile::new();
+            for &i in order {
+                cum.observe(trees[i].0, &trees[i].1);
+            }
+            cum.to_json()
+        };
+        let arrival: Vec<usize> = (0..ops.len()).collect();
+        let mut shuffled = arrival.clone();
+        shuffled.sort_by_key(|&i| ops[i].3);
+        prop_assert_eq!(fold(&arrival), fold(&shuffled));
     }
 }
 
@@ -249,22 +212,18 @@ fn contprof_overhead_is_bounded_at_five_percent() {
     );
 }
 
-/// A fixed-seed profiled workload's folded stacks and the chrome trace of
-/// its last query, byte for byte.
+/// A fixed-seed profiled workload's cumulative profile, byte for byte.
 #[test]
 fn dump_artifact_for_ci_smoke() {
     let s = profiled_session(7, Some(routing()), ObsHandle::isolated(Clock::mock()));
-    let mut last_trace = None;
     for i in 0..12 {
         let sql = match i % 3 {
             0 => "SELECT AVG(time) FROM sessions",
             1 => "SELECT SUM(bytes) FROM sessions",
             _ => "SELECT city, COUNT(*) FROM sessions GROUP BY city",
         };
-        last_trace = Some(s.execute(sql).unwrap().trace);
+        s.execute(sql).unwrap();
     }
     let cum = s.cumulative_profile().expect("contprof is on");
-    common::assert_matches_golden("profile_seed7.folded", &folded_stacks(&cum));
-    let trace = chrome_trace(&last_trace.expect("queries ran"));
-    common::assert_matches_golden("profile_seed7.chrome.json", &trace);
+    common::assert_matches_golden("profile_seed7.jsonl", &cum.to_json());
 }

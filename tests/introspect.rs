@@ -199,23 +199,6 @@ fn recursion_guard_keeps_introspection_out_of_its_own_telemetry() {
 }
 
 #[test]
-fn allow_recursive_opt_in_folds_introspection_queries() {
-    let obs = ObsHandle::isolated(Clock::mock());
-    let s = introspected_session(11, Some(routing().with_recursive(true)), obs);
-    for _ in 0..10 {
-        s.execute("SELECT AVG(time) FROM sessions").unwrap();
-    }
-    let count = |s: &AqpSession| {
-        let a = s.execute("SELECT COUNT(*) FROM _telemetry.queries").unwrap();
-        a.scalar().expect("scalar count").estimate
-    };
-    let first = count(&s);
-    let second = count(&s);
-    assert_eq!(first, 10.0, "the serving query folds after it answers");
-    assert_eq!(second, 11.0, "with allow_recursive the previous query is visible");
-}
-
-#[test]
 fn introspect_overhead_is_bounded_at_five_percent() {
     // Real clock, bootstrap-heavy workload: folding telemetry into the
     // ring buffers must stay under 5% of total query wall-clock.
