@@ -235,8 +235,8 @@ pub fn execute_approx(
     let (values, groups) = (total_values(&collected), collected.groups.len() as u64);
     record_plan_op(&rec, span, None, plan, "Aggregate", values, groups);
     rec.end(est_span);
-    let inputs = BarInputs { collected, thetas, estimates, contexts };
-    let (collected, estimates) = (&inputs.collected, &inputs.estimates);
+    let inputs = BarInputs { collected, thetas, contexts };
+    let collected = &inputs.collected;
 
     // Stage 3 — diagnostics, per (group, aggregate), parallelized across
     // groups. It reads θ(S) and the collected data, never the answer's
@@ -291,7 +291,7 @@ pub fn execute_approx(
     let kept: Vec<(usize, usize)> =
         jobs.iter().zip(&diags).filter(|(_, d)| !refused(d)).map(|(&job, _)| job).collect();
     let widen = degraded_info.as_ref().map_or(1.0, |d| d.widen_factor);
-    let (bars, err_workers) = inputs.bars(&kept, opts, widen);
+    let (bars, err_workers) = inputs.bars(&kept, |gi, ai| estimates[gi][ai], opts, widen);
     if let Some(d) = &degraded_info {
         rec.attr(err_span, "widen_factor", d.widen_factor);
         rec.attr(err_span, "effective_rows", d.effective_rows);
@@ -375,20 +375,20 @@ pub fn execute_approx(
 pub struct BarInputs {
     collected: Collected,
     thetas: Vec<PreparedTheta>,
-    /// θ(S) per (group, aggregate).
-    estimates: Vec<Vec<f64>>,
     /// Sizing context per group.
     contexts: Vec<SampleContext>,
 }
 
 impl BarInputs {
-    /// ξ over the whole range of each of `jobs`, half-widths widened by
-    /// `widen` (the conservative factor of a degraded run). Every job draws
-    /// from a stream of its own, so its bars do not depend on which other
-    /// jobs run, or when.
+    /// ξ over the whole range of each of `jobs`, centred on its θ(S)
+    /// `estimate(group, aggregate)`, half-widths widened by `widen` (the
+    /// conservative factor of a degraded run). Every job draws from a
+    /// stream of its own, so its bars do not depend on which other jobs
+    /// run, or when.
     fn bars(
         &self,
         jobs: &[(usize, usize)],
+        estimate: impl Fn(usize, usize) -> f64 + Sync,
         opts: &ApproxOptions,
         widen: f64,
     ) -> (Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)>, Vec<WorkerStat>) {
@@ -397,7 +397,7 @@ impl BarInputs {
             let data = &self.collected.groups[gi].aggs[ai];
             let mut whole = self.thetas[ai].bind(data, 0..data.values.len(), &self.contexts[gi]);
             let job_seeds = seeds.derive((gi * MAX_AGGREGATES + ai) as u64);
-            let (mut ci, method) = error_ci(&mut whole, self.estimates[gi][ai], opts, &job_seeds, 0);
+            let (mut ci, method) = error_ci(&mut whole, estimate(gi, ai), opts, &job_seeds, 0);
             if let Some(ci) = ci.as_mut() {
                 ci.widen(widen);
             }
@@ -420,7 +420,8 @@ impl ApproxResult {
             .flat_map(|(gi, g)| (0..g.aggs.len()).filter(|&ai| g.aggs[ai].refused()).map(move |ai| (gi, ai)))
             .collect();
         let widen = self.degraded.as_ref().map_or(1.0, |d| d.widen_factor);
-        let (bars, _) = inputs.bars(&jobs, opts, widen);
+        let groups = &self.groups;
+        let (bars, _) = inputs.bars(&jobs, |gi, ai| groups[gi].aggs[ai].estimate, opts, widen);
         let mut resamples = 0;
         for (&(gi, ai), (ci, method)) in jobs.iter().zip(bars) {
             resamples += opts.bootstrap_k * usize::from(method == MethodUsed::Bootstrap);

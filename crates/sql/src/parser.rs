@@ -34,17 +34,10 @@ const AGG_NAMES: &[&str] =
 /// Scalar functions allowed inside expressions.
 const SCALAR_FUNCS: &[&str] = &["log", "ln", "exp", "sqrt", "abs", "ifnull", "pow"];
 
-/// Bump a well-known counter on the global metrics registry. The
-/// handles are cached per name; steady-state cost is one atomic add.
+/// Bump a well-known counter on the global metrics registry: one short
+/// registry lock and one map lookup, as a per-name handle cache would cost.
 pub(crate) fn count_one(name: &'static str) {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<&'static str, aqp_obs::Counter>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    map.entry(name)
-        .or_insert_with(|| aqp_obs::MetricsRegistry::global().counter(name))
-        .inc();
+    aqp_obs::MetricsRegistry::global().counter(name).inc();
 }
 
 /// Parse one query from `input`.

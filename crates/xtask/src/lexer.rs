@@ -25,6 +25,8 @@
 //! multi-line string literals, and `//` sequences *inside* string
 //! literals (which must not swallow the rest of the line).
 
+use std::path::Path;
+
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Tok {
@@ -94,6 +96,50 @@ impl SpannedTok {
 /// literal or comment simply ends at end-of-file.
 pub fn lex(src: &str) -> Vec<SpannedTok> {
     Lexer { b: src.as_bytes(), src, i: 0, line: 1, out: Vec::new() }.run()
+}
+
+/// One lexed file plus the per-file facts every rule reads.
+pub struct FileTokens {
+    /// Repo-relative path with forward slashes.
+    pub rel: String,
+    /// The token stream.
+    pub toks: Vec<SpannedTok>,
+    /// 1-based inclusive line ranges of `#[cfg(test)]` items.
+    pub test_ranges: Vec<(u32, u32)>,
+    /// The workspace crate this file belongs to (`"<name>"` for
+    /// `crates/<name>/…`, `"root"` for the top-level `src/`, the first
+    /// path component otherwise).
+    pub krate: String,
+    /// Whether this is library code (under a `src/` tree, not under
+    /// `tests`/`benches`/`examples`).
+    pub is_lib: bool,
+}
+
+impl FileTokens {
+    /// Lex `src` as the file at repo-relative path `rel`.
+    pub fn new(rel: &str, src: &str) -> FileTokens {
+        let toks = lex(src);
+        let test_ranges = cfg_test_line_ranges(&toks);
+        let comps: Vec<&str> = Path::new(rel).iter().filter_map(|c| c.to_str()).collect();
+        let krate = if comps.len() >= 2 && comps[0] == "crates" {
+            comps[1].to_string()
+        } else if comps.first() == Some(&"src") {
+            "root".to_string()
+        } else {
+            comps.first().unwrap_or(&"").to_string()
+        };
+        let in_test_tree =
+            comps.iter().any(|c| matches!(*c, "tests" | "benches" | "examples"));
+        let is_lib = !in_test_tree
+            && (comps.first() == Some(&"src")
+                || (comps.len() >= 3 && comps[0] == "crates" && comps[2] == "src"));
+        FileTokens { rel: rel.to_string(), toks, test_ranges, krate, is_lib }
+    }
+
+    /// Is `line` inside a `#[cfg(test)]` region?
+    pub fn in_test(&self, line: u32) -> bool {
+        self.test_ranges.iter().any(|&(s, e)| line >= s && line <= e)
+    }
 }
 
 struct Lexer<'a> {

@@ -36,9 +36,11 @@ fn render() -> String {
     );
     out.push_str(&format!(
         "Every rule `cargo run -p xtask -- analyze` enforces is declared in\n\
-         `rules::RULES` ({SOURCE}) and listed here. Token rules match the\n\
-         lexed token stream of one file; semantic rules run on the\n\
-         whole-workspace item/call/lock index (`index.rs` + `semrules.rs`).\n\
+         `rules::RULES` ({SOURCE}) and listed here. Every rule reads one\n\
+         file at a time: token rules match the lexed token stream of one\n\
+         source file, manifest rules one `Cargo.toml`. Locks are checked by\n\
+         `tests/lint_invariants.rs` (an inventory of every lock and a guard\n\
+         check per file), not here.\n\
          There is no allowlist: a sanctioned exception is part of its rule\n\
          (see Scope). The last column is what each rule has caught in this\n\
          repository, as far as any PR wrote down. {} rules.\n\n",

@@ -3,13 +3,13 @@
 //! Subcommands:
 //!
 //! * `analyze` (alias `lint`) — lexes every `.rs` file in the
-//!   repository (skipping `target/`, `third_party/`, and VCS metadata),
-//!   builds the item/call/lock index, and enforces the token rules of
-//!   `src/rules.rs` plus the semantic rules of `src/semrules.rs`. Also
-//!   verifies `docs/METRICS.md` and `docs/LINTS.md` are current. Exits
-//!   nonzero when any finding remains, printing `file:line: [rule] token
-//!   — hint` for each. There is no allowlist: a sanctioned exception is
-//!   an edit to its rule, with the reason beside it.
+//!   repository (skipping `target/`, `third_party/`, and VCS metadata)
+//!   and runs the rules of `src/rules.rs` on each file and manifest, one
+//!   at a time. Also verifies `docs/METRICS.md` and `docs/LINTS.md` are
+//!   current. Exits nonzero when any finding remains, printing
+//!   `file:line: [rule] token — hint` for each. There is no allowlist: a
+//!   sanctioned exception is an edit to its rule, with the reason beside
+//!   it.
 //! * `corpus` — run the golden query-conformance corpus driver
 //!   (`crates/conformance`): `verify` re-runs every `tests/corpus/*.case`
 //!   and byte-compares the re-rendered `[expect]` body, `bless`
@@ -23,17 +23,15 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod index;
 mod lexer;
 mod lints_inventory;
 mod metrics_inventory;
 mod rules;
-mod semrules;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use index::WorkspaceIndex;
+use lexer::FileTokens;
 use rules::Finding;
 
 fn main() -> ExitCode {
@@ -216,19 +214,12 @@ fn analyze(root: &Path) -> Result<bool, String> {
     source_paths.sort();
     manifests.sort();
 
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(source_paths.len());
+    let mut findings: Vec<Finding> = Vec::new();
     for rel in &source_paths {
         let src = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("reading {rel}: {e}"))?;
-        sources.push((rel.clone(), src));
+        findings.extend(rules::check_file(&FileTokens::new(rel, &src)));
     }
-
-    let idx = WorkspaceIndex::build(&sources);
-    let mut findings: Vec<Finding> = Vec::new();
-    for f in &idx.files {
-        findings.extend(rules::check_file(f));
-    }
-    semrules::check(&idx, &mut findings);
     for rel in &manifests {
         let src = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("reading {rel}: {e}"))?;
@@ -259,7 +250,7 @@ fn analyze(root: &Path) -> Result<bool, String> {
     for f in &findings {
         println!("{f}");
     }
-    let scanned = format!("{} sources + {} manifests", sources.len(), manifests.len());
+    let scanned = format!("{} sources + {} manifests", source_paths.len(), manifests.len());
     if findings.is_empty() {
         println!("aqp-analyze: OK — {scanned} scanned");
     } else {

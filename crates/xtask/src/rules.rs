@@ -1,6 +1,6 @@
-//! The token-level lint rules: each takes a lexed file and appends
-//! findings. The semantic (index-backed) rules live in `semrules.rs`;
-//! [`RULES`] catalogs both families for the generated `docs/LINTS.md`.
+//! The lint rules: each takes one lexed file (or one manifest) and appends
+//! findings; no rule reads more than one file. [`RULES`] catalogs them for
+//! the generated `docs/LINTS.md`.
 //!
 //! Rule families (README.md has the rationale; there is no allowlist — an
 //! exception is part of its rule, like `RNG_CONSTRUCTION_SITE`):
@@ -19,9 +19,16 @@
 //! * `crate-hygiene` — crate roots carry `#![deny(unsafe_code)]` and
 //!   `#![warn(missing_docs)]`; manifests route every dependency through
 //!   `[workspace.dependencies]`.
+//! * `determinism-taint` — no raw `Instant`/`SystemTime` outside the
+//!   Clock, no OS thread ids, and no `HashMap`/`HashSet` iteration in
+//!   library code unless the result is order-insensitive or re-sorted.
+//!
+//! Locks are not a rule: every `Mutex`/`RwLock` is listed, with why it is
+//! a leaf, in `tests/lint_invariants.rs`, which also checks each guard
+//! where it is taken.
 
-use crate::index::FileTokens;
-use crate::lexer::matching_close;
+use crate::lexer::{matching_close, FileTokens, SpannedTok};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Crates whose library code must be panic-free (the request path). Their
@@ -62,7 +69,7 @@ impl std::fmt::Display for Finding {
 pub struct RuleInfo {
     /// Rule family name as it appears in findings.
     pub name: &'static str,
-    /// Analysis tier: `token`, `semantic`, `manifest`, or `docs`.
+    /// Analysis tier: `token`, `manifest`, or `docs`.
     pub tier: &'static str,
     /// Where the rule applies.
     pub scope: &'static str,
@@ -125,20 +132,8 @@ pub const RULES: &[RuleInfo] = &[
         caught: "nothing recorded",
     },
     RuleInfo {
-        name: "lock-order",
-        tier: "semantic",
-        scope: "non-test fns of all workspace crates",
-        summary: "Builds the lock acquisition graph over every \
-                  `Mutex`/`RwLock` field and fails on a guard held across a \
-                  call that can acquire another lock, same-lock re-entry, \
-                  and acquisition-order cycles — the deadlock guard for a \
-                  session shared across threads.",
-        caught: "nothing recorded: every lock is a leaf by its model, and \
-                 nothing else checks that (ROADMAP 7(b))",
-    },
-    RuleInfo {
         name: "determinism-taint",
-        tier: "semantic",
+        tier: "token",
         scope: "clocks: everywhere outside crates/obs; thread ids and hash \
                 iteration: library code outside #[cfg(test)]",
         summary: "Flags dataflow from non-seeded sources into exported \
@@ -169,7 +164,7 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Run all token-level source rules on one lexed file.
+/// Run every source rule on one lexed file.
 pub fn check_file(f: &FileTokens) -> Vec<Finding> {
     let mut out = Vec::new();
     rng_discipline(f, &mut out);
@@ -180,6 +175,7 @@ pub fn check_file(f: &FileTokens) -> Vec<Finding> {
     if is_crate_root(&f.rel) {
         crate_root_attrs(f, &mut out);
     }
+    determinism_taint(f, &mut out);
     out
 }
 
@@ -422,6 +418,254 @@ pub fn check_manifest(rel: &str, src: &str) -> Vec<Finding> {
     out
 }
 
+/// Iterator heads that expose hash ordering.
+const HASH_ITER_HEADS: &[&str] =
+    &["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain", "into_keys", "into_values"];
+
+/// Chain terminals whose result is independent of iteration order.
+const ORDER_INSENSITIVE: &[&str] =
+    &["sum", "count", "min", "max", "all", "any", "product", "len", "fold"];
+
+const THREAD_ID_HINT: &str =
+    "OS thread ids differ across runs; key by a deterministic worker index instead";
+const HASH_ITER_HINT: &str = "HashMap/HashSet iteration order is nondeterministic and taints \
+                              anything exported from it; use BTreeMap/BTreeSet or sort the \
+                              collected result before it escapes";
+
+/// `determinism-taint`: raw clocks outside `crates/obs`, and — in library
+/// code outside `#[cfg(test)]` — OS thread ids and hash-ordered iteration.
+fn determinism_taint(f: &FileTokens, out: &mut Vec<Finding>) {
+    let in_obs = f.rel.starts_with("crates/obs/");
+    let toks = &f.toks;
+    let hash_names = hash_typed_names(toks);
+    let mut flag = |line: u32, token: String, hint: &'static str| {
+        out.push(Finding { file: f.rel.clone(), line, rule: "determinism-taint", token, hint });
+    };
+    for (i, t) in toks.iter().enumerate() {
+        let Some(id) = t.ident() else { continue };
+        // (a) Raw clocks, everywhere but the Clock implementation itself.
+        if matches!(id, "Instant" | "SystemTime") && !in_obs {
+            flag(
+                t.line,
+                id.into(),
+                "raw std::time clocks cannot be mocked and taint anything derived from \
+                 them; measure through aqp_obs::Clock instead",
+            );
+            continue;
+        }
+        if !f.is_lib || f.in_test(t.line) {
+            continue;
+        }
+        // (b) Thread ids: `thread::current().id()` / `ThreadId`.
+        if id == "ThreadId" && !in_obs {
+            flag(t.line, id.into(), THREAD_ID_HINT);
+            continue;
+        }
+        if id == "current"
+            && toks.get(i.wrapping_sub(2)).is_some_and(|p| p.is_ident("thread"))
+            && chain_has(toks, i, "id")
+        {
+            flag(t.line, "thread::current().id()".into(), THREAD_ID_HINT);
+            continue;
+        }
+        // (c) Hash-ordered iteration: `name.iter()`-style chains, and
+        // `for pat in [&[mut]] name { … }`.
+        if !hash_names.contains(id) {
+            continue;
+        }
+        if let Some(head) = toks.get(i + 2).and_then(|t| t.ident()) {
+            if toks[i + 1].is_punct('.')
+                && HASH_ITER_HEADS.contains(&head)
+                && toks.get(i + 3).is_some_and(|t| t.is_punct('('))
+                && !hash_iteration_is_ordered(toks, i)
+            {
+                flag(t.line, format!("{id}.{head}()"), HASH_ITER_HINT);
+            }
+        }
+        if toks.get(i + 1).is_some_and(|n| n.is_punct('{')) && is_for_in_context(toks, i) {
+            flag(t.line, format!("for … in {id}"), HASH_ITER_HINT);
+        }
+    }
+}
+
+/// Identifiers with hash-ordered types in this file: `name: HashMap<…>`
+/// annotations (fields, params, lets) and `let [mut] name = HashMap::…`
+/// initialisations.
+fn hash_typed_names(toks: &[SpannedTok]) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for (i, t) in toks.iter().enumerate() {
+        let Some(id) = t.ident() else { continue };
+        if !matches!(id, "HashMap" | "HashSet") {
+            continue;
+        }
+        // Annotation form: walk back over path segments / colons.
+        let mut k = i;
+        while k > 0 {
+            k -= 1;
+            let skippable = toks[k].is_punct(':')
+                || matches!(toks[k].ident(), Some("std" | "collections"));
+            if !skippable {
+                break;
+            }
+        }
+        if let Some(name) = toks[k].ident() {
+            if toks.get(k + 1).is_some_and(|n| n.is_punct(':'))
+                && !matches!(name, "std" | "collections")
+            {
+                out.insert(name.to_string());
+                continue;
+            }
+        }
+        // Initialisation form: `let [mut] name = [&]HashMap::new()` —
+        // scan back a few tokens for `let`.
+        let lo = i.saturating_sub(6);
+        if let Some(let_at) = (lo..i).rev().find(|&k| toks[k].is_ident("let")) {
+            let mut n = let_at + 1;
+            if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
+                n += 1;
+            }
+            if let Some(name) = toks.get(n).and_then(|t| t.ident()) {
+                out.insert(name.to_string());
+            }
+        }
+    }
+    out
+}
+
+/// Does the method chain starting at the receiver ident `recv` stay
+/// order-insensitive (terminal reduction, BTree collect) or get re-sorted
+/// before its binding goes out of scope?
+fn hash_iteration_is_ordered(toks: &[SpannedTok], recv: usize) -> bool {
+    // Walk the chain: recv . m1 ( … ) . m2 ( … ) …
+    let mut n = recv + 1;
+    let mut last_method = "";
+    while n + 1 < toks.len() && toks[n].is_punct('.') {
+        let Some(m) = toks[n + 1].ident() else { break };
+        last_method = m;
+        // Skip a turbofish: `collect::<BTreeMap<_, _>>`.
+        let mut p = n + 2;
+        let mut saw_btree = false;
+        if toks.get(p).is_some_and(|t| t.is_punct(':')) {
+            while p < toks.len() && !toks[p].is_punct('(') {
+                if matches!(toks[p].ident(), Some("BTreeMap" | "BTreeSet" | "String")) {
+                    saw_btree = true;
+                }
+                p += 1;
+            }
+        }
+        if !toks.get(p).is_some_and(|t| t.is_punct('(')) {
+            break;
+        }
+        if m == "collect" && saw_btree {
+            return true;
+        }
+        match matching_close(toks, p) {
+            Some(close) => n = close + 1,
+            None => break,
+        }
+    }
+    if ORDER_INSENSITIVE.contains(&last_method) {
+        return true;
+    }
+    if last_method.is_empty() {
+        return false;
+    }
+    // A `let x: BTreeMap<…> = …` binding, or a `let mut v = …;` followed
+    // by `v.sort…()` in the same block. Statement start: scan back.
+    let mut s = recv;
+    let mut d = 0i32;
+    while s > 0 {
+        s -= 1;
+        let t = &toks[s];
+        if t.is_punct('}') {
+            // At depth 0 a `}` going backwards is the end of a preceding
+            // block statement, i.e. a statement boundary.
+            if d == 0 {
+                s += 1;
+                break;
+            }
+            d += 1;
+        } else if t.is_punct(')') || t.is_punct(']') {
+            d += 1;
+        } else if t.is_punct('(') || t.is_punct('{') || t.is_punct('[') {
+            if d == 0 {
+                s += 1;
+                break;
+            }
+            d -= 1;
+        } else if d == 0 && t.is_punct(';') {
+            s += 1;
+            break;
+        }
+    }
+    if !toks.get(s).is_some_and(|t| t.is_ident("let")) {
+        return false;
+    }
+    let g = if toks.get(s + 1).is_some_and(|t| t.is_ident("mut")) { s + 2 } else { s + 1 };
+    let Some(name) = toks.get(g).and_then(|t| t.ident()) else { return false };
+    let annotated_btree = toks[g..recv]
+        .iter()
+        .take_while(|t| !t.is_punct('='))
+        .any(|t| matches!(t.ident(), Some("BTreeMap" | "BTreeSet")));
+    if annotated_btree {
+        return true;
+    }
+    // Re-sorted later in the block the binding lives in?
+    let mut depth = 0i32;
+    for k in recv..toks.len().saturating_sub(2) {
+        if toks[k].is_punct('{') {
+            depth += 1;
+        } else if toks[k].is_punct('}') {
+            depth -= 1;
+            if depth < 0 {
+                break;
+            }
+        } else if toks[k].is_ident(name)
+            && toks[k + 1].is_punct('.')
+            && toks[k + 2].ident().is_some_and(|m| m.starts_with("sort"))
+        {
+            return true;
+        }
+    }
+    false
+}
+
+/// Does a `.m()` appear later in the chain at `i` (receiver ident)?
+fn chain_has(toks: &[SpannedTok], i: usize, method: &str) -> bool {
+    let mut n = i + 1;
+    for _ in 0..8 {
+        if n + 1 >= toks.len() {
+            return false;
+        }
+        if toks[n].is_punct('.') {
+            if toks[n + 1].is_ident(method) {
+                return true;
+            }
+            n += 2;
+        } else if toks[n].is_punct('(') {
+            match matching_close(toks, n) {
+                Some(c) => n = c + 1,
+                None => return false,
+            }
+        } else {
+            return false;
+        }
+    }
+    false
+}
+
+/// Is ident `i` the iterated expression of a `for … in` header? Accepts
+/// `in name`, `in &name`, `in &mut name`.
+fn is_for_in_context(toks: &[SpannedTok], i: usize) -> bool {
+    let mut k = i;
+    if k > 0 && toks[k - 1].is_ident("mut") && k >= 2 && toks[k - 2].is_punct('&') {
+        k -= 2;
+    } else if k > 0 && toks[k - 1].is_punct('&') {
+        k -= 1;
+    }
+    k > 0 && toks[k - 1].is_ident("in")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,6 +794,48 @@ mod tests {
     }
 
     #[test]
+    fn taint_flags_hash_iteration_and_clocks() {
+        let f = rules_on(
+            "crates/storage/src/catalog.rs",
+            "struct I { tables: HashMap<String, u32> }\n\
+             impl I {\n\
+               fn names(&self) -> Vec<String> { self.tables.keys().cloned().collect() }\n\
+             }\n",
+        );
+        assert!(f.iter().any(|x| x.rule == "determinism-taint" && x.token.contains("keys")), "{f:?}");
+        let f = rules_on("crates/exec/src/a.rs", "fn t() { let x = Instant::now(); }");
+        assert!(f.iter().any(|x| x.rule == "determinism-taint" && x.token == "Instant"));
+    }
+
+    #[test]
+    fn taint_allows_sorted_and_reduced_iteration() {
+        let f = rules_on(
+            "crates/storage/src/catalog.rs",
+            "struct I { tables: HashMap<String, u32> }\n\
+             impl I {\n\
+               fn names(&self) -> Vec<String> {\n\
+                 let mut v: Vec<String> = self.tables.keys().cloned().collect();\n\
+                 v.sort();\n\
+                 v\n\
+               }\n\
+               fn total(&self) -> u32 { self.tables.values().sum() }\n\
+               fn count(&self) -> usize { self.tables.keys().count() }\n\
+             }\n",
+        );
+        assert!(f.iter().all(|x| x.rule != "determinism-taint"), "{f:?}");
+    }
+
+    #[test]
+    fn hash_typed_names_found() {
+        let toks = crate::lexer::lex(
+            "struct I { tables: HashMap<String, u32>, names: Vec<String> }\n\
+             fn f(m: std::collections::HashMap<u32, u32>) { let mut local = HashSet::new(); }\n",
+        );
+        let names: Vec<String> = hash_typed_names(&toks).into_iter().collect();
+        assert_eq!(names, ["local", "m", "tables"]);
+    }
+
+    #[test]
     fn rule_catalog_is_complete_and_unique() {
         let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
         for required in [
@@ -557,7 +843,6 @@ mod tests {
             "nan-safety",
             "panic-freedom",
             "crate-hygiene",
-            "lock-order",
             "determinism-taint",
             "metrics-docs",
             "lints-docs",

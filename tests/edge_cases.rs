@@ -152,6 +152,95 @@ fn repeated_execution_is_stable_under_concurrency() {
     assert!(results.windows(2).all(|w| w[0] == w[1]), "{results:?}");
 }
 
+/// Forced interleavings on one shared session: two readers run a fixed mix
+/// while a writer registers a UDF, builds a larger uniform sample and then
+/// a stratified one, each step landing only after the readers have
+/// answered more queries. Every answer must be one the session gives
+/// serially in some prefix state of the writer's sequence — a query sees
+/// the registry and the samples as they stood, never a torn mix, and a
+/// query naming the UDF before it exists is a typed error, not a panic.
+#[test]
+fn writes_interleaved_with_queries_answer_as_some_prefix_state() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const MIX: [&str; 4] = [
+        "SELECT late_geo_mean(time) FROM sessions",
+        "SELECT AVG(time) FROM sessions",
+        "SELECT city, AVG(time) FROM sessions GROUP BY city",
+        "SELECT AVG(time) FROM sessions WITHIN 5% ERROR AT CONFIDENCE 95%",
+    ];
+    let fresh = || {
+        let s = AqpSession::new(SessionConfig { seed: 21, threads: 1, ..Default::default() });
+        s.register_table(conviva_sessions_table(40_000, 2, 21)).unwrap();
+        s.build_samples("sessions", &[8_000], 22).unwrap();
+        s
+    };
+    let step = |s: &AqpSession, k: usize| match k {
+        0 => s.register_udf("late_geo_mean", reliable_aqp::stats::estimator::udfs::geometric_mean()),
+        1 => s.build_samples("sessions", &[16_000], 23).unwrap(),
+        _ => s.build_stratified_sample("sessions", "city", 1_000, 24).unwrap(),
+    };
+    let render = |r: aqp_core::Result<reliable_aqp::AqpAnswer>| match r {
+        Ok(a) => format!("{:?} {} {:?}", a.mode, a.sample_rows, a.groups),
+        Err(aqp_core::CoreError::Exec(reliable_aqp::exec::ExecError::UnknownUdf(name))) => {
+            format!("unknown UDF {name}")
+        }
+        Err(e) => panic!("an interleaved query failed: {e:?}"),
+    };
+
+    // The serial answers of every prefix state, on fresh sessions.
+    let mut serial: Vec<Vec<String>> = vec![Vec::new(); MIX.len()];
+    for prefix in 0..=3 {
+        let s = fresh();
+        (0..prefix).for_each(|k| step(&s, k));
+        for (qi, sql) in MIX.iter().enumerate() {
+            serial[qi].push(render(s.execute(sql)));
+        }
+    }
+    assert!(serial[0][0].starts_with("unknown UDF") && !serial[0][1].starts_with("unknown UDF"));
+
+    let shared = fresh();
+    let (answered, writing) = (AtomicUsize::new(0), AtomicBool::new(true));
+    let seen: Vec<(usize, String)> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut seen = Vec::new();
+                    // Keep going while the writer writes, then one more full
+                    // mix, which sees the final state.
+                    let mut last_round = false;
+                    while !last_round {
+                        last_round = !writing.load(Ordering::SeqCst);
+                        for (qi, sql) in MIX.iter().enumerate() {
+                            seen.push((qi, render(shared.execute(sql))));
+                            answered.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        for k in 0..3 {
+            // Each write lands mid-mix: after the readers answered more.
+            let until = answered.load(Ordering::SeqCst) + 3;
+            let readers_gone = || readers.iter().all(|r| r.is_finished());
+            while answered.load(Ordering::SeqCst) < until && !readers_gone() {
+                std::thread::yield_now();
+            }
+            step(&shared, k);
+        }
+        writing.store(false, Ordering::SeqCst);
+        readers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+    });
+
+    for (qi, answer) in &seen {
+        assert!(serial[*qi].contains(answer), "{}: no prefix state answers\n{answer}", MIX[*qi]);
+    }
+    // Every reader's last mix ran after the last write.
+    for (qi, states) in serial.iter().enumerate() {
+        assert!(seen.contains(&(qi, states[3].clone())), "{}: the final state was never seen", MIX[qi]);
+    }
+}
+
 #[test]
 fn empty_strata_handled() {
     let s = AqpSession::new(SessionConfig::default());
