@@ -5,19 +5,23 @@
 //! then *reused* by the point estimate, all bootstrap replicates, and all
 //! diagnostic subsamples — no repeated scans, no tuple duplication.
 
+use std::cell::RefCell;
+use std::ops::Range;
+
 use aqp_diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
 use aqp_faults::{DegradedInfo, EventKind, FaultConfig, FaultInjector, ScanFaultSummary};
 use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
 use aqp_sql::logical::LogicalPlan;
-use aqp_stats::estimator::SampleContext;
+use aqp_stats::closed_form::{closed_form_lanes, ClosedForm, Coverage, LANES};
+use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
 use crate::collect::{scan, AggData, Collected, OpStats};
 use crate::parallel::{default_threads, parallel_map_observed, WorkerStat};
 use crate::result::{refused, AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
-use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
+use crate::theta::{bootstrap_ci_prepared, BoundTheta, PreparedTheta};
 use crate::udf::UdfRegistry;
 use crate::{ExecError, Result};
 
@@ -221,21 +225,35 @@ pub fn execute_approx(
         })
         .collect();
 
-    // Stage 2 — point estimates θ(S) from the collected data.
+    // Stage 2 — point estimates θ(S) from the collected data; a long
+    // range's from the closed-form pass where θ is one of its folds, kept
+    // for the range's bars.
     let est_span = rec.start(stage::POINT_ESTIMATE);
     let est_start = opts.obs.clock.now();
     let thetas = prepare_thetas(&collected, registry)?;
+    let mut passes = Vec::with_capacity(collected.groups.len() * thetas.len());
     let estimates: Vec<Vec<f64>> = collected
         .groups
         .iter()
         .zip(&contexts)
-        .map(|(g, ctx)| g.aggs.iter().zip(&thetas).map(|(data, theta)| theta.estimate(data, ctx)).collect())
+        .map(|(g, ctx)| {
+            let whole = |(data, theta): (&AggData, &PreparedTheta)| {
+                let mut whole = theta.bind(data, 0..data.values.len(), ctx);
+                let (estimate, pass) = match data.values.len() >= LOCKSTEP_MIN_VALUES {
+                    true => whole.estimate_with_pass(),
+                    false => (whole.estimate(), None),
+                };
+                passes.push(pass);
+                estimate
+            };
+            g.aggs.iter().zip(&thetas).map(whole).collect()
+        })
         .collect();
     let span = (est_start, opts.obs.clock.now());
     let (values, groups) = (total_values(&collected), collected.groups.len() as u64);
     record_plan_op(&rec, span, None, plan, "Aggregate", values, groups);
     rec.end(est_span);
-    let inputs = BarInputs { collected, thetas, contexts };
+    let inputs = BarInputs { collected, thetas, contexts, passes };
     let collected = &inputs.collected;
 
     // Stage 3 — diagnostics, per (group, aggregate), parallelized across
@@ -276,6 +294,8 @@ pub fn execute_approx(
                     cfg,
                     opts,
                     seeds: seeds.derive(0xD1).derive((gi * MAX_AGGREGATES + ai) as u64),
+                    coverage: Coverage::new(opts.alpha),
+                    passes: Default::default(),
                 };
                 Some(subsamples.diagnose(estimates[gi][ai]))
             })
@@ -377,6 +397,9 @@ pub struct BarInputs {
     thetas: Vec<PreparedTheta>,
     /// Sizing context per group.
     contexts: Vec<SampleContext>,
+    /// The closed-form pass θ(S) was read from, per (group, aggregate) in
+    /// that order.
+    passes: Vec<Option<ClosedForm>>,
 }
 
 impl BarInputs {
@@ -393,11 +416,13 @@ impl BarInputs {
         widen: f64,
     ) -> (Vec<(Option<aqp_stats::ci::Ci>, MethodUsed)>, Vec<WorkerStat>) {
         let seeds = SeedStream::new(opts.seed).derive(0xC1);
+        let coverage = Coverage::new(opts.alpha);
         parallel_map_observed(jobs.to_vec(), opts.threads, &opts.obs.clock, |(gi, ai)| {
             let data = &self.collected.groups[gi].aggs[ai];
             let mut whole = self.thetas[ai].bind(data, 0..data.values.len(), &self.contexts[gi]);
             let job_seeds = seeds.derive((gi * MAX_AGGREGATES + ai) as u64);
-            let (mut ci, method) = error_ci(&mut whole, estimate(gi, ai), opts, &job_seeds, 0);
+            let pass = self.passes[gi * self.thetas.len() + ai];
+            let (mut ci, method) = error_ci(&mut whole, pass, estimate(gi, ai), opts, coverage, &job_seeds, 0);
             if let Some(ci) = ci.as_mut() {
                 ci.widen(widen);
             }
@@ -648,17 +673,21 @@ fn total_values(collected: &Collected) -> u64 {
 /// The error estimate ξ of a bound θ — the whole range for the answer's
 /// error bars, a borrowed sub-range for each of the diagnostic's disjoint
 /// subsamples — around `center`, θ's estimate on that range, with
-/// resamples drawn from `seeds.rng(label)`.
+/// resamples drawn from `seeds.rng(label)`. `pass` is the range's
+/// closed-form pass where one was made already; `coverage` is
+/// `opts.alpha`'s.
 fn error_ci(
     bound: &mut BoundTheta<'_>,
+    pass: Option<ClosedForm>,
     center: f64,
     opts: &ApproxOptions,
+    coverage: Coverage,
     seeds: &SeedStream,
     label: u64,
 ) -> (Option<aqp_stats::ci::Ci>, MethodUsed) {
     // `Auto` takes the closed form when there is one (it says so itself).
     if opts.method != MethodChoice::Bootstrap {
-        match closed_form_ci_prepared(bound, opts.alpha) {
+        match pass.or_else(|| bound.closed_form()).and_then(|pass| pass.ci(coverage)) {
             Some(ci) => return (Some(ci), MethodUsed::ClosedForm),
             None if opts.method == MethodChoice::ClosedForm => return (None, MethodUsed::None),
             None => {}
@@ -670,6 +699,16 @@ fn error_ci(
         None => (None, MethodUsed::None),
     }
 }
+
+/// Ranges of fewer values than this make their closed-form pass alone,
+/// when ξ asks for it. Longer ones make it where θ is made — a
+/// subsample's with the other long subsamples of its block of [`LANES`],
+/// in lockstep, the answer's with θ(S) — and keep it. A constant, not a
+/// setting: it weighs the lockstep and sharing gains on long ranges
+/// against the passes a verdict fixed early never reads and the fixed
+/// cost of a pass on a short range, neither of which a query knows in
+/// advance (DESIGN §4 item 12 has the measurement that chose it).
+const LOCKSTEP_MIN_VALUES: usize = 64;
 
 /// The diagnostic operator's view of one (group, aggregate) job: the p
 /// disjoint subsamples of each level, as row ranges of the
@@ -688,30 +727,87 @@ struct Subsamples<'a> {
     cfg: &'a DiagnosticConfig,
     opts: &'a ApproxOptions,
     seeds: SeedStream,
+    /// `opts.alpha`'s, for every closed-form ξ of the job.
+    coverage: Coverage,
+    /// Closed-form passes by `level * p + j`, made when first asked for
+    /// (empty until then).
+    passes: RefCell<Vec<Option<ClosedForm>>>,
 }
 
 impl Subsamples<'_> {
-    /// θ bound to subsample `j` of `level`. Disjoint subsamples are
-    /// *pre-filter row* ranges of the shuffled sample, so filtered counts
-    /// vary binomially across subsamples as they do across real samples.
-    fn bind(&self, level: usize, j: usize) -> BoundTheta<'_> {
+    /// The context of a subsample of `level`.
+    fn sub_ctx(&self, level: usize) -> SampleContext {
         let b = self.cfg.subsample_rows[level];
         let share = match self.row_window {
             0 => 1.0,
             window => self.ctx.sample_rows as f64 / window as f64,
         };
         let sub_rows = ((b as f64 * share).round() as usize).max(1);
-        let sub_ctx = SampleContext::new(sub_rows, self.ctx.population_rows);
-        let range = self.data.range_for_rows(j * b, (j + 1) * b, self.row_window);
-        self.theta.bind(self.data, range, &sub_ctx)
+        SampleContext::new(sub_rows, self.ctx.population_rows)
+    }
+
+    /// The values of subsample `j` of `level`. Disjoint subsamples are
+    /// *pre-filter row* ranges of the shuffled sample, so filtered counts
+    /// vary binomially across subsamples as they do across real samples.
+    fn range(&self, level: usize, j: usize) -> Range<usize> {
+        let b = self.cfg.subsample_rows[level];
+        self.data.range_for_rows(j * b, (j + 1) * b, self.row_window)
+    }
+
+    /// The closed-form pass over subsample `j` of `level`, which holds at
+    /// least [`LOCKSTEP_MIN_VALUES`] values, when ξ is a closed form that
+    /// folds the values (not COUNT's): made, if it is not yet, with every
+    /// other such subsample of its block of [`LANES`] that has none, in
+    /// one [`closed_form_lanes`] call.
+    fn pass(&self, level: usize, j: usize) -> Option<ClosedForm> {
+        let bootstrap = self.opts.method == MethodChoice::Bootstrap;
+        let agg = self.theta.closed_form_aggregate().filter(|&a| !bootstrap && a != Aggregate::Count)?;
+        let p = self.cfg.p;
+        let mut passes = self.passes.borrow_mut();
+        if passes.is_empty() {
+            passes.resize(self.cfg.k() * p, None);
+        }
+        let level_passes = &mut passes[level * p..(level + 1) * p];
+        if level_passes[j].is_none() {
+            let block = j / LANES * LANES..(j / LANES * LANES + LANES).min(p);
+            let open = block.filter(|&i| level_passes[i].is_none());
+            let lanes: Vec<(usize, &[f64])> = open
+                .map(|i| (i, &self.data.values[self.range(level, i)]))
+                .filter(|(_, v)| v.len() >= LOCKSTEP_MIN_VALUES)
+                .collect();
+            let ranges: Vec<&[f64]> = lanes.iter().map(|&(_, v)| v).collect();
+            let mut made = [ClosedForm::default(); LANES];
+            closed_form_lanes(&agg, &ranges, &self.sub_ctx(level), &mut made)?;
+            for (&(i, _), pass) in lanes.iter().zip(made) {
+                level_passes[i] = Some(pass);
+            }
+        }
+        level_passes[j]
+    }
+
+    /// θ̂ on subsample `j` of `level` — read from its closed-form pass where
+    /// it has one and θ is one of the pass's folds — with θ bound to the
+    /// subsample and whether the subsample is long enough for a pass made
+    /// ahead.
+    fn theta_hat(&self, level: usize, j: usize) -> (f64, (BoundTheta<'_>, bool)) {
+        let range = self.range(level, j);
+        let long = range.len() >= LOCKSTEP_MIN_VALUES;
+        let mut bound = self.theta.bind(self.data, range, &self.sub_ctx(level));
+        let theta_hat = match (long && self.theta.theta_from_pass()).then(|| self.pass(level, j)).flatten() {
+            Some(pass) => pass.estimate,
+            None => bound.estimate(),
+        };
+        (theta_hat, (bound, long))
     }
 
     /// ξ's half-width on a bound subsample, around the θ̂ the driver
     /// already has. Each (level, j) draws from a stream of its own, so
     /// neither the order of evaluation nor what is skipped shows in it.
-    fn xi(&self, level: usize, j: usize, theta_hat: f64, mut bound: BoundTheta<'_>) -> f64 {
+    fn xi(&self, level: usize, j: usize, theta_hat: f64, (mut bound, long): (BoundTheta<'_>, bool)) -> f64 {
         let level_seeds = self.seeds.derive(level as u64);
-        let (ci, _) = error_ci(&mut bound, theta_hat, self.opts, &level_seeds, j as u64);
+        let pass = long.then(|| self.pass(level, j)).flatten();
+        let (opts, coverage) = (self.opts, self.coverage);
+        let (ci, _) = error_ci(&mut bound, pass, theta_hat, opts, coverage, &level_seeds, j as u64);
         ci.map_or(f64::NAN, |ci| ci.half_width)
     }
 
@@ -721,11 +817,8 @@ impl Subsamples<'_> {
             theta_s,
             self.cfg,
             self.opts.alpha,
-            |level, j| {
-                let mut bound = self.bind(level, j);
-                (bound.estimate(), bound)
-            },
-            |level, j, theta_hat, bound| self.xi(level, j, theta_hat, bound),
+            |level, j| self.theta_hat(level, j),
+            |level, j, theta_hat, prepared| self.xi(level, j, theta_hat, prepared),
         )
     }
 }
@@ -1107,24 +1200,31 @@ mod tests {
     /// What the verdict-first order rests on: ξ(level, j) is a function
     /// of (level, j) alone — its own RNG stream, no state carried from
     /// one subsample to the next — so evaluating the cells last to first
-    /// gives the half-widths of first to last, bit for bit.
+    /// gives the half-widths of first to last, bit for bit. The closed
+    /// forms make their passes a block of subsamples at a time, and every
+    /// subsample of these holds more values than the lockstep cut, so the
+    /// backward order enters every block at its last subsample.
     #[test]
     fn subsample_error_estimates_do_not_depend_on_evaluation_order() {
-        let pop = population(30_000, 40);
-        let sample = sample_of(&pop, 6_000, 41);
+        let pop = population(40_000, 40);
+        let sample = sample_of(&pop, 10_000, 41);
         let registry = UdfRegistry::default();
         let opts = ApproxOptions { seed: 42, bootstrap_k: 30, ..Default::default() };
-        let cfg = DiagnosticConfig::scaled_to(6_000, 20);
+        let cfg = DiagnosticConfig::scaled_to(10_000, 20);
         for sql in [
             "SELECT MAX(time) FROM sessions WHERE city = 'NYC'",
             "SELECT trimmed_mean(time) FROM sessions",
             "SELECT AVG(s) FROM (SELECT SUM(time) AS s FROM sessions GROUP BY user_id)",
             "SELECT AVG(time) FROM sessions",
+            "SELECT SUM(time) FROM sessions",
+            "SELECT COUNT(*) FROM sessions WHERE city <> 'NYC'",
+            "SELECT VARIANCE(time) FROM sessions",
+            "SELECT STDDEV(time) FROM sessions",
         ] {
             let plan = plan_of(sql, &pop);
             let collected = crate::collect::collect(&plan, &sample, 2).unwrap();
             let thetas = prepare_thetas(&collected, &registry).unwrap();
-            let subsamples = Subsamples {
+            let subsamples = || Subsamples {
                 theta: &thetas[0],
                 data: &collected.groups[0].aggs[0],
                 ctx: SampleContext::new(collected.pre_filter_rows, pop.num_rows()),
@@ -1132,19 +1232,30 @@ mod tests {
                 cfg: &cfg,
                 opts: &opts,
                 seeds: SeedStream::new(43),
+                coverage: Coverage::new(opts.alpha),
+                passes: Default::default(),
             };
             let cells: Vec<(usize, usize)> =
                 (0..cfg.k()).flat_map(|level| (0..cfg.p).map(move |j| (level, j))).collect();
-            let xi = |&(level, j): &(usize, usize)| {
-                let mut bound = subsamples.bind(level, j);
-                let theta_hat = bound.estimate();
-                subsamples.xi(level, j, theta_hat, bound).to_bits()
+            if thetas[0].closed_form_applicable() {
+                let shortest = cells.iter().map(|&(level, j)| subsamples().range(level, j).len()).min();
+                assert!(shortest >= Some(LOCKSTEP_MIN_VALUES), "{sql}: {shortest:?}");
+            }
+            // A fresh job per order: nothing made in one is read by the other.
+            let run = |order: &[(usize, usize)]| -> Vec<(u64, u64)> {
+                let subsamples = subsamples();
+                let cell = |&(level, j): &(usize, usize)| {
+                    let (theta_hat, prepared) = subsamples.theta_hat(level, j);
+                    (theta_hat.to_bits(), subsamples.xi(level, j, theta_hat, prepared).to_bits())
+                };
+                order.iter().map(cell).collect()
             };
-            let forward: Vec<u64> = cells.iter().map(xi).collect();
-            let mut backward: Vec<u64> = cells.iter().rev().map(xi).collect();
+            let forward = run(&cells);
+            let reversed: Vec<(usize, usize)> = cells.iter().rev().copied().collect();
+            let mut backward = run(&reversed);
             backward.reverse();
             assert_eq!(forward, backward, "{sql}");
-            let distinct: std::collections::HashSet<u64> = forward.iter().copied().collect();
+            let distinct: std::collections::HashSet<u64> = forward.iter().map(|&(_, xi)| xi).collect();
             assert!(distinct.len() > cells.len() / 2, "{sql}: half-widths barely vary");
         }
     }

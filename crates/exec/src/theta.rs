@@ -20,7 +20,7 @@ use std::sync::Arc;
 use aqp_sql::ast::{AggExpr, AggFunc};
 use aqp_stats::bootstrap::bootstrap_ci_around;
 use aqp_stats::ci::Ci;
-use aqp_stats::closed_form::closed_form_ci;
+use aqp_stats::closed_form::{closed_form, ClosedForm, Coverage};
 use aqp_stats::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
 use aqp_stats::rng::Rng;
 
@@ -162,8 +162,22 @@ impl PreparedTheta {
     /// Whether closed-form error estimation applies (single-level builtin
     /// with a known closed form, §2.3.2).
     pub fn closed_form_applicable(&self) -> bool {
-        self.inner.is_none()
-            && self.outer.builtin().map(|a| a.closed_form_applicable()).unwrap_or(false)
+        self.closed_form_aggregate().is_some()
+    }
+
+    /// The aggregate closed-form error estimation runs on, where it applies.
+    pub fn closed_form_aggregate(&self) -> Option<Aggregate> {
+        self.outer.builtin().filter(|a| self.inner.is_none() && a.closed_form_applicable())
+    }
+
+    /// Whether θ is one of the folds of the closed-form pass (VARIANCE,
+    /// STDDEV, SUM), so that a range's θ and its σ̂ come from one pass.
+    /// AVG's θ is a Σx fold, much cheaper than the Welford chain its σ̂
+    /// needs, and stays apart: a range whose bars are never asked for does
+    /// not pay for them. COUNT's pass folds nothing — θ and σ̂ are
+    /// arithmetic on the range's length — so there is nothing to share.
+    pub fn theta_from_pass(&self) -> bool {
+        matches!(self.closed_form_aggregate(), Some(Aggregate::Variance | Aggregate::StdDev | Aggregate::Sum))
     }
 
     /// Point estimate over collected data (full range).
@@ -237,6 +251,22 @@ impl BoundTheta<'_> {
         match &mut self.nested {
             Some(nested) => nested.eval(None),
             None => self.theta.outer.estimate(self.values, &self.ctx),
+        }
+    }
+
+    /// The closed-form pass over the bound range — θ and σ̂ in one loop —
+    /// or `None` where θ has no closed form.
+    pub fn closed_form(&self) -> Option<ClosedForm> {
+        closed_form(&self.theta.closed_form_aggregate()?, self.values, &self.ctx)
+    }
+
+    /// θ on the bound range and, where θ is read from it
+    /// ([`PreparedTheta::theta_from_pass`]), the closed-form pass, for the
+    /// range's bars to reuse.
+    pub fn estimate_with_pass(&mut self) -> (f64, Option<ClosedForm>) {
+        match self.theta.theta_from_pass().then(|| self.closed_form()).flatten() {
+            Some(pass) => (pass.estimate, Some(pass)),
+            None => (self.estimate(), None),
         }
     }
 
@@ -326,11 +356,7 @@ pub fn bootstrap_ci_prepared(
 
 /// Closed-form CI of the bound θ, or `None` when not applicable.
 pub fn closed_form_ci_prepared(bound: &BoundTheta<'_>, alpha: f64) -> Option<Ci> {
-    if !bound.theta.closed_form_applicable() {
-        return None;
-    }
-    let agg = bound.theta.outer.builtin()?;
-    closed_form_ci(&agg, bound.values, &bound.ctx, alpha)
+    bound.closed_form()?.ci(Coverage::new(alpha))
 }
 
 #[cfg(test)]

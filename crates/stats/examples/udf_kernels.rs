@@ -5,13 +5,22 @@
 //! subsamples of 160, 80 and 40 — with the largest relative difference
 //! between the two sides' replicates.
 //!
+//! Then the closed-form pass of each aggregate, in ns per value: eight
+//! ranges one `closed_form` call each against one `closed_form_lanes`
+//! call over all eight (interleaved where the fold is a divide chain —
+//! AVG, VARIANCE, STDDEV), at the subsample sizes of the benchmark's
+//! `closed_form_scan` (45 / 90 / 180 values at `--quick`, 900 at full
+//! length) and an answer's 90 k, with whether the lanes gave every
+//! range's bits.
+//!
 //! ```bash
 //! cargo run --release -p aqp-stats --example udf_kernels
 //! ```
 
 use aqp_obs::Clock;
 use aqp_stats::bootstrap::bootstrap_replicates;
-use aqp_stats::estimator::{udfs, QueryEstimator, SampleContext, Udf};
+use aqp_stats::closed_form::{closed_form, closed_form_lanes, ClosedForm, LANES};
+use aqp_stats::estimator::{udfs, Aggregate, QueryEstimator, SampleContext, Udf};
 use aqp_stats::rng::rng_from_seed;
 use rand::RngExt;
 
@@ -71,6 +80,55 @@ fn main() {
                 "| `{name}` | {n} | {expansion:.2} | {ns:.2} | {:.2} | {diff:.1e} |",
                 ns / expansion
             );
+        }
+    }
+    closed_forms();
+}
+
+/// Median over seven rounds of `f` run `reps` times, in ns per value of
+/// `values` values a run.
+fn ns_per_value(reps: usize, values: usize, mut f: impl FnMut()) -> f64 {
+    let clock = Clock::real();
+    let mut ns: Vec<f64> = (0..7)
+        .map(|_| {
+            let ((), took) = clock.time(|| (0..reps).for_each(|_| f()));
+            took.as_nanos() as f64 / (reps * values) as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[3]
+}
+
+/// The closed-form table: one range at a time against eight in lockstep.
+fn closed_forms() {
+    let mut rng = rng_from_seed(2);
+    // Like the benchmark's `bitrate`: normal(2500, 600).
+    let column: Vec<f64> = (0..LANES * 90_000)
+        .map(|_| 2_500.0 + 600.0 * (-2.0 * rng.random::<f64>().ln()).sqrt() * rng.random::<f64>().cos())
+        .collect();
+    println!();
+    println!("| aggregate | values | one range ns | {LANES} lanes ns | ratio | same bits |");
+    println!("|---|---|---|---|---|---|");
+    for agg in [Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance, Aggregate::StdDev] {
+        for n in [45usize, 90, 180, 900, 90_000] {
+            let ranges: Vec<&[f64]> = column.chunks(n).take(LANES).collect();
+            let ctx = SampleContext::new(2 * n, 200 * n);
+            let reps = (4_000_000 / (LANES * n)).max(3);
+            let one = ns_per_value(reps, LANES * n, || {
+                for r in &ranges {
+                    std::hint::black_box(closed_form(&agg, std::hint::black_box(r), &ctx));
+                }
+            });
+            let mut together = [ClosedForm::default(); LANES];
+            let lanes = ns_per_value(reps, LANES * n, || {
+                closed_form_lanes(&agg, std::hint::black_box(&ranges), &ctx, &mut together);
+                std::hint::black_box(&together);
+            });
+            // `Debug` prints a float's shortest round trip: equal text, equal bits.
+            let same = ranges.iter().zip(&together).all(|(r, cf)| {
+                format!("{:?}", closed_form(&agg, r, &ctx)) == format!("{:?}", Some(cf))
+            });
+            println!("| `{agg}` | {n} | {one:.2} | {lanes:.2} | {:.2} | {same} |", lanes / one);
         }
     }
 }

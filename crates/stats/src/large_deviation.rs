@@ -10,7 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ci::Ci;
-use crate::estimator::{Aggregate, QueryEstimator, SampleContext};
+use crate::closed_form::closed_form;
+use crate::estimator::{Aggregate, SampleContext};
 
 /// The precomputed population value range the bounds need ("must be
 /// precomputed for every θ and … requires difficult manual analysis").
@@ -86,55 +87,30 @@ pub fn large_deviation_ci(
     if n == 0 || !(0.0..1.0).contains(&alpha) {
         return None;
     }
-    let center = agg.estimate(values, ctx);
-    let var_y = || {
-        // Variance of the per-sample-row contribution y (zeros included).
-        let sum: f64 = values.iter().sum();
-        let sum_sq: f64 = values.iter().map(|x| x * x).sum();
-        let mean_y = sum / n as f64;
-        (sum_sq / n as f64 - mean_y * mean_y).max(0.0)
+    // θ and the variance a Bernstein bound needs, from the closed form's
+    // one pass.
+    let pass = closed_form(agg, values, ctx)?;
+    let hw_mean = |range: RangeHint, m: usize| match ineq {
+        Inequality::Hoeffding => hoeffding_mean_half_width(range, m, alpha),
+        Inequality::Bernstein => bernstein_mean_half_width(range, pass.variance, m, alpha),
     };
     let hw = match agg {
         Aggregate::Avg => {
-            let m = values.len();
-            if m == 0 {
+            if values.is_empty() {
                 return None;
             }
-            match ineq {
-                Inequality::Hoeffding => hoeffding_mean_half_width(range, m, alpha),
-                Inequality::Bernstein => {
-                    let mom = crate::moments::Moments::from_slice(values);
-                    bernstein_mean_half_width(range, mom.variance_population(), m, alpha)
-                }
-            }
+            hw_mean(range, values.len())
         }
-        Aggregate::Sum => {
-            // Estimator is N · mean(y); y ranges over range ∪ {0}.
-            let r = range.including_zero();
-            let hw_mean = match ineq {
-                Inequality::Hoeffding => hoeffding_mean_half_width(r, n, alpha),
-                Inequality::Bernstein => bernstein_mean_half_width(r, var_y(), n, alpha),
-            };
-            ctx.population_rows as f64 * hw_mean
-        }
-        Aggregate::Count => {
-            // Estimator is N · mean(1(pass)); indicator ranges over [0,1].
-            let r = RangeHint::new(0.0, 1.0);
-            let q = values.len() as f64 / n as f64;
-            let hw_mean = match ineq {
-                Inequality::Hoeffding => hoeffding_mean_half_width(r, n, alpha),
-                Inequality::Bernstein => {
-                    bernstein_mean_half_width(r, q * (1.0 - q), n, alpha)
-                }
-            };
-            ctx.population_rows as f64 * hw_mean
-        }
+        // Estimator is N · mean(y); y ranges over range ∪ {0}.
+        Aggregate::Sum => ctx.population_rows as f64 * hw_mean(range.including_zero(), n),
+        // Estimator is N · mean(1(pass)); indicator ranges over [0,1].
+        Aggregate::Count => ctx.population_rows as f64 * hw_mean(RangeHint::new(0.0, 1.0), n),
         _ => return None,
     };
-    if center.is_nan() {
+    if pass.estimate.is_nan() {
         return None;
     }
-    Some(Ci::new(center, hw, alpha))
+    Some(Ci::new(pass.estimate, hw, alpha))
 }
 
 #[cfg(test)]
