@@ -217,7 +217,7 @@ impl Observers {
         let started = self.obs.clock.now();
         let class = slo.engine.classify(sql);
         let scores = scored.iter().map(|(_, score)| *score);
-        let (slo_alerts, _drift) = slo.engine.observe_audit(class, scores, started);
+        let slo_alerts = slo.engine.observe_audit(class, scores, started);
         for alert in &audit_alerts {
             slo.recorder.dump_with_context(
                 &format!("audit:{}", alert.key),

@@ -60,10 +60,10 @@ pub struct SessionConfig {
     /// fall back to exact execution when losses exceed the policy.
     pub faults: Option<aqp_faults::FaultConfig>,
     /// Fleet-level SLOs: burn-rate/error-budget alerting over latency
-    /// and CI-coverage objectives, online drift detection over audit
-    /// scores, and the always-on flight recorder (`None` = off, the
-    /// default — with `None` nothing is constructed and the pipeline
-    /// is bit-identical to a build without the SLO layer).
+    /// and CI-coverage objectives (the latter fed by the auditor's
+    /// coverage verdicts), and the always-on flight recorder (`None` =
+    /// off, the default — with `None` nothing is constructed and the
+    /// pipeline is bit-identical to a build without the SLO layer).
     pub slo: Option<aqp_slo::SloConfig>,
     /// Continuous profiling: fold every query's operator profile into a
     /// fleet-cumulative profile keyed by workload class × operator path
@@ -142,8 +142,9 @@ impl AqpSession {
         self.observers.audit_report()
     }
 
-    /// The SLO engine's scorekeeping so far — burn rates, budgets,
-    /// drift streams, and the alert history (`None` when SLOs are off).
+    /// The SLO engine's scorekeeping so far — per-objective burn rates,
+    /// budgets and latches, and the alert history (`None` when SLOs are
+    /// off).
     pub fn slo_report(&self) -> Option<aqp_slo::SloReport> {
         self.observers.slo_report()
     }

@@ -26,6 +26,9 @@ use crate::tables::{Cell, TelemetryTable, TABLE_AUDIT, TABLE_FAULTS, TABLE_METRI
 /// Row budget of each `_telemetry.*` reservoir; beyond it, seeded
 /// reservoir downsampling keeps a uniform subset.
 const BUDGET_ROWS: usize = 4096;
+/// Every this many folded queries, a point-in-time metrics snapshot goes
+/// into `_telemetry.metrics` (snapshots are the most voluminous source).
+const METRICS_EVERY: u64 = 16;
 /// Fraction of a materialized table the uniform sample the approximate
 /// path runs on covers.
 const SAMPLE_FRACTION: f64 = 0.5;
@@ -171,7 +174,7 @@ impl Introspector {
     /// Fold one finished query's telemetry into the tables: a
     /// `_telemetry.queries` row, one `_telemetry.spans` row per trace
     /// span, fault events, operator rows, SLO alerts, and (every
-    /// `metrics_every`th fold) a point-in-time metrics snapshot.
+    /// [`METRICS_EVERY`]th fold) a point-in-time metrics snapshot.
     pub fn fold_query(&self, rec: &QueryRecord<'_>) {
         let class = self.cfg.classes.classify(rec.sql).to_string();
         let mut state = self.state.lock();
@@ -179,8 +182,7 @@ impl Introspector {
         let qid = state.folded as i64;
         // Snapshot before this query's rows go in: the sample lags the
         // query's own fold by design (point-in-time).
-        let snap = (self.cfg.metrics_every > 0 && state.folded.is_multiple_of(self.cfg.metrics_every))
-            .then(|| self.registry.snapshot());
+        let snap = state.folded.is_multiple_of(METRICS_EVERY).then(|| self.registry.snapshot());
         state.offer(
             TABLE_QUERIES,
             vec![

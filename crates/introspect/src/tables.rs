@@ -29,7 +29,10 @@ pub const TABLE_METRICS: &str = "_telemetry.metrics";
 pub const TABLE_AUDIT: &str = "_telemetry.audit";
 /// One row per injected fault / retry / speculative event.
 pub const TABLE_FAULTS: &str = "_telemetry.faults";
-/// One row per SLO alert (burn-rate page/warn, drift signal).
+/// One row per alert latched during a folded query: `query, class,
+/// objective, severity, trigger`, where `trigger` is `latency` (an SLO
+/// latency objective), `audit_score` (an SLO coverage objective) or
+/// `audit` (the auditor's coverage window).
 pub const TABLE_SLO_ALERTS: &str = "_telemetry.slo_alerts";
 /// One row per executed operator (the per-query mirror of the
 /// contprof cumulative profile): `query, class, op, path, wall_ms,

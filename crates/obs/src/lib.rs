@@ -168,17 +168,6 @@ pub mod name {
     pub const SLO_PAGE_ALERTS: &str = "aqp.slo.page_alerts_fired";
     /// Warn-severity burn-rate alerts latched (slow 6h/3d windows).
     pub const SLO_WARN_ALERTS: &str = "aqp.slo.warn_alerts_fired";
-    /// Worst burn rate across objectives over the fast window pair
-    /// (gauge; 1.0 = spending budget exactly at the sustainable rate).
-    pub const SLO_WORST_BURN_FAST: &str = "aqp.slo.worst_burn_fast";
-    /// Worst burn rate across objectives over the slow window pair
-    /// (gauge).
-    pub const SLO_WORST_BURN_SLOW: &str = "aqp.slo.worst_burn_slow";
-    /// Smallest remaining error-budget fraction across objectives over
-    /// the slow 3d window (gauge, 0..1).
-    pub const SLO_MIN_BUDGET_REMAINING: &str = "aqp.slo.min_budget_remaining";
-    /// Online drift signals raised by the EWMA / Page-Hinkley detectors.
-    pub const SLO_DRIFT_SIGNALS: &str = "aqp.slo.drift_signals";
     /// SLO-log lines that failed to write (sink I/O errors).
     pub const SLO_LOG_ERRORS: &str = "aqp.slo.log_write_errors";
     /// Wall-clock spent in SLO observation + evaluation per query

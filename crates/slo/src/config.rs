@@ -1,7 +1,6 @@
 //! Declarative SLO configuration: workload classes, objectives, the
 //! JSONL alert log and the flight recorder. The burn-rate windows and
-//! thresholds and the drift detectors' knobs are constants of
-//! `engine.rs` and `drift.rs`.
+//! thresholds are constants of `engine.rs`.
 
 use aqp_obs::FlightRecorderConfig;
 
@@ -86,7 +85,7 @@ pub struct SloConfig {
     pub classes: ClassRouter,
     /// The declared objectives.
     pub objectives: Vec<Objective>,
-    /// Rotating JSONL log for alerts and drift signals (`None` = no log).
+    /// Rotating JSONL log for alerts (`None` = no log).
     pub log: Option<SloLogConfig>,
     /// Flight-recorder sizing and dump path.
     pub recorder: FlightRecorderConfig,
@@ -126,7 +125,7 @@ impl SloConfig {
         self
     }
 
-    /// Route alerts and drift signals to a rotating JSONL log.
+    /// Route alerts to a rotating JSONL log.
     pub fn with_log(mut self, log: SloLogConfig) -> Self {
         self.log = Some(log);
         self

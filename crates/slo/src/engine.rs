@@ -1,6 +1,5 @@
 //! The SLO engine: multi-window burn-rate evaluation over good/bad
-//! event streams, error-budget accounting, hysteresis-latched alerts,
-//! and the drift-detector plumbing.
+//! event streams, error-budget accounting and hysteresis-latched alerts.
 //!
 //! Objectives are reduced to event streams: a latency objective turns
 //! every query into a good/bad event (bad = over the threshold), a
@@ -20,23 +19,15 @@
 //! The windows and thresholds are constants: they are the recipe's, no
 //! caller has ever set another, and the SLO goldens pin them.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use aqp_audit::AuditScore;
 use aqp_obs::json::{push_f64, push_str_lit};
-use aqp_obs::{name, Counter, Gauge, LazySink, ObsHandle, Timestamp};
+use aqp_obs::{name, Counter, LazySink, ObsHandle, Timestamp};
 
 use crate::config::{Objective, ObjectiveKind, SloConfig};
-use crate::drift::{DriftDetector, DriftSignal, DriftStatus};
-
-/// Pseudo-class prefixing the fleet-wide drift streams
-/// (`fleet/coverage_miss`, `fleet/rel_error`): every audited indicator
-/// feeds these in addition to its own class stream, so a drift that
-/// rides in on a *new* workload class — whose class stream has no
-/// healthy baseline to deviate from — is still caught.
-pub const FLEET_STREAM_CLASS: &str = "fleet";
 
 const NS_PER_S: u64 = 1_000_000_000;
 /// Short window of the fast (page) pair: 5 minutes.
@@ -225,10 +216,6 @@ struct Meters {
     bad: Counter,
     page_alerts: Counter,
     warn_alerts: Counter,
-    worst_burn_fast: Gauge,
-    worst_burn_slow: Gauge,
-    min_budget: Gauge,
-    drift_signals: Counter,
 }
 
 /// State behind the engine lock.
@@ -236,7 +223,6 @@ struct Meters {
 struct State {
     events: u64,
     objectives: Vec<ObjectiveState>,
-    drift: BTreeMap<String, DriftDetector>,
     alerts: Vec<SloAlert>,
     sink: LazySink,
 }
@@ -262,15 +248,10 @@ impl SloEngine {
                 bad: metrics.counter(name::SLO_EVENTS_BAD),
                 page_alerts: metrics.counter(name::SLO_PAGE_ALERTS),
                 warn_alerts: metrics.counter(name::SLO_WARN_ALERTS),
-                worst_burn_fast: metrics.gauge(name::SLO_WORST_BURN_FAST),
-                worst_burn_slow: metrics.gauge(name::SLO_WORST_BURN_SLOW),
-                min_budget: metrics.gauge(name::SLO_MIN_BUDGET_REMAINING),
-                drift_signals: metrics.counter(name::SLO_DRIFT_SIGNALS),
             },
             state: Mutex::new(State {
                 events: 0,
                 objectives,
-                drift: BTreeMap::new(),
                 alerts: Vec::new(),
                 sink,
             }),
@@ -309,30 +290,21 @@ impl SloEngine {
         for (idx, bad) in events {
             fired.extend(self.observe_event(&mut st, idx, bad, now));
         }
-        self.finish(&mut st);
+        st.sink.flush();
         fired
     }
 
     /// Observe one audited query's per-aggregate scores for every
-    /// coverage objective of `class`, and feed the drift streams.
-    /// Returns the latched alerts and any drift signals raised.
-    ///
-    /// Each indicator feeds two detectors: the per-class stream
-    /// (`<class>/coverage_miss`, `<class>/rel_error`) and the
-    /// fleet-wide stream (prefixed [`FLEET_STREAM_CLASS`]). The fleet
-    /// stream is what catches a *routing* drift — a workload class that
-    /// was healthy during its own baseline never re-baselines, but the
-    /// fleet stream sees the healthy-to-miscalibrated transition across
-    /// classes and fires between audit windows.
+    /// coverage objective of `class`: each score with a coverage verdict
+    /// is one event, bad on a miss. Returns the alerts latched by them.
     pub fn observe_audit(
         &self,
         class: &str,
         scores: impl IntoIterator<Item = AuditScore>,
         now: Timestamp,
-    ) -> (Vec<SloAlert>, Vec<DriftSignal>) {
+    ) -> Vec<SloAlert> {
         let mut st = self.lock();
         let mut fired = Vec::new();
-        let mut signals = Vec::new();
         let coverage_idxs: Vec<usize> = st
             .objectives
             .iter()
@@ -343,45 +315,13 @@ impl SloEngine {
             })
             .map(|(idx, _)| idx)
             .collect();
-        for score in scores {
-            if let Some(covered) = score.covered {
-                for &idx in &coverage_idxs {
-                    fired.extend(self.observe_event(&mut st, idx, !covered, now));
-                }
-                let miss = if covered { 0.0 } else { 1.0 };
-                self.observe_drift(&mut st, class, "coverage_miss", miss, &mut signals);
-            }
-            if let Some(rel_error) = score.rel_error.filter(|e| e.is_finite()) {
-                self.observe_drift(&mut st, class, "rel_error", rel_error, &mut signals);
+        for covered in scores.into_iter().filter_map(|s| s.covered) {
+            for &idx in &coverage_idxs {
+                fired.extend(self.observe_event(&mut st, idx, !covered, now));
             }
         }
-        self.finish(&mut st);
-        (fired, signals)
-    }
-
-    /// Feed one value to the `class/stream` drift detector and to the
-    /// fleet-wide `fleet/stream` one, logging and counting any signal.
-    fn observe_drift(
-        &self,
-        st: &mut State,
-        class: &str,
-        stream: &str,
-        x: f64,
-        signals: &mut Vec<DriftSignal>,
-    ) {
-        let fleet = (class != FLEET_STREAM_CLASS).then_some(FLEET_STREAM_CLASS);
-        for class in std::iter::once(class).chain(fleet) {
-            let key = format!("{class}/{stream}");
-            let detector = st
-                .drift
-                .entry(key.clone())
-                .or_insert_with(|| DriftDetector::new(&key));
-            if let Some(signal) = detector.observe(x) {
-                self.meters.drift_signals.inc();
-                st.sink.write_line(|| drift_line(&signal));
-                signals.push(signal);
-            }
-        }
+        st.sink.flush();
+        fired
     }
 
     /// Record one good/bad event for objective `idx` and evaluate its
@@ -453,26 +393,8 @@ impl SloEngine {
         fired
     }
 
-    /// Refresh the fleet gauges and flush the log after a batch of
-    /// observations.
-    fn finish(&self, st: &mut State) {
-        let mut worst_fast = 0.0f64;
-        let mut worst_slow = 0.0f64;
-        let mut min_budget = 1.0f64;
-        for o in &st.objectives {
-            worst_fast = worst_fast.max(o.burn_fast);
-            worst_slow = worst_slow.max(o.burn_slow);
-            min_budget = min_budget.min(o.budget_remaining);
-        }
-        self.meters.worst_burn_fast.set(worst_fast);
-        self.meters.worst_burn_slow.set(worst_slow);
-        self.meters.min_budget.set(min_budget);
-        st.sink.flush();
-    }
-
     /// A deterministic snapshot of everything the engine knows:
-    /// per-objective burns/budgets/latches, drift-stream states, and
-    /// the alert history. Contains no wall-clock data beyond what the
+    /// per-objective burns/budgets/latches and the alert history. Contains no wall-clock data beyond what the
     /// (mockable) session clock produced, so a seeded run renders
     /// bit-identically on repeat.
     pub fn report(&self) -> SloReport {
@@ -494,7 +416,6 @@ impl SloEngine {
                     warn_latched: !o.warn_armed,
                 })
                 .collect(),
-            drift: st.drift.values().map(|d| d.status()).collect(),
             alerts: st.alerts.clone(),
         }
     }
@@ -530,14 +451,12 @@ pub struct SloReport {
     pub events: u64,
     /// Per-objective status, in declaration order.
     pub objectives: Vec<ObjectiveStatus>,
-    /// Per-stream drift status, stream-name-sorted.
-    pub drift: Vec<DriftStatus>,
     /// Every alert latched, in firing order.
     pub alerts: Vec<SloAlert>,
 }
 
 impl SloReport {
-    /// Render the burn/budget table, drift verdicts, and alert history.
+    /// Render the burn/budget table and the alert history.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -574,21 +493,6 @@ impl SloReport {
                 latched
             ));
         }
-        if self.drift.is_empty() {
-            out.push_str("drift: no streams\n");
-        } else {
-            out.push_str("drift streams:\n");
-            for d in &self.drift {
-                let last = match d.last_signal_at {
-                    Some(at) => format!("event {at}"),
-                    None => "-".to_string(),
-                };
-                out.push_str(&format!(
-                    "  {:<28} events={:<6} signals={:<3} last={}\n",
-                    d.stream, d.events, d.signals, last
-                ));
-            }
-        }
         if self.alerts.is_empty() {
             out.push_str("alerts: none\n");
         } else {
@@ -619,20 +523,6 @@ fn alert_line(a: &SloAlert) -> String {
     push_f64(&mut out, a.budget_remaining);
     out.push_str(",\"at_event\":");
     out.push_str(&a.at_event.to_string());
-    out.push_str("}}");
-    out
-}
-
-/// The JSONL record of one drift signal.
-fn drift_line(s: &DriftSignal) -> String {
-    let mut out = String::from("{\"slo_drift\":{\"stream\":");
-    push_str_lit(&mut out, &s.stream);
-    out.push_str(",\"detector\":");
-    push_str_lit(&mut out, s.detector.as_str());
-    out.push_str(",\"at_event\":");
-    out.push_str(&s.at_event.to_string());
-    out.push_str(",\"statistic\":");
-    push_f64(&mut out, s.statistic);
     out.push_str("}}");
     out
 }
@@ -671,7 +561,6 @@ mod tests {
         let snap = obs.metrics.snapshot();
         assert_eq!(snap.counter(name::SLO_EVENTS), Some(200));
         assert_eq!(snap.counter(name::SLO_EVENTS_BAD), Some(0));
-        assert_eq!(snap.gauge(name::SLO_MIN_BUDGET_REMAINING), Some(1.0));
     }
 
     #[test]
@@ -752,55 +641,9 @@ mod tests {
         let after = report.objectives[0].budget_remaining;
         assert!(after < before, "misses must consume budget ({before} -> {after})");
         assert_eq!(report.objectives[0].bad, 30);
-        // The sustained 50% miss rate also trips the drift stream.
-        assert!(report.drift.iter().any(|d| d.stream == "default/coverage_miss"));
-        let snap = obs.metrics.snapshot();
-        assert!(snap.counter(name::SLO_DRIFT_SIGNALS).unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    fn fleet_drift_stream_catches_a_miscalibrated_new_class() {
-        let obs = obs();
-        let engine = SloEngine::new(
-            SloConfig::new().with_coverage("healthy", 0.95).with_coverage("tail", 0.95),
-            &obs,
-        );
-        let hit = AuditScore {
-            covered: Some(true),
-            rel_error: Some(0.01),
-            error_ratio: Some(0.5),
-            outcome: None,
-        };
-        let miss = AuditScore {
-            covered: Some(false),
-            rel_error: Some(0.6),
-            error_ratio: Some(8.0),
-            outcome: None,
-        };
-        for i in 0..40 {
-            let (_, signals) = engine.observe_audit("healthy", [hit], ts(i));
-            assert!(signals.is_empty(), "healthy baseline must not signal at {i}");
-        }
-        // The "tail" class is brand new: its own stream is constant-bad
-        // from its first event (nothing to deviate from), but the fleet
-        // stream carries the healthy baseline across classes and fires
-        // within a handful of miscalibrated queries.
-        let mut fleet_signal_at = None;
-        for i in 40..60 {
-            let (_, signals) = engine.observe_audit("tail", [miss], ts(i));
-            assert!(
-                signals.iter().all(|s| s.stream.starts_with("fleet/")),
-                "the baseline-free tail stream must stay quiet: {signals:?}"
-            );
-            if fleet_signal_at.is_none() && !signals.is_empty() {
-                fleet_signal_at = Some(i);
-            }
-        }
-        let at = fleet_signal_at.expect("fleet stream must flag the phase change");
-        assert!(at < 50, "fleet drift too slow: fired at query {at}");
-        let report = engine.report();
-        assert!(report.drift.iter().any(|d| d.stream == "fleet/coverage_miss"));
-        assert!(report.drift.iter().any(|d| d.stream == "tail/coverage_miss"));
+        // A score without a coverage verdict is no event.
+        engine.observe_audit("default", [AuditScore { covered: None, ..miss }], ts(60));
+        assert_eq!(engine.report().objectives[0].events, 60);
     }
 
     #[test]
@@ -832,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn alerts_and_drift_signals_reach_the_jsonl_log() {
+    fn alerts_reach_the_jsonl_log() {
         let dir = std::env::temp_dir().join("aqp_slo_engine_log_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create log dir");

@@ -1,23 +1,21 @@
-//! An operator's fleet dashboard: SLO burn rates, error budgets, drift
-//! verdicts, and the flight recorder's last dump — over a Facebook +
-//! Conviva query mix with fault injection switched on.
+//! An operator's fleet dashboard: SLO burn rates, error budgets, the
+//! audit window's alerts, and the flight recorder's last dump — over a
+//! Facebook + Conviva query mix with fault injection switched on.
 //!
 //! ```bash
 //! cargo run --release --example slo_dashboard -- --queries 150 --dump dumps.jsonl
 //! ```
 //!
 //! The session runs on the mock clock with a fixed seed, so the whole
-//! dashboard — alert sequence, burn-rate table, drift signals, and every
-//! recorder dump byte — is reproducible across processes; CI diffs two
-//! runs' dump artifacts. The replay has two phases:
+//! dashboard — alert sequence, burn-rate table, and every recorder dump
+//! byte — is reproducible across processes. The replay has two phases:
 //!
 //! * a **healthy** mix (closed-form AVG/SUM/COUNT over the Conviva and
 //!   Facebook tables) whose CI coverage holds the 95% floor, then
 //! * a **miscalibrated** tail (unchecked bootstrap `MAX(payload_kb)`
-//!   over a Pareto column) whose coverage collapses: the drift
-//!   detectors flag the stream within a handful of queries, the burn
-//!   rate crosses the page threshold, and every latched alert freezes a
-//!   flight-recorder dump.
+//!   over a Pareto column) whose coverage collapses: the tail coverage
+//!   objective's burn rate crosses the page threshold, the audit window
+//!   alerts, and every latched alert freezes a flight-recorder dump.
 //!
 //! The session also runs the self-hosted telemetry pipeline
 //! (`crates/introspect`): the closing panel answers fleet questions —
@@ -191,9 +189,9 @@ fn main() {
     }
 
     println!(
-        "\nDrift flags the miscalibrated stream within a handful of queries; the burn \
-         rate pages once the budget is burning ~14x too fast; and every alert ships \
-         with a frozen flight-recorder artifact for post-hoc debugging."
+        "\nThe tail's coverage objective pages once its budget burns ~14x too fast, \
+         the audit window alerts on the same misses, and every alert ships with a \
+         frozen flight-recorder artifact for post-hoc debugging."
     );
 
     if let Some(path) = metrics_path {

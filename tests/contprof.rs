@@ -3,8 +3,9 @@
 //! whose bytes do not depend on the order queries arrive in (proptest),
 //! and a <5% fold-in overhead bound on a real clock.
 //!
-//! [`dump_artifact_for_ci_smoke`] pins the cumulative profile of one
-//! profiled workload byte for byte (`tests/golden/profile_seed7.jsonl`).
+//! [`cumulative_profile_matches_profile_seed7`] pins the cumulative
+//! profile of one profiled workload byte for byte
+//! (`tests/golden/profile_seed7.jsonl`).
 
 mod common;
 
@@ -214,7 +215,7 @@ fn contprof_overhead_is_bounded_at_five_percent() {
 
 /// A fixed-seed profiled workload's cumulative profile, byte for byte.
 #[test]
-fn dump_artifact_for_ci_smoke() {
+fn cumulative_profile_matches_profile_seed7() {
     let s = profiled_session(7, Some(routing()), ObsHandle::isolated(Clock::mock()));
     for i in 0..12 {
         let sql = match i % 3 {

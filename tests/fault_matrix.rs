@@ -10,8 +10,9 @@
 //!   than fault-free ones, and their empirical coverage over a
 //!   fixed-seed harness stays within two points of the fault-free run.
 //!
-//! [`dump_trace_for_ci_smoke`] pins the JSONL trace of one mixed-fault
-//! query per seed (`tests/golden/fault_trace_seed{1,2,3}.jsonl`).
+//! [`mixed_fault_traces_match_fault_trace_seeds`] pins the JSONL trace
+//! of one mixed-fault query per seed
+//! (`tests/golden/fault_trace_seed{1,2,3}.jsonl`).
 
 mod common;
 
@@ -317,7 +318,7 @@ fn degraded_coverage_tracks_fault_free_coverage() {
 /// One mixed-fault query per seed: its JSONL trace (every injected
 /// fault, retry and speculative launch), byte for byte.
 #[test]
-fn dump_trace_for_ci_smoke() {
+fn mixed_fault_traces_match_fault_trace_seeds() {
     for seed in 1..=3 {
         let table = sample_table(seed);
         let registry = UdfRegistry::default();

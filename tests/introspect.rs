@@ -5,9 +5,10 @@
 //! queries out of their own telemetry, and a <5% fold-in overhead bound
 //! on a real clock.
 //!
-//! [`dump_artifact_for_ci_smoke`] pins the rendered answers (estimates,
-//! CIs, and diagnostic verdicts as exact bit patterns) of one
-//! fault-injected run (`tests/golden/introspect_seed7.txt`).
+//! [`telemetry_answers_match_introspect_seed7`] pins the rendered
+//! answers (estimates, CIs, and diagnostic verdicts as exact bit
+//! patterns) of one fault-injected run
+//! (`tests/golden/introspect_seed7.txt`).
 
 mod common;
 
@@ -294,7 +295,7 @@ fn concurrent_callers_get_serial_answers_and_never_panic() {
 /// A fixed-seed fault-injected workload, then the system's own telemetry
 /// queried: the bit-exact rendering of every answer.
 #[test]
-fn dump_artifact_for_ci_smoke() {
+fn telemetry_answers_match_introspect_seed7() {
     let seed = 7;
     let obs = ObsHandle::isolated(Clock::mock());
     // Fault draws are fixed per (cfg.seed, task, attempt): seed 3 is a

@@ -303,7 +303,7 @@ const LOCKS: &[(&str, &str, &str)] = &[
     ("crates/obs/src/metrics.rs", "inner", "name → handle maps; held for one lookup or one snapshot"),
     ("crates/obs/src/recorder.rs", "inner", "the flight recorder's ring; held to push or to render a dump"),
     ("crates/obs/src/trace.rs", "state", "one query's spans; held for one span edit"),
-    ("crates/slo/src/engine.rs", "state", "burn windows and drift streams; its guard touches atomics and its own sink"),
+    ("crates/slo/src/engine.rs", "state", "burn windows and the alert history; its guard touches atomics and its own sink"),
     ("crates/storage/src/catalog.rs", "inner", "tables and samples; no closure run under it names the catalog"),
 ];
 

@@ -10,12 +10,16 @@
 //!
 //! The golden file was recorded by the commit *before* `observers.rs`
 //! existed; a refactor of how the session drives its observers must
-//! reproduce it unchanged. It has been re-recorded once since, when the
+//! reproduce it unchanged. It has been re-recorded since when the
 //! executor stopped computing the error bars of diagnostic-refused results
 //! (EXPERIMENTS.md "Bars on demand" lists the 97 lines that moved, by
 //! class: `error_estimation` / `op:ErrorEstimate` / worker / gate span
 //! attributes, two cumulative-profile rows and the one telemetry answer
-//! that averages `rows_out`; every other answer line is the original's).
+//! that averages `rows_out`; every other answer line is the original's),
+//! and twice more when the SLO drift detectors and gauges were deleted and
+//! the metrics snapshot cadence became a constant (EXPERIMENTS.md "The SLO
+//! engine keeps its objectives and alerts": only deleted lines, the
+//! `_telemetry.metrics` answers and `rows_ingested` moved).
 //! On a mismatch the test writes what it got to
 //! `target/observers_transcript.txt.actual` for `diff`.
 
@@ -99,9 +103,7 @@ fn session(obs: ObsHandle) -> AqpSession {
         }),
         slo: Some(slo),
         contprof: Some(ContProfConfig::new().with_class("dashboards", "GROUP BY")),
-        introspect: Some(
-            IntrospectConfig::new().with_class("dashboards", "GROUP BY").with_metrics_every(8),
-        ),
+        introspect: Some(IntrospectConfig::new().with_class("dashboards", "GROUP BY")),
         ..Default::default()
     });
     let sessions = conviva_sessions_table(60_000, 4, 7);
@@ -173,6 +175,17 @@ fn render<E: std::fmt::Display>(out: &mut String, sql: &str, result: &Result<Aqp
     }
 }
 
+/// The `trigger` values of `_telemetry.slo_alerts`: an SLO latency alert,
+/// an SLO coverage alert, an audit-window alert.
+const TRIGGERS: [&str; 3] = ["latency", "audit_score", "audit"];
+
+/// Alerts latched so far, counted by [`TRIGGERS`].
+fn alerts_by_trigger(s: &AqpSession) -> [usize; 3] {
+    let slo = s.slo_report().unwrap().alerts;
+    let latency = slo.iter().filter(|a| a.objective.contains("/latency_")).count();
+    [latency, slo.len() - latency, s.audit_report().unwrap().alerts.len()]
+}
+
 fn transcript() -> (String, Vec<String>) {
     let obs = ObsHandle::isolated(Clock::mock());
     let s = session(obs.clone());
@@ -184,10 +197,18 @@ fn transcript() -> (String, Vec<String>) {
         out.push_str(&format!("== {sql}\n{}", s.explain(sql).unwrap()));
     }
 
+    // What the `_telemetry` queries of the list latch: alerts that dump the
+    // recorder but, by the recursion guard, fold no row.
+    let mut guarded = [0; 3];
     out.push_str("## answers\n");
     for round in 0..ROUNDS {
         for sql in QUERIES {
+            let before = alerts_by_trigger(&s);
             let result = s.execute(sql);
+            if sql.contains("_telemetry.") {
+                let after = alerts_by_trigger(&s);
+                (0..3).for_each(|t| guarded[t] += after[t] - before[t]);
+            }
             if let Ok(a) = &result {
                 degraded_answers += u64::from(a.degraded.is_some());
                 partial_fallbacks += u64::from(a.mode == AnswerMode::PartialFallback);
@@ -210,6 +231,7 @@ fn transcript() -> (String, Vec<String>) {
 
     let audit = s.audit_report().unwrap();
     let slo = s.slo_report().unwrap();
+    let latched = alerts_by_trigger(&s);
     out.push_str("## audit\n");
     out.push_str(&audit.render_table());
     out.push_str("## slo\n");
@@ -290,6 +312,28 @@ fn transcript() -> (String, Vec<String>) {
         ((key.scored, key.coverage), (objective.events, objective.bad)),
         ((n, Some((n - misses) as f64 / n as f64)), (n, misses)),
         "_telemetry.audit vs the auditor's MAX:pareto key and the SLO tail coverage objective"
+    );
+
+    // One alert, one row, one dump: every alert the SLO engine or the
+    // auditor latched during a folded query is one `_telemetry.slo_alerts`
+    // row (synced by the closing queries) under the trigger the seam
+    // handed it, and every alert — the closing queries' too — froze the
+    // flight recorder once; so did every degraded exact fallback.
+    let rows = s.catalog().table("_telemetry.slo_alerts").unwrap().to_batch().unwrap();
+    let trigger = rows.column_by_name("trigger").unwrap();
+    let rows_of = |t: &str| {
+        (0..rows.num_rows()).filter(|&i| trigger.value(i).unwrap().to_string() == t).count()
+    };
+    assert_eq!(
+        TRIGGERS.map(rows_of),
+        [0, 1, 2].map(|t| latched[t] - guarded[t]),
+        "_telemetry.slo_alerts rows by trigger {TRIGGERS:?} vs the SLO and audit reports' \
+         alerts latched by folded queries"
+    );
+    assert_eq!(
+        snap.counter(name::OBS_RECORDER_DUMPS),
+        Some(alerts_by_trigger(&s).iter().sum::<usize>() as u64 + degraded_fallbacks),
+        "flight-recorder dumps vs SLO alerts + audit alerts + degraded exact fallbacks"
     );
     (out, missing)
 }
