@@ -1,4 +1,9 @@
-//! The replicate kernel of each stock UDF, weighted form against
+//! First the Poisson(1) draw, in ns per weight: `Poisson1::fill` (a
+//! lookup by the draw's top byte) against the four-compare sampler it
+//! replaced, kept here as the reference, at the fill lengths the engine
+//! meets, with whether both drew the same weights from the same streams.
+//!
+//! Then the replicate kernel of each stock UDF, weighted form against
 //! expansion, in ns per value × replicate (the Poisson draw included: both
 //! sides run `bootstrap_replicates` on the same stream) at the sizes the
 //! engine meets — an answer's job of 16 k values and the diagnostic's
@@ -13,6 +18,8 @@
 //! length) and an answer's 90 k, with whether the lanes gave every
 //! range's bits.
 //!
+//! A `false` in a `same draws` or `same bits` column is a broken kernel.
+//!
 //! ```bash
 //! cargo run --release -p aqp-stats --example udf_kernels
 //! ```
@@ -20,11 +27,64 @@
 use aqp_obs::Clock;
 use aqp_stats::bootstrap::bootstrap_replicates;
 use aqp_stats::closed_form::{closed_form, closed_form_lanes, ClosedForm, LANES};
+use aqp_stats::dist::Poisson1;
 use aqp_stats::estimator::{udfs, Aggregate, QueryEstimator, SampleContext, Udf};
 use aqp_stats::rng::rng_from_seed;
-use rand::RngExt;
+use rand::{Rng, RngExt};
 
 const K: usize = 100;
+
+/// `⌊cdf[k]·2⁵³⌋` of the Poisson(1) CDF accumulated in `f64` from `e⁻¹`:
+/// the thresholds `Poisson1` inverts.
+fn poisson1_thresholds() -> [u64; 18] {
+    let (mut t, mut pk, mut acc) = ([0u64; 18], (-1.0f64).exp(), 0.0);
+    for (k, slot) in t.iter_mut().enumerate() {
+        acc += pk;
+        *slot = (acc * (1u64 << 53) as f64).floor() as u64;
+        pk /= (k + 1) as f64;
+    }
+    t
+}
+
+/// The reference draw: four compares on every weight, then a scan of the
+/// remaining thresholds on the 1.9 % with k ≥ 4.
+fn four_compares<R: Rng>(t: &[u64; 18], rng: &mut R, out: &mut [u32]) {
+    for slot in out {
+        let m = rng.next_u64() >> 11;
+        let k = (m > t[0]) as u32 + (m > t[1]) as u32 + (m > t[2]) as u32 + (m > t[3]) as u32;
+        *slot = if k < 4 { k } else { t[4..17].iter().take_while(|&&x| m > x).count() as u32 + 4 };
+    }
+}
+
+/// The draw table: ns per weight of each sampler over 4 M weights a
+/// round, then both over the same 4 M-weight streams, fill for fill.
+fn poisson_draws() {
+    let t = poisson1_thresholds();
+    println!("| weights per fill | four compares ns | table ns | ratio | same draws |");
+    println!("|---|---|---|---|---|");
+    for n in [40usize, 160, 16_384] {
+        let fills = 4_000_000 / n;
+        let mut out = vec![0u32; n];
+        let mut rng = rng_from_seed(3);
+        let reference = ns_per_value(fills, n, || {
+            four_compares(&t, &mut rng, &mut out);
+            std::hint::black_box(&mut out);
+        });
+        let table = ns_per_value(fills, n, || {
+            Poisson1.fill(&mut rng, &mut out);
+            std::hint::black_box(&mut out);
+        });
+        let (mut a, mut b) = (rng_from_seed(n as u64), rng_from_seed(n as u64));
+        let mut want = vec![0u32; n];
+        let same = (0..fills).all(|_| {
+            four_compares(&t, &mut a, &mut want);
+            Poisson1.fill(&mut b, &mut out);
+            want == out
+        }) && a.next_u64() == b.next_u64();
+        println!("| {n} | {reference:.2} | {table:.2} | {:.2} | {same} |", table / reference);
+    }
+    println!();
+}
 
 /// Median over `rounds` timings of `jobs` bootstrap jobs of K resamples,
 /// in ns per value × replicate, and the last job's replicates.
@@ -49,6 +109,7 @@ fn time(udf: &Udf, values: &[f64], jobs: usize, rounds: usize) -> (f64, Vec<f64>
 }
 
 fn main() {
+    poisson_draws();
     let stock = [
         ("trimmed_mean", udfs::trimmed_mean(0.1, 0.9)),
         ("top_decile_mean", udfs::top_fraction_mean(0.1)),

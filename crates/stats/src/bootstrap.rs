@@ -127,6 +127,23 @@ mod tests {
         assert!(reps.iter().all(|&r| r == 1.0 || r.is_nan()));
     }
 
+    /// The stream contract: one `next_u64` per (row, resample), so a job
+    /// leaves the generator exactly `rows · k` words on.
+    #[test]
+    fn a_job_consumes_exactly_rows_times_k_words() {
+        for rows in [0usize, 1, 37, 1000] {
+            for k in [1usize, 100] {
+                let mut rng = rng_from_seed(11);
+                bootstrap_replicates(&mut rng, rows, k, &mut |w| w.len() as f64);
+                let mut fresh = rng_from_seed(11);
+                for _ in 0..rows * k {
+                    fresh.next_u64();
+                }
+                assert_eq!(rng.next_u64(), fresh.next_u64(), "rows {rows}, k {k}");
+            }
+        }
+    }
+
     #[test]
     fn filtered_count_replicates_vary_and_match_binomial_sd() {
         let mut rng = rng_from_seed(3);

@@ -186,6 +186,33 @@ const POISSON1_THRESHOLDS: [u64; 18] = [
     0x001f_ffff_ffff_ffff,
 ];
 
+/// [`POISSON1_BY_TOP_BYTE`]'s mark for a byte whose range of `m` holds a
+/// threshold.
+const SCAN: u8 = u8::MAX;
+
+/// How many of the thresholds `k ≤ 16` lie wholly below the `m` whose top
+/// byte (`m >> 45`) is `byte`.
+const fn thresholds_below(byte: u64) -> u8 {
+    let mut k = 0;
+    while k < 17 && byte > POISSON1_THRESHOLDS[k] >> 45 {
+        k += 1;
+    }
+    k as u8
+}
+
+/// The draw of every `m` with top byte `b`, or [`SCAN`] for the five bytes
+/// (94, 188, 235, 251, 255; 2.0 % of draws) that a threshold splits.
+const POISSON1_BY_TOP_BYTE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let k = thresholds_below(b as u64);
+        table[b] = if k == thresholds_below(b as u64 + 1) { k } else { SCAN };
+        b += 1;
+    }
+    table
+};
+
 /// Specialized Poisson(1) sampler: inversion of the CDF table on one
 /// uniform `u = m·2⁻⁵³`, `m` the top 53 bits of one `next_u64` (what
 /// `rng.random::<f64>()` draws), returning the first `k` with
@@ -194,12 +221,14 @@ const POISSON1_THRESHOLDS: [u64; 18] = [
 /// This is the §5.1 hot path: one draw per (row, resample). The
 /// comparison runs on integers: `m·2⁻⁵³` and `cdf[k]·2⁵³` are both exact
 /// in `f64`, so `u ≤ cdf[k] ⟺ m ≤ ⌊cdf[k]·2⁵³⌋` and no draw differs from
-/// the floating-point scan's.
+/// the floating-point scan's. The draw is monotone in `m`, so the top
+/// byte alone decides it unless a threshold lies inside that byte's
+/// range: 98 % of draws are one lookup, the rest scan the thresholds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Poisson1;
 
 impl Poisson1 {
-    /// The sampler (stateless; the table is a constant).
+    /// The sampler (stateless; the tables are constants).
     pub fn new() -> Self {
         Poisson1
     }
@@ -207,14 +236,11 @@ impl Poisson1 {
     /// One Poisson(1) draw.
     #[inline]
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u32 {
-        const T: [u64; 18] = POISSON1_THRESHOLDS;
-        let m = rng.next_u64() >> 11;
-        // Branch-free over the first four thresholds: P(K ≥ 4) = 1.9 %.
-        let k = (m > T[0]) as u32 + (m > T[1]) as u32 + (m > T[2]) as u32 + (m > T[3]) as u32;
-        if k < 4 {
-            return k;
+        let x = rng.next_u64();
+        match POISSON1_BY_TOP_BYTE[(x >> 56) as usize] {
+            SCAN => POISSON1_THRESHOLDS[..17].iter().take_while(|&&t| x >> 11 > t).count() as u32,
+            k => k as u32,
         }
-        T[4..17].iter().take_while(|&&t| m > t).count() as u32 + 4
     }
 
     /// Fill `out` with independent Poisson(1) draws.
@@ -357,6 +383,15 @@ mod tests {
         cdf.iter().position(|&c| u <= c).unwrap_or(17) as u32
     }
 
+    /// A generator that returns one word forever.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
     #[test]
     fn poisson1_table_matches_pmf() {
         let cdf = poisson1_cdf();
@@ -382,12 +417,6 @@ mod tests {
             }
         }
         // Each boundary value of m draws what the CDF scan draws from it.
-        struct Fixed(u64);
-        impl rand::Rng for Fixed {
-            fn next_u64(&mut self) -> u64 {
-                self.0
-            }
-        }
         for &t in &POISSON1_THRESHOLDS {
             for m in [t.saturating_sub(1), t, (t + 1).min((1 << 53) - 1)] {
                 for low_bits in [0u64, 0x7ff] {
@@ -402,6 +431,27 @@ mod tests {
         }
         assert_eq!(Poisson1.sample(&mut Fixed(0)), 0);
         assert_eq!(Poisson1.sample(&mut Fixed(u64::MAX)), 17);
+    }
+
+    #[test]
+    fn poisson1_table_agrees_with_the_thresholds_on_every_byte() {
+        let cdf = poisson1_cdf();
+        for byte in 0..256u64 {
+            // The first and last m of the byte's range: a tabled byte draws
+            // one k throughout, a scanned one has a threshold between them.
+            for m in [byte << 45, ((byte + 1) << 45) - 1] {
+                for low_bits in [0u64, 0x7ff] {
+                    let x = m << 11 | low_bits;
+                    assert_eq!(
+                        Poisson1.sample(&mut Fixed(x)),
+                        poisson1_cdf_scan(&cdf, &mut Fixed(x)),
+                        "byte {byte}, m = {m:#x}"
+                    );
+                }
+            }
+        }
+        let scanned: Vec<usize> = (0..256).filter(|&b| POISSON1_BY_TOP_BYTE[b] == SCAN).collect();
+        assert_eq!(scanned, [94, 188, 235, 251, 255]);
     }
 
     #[test]

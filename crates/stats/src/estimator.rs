@@ -310,8 +310,9 @@ impl Udf {
     /// repeated `weights[i]` times, in row order. The engine does not call
     /// this (an opaque UDF's bootstrap job expands into one reused buffer,
     /// see [`QueryEstimator::replicator`]; a weighted one expands
-    /// nothing); it is the definition that the contract tests and
-    /// `benches/weighted_agg.rs` compare against.
+    /// nothing); it is the definition that the contract tests (the
+    /// `weighted_forms` tests here, `tests/properties.rs`'s reference
+    /// bootstrap) compare against.
     pub fn expand(values: &[f64], weights: &[u32]) -> Vec<f64> {
         let total: usize = weights.iter().map(|&w| w as usize).sum();
         let mut out = Vec::with_capacity(total);
