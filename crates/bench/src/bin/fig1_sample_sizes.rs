@@ -14,7 +14,7 @@
 use aqp_bench::{mean, percentile, section, tsv_row, Args};
 use aqp_core::required_sample_rows;
 use aqp_stats::ci::{ci_from_draws, symmetric_half_width, Ci};
-use aqp_stats::error_estimator::{ErrorEstimator, EstimationMethod};
+use aqp_stats::error_estimator::EstimationMethod;
 use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::large_deviation::{Inequality, RangeHint};
 use aqp_stats::rng::SeedStream;
@@ -67,9 +67,7 @@ fn main() {
         let population = q.population(pop_rows, seeds.seed(qi as u64));
         let pop_max = population.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let pop_min = population.iter().copied().fold(f64::INFINITY, f64::min);
-        let owned = q.theta.instantiate();
-        let theta = owned.as_theta();
-        let est = theta.as_estimator();
+        let theta = q.theta.instantiate();
         let ctx = SampleContext::new(pilot_rows, pop_rows);
 
         // Pilot sample.
@@ -78,13 +76,13 @@ fn main() {
         let sample = gather(&population, &idx);
 
         // Ground-truth interval at the pilot size (brute force).
-        let theta_d = est.estimate(&population, &SampleContext::population(pop_rows));
+        let theta_d = theta.estimate(&population, &SampleContext::population(pop_rows));
         let truth_stream = seeds.derive(2).derive(qi as u64);
         let draws: Vec<f64> = (0..120)
             .map(|r| {
                 let mut rng = truth_stream.rng(r);
                 let i2 = with_replacement_indices(&mut rng, pilot_rows, pop_rows);
-                est.estimate(&gather(&population, &i2), &ctx)
+                theta.estimate(&gather(&population, &i2), &ctx)
             })
             .collect();
         let truth_ci =

@@ -66,10 +66,10 @@ fn main() {
                 aqp_exec::parallel::default_threads(),
                 |(qi, q)| {
                     let population = q.population(pop_rows, seeds.seed(qi as u64));
-                    let owned = q.theta.instantiate();
+                    let theta = q.theta.instantiate();
                     evaluate_error_estimator(
                         &population,
-                        &owned.as_theta(),
+                        &theta,
                         &tech,
                         &cfg,
                         seeds.derive(qi as u64),

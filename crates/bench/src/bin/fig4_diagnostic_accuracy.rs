@@ -56,10 +56,10 @@ fn main() {
             aqp_exec::parallel::default_threads(),
             |(qi, q)| {
                 let population = q.population(pop_rows, seeds.seed(qi as u64 * 31));
-                let owned = q.theta.instantiate();
+                let theta = q.theta.instantiate();
                 evaluate_diagnostic(
                     &population,
-                    &owned.as_theta(),
+                    &theta,
                     &technique,
                     sample_rows,
                     &diag_cfg,

@@ -648,7 +648,7 @@ fn annotate(plan: LogicalPlan, query: &Query, opts: &ApproxOptions) -> LogicalPl
     let method = match opts.method {
         MethodChoice::Bootstrap => ErrorMethod::Bootstrap,
         MethodChoice::Auto if !query.closed_form_applicable() => ErrorMethod::Bootstrap,
-        MethodChoice::Auto | MethodChoice::ClosedForm => ErrorMethod::ClosedForm,
+        MethodChoice::Auto => ErrorMethod::ClosedForm,
     };
     rewrite_for_error_estimation(plan, spec, method, opts.alpha, ResamplePlacement::PushedDown)
 }

@@ -12,7 +12,7 @@
 use serde::{Deserialize, Serialize};
 
 use aqp_stats::accuracy::{evaluate_error_estimator, AccuracyConfig, AccuracyVerdict};
-use aqp_stats::error_estimator::{ErrorEstimator, Theta};
+use aqp_stats::error_estimator::{EstimationMethod, Theta};
 use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_stats::sampling::{gather, with_replacement_indices};
@@ -66,8 +66,8 @@ pub struct DiagnosticEvaluation {
 /// overridden by `sample_rows` for consistency).
 pub fn evaluate_diagnostic(
     population: &[f64],
-    theta: &Theta<'_>,
-    xi: &dyn ErrorEstimator,
+    theta: &Theta,
+    xi: &EstimationMethod,
     sample_rows: usize,
     diag_cfg: &DiagnosticConfig,
     accuracy_cfg: &AccuracyConfig,
@@ -96,7 +96,6 @@ pub fn evaluate_diagnostic(
 mod tests {
     use super::*;
     use aqp_stats::dist::{sample_lognormal, sample_pareto};
-    use aqp_stats::error_estimator::EstimationMethod;
     use aqp_stats::estimator::Aggregate;
     use aqp_stats::rng::rng_from_seed;
 

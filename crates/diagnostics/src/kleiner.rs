@@ -31,7 +31,7 @@
 use serde::{Deserialize, Serialize};
 
 use aqp_stats::ci::symmetric_half_width;
-use aqp_stats::error_estimator::{ErrorEstimator, Theta};
+use aqp_stats::error_estimator::{EstimationMethod, Theta};
 use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 
@@ -268,8 +268,8 @@ fn record_verdict(decision: &Decision) {
 pub fn run_diagnostic(
     values: &[f64],
     ctx: &SampleContext,
-    theta: &Theta<'_>,
-    xi: &dyn ErrorEstimator,
+    theta: &Theta,
+    xi: &EstimationMethod,
     cfg: &DiagnosticConfig,
     seeds: SeedStream,
 ) -> DiagnosticReport {
@@ -277,7 +277,6 @@ pub fn run_diagnostic(
         let reason = format!("invalid diagnostic config: {reason}");
         return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
     }
-    let est = theta.as_estimator();
     let selectivity = values.len() as f64 / ctx.sample_rows as f64;
     let subsample = |level: usize, j: usize| {
         let b = cfg.subsample_rows[level];
@@ -286,12 +285,12 @@ pub fn run_diagnostic(
         (&values[j * m..(j + 1) * m], ctx.subsample(b))
     };
     diagnose(
-        est.estimate(values, ctx),
+        theta.estimate(values, ctx),
         cfg,
         cfg.alpha,
         |level, j| {
             let (chunk, sub_ctx) = subsample(level, j);
-            (est.estimate(chunk, &sub_ctx), ())
+            (theta.estimate(chunk, &sub_ctx), ())
         },
         |level, j, _theta_hat, ()| {
             let (chunk, sub_ctx) = subsample(level, j);
@@ -306,7 +305,6 @@ pub fn run_diagnostic(
 mod tests {
     use super::*;
     use aqp_stats::dist::{sample_lognormal, sample_pareto};
-    use aqp_stats::error_estimator::EstimationMethod;
     use aqp_stats::estimator::Aggregate;
     use aqp_stats::rng::rng_from_seed;
     use aqp_stats::sampling::{gather, with_replacement_indices};

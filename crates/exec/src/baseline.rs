@@ -97,22 +97,15 @@ pub fn execute_baseline(
                 group_cis.push((None, MethodUsed::None));
                 continue;
             }
-            if wants_closed_form(opts, theta) {
+            if opts.method == MethodChoice::Auto && theta.closed_form_applicable() {
                 // Naive closed form: a second full scan to compute the
                 // variance statistics.
                 let re = rescan(plan, sample, opts)?;
                 let data = &re.groups[gi].aggs[ai];
                 let whole = theta.bind(data, 0..data.values.len(), &ctx);
-                match closed_form_ci_prepared(&whole, opts.alpha) {
-                    Some(ci) => {
-                        group_cis.push((Some(ci), MethodUsed::ClosedForm));
-                        continue;
-                    }
-                    None if matches!(opts.method, MethodChoice::ClosedForm) => {
-                        group_cis.push((None, MethodUsed::None));
-                        continue;
-                    }
-                    None => {}
+                if let Some(ci) = closed_form_ci_prepared(&whole, opts.alpha) {
+                    group_cis.push((Some(ci), MethodUsed::ClosedForm));
+                    continue;
                 }
             }
             // Naive bootstrap: K subqueries, each a full re-scan of the
@@ -178,15 +171,6 @@ pub fn execute_baseline(
     })
 }
 
-/// Whether ξ is the closed form for `theta` under `opts.method`.
-fn wants_closed_form(opts: &ApproxOptions, theta: &PreparedTheta) -> bool {
-    match opts.method {
-        MethodChoice::Auto => theta.closed_form_applicable(),
-        MethodChoice::ClosedForm => true,
-        MethodChoice::Bootstrap => false,
-    }
-}
-
 /// Algorithm 1 the §5.2 way: every subsample the diagnostic asks about
 /// is extracted by a fresh scan of the sample — once for θ̂, and once more
 /// for ξ, whose K resample subqueries then run over it.
@@ -218,7 +202,7 @@ fn naive_diagnostic(
             }
         }
     };
-    let use_cf = wants_closed_form(opts, theta);
+    let use_cf = opts.method == MethodChoice::Auto && theta.closed_form_applicable();
     let report = diagnose(
         theta_s,
         cfg,
@@ -328,7 +312,6 @@ mod tests {
         let cfg = DiagnosticConfig::scaled_to(3_000, 10);
         let opts = ApproxOptions {
             seed: 4,
-            method: MethodChoice::ClosedForm,
             diagnostic: Some(cfg),
             threads: 1,
             ..Default::default()

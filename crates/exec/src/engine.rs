@@ -33,8 +33,6 @@ pub enum MethodChoice {
     Auto,
     /// Force the bootstrap.
     Bootstrap,
-    /// Closed form only; aggregates without one get no interval.
-    ClosedForm,
 }
 
 /// Options for approximate execution.
@@ -686,11 +684,9 @@ fn error_ci(
     label: u64,
 ) -> (Option<aqp_stats::ci::Ci>, MethodUsed) {
     // `Auto` takes the closed form when there is one (it says so itself).
-    if opts.method != MethodChoice::Bootstrap {
-        match pass.or_else(|| bound.closed_form()).and_then(|pass| pass.ci(coverage)) {
-            Some(ci) => return (Some(ci), MethodUsed::ClosedForm),
-            None if opts.method == MethodChoice::ClosedForm => return (None, MethodUsed::None),
-            None => {}
+    if opts.method == MethodChoice::Auto {
+        if let Some(ci) = pass.or_else(|| bound.closed_form()).and_then(|pass| pass.ci(coverage)) {
+            return (Some(ci), MethodUsed::ClosedForm);
         }
     }
     let mut rng = seeds.rng(label);
@@ -932,20 +928,6 @@ mod tests {
         let opts = ApproxOptions { seed: 12, ..Default::default() };
         let approx = execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
         assert_eq!(approx.scalar().unwrap().method, MethodUsed::Bootstrap);
-    }
-
-    #[test]
-    fn closed_form_only_gives_none_for_max() {
-        let pop = population(20_000, 13);
-        let sample = sample_of(&pop, 4_000, 14);
-        let plan = plan_of("SELECT MAX(time) FROM sessions", &pop);
-        let registry = UdfRegistry::default();
-        let opts =
-            ApproxOptions { seed: 15, method: MethodChoice::ClosedForm, ..Default::default() };
-        let approx = execute_approx(&plan, &sample, pop.num_rows(), &registry, &opts).unwrap();
-        let r = approx.scalar().unwrap();
-        assert_eq!(r.method, MethodUsed::None);
-        assert!(r.ci.is_none());
     }
 
     #[test]

@@ -15,55 +15,18 @@
 //! of scope and rejected at preparation time.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use aqp_sql::ast::{AggExpr, AggFunc};
 use aqp_stats::bootstrap::bootstrap_ci_around;
 use aqp_stats::ci::Ci;
 use aqp_stats::closed_form::{closed_form, ClosedForm, Coverage};
-use aqp_stats::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
+use aqp_stats::error_estimator::Theta;
+use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::rng::Rng;
 
 use crate::collect::AggData;
 use crate::udf::UdfRegistry;
 use crate::{ExecError, Result};
-
-/// A single-level aggregate: built-in or UDF.
-#[derive(Debug, Clone)]
-pub enum PlainTheta {
-    /// A built-in SQL aggregate.
-    Builtin(Aggregate),
-    /// A registry-resolved aggregate UDF.
-    Udf(Arc<Udf>),
-}
-
-impl PlainTheta {
-    /// The stats-level estimator behind either variant.
-    pub fn as_estimator(&self) -> &dyn QueryEstimator {
-        match self {
-            PlainTheta::Builtin(a) => a,
-            PlainTheta::Udf(u) => &**u,
-        }
-    }
-
-    /// Evaluate on plain values.
-    pub fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
-        self.as_estimator().estimate(values, ctx)
-    }
-
-    /// The built-in aggregate, if this is one (for closed forms).
-    pub fn builtin(&self) -> Option<Aggregate> {
-        match self {
-            PlainTheta::Builtin(a) => Some(*a),
-            PlainTheta::Udf(_) => None,
-        }
-    }
-
-    /// Name for reports.
-    pub fn name(&self) -> String {
-        self.as_estimator().name()
-    }
-}
 
 /// Map a SQL aggregate function to the stats-level estimator.
 pub fn builtin_of(func: &AggFunc) -> Option<Aggregate> {
@@ -118,7 +81,7 @@ impl InnerAggregate {
 #[derive(Debug, Clone)]
 pub struct PreparedTheta {
     /// The top-level (or only) aggregate.
-    pub outer: PlainTheta,
+    pub outer: Theta,
     /// For nested plans, the inner aggregate.
     pub inner: Option<InnerAggregate>,
 }
@@ -131,8 +94,8 @@ impl PreparedTheta {
         registry: &UdfRegistry,
     ) -> Result<Self> {
         let outer_theta = match &outer.func {
-            AggFunc::Udf(name) => PlainTheta::Udf(registry.resolve(name)?),
-            f => PlainTheta::Builtin(builtin_of(f).expect("non-UDF maps to builtin")),
+            AggFunc::Udf(name) => Theta::Udf(registry.resolve(name)?),
+            f => Theta::Builtin(builtin_of(f).expect("non-UDF maps to builtin")),
         };
         let inner_theta = match inner {
             None => None,
@@ -141,12 +104,9 @@ impl PreparedTheta {
                     ExecError::Unsupported("UDF as the inner aggregate of a nested query".into())
                 })?;
                 let b = InnerAggregate::from_builtin(b).ok_or_else(|| {
-                    ExecError::Unsupported(format!(
-                        "inner aggregate {} not supported in nested queries",
-                        b.name()
-                    ))
+                    ExecError::Unsupported(format!("inner aggregate {b} not supported in nested queries"))
                 })?;
-                if matches!(outer_theta, PlainTheta::Builtin(Aggregate::Sum | Aggregate::Count)) {
+                if matches!(outer_theta, Theta::Builtin(Aggregate::Sum | Aggregate::Count)) {
                     return Err(ExecError::Unsupported(
                         "outer SUM/COUNT over a nested block needs group-count scaling, \
                          which is unsupported; use AVG/MIN/MAX/percentile"
@@ -287,7 +247,7 @@ struct NestedTheta<'a> {
     /// Dense inner group of each row.
     groups: Vec<usize>,
     inner: InnerAggregate,
-    outer: &'a PlainTheta,
+    outer: &'a Theta,
     scale: f64,
     acc: Vec<f64>,
     weight: Vec<u64>,
@@ -510,6 +470,47 @@ mod tests {
         let ci = bootstrap_ci_prepared(&mut rng, &mut bound, direct, 100, 0.95).unwrap();
         assert!(ci.half_width > 0.0);
         assert_eq!(ci.center, direct);
+    }
+
+    /// The offline ξ — `EstimationMethod`, what Figs. 1, 3 and 4 evaluate —
+    /// is the engine's ξ on a single-level θ, bit for bit: the closed form
+    /// where one applies (`None` where none does), and the bootstrap from
+    /// the same seed.
+    #[test]
+    fn offline_xi_is_the_engines_bit_for_bit() {
+        use aqp_stats::error_estimator::EstimationMethod;
+        use aqp_stats::estimator::{udfs, Udf};
+        use std::sync::Arc;
+        let data = AggData {
+            values: (0..500).map(|i| ((i * 37) % 101) as f64 * 0.75 + 1.0).collect(),
+            positions: Vec::new(),
+            nested: None,
+        };
+        let (range, ctx, alpha) = (40..460, SampleContext::new(600, 60_000), 0.95);
+        let values = &data.values[range.clone()];
+        let bits = |ci: Option<Ci>| ci.map(|c| [c.center, c.half_width, c.confidence].map(f64::to_bits));
+        let mean_sq = Udf::new("mean_sq", |xs: &[f64]| xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64);
+        let builtins = [
+            Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance,
+            Aggregate::StdDev, Aggregate::Min, Aggregate::Percentile(0.9),
+        ];
+        let udfs = [udfs::geometric_mean(), mean_sq].map(|u| Theta::Udf(Arc::new(u)));
+        for theta in builtins.map(Theta::Builtin).into_iter().chain(udfs) {
+            let prepared = PreparedTheta { outer: theta.clone(), inner: None };
+            let mut bound = prepared.bind(&data, range.clone(), &ctx);
+            let offline =
+                EstimationMethod::ClosedForm.confidence_interval(&mut rng_from_seed(0), values, &ctx, &theta, alpha);
+            let engine = closed_form_ci_prepared(&bound, alpha);
+            assert_eq!(bits(offline), bits(engine), "{} closed form", theta.name());
+            assert_eq!(engine.is_some(), theta.builtin().is_some_and(|a| a.closed_form_applicable()));
+
+            let xi = EstimationMethod::Bootstrap { k: 100 };
+            let offline = xi.confidence_interval(&mut rng_from_seed(7), values, &ctx, &theta, alpha);
+            let center = bound.estimate();
+            let engine = bootstrap_ci_prepared(&mut rng_from_seed(7), &mut bound, center, 100, alpha);
+            assert!(engine.is_some(), "{}", theta.name());
+            assert_eq!(bits(offline), bits(engine), "{} bootstrap", theta.name());
+        }
     }
 
     #[test]

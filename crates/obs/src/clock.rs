@@ -1,7 +1,7 @@
 //! Time sources: a monotonic real clock and a deterministic mock.
 //!
 //! All timing in the workspace routes through [`Clock`] (enforced by the
-//! `timing-discipline` lint rule): production code uses [`Clock::Real`],
+//! `determinism-taint` lint rule): production code uses [`Clock::Real`],
 //! tests use [`Clock::mock`] so latency-dependent assertions are exactly
 //! reproducible.
 

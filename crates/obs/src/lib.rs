@@ -6,11 +6,11 @@
 //!
 //! * [`Clock`] — a monotonic time source with a deterministic mock, so
 //!   every timing in the workspace is steerable in tests. The
-//!   `timing-discipline` lint rule forbids raw `std::time::Instant` /
+//!   `determinism-taint` lint rule forbids raw `std::time::Instant` /
 //!   `SystemTime` outside this crate.
 //! * [`MetricsRegistry`] — lock-cheap counters, gauges, and
 //!   fixed-bucket latency histograms with p50/p95/p99 snapshots,
-//!   exported as JSONL or a human-readable table. Metric names follow
+//!   exported as JSONL. Metric names follow
 //!   `aqp.<crate>.<name>` (see [`name`]).
 //! * [`QueryTrace`] / [`TraceRecorder`] — a span tree over the query
 //!   lifecycle: parse → plan/rewrite → sample selection → scan/exec

@@ -6,11 +6,18 @@
 //! of `runs` samples, produce ξ's interval and its δ; declare the
 //! technique *optimistic* (resp. *pessimistic*) for the query if δ < −0.2
 //! (resp. > 0.2) on at least 5% of runs.
+//!
+//! The same runs measure coverage (§2.2: "on a proportion exactly α of the
+//! possible samples S, the procedure generates an interval that includes
+//! θ(D)"). Coverage alone cannot rank procedures — the paper's
+//! (−∞, ∞)-vs-∅ example is why the verdict uses δ — but it is the
+//! user-facing guarantee, and under-coverage is how optimistic intervals
+//! hurt users.
 
 use serde::{Deserialize, Serialize};
 
 use crate::ci::{symmetric_half_width, Delta};
-use crate::error_estimator::{ErrorEstimator, Theta};
+use crate::error_estimator::{EstimationMethod, Theta};
 use crate::estimator::SampleContext;
 use crate::rng::SeedStream;
 use crate::sampling::{gather, with_replacement_indices};
@@ -46,8 +53,31 @@ pub struct AccuracyReport {
     pub degenerate_frac: f64,
     /// All observed δ values (NaN-free; degenerate runs excluded).
     pub deltas: Vec<f64>,
+    /// Runs whose interval contained θ(D).
+    pub covered: usize,
+    /// Mean interval half-width over the runs with an interval.
+    pub mean_half_width: f64,
     /// Number of evaluation runs.
     pub runs: usize,
+}
+
+impl AccuracyReport {
+    /// Fraction of the runs with an interval whose interval contained θ(D).
+    pub fn coverage(&self) -> f64 {
+        self.covered as f64 / self.deltas.len().max(1) as f64
+    }
+
+    /// Standard error of [`coverage`](Self::coverage) (binomial).
+    pub fn coverage_std_error(&self) -> f64 {
+        let c = self.coverage();
+        (c * (1.0 - c) / self.deltas.len().max(1) as f64).sqrt()
+    }
+
+    /// Whether the coverage is consistent with `target` within `z`
+    /// standard errors.
+    pub fn covers_at(&self, target: f64, z: f64) -> bool {
+        (self.coverage() - target).abs() <= z * self.coverage_std_error().max(1e-9)
+    }
 }
 
 /// Protocol parameters (paper defaults: 100 samples, n = 10⁶, α = 0.95,
@@ -100,14 +130,13 @@ impl AccuracyConfig {
 /// `cfg.sample_rows` ≤ reasonable memory. Deterministic given `seeds`.
 pub fn evaluate_error_estimator(
     population: &[f64],
-    theta: &Theta<'_>,
-    xi: &dyn ErrorEstimator,
+    theta: &Theta,
+    xi: &EstimationMethod,
     cfg: &AccuracyConfig,
     seeds: SeedStream,
 ) -> AccuracyReport {
-    let est = theta.as_estimator();
     let pop_ctx = SampleContext::population(population.len());
-    let theta_d = est.estimate(population, &pop_ctx);
+    let theta_d = theta.estimate(population, &pop_ctx);
     let ctx = SampleContext::new(cfg.sample_rows, population.len());
 
     if population.is_empty() || !xi.applicable(theta) {
@@ -119,6 +148,8 @@ pub fn evaluate_error_estimator(
             pessimistic_frac: 0.0,
             degenerate_frac: 1.0,
             deltas: Vec::new(),
+            covered: 0,
+            mean_half_width: f64::NAN,
             runs: 0,
         };
     }
@@ -131,16 +162,18 @@ pub fn evaluate_error_estimator(
         let mut rng = truth_stream.rng(r as u64);
         let idx = with_replacement_indices(&mut rng, cfg.sample_rows, population.len());
         let sample = gather(population, &idx);
-        let t = est.estimate(&sample, &ctx);
+        let t = theta.estimate(&sample, &ctx);
         if !t.is_nan() {
             truth_draws.push(t);
         }
     }
     let true_half_width = symmetric_half_width(theta_d, &truth_draws, cfg.alpha);
 
-    // 2. ξ's interval on each evaluation sample, and its δ.
+    // 2. ξ's interval on each evaluation sample: its δ, whether it covers
+    //    θ(D), its half-width.
     let eval_stream = seeds.derive(0x6576_616c); // "eval"
     let mut deltas = Vec::with_capacity(cfg.runs);
+    let (mut covered, mut hw_sum) = (0usize, 0.0);
     let mut degenerate = 0usize;
     for r in 0..cfg.runs {
         let mut sample_rng = eval_stream.rng(r as u64 * 2);
@@ -150,6 +183,8 @@ pub fn evaluate_error_estimator(
         match xi.confidence_interval(&mut xi_rng, &sample, &ctx, theta, cfg.alpha) {
             Some(ci) if ci.half_width.is_finite() => {
                 deltas.push(Delta::compute(ci.width(), 2.0 * true_half_width).0);
+                covered += usize::from(ci.contains(theta_d));
+                hw_sum += ci.half_width;
             }
             _ => degenerate += 1,
         }
@@ -181,6 +216,8 @@ pub fn evaluate_error_estimator(
         optimistic_frac,
         pessimistic_frac,
         degenerate_frac,
+        covered,
+        mean_half_width: hw_sum / n_ok,
         deltas,
         runs: cfg.runs,
     }
@@ -287,6 +324,97 @@ mod tests {
         );
         assert_eq!(report.verdict, AccuracyVerdict::Pessimistic, "{report:?}");
         assert!(report.pessimistic_frac > 0.9);
+    }
+
+    /// The coverage checks: `runs` samples of 5 000 rows, and as many more
+    /// for the true interval.
+    fn coverage_cfg(runs: usize) -> AccuracyConfig {
+        AccuracyConfig { sample_rows: 5_000, runs, truth_runs: 0, ..AccuracyConfig::fast() }
+    }
+
+    #[test]
+    fn closed_form_avg_covers_at_target() {
+        let r = evaluate_error_estimator(
+            &lognormal_population(200_000, 1),
+            &Theta::Builtin(Aggregate::Avg),
+            &EstimationMethod::ClosedForm,
+            &coverage_cfg(300),
+            SeedStream::new(2),
+        );
+        assert!(r.covers_at(0.95, 3.5), "coverage {:.3} ± {:.3}", r.coverage(), r.coverage_std_error());
+        assert_eq!(r.degenerate_frac, 0.0);
+    }
+
+    #[test]
+    fn bootstrap_avg_covers_near_target() {
+        let r = evaluate_error_estimator(
+            &lognormal_population(200_000, 3),
+            &Theta::Builtin(Aggregate::Avg),
+            &EstimationMethod::Bootstrap { k: 150 },
+            &coverage_cfg(200),
+            SeedStream::new(4),
+        );
+        assert!(r.coverage() > 0.88 && r.coverage() <= 1.0, "coverage {:.3}", r.coverage());
+    }
+
+    #[test]
+    fn hoeffding_never_misses_and_is_far_wider() {
+        // §2.3.3: "error bars based on large deviation bounds ... never
+        // [have] coverage less than α" — and in practice far more.
+        let pop = lognormal_population(200_000, 5);
+        let max = pop.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let avg = Theta::Builtin(Aggregate::Avg);
+        let hoeffding = EstimationMethod::LargeDeviation {
+            inequality: Inequality::Hoeffding,
+            range: RangeHint::new(0.0, max),
+        };
+        let r = evaluate_error_estimator(&pop, &avg, &hoeffding, &coverage_cfg(150), SeedStream::new(6));
+        assert_eq!(r.coverage(), 1.0, "Hoeffding must never miss");
+        // And its intervals are far wider than the CLT's.
+        let cf = evaluate_error_estimator(
+            &pop,
+            &avg,
+            &EstimationMethod::ClosedForm,
+            &coverage_cfg(150),
+            SeedStream::new(6),
+        );
+        assert!(r.mean_half_width > 5.0 * cf.mean_half_width);
+    }
+
+    #[test]
+    fn bootstrap_max_undercovers_on_heavy_tails() {
+        // The §3 failure as users experience it: intervals that miss the
+        // truth far more often than 1 − α.
+        let mut rng = rng_from_seed(7);
+        let pop: Vec<f64> = (0..200_000).map(|_| sample_pareto(&mut rng, 1.0, 1.2)).collect();
+        let r = evaluate_error_estimator(
+            &pop,
+            &Theta::Builtin(Aggregate::Max),
+            &EstimationMethod::Bootstrap { k: 100 },
+            &coverage_cfg(120),
+            SeedStream::new(8),
+        );
+        assert!(r.coverage() < 0.7, "MAX bootstrap coverage {:.3} should collapse", r.coverage());
+    }
+
+    #[test]
+    fn coverage_band_arithmetic() {
+        let r = AccuracyReport {
+            verdict: AccuracyVerdict::Correct,
+            theta_d: 0.0,
+            true_half_width: 1.0,
+            optimistic_frac: 0.0,
+            pessimistic_frac: 0.0,
+            degenerate_frac: 0.0,
+            deltas: vec![0.0; 100],
+            covered: 93,
+            mean_half_width: 1.0,
+            runs: 100,
+        };
+        assert!(r.coverage_std_error() > 0.0);
+        assert!(r.covers_at(0.95, 1.0));
+        let far = AccuracyReport { covered: 50, ..r };
+        assert!(!far.covers_at(0.95, 3.0));
     }
 
     #[test]

@@ -1,68 +1,60 @@
-//! The unified error-estimation interface ξ.
+//! The error-estimation procedures ξ, and the θ they are asked about.
 //!
 //! §4.1: the diagnostic "can be applied in principle to any error
 //! estimation procedure, including closed-form CLT-based error estimation,
-//! simply by plugging in such procedures for ξ". This module is that plug:
-//! a procedure that, given a sample, a query θ, and a coverage level α,
-//! produces a confidence-interval estimate — or reports that it is not
-//! applicable to this θ.
+//! simply by plugging in such procedures for ξ". [`EstimationMethod`] is
+//! that plug: a procedure that, given a sample, a query θ, and a coverage
+//! level α, produces a confidence-interval estimate — or reports that it is
+//! not applicable to this θ. A new procedure is a new variant.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::bootstrap::bootstrap_ci;
 use crate::ci::Ci;
 use crate::closed_form::closed_form_ci;
-use crate::estimator::{Aggregate, QueryEstimator, SampleContext};
+use crate::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
 use crate::large_deviation::{large_deviation_ci, Inequality, RangeHint};
 use crate::rng::Rng as StdRng;
 
-/// A θ that an [`EstimationMethod`] can be asked about: either a built-in
-/// aggregate (closed forms may apply) or an opaque estimator (bootstrap
-/// only).
-pub enum Theta<'a> {
+/// A single-level θ: a built-in aggregate (closed forms may apply) or a
+/// UDF (bootstrap only). The engine's prepared queries and the paper's
+/// stats-level experiments hold the same type.
+#[derive(Debug, Clone)]
+pub enum Theta {
     /// A built-in SQL aggregate.
     Builtin(Aggregate),
-    /// An opaque estimator (UDF, nested query, multi-aggregate
-    /// expression, …).
-    Opaque(&'a dyn QueryEstimator),
+    /// An aggregate UDF.
+    Udf(Arc<Udf>),
 }
 
-impl Theta<'_> {
+impl Theta {
     /// View as a `QueryEstimator`.
     pub fn as_estimator(&self) -> &dyn QueryEstimator {
         match self {
             Theta::Builtin(a) => a,
-            Theta::Opaque(e) => *e,
+            Theta::Udf(u) => &**u,
         }
+    }
+
+    /// Evaluate on plain values.
+    pub fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
+        self.as_estimator().estimate(values, ctx)
     }
 
     /// The built-in aggregate, when this θ is one.
     pub fn builtin(&self) -> Option<Aggregate> {
         match self {
             Theta::Builtin(a) => Some(*a),
-            Theta::Opaque(_) => None,
+            Theta::Udf(_) => None,
         }
     }
-}
 
-/// An error-estimation procedure ξ.
-pub trait ErrorEstimator: Send + Sync {
-    /// Short name for reports.
-    fn name(&self) -> String;
-
-    /// Whether this procedure can produce intervals for `theta` at all.
-    fn applicable(&self, theta: &Theta<'_>) -> bool;
-
-    /// Estimate a symmetric centered CI at coverage `alpha`, or `None`
-    /// when the procedure is not applicable or degenerate on this input.
-    fn confidence_interval(
-        &self,
-        rng: &mut StdRng,
-        values: &[f64],
-        ctx: &SampleContext,
-        theta: &Theta<'_>,
-        alpha: f64,
-    ) -> Option<Ci>;
+    /// Name for reports.
+    pub fn name(&self) -> String {
+        self.as_estimator().name()
+    }
 }
 
 /// The three estimation techniques the paper evaluates, as one enum for
@@ -85,8 +77,9 @@ pub enum EstimationMethod {
     },
 }
 
-impl ErrorEstimator for EstimationMethod {
-    fn name(&self) -> String {
+impl EstimationMethod {
+    /// Short name for reports.
+    pub fn name(&self) -> String {
         match self {
             EstimationMethod::Bootstrap { k } => format!("bootstrap(k={k})"),
             EstimationMethod::ClosedForm => "closed-form".into(),
@@ -96,7 +89,8 @@ impl ErrorEstimator for EstimationMethod {
         }
     }
 
-    fn applicable(&self, theta: &Theta<'_>) -> bool {
+    /// Whether this procedure can produce intervals for `theta` at all.
+    pub fn applicable(&self, theta: &Theta) -> bool {
         match self {
             // "All aggregates are amenable to the bootstrap" (§3).
             EstimationMethod::Bootstrap { .. } => true,
@@ -111,12 +105,14 @@ impl ErrorEstimator for EstimationMethod {
         }
     }
 
-    fn confidence_interval(
+    /// Estimate a symmetric centered CI at coverage `alpha`, or `None`
+    /// when the procedure is not applicable or degenerate on this input.
+    pub fn confidence_interval(
         &self,
         rng: &mut StdRng,
         values: &[f64],
         ctx: &SampleContext,
-        theta: &Theta<'_>,
+        theta: &Theta,
         alpha: f64,
     ) -> Option<Ci> {
         if !self.applicable(theta) {
@@ -152,7 +148,6 @@ mod tests {
             inequality: Inequality::Hoeffding,
             range: RangeHint::new(0.0, 1.0),
         };
-        let udf = udfs::geometric_mean();
         let cases: Vec<(Theta, bool, bool, bool)> = vec![
             (Theta::Builtin(Aggregate::Avg), true, true, true),
             (Theta::Builtin(Aggregate::Sum), true, true, true),
@@ -161,12 +156,12 @@ mod tests {
             (Theta::Builtin(Aggregate::Min), true, false, false),
             (Theta::Builtin(Aggregate::Max), true, false, false),
             (Theta::Builtin(Aggregate::Percentile(0.9)), true, false, false),
-            (Theta::Opaque(&udf), true, false, false),
+            (Theta::Udf(Arc::new(udfs::geometric_mean())), true, false, false),
         ];
         for (theta, b, c, l) in &cases {
-            assert_eq!(boot.applicable(theta), *b, "{} bootstrap", theta.as_estimator().name());
-            assert_eq!(cf.applicable(theta), *c, "{} closed-form", theta.as_estimator().name());
-            assert_eq!(ld.applicable(theta), *l, "{} large-dev", theta.as_estimator().name());
+            assert_eq!(boot.applicable(theta), *b, "{} bootstrap", theta.name());
+            assert_eq!(cf.applicable(theta), *c, "{} closed-form", theta.name());
+            assert_eq!(ld.applicable(theta), *l, "{} large-dev", theta.name());
         }
     }
 

@@ -84,12 +84,6 @@ pub trait QueryEstimator: Send + Sync {
     fn replicator<'a>(&'a self, values: &'a [f64], ctx: &'a SampleContext) -> Replicator<'a> {
         Box::new(move |weights| self.estimate_weighted(values, weights, ctx))
     }
-
-    /// Whether a closed-form CLT variance estimate exists for this θ
-    /// (§2.3.2: COUNT, SUM, AVG, VARIANCE, STDEV — not MIN/MAX/UDFs).
-    fn closed_form_applicable(&self) -> bool {
-        false
-    }
 }
 
 /// The built-in SQL aggregates.
@@ -114,6 +108,14 @@ pub enum Aggregate {
         /// Quantile level in (0, 1).
         f64,
     ),
+}
+
+impl Aggregate {
+    /// Whether a closed-form CLT variance estimate exists for this θ
+    /// (§2.3.2: COUNT, SUM, AVG, VARIANCE, STDEV — not MIN/MAX/UDFs).
+    pub fn closed_form_applicable(&self) -> bool {
+        matches!(self, Aggregate::Avg | Aggregate::Sum | Aggregate::Count | Aggregate::Variance | Aggregate::StdDev)
+    }
 }
 
 impl fmt::Display for Aggregate {
@@ -241,17 +243,6 @@ impl QueryEstimator for Aggregate {
             // The moment and extreme aggregates stream and keep no state.
             _ => Box::new(move |weights| self.estimate_weighted(values, weights, ctx)),
         }
-    }
-
-    fn closed_form_applicable(&self) -> bool {
-        matches!(
-            self,
-            Aggregate::Avg
-                | Aggregate::Sum
-                | Aggregate::Count
-                | Aggregate::Variance
-                | Aggregate::StdDev
-        )
     }
 }
 
@@ -672,7 +663,6 @@ mod tests {
         assert!(!Aggregate::Min.closed_form_applicable());
         assert!(!Aggregate::Max.closed_form_applicable());
         assert!(!Aggregate::Percentile(0.5).closed_form_applicable());
-        assert!(!udfs::geometric_mean().closed_form_applicable());
     }
 
     #[test]

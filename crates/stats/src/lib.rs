@@ -16,12 +16,13 @@
 //! * large-deviation (Hoeffding/Bernstein) bounds ([`large_deviation`]),
 //! * symmetric centered confidence intervals, the true-interval
 //!   construction, and the δ accuracy metric ([`ci`]),
-//! * empirical coverage measurement ([`coverage`]) — the user-facing
-//!   guarantee under-coverage breaks,
-//! * the unified ξ interface every error-estimation technique implements,
-//!   which is what the diagnostic validates ([`error_estimator`]), and
+//! * the θ the engine and the experiments share, and the error-estimation
+//!   techniques ξ as one enum, which is what the diagnostic validates
+//!   ([`error_estimator`]), and
 //! * the §3 evaluation harness that classifies a (θ, ξ, data) triple as
-//!   correct / optimistic / pessimistic ([`accuracy`]).
+//!   correct / optimistic / pessimistic and measures its empirical
+//!   coverage — the user-facing guarantee under-coverage breaks
+//!   ([`accuracy`]).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,6 @@ pub mod accuracy;
 pub mod bootstrap;
 pub mod ci;
 pub mod closed_form;
-pub mod coverage;
 pub mod dist;
 pub mod error_estimator;
 pub mod estimator;
@@ -42,6 +42,6 @@ pub mod rng;
 pub mod sampling;
 
 pub use ci::{Ci, Delta};
-pub use error_estimator::{ErrorEstimator, EstimationMethod};
+pub use error_estimator::{EstimationMethod, Theta};
 pub use estimator::{Aggregate, QueryEstimator, SampleContext};
 pub use rng::SeedStream;

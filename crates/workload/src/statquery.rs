@@ -6,11 +6,13 @@
 //! palette spans the tail-weight spectrum so that error estimation
 //! succeeds and fails at rates comparable to the paper's.
 
+use std::sync::Arc;
+
 use aqp_stats::dist::{
     sample_exponential, sample_lognormal, sample_normal, sample_pareto,
 };
 use aqp_stats::error_estimator::Theta;
-use aqp_stats::estimator::{udfs, Aggregate, Udf};
+use aqp_stats::estimator::{udfs, Aggregate};
 use aqp_stats::rng::{rng_from_seed, SeedStream};
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
@@ -74,41 +76,22 @@ pub enum ThetaKind {
     Udf(UdfKind),
 }
 
-/// An owned θ ready to be viewed as [`Theta`].
-pub enum OwnedTheta {
-    /// Built-in.
-    Builtin(Aggregate),
-    /// Instantiated UDF.
-    Udf(Udf),
-}
-
-impl OwnedTheta {
-    /// Borrow as the stats-level `Theta`.
-    pub fn as_theta(&self) -> Theta<'_> {
-        match self {
-            OwnedTheta::Builtin(a) => Theta::Builtin(*a),
-            OwnedTheta::Udf(u) => Theta::Opaque(u),
-        }
-    }
-}
-
 impl ThetaKind {
     /// Instantiate the estimator.
     ///
     /// COUNT is instantiated as SUM over the 0/1 filter-indicator encoding
     /// (identical estimator and closed form: `COUNT = Σ 1(pass) · N/n`).
-    pub fn instantiate(&self) -> OwnedTheta {
-        match self {
-            ThetaKind::Builtin(Aggregate::Count) => OwnedTheta::Builtin(Aggregate::Sum),
-            ThetaKind::Builtin(a) => OwnedTheta::Builtin(*a),
-            ThetaKind::Udf(UdfKind::TrimmedMean) => OwnedTheta::Udf(udfs::trimmed_mean(0.1, 0.9)),
-            ThetaKind::Udf(UdfKind::TopDecileMean) => {
-                OwnedTheta::Udf(udfs::top_fraction_mean(0.1))
-            }
-            ThetaKind::Udf(UdfKind::GeoMean) => OwnedTheta::Udf(udfs::geometric_mean()),
-            ThetaKind::Udf(UdfKind::Cov) => OwnedTheta::Udf(udfs::coeff_of_variation()),
-            ThetaKind::Udf(UdfKind::FracAbove(t)) => OwnedTheta::Udf(udfs::frac_above(*t)),
-        }
+    pub fn instantiate(&self) -> Theta {
+        let udf = match self {
+            ThetaKind::Builtin(Aggregate::Count) => return Theta::Builtin(Aggregate::Sum),
+            ThetaKind::Builtin(a) => return Theta::Builtin(*a),
+            ThetaKind::Udf(UdfKind::TrimmedMean) => udfs::trimmed_mean(0.1, 0.9),
+            ThetaKind::Udf(UdfKind::TopDecileMean) => udfs::top_fraction_mean(0.1),
+            ThetaKind::Udf(UdfKind::GeoMean) => udfs::geometric_mean(),
+            ThetaKind::Udf(UdfKind::Cov) => udfs::coeff_of_variation(),
+            ThetaKind::Udf(UdfKind::FracAbove(t)) => udfs::frac_above(*t),
+        };
+        Theta::Udf(Arc::new(udf))
     }
 
     /// The reporting bucket.
@@ -258,16 +241,7 @@ impl StatQuery {
 
     /// Whether closed-form estimation applies.
     pub fn closed_form_applicable(&self) -> bool {
-        matches!(
-            self.theta,
-            ThetaKind::Builtin(
-                Aggregate::Avg
-                    | Aggregate::Sum
-                    | Aggregate::Count
-                    | Aggregate::Variance
-                    | Aggregate::StdDev
-            )
-        )
+        matches!(self.theta, ThetaKind::Builtin(a) if a.closed_form_applicable())
     }
 }
 
@@ -524,12 +498,10 @@ mod tests {
     #[test]
     fn theta_instantiation_works() {
         for q in Workload::Conviva.generate(200, 10) {
-            let owned = q.theta.instantiate();
-            let theta = owned.as_theta();
-            let est = theta.as_estimator();
+            let theta = q.theta.instantiate();
             let ctx = aqp_stats::estimator::SampleContext::population(100);
             let vals: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-            let v = est.estimate(&vals, &ctx);
+            let v = theta.estimate(&vals, &ctx);
             assert!(v.is_finite(), "{} produced {v}", q.name);
         }
     }

@@ -16,7 +16,6 @@ use reliable_aqp::stats::estimator::{Aggregate, SampleContext};
 use reliable_aqp::stats::large_deviation::{Inequality, RangeHint};
 use reliable_aqp::stats::rng::{rng_from_seed, SeedStream};
 use reliable_aqp::stats::sampling::{gather, with_replacement_indices};
-use reliable_aqp::stats::ErrorEstimator;
 
 fn main() {
     // Population: lognormal "session minutes".

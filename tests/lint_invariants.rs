@@ -72,7 +72,8 @@ fn session_names_no_observer_machinery() {
 #[test]
 fn the_stock_library_has_no_expanding_udf() {
     use reliable_aqp::exec::UdfRegistry;
-    use reliable_aqp::workload::statquery::{OwnedTheta, ThetaKind, UdfKind};
+    use reliable_aqp::stats::Theta;
+    use reliable_aqp::workload::statquery::{ThetaKind, UdfKind};
     let registry = UdfRegistry::with_stock_library();
     let names = registry.names();
     assert!(names.len() >= 4, "{names:?}");
@@ -88,7 +89,7 @@ fn the_stock_library_has_no_expanding_udf() {
         UdfKind::FracAbove(0.5),
     ];
     for kind in kinds {
-        let OwnedTheta::Udf(udf) = ThetaKind::Udf(kind).instantiate() else {
+        let Theta::Udf(udf) = ThetaKind::Udf(kind).instantiate() else {
             panic!("{kind:?} instantiates a UDF");
         };
         assert!(udf.has_weighted_form(), "workload UDF {kind:?} has no weighted form");

@@ -1314,8 +1314,9 @@ proptest! {
         use rand::{Rng as _, RngExt};
         use reliable_aqp::exec::collect::{AggData, NestedData};
         use reliable_aqp::exec::theta::{
-            bootstrap_ci_prepared, InnerAggregate, PlainTheta, PreparedTheta,
+            bootstrap_ci_prepared, InnerAggregate, PreparedTheta,
         };
+        use reliable_aqp::stats::Theta as EngineTheta;
         use reliable_aqp::exec::UdfRegistry;
         use reliable_aqp::stats::bootstrap::bootstrap_replicates;
         let _counter = RESAMPLE_COUNTER.lock().unwrap_or_else(|p| p.into_inner());
@@ -1375,8 +1376,8 @@ proptest! {
             opaque.register(name, Udf::new(name, move |xs| udf.estimate(xs, &everything)));
         }
         let resolve = |registry: &UdfRegistry, theta: Theta| match theta {
-            Theta::Builtin(a) => PlainTheta::Builtin(a),
-            Theta::Udf(name) => PlainTheta::Udf(registry.resolve(name).unwrap()),
+            Theta::Builtin(a) => EngineTheta::Builtin(a),
+            Theta::Udf(name) => EngineTheta::Udf(registry.resolve(name).unwrap()),
         };
         let plain = |theta: Theta| resolve(&opaque, theta);
         let scale = values.iter().filter(|x| x.is_finite()).fold(1.0, |m: f64, x| m.max(x.abs()));
