@@ -153,9 +153,9 @@ fn prepare(
 }
 
 /// Exact answers per `(group key, aggregate position)` from the oracle
-/// run. Matching is positional because the exact executor labels
-/// aggregates `agg0`, `agg1`, … while the approximate path keeps the
-/// SQL rendering (`AVG(bitrate)`); select-list order is identical.
+/// run. Both runs name a result by its SELECT expression (`AVG(bitrate)`)
+/// and keep the select-list order; matching by position also tells apart
+/// two aggregates of one list that render alike.
 fn oracle_truth(spec: &CaseSpec, table: Table) -> Result<BTreeMap<(String, usize), f64>, String> {
     // Same table, no samples, no faults, no audit: the session plans an
     // exact query and the estimate IS the exact answer.

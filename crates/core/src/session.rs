@@ -5,9 +5,11 @@ use std::sync::Arc;
 
 use aqp_audit::{AuditConfig, AuditReport};
 use aqp_diagnostics::DiagnosticConfig;
+use aqp_exec::collect::result_names;
 use aqp_exec::engine::{execute_approx, execute_exact_observed, ApproxOptions, MethodChoice};
 use aqp_exec::result::{AggResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use aqp_exec::udf::UdfRegistry;
+use aqp_exec::ExecError;
 use aqp_obs::{name, stage, ObsHandle, QueryTrace, TraceRecorder};
 use aqp_prof::OpProfile;
 use aqp_sql::logical::{DiagnosticWeights, ErrorMethod, LogicalPlan, ResampleSpec};
@@ -489,7 +491,7 @@ impl AqpSession {
                 rec.attr(gate, "audit_bars_ms", format_args!("{:.3}", took.as_secs_f64() * 1e3));
                 self.observers.audited(p.sql, ordinal, 0.0, &approx.groups, &exact.groups);
             }
-            let merged = merge_with_exact(exact.groups, approx.groups);
+            let merged = merge_with_exact(exact.groups, approx.groups, &result_names(&p.plan)?)?;
             let mode = if rejected == total_results {
                 self.config.obs.metrics.counter(name::CORE_FALLBACKS_EXACT).inc();
                 AnswerMode::ExactFallback
@@ -563,7 +565,7 @@ impl AqpSession {
         let exact = self.run_exact(p)?;
         rec.graft(exact.trace);
         apply_having(p, AqpAnswer {
-            groups: merge_with_exact(exact.groups, Vec::new()),
+            groups: merge_with_exact(exact.groups, Vec::new(), &result_names(&p.plan)?)?,
             mode,
             fell_back: matches!(mode, AnswerMode::ExactFallback),
             sample_rows: 0,
@@ -657,26 +659,28 @@ fn annotate(plan: LogicalPlan, query: &Query, opts: &ApproxOptions) -> LogicalPl
 /// authoritative, the sample can miss rare groups entirely. A result
 /// `approx` served with reliable error bars moves over with them; a
 /// rejected one serves the exact value and keeps its verdict; one the
-/// sample never saw is plain exact.
-fn merge_with_exact(exact: Vec<(String, Vec<f64>)>, approx: Vec<GroupResult>) -> Vec<GroupResult> {
+/// sample never saw is plain exact, named from `names`
+/// ([`result_names`]), as the approximate path names its results.
+fn merge_with_exact(
+    exact: Vec<(String, Vec<f64>)>,
+    approx: Vec<GroupResult>,
+    names: &[String],
+) -> aqp_exec::Result<Vec<GroupResult>> {
     let mut served: std::collections::HashMap<String, Vec<AggResult>> =
         approx.into_iter().map(|g| (g.key, g.aggs)).collect();
     exact
         .into_iter()
         .map(|(key, vals)| {
+            if vals.len() != names.len() {
+                return Err(ExecError::PlanInvariant(format!("{} exact answers for {} aggregates", vals.len(), names.len())));
+            }
             let mut served = served.remove(&key).unwrap_or_default().into_iter();
-            let aggs = vals.into_iter().enumerate().map(|(ai, v)| match served.next() {
+            let aggs = vals.into_iter().zip(names).map(|(v, name)| match served.next() {
                 Some(a) if a.error_bars_reliable() => a,
                 Some(a) => AggResult { estimate: v, ci: None, method: MethodUsed::None, ..a },
-                None => AggResult {
-                    name: format!("agg{ai}"),
-                    estimate: v,
-                    ci: None,
-                    method: MethodUsed::None,
-                    diagnostic: None,
-                },
+                None => AggResult { name: name.clone(), estimate: v, ci: None, method: MethodUsed::None, diagnostic: None },
             });
-            GroupResult { aggs: aggs.collect(), key }
+            Ok(GroupResult { aggs: aggs.collect(), key })
         })
         .collect()
 }

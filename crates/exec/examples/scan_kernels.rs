@@ -1,9 +1,12 @@
 //! The scan's kernels, one thread, on the benchmark's table: ns per row
 //! and per collected value of `collect` (positions built, as the
 //! approximate path with a diagnostic asks) and ns per row of
-//! `execute_exact` (no positions, θ over the values included), for the
-//! query shapes the workloads are made of. `collect` is split four ways
-//! from what `collect_observed` reports, medians over the rounds:
+//! `execute_exact` (the same chain and group ids, then every group's
+//! accumulators folded in scan order; nothing collected), for the query
+//! shapes the workloads are made of. `same bits` says whether
+//! `execute_exact` answered, on every group and aggregate, exactly what θ
+//! over `collect`'s values gives. `collect` is split four ways from what
+//! `collect_observed` reports, medians over the rounds:
 //!
 //! * `filter` — busy time of the chain operators (`CollectObs::ops`);
 //! * `grouping` — what the partition workers spend besides the chain when
@@ -17,11 +20,13 @@
 //! cargo run --release -p aqp-exec --example scan_kernels
 //! ```
 
-use aqp_exec::collect::collect_observed;
-use aqp_exec::{execute_exact, UdfRegistry};
+use aqp_exec::collect::{collect_observed, Collected};
+use aqp_exec::theta::PreparedTheta;
+use aqp_exec::{execute_exact, ExactResult, UdfRegistry};
 use aqp_obs::Clock;
 use aqp_sql::logical::LogicalPlan;
 use aqp_sql::{parse_query, plan_query};
+use aqp_stats::estimator::SampleContext;
 use aqp_storage::Table;
 use aqp_workload::conviva_sessions_table;
 
@@ -33,11 +38,25 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
+/// Whether `exact` is θ over `collected`'s values, bit for bit.
+fn same_bits(exact: &ExactResult, collected: &Collected, registry: &UdfRegistry) -> bool {
+    let ctx = SampleContext::population(collected.pre_filter_rows);
+    let prepare = |a| PreparedTheta::prepare(a, collected.inner_agg.as_ref(), registry).expect("θ prepares");
+    let thetas: Vec<PreparedTheta> = collected.agg_exprs.iter().map(prepare).collect();
+    exact.groups.len() == collected.groups.len()
+        && exact.groups.iter().zip(&collected.groups).all(|((key, vals), g)| {
+            let want = g.aggs.iter().zip(&thetas).map(|(data, theta)| theta.estimate(data, &ctx).to_bits());
+            *key == g.key && vals.iter().map(|v| v.to_bits()).eq(want)
+        })
+}
+
 /// Medians over the rounds of one `collect`, in ns: wall, the chain
-/// operators, the partition workers; and the values collected.
-fn collect_ns(plan: &LogicalPlan, table: &Table) -> ([f64; 3], usize) {
+/// operators, the partition workers; the values collected and the last
+/// round's output.
+fn collect_ns(plan: &LogicalPlan, table: &Table) -> ([f64; 3], usize, Collected) {
     let clock = Clock::real();
     let mut values = 0;
+    let mut last = None;
     // One more round than is kept: the first finds the columns cold.
     let rounds: Vec<[f64; 3]> = (0..=ROUNDS)
         .map(|_| {
@@ -45,13 +64,14 @@ fn collect_ns(plan: &LogicalPlan, table: &Table) -> ([f64; 3], usize) {
             let (collected, obs) = out.expect("the plan collects");
             values = collected.groups.iter().flat_map(|g| &g.aggs).map(|a| a.values.len()).sum();
             std::hint::black_box(&collected);
+            last = Some(collected);
             let chain: u128 = obs.ops.iter().map(|o| o.busy.as_nanos()).sum();
             let workers: u128 = obs.workers.iter().map(|w| w.busy.as_nanos()).sum();
             [wall.as_nanos() as f64, chain as f64, workers as f64]
         })
         .skip(1)
         .collect();
-    ([0, 1, 2].map(|i| median(rounds.iter().map(|r| r[i]).collect())), values)
+    ([0, 1, 2].map(|i| median(rounds.iter().map(|r| r[i]).collect())), values, last.expect("one round"))
 }
 
 fn plan(table: &Table, select: &str, rest: &str) -> LogicalPlan {
@@ -72,31 +92,36 @@ fn main() {
         ("global, dictionary predicate", "AVG(time)", "WHERE site <> 'cdn-east'"),
         ("global, OR of two dictionary predicates", "AVG(time)", "WHERE city = 'NYC' OR city = 'Chicago'"),
         ("global, no filter", "AVG(time)", ""),
+        ("global `VARIANCE(bitrate)`", "VARIANCE(bitrate)", ""),
         ("GROUP BY city, 3 aggregates", "AVG(time), SUM(bytes), MAX(bitrate)", "GROUP BY city"),
+        ("GROUP BY site (dictionary, no NULLs)", "AVG(time)", "GROUP BY site"),
+        ("GROUP BY is_mobile (bool)", "AVG(time)", "GROUP BY is_mobile"),
         ("GROUP BY user_id", "AVG(time)", "GROUP BY user_id"),
         ("nested AVG(SUM(bytes)) by user_id", "SUM(bytes)", "NESTED GROUP BY user_id"),
     ];
     println!("one thread, {ROWS} rows in 16 partitions, medians of {ROUNDS} rounds; ns per row unless said");
-    println!("| query | collect | per value | filter | grouping | gather | merge | execute_exact |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| query | collect | per value | filter | grouping | gather | merge | execute_exact | same bits |");
+    println!("|---|---|---|---|---|---|---|---|---|");
     for (what, select, rest) in shapes {
         let query = plan(&table, select, rest);
-        let ([wall, chain, workers], values) = collect_ns(&query, &table);
-        let ([_, count_chain, count_workers], _) = collect_ns(&plan(&table, "COUNT(*)", rest), &table);
+        let ([wall, chain, workers], values, collected) = collect_ns(&query, &table);
+        let ([_, count_chain, count_workers], ..) = collect_ns(&plan(&table, "COUNT(*)", rest), &table);
         let grouping = count_workers - count_chain;
         let clock = Clock::real();
+        let mut answer = None;
         let exact = median(
             (0..ROUNDS)
                 .map(|_| {
                     let (out, took) = clock.time(|| execute_exact(&query, &table, &registry, 1));
-                    std::hint::black_box(out.expect("the plan executes"));
+                    answer = Some(std::hint::black_box(out.expect("the plan executes")));
                     took.as_nanos() as f64
                 })
                 .collect(),
         );
+        let same = same_bits(&answer.expect("one round"), &collected, &registry);
         let per_row = |ns: f64| format!("{:.2}", ns / ROWS as f64);
         println!(
-            "| {what} | {} | {:.2} | {} | {} | {} | {} | {} |",
+            "| {what} | {} | {:.2} | {} | {} | {} | {} | {} | {same} |",
             per_row(wall),
             wall / values.max(1) as f64,
             per_row(chain),

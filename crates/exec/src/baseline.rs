@@ -20,7 +20,7 @@ use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
-use crate::collect::{collect, scan, Collected};
+use crate::collect::{collect, result_names, scan, Collected};
 use crate::engine::{prepare_thetas, ApproxOptions, MethodChoice, MAX_AGGREGATES};
 use crate::result::{refused, AggResult, ApproxResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, closed_form_ci_prepared, BoundTheta, PreparedTheta};
@@ -54,7 +54,7 @@ pub fn execute_baseline(
     let scan_span = rec.start(stage::SCAN_COLLECT);
     let collected = rescan(plan, sample, opts)?;
     let ctx = SampleContext::new(collected.pre_filter_rows, population_rows);
-    let thetas = prepare_thetas(&collected, registry)?;
+    let thetas = prepare_thetas(&collected.agg_exprs, collected.inner_agg.as_ref(), registry)?;
     let estimates: Vec<Vec<f64>> = collected
         .groups
         .iter()
@@ -136,7 +136,7 @@ pub fn execute_baseline(
     rec.end(err_span);
 
     let asm_span = rec.start(stage::ASSEMBLE);
-    let names: Vec<String> = collected.agg_exprs.iter().map(|a| a.to_string()).collect();
+    let names = result_names(plan)?;
     let groups = collected
         .groups
         .iter()

@@ -15,6 +15,9 @@
 //! written once per partition, and only for a caller whose diagnostic
 //! reads them. The output is bit-identical to a row-at-a-time scan with
 //! string group keys (`tests/properties.rs` holds that scan as the oracle).
+//!
+//! The exact path collects nothing: `fold` runs the same chain and group
+//! ids, then folds every (group, aggregate) in scan order.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -30,6 +33,8 @@ use aqp_storage::{Batch, Column, Table, Value};
 
 use crate::parallel::{parallel_map_observed, WorkerStat};
 use crate::{ExecError, Result};
+
+pub(crate) mod fold;
 
 /// Inner-group encoding for nested (two-level) aggregates.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -144,83 +149,92 @@ struct OpDelta {
     busy: Duration,
 }
 
-/// The decomposed plan shape the executor supports.
+/// What a supported plan asks of the scan.
 struct PlanShape<'a> {
-    /// Pass-through chain from scan upward (scan first), excluding
-    /// aggregate/estimation nodes. `Resample` nodes are recorded but
-    /// treated as no-ops during collection (weights are streamed by the
-    /// engine, not materialized).
+    /// The pass-through chain below the innermost aggregate, scan first.
+    /// `Resample` nodes are recorded but treated as no-ops during
+    /// collection (weights are streamed by the engine, not materialized).
     chain: Vec<&'a LogicalPlan>,
-    inner_agg: Option<&'a LogicalPlan>,
-    top_agg: &'a LogicalPlan,
+    /// The top block's aggregates, in SELECT order.
+    top_aggs: &'a [AggExpr],
+    /// The top block's keys; a nested plan has none.
+    group_by: &'a [String],
+    /// A nested plan's inner aggregate and inner key.
+    inner: Option<(&'a AggExpr, &'a String)>,
 }
 
+impl<'a> PlanShape<'a> {
+    /// The aggregates collected per group: a nested plan collects its inner
+    /// block's argument as one anonymous top group, coded by the inner key.
+    fn aggs(&self) -> &'a [AggExpr] {
+        self.inner.map_or(self.top_aggs, |(agg, _)| std::slice::from_ref(agg))
+    }
+
+    /// The keys a partition's entries are grouped by: the inner key of a
+    /// nested plan.
+    fn keys(&self) -> &'a [String] {
+        self.inner.map_or(self.group_by, |(_, key)| std::slice::from_ref(key))
+    }
+}
+
+/// Decompose `plan` into the shapes the executor supports:
+/// `Aggregate(chain)` and `Aggregate(Aggregate(chain))` — one nesting
+/// level, the outer block without GROUP BY, the inner with one aggregate
+/// and one key.
 fn decompose(plan: &LogicalPlan) -> Result<PlanShape<'_>> {
     // Strip ErrorEstimate/Diagnostic wrappers.
     let mut node = plan;
     while let LogicalPlan::ErrorEstimate { input, .. } | LogicalPlan::Diagnostic { input } = node {
         node = input;
     }
-    let top_agg = match node {
-        LogicalPlan::Aggregate { .. } => node,
-        other => {
-            return Err(ExecError::Unsupported(format!(
-                "plan root must be an aggregate, found {other:?}"
-            )))
-        }
+    let LogicalPlan::Aggregate { input: top_input, group_by, aggs: top_aggs } = node else {
+        return Err(ExecError::Unsupported(format!("plan root must be an aggregate, found {node:?}")));
     };
-    let mut below = top_agg.input().expect("aggregate has input");
-    // Pass through filters/projections between the two aggregates? The
-    // supported nested shape is: outer Aggregate directly over inner
-    // Aggregate (optionally with a filter between).
-    let mut inner_agg = None;
-    let mut probe = below;
-    loop {
+    // An inner aggregate must sit directly under the outer one (the paper's
+    // nested queries filter at the base level).
+    let mut probe: &LogicalPlan = top_input;
+    let (inner, mut below) = loop {
         match probe {
-            LogicalPlan::Aggregate { .. } => {
-                inner_agg = Some(probe);
-                below = probe.input().expect("aggregate has input");
-                break;
+            LogicalPlan::Aggregate { input, group_by: inner_keys, aggs } => {
+                if !std::ptr::eq(probe, &**top_input) {
+                    return Err(ExecError::Unsupported("operators between nested aggregates are not supported".into()));
+                }
+                if !group_by.is_empty() {
+                    return Err(ExecError::Unsupported(
+                        "GROUP BY on the outer block of a nested query is not supported".into(),
+                    ));
+                }
+                let ([inner_agg], [inner_key]) = (aggs.as_slice(), inner_keys.as_slice()) else {
+                    return Err(ExecError::Unsupported(
+                        "nested inner block must have exactly one aggregate and one group key".into(),
+                    ));
+                };
+                if top_aggs.iter().any(|a| a.arg.is_none() && !matches!(a.func, AggFunc::Count)) {
+                    return Err(ExecError::Unsupported("outer aggregate without argument".into()));
+                }
+                break (Some((inner_agg, inner_key)), &**input);
             }
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Resample { input, .. }
-            | LogicalPlan::TableSample { input, .. } => {
-                probe = input;
-            }
-            LogicalPlan::Scan { .. } => break,
-            other => {
-                return Err(ExecError::Unsupported(format!("unsupported node {other:?}")))
-            }
+            | LogicalPlan::TableSample { input, .. } => probe = input,
+            LogicalPlan::Scan { .. } => break (None, &**top_input),
+            other => return Err(ExecError::Unsupported(format!("unsupported node {other:?}"))),
         }
+    };
+    let mut chain = vec![below];
+    while !matches!(below, LogicalPlan::Scan { .. }) {
+        below = below.input().ok_or_else(|| ExecError::Unsupported("chain without scan leaf".into()))?;
+        chain.push(below);
     }
-    if inner_agg.is_some() {
-        // Filters between the aggregates are not supported (the paper's
-        // nested queries filter at the base level).
-        if !matches!(top_agg.input(), Some(LogicalPlan::Aggregate { .. })) {
-            return Err(ExecError::Unsupported(
-                "operators between nested aggregates are not supported".into(),
-            ));
-        }
-    }
+    chain.reverse();
+    Ok(PlanShape { chain, top_aggs, group_by, inner })
+}
 
-    // Build the pass-through chain (scan-first order) below the innermost
-    // aggregate.
-    let mut chain_rev = Vec::new();
-    let mut cur = below;
-    loop {
-        chain_rev.push(cur);
-        match cur {
-            LogicalPlan::Scan { .. } => break,
-            _ => {
-                cur = cur
-                    .input()
-                    .ok_or_else(|| ExecError::Unsupported("chain without scan leaf".into()))?;
-            }
-        }
-    }
-    chain_rev.reverse();
-    Ok(PlanShape { chain: chain_rev, inner_agg, top_agg })
+/// The name of each SELECT aggregate's results, in SELECT order: the
+/// aggregate as written (`AVG(time)`), whichever path answers.
+pub fn result_names(plan: &LogicalPlan) -> Result<Vec<String>> {
+    Ok(decompose(plan)?.top_aggs.iter().map(ToString::to_string).collect())
 }
 
 /// Run the pass-through chain over the kept rows of one partition without
@@ -474,7 +488,7 @@ impl Keys {
 /// single column whose codes are dense through a slot table in front of
 /// it. Returns the partition-local group id per entry and the groups'
 /// keys.
-fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Keys) {
+fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &Selection) -> (Vec<u32>, Keys) {
     let cols: Vec<&Column> = key_cols.iter().map(|&c| batch.column(c)).collect();
     let decode = cols.iter().map(|col| decoder(col)).collect::<Option<Vec<_>>>();
     let mut tuples = CodeGroups::new(cols.len());
@@ -482,7 +496,7 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, K
     // For a key with a string column, the group of each distinct tuple:
     // its string's.
     let (mut keys, mut ids, mut seen) = (Vec::new(), HashMap::new(), Vec::new());
-    let mut group_of = |row: usize| {
+    let group_of = |row: usize| {
         let tuple = match cols.as_slice() {
             // A lone string column sits behind the slot table below, which
             // hands over each code once: every call brings a new tuple.
@@ -504,28 +518,45 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, K
         seen[tuple as usize]
     };
     // A single column whose codes are dense by construction — a dictionary's,
-    // a boolean's — gets a slot table in front of the map: the column and
-    // how many codes it has.
-    let dense = match cols.as_slice() {
-        [col @ Column::Str { dict, .. }] => Some((*col, dict.len())),
-        [col @ Column::Bool { .. }] => Some((*col, 2)),
-        _ => None,
-    };
-    let gids = match dense {
-        Some((col, n)) => {
-            let mut slots = vec![UNSEEN; n + 1]; // the last is NULL's
-            let mut gid = |row: usize| {
-                let slot = key_code(col, row).map_or(n, |code| code as usize);
-                if slots[slot] == UNSEEN {
-                    slots[slot] = group_of(row);
-                }
-                slots[slot]
-            };
-            sel.iter().map(|&r| gid(r as usize)).collect()
+    // a boolean's — is read in one typed loop through a slot table.
+    let gids = match cols.as_slice() {
+        [Column::Str { dict, codes, validity }] => {
+            dense_ids(sel, dict.len(), validity, |row| codes[row] as usize, group_of)
         }
-        None => sel.iter().map(|&r| group_of(r as usize)).collect(),
+        [Column::Bool { values, validity }] => dense_ids(sel, 2, validity, |row| usize::from(values[row]), group_of),
+        _ => {
+            let mut gids = vec![0; sel.len()];
+            sel.scatter(None, &mut gids, group_of);
+            gids
+        }
     };
     (gids, decode.map_or(Keys::Rendered(keys, ids), |decode| Keys::Typed(decode, tuples)))
+}
+
+/// The group of every entry of `sel` under a lone key column with `n`
+/// dense codes — `code(row)`, NULL where `validity` says so — through a
+/// slot table in front of `group_of`: a slot per code and the last for
+/// NULL, each filled at the first row that brings it.
+fn dense_ids(
+    sel: &Selection,
+    n: usize,
+    validity: &Option<Vec<bool>>,
+    code: impl Fn(usize) -> usize,
+    mut group_of: impl FnMut(usize) -> u32,
+) -> Vec<u32> {
+    let mut slots = vec![UNSEEN; n + 1];
+    let mut id = |row: usize, slot: usize| {
+        if slots[slot] == UNSEEN {
+            slots[slot] = group_of(row);
+        }
+        slots[slot]
+    };
+    let mut gids = vec![0; sel.len()];
+    match validity {
+        None => sel.scatter(None, &mut gids, |row| id(row, code(row))),
+        Some(valid) => sel.scatter(None, &mut gids, |row| id(row, if valid[row] { code(row) } else { n })),
+    }
+    gids
 }
 
 /// The grouped selection of one partition: a slot per selection entry,
@@ -563,39 +594,47 @@ struct PartitionScan {
     op_deltas: Vec<OpDelta>,
 }
 
-/// Scan one partition: run the chain, resolve group ids once, turn them
-/// into a slot per selection entry, and scatter every aggregate's argument
-/// through the selection into its slots. `None` when the partition was
-/// lost.
+/// One partition through the chain, the group of every entry resolved.
+struct Resolved<'a> {
+    /// The batch the selection indexes.
+    batch: Cow<'a, Batch>,
+    sel: Selection,
+    /// The partition-local group of each entry; empty for the global group.
+    gids: Vec<u32>,
+    /// The partition's groups, in first-seen order.
+    keys: Keys,
+    // Per chain operator, this partition's counter deltas.
+    op_deltas: Vec<OpDelta>,
+}
+
+/// Run the chain over one partition and resolve the group of every entry
+/// under `keys` once. The global group exists once a row survives.
+fn resolve<'a>(chain: &[&LogicalPlan], item: &ScanItem<'a>, keys: &[String], clock: &Clock) -> Result<Resolved<'a>> {
+    let (batch, sel, op_deltas) = run_chain(chain, item, clock)?;
+    let cols = keys.iter().map(|k| batch.schema().index_of(k)).collect::<aqp_storage::Result<Vec<_>>>()?;
+    let (gids, keys) = match cols.as_slice() {
+        [] => (Vec::new(), Keys::Rendered(vec![String::new(); usize::from(!sel.is_empty())], HashMap::new())),
+        cols => assign_groups(&batch, cols, &sel),
+    };
+    Ok(Resolved { batch, sel, gids, keys, op_deltas })
+}
+
+/// Scan one partition: run the chain, resolve group ids once
+/// ([`resolve`]), turn them into a slot per selection entry, and scatter
+/// every aggregate's argument through the selection into its slots. `None`
+/// when the partition was lost.
 fn scan_partition(
-    chain: &[&LogicalPlan],
-    item: ScanItem<'_>,
-    group_by: &[String],
-    aggs: &[AggExpr],
-    inner_key: Option<&str>,
-    with_positions: bool,
-    clock: &Clock,
+    shape: &PlanShape<'_>, item: ScanItem<'_>, with_positions: bool, clock: &Clock,
 ) -> Result<Option<PartitionScan>> {
     if item.lost {
         return Ok(None);
     }
-    let (batch, mut sel, op_deltas) = run_chain(chain, &item, clock)?;
-    let key_cols = group_by
-        .iter()
-        .map(|k| batch.schema().index_of(k))
-        .collect::<aqp_storage::Result<Vec<_>>>()?;
-    let (inner_gids, inner_keys) = match inner_key {
-        Some(k) => assign_groups(&batch, &[batch.schema().index_of(k)?], sel.rows()),
-        None => (Vec::new(), Keys::Rendered(Vec::new(), HashMap::new())),
-    };
-    // The global group needs no ids at all; it exists once a row (nested:
-    // a partition) survives.
-    let (gids, keys) = match key_cols.as_slice() {
-        [] => {
-            let exists = inner_key.is_some() || !sel.is_empty();
-            (Vec::new(), Keys::Rendered(vec![String::new(); usize::from(exists)], HashMap::new()))
-        }
-        key_cols => assign_groups(&batch, key_cols, sel.rows()),
+    let Resolved { batch, sel, gids, keys, op_deltas } = resolve(&shape.chain, &item, shape.keys(), clock)?;
+    // A nested plan resolved its inner groups; its one global group exists
+    // once a partition survives.
+    let (gids, keys, inner_gids, inner_keys) = match shape.inner {
+        Some(_) => (Vec::new(), Keys::Rendered(vec![String::new()], HashMap::new()), gids, keys),
+        None => (gids, keys, Vec::new(), Keys::Rendered(Vec::new(), HashMap::new())),
     };
     // Group sizes, turned into block starts by a running sum.
     let mut starts = vec![0; keys.len()];
@@ -633,8 +672,8 @@ fn scan_partition(
         (dest, Arc::new(Slots { ends, positions, codes }))
     };
     let shared = slots(None);
-    let mut out = Vec::with_capacity(aggs.len());
-    for agg in aggs {
+    let mut out = Vec::with_capacity(shape.aggs().len());
+    for agg in shape.aggs() {
         // `COUNT(*)` counts every entry; an argument, its non-NULL numbers.
         let Some(arg) = &agg.arg else {
             out.push(Blocks { values: vec![1.0; n], slots: shared.1.clone() });
@@ -702,14 +741,14 @@ fn fault_resolved_items<'a>(
 
 /// Sum per-partition deltas into chain-order [`OpStats`], resolving each
 /// chain node's preorder id within the executed plan.
-fn chain_stats(
+fn chain_stats<'d>(
     plan: &LogicalPlan,
     chain: &[&LogicalPlan],
-    scans: &[Result<Option<PartitionScan>>],
+    partitions: impl Iterator<Item = &'d [OpDelta]>,
 ) -> Vec<OpStats> {
     let mut totals = vec![OpDelta::default(); chain.len()];
-    for p in scans.iter().flatten().flatten() {
-        for (i, d) in p.op_deltas.iter().enumerate() {
+    for op_deltas in partitions {
+        for (i, d) in op_deltas.iter().enumerate() {
             if let Some(t) = totals.get_mut(i) {
                 t.rows_in += d.rows_in;
                 t.rows_out += d.rows_out;
@@ -777,8 +816,8 @@ pub fn collect_observed_faulty(
 
 /// [`collect_observed_faulty`], leaving every `AggData::positions` empty
 /// unless `with_positions`: only the diagnostic's row-range subsampling
-/// reads them, so the exact path, the pilot and the baseline's plain
-/// scans do not ask.
+/// reads them, so the pilot and the baseline's plain scans do not ask
+/// (the exact path collects nothing: `fold`).
 pub(crate) fn scan(
     plan: &LogicalPlan,
     table: &Table,
@@ -788,53 +827,13 @@ pub(crate) fn scan(
     with_positions: bool,
 ) -> Result<(Collected, CollectObs, Option<ScanFaultSummary>)> {
     let shape = decompose(plan)?;
-    let LogicalPlan::Aggregate { group_by: top_group_by, aggs: top_aggs, .. } = shape.top_agg
-    else {
-        return Err(ExecError::PlanInvariant(
-            "decompose returned a non-Aggregate top node".into(),
-        ));
-    };
-    // A nested plan collects the inner block's aggregate argument as one
-    // anonymous top group, coded by the inner group key.
-    let inner = match shape.inner_agg {
-        None => None,
-        Some(LogicalPlan::Aggregate { group_by, aggs, .. }) => {
-            if !top_group_by.is_empty() {
-                return Err(ExecError::Unsupported(
-                    "GROUP BY on the outer block of a nested query is not supported".into(),
-                ));
-            }
-            let ([inner_agg], [inner_key]) = (aggs.as_slice(), group_by.as_slice()) else {
-                return Err(ExecError::Unsupported(
-                    "nested inner block must have exactly one aggregate and one group key".into(),
-                ));
-            };
-            if top_aggs.iter().any(|a| a.arg.is_none() && !matches!(a.func, AggFunc::Count)) {
-                return Err(ExecError::Unsupported("outer aggregate without argument".into()));
-            }
-            Some((inner_agg, inner_key.as_str()))
-        }
-        Some(_) => {
-            return Err(ExecError::PlanInvariant(
-                "decompose returned a non-Aggregate inner node".into(),
-            ))
-        }
-    };
-
-    let (group_by, collected_aggs) = match inner {
-        Some((agg, _)) => (&[][..], std::slice::from_ref(agg)),
-        None => (top_group_by.as_slice(), top_aggs.as_slice()),
-    };
-    let inner_key = inner.map(|(_, key)| key);
-
-    let chain = &shape.chain;
     let (items, fault_summary) = fault_resolved_items(table, injector, clock);
     let pre_filter_rows = items.iter().map(|item| item.keep_rows).sum(); // a lost one keeps 0
-    let (scans, workers) = parallel_map_observed(items, threads, clock, |item| {
-        scan_partition(chain, item, group_by, collected_aggs, inner_key, with_positions, clock)
-    });
-    let ops = chain_stats(plan, chain, &scans);
-    let mut groups = merge(scans, collected_aggs.len(), inner.is_some(), with_positions)?;
+    let (scans, workers) =
+        parallel_map_observed(items, threads, clock, |item| scan_partition(&shape, item, with_positions, clock));
+    let ops = chain_stats(plan, &shape.chain, scans.iter().flatten().flatten().map(|p| &p.op_deltas[..]));
+    let (top_aggs, inner) = (shape.top_aggs, shape.inner);
+    let mut groups = merge(scans, shape.aggs().len(), inner.is_some(), with_positions)?;
     if inner.is_some() {
         // Duplicate the single collected values vector across outer
         // aggregates if the SELECT list has several.
@@ -846,13 +845,13 @@ pub(crate) fn scan(
     }
     // SQL semantics: a global aggregate over zero surviving rows still
     // produces one output row (COUNT 0, AVG NULL).
-    if top_group_by.is_empty() && groups.is_empty() {
+    if shape.group_by.is_empty() && groups.is_empty() {
         groups.push(Group { key: String::new(), aggs: vec![AggData::default(); top_aggs.len()] });
     }
     let collected = Collected {
         pre_filter_rows,
         groups,
-        agg_exprs: top_aggs.clone(),
+        agg_exprs: top_aggs.to_vec(),
         nested: inner.is_some(),
         inner_agg: inner.map(|(agg, _)| agg.clone()),
     };

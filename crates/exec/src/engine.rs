@@ -12,13 +12,14 @@ use aqp_diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
 use aqp_faults::{DegradedInfo, EventKind, FaultConfig, FaultInjector, ScanFaultSummary};
 use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
+use aqp_sql::ast::AggExpr;
 use aqp_sql::logical::LogicalPlan;
 use aqp_stats::closed_form::{closed_form_lanes, ClosedForm, Coverage, LANES};
 use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
-use crate::collect::{scan, AggData, Collected, OpStats};
+use crate::collect::{fold, result_names, scan, AggData, Collected, OpStats};
 use crate::parallel::{default_threads, parallel_map_observed, WorkerStat};
 use crate::result::{refused, AggResult, ApproxResult, ExactResult, GroupResult, MethodUsed, StageTimings};
 use crate::theta::{bootstrap_ci_prepared, BoundTheta, PreparedTheta};
@@ -121,36 +122,18 @@ pub fn execute_exact_observed(
     let rec = obs.recorder();
     let span = rec.start(stage::EXACT_EXECUTION);
     let scan_start = obs.clock.now();
-    let (collected, scan_obs, _) = scan(plan, table, threads, &obs.clock, None, false)?;
+    let (scanned, scan_obs) = fold::scan(plan, table, threads, &obs.clock)?;
     record_chain_ops(&rec, &obs.clock, scan_start, plan, &scan_obs.ops, None);
     record_workers(&rec, obs, &scan_obs.workers, None, obs.clock.now());
     let agg_start = obs.clock.now();
-    let ctx = SampleContext::population(collected.pre_filter_rows);
-    let thetas = prepare_thetas(&collected, registry)?;
-    let groups: Vec<(String, Vec<f64>)> = collected
-        .groups
-        .iter()
-        .map(|g| {
-            let vals = g
-                .aggs
-                .iter()
-                .zip(&thetas)
-                .map(|(data, theta)| theta.estimate(data, &ctx))
-                .collect();
-            (g.key.clone(), vals)
-        })
-        .collect();
+    let rows_scanned = scanned.rows;
+    let (groups, values) = scanned.fold(registry)?;
     let agg_span = (agg_start, obs.clock.now());
-    record_plan_op(&rec, agg_span, None, plan, "Aggregate", total_values(&collected), groups.len() as u64);
-    rec.attr(span, "rows_scanned", collected.pre_filter_rows);
+    record_plan_op(&rec, agg_span, None, plan, "Aggregate", values, groups.len() as u64);
+    rec.attr(span, "rows_scanned", rows_scanned);
     rec.end(span);
     let trace = rec.finish();
-    Ok(ExactResult {
-        groups,
-        rows_scanned: collected.pre_filter_rows,
-        timings: StageTimings::from_trace(&trace),
-        trace,
-    })
+    Ok(ExactResult { groups, rows_scanned, timings: StageTimings::from_trace(&trace), trace })
 }
 
 /// Aggregates per SELECT list, the stride of a cell's seed stream.
@@ -159,15 +142,15 @@ pub(crate) const MAX_AGGREGATES: usize = 64;
 /// One prepared θ per SELECT aggregate — at most [`MAX_AGGREGATES`]: cell
 /// (group, aggregate) draws from the stream `group * MAX_AGGREGATES +
 /// aggregate`, which a wider list would make two cells share.
-pub(crate) fn prepare_thetas(collected: &Collected, registry: &UdfRegistry) -> Result<Vec<PreparedTheta>> {
-    if collected.agg_exprs.len() > MAX_AGGREGATES {
+pub(crate) fn prepare_thetas(
+    aggs: &[AggExpr],
+    inner: Option<&AggExpr>,
+    registry: &UdfRegistry,
+) -> Result<Vec<PreparedTheta>> {
+    if aggs.len() > MAX_AGGREGATES {
         return Err(ExecError::Unsupported(format!("more than {MAX_AGGREGATES} aggregates in one SELECT list")));
     }
-    collected
-        .agg_exprs
-        .iter()
-        .map(|a| PreparedTheta::prepare(a, collected.inner_agg.as_ref(), registry))
-        .collect()
+    aggs.iter().map(|a| PreparedTheta::prepare(a, inner, registry)).collect()
 }
 
 /// Execute `plan` approximately over `sample` (a stored sample of a table
@@ -228,7 +211,7 @@ pub fn execute_approx(
     // for the range's bars.
     let est_span = rec.start(stage::POINT_ESTIMATE);
     let est_start = opts.obs.clock.now();
-    let thetas = prepare_thetas(&collected, registry)?;
+    let thetas = prepare_thetas(&collected.agg_exprs, collected.inner_agg.as_ref(), registry)?;
     let mut passes = Vec::with_capacity(collected.groups.len() * thetas.len());
     let estimates: Vec<Vec<f64>> = collected
         .groups
@@ -248,7 +231,9 @@ pub fn execute_approx(
         })
         .collect();
     let span = (est_start, opts.obs.clock.now());
-    let (values, groups) = (total_values(&collected), collected.groups.len() as u64);
+    // The values entering the aggregation operator: every group's first aggregate's.
+    let values = collected.groups.iter().map(|g| g.aggs.first().map_or(0, |a| a.values.len() as u64)).sum();
+    let groups = collected.groups.len() as u64;
     record_plan_op(&rec, span, None, plan, "Aggregate", values, groups);
     rec.end(est_span);
     let inputs = BarInputs { collected, thetas, contexts, passes };
@@ -361,7 +346,7 @@ pub fn execute_approx(
     // its result row, and so do its bars unless it was refused.
     let mut bars = bars.into_iter();
     // Rendered once per query, cloned per cell.
-    let names: Vec<String> = collected.agg_exprs.iter().map(|a| a.to_string()).collect();
+    let names = result_names(plan)?;
     for (&(gi, ai), diagnostic) in jobs.iter().zip(diags) {
         let bar = if refused(&diagnostic) { None } else { bars.next() };
         let (ci, method) = bar.unwrap_or((None, MethodUsed::None));
@@ -656,16 +641,6 @@ fn record_plan_op(
     rec.attr(id, "batches", 1u64);
     rec.attr(id, "bytes", rows_out * 8);
     Some(id)
-}
-
-/// Total collected values across all groups' first aggregate: the row
-/// count entering the aggregation operator.
-fn total_values(collected: &Collected) -> u64 {
-    collected
-        .groups
-        .iter()
-        .map(|g| g.aggs.first().map_or(0, |a| a.values.len() as u64))
-        .sum()
 }
 
 /// The error estimate ξ of a bound θ — the whole range for the answer's
@@ -1205,7 +1180,7 @@ mod tests {
         ] {
             let plan = plan_of(sql, &pop);
             let collected = crate::collect::collect(&plan, &sample, 2).unwrap();
-            let thetas = prepare_thetas(&collected, &registry).unwrap();
+            let thetas = prepare_thetas(&collected.agg_exprs, collected.inner_agg.as_ref(), &registry).unwrap();
             let subsamples = || Subsamples {
                 theta: &thetas[0],
                 data: &collected.groups[0].aggs[0],

@@ -12,7 +12,8 @@
 //!   to concrete estimators).
 //! * [`collect`] — the scan/filter/project pipeline: walks the plan over
 //!   the table's partitions (in parallel) and produces per-group
-//!   aggregation inputs.
+//!   aggregation inputs; for the exact path it collects nothing and folds
+//!   every group's values in scan order instead.
 //! * [`theta`] — prepared query estimators θ, including the nested
 //!   two-level aggregates of QSet-2, with weighted (resample) evaluation.
 //! * [`engine`] — the optimized executor (`execute_approx`): point

@@ -75,6 +75,36 @@ impl InnerAggregate {
             Aggregate::Variance | Aggregate::StdDev | Aggregate::Percentile(_) => None,
         }
     }
+
+    /// A group's accumulator before its first row.
+    pub(crate) fn start(self) -> f64 {
+        match self {
+            InnerAggregate::Min => f64::INFINITY,
+            InnerAggregate::Max => f64::NEG_INFINITY,
+            _ => 0.0,
+        }
+    }
+
+    /// Take row `x`, repeated `w` > 0 times, into its group's accumulator.
+    #[inline]
+    pub(crate) fn push(self, acc: &mut f64, x: f64, w: u32) {
+        match self {
+            InnerAggregate::Sum | InnerAggregate::Avg => *acc += x * w as f64,
+            InnerAggregate::Count => *acc += w as f64,
+            InnerAggregate::Min => *acc = acc.min(x),
+            InnerAggregate::Max => *acc = acc.max(x),
+        }
+    }
+
+    /// A present group's inner value: its accumulator over `weight` rows,
+    /// SUM and COUNT scaled by `scale`.
+    pub(crate) fn value(self, acc: f64, weight: u64, scale: f64) -> f64 {
+        match self {
+            InnerAggregate::Sum | InnerAggregate::Count => acc * scale,
+            InnerAggregate::Avg => acc / weight as f64,
+            InnerAggregate::Min | InnerAggregate::Max => acc,
+        }
+    }
 }
 
 /// A fully-prepared θ for one SELECT aggregate.
@@ -259,36 +289,27 @@ impl NestedTheta<'_> {
     /// in the (optionally weighted) rows.
     fn eval(&mut self, weights: Option<&[u32]>) -> f64 {
         let inner = self.inner;
-        self.acc.fill(match inner {
-            InnerAggregate::Min => f64::INFINITY,
-            InnerAggregate::Max => f64::NEG_INFINITY,
-            _ => 0.0,
-        });
+        self.acc.fill(inner.start());
         self.weight.fill(0);
         for (i, (&x, &g)) in self.values.iter().zip(&self.groups).enumerate() {
             let w = weights.map_or(1, |ws| ws[i]);
             if w == 0 {
                 continue;
             }
-            let acc = &mut self.acc[g];
-            match inner {
-                InnerAggregate::Sum | InnerAggregate::Avg => *acc += x * w as f64,
-                InnerAggregate::Count => *acc += w as f64,
-                InnerAggregate::Min => *acc = acc.min(x),
-                InnerAggregate::Max => *acc = acc.max(x),
-            }
+            inner.push(&mut self.acc[g], x, w);
             self.weight[g] += w as u64;
         }
         self.group_values.clear();
         let present = self.acc.iter().zip(&self.weight).filter(|&(_, &w)| w > 0);
-        self.group_values.extend(present.map(|(&acc, &w)| match inner {
-            InnerAggregate::Sum | InnerAggregate::Count => acc * self.scale,
-            InnerAggregate::Avg => acc / w as f64,
-            InnerAggregate::Min | InnerAggregate::Max => acc,
-        }));
-        let groups = SampleContext::population(self.group_values.len());
-        self.outer.estimate(&self.group_values, &groups)
+        self.group_values.extend(present.map(|(&acc, &w)| inner.value(acc, w, self.scale)));
+        outer_over_groups(self.outer, &self.group_values)
     }
+}
+
+/// A nested plan's outer aggregate over its present groups' inner values,
+/// in code order.
+pub(crate) fn outer_over_groups(outer: &Theta, group_values: &[f64]) -> f64 {
+    outer.estimate(group_values, &SampleContext::population(group_values.len()))
 }
 
 /// Bootstrap CI of the bound θ around `center` — its own estimate on the

@@ -50,7 +50,7 @@ impl Selection {
 
     /// `out[dest[k]] = cell(row k)` for every entry `k`, `out[k]` without
     /// a `dest`. `out` has a slot for every entry (every `dest`).
-    pub fn scatter<T>(&self, dest: Option<&[u32]>, out: &mut [T], cell: impl Fn(usize) -> T) {
+    pub fn scatter<T>(&self, dest: Option<&[u32]>, out: &mut [T], mut cell: impl FnMut(usize) -> T) {
         match (self, dest) {
             (Selection::Prefix(n), None) => out.iter_mut().zip(0..*n).for_each(|(o, r)| *o = cell(r)),
             (Selection::Rows(rows), None) => {

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::bootstrap::bootstrap_ci;
 use crate::ci::Ci;
 use crate::closed_form::closed_form_ci;
-use crate::estimator::{Aggregate, QueryEstimator, SampleContext, Udf};
+use crate::estimator::{Accumulator, Aggregate, QueryEstimator, SampleContext, Udf};
 use crate::large_deviation::{large_deviation_ci, Inequality, RangeHint};
 use crate::rng::Rng as StdRng;
 
@@ -41,6 +41,20 @@ impl Theta {
     /// Evaluate on plain values.
     pub fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
         self.as_estimator().estimate(values, ctx)
+    }
+
+    /// θ's state before its first value: a built-in's own, a UDF's the
+    /// values.
+    pub fn accumulator(&self) -> Accumulator {
+        self.builtin().map_or(Accumulator::Values(Vec::new()), |a| a.accumulator())
+    }
+
+    /// θ of the values `acc`, this θ's [`Theta::accumulator`], took.
+    pub fn finish(&self, acc: Accumulator, ctx: &SampleContext) -> f64 {
+        match (self, acc) {
+            (Theta::Udf(_), Accumulator::Values(xs)) => self.estimate(&xs, ctx),
+            (theta, acc) => theta.builtin().map_or(f64::NAN, |a| a.finish(acc, ctx)),
+        }
     }
 
     /// The built-in aggregate, when this θ is one.

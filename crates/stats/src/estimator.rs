@@ -19,8 +19,8 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::moments::{Moments, WeightedMoments};
-use crate::quantile::{argsort, quantile, weighted_quantile, weighted_quantile_ordered};
+use crate::moments::WeightedMoments;
+use crate::quantile::{argsort, quantile_mut, weighted_quantile, weighted_quantile_ordered};
 
 /// Sizing context for scaling sample estimates up to the population.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,6 +56,74 @@ impl SampleContext {
     pub fn subsample(&self, b: usize) -> Self {
         SampleContext { sample_rows: b, population_rows: self.population_rows }
     }
+}
+
+/// A θ's running state over one group's values, taken one at a time in
+/// order ([`Accumulator::fold`]). [`Aggregate::estimate`](QueryEstimator::estimate)
+/// runs a slice through it and the exact path every group's values as the
+/// scan reaches them, so the two agree bit for bit.
+#[derive(Debug, Clone)]
+pub enum Accumulator {
+    /// AVG, SUM, COUNT: Σx from −0.0 (`Sum for f64`'s identity, so an empty
+    /// or all-NULL group keeps its −0) and the count.
+    Sum((f64, u64)),
+    /// VARIANCE, STDDEV: the mean, count and m2 of [`Moments`], which read
+    /// nothing else, without its m3 and m4. In this order: with the mean
+    /// beside m2, the compiler packed their two additions into one vector
+    /// add, which made the mean's chain of dependent operations longer
+    /// (12–13 ns a value instead of 8).
+    Moments((f64, f64, f64)),
+    /// MIN, from +∞.
+    Min(f64),
+    /// MAX, from −∞.
+    Max(f64),
+    /// PERCENTILE and UDFs: the values themselves.
+    Values(Vec<f64>),
+}
+
+impl Accumulator {
+    /// Take the value of every `(g, x)` of `entries` into `accs[g]`, in
+    /// order; `accs` holds one θ's accumulators, one per group, and a value
+    /// whose group's accumulator is another θ's is dropped. θ is matched
+    /// once for the run: a lone group's state is held in locals meanwhile,
+    /// so that a long run keeps it in registers.
+    #[inline]
+    pub fn fold(accs: &mut [Accumulator], entries: impl Iterator<Item = (usize, f64)>) {
+        use Accumulator::{Max, Min, Moments, Sum, Values};
+        match accs {
+            [Sum(acc)] => *acc = entries.fold(*acc, |acc, (_, x)| add(acc, x)),
+            [Moments(acc)] => *acc = entries.fold(*acc, |acc, (_, x)| welford(acc, x)),
+            [Min(m)] => *m = entries.fold(*m, |m, (_, x)| m.min(x)),
+            [Max(m)] => *m = entries.fold(*m, |m, (_, x)| m.max(x)),
+            [Sum(..), ..] => entries.for_each(|(g, x)| if let Sum(acc) = &mut accs[g] { *acc = add(*acc, x) }),
+            [Moments(..), ..] => entries.for_each(|(g, x)| if let Moments(acc) = &mut accs[g] { *acc = welford(*acc, x) }),
+            [Min(..), ..] => entries.for_each(|(g, x)| if let Min(m) = &mut accs[g] { *m = m.min(x) }),
+            [Max(..), ..] => entries.for_each(|(g, x)| if let Max(m) = &mut accs[g] { *m = m.max(x) }),
+            [Values(..), ..] => entries.for_each(|(g, x)| if let Values(xs) = &mut accs[g] { xs.push(x) }),
+            [] => {}
+        }
+    }
+}
+
+/// Σx and the count, one value on.
+fn add((sum, n): (f64, u64), x: f64) -> (f64, u64) {
+    (sum + x, n + 1)
+}
+
+/// `Moments::push`'s mean, count and m2 lines.
+fn welford((mean, n1, m2): (f64, f64, f64), x: f64) -> (f64, f64, f64) {
+    let (n, delta) = (n1 + 1.0, x - mean);
+    let delta_n = delta / n;
+    (mean + delta_n, n, m2 + delta * delta_n * n1)
+}
+
+/// `x`, or `f64::NAN` for any NaN. Which NaN an operation on two NaNs
+/// returns is the compiler's choice (an addition may keep either
+/// operand's), so θ answers one NaN whichever code computed it.
+pub fn one_nan(x: f64) -> f64 {
+    // The test reads `x` through `black_box`: a compiler that sees it test
+    // the value it returns drops the test, any NaN being as good as another.
+    if std::hint::black_box(x).is_nan() { f64::NAN } else { x }
 }
 
 /// θ prepared for one bootstrap job (see [`QueryEstimator::replicator`]):
@@ -111,6 +179,33 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
+    /// θ's state before its first value.
+    pub fn accumulator(&self) -> Accumulator {
+        match self {
+            Aggregate::Avg | Aggregate::Sum | Aggregate::Count => Accumulator::Sum((-0.0, 0)),
+            Aggregate::Variance | Aggregate::StdDev => Accumulator::Moments((0.0, 0.0, 0.0)),
+            Aggregate::Min => Accumulator::Min(f64::INFINITY),
+            Aggregate::Max => Accumulator::Max(f64::NEG_INFINITY),
+            Aggregate::Percentile(_) => Accumulator::Values(Vec::new()),
+        }
+    }
+
+    /// θ of the values `acc`, this θ's [`Aggregate::accumulator`], took.
+    pub fn finish(&self, acc: Accumulator, ctx: &SampleContext) -> f64 {
+        one_nan(match (self, acc) {
+            (Aggregate::Avg, Accumulator::Sum((sum, n))) => if n == 0 { f64::NAN } else { sum / n as f64 },
+            (Aggregate::Sum, Accumulator::Sum((sum, _))) => sum * ctx.scale(),
+            (Aggregate::Count, Accumulator::Sum((_, n))) => n as f64 * ctx.scale(),
+            (_, Accumulator::Moments((_, n, _))) if n < 2.0 => f64::NAN,
+            (Aggregate::StdDev, Accumulator::Moments((_, n, m2))) => (m2 / (n - 1.0)).sqrt(),
+            (_, Accumulator::Moments((_, n, m2))) => m2 / (n - 1.0),
+            (_, Accumulator::Min(m) | Accumulator::Max(m)) => m,
+            (Aggregate::Percentile(q), Accumulator::Values(mut xs)) => quantile_mut(&mut xs, *q).unwrap_or(f64::NAN),
+            // Another θ's accumulator.
+            _ => f64::NAN,
+        })
+    }
+
     /// Whether a closed-form CLT variance estimate exists for this θ
     /// (§2.3.2: COUNT, SUM, AVG, VARIANCE, STDEV — not MIN/MAX/UDFs).
     pub fn closed_form_applicable(&self) -> bool {
@@ -139,22 +234,10 @@ impl QueryEstimator for Aggregate {
     }
 
     fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
-        match self {
-            Aggregate::Avg => {
-                if values.is_empty() {
-                    f64::NAN
-                } else {
-                    values.iter().sum::<f64>() / values.len() as f64
-                }
-            }
-            Aggregate::Sum => values.iter().sum::<f64>() * ctx.scale(),
-            Aggregate::Count => values.len() as f64 * ctx.scale(),
-            Aggregate::Variance => Moments::from_slice(values).variance_sample(),
-            Aggregate::StdDev => Moments::from_slice(values).std_dev_sample(),
-            Aggregate::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
-            Aggregate::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            Aggregate::Percentile(q) => quantile(values, *q).unwrap_or(f64::NAN),
-        }
+        let mut acc = [self.accumulator()];
+        Accumulator::fold(&mut acc, values.iter().map(|&x| (0, x)));
+        let [acc] = acc;
+        self.finish(acc, ctx)
     }
 
     fn estimate_weighted(&self, values: &[f64], weights: &[u32], ctx: &SampleContext) -> f64 {
@@ -554,9 +637,44 @@ mod tests {
     }
 
     #[test]
+    fn variance_and_std_dev_are_the_moments_bit_for_bit() {
+        let mut rng = crate::rng::rng_from_seed(31);
+        let random: Vec<f64> = (0..1_000).map(|_| rand::RngExt::random::<f64>(&mut rng) * 1e3 - 300.0).collect();
+        let inputs: [&[f64]; 9] = [
+            &random,
+            &[2.5; 17],
+            &[1.0, f64::INFINITY, 3.0],
+            &[f64::NEG_INFINITY, f64::INFINITY],
+            &[4.0, f64::NAN, -1.0],
+            &[],
+            &[7.0],
+            &[7.0, -0.5],
+            &[1e300, -1e300, 1e-300],
+        ];
+        for xs in inputs {
+            let m = crate::moments::Moments::from_slice(xs);
+            let variance = Aggregate::Variance.estimate(xs, &CTX);
+            assert_eq!(variance.to_bits(), one_nan(m.variance_sample()).to_bits(), "{xs:?}: variance");
+            let std_dev = Aggregate::StdDev.estimate(xs, &CTX);
+            assert_eq!(std_dev.to_bits(), one_nan(m.std_dev_sample()).to_bits(), "{xs:?}: std dev");
+        }
+    }
+
+    #[test]
+    fn a_nan_answer_is_the_one_nan() {
+        // Two NaNs that differ in sign and payload.
+        let (a, b) = (f64::from_bits(0x7ff8_0000_0000_0001), f64::from_bits(0xfff8_0000_0000_0002));
+        for agg in [Aggregate::Avg, Aggregate::Sum, Aggregate::Variance, Aggregate::StdDev] {
+            assert_eq!(agg.estimate(&[a, 1.0, b], &CTX).to_bits(), f64::NAN.to_bits(), "{agg}");
+        }
+    }
+
+    #[test]
     fn empty_values() {
         assert!(Aggregate::Avg.estimate(&[], &CTX).is_nan());
         assert_eq!(Aggregate::Sum.estimate(&[], &CTX), 0.0);
+        // `Sum for f64`'s identity: an empty SUM is −0.
+        assert_eq!(Aggregate::Sum.estimate(&[], &CTX).to_bits(), [0.0f64; 0].iter().sum::<f64>().to_bits());
         assert_eq!(Aggregate::Count.estimate(&[], &CTX), 0.0);
         assert!(Aggregate::Percentile(0.5).estimate(&[], &CTX).is_nan());
     }

@@ -616,7 +616,8 @@ mod scan_oracle {
 
     /// A table with nullable columns of every type; the cells include
     /// NaN (two payloads), ±0.0, ±Inf, and a `'NULL'` string next to
-    /// real NULLs; `n` is NULL in every row. `wide` draws `i` and `f` from
+    /// real NULLs; `n` is NULL in every row; `d` is a string column without
+    /// NULLs whose dictionary holds `"p"` twice. `wide` draws `i` and `f` from
     /// about as many distinct values as there are rows, so that the scan's
     /// tables of typed group codes grow and collide and most groups span
     /// partitions: integers up from 0, down from 0, up from `i64::MIN` and
@@ -659,6 +660,7 @@ mod scan_oracle {
         let s_valid: Vec<bool> = (0..rows).map(|_| !null(0.2)).collect();
         let s_codes: Vec<u32> = (0..rows).map(|_| pick.random_range(0..strs.len() as u32)).collect();
         let x: Vec<f64> = (0..rows).map(|_| pick.random_range(-50..50) as f64 / 4.0).collect();
+        let d_codes: Vec<u32> = (0..rows).map(|_| pick.random_range(0..4)).collect();
         let schema = Schema::new(vec![
             Field::nullable("i", DataType::Int),
             Field::nullable("f", DataType::Float),
@@ -666,6 +668,7 @@ mod scan_oracle {
             Field::nullable("s", DataType::Str),
             Field::new("x", DataType::Float),
             Field::nullable("n", DataType::Int),
+            Field::new("d", DataType::Str),
         ])
         .unwrap();
         let s = Column::Str {
@@ -683,6 +686,7 @@ mod scan_oracle {
             s,
             Column::from_f64s(x),
             Column::from_opt_i64s(vec![None; rows]),
+            Column::Str { dict: ["p", "q", "p", "r"].map(String::from).to_vec(), codes: d_codes, validity: None },
         ];
         Table::from_batch("t", Batch::new(schema, columns).unwrap(), partitions).unwrap()
     }
@@ -954,11 +958,15 @@ const SCAN_AGGS: &[&str] = &[
     "SUM(x * 2 + i)",
     "COUNT(s), MIN(f / i)",
     "AVG(exp(i)), SUM(3)",
+    "VARIANCE(f), STDDEV(x), SUM(n)",
+    "PERCENTILE(x, 50), MAX(i), geo_mean(x)",
 ];
 
 // Keys without a string column are identified by typed codes, the others
-// (and the global group) by the rendered string.
-const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i", "b, i", "n", "i, n, f"];
+// (and the global group) by the rendered string. A lone `s`, `d` or `b`
+// key resolves through the dense slot table (`d`: no NULL mask, and two
+// codes that render alike).
+const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i", "b, i", "n", "i, n, f", "d", "d, i"];
 
 /// The query of one scan case: `shape` 1 samples the table with
 /// `TABLESAMPLE POISSONIZED`, 2 nests (the inner key cycling through the
@@ -968,7 +976,7 @@ fn scan_sql(filter: usize, aggs: usize, keys: usize, shape: usize) -> String {
     let from = if shape == 1 { "t TABLESAMPLE POISSONIZED (130)" } else { "t" };
     let group_by = SCAN_KEYS[keys % SCAN_KEYS.len()];
     if shape == 2 {
-        let key = ["s", "f", "i", "b", "n"][keys % 5];
+        let key = ["s", "f", "i", "b", "n", "d"][keys % 6];
         let outer = ["AVG(v)", "AVG(v), COUNT(v)"][aggs % 2];
         let inner = ["SUM(x)", "COUNT(*)", "AVG(f)"][aggs % 3];
         format!("SELECT {outer} FROM (SELECT {inner} AS v FROM {from} {filter} GROUP BY {key})")
@@ -981,8 +989,9 @@ fn scan_sql(filter: usize, aggs: usize, keys: usize, shape: usize) -> String {
 
 /// `collect` equals the row-wise oracle on every field of `Collected`, for
 /// one and four threads, on the whole table and with the partitions
-/// `faults` loses and truncates; and `execute_exact`, which collects
-/// without positions, equals θ over the oracle's values bit for bit.
+/// `faults` loses and truncates; and `execute_exact`, which folds every
+/// group's values in scan order, equals θ over the oracle's values bit for
+/// bit, for one, two and four threads.
 fn assert_scan_matches_oracle(table: &reliable_aqp::storage::Table, sql: &str, faults: &reliable_aqp::faults::FaultConfig) {
     use reliable_aqp::exec::collect::{collect, collect_observed_faulty};
     use reliable_aqp::exec::theta::PreparedTheta;
@@ -1000,6 +1009,9 @@ fn assert_scan_matches_oracle(table: &reliable_aqp::storage::Table, sql: &str, f
     for threads in [1, 4] {
         let got = collect(&plan, table, threads).unwrap();
         assert_collected_identical(&got, &want, &format!("{sql} / {threads} thread(s)"));
+    }
+    let bits = |key: &str, vals: Vec<f64>| (key.to_string(), vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    for threads in [1, 2, 4] {
         let exact = execute_exact(&plan, table, &registry, threads);
         let Ok(thetas) = &thetas else {
             assert!(exact.is_err(), "{sql}: an unsupported θ is refused");
@@ -1007,7 +1019,6 @@ fn assert_scan_matches_oracle(table: &reliable_aqp::storage::Table, sql: &str, f
         };
         let exact = exact.unwrap();
         assert_eq!(exact.rows_scanned, want.pre_filter_rows, "{sql}");
-        let bits = |key: &str, vals: Vec<f64>| (key.to_string(), vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         let theta_over = |g: &reliable_aqp::exec::collect::Group| {
             bits(&g.key, g.aggs.iter().zip(thetas).map(|(data, theta)| theta.estimate(data, &ctx)).collect())
         };
