@@ -24,6 +24,15 @@
 //! skipped changes no other. `tests/properties.rs` holds the full
 //! evaluation as the reference.
 //!
+//! A level's subsamples that hold no value are judged once. The caller
+//! says which they are (`empty(level, j)`) before any θ̂ of the level is
+//! pulled; θ̂ is pulled for the non-empty ones and once, at the first, for
+//! all the empties, and ξ the same way at the first empty one the walk
+//! meets. Every empty subsample has the same θ̂ and ξ — θ on no value, and
+//! ξ over no value, which draws no resample weight and so reads nothing
+//! of its stream — and the walk still reads it at each of their j, so the
+//! estimates, the checks and where they stop are the full evaluation's.
+//!
 //! [`run_diagnostic`] drives it over a plain values vector for the
 //! stats-level experiments; the query engine drives it over the data one
 //! scan collected.
@@ -48,8 +57,10 @@ pub struct LevelReport {
     /// interval around θ(S) covering α·p of the subsample estimates); NaN
     /// when θ was degenerate on every subsample.
     pub x: f64,
-    /// How many of the level's p subsamples ξ ran on: p, unless the
-    /// level's outcome was fixed earlier.
+    /// How far the ξ walk got: the subsamples 0..`xi_evaluated` of the
+    /// level were judged — p, unless the level's outcome was fixed
+    /// earlier. Not how many ξ ran: the level's empty subsamples among
+    /// them share one.
     pub xi_evaluated: usize,
     /// Δᵢ = |mean(x̂ᵢ·) − xᵢ| / xᵢ — relative deviation of the mean. NaN
     /// when the last level stopped on π before every ξ was in.
@@ -128,18 +139,21 @@ fn stddev(xs: &[f64]) -> f64 {
 /// `theta_s` is θ(S), the full-sample point estimate the per-size true
 /// intervals are centered on; `cfg.subsample_rows` lists the levels by
 /// increasing b; `alpha` is the coverage ξ's intervals are computed at,
-/// which the per-size truth must share. `theta_hat(level, j)` returns θ̂
-/// on subsample j of that level (NaN = degenerate there) together with
+/// which the per-size truth must share. `empty(level, j)` says whether
+/// subsample j of that level holds no value. `theta_hat(level, j)` returns
+/// θ̂ on subsample j of that level (NaN = degenerate there) together with
 /// whatever the caller prepared to compute it; `xi(level, j, θ̂, prepared)`
 /// gets both back and returns ξ's half-width on the same subsample (NaN =
 /// ξ degenerate). ξ is asked only after every θ̂ of its level, in order of
-/// j, at most once.
+/// j, at most once; of a level's empty subsamples only the first is asked
+/// for θ̂, and only the first the ξ walk reaches for ξ.
 ///
 /// An empty level list is refused, not a panic.
 pub fn diagnose<P>(
     theta_s: f64,
     cfg: &DiagnosticConfig,
     alpha: f64,
+    empty: impl Fn(usize, usize) -> bool,
     theta_hat: impl Fn(usize, usize) -> (f64, P),
     xi: impl Fn(usize, usize, f64, P) -> f64,
 ) -> DiagnosticReport {
@@ -149,12 +163,24 @@ pub fn diagnose<P>(
     };
     let p = cfg.p;
     let evaluate = |level: usize| -> LevelReport {
-        let subsamples: Vec<(f64, P)> = (0..p).map(|j| theta_hat(level, j)).collect();
+        // `None` for an empty subsample: all of them read `on_empty`,
+        // pulled at the first.
+        let mut on_empty = None;
+        let subsamples: Vec<Option<(f64, P)>> = (0..p)
+            .map(|j| match empty(level, j) {
+                false => Some(theta_hat(level, j)),
+                true => {
+                    on_empty.get_or_insert_with(|| theta_hat(level, j));
+                    None
+                }
+            })
+            .collect();
+        let t_empty = on_empty.as_ref().map_or(f64::NAN, |(t, _)| *t);
         // Degenerate estimates (NaN θ̂ on an empty subsample, ξ failures)
         // are dropped; they count against π by shrinking the numerator
         // but not p.
         let t_hats: Vec<f64> =
-            subsamples.iter().map(|(t, _)| *t).filter(|t| t.is_finite()).collect();
+            subsamples.iter().map(|s| s.as_ref().map_or(t_empty, |s| s.0)).filter(|t| t.is_finite()).collect();
         let mut report = LevelReport {
             level,
             b: cfg.subsample_rows[level],
@@ -171,8 +197,14 @@ pub fn diagnose<P>(
         report.x = x;
         let mut x_hats = Vec::with_capacity(p);
         let mut close = 0usize;
-        for (j, (t, prepared)) in subsamples.into_iter().enumerate() {
-            let xh = xi(level, j, t, prepared);
+        let mut xi_empty = None;
+        for (j, subsample) in subsamples.into_iter().enumerate() {
+            let xh = match subsample {
+                Some((t, prepared)) => xi(level, j, t, prepared),
+                None => *xi_empty.get_or_insert_with(|| {
+                    on_empty.take().map_or(f64::NAN, |(t, prepared)| xi(level, j, t, prepared))
+                }),
+            };
             report.xi_evaluated = j + 1;
             if xh.is_finite() {
                 x_hats.push(xh);
@@ -288,6 +320,8 @@ pub fn run_diagnostic(
         theta.estimate(values, ctx),
         cfg,
         cfg.alpha,
+        // Every chunk of a level has m values: all are empty, or none is.
+        |level, _| subsample(level, 0).0.is_empty(),
         |level, j| {
             let (chunk, sub_ctx) = subsample(level, j);
             (theta.estimate(chunk, &sub_ctx), ())
@@ -385,7 +419,8 @@ mod tests {
         levels: &[(Vec<f64>, Vec<f64>)],
         cfg: &DiagnosticConfig,
     ) -> DiagnosticReport {
-        diagnose(theta_s, cfg, cfg.alpha, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
+        let none_empty = |_, _| false;
+        diagnose(theta_s, cfg, cfg.alpha, none_empty, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
     }
 
     fn alternating(s: f64, p: usize) -> Vec<f64> {

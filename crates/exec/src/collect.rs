@@ -66,16 +66,19 @@ impl AggData {
     /// range `[row_lo, row_hi)`. Falls back to proportional value-count
     /// chunking when positions are untracked.
     pub fn range_for_rows(&self, row_lo: usize, row_hi: usize, sample_rows: usize) -> std::ops::Range<usize> {
+        let lo = self.row_boundary(row_lo, sample_rows);
+        lo..self.row_boundary(row_hi, sample_rows).max(lo)
+    }
+
+    /// How many values come before pre-filter row `row`: where the value
+    /// ranges of the row ranges that meet at `row` meet.
+    pub(crate) fn row_boundary(&self, row: usize, sample_rows: usize) -> usize {
         if self.positions.len() == self.values.len() && !self.positions.is_empty() {
-            let lo = self.positions.partition_point(|&p| (p as usize) < row_lo);
-            let hi = self.positions.partition_point(|&p| (p as usize) < row_hi);
-            lo..hi
+            self.positions.partition_point(|&p| (p as usize) < row)
         } else {
             // Proportional fallback.
             let sel = if sample_rows == 0 { 0.0 } else { self.values.len() as f64 / sample_rows as f64 };
-            let lo = ((row_lo as f64 * sel).round() as usize).min(self.values.len());
-            let hi = ((row_hi as f64 * sel).round() as usize).min(self.values.len());
-            lo..hi.max(lo)
+            ((row as f64 * sel).round() as usize).min(self.values.len())
         }
     }
 }

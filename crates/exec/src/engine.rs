@@ -5,7 +5,7 @@
 //! then *reused* by the point estimate, all bootstrap replicates, and all
 //! diagnostic subsamples — no repeated scans, no tuple duplication.
 
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::ops::Range;
 
 use aqp_diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
@@ -14,6 +14,7 @@ use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
 use aqp_sql::ast::AggExpr;
 use aqp_sql::logical::LogicalPlan;
+use aqp_stats::bootstrap::count_resamples;
 use aqp_stats::closed_form::{closed_form_lanes, ClosedForm, Coverage, LANES};
 use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::rng::SeedStream;
@@ -279,6 +280,8 @@ pub fn execute_approx(
                     seeds: seeds.derive(0xD1).derive((gi * MAX_AGGREGATES + ai) as u64),
                     coverage: Coverage::new(opts.alpha),
                     passes: Default::default(),
+                    bounds: vec![OnceCell::new(); cfg.k()],
+                    empty_drew: vec![Cell::new(false); cfg.k()],
                 };
                 Some(subsamples.diagnose(estimates[gi][ai]))
             })
@@ -703,6 +706,11 @@ struct Subsamples<'a> {
     /// Closed-form passes by `level * p + j`, made when first asked for
     /// (empty until then).
     passes: RefCell<Vec<Option<ClosedForm>>>,
+    /// Each level's p + 1 value boundaries — subsample j holds the values
+    /// `bounds[j]..bounds[j + 1]` — found when the level is first read.
+    bounds: Vec<OnceCell<Vec<usize>>>,
+    /// Whether ξ on the level's empty subsamples drew its K resamples.
+    empty_drew: Vec<Cell<bool>>,
 }
 
 impl Subsamples<'_> {
@@ -721,8 +729,23 @@ impl Subsamples<'_> {
     /// *pre-filter row* ranges of the shuffled sample, so filtered counts
     /// vary binomially across subsamples as they do across real samples.
     fn range(&self, level: usize, j: usize) -> Range<usize> {
-        let b = self.cfg.subsample_rows[level];
-        self.data.range_for_rows(j * b, (j + 1) * b, self.row_window)
+        let bounds = self.bounds[level].get_or_init(|| {
+            let (b, p, positions) = (self.cfg.subsample_rows[level], self.cfg.p, &self.data.positions);
+            if positions.len() == self.data.values.len() && positions.len() < p {
+                // Fewer values than subsamples: one pass over the positions
+                // counts each subsample's values.
+                let mut bounds = vec![0; p + 1];
+                for s in positions.iter().filter_map(|&q| (q as usize).checked_div(b)) {
+                    if let Some(count) = bounds.get_mut(s + 1) {
+                        *count += 1;
+                    }
+                }
+                (1..=p).for_each(|j| bounds[j] += bounds[j - 1]);
+                return bounds;
+            }
+            (0..=p).map(|j| self.data.row_boundary(j * b, self.row_window)).collect()
+        });
+        bounds[j]..bounds[j + 1]
     }
 
     /// The closed-form pass over subsample `j` of `level`, which holds at
@@ -778,19 +801,32 @@ impl Subsamples<'_> {
         let level_seeds = self.seeds.derive(level as u64);
         let pass = long.then(|| self.pass(level, j)).flatten();
         let (opts, coverage) = (self.opts, self.coverage);
-        let (ci, _) = error_ci(&mut bound, pass, theta_hat, opts, coverage, &level_seeds, j as u64);
+        let (ci, method) = error_ci(&mut bound, pass, theta_hat, opts, coverage, &level_seeds, j as u64);
+        if self.range(level, j).is_empty() {
+            // The bootstrap counts its K unless its center is NaN.
+            self.empty_drew[level].set(method != MethodUsed::ClosedForm && !theta_hat.is_nan());
+        }
         ci.map_or(f64::NAN, |ci| ci.half_width)
     }
 
     /// Algorithm 1 over the collected data, around `theta_s` = θ(S).
     fn diagnose(&self, theta_s: f64) -> DiagnosticReport {
-        diagnose(
+        let report = diagnose(
             theta_s,
             self.cfg,
             self.opts.alpha,
+            |level, j| self.range(level, j).is_empty(),
             |level, j| self.theta_hat(level, j),
             |level, j, theta_hat, prepared| self.xi(level, j, theta_hat, prepared),
-        )
+        );
+        // `diagnose` ran ξ once for a level's empty subsamples; a bootstrap
+        // there counts its K at every one the walk read, as a run per
+        // subsample would.
+        for level in report.levels.iter().filter(|l| self.empty_drew[l.level].get()) {
+            let read = (0..level.xi_evaluated).filter(|&j| self.range(level.level, j).is_empty()).count();
+            count_resamples(read.saturating_sub(1) * self.opts.bootstrap_k);
+        }
+        report
     }
 }
 
@@ -1191,6 +1227,8 @@ mod tests {
                 seeds: SeedStream::new(43),
                 coverage: Coverage::new(opts.alpha),
                 passes: Default::default(),
+                bounds: vec![OnceCell::new(); cfg.k()],
+                empty_drew: vec![Cell::new(false); cfg.k()],
             };
             let cells: Vec<(usize, usize)> =
                 (0..cfg.k()).flat_map(|level| (0..cfg.p).map(move |j| (level, j))).collect();

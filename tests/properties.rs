@@ -1641,7 +1641,11 @@ proptest! {
     /// that miss c₃ at a chosen rate (among them exactly as many misses as
     /// ρ·p allows, one fewer and one more), NaN / ±Inf θ̂ and ξ, all-NaN
     /// levels, degenerate truth under zero, tiny and non-zero ξ, and ξ
-    /// placed a few ulp either side of c₁, c₂ and c₃.
+    /// placed a few ulp either side of c₁, c₂ and c₃. A random share of a
+    /// level's subsamples — or all of them, or on the last level a run the
+    /// π stop falls inside — holds no value: those share one θ̂∅ and one ξ∅
+    /// (NaN, 0, ±Inf or finite), which `diagnose` pulls at most once a
+    /// level each.
     #[test]
     fn lazy_diagnostic_matches_the_full_evaluation(
         seed in 0u64..1_000_000,
@@ -1650,7 +1654,7 @@ proptest! {
         use diagnostic_oracle::{self as oracle, Level};
         use rand::RngExt;
         use reliable_aqp::diagnostics::{diagnose, Criterion, Decision, DiagnosticConfig};
-        use std::cell::{Cell, RefCell};
+        use std::cell::RefCell;
 
         let (k, p, rho_choice, c_choice) = shape;
         let mut rng = rng_from_seed(seed);
@@ -1670,6 +1674,7 @@ proptest! {
         let theta_s = if rng.random_bool(0.1) { f64::NAN } else { 0.0 };
         let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         let mut levels: Vec<Level> = Vec::with_capacity(k);
+        let mut empty: Vec<Vec<bool>> = Vec::with_capacity(k);
         for li in 0..k {
             let s = 8.0 / (1u64 << li) as f64 * rng.random_range(0.9..1.1);
             let mut theta_hats: Vec<f64> =
@@ -1750,25 +1755,48 @@ proptest! {
                     }
                 }
             }
+            // Empty subsamples, filled in the dense table with the one θ̂∅
+            // and ξ∅ they share.
+            let mut level_empty = vec![false; p];
+            if rng.random_bool(0.4) {
+                let mut t_empty = [f64::NAN, 0.0, f64::INFINITY, f64::NEG_INFINITY, s, -s][rng.random_range(0..6usize)];
+                let mut xi_empty = [f64::NAN, 0.0, f64::INFINITY, f64::NEG_INFINITY, s, s * 40.0][rng.random_range(0..6usize)];
+                if li == k - 1 && rng.random_bool(0.3) {
+                    // A run of missed empties one longer than ρ·p allows:
+                    // on an otherwise close level the π stop fires inside it.
+                    let allowed = need.map_or(0, |n| p - n);
+                    let start = rng.random_range(0..p);
+                    level_empty[start..(start + allowed + 1 + rng.random_range(0..3usize)).min(p)].fill(true);
+                    (t_empty, xi_empty) = (s, [s * 40.0, f64::NAN][rng.random_range(0..2usize)]);
+                } else {
+                    let rate = [0.1, 0.5, 0.9, 1.0][rng.random_range(0..4usize)];
+                    level_empty.iter_mut().for_each(|e| *e = rng.random_bool(rate));
+                }
+                for j in (0..p).filter(|&j| level_empty[j]) {
+                    (theta_hats[j], xi[j]) = (t_empty, xi_empty);
+                }
+            }
+            empty.push(level_empty);
             levels.push(Level { theta_hats, xi_half_widths: xi });
         }
 
-        // The counting source: how often each level was asked for θ̂, and
-        // for which subsamples, in which order, it was asked for ξ.
-        let theta_calls = vec![Cell::new(0usize); k];
-        let xi_calls: Vec<RefCell<Vec<usize>>> = vec![RefCell::new(Vec::new()); k];
+        // The counting source: for which subsamples of each level, in
+        // which order, θ̂ was asked for, and ξ — with how many θ̂ the level
+        // had been asked for by then.
+        let theta_calls: Vec<RefCell<Vec<usize>>> = vec![RefCell::new(Vec::new()); k];
+        let xi_calls: Vec<RefCell<Vec<(usize, usize)>>> = vec![RefCell::new(Vec::new()); k];
         let got = diagnose(
             theta_s,
             &cfg,
             cfg.alpha,
+            |l, j| empty[l][j],
             |l, j| {
-                theta_calls[l].set(theta_calls[l].get() + 1);
+                theta_calls[l].borrow_mut().push(j);
                 (levels[l].theta_hats[j], ())
             },
             |l, j, theta_hat, ()| {
                 assert_eq!(bits(&[theta_hat]), bits(&[levels[l].theta_hats[j]]), "θ̂ handed to ξ");
-                assert_eq!(theta_calls[l].get(), p, "ξ before every θ̂ of its level");
-                xi_calls[l].borrow_mut().push(j);
+                xi_calls[l].borrow_mut().push((j, theta_calls[l].borrow().len()));
                 levels[l].xi_half_widths[j]
             },
         );
@@ -1808,20 +1836,30 @@ proptest! {
             }
         };
 
-        // Laziness: nothing below the lowest level a check read, every
-        // level at or above it asked for all its θ̂, ξ in order and once.
+        // Laziness: nothing below the lowest level a check read; every
+        // level at or above it asked for θ̂ once per subsample that holds a
+        // value and at most once for all that hold none, all before its
+        // first ξ; and for ξ the same way, in order, over the subsamples
+        // the walk reached.
         let reported: Vec<usize> = got.levels.iter().map(|l| l.level).collect();
         prop_assert_eq!(&reported, &(lowest_read..k).collect::<Vec<_>>(), "{:?}", got.decision);
         for l in 0..k {
-            let asked = xi_calls[l].borrow();
+            let (thetas, asked) = (theta_calls[l].borrow(), xi_calls[l].borrow());
             if l < lowest_read {
-                prop_assert_eq!((theta_calls[l].get(), asked.len()), (0, 0), "level {} untouched", l);
+                prop_assert_eq!((thetas.len(), asked.len()), (0, 0), "level {} untouched", l);
                 continue;
             }
-            prop_assert_eq!(theta_calls[l].get(), p);
-            prop_assert_eq!(&*asked, &(0..asked.len()).collect::<Vec<_>>(), "ξ order at level {}", l);
             let (report, full) = (&got.levels[l - lowest_read], &want.levels[l]);
-            prop_assert_eq!(report.xi_evaluated, asked.len());
+            let held = |j: &usize| !empty[l][*j];
+            let (own, of_empties): (Vec<usize>, Vec<usize>) = thetas.iter().partition(|&j| held(j));
+            prop_assert_eq!(own, (0..p).filter(held).collect::<Vec<_>>(), "θ̂ at level {}", l);
+            prop_assert!(of_empties.len() <= 1, "θ̂∅ asked {} times at level {}", of_empties.len(), l);
+            prop_assert!(asked.iter().all(|&(_, before)| before == thetas.len()), "ξ before every θ̂ of level {}", l);
+            let xi_order: Vec<usize> = asked.iter().map(|&(j, _)| j).collect();
+            prop_assert!(xi_order.windows(2).all(|w| w[0] < w[1]), "ξ order at level {}: {:?}", l, xi_order);
+            let (own, of_empties): (Vec<usize>, Vec<usize>) = xi_order.iter().partition(|&j| held(j));
+            prop_assert_eq!(own, (0..report.xi_evaluated).filter(held).collect::<Vec<_>>(), "ξ at level {}", l);
+            prop_assert!(of_empties.len() <= 1, "ξ∅ asked {} times at level {}", of_empties.len(), l);
 
             // From the table: the level's truth, and how many ξ its
             // outcome needs.
@@ -1853,7 +1891,7 @@ proptest! {
             } else {
                 p
             };
-            prop_assert_eq!(asked.len(), needed, "ξ calls at level {} ({:?})", l, got.decision);
+            prop_assert_eq!(report.xi_evaluated, needed, "ξ walk at level {} ({:?})", l, got.decision);
             if pi_stop.is_none() {
                 let stats = [report.mean_deviation, report.relative_spread, report.close_proportion];
                 let full = [full.mean_deviation, full.relative_spread, full.close_proportion];
@@ -1996,10 +2034,13 @@ mod eager_pipeline {
             for (ai, data) in g.aggs.iter().enumerate() {
                 let (key, estimate, ci, method) = cells.next().expect("one per cell");
                 let job_seeds = seeds.derive(0xD1).derive((gi * 64 + ai) as u64);
+                // A dense reference: every subsample is pulled, empty or not.
+                let none_empty = |_, _| false;
                 let report = diagnose(
                     estimate,
                     &cfg,
                     opts.alpha,
+                    none_empty,
                     |level, j| {
                         let b = cfg.subsample_rows[level];
                         let range = data.range_for_rows(j * b, (j + 1) * b, rows);
@@ -2033,6 +2074,9 @@ const LAZY_BAR_QUERIES: &[&str] = &[
     "SELECT trimmed_mean(time) FROM sessions{}",
     "SELECT AVG(s) FROM (SELECT SUM(time) AS s FROM sessions{} GROUP BY user_id)",
     "SELECT city, AVG(time), MAX(bitrate) FROM sessions{} GROUP BY city",
+    // 80 Zipf users: a few with more values than p, most with fewer, so
+    // most of their subsamples hold no value.
+    "SELECT user_id, AVG(time), MAX(bitrate), SUM(bytes), COUNT(*) FROM sessions{} GROUP BY user_id",
 ];
 
 const LAZY_BAR_FILTERS: &[&str] =
