@@ -1,6 +1,7 @@
 //! The AQP session: registration, sampling, and reliable execution.
 
 use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use aqp_audit::{AuditConfig, AuditReport};
@@ -177,11 +178,8 @@ impl AqpSession {
     /// (without replacement, so a sample is also a valid exact subset;
     /// stored pre-shuffled so any contiguous range is a uniform sample).
     pub fn build_samples(&self, table: &str, sizes: &[usize], seed: u64) -> Result<()> {
-        let t = self.catalog.table(table)?;
+        let t = self.table_to_sample(table)?;
         let rows = t.num_rows();
-        if rows == 0 {
-            return Err(crate::CoreError::Config(format!("table {table} has no rows to sample")));
-        }
         let seeds = SeedStream::new(self.config.seed ^ seed);
         for (i, &n) in sizes.iter().enumerate() {
             let mut rng = seeds.rng(i as u64);
@@ -199,6 +197,15 @@ impl AqpSession {
         Ok(())
     }
 
+    /// The registered table `table`, refused when it has no row to sample.
+    fn table_to_sample(&self, table: &str) -> Result<Arc<Table>> {
+        let t = self.catalog.table(table)?;
+        if t.num_rows() == 0 {
+            return Err(crate::CoreError::Config(format!("table {table} has no rows to sample")));
+        }
+        Ok(t)
+    }
+
     /// Build a *stratified* sample on `column`: up to `rows_per_stratum`
     /// uniformly-sampled rows per distinct value, each stratum with its
     /// own sampling rate (BlinkDB's mechanism for keeping rare groups
@@ -211,40 +218,51 @@ impl AqpSession {
         rows_per_stratum: usize,
         seed: u64,
     ) -> Result<()> {
-        let t = self.catalog.table(table)?;
-        let full = t.to_batch()?;
-        let col = full.column_by_name(column)?;
-        // Group row indices by rendered key (same rendering the executor's
-        // GROUP BY uses).
-        let mut strata_rows: std::collections::HashMap<String, Vec<usize>> =
-            std::collections::HashMap::new();
-        for i in 0..full.num_rows() {
-            let key = col
-                .value(i)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|_| "?".to_string());
-            strata_rows.entry(key).or_default().push(i);
+        let t = self.table_to_sample(table)?;
+        let key = t.schema().index_of(column)?;
+        // Group row numbers by rendered key (the rendering the executor's
+        // GROUP BY uses), reading the key column in place: each distinct
+        // typed code of a partition is rendered once, and codes that
+        // render alike (a repeated dictionary entry, 'NULL' and NULL, two
+        // NaNs) share the stratum of the one key.
+        let mut ids: BTreeMap<String, usize> = BTreeMap::new();
+        let mut strata_rows: Vec<Vec<usize>> = Vec::new();
+        let mut start = 0;
+        for part in t.partitions() {
+            let col = part.batch().column(key);
+            let mut seen: HashMap<Option<u64>, usize> = HashMap::new();
+            for row in 0..col.len() {
+                let code = (!col.is_null(row)).then(|| match col {
+                    Column::Int { values, .. } => values[row] as u64,
+                    Column::Float { values, .. } => values[row].to_bits(),
+                    Column::Bool { values, .. } => u64::from(values[row]),
+                    Column::Str { codes, .. } => u64::from(codes[row]),
+                });
+                let id = match seen.get(&code) {
+                    Some(&id) => id,
+                    None => {
+                        let next = ids.len();
+                        let id = *ids.entry(col.value(row)?.to_string()).or_insert(next);
+                        strata_rows.resize(ids.len(), Vec::new());
+                        *seen.entry(code).or_insert(id)
+                    }
+                };
+                strata_rows[id].push(start + row);
+            }
+            start += col.len();
         }
-        // `add_stratified` materializes the table again; do not hold two
-        // copies of it.
-        drop(full);
         let seeds = SeedStream::new(self.config.seed ^ seed ^ 0x57A7);
-        let mut keys: Vec<String> = strata_rows.keys().cloned().collect();
-        keys.sort(); // deterministic stratum order
         let mut indices: Vec<usize> = Vec::new();
-        let mut groups: Vec<StratumMeta> = Vec::with_capacity(keys.len());
-        for (si, key) in keys.iter().enumerate() {
-            let rows = &strata_rows[key];
+        let mut groups: Vec<StratumMeta> = Vec::with_capacity(ids.len());
+        // Strata in key order.
+        for (si, (key, id)) in ids.into_iter().enumerate() {
+            let rows = &strata_rows[id];
             let take = rows_per_stratum.min(rows.len());
             let mut rng = seeds.rng(si as u64);
             let picks =
                 aqp_stats::sampling::without_replacement_indices(&mut rng, take, rows.len());
             indices.extend(picks.into_iter().map(|p| rows[p]));
-            groups.push(StratumMeta {
-                key: key.clone(),
-                sample_rows: take,
-                population_rows: rows.len(),
-            });
+            groups.push(StratumMeta { key, sample_rows: take, population_rows: rows.len() });
         }
         // Global shuffle so row ranges stay valid diagnostic subsamples.
         let mut rng = seeds.rng(0xFFFF);

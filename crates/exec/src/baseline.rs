@@ -255,7 +255,7 @@ mod tests {
         let batch = Batch::new(schema, vec![Column::from_f64s(time), Column::from_f64s(u)]).unwrap();
         let pop = Table::from_batch("t", batch, 2).unwrap();
         let idx = with_replacement_indices(&mut rng, n, rows);
-        let sbatch = pop.to_batch().unwrap().gather(&idx).unwrap();
+        let sbatch = pop.gather(&idx).unwrap();
         let sample = Table::from_batch("t_sample", sbatch, 2).unwrap();
         let q = parse_query(sql).unwrap();
         let plan = plan_query(&q, pop.schema()).unwrap();

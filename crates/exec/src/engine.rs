@@ -864,7 +864,7 @@ mod tests {
     fn sample_of(table: &Table, n: usize, seed: u64) -> Table {
         let mut rng = rng_from_seed(seed);
         let idx = with_replacement_indices(&mut rng, n, table.num_rows());
-        let batch = table.to_batch().unwrap().gather(&idx).unwrap();
+        let batch = table.gather(&idx).unwrap();
         Table::from_batch("sessions_sample", batch, 4).unwrap()
     }
 

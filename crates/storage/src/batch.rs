@@ -96,22 +96,6 @@ impl Batch {
         Batch::new(schema, columns)
     }
 
-    /// Take rows at `indices` (repetition allowed).
-    pub fn gather(&self, indices: &[usize]) -> Result<Batch> {
-        if self.columns.is_empty() {
-            if let Some(&bad) = indices.iter().find(|&&i| i >= self.rows) {
-                return Err(StorageError::RowOutOfBounds { index: bad, len: self.rows });
-            }
-            return Ok(Batch { schema: self.schema.clone(), columns: Vec::new(), rows: indices.len() });
-        }
-        let columns = self
-            .columns
-            .iter()
-            .map(|c| c.gather(indices))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Batch { schema: self.schema.clone(), columns, rows: indices.len() })
-    }
-
     /// Contiguous sub-batch `[start, start+len)`.
     pub fn slice(&self, start: usize, len: usize) -> Result<Batch> {
         if start.checked_add(len).is_none_or(|end| end > self.rows) {
@@ -123,26 +107,6 @@ impl Batch {
         let columns =
             self.columns.iter().map(|c| c.slice(start, len)).collect::<Result<Vec<_>>>()?;
         Ok(Batch { schema: self.schema.clone(), columns, rows: len })
-    }
-
-    /// Vertically concatenate batches sharing one schema.
-    pub fn concat(batches: &[Batch]) -> Result<Batch> {
-        let first = batches
-            .first()
-            .ok_or_else(|| StorageError::InvalidArgument("concat of zero batches".into()))?;
-        if let Some(b) = batches.iter().find(|b| b.schema != first.schema) {
-            return Err(StorageError::SchemaMismatch(format!(
-                "batch schema {:?} differs from {:?}",
-                b.schema, first.schema
-            )));
-        }
-        let mut columns = Vec::with_capacity(first.schema.len());
-        for i in 0..first.schema.len() {
-            let parts: Vec<Column> = batches.iter().map(|b| b.columns[i].clone()).collect();
-            columns.push(Column::concat(&parts)?);
-        }
-        let rows = batches.iter().map(Batch::num_rows).sum();
-        Ok(Batch { schema: first.schema.clone(), columns, rows })
     }
 }
 
@@ -210,22 +174,5 @@ mod tests {
         assert!(b.slice(2, 2).is_err());
         assert!(b.slice(1, usize::MAX).is_err());
         assert_eq!(b.slice(3, 0).unwrap().num_rows(), 0);
-    }
-
-    #[test]
-    fn gather_repeats_rows() {
-        let b = sample_batch();
-        let g = b.gather(&[0, 0, 2]).unwrap();
-        assert_eq!(g.num_rows(), 3);
-        assert_eq!(g.row(1).unwrap()[0], Value::Str("NYC".into()));
-    }
-
-    #[test]
-    fn concat_batches() {
-        let a = sample_batch();
-        let b = sample_batch();
-        let c = Batch::concat(&[a, b]).unwrap();
-        assert_eq!(c.num_rows(), 6);
-        assert_eq!(c.row(5).unwrap()[1], Value::Float(3.0));
     }
 }

@@ -282,122 +282,111 @@ impl Column {
         })
     }
 
-    /// Concatenate columns of the same type into one.
-    pub fn concat(cols: &[Column]) -> Result<Column> {
-        let first = cols
+    /// The rows `at` — (part, row) pairs, repetition allowed — of `parts`,
+    /// columns of one type, as one column. It is what laying the parts end
+    /// to end through [`Column::value`] and gathering gives: a NULL cell
+    /// holds `0`, `0.0`, `false` or code `0`; the validity mask is kept
+    /// when any part holds a NULL, gathered or not; a string column's
+    /// dictionary lists every non-NULL string of the parts once, in
+    /// first-seen row order, each part's codes remapped by one table
+    /// looked up once per distinct code.
+    pub fn gather_parts(parts: &[&Column], at: &[(usize, usize)]) -> Result<Column> {
+        let first = parts
             .first()
-            .ok_or_else(|| StorageError::InvalidArgument("concat of zero columns".into()))?;
-        let dt = first.data_type();
-        if cols.iter().any(|c| c.data_type() != dt) {
-            return Err(StorageError::TypeMismatch {
-                expected: dt.name().into(),
-                actual: "mixed".into(),
-            });
+            .ok_or_else(|| StorageError::InvalidArgument("gather from zero columns".into()))?;
+        if let Some(&(p, row)) = at.iter().find(|&&(p, row)| parts.get(p).is_none_or(|c| row >= c.len())) {
+            let len = parts.get(p).map_or(0, |c| c.len());
+            return Err(StorageError::RowOutOfBounds { index: row, len });
         }
-        // Generic (slow-ish) path via values; fine because concat only runs
-        // at load time, never per-query.
-        let total: usize = cols.iter().map(Column::len).sum();
-        match dt {
-            DataType::Float => {
-                let mut vals = Vec::with_capacity(total);
-                for c in cols {
-                    vals.extend((0..c.len()).map(|i| c.f64_at(i)));
-                }
-                Ok(Column::from_opt_f64s(vals))
-            }
-            DataType::Int => {
-                let mut vals = Vec::with_capacity(total);
-                for c in cols {
-                    for i in 0..c.len() {
-                        vals.push(match c.value(i)? {
-                            Value::Int(x) => Some(x),
-                            Value::Null => None,
-                            other => {
-                                return Err(StorageError::TypeMismatch {
-                                    expected: "int".into(),
-                                    actual: format!("{other:?}"),
-                                })
-                            }
-                        });
-                    }
-                }
-                Ok(Column::from_opt_i64s(vals))
-            }
-            DataType::Bool => {
-                let mut vals = Vec::with_capacity(total);
-                let mut mask = Vec::with_capacity(total);
-                let mut any_null = false;
-                for c in cols {
-                    for i in 0..c.len() {
-                        match c.value(i)? {
-                            Value::Bool(b) => {
-                                vals.push(b);
-                                mask.push(true);
-                            }
-                            Value::Null => {
-                                vals.push(false);
-                                mask.push(false);
-                                any_null = true;
-                            }
-                            other => {
-                                return Err(StorageError::TypeMismatch {
-                                    expected: "bool".into(),
-                                    actual: format!("{other:?}"),
-                                })
-                            }
-                        }
-                    }
-                }
-                Ok(Column::Bool { values: vals, validity: if any_null { Some(mask) } else { None } })
-            }
-            DataType::Str => {
-                let mut strs: Vec<Option<String>> = Vec::with_capacity(total);
-                for c in cols {
-                    for i in 0..c.len() {
-                        match c.value(i)? {
-                            Value::Str(s) => strs.push(Some(s)),
-                            Value::Null => strs.push(None),
-                            other => {
-                                return Err(StorageError::TypeMismatch {
-                                    expected: "str".into(),
-                                    actual: format!("{other:?}"),
-                                })
-                            }
-                        }
-                    }
-                }
-                // Re-encode with a merged dictionary.
+        let validity: Validity = parts
+            .iter()
+            .any(|c| c.has_nulls())
+            .then(|| at.iter().map(|&(p, row)| !parts[p].is_null(row)).collect());
+        Ok(match first {
+            Column::Int { .. } => Column::Int {
+                values: take(&typed(parts, |c| match c {
+                    Column::Int { values, validity } => Some((&values[..], validity)),
+                    _ => None,
+                })?, at, |_, x| x),
+                validity,
+            },
+            Column::Float { .. } => Column::Float {
+                values: take(&typed(parts, |c| match c {
+                    Column::Float { values, validity } => Some((&values[..], validity)),
+                    _ => None,
+                })?, at, |_, x| x),
+                validity,
+            },
+            Column::Bool { .. } => Column::Bool {
+                values: take(&typed(parts, |c| match c {
+                    Column::Bool { values, validity } => Some((&values[..], validity)),
+                    _ => None,
+                })?, at, |_, x| x),
+                validity,
+            },
+            Column::Str { .. } => {
+                let strs = typed(parts, |c| match c {
+                    Column::Str { codes, validity, .. } => Some((&codes[..], validity)),
+                    _ => None,
+                })?;
                 let mut dict: Vec<String> = Vec::new();
-                let mut index: std::collections::HashMap<String, u32> =
-                    std::collections::HashMap::new();
-                let mut codes = Vec::with_capacity(total);
-                let mut mask = Vec::with_capacity(total);
-                let mut any_null = false;
-                for s in strs {
-                    match s {
-                        Some(s) => {
-                            let code = *index.entry(s.clone()).or_insert_with(|| {
-                                dict.push(s);
+                let mut index: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
+                let mut remaps = Vec::with_capacity(parts.len());
+                for (part, &(codes, mask)) in parts.iter().zip(&strs) {
+                    let Column::Str { dict: local, .. } = part else { continue };
+                    let mut remap: Vec<Option<u32>> = vec![None; local.len()];
+                    for (row, &code) in codes.iter().enumerate() {
+                        let Some(slot) = remap.get_mut(code as usize) else { continue };
+                        if slot.is_none() && valid_at(mask, row) {
+                            let s = local[code as usize].as_str();
+                            *slot = Some(*index.entry(s).or_insert_with(|| {
+                                dict.push(s.to_owned());
                                 (dict.len() - 1) as u32
-                            });
-                            codes.push(code);
-                            mask.push(true);
-                        }
-                        None => {
-                            codes.push(0);
-                            mask.push(false);
-                            any_null = true;
+                            }));
                         }
                     }
+                    remaps.push(remap);
                 }
-                Ok(Column::Str {
-                    dict,
-                    codes,
-                    validity: if any_null { Some(mask) } else { None },
-                })
+                let codes = take(&strs, at, |p, code| remaps[p].get(code as usize).copied().flatten().unwrap_or(0));
+                Column::Str { dict, codes, validity }
             }
-        }
+        })
     }
+}
+
+/// Each part's values and mask, all of the variant `view` reads.
+fn typed<'a, T>(
+    parts: &[&'a Column],
+    view: impl Fn(&'a Column) -> Option<(&'a [T], &'a Validity)>,
+) -> Result<Vec<(&'a [T], &'a Validity)>> {
+    parts
+        .iter()
+        .map(|&c| {
+            view(c).ok_or_else(|| StorageError::TypeMismatch {
+                expected: parts[0].data_type().name().into(),
+                actual: c.data_type().name().into(),
+            })
+        })
+        .collect()
+}
+
+/// `f(part, value)` at every valid (part, row) of `at`, the type's zero at
+/// a NULL.
+fn take<T: Copy, U: Default>(
+    parts: &[(&[T], &Validity)],
+    at: &[(usize, usize)],
+    f: impl Fn(usize, T) -> U,
+) -> Vec<U> {
+    at.iter()
+        .map(|&(p, row)| {
+            let (values, mask) = parts[p];
+            if valid_at(mask, row) {
+                f(p, values[row])
+            } else {
+                U::default()
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -469,24 +458,28 @@ mod tests {
     }
 
     #[test]
-    fn concat_floats_and_strs() {
+    fn gather_parts_zeroes_nulls_and_merges_dictionaries_in_row_order() {
         let a = Column::from_f64s(vec![1.0]);
-        let b = Column::from_opt_f64s(vec![None, Some(2.0)]);
-        let c = Column::concat(&[a, b]).unwrap();
-        assert_eq!(c.len(), 3);
-        assert!(c.is_null(1));
+        let b = Column::Float { values: vec![9.0, 2.0], validity: Some(vec![false, true]) };
+        let c = Column::gather_parts(&[&a, &b], &[(1, 1), (1, 0), (0, 0)]).unwrap();
+        assert_eq!(c, Column::Float { values: vec![2.0, 0.0, 1.0], validity: Some(vec![true, false, true]) });
+        // Validity stays when the parts hold a NULL the rows skip.
+        let c = Column::gather_parts(&[&a, &b], &[(1, 1)]).unwrap();
+        assert_eq!(c, Column::Float { values: vec![2.0], validity: Some(vec![true]) });
 
-        let s1 = Column::from_strs(&["a", "b"]);
-        let s2 = Column::from_strs(&["b", "c"]);
-        let s = Column::concat(&[s1, s2]).unwrap();
-        assert_eq!(s.value(2).unwrap(), Value::Str("b".into()));
-        assert_eq!(dict_of(&s).len(), 3);
+        let s1 = Column::Str { dict: vec!["z".into(), "b".into(), "a".into()], codes: vec![1, 2, 0], validity: Some(vec![true, true, false]) };
+        let s2 = Column::from_strs(&["c", "b", "b"]);
+        let s = Column::gather_parts(&[&s1, &s2], &[(1, 0), (0, 2), (1, 2)]).unwrap();
+        assert_eq!(dict_of(&s), ["b", "a", "c"]);
+        assert_eq!(s, Column::Str { dict: dict_of(&s).to_vec(), codes: vec![2, 0, 0], validity: Some(vec![true, false, true]) });
     }
 
     #[test]
-    fn concat_type_mismatch_errors() {
+    fn gather_parts_errors() {
         let a = Column::from_f64s(vec![1.0]);
         let b = Column::from_i64s(vec![1]);
-        assert!(Column::concat(&[a, b]).is_err());
+        assert!(Column::gather_parts(&[&a, &b], &[]).is_err());
+        assert_eq!(Column::gather_parts(&[&a], &[(0, 1)]), Err(StorageError::RowOutOfBounds { index: 1, len: 1 }));
+        assert!(Column::gather_parts(&[], &[]).is_err());
     }
 }

@@ -103,27 +103,36 @@ impl SampleSet {
         seed: u64,
         num_partitions: usize,
     ) -> Result<&Sample> {
-        let full = source.to_batch()?;
-        let batch = full.gather(indices)?;
-        let name = format!("{}__sample_{}", source.name(), indices.len());
-        let data = Table::from_batch(name, batch, num_partitions)?;
+        self.insert(source, indices, strategy, seed, None, num_partitions)
+    }
+
+    /// Gather `indices` of `source` into a table of `num_partitions` and
+    /// insert it after every sample of no more rows; return it.
+    fn insert(
+        &mut self,
+        source: &Table,
+        indices: &[usize],
+        strategy: SamplingStrategy,
+        seed: u64,
+        strata: Option<Strata>,
+        num_partitions: usize,
+    ) -> Result<&Sample> {
+        let name = match &strata {
+            Some(strata) => format!("{}__stratified_{}", source.name(), strata.column),
+            None => format!("{}__sample_{}", source.name(), indices.len()),
+        };
+        let data = Table::from_batch(name, source.gather(indices)?, num_partitions)?;
         let meta = SampleMeta {
             source_table: source.name().to_owned(),
             rows: indices.len(),
             source_rows: source.num_rows(),
             strategy,
             seed,
-            strata: None,
+            strata,
         };
-        self.samples.push(Sample { meta, data });
-        self.samples.sort_by_key(|s| s.meta.rows);
-        // Return the sample we just inserted (unique by row count ties are
-        // fine: we return the first with this size & seed).
-        Ok(self
-            .samples
-            .iter()
-            .find(|s| s.meta.seed == seed && s.meta.rows == indices.len())
-            .expect("just inserted"))
+        let at = self.samples.partition_point(|s| s.meta.rows <= meta.rows);
+        self.samples.insert(at, Sample { meta, data });
+        Ok(&self.samples[at])
     }
 
     /// All samples, smallest first.
@@ -158,25 +167,7 @@ impl SampleSet {
         seed: u64,
         num_partitions: usize,
     ) -> Result<&Sample> {
-        let full = source.to_batch()?;
-        let batch = full.gather(indices)?;
-        let name = format!("{}__stratified_{}", source.name(), strata.column);
-        let data = Table::from_batch(name, batch, num_partitions)?;
-        let meta = SampleMeta {
-            source_table: source.name().to_owned(),
-            rows: indices.len(),
-            source_rows: source.num_rows(),
-            strategy: SamplingStrategy::Stratified,
-            seed,
-            strata: Some(strata),
-        };
-        self.samples.push(Sample { meta, data });
-        self.samples.sort_by_key(|s| s.meta.rows);
-        Ok(self
-            .samples
-            .iter()
-            .find(|s| s.meta.seed == seed && matches!(s.meta.strategy, SamplingStrategy::Stratified))
-            .expect("just inserted"))
+        self.insert(source, indices, SamplingStrategy::Stratified, seed, Some(strata), num_partitions)
     }
 
     /// The stratified sample on `column`, if one exists.
@@ -249,6 +240,24 @@ mod tests {
         let st = set.stratified_on("x").unwrap();
         assert_eq!(st.meta.rows, 3);
         assert!(set.stratified_on("y").is_none());
+    }
+
+    #[test]
+    fn the_set_returns_the_sample_it_inserted() {
+        let src = source(100);
+        let mut set = SampleSet::new();
+        let strata = |column: &str| Strata { column: column.into(), groups: Vec::new() };
+        set.add_stratified(&src, &[0, 1, 2], strata("x"), 9, 1).unwrap();
+        // Same seed: a search on seed and strategy would find the first.
+        let s = set.add_stratified(&src, &[3, 4, 5, 6, 7], strata("y"), 9, 1).unwrap();
+        assert_eq!((s.meta.rows, s.data.name()), (5, "events__stratified_y"));
+        let s = set.add_stratified(&src, &[8, 9, 10], strata("z"), 9, 1).unwrap();
+        assert_eq!(s.meta.strata.as_ref().unwrap().column, "z");
+        let s = set.add_from_indices(&src, &[1, 2, 3], SamplingStrategy::WithoutReplacement, 9, 1).unwrap();
+        assert_eq!((s.meta.rows, s.meta.strata.is_none()), (3, true));
+        // Equal sizes keep the order they were added in.
+        let order: Vec<&str> = set.samples().iter().map(|s| s.data.name()).collect();
+        assert_eq!(order[..3], ["events__stratified_x", "events__stratified_z", "events__sample_3"]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::sync::Arc;
 
 use crate::batch::Batch;
+use crate::column::Column;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::Result;
@@ -97,20 +98,51 @@ impl Table {
         self.partitions.iter().map(Partition::num_rows).sum()
     }
 
+    /// The rows at `indices` — table row numbers, in partition order,
+    /// repetition allowed — as one batch, each column written by
+    /// [`Column::gather_parts`] from the partitions in place. Out-of-range
+    /// indices are an error.
+    pub fn gather(&self, indices: &[usize]) -> Result<Batch> {
+        let mut starts = Vec::with_capacity(self.partitions.len());
+        let mut len = 0;
+        for p in &self.partitions {
+            starts.push(len);
+            len += p.num_rows();
+        }
+        if let Some(&bad) = indices.iter().find(|&&i| i >= len) {
+            return Err(StorageError::RowOutOfBounds { index: bad, len });
+        }
+        // The last partition starting at or before `i` holds it: an empty
+        // partition shares its start with the next one.
+        let at: Vec<(usize, usize)> = indices
+            .iter()
+            .map(|&i| {
+                let p = starts.partition_point(|&s| s <= i) - 1;
+                (p, i - starts[p])
+            })
+            .collect();
+        let width = self.partitions.first().map_or(0, |p| p.batch().columns().len());
+        let columns = (0..width)
+            .map(|c| {
+                let parts: Vec<&Column> = self.partitions.iter().map(|p| p.batch().column(c)).collect();
+                Column::gather_parts(&parts, &at)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Batch::new(self.schema.clone(), columns)
+    }
+
     /// Materialize all partitions into one batch (tests, exact fallback on
     /// small tables).
     pub fn to_batch(&self) -> Result<Batch> {
-        let batches: Vec<Batch> =
-            self.partitions.iter().map(|p| p.batch().clone()).collect();
-        Batch::concat(&batches)
+        self.gather(&(0..self.num_rows()).collect::<Vec<_>>())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
     use crate::schema::{DataType, Field};
+    use crate::value::Value;
 
     fn table(rows: usize, parts: usize) -> Table {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
@@ -137,6 +169,19 @@ mod tests {
         let b = t.to_batch().unwrap();
         let xs: Vec<f64> = b.column(0).to_f64_vec();
         assert_eq!(xs, (0..7).map(|i| i as f64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn gather_reads_across_partitions_empty_ones_included() {
+        // Five partitions over three rows: two of them are empty.
+        let t = table(3, 5);
+        let b = t.gather(&[2, 0, 2, 1]).unwrap();
+        assert_eq!(b.num_rows(), 4);
+        assert_eq!(b.column(0).to_f64_vec(), vec![2.0, 0.0, 2.0, 1.0]);
+        assert_eq!(t.gather(&[1, 3, 9]), Err(StorageError::RowOutOfBounds { index: 3, len: 3 }));
+        assert_eq!(t.gather(&[]).unwrap().num_rows(), 0);
+        let b = table(10, 3).gather(&[9]).unwrap();
+        assert_eq!(b.row(0).unwrap(), vec![Value::Int(9)]);
     }
 
     #[test]

@@ -347,6 +347,12 @@ fn hostile_confidence_and_config_are_typed_errors() {
     s.register_table(single_column_table("empty", Vec::new())).unwrap();
     let refused = s.build_samples("empty", &[10], 1);
     assert!(matches!(refused, Err(CoreError::Config(_))), "{refused:?}");
+    // A stratified sample of no rows would answer GROUP BY approximately
+    // from nothing; it is refused the same way.
+    let refused = s.build_stratified_sample("empty", "x", 10, 1);
+    assert!(matches!(refused, Err(CoreError::Config(_))), "{refused:?}");
+    let a = s.execute("SELECT x, COUNT(*) FROM empty GROUP BY x").unwrap();
+    assert_eq!((a.mode, a.groups.len()), (AnswerMode::Exact, 0), "{}", a.summary());
     assert_eq!(s.execute("SELECT COUNT(*) FROM empty").unwrap().scalar().unwrap().estimate, 0.0);
 }
 

@@ -272,7 +272,7 @@ fn degraded_coverage_tracks_fault_free_coverage() {
     for trial in 0..TRIALS {
         let mut rng = rng_from_seed(1_000 + trial);
         let idx = with_replacement_indices(&mut rng, SAMPLE_ROWS, pop.num_rows());
-        let batch = pop.to_batch().unwrap().gather(&idx).unwrap();
+        let batch = pop.gather(&idx).unwrap();
         let sample = Table::from_batch("sessions_sample", batch, 8).unwrap();
 
         let clean = execute_approx(

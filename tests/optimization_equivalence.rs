@@ -26,7 +26,7 @@ fn setup(rows: usize, n: usize, seed: u64) -> (Table, Table) {
     let pop = conviva_sessions_table(rows, 8, seed);
     let mut rng = rng_from_seed(seed ^ 0x5A);
     let idx = without_replacement_indices(&mut rng, n, rows);
-    let sbatch = pop.to_batch().unwrap().gather(&idx).unwrap();
+    let sbatch = pop.gather(&idx).unwrap();
     let sample = Table::from_batch("sessions", sbatch, 8).unwrap();
     (pop, sample)
 }

@@ -2177,3 +2177,191 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Samples gathered from a table's partitions vs the cell-wise reference.
+//
+// `gather_oracle::reference` is the semantics a sample has always had,
+// written from `Column::value`: the parts laid end to end one `Value` at
+// a time, re-encoded through `from_opt_*` / `from_strs` (so a NULL holds
+// the type's zero, the mask is kept when any cell is NULL, and the
+// dictionary lists the non-NULL strings in first-seen row order), then
+// `Column::gather`. `Table::gather` and `Column::gather_parts` read the
+// partitions in place and must write the same column, every bit.
+// ---------------------------------------------------------------------
+
+mod gather_oracle {
+    use rand::RngExt;
+    use reliable_aqp::stats::rng::rng_from_seed;
+    use reliable_aqp::storage::{Column, DataType, StorageError, Value};
+
+    /// The rows at `indices` of `parts` laid end to end, cell by cell.
+    pub fn reference(parts: &[&Column], indices: &[usize]) -> Result<Column, StorageError> {
+        let cells: Vec<Value> =
+            parts.iter().flat_map(|c| (0..c.len()).map(move |i| c.value(i).unwrap())).collect();
+        let mask: Vec<bool> = cells.iter().map(|v| !v.is_null()).collect();
+        let validity = mask.contains(&false).then_some(mask);
+        let whole = match parts[0].data_type() {
+            DataType::Int => Column::from_opt_i64s(
+                cells.iter().map(|v| if let Value::Int(x) = v { Some(*x) } else { None }).collect(),
+            ),
+            DataType::Float => Column::from_opt_f64s(
+                cells.iter().map(|v| if let Value::Float(x) = v { Some(*x) } else { None }).collect(),
+            ),
+            DataType::Bool => Column::Bool {
+                values: cells.iter().map(|v| *v == Value::Bool(true)).collect(),
+                validity,
+            },
+            DataType::Str => {
+                let strs: Vec<&str> = cells.iter().filter_map(Value::as_str).collect();
+                let Column::Str { dict, codes: dense, .. } = Column::from_strs(&strs) else {
+                    unreachable!()
+                };
+                let mut dense = dense.into_iter();
+                let codes =
+                    cells.iter().map(|v| if v.is_null() { 0 } else { dense.next().unwrap() }).collect();
+                Column::Str { dict, codes, validity }
+            }
+        };
+        whole.gather(indices)
+    }
+
+    /// Equal as columns, floats compared by their bits.
+    pub fn same(a: &Column, b: &Column) -> bool {
+        match (a, b) {
+            (Column::Float { values: x, validity: vx }, Column::Float { values: y, validity: vy }) => {
+                vx == vy && x.iter().map(|v| v.to_bits()).eq(y.iter().map(|v| v.to_bits()))
+            }
+            _ => a == b,
+        }
+    }
+
+    /// A column of type `t` and `rows` rows. Its mask is absent, present
+    /// without a NULL, or holding NULLs whose placeholders are not zero;
+    /// floats include two NaN payloads and ±0.0; a string column's
+    /// `dict` may repeat an entry and hold entries no row uses, and its
+    /// strings include `'NULL'`.
+    pub fn column(seed: u64, t: usize, rows: usize, dict: &[&str]) -> Column {
+        let mut rng = rng_from_seed(seed);
+        let null_rate = [0.0, 0.0, 0.1, 0.5][rng.random_range(0..4usize)];
+        let keep_mask = null_rate > 0.0 || rng.random_bool(0.5);
+        let mask: Vec<bool> = (0..rows).map(|_| !rng.random_bool(null_rate)).collect();
+        let validity = keep_mask.then_some(mask.clone());
+        let floats = [f64::NAN, f64::from_bits(f64::NAN.to_bits() ^ 1), -0.0, 0.0, 1.5, -2.25];
+        let mut pick = |n: usize| rng.random_range(0..n);
+        match t {
+            0 => Column::Int { values: (0..rows).map(|_| pick(7) as i64 - 3).collect(), validity },
+            1 => Column::Float { values: (0..rows).map(|_| floats[pick(floats.len())]).collect(), validity },
+            2 => Column::Bool { values: (0..rows).map(|_| pick(2) == 1).collect(), validity },
+            _ => Column::Str {
+                dict: dict.iter().map(|s| s.to_string()).collect(),
+                codes: (0..rows).map(|_| pick(dict.len()) as u32).collect(),
+                validity,
+            },
+        }
+    }
+
+    /// A dictionary drawn from a pool with `'NULL'` and a repeated `"a"`,
+    /// in a seed-dependent order and length.
+    pub fn dict(seed: u64) -> Vec<&'static str> {
+        let mut rng = rng_from_seed(seed ^ 0xD1C7);
+        let pool = ["a", "b", "NULL", "a", "c", "", "d"];
+        let len = rng.random_range(1..pool.len() + 1);
+        (0..len).map(|_| pool[rng.random_range(0..pool.len())]).collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+    /// `Table::gather` on random multi-partition tables (up to 12
+    /// partitions over up to 60 rows, so some are empty) with a column of
+    /// every type equals the cell-wise reference: values, NULL
+    /// placeholders, masks, dictionaries and codes; indices repeat, and
+    /// an out-of-range index gives the reference's error.
+    #[test]
+    fn table_gather_matches_the_cell_wise_reference(
+        seed in 0u64..1_000_000,
+        rows in 0usize..60,
+        partitions in 1usize..12,
+        picks in (0usize..80, 0usize..3),
+    ) {
+        use rand::RngExt;
+        use reliable_aqp::storage::{Batch, Column, DataType, Field, Schema, Table};
+        let types = [DataType::Int, DataType::Float, DataType::Bool, DataType::Str];
+        let dict = gather_oracle::dict(seed);
+        let columns: Vec<Column> =
+            (0..4).map(|t| gather_oracle::column(seed + t as u64, t, rows, &dict)).collect();
+        let fields = types.iter().enumerate().map(|(t, &ty)| Field::new(format!("c{t}"), ty)).collect();
+        let batch = Batch::new(Schema::new(fields).unwrap(), columns).unwrap();
+        let table = Table::from_batch("t", batch, partitions).unwrap();
+        let mut rng = rng_from_seed(seed ^ 0x6A7);
+        let mut indices: Vec<usize> = (0..picks.0).map(|_| rng.random_range(0..rows.max(1))).collect();
+        if picks.1 == 0 || rows == 0 {
+            // One index past the end, somewhere in the list.
+            let at = rng.random_range(0..indices.len() + 1);
+            indices.insert(at, rows + rng.random_range(0..3usize));
+        }
+        let got = table.gather(&indices);
+        for t in 0..4 {
+            let parts: Vec<&Column> = table.partitions().iter().map(|p| p.batch().column(t)).collect();
+            match (&got, gather_oracle::reference(&parts, &indices)) {
+                (Ok(batch), Ok(want)) => prop_assert!(
+                    gather_oracle::same(batch.column(t), &want),
+                    "column {t}: {:?} vs {want:?}", batch.column(t)
+                ),
+                (Err(e), Err(want)) => prop_assert_eq!(e, &want),
+                (got, want) => prop_assert!(false, "{got:?} vs {want:?}"),
+            }
+        }
+        if let Ok(batch) = &got {
+            prop_assert_eq!(batch.num_rows(), indices.len());
+            prop_assert!(table.to_batch().unwrap().columns().iter().zip(0..).all(|(c, t)| {
+                let parts: Vec<&Column> = table.partitions().iter().map(|p| p.batch().column(t)).collect();
+                gather_oracle::same(c, &gather_oracle::reference(&parts, &(0..rows).collect::<Vec<_>>()).unwrap())
+            }));
+        }
+    }
+
+    /// `Column::gather_parts` over parts whose dictionaries differ — in
+    /// order, in length, with repeated and unused entries — and whose
+    /// masks differ (absent, NULL-free, NULL-holding; some parts empty)
+    /// equals the cell-wise reference, for every type.
+    #[test]
+    fn gather_parts_matches_the_cell_wise_reference_across_dictionaries(
+        seed in 0u64..1_000_000,
+        t in 0usize..4,
+        lens in prop::collection::vec(0usize..25, 1..6),
+        picks in 0usize..60,
+    ) {
+        use rand::RngExt;
+        use reliable_aqp::storage::Column;
+        let parts: Vec<Column> = lens
+            .iter()
+            .enumerate()
+            .map(|(p, &len)| {
+                let s = seed.wrapping_mul(31).wrapping_add(p as u64);
+                gather_oracle::column(s, t, len, &gather_oracle::dict(s))
+            })
+            .collect();
+        let refs: Vec<&Column> = parts.iter().collect();
+        let total: usize = lens.iter().sum();
+        let mut rng = rng_from_seed(seed ^ 0x9A7);
+        let indices: Vec<usize> =
+            if total == 0 { Vec::new() } else { (0..picks).map(|_| rng.random_range(0..total)).collect() };
+        let at: Vec<(usize, usize)> = indices
+            .iter()
+            .map(|&i| {
+                let (mut p, mut row) = (0, i);
+                while row >= lens[p] {
+                    row -= lens[p];
+                    p += 1;
+                }
+                (p, row)
+            })
+            .collect();
+        let got = Column::gather_parts(&refs, &at).unwrap();
+        let want = gather_oracle::reference(&refs, &indices).unwrap();
+        prop_assert!(gather_oracle::same(&got, &want), "{got:?} vs {want:?}");
+    }
+}
