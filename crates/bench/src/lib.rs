@@ -11,8 +11,9 @@
 //! | binary | reproduces |
 //! |---|---|
 //! | `fig1_sample_sizes` | Fig. 1 — required sample size vs target error per technique |
-//! | `fig3_estimation_accuracy` | Fig. 3 — % correct/optimistic/pessimistic per workload × technique |
-//! | `fig4_diagnostic_accuracy` | Fig. 4(b)/(c) — diagnostic accuracy vs the ideal verdict |
+//! | `calibrate fig3` | Fig. 3 — % correct/optimistic/pessimistic per workload × technique |
+//! | `calibrate fig4` | Fig. 4(b)/(c) — diagnostic accuracy vs the ideal verdict |
+//! | `calibrate table` | §2.2's guarantee: coverage per θ × data family × ξ × α ([`calibration_table`]) |
 //! | `fig7_baseline_latency` | Fig. 7(a)/(b) — naive per-query latency decomposition |
 //! | `fig8_optimizations` | Fig. 8(a)–(f) — speedup CDFs + parallelism/cache sweeps |
 //! | `fig9_optimized_latency` | Fig. 9(a)/(b) — optimized per-query latency decomposition |
@@ -26,6 +27,14 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+
+use aqp_stats::accuracy::{evaluate_error_estimator, AccuracyConfig};
+use aqp_stats::error_estimator::EstimationMethod::{Bootstrap, ClosedForm};
+use aqp_stats::error_estimator::Theta;
+use aqp_stats::estimator::Aggregate::{Avg, Count, Sum};
+use aqp_stats::rng::SeedStream;
+use aqp_workload::statquery::{DataSpec, ThetaKind};
+use aqp_workload::StatQuery;
 
 /// Percentile of an unsorted f64 slice (nearest rank).
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
@@ -108,11 +117,86 @@ impl Args {
             .and_then(|i| self.raw.get(i + 1))
             .and_then(|v| v.parse().ok())
     }
+}
 
-    /// Whether a bare `--flag` is present.
-    pub fn has(&self, key: &str) -> bool {
-        self.raw.iter().any(|a| a == &format!("--{key}"))
+/// The §3 loop every accuracy section runs on: query `qi`'s population
+/// (`pop_rows` rows, seed `seeds.seed(qi · pop_stride)`) and θ go, with
+/// the stream `seeds.derive(qi)`, to `eval` — in parallel, results in
+/// query order.
+pub fn per_query<R: Send>(
+    queries: &[StatQuery],
+    pop_rows: usize,
+    seeds: SeedStream,
+    pop_stride: u64,
+    eval: impl Fn(&[f64], &Theta, SeedStream) -> R + Sync,
+) -> Vec<R> {
+    let jobs: Vec<(usize, &StatQuery)> = queries.iter().enumerate().collect();
+    aqp_exec::parallel::parallel_map(jobs, aqp_exec::parallel::default_threads(), |(qi, q)| {
+        let population = q.population(pop_rows, seeds.seed(qi as u64 * pop_stride));
+        eval(&population, &q.theta.instantiate(), seeds.derive(qi as u64))
+    })
+}
+
+/// The coverage table (§2.2: on a share α of samples the interval holds
+/// θ(D)): one TSV line per (θ, data family, ξ, α) cell, each one
+/// [`evaluate_error_estimator`] call of `runs` samples of 2 000 rows
+/// from a 40 000-row population, its true interval from max(250, `runs`)
+/// more. The cells of one (θ, family) row share
+/// its population and its seed stream, so both ξ see the same samples and
+/// one ξ's intervals are nested in α: coverage can only rise along a row.
+/// A cell is `RED` when its coverage is more than three binomial standard
+/// errors from α ([`covers_at`](aqp_stats::accuracy::AccuracyReport::covers_at)).
+///
+/// SUM and COUNT filter half the rows (the y-encoding). COUNT has one row,
+/// family `indicator`: its values are the filter indicator whatever the
+/// family, and its θ is their SUM.
+pub fn calibration_table(runs: usize) -> String {
+    let families = [
+        ("normal", DataSpec::Normal { mean: 50.0, sd: 15.0 }),
+        ("lognormal", DataSpec::Lognormal { mu: 1.0, sigma: 1.0 }),
+        ("pareto1.3", DataSpec::Pareto { alpha: 1.3 }),
+    ];
+    let query = |agg, (family, data): (&str, DataSpec), selectivity| StatQuery {
+        id: 0,
+        name: family.to_string(),
+        theta: ThetaKind::Builtin(agg),
+        data,
+        selectivity,
+    };
+    let mut queries: Vec<StatQuery> = [(Avg, 1.0), (Sum, 0.5)]
+        .into_iter()
+        .flat_map(|(agg, sel)| families.map(|family| query(agg, family, sel)))
+        .collect();
+    queries.push(query(Count, ("indicator", families[0].1), 0.5));
+    let (xis, alphas) = ([ClosedForm, Bootstrap { k: 100 }], [0.80, 0.90, 0.95, 0.99]);
+    let cfg = AccuracyConfig { sample_rows: 2_000, runs, truth_runs: 250, ..Default::default() };
+    let rows = per_query(&queries, 40_000, SeedStream::new(0xCA1), 1, |pop, theta, s| {
+        let eval = |xi, alpha| {
+            evaluate_error_estimator(pop, theta, xi, &AccuracyConfig { alpha, ..cfg }, s)
+        };
+        xis.iter().flat_map(|xi| alphas.map(|a| (xi, a, eval(xi, a)))).collect::<Vec<_>>()
+    });
+    let mut out = "TSV: theta\tfamily\txi\talpha\truns\tcoverage\tstd_error\t\
+                   rel_half_width\tverdict\tstatus\n"
+        .to_string();
+    for (q, row) in queries.iter().zip(rows) {
+        for (xi, alpha, r) in row {
+            let _ = writeln!(
+                out,
+                "{}\t{}\t{}\t{alpha:.2}\t{}\t{:.3}\t{:.4}\t{:.4}\t{:?}\t{}",
+                format!("{:?}", q.category()).to_uppercase(),
+                q.name,
+                xi.name(),
+                r.runs,
+                r.coverage(),
+                r.coverage_std_error(),
+                r.mean_half_width / r.theta_d.abs(),
+                r.verdict,
+                if r.covers_at(alpha, 3.0) { "ok" } else { "RED" },
+            );
+        }
     }
+    out
 }
 
 /// Honour a `--metrics <path>` flag: dump the process-global metrics

@@ -74,9 +74,13 @@ impl AccuracyReport {
     }
 
     /// Whether the coverage is consistent with `target` within `z`
-    /// standard errors.
+    /// standard errors of a binomial *at the target*, `√(α(1−α)/n)`. The
+    /// observed coverage's own error would be 0 when every run covers (or
+    /// none does), and 200 of 200 runs covered is what exact 0.99
+    /// coverage gives one time in seven.
     pub fn covers_at(&self, target: f64, z: f64) -> bool {
-        (self.coverage() - target).abs() <= z * self.coverage_std_error().max(1e-9)
+        let se = (target * (1.0 - target) / self.deltas.len().max(1) as f64).sqrt();
+        (self.coverage() - target).abs() <= z * se
     }
 }
 
@@ -93,8 +97,9 @@ pub struct AccuracyConfig {
     /// Fraction of runs allowed outside the δ band before declaring
     /// failure (5% in the paper).
     pub failure_quantile: f64,
-    /// Extra samples used to estimate the *true* interval (shares `runs`
-    /// samples when 0; the paper reuses its evaluation samples).
+    /// Samples used to estimate the *true* interval: `max(truth_runs,
+    /// runs)` fresh draws from their own stream, never the evaluation
+    /// samples (so 0 means as many as `runs`).
     pub truth_runs: usize,
 }
 
@@ -157,7 +162,7 @@ pub fn evaluate_error_estimator(
     // 1. The true confidence interval: θ over `truth_runs` fresh samples,
     //    smallest symmetric interval around θ(D) covering α of them.
     let truth_stream = seeds.derive(0x7275_7468); // "ruth"
-    let mut truth_draws = Vec::with_capacity(cfg.truth_runs);
+    let mut truth_draws = Vec::with_capacity(cfg.truth_runs.max(cfg.runs));
     for r in 0..cfg.truth_runs.max(cfg.runs) {
         let mut rng = truth_stream.rng(r as u64);
         let idx = with_replacement_indices(&mut rng, cfg.sample_rows, population.len());
@@ -413,8 +418,16 @@ mod tests {
         };
         assert!(r.coverage_std_error() > 0.0);
         assert!(r.covers_at(0.95, 1.0));
-        let far = AccuracyReport { covered: 50, ..r };
+        let far = AccuracyReport { covered: 50, ..r.clone() };
         assert!(!far.covers_at(0.95, 3.0));
+        // Every run covered: the observed coverage has no spread, but 200
+        // of 200 is likely under exact 0.99 coverage (0.99²⁰⁰ ≈ 0.134).
+        let all = AccuracyReport { deltas: vec![0.0; 200], covered: 200, runs: 200, ..r.clone() };
+        assert_eq!(all.coverage_std_error(), 0.0);
+        assert!(all.covers_at(0.99, 3.0));
+        assert!(!all.covers_at(0.80, 3.0));
+        let none = AccuracyReport { covered: 0, ..r };
+        assert!(!none.covers_at(0.95, 3.0) && none.covers_at(0.0, 3.0));
     }
 
     #[test]
