@@ -38,12 +38,10 @@
 
 pub mod answer;
 mod observers;
-pub mod progressive;
 pub mod sample_selection;
 pub mod session;
 
 pub use answer::{AnswerMode, AqpAnswer};
-pub use progressive::{ProgressiveResult, ProgressiveStep};
 pub use sample_selection::required_sample_rows;
 pub use session::{AqpSession, SessionConfig};
 

@@ -278,16 +278,15 @@ impl AqpSession {
     }
 
     /// Render the rewritten plan an `execute` of this SQL would run,
-    /// without executing it.
+    /// without executing it: annotated for the sample a query without an
+    /// error clause runs on (see [`choose_sample`](Self::choose_sample)). A
+    /// query with an error clause picks its sample by a pilot at run time.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let query = parse_query(sql)?;
         let table = self.catalog.table(leaf_table_name(&query))?;
         let plan = plan_query(&query, table.schema())?;
-        // The sample a query without an error clause runs on.
-        let largest =
-            self.catalog.with_samples(table.name(), |set| Ok(set.largest().map(|s| s.meta.clone())));
-        Ok(match largest.ok().flatten() {
-            Some(meta) => annotate(plan, &query, &self.approx_options(&query, &meta)?).explain(),
+        Ok(match self.choose_sample(table.name(), stratum_key(&query), usize::MAX) {
+            Some(sample) => annotate(plan, &query, &self.approx_options(&query, &sample.meta)?).explain(),
             None => plan.explain(),
         })
     }
@@ -330,39 +329,27 @@ impl AqpSession {
     fn execute_traced(&self, sql: &str, rec: &TraceRecorder) -> Result<AqpAnswer> {
         let p = self.prepare(sql, rec)?;
 
-        // --- Stratified fast path: a single-column GROUP BY with a
-        // matching stratified sample uses per-stratum scaling. ---
-        if p.query.group_by.len() == 1 && !p.query.is_nested() {
-            let sel = rec.start(stage::SAMPLE_SELECTION);
-            let stratified = self.catalog.with_samples(p.table.name(), |set| {
-                Ok(set.stratified_on(&p.query.group_by[0]).cloned())
-            })?;
-            if let Some(sample) = stratified {
+        // A query grouped by one column looks for a stratified sample on it
+        // under a selection span of its own, closed empty when there is none.
+        let key = stratum_key(&p.query);
+        let lookup = key.map(|_| rec.start(stage::SAMPLE_SELECTION));
+        // With an error clause the uniform pick is the pilot (the smallest
+        // non-empty sample); without one it is the sample that runs.
+        let first_rows = if p.query.error_clause.is_some() { 1 } else { usize::MAX };
+        let chosen = self.choose_sample(p.table.name(), key, first_rows);
+        if let Some(sel) = lookup {
+            if let Some(sample) = chosen.as_ref().filter(|s| s.meta.strata.is_some()) {
                 rec.attr(sel, "strategy", "stratified");
                 rec.attr(sel, "sample_rows", sample.meta.rows);
-                rec.end(sel);
-                return self.execute_on_sample(&p, sample, rec);
             }
             rec.end(sel);
         }
-
-        // The smallest stored uniform sample of at least `rows` rows, else
-        // the largest. One catalog read checks and picks, and clones only
-        // what it picked, so a concurrent `drop_table` (or a telemetry
-        // re-sync) finds no gap between the two; no sample is `None`.
-        let pick = |rows: usize| {
-            let picked = self.catalog.with_samples(p.table.name(), |set| {
-                let fit = set.uniform_samples().find(|s| s.meta.rows >= rows);
-                Ok(fit.or_else(|| set.largest()).cloned())
-            });
-            picked.ok().flatten()
-        };
-        // With an error clause the first pick is the pilot (the smallest
-        // non-empty sample); without one it is the sample that runs.
-        let first_rows = if p.query.error_clause.is_some() { 1 } else { usize::MAX };
-        let Some(mut sample) = pick(first_rows) else {
+        let Some(mut sample) = chosen else {
             return self.exact_answer(&p, AnswerMode::Exact, rec);
         };
+        if sample.meta.strata.is_some() {
+            return self.execute_on_sample(&p, sample, rec);
+        }
 
         // --- Sample selection. ---
         let sel = rec.start(stage::SAMPLE_SELECTION);
@@ -371,7 +358,7 @@ impl AqpSession {
             wanted_rows =
                 self.pilot_required_rows(&p, &sample, e.relative_error, rec)?.unwrap_or(usize::MAX);
             // A set dropped while the pilot ran finishes on the pilot.
-            sample = pick(wanted_rows).unwrap_or(sample);
+            sample = self.choose_sample(p.table.name(), None, wanted_rows).unwrap_or(sample);
         }
         rec.attr(sel, "strategy", "uniform");
         if wanted_rows != usize::MAX {
@@ -380,6 +367,21 @@ impl AqpSession {
         rec.attr(sel, "sample_rows", sample.meta.rows);
         rec.end(sel);
         self.execute_on_sample(&p, sample, rec)
+    }
+
+    /// The sample of `table` a query runs on: the stratified sample on
+    /// `key` ([`stratum_key`]) if one is stored, else the smallest uniform
+    /// sample of at least `rows` rows, else the largest. One catalog read
+    /// checks and picks, and clones only what it picked, so a concurrent
+    /// `drop_table` (or a telemetry re-sync) finds no gap between the two;
+    /// no sample is `None`.
+    fn choose_sample(&self, table: &str, key: Option<&str>, rows: usize) -> Option<Sample> {
+        let picked = self.catalog.with_samples(table, |set| {
+            let stratified = key.and_then(|k| set.stratified_on(k));
+            let fit = || set.uniform_samples().find(|s| s.meta.rows >= rows).or_else(|| set.largest());
+            Ok(stratified.or_else(fit).cloned())
+        });
+        picked.ok().flatten()
     }
 
     /// The one statement of an approximate run of `query` on the sample
@@ -534,35 +536,6 @@ impl AqpSession {
         })
     }
 
-    /// Execute on the specific stored uniform sample of `rows` rows
-    /// (progressive execution's per-step primitive). A step is audited
-    /// like any approximate answer, but it is not a finished query:
-    /// `Observers::finished` does not hear about it.
-    pub(crate) fn execute_with_sample_rows(&self, sql: &str, rows: usize) -> Result<AqpAnswer> {
-        let rec = self.config.obs.recorder();
-        let result = self.prepare(sql, &rec).and_then(|p| {
-            let sample = rec.in_span(stage::SAMPLE_SELECTION, || {
-                self.catalog.with_samples(p.table.name(), |set| {
-                    Ok(set.uniform_samples().find(|s| s.meta.rows == rows).cloned())
-                })
-            })?;
-            let sample = sample.ok_or_else(|| {
-                crate::CoreError::Config(format!("no stored uniform sample of exactly {rows} rows"))
-            })?;
-            self.execute_on_sample(&p, sample, &rec)
-        });
-        finish_with_trace(rec, result)
-    }
-
-    /// Execute exactly, ignoring samples.
-    pub(crate) fn execute_exact_only(&self, sql: &str) -> Result<AqpAnswer> {
-        let rec = self.config.obs.recorder();
-        let result = self
-            .prepare(sql, &rec)
-            .and_then(|p| self.exact_answer(&p, AnswerMode::Exact, &rec));
-        finish_with_trace(rec, result)
-    }
-
     fn run_exact(&self, p: &Prepared<'_>) -> aqp_exec::Result<ExactResult> {
         execute_exact_observed(
             &p.plan,
@@ -639,11 +612,11 @@ impl AqpSession {
             faults: None,
             ..self.approx_options(&p.query, &pilot.meta)?
         };
-        let approx =
+        let mut approx =
             execute_approx(&p.plan, &pilot.data, p.table.num_rows(), &p.registry, &opts)?;
         // The pilot's engine stages nest under the open sample-selection
         // span — the pilot *is* part of choosing the sample.
-        rec.graft(approx.trace.clone());
+        rec.graft(std::mem::take(&mut approx.trace));
         // The widest relative interval across groups/aggregates is the
         // binding constraint.
         let needed = approx.groups.iter().flat_map(|g| &g.aggs).filter_map(|a| {
@@ -806,6 +779,16 @@ fn apply_order_limit(query: &Query, schema: &Schema, mut answer: AqpAnswer) -> R
         answer.groups.truncate(l);
     }
     Ok(answer)
+}
+
+/// The GROUP BY column of a query that groups by that one column and is
+/// not nested: a stratified sample on it serves the query, with
+/// per-stratum scaling.
+fn stratum_key(query: &Query) -> Option<&str> {
+    match query.group_by.as_slice() {
+        [key] if !query.is_nested() => Some(key),
+        _ => None,
+    }
 }
 
 /// The table the innermost block of `query` scans.
@@ -1157,6 +1140,36 @@ mod tests {
         bare.register_table(conviva_sessions_table(1_000, 2, 99)).unwrap();
         let plan = bare.explain("SELECT AVG(time) FROM sessions").unwrap();
         assert!(!plan.contains("Resample"), "{plan}");
+    }
+
+    /// `explain` annotates for the sample `execute` runs on: the
+    /// `Resample[…]` line of the plan is the `op:Resample` span's detail in
+    /// the executed answer's trace, or neither has one.
+    #[test]
+    fn explain_names_the_sample_execute_runs_on() {
+        let queries = [
+            "SELECT AVG(time) FROM sessions",
+            "SELECT city, AVG(time) FROM sessions GROUP BY city",
+            "SELECT site, AVG(time) FROM sessions GROUP BY site",
+            "SELECT AVG(s) FROM (SELECT AVG(time) AS s FROM sessions GROUP BY city)",
+        ];
+        for (uniform, stratified) in [(false, false), (true, false), (false, true), (true, true)] {
+            let s = AqpSession::new(SessionConfig { seed: 3, diagnostic_p: 20, ..Default::default() });
+            s.register_table(conviva_sessions_table(20_000, 4, 5)).unwrap();
+            if uniform {
+                s.build_samples("sessions", &[4_000], 7).unwrap();
+            }
+            if stratified {
+                s.build_stratified_sample("sessions", "city", 300, 9).unwrap();
+            }
+            for sql in queries {
+                let plan = s.explain(sql).unwrap();
+                let planned = plan.lines().map(str::trim_start).find(|l| l.starts_with("Resample["));
+                let trace = s.execute(sql).unwrap().trace;
+                let ran = trace.find("op:Resample").and_then(|span| span.attr("detail"));
+                assert_eq!(planned, ran, "uniform={uniform} stratified={stratified}: {sql}\n{plan}");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //!
 //! ```text
 //! SELECT ...;                 run a query (approximate when samples exist)
+//! SELECT ... WITHIN 5% ERROR; run it on the smallest sample a pilot says
+//!                             meets the bound
 //! \sample <rows>              build a uniform sample of <rows> rows
 //! \strata <column> <rows>     build a stratified sample on <column>
-//! \progressive <rel_err> SELECT ...
-//!                             grow the sample until the bound is met
 //! \csv <path> <name>          load a CSV file as a new table
 //! \schema                     show the sessions schema
 //! \introspect                 summarize the shell's own telemetry
@@ -136,27 +136,6 @@ fn main() {
                     }
                 }
                 _ => println!("usage: \\strata <column> <rows_per_stratum>"),
-            }
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("\\progressive ") {
-            let mut parts = rest.splitn(2, ' ');
-            match (parts.next().and_then(|e| e.parse::<f64>().ok()), parts.next()) {
-                (Some(target), Some(sql)) => {
-                    match session.execute_progressive(sql.trim_end_matches(';'), target) {
-                        Ok(r) => {
-                            for step in &r.steps {
-                                println!(
-                                    "  step: {} rows, worst rel err {:?}, satisfied {}",
-                                    step.sample_rows, step.worst_relative_error, step.satisfied
-                                );
-                            }
-                            println!("{}", r.final_answer().summary());
-                        }
-                        Err(e) => println!("error: {e}"),
-                    }
-                }
-                _ => println!("usage: \\progressive <rel_err> SELECT ..."),
             }
             continue;
         }

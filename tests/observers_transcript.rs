@@ -58,7 +58,7 @@ const QUERIES: [&str; 13] = [
 ];
 
 /// How many times the list is cycled (6 × 13 = 78 `execute` calls, plus
-/// one progressive execution and the closing telemetry queries).
+/// the closing telemetry queries).
 const ROUNDS: usize = 6;
 
 fn session(obs: ObsHandle) -> AqpSession {
@@ -201,7 +201,7 @@ fn transcript() -> (String, Vec<String>) {
     // recorder but, by the recursion guard, fold no row.
     let mut guarded = [0; 3];
     out.push_str("## answers\n");
-    for round in 0..ROUNDS {
+    for _ in 0..ROUNDS {
         for sql in QUERIES {
             let before = alerts_by_trigger(&s);
             let result = s.execute(sql);
@@ -217,15 +217,6 @@ fn transcript() -> (String, Vec<String>) {
                 );
             }
             render(&mut out, sql, &result);
-        }
-        if round == 2 {
-            // Progressive steps audit but skip the finished-query fan-out.
-            let sql = "SELECT AVG(bitrate) FROM sessions";
-            let p = s.execute_progressive(sql, 0.05).unwrap();
-            out.push_str(&format!("## progressive steps={}\n", p.steps.len()));
-            for step in &p.steps {
-                render::<String>(&mut out, sql, &Ok(step.answer.clone()));
-            }
         }
     }
 
