@@ -163,24 +163,27 @@ pub fn diagnose<P>(
     };
     let p = cfg.p;
     let evaluate = |level: usize| -> LevelReport {
-        // `None` for an empty subsample: all of them read `on_empty`,
-        // pulled at the first.
+        // What was pulled for the subsamples that hold a value, in order of
+        // j; every empty one reads `on_empty`, pulled at the first.
+        let is_empty: Vec<bool> = (0..p).map(|j| empty(level, j)).collect();
         let mut on_empty = None;
-        let subsamples: Vec<Option<(f64, P)>> = (0..p)
-            .map(|j| match empty(level, j) {
-                false => Some(theta_hat(level, j)),
-                true => {
-                    on_empty.get_or_insert_with(|| theta_hat(level, j));
-                    None
-                }
-            })
-            .collect();
-        let t_empty = on_empty.as_ref().map_or(f64::NAN, |(t, _)| *t);
+        let mut pulled = Vec::with_capacity(is_empty.iter().filter(|&&e| !e).count());
         // Degenerate estimates (NaN θ̂ on an empty subsample, ξ failures)
         // are dropped; they count against π by shrinking the numerator
         // but not p.
-        let t_hats: Vec<f64> =
-            subsamples.iter().map(|s| s.as_ref().map_or(t_empty, |s| s.0)).filter(|t| t.is_finite()).collect();
+        let mut t_hats = Vec::with_capacity(p);
+        for (j, &e) in is_empty.iter().enumerate() {
+            let t = match e {
+                true => on_empty.get_or_insert_with(|| theta_hat(level, j)).0,
+                false => {
+                    pulled.push(theta_hat(level, j));
+                    pulled[pulled.len() - 1].0
+                }
+            };
+            if t.is_finite() {
+                t_hats.push(t);
+            }
+        }
         let mut report = LevelReport {
             level,
             b: cfg.subsample_rows[level],
@@ -198,8 +201,9 @@ pub fn diagnose<P>(
         let mut x_hats = Vec::with_capacity(p);
         let mut close = 0usize;
         let mut xi_empty = None;
-        for (j, subsample) in subsamples.into_iter().enumerate() {
-            let xh = match subsample {
+        let mut pulled = pulled.into_iter();
+        for (j, &e) in is_empty.iter().enumerate() {
+            let xh = match if e { None } else { pulled.next() } {
                 Some((t, prepared)) => xi(level, j, t, prepared),
                 None => *xi_empty.get_or_insert_with(|| {
                     on_empty.take().map_or(f64::NAN, |(t, prepared)| xi(level, j, t, prepared))

@@ -16,7 +16,7 @@ use aqp_sql::ast::AggExpr;
 use aqp_sql::logical::LogicalPlan;
 use aqp_stats::bootstrap::count_resamples;
 use aqp_stats::closed_form::{closed_form_lanes, ClosedForm, Coverage, LANES};
-use aqp_stats::estimator::{Aggregate, SampleContext};
+use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
 
@@ -268,7 +268,7 @@ pub fn execute_approx(
                 }
                 _ => cfg.clone(),
             };
-            let cfg = &cfg;
+            let (cfg, coverage) = (&cfg, Coverage::new(opts.alpha));
             parallel_map_observed(jobs.clone(), opts.threads, &opts.obs.clock, |(gi, ai)| {
                 let subsamples = Subsamples {
                     theta: &inputs.thetas[ai],
@@ -278,7 +278,7 @@ pub fn execute_approx(
                     cfg,
                     opts,
                     seeds: seeds.derive(0xD1).derive((gi * MAX_AGGREGATES + ai) as u64),
-                    coverage: Coverage::new(opts.alpha),
+                    coverage,
                     passes: Default::default(),
                     bounds: vec![OnceCell::new(); cfg.k()],
                     empty_drew: vec![Cell::new(false); cfg.k()],
@@ -663,7 +663,7 @@ fn error_ci(
 ) -> (Option<aqp_stats::ci::Ci>, MethodUsed) {
     // `Auto` takes the closed form when there is one (it says so itself).
     if opts.method == MethodChoice::Auto {
-        if let Some(ci) = pass.or_else(|| bound.closed_form()).and_then(|pass| pass.ci(coverage)) {
+        if let Some(ci) = pass.or_else(|| bound.closed_form(Some(center))).and_then(|pass| pass.ci(coverage)) {
             return (Some(ci), MethodUsed::ClosedForm);
         }
     }
@@ -749,13 +749,14 @@ impl Subsamples<'_> {
     }
 
     /// The closed-form pass over subsample `j` of `level`, which holds at
-    /// least [`LOCKSTEP_MIN_VALUES`] values, when ξ is a closed form that
-    /// folds the values (not COUNT's): made, if it is not yet, with every
-    /// other such subsample of its block of [`LANES`] that has none, in
-    /// one [`closed_form_lanes`] call.
+    /// least [`LOCKSTEP_MIN_VALUES`] values, when ξ is a closed form whose
+    /// θ is one of the pass's folds ([`PreparedTheta::theta_from_pass`]):
+    /// made, if it is not yet, with every other such subsample of its
+    /// block of [`LANES`] that has none, in one [`closed_form_lanes`] call.
+    /// AVG's and COUNT's are made where ξ asks, around the θ̂ it is handed.
     fn pass(&self, level: usize, j: usize) -> Option<ClosedForm> {
-        let bootstrap = self.opts.method == MethodChoice::Bootstrap;
-        let agg = self.theta.closed_form_aggregate().filter(|&a| !bootstrap && a != Aggregate::Count)?;
+        let closed = self.opts.method != MethodChoice::Bootstrap && self.theta.theta_from_pass();
+        let agg = self.theta.closed_form_aggregate().filter(|_| closed)?;
         let p = self.cfg.p;
         let mut passes = self.passes.borrow_mut();
         if passes.is_empty() {

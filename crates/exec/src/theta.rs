@@ -19,7 +19,7 @@ use std::ops::Range;
 use aqp_sql::ast::{AggExpr, AggFunc};
 use aqp_stats::bootstrap::bootstrap_ci_around;
 use aqp_stats::ci::Ci;
-use aqp_stats::closed_form::{closed_form, ClosedForm, Coverage};
+use aqp_stats::closed_form::{closed_form, closed_form_around, ClosedForm, Coverage};
 use aqp_stats::error_estimator::Theta;
 use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::rng::Rng;
@@ -162,10 +162,11 @@ impl PreparedTheta {
 
     /// Whether θ is one of the folds of the closed-form pass (VARIANCE,
     /// STDDEV, SUM), so that a range's θ and its σ̂ come from one pass.
-    /// AVG's θ is a Σx fold, much cheaper than the Welford chain its σ̂
-    /// needs, and stays apart: a range whose bars are never asked for does
-    /// not pay for them. COUNT's pass folds nothing — θ and σ̂ are
-    /// arithmetic on the range's length — so there is nothing to share.
+    /// AVG's θ is a Σx fold and its σ̂ a second fold centred on θ: θ stays
+    /// apart, so a range whose bars are never asked for does not pay for
+    /// them, and the bars centre on the θ their caller holds. COUNT's pass
+    /// folds nothing — θ and σ̂ are arithmetic on the range's length — so
+    /// there is nothing to share.
     pub fn theta_from_pass(&self) -> bool {
         matches!(self.closed_form_aggregate(), Some(Aggregate::Variance | Aggregate::StdDev | Aggregate::Sum))
     }
@@ -245,16 +246,22 @@ impl BoundTheta<'_> {
     }
 
     /// The closed-form pass over the bound range — θ and σ̂ in one loop —
-    /// or `None` where θ has no closed form.
-    pub fn closed_form(&self) -> Option<ClosedForm> {
-        closed_form(&self.theta.closed_form_aggregate()?, self.values, &self.ctx)
+    /// or `None` where θ has no closed form. `theta`, θ on the range where
+    /// the caller holds it, spares AVG's pass its Σx fold
+    /// ([`closed_form_around`]).
+    pub fn closed_form(&self, theta: Option<f64>) -> Option<ClosedForm> {
+        let agg = self.theta.closed_form_aggregate()?;
+        match theta {
+            Some(theta) => closed_form_around(&agg, self.values, theta, &self.ctx),
+            None => closed_form(&agg, self.values, &self.ctx),
+        }
     }
 
     /// θ on the bound range and, where θ is read from it
     /// ([`PreparedTheta::theta_from_pass`]), the closed-form pass, for the
     /// range's bars to reuse.
     pub fn estimate_with_pass(&mut self) -> (f64, Option<ClosedForm>) {
-        match self.theta.theta_from_pass().then(|| self.closed_form()).flatten() {
+        match self.theta.theta_from_pass().then(|| self.closed_form(None)).flatten() {
             Some(pass) => (pass.estimate, Some(pass)),
             None => (self.estimate(), None),
         }
@@ -337,7 +344,7 @@ pub fn bootstrap_ci_prepared(
 
 /// Closed-form CI of the bound θ, or `None` when not applicable.
 pub fn closed_form_ci_prepared(bound: &BoundTheta<'_>, alpha: f64) -> Option<Ci> {
-    bound.closed_form()?.ci(Coverage::new(alpha))
+    bound.closed_form(None)?.ci(Coverage::new(alpha))
 }
 
 #[cfg(test)]

@@ -13,12 +13,15 @@
 //! Then the closed-form pass of each aggregate, in ns per value: eight
 //! ranges one `closed_form` call each against one `closed_form_lanes`
 //! call over all eight (interleaved where the fold is a divide chain —
-//! AVG, VARIANCE, STDDEV), at the subsample sizes of the benchmark's
+//! VARIANCE, STDDEV), at the subsample sizes of the benchmark's
 //! `closed_form_scan` (45 / 90 / 180 values at `--quick`, 900 at full
 //! length) and an answer's 90 k, with whether the lanes gave every
-//! range's bits.
+//! range's bits. AVG's rows add the Welford chain its centred σ̂
+//! replaced, kept here as the reference, one range at a time, and whether
+//! every range's σ̂ is within 1e-12 relative of the chain's.
 //!
-//! A `false` in a `same draws` or `same bits` column is a broken kernel.
+//! A `false` in a `same draws`, `same bits` or `within 1e-12` column is a
+//! broken kernel.
 //!
 //! ```bash
 //! cargo run --release -p aqp-stats --example udf_kernels
@@ -160,6 +163,22 @@ fn ns_per_value(reps: usize, values: usize, mut f: impl FnMut()) -> f64 {
     ns[3]
 }
 
+/// AVG's σ̂ as a Welford chain made it, beside Σx for θ: a divide per
+/// value, in `Moments::push`'s expressions.
+fn welford_std_error(values: &[f64]) -> (f64, f64) {
+    let (mut sum, mut mean, mut m2, mut n) = (-0.0, 0.0, 0.0, 0.0);
+    for &x in values {
+        sum += x;
+        let n1 = n;
+        n += 1.0;
+        let delta = x - mean;
+        let delta_n = delta / n;
+        mean += delta_n;
+        m2 += delta * delta_n * n1;
+    }
+    (sum / n, (m2 / (n - 1.0) / n).sqrt())
+}
+
 /// The closed-form table: one range at a time against eight in lockstep.
 fn closed_forms() {
     let mut rng = rng_from_seed(2);
@@ -168,8 +187,8 @@ fn closed_forms() {
         .map(|_| 2_500.0 + 600.0 * (-2.0 * rng.random::<f64>().ln()).sqrt() * rng.random::<f64>().cos())
         .collect();
     println!();
-    println!("| aggregate | values | one range ns | {LANES} lanes ns | ratio | same bits |");
-    println!("|---|---|---|---|---|---|");
+    println!("| aggregate | values | one range ns | {LANES} lanes ns | ratio | same bits | Welford ns | within 1e-12 |");
+    println!("|---|---|---|---|---|---|---|---|");
     for agg in [Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance, Aggregate::StdDev] {
         for n in [45usize, 90, 180, 900, 90_000] {
             let ranges: Vec<&[f64]> = column.chunks(n).take(LANES).collect();
@@ -189,7 +208,22 @@ fn closed_forms() {
             let same = ranges.iter().zip(&together).all(|(r, cf)| {
                 format!("{:?}", closed_form(&agg, r, &ctx)) == format!("{:?}", Some(cf))
             });
-            println!("| `{agg}` | {n} | {one:.2} | {lanes:.2} | {:.2} | {same} |", lanes / one);
+            let welford = match agg {
+                Aggregate::Avg => {
+                    let ns = ns_per_value(reps, LANES * n, || {
+                        for r in &ranges {
+                            std::hint::black_box(welford_std_error(std::hint::black_box(r)));
+                        }
+                    });
+                    let within = ranges.iter().zip(&together).all(|(r, cf)| {
+                        let (want, got) = (welford_std_error(r).1, cf.std_error.unwrap_or(f64::NAN));
+                        (got - want).abs() <= 1e-12 * want
+                    });
+                    format!("{ns:.2} | {within}")
+                }
+                _ => "- | -".into(),
+            };
+            println!("| `{agg}` | {n} | {one:.2} | {lanes:.2} | {:.2} | {same} | {welford} |", lanes / one);
         }
     }
 }

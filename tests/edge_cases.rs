@@ -45,6 +45,25 @@ fn constant_column_gives_zero_width_intervals() {
 }
 
 #[test]
+fn an_infinite_cell_never_gets_a_finite_interval() {
+    // +Inf, −Inf and both, in every 500th row: every sample holds some.
+    for specials in [[f64::INFINITY; 2], [f64::NEG_INFINITY; 2], [f64::INFINITY, f64::NEG_INFINITY]] {
+        let values: Vec<f64> =
+            (0..40_000).map(|i| if i % 500 == 7 { specials[i / 500 % 2] } else { 1.0 + (i % 97) as f64 }).collect();
+        let s = AqpSession::new(SessionConfig::default());
+        s.register_table(single_column_table("infs", values)).unwrap();
+        for seed in 1..4 {
+            s.build_samples("infs", &[10_000], seed).unwrap();
+            for sql in ["SELECT AVG(x) FROM infs", "SELECT AVG(x) FROM infs WHERE x != 50"] {
+                let r = s.execute(sql).unwrap().scalar().unwrap().clone();
+                let finite = r.ci.is_some_and(|ci| ci.lo().is_finite() && ci.hi().is_finite());
+                assert!(!finite, "{specials:?} seed {seed}, {sql}: {r:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn tiny_tables_and_tiny_samples() {
     let s = AqpSession::new(SessionConfig::default());
     s.register_table(single_column_table("tiny", (0..40).map(|i| i as f64).collect()))
