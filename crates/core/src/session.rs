@@ -38,8 +38,8 @@ pub struct SessionConfig {
     pub threads: usize,
     /// Bootstrap resamples K.
     pub bootstrap_k: usize,
-    /// Diagnostic subsamples per size (p). The paper uses 100; sessions
-    /// on laptop-scale samples may lower it.
+    /// Diagnostic subsamples per size (p), at least 2. The paper uses 100;
+    /// sessions on laptop-scale samples may lower it.
     pub diagnostic_p: usize,
     /// Run the diagnostic on every approximate query.
     pub run_diagnostics: bool,
@@ -391,7 +391,7 @@ impl AqpSession {
     /// the α the diagnostic judges at are all derived from this value.
     ///
     /// A configuration that admits no such run — a default confidence
-    /// outside (0, 1), a diagnostic of no subsamples — is a
+    /// outside (0, 1), a diagnostic of fewer than two subsamples — is a
     /// `CoreError::Config` here, so no options value is built from one.
     fn approx_options(&self, query: &Query, meta: &SampleMeta) -> Result<ApproxOptions> {
         let config = &self.config;
@@ -399,8 +399,9 @@ impl AqpSession {
             let c = config.default_confidence;
             return Err(crate::CoreError::Config(format!("default_confidence {c} is outside (0, 1)")));
         }
-        if config.diagnostic_p == 0 {
-            return Err(crate::CoreError::Config("diagnostic_p must be at least 1".into()));
+        if config.diagnostic_p < 2 {
+            // At p = 1 the last level's truth is θ(S) itself: x = 0 refuses every bar.
+            return Err(crate::CoreError::Config("diagnostic_p must be at least 2".into()));
         }
         Ok(ApproxOptions {
             method: MethodChoice::Auto,

@@ -34,8 +34,14 @@
 //! estimates, the checks and where they stop are the full evaluation's.
 //!
 //! [`run_diagnostic`] drives it over a plain values vector for the
-//! stats-level experiments; the query engine drives it over the data one
-//! scan collected.
+//! stats-level experiments (`calibrate fig4`); the query engine drives it
+//! over the data one scan collected, and the §5.2 baseline over re-scans.
+//! All three cut the subsamples with [`subsample_bounds`] and size them
+//! with [`subsample_context`], so on the same values (the engine's with
+//! positions `0..n`) the offline and the engine's reports are equal bit
+//! for bit — `offline_diagnostic_is_the_engines_bit_for_bit` in
+//! `aqp-exec` pins it. The offline driver has no positions: on filtered
+//! values its subsamples hold fixed counts where the engine's vary.
 
 use serde::{Deserialize, Serialize};
 
@@ -292,15 +298,62 @@ fn record_verdict(decision: &Decision) {
     rejected.inc();
 }
 
+/// Where the p subsamples of `b` pre-filter rows each begin and end among
+/// `values` values: subsample j holds the values `bounds[j]..bounds[j + 1]`
+/// of the p + 1 returned. Rows from p·b on are in no subsample.
+///
+/// A level's subsamples are runs of b *pre-filter rows* of the shuffled
+/// sample (DESIGN §4 item 7), so filtered counts vary across subsamples as
+/// they do across real samples. `positions`, when given, are the values'
+/// pre-filter rows, ascending, one per value. Without them the values are
+/// taken as spread evenly over `rows` rows: boundary j is
+/// round(j·b·values/rows), exactly j·b when no row was filtered out. A
+/// filtered vector without positions therefore gets fixed counts per
+/// subsample — the defect item 7 warns of.
+pub fn subsample_bounds(positions: Option<&[u32]>, values: usize, rows: usize, b: usize, p: usize) -> Vec<usize> {
+    let share = if rows == 0 { 0.0 } else { values as f64 / rows as f64 };
+    match positions {
+        Some(positions) if positions.len() < p => counted(positions, b, p),
+        Some(positions) => searched(positions, b, p),
+        None => (0..=p).map(|j| (((j * b) as f64 * share).round() as usize).min(values)).collect(),
+    }
+}
+
+/// Fewer values than subsamples: one pass over the positions counts each
+/// subsample's values.
+fn counted(positions: &[u32], b: usize, p: usize) -> Vec<usize> {
+    let mut bounds = vec![0; p + 1];
+    let subsample = positions.iter().filter_map(|&q| (q as usize).checked_div(b));
+    subsample.filter(|&s| s < p).for_each(|s| bounds[s + 1] += 1);
+    (1..=p).for_each(|j| bounds[j] += bounds[j - 1]);
+    bounds
+}
+
+/// Each boundary by binary search for row j·b.
+fn searched(positions: &[u32], b: usize, p: usize) -> Vec<usize> {
+    (0..=p).map(|j| positions.partition_point(|&q| (q as usize) < j * b)).collect()
+}
+
+/// The context of a subsample of `b` pre-filter rows cut from the `rows`
+/// rows the positions index into, of which `ctx`'s sample is a share (the
+/// stratum's rows of a stratified sample, all of a uniform one): b scaled
+/// by that share, at least 1, over `ctx`'s population.
+pub fn subsample_context(ctx: &SampleContext, rows: usize, b: usize) -> SampleContext {
+    let share = if rows == 0 { 1.0 } else { ctx.sample_rows as f64 / rows as f64 };
+    SampleContext::new(((b as f64 * share).round() as usize).max(1), ctx.population_rows)
+}
+
 /// Self-contained Algorithm 1 over a values vector.
 ///
-/// `values` is the (post-filter) aggregation column of the sample S, in
-/// stored order — which, because samples are stored shuffled, makes
-/// consecutive chunks valid disjoint subsamples. `ctx` carries the
-/// pre-filter sample row count n and population size. Subsample sizes are
-/// interpreted in pre-filter rows and mapped to value counts via the
-/// sample's selectivity. A config that does not fit the sample is
-/// refused ([`Decision::Refused`] names what is wrong with it).
+/// `values` is the aggregation column of the sample S, in stored order —
+/// which, because samples are stored shuffled, makes runs of rows valid
+/// disjoint subsamples. `ctx` carries the pre-filter sample row count n
+/// and population size. Subsample sizes are in pre-filter rows and cut by
+/// [`subsample_bounds`] with no positions, so the values are taken as
+/// spread evenly over the n rows: on unfiltered values subsample j is
+/// `values[j·b..(j + 1)·b]`, the engine's cut, and a filtered vector
+/// gets fixed counts per subsample. A config that does not fit the
+/// sample is refused ([`Decision::Refused`] names what is wrong with it).
 pub fn run_diagnostic(
     values: &[f64],
     ctx: &SampleContext,
@@ -313,19 +366,18 @@ pub fn run_diagnostic(
         let reason = format!("invalid diagnostic config: {reason}");
         return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
     }
-    let selectivity = values.len() as f64 / ctx.sample_rows as f64;
+    let rows = ctx.sample_rows;
+    let bounds: Vec<Vec<usize>> =
+        cfg.subsample_rows.iter().map(|&b| subsample_bounds(None, values.len(), rows, b, cfg.p)).collect();
     let subsample = |level: usize, j: usize| {
-        let b = cfg.subsample_rows[level];
-        // m values per subsample ≈ selectivity · b; p·m ≤ |values|.
-        let m = ((b as f64 * selectivity).round() as usize).min(values.len() / cfg.p);
-        (&values[j * m..(j + 1) * m], ctx.subsample(b))
+        let at = &bounds[level];
+        (&values[at[j]..at[j + 1]], subsample_context(ctx, rows, cfg.subsample_rows[level]))
     };
     diagnose(
         theta.estimate(values, ctx),
         cfg,
         cfg.alpha,
-        // Every chunk of a level has m values: all are empty, or none is.
-        |level, _| subsample(level, 0).0.is_empty(),
+        |level, j| subsample(level, j).0.is_empty(),
         |level, j| {
             let (chunk, sub_ctx) = subsample(level, j);
             (theta.estimate(chunk, &sub_ctx), ())
@@ -346,6 +398,7 @@ mod tests {
     use aqp_stats::estimator::Aggregate;
     use aqp_stats::rng::rng_from_seed;
     use aqp_stats::sampling::{gather, with_replacement_indices};
+    use rand::RngExt;
 
     fn sample_of(pop: &[f64], n: usize, seed: u64) -> Vec<f64> {
         let mut rng = rng_from_seed(seed);
@@ -601,5 +654,51 @@ mod tests {
             matches!(&r.decision, Decision::Refused(why) if why.contains("exceeds the sample size")),
             "{r:#?}"
         );
+    }
+
+    /// The counting pass and the binary search cut the same positions the
+    /// same way — ascending, with gaps, some past p·b, fewer values than p
+    /// and more — so which one runs never shows.
+    #[test]
+    fn the_counting_pass_cuts_where_the_binary_search_does() {
+        let mut rng = rng_from_seed(3);
+        for case in 0..2_000 {
+            let (p, b) = (rng.random_range(2..40usize), rng.random_range(1..30usize));
+            let len = match case % 3 {
+                0 => rng.random_range(0..p),
+                _ => rng.random_range(p..4 * p),
+            };
+            let mut row = rng.random_range(0..3u32);
+            let positions: Vec<u32> = (0..len)
+                .map(|_| {
+                    row += rng.random_range(1..2 * b as u32 + 2);
+                    row
+                })
+                .collect();
+            let bounds = counted(&positions, b, p);
+            assert_eq!(bounds, searched(&positions, b, p), "p {p} b {b} {positions:?}");
+            assert_eq!(bounds, subsample_bounds(Some(&positions), len, p * b, b, p));
+        }
+        assert_eq!(counted(&[0, 4, 9], 0, 5), searched(&[0, 4, 9], 0, 5));
+    }
+
+    /// Unfiltered values without positions are cut at j·b.
+    #[test]
+    fn unfiltered_values_without_positions_are_cut_at_multiples_of_b() {
+        for (rows, b, p) in [(100, 5, 20), (40_000, 2_000, 20), (40_000, 133, 100), (7, 3, 2), (0, 4, 3)] {
+            let want: Vec<usize> = (0..=p).map(|j| (j * b).min(rows)).collect();
+            assert_eq!(subsample_bounds(None, rows, rows, b, p), want, "{rows} {b} {p}");
+        }
+        // A third of the rows kept: spread evenly, not by position.
+        assert_eq!(subsample_bounds(None, 10, 30, 3, 10), [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+    }
+
+    #[test]
+    fn a_subsample_context_is_b_scaled_by_the_share() {
+        let ctx = SampleContext::new(2_000, 50_000);
+        assert_eq!(subsample_context(&ctx, 2_000, 100), SampleContext::new(100, 50_000));
+        assert_eq!(subsample_context(&ctx, 8_000, 100), SampleContext::new(25, 50_000));
+        assert_eq!(subsample_context(&ctx, 8_000, 1), SampleContext::new(1, 50_000));
+        assert_eq!(subsample_context(&ctx, 0, 7), SampleContext::new(7, 50_000));
     }
 }

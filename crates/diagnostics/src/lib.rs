@@ -18,7 +18,8 @@
 //! * [`kleiner`] — Algorithm 1 itself: one lazy driver that pulls
 //!   per-subsample estimates from its caller and stops when the verdict
 //!   is fixed (the engine's diagnostic operator feeds it from the
-//!   collected data), and a convenience caller over a values vector.
+//!   collected data), a convenience caller over a values vector, and the
+//!   one rule by which every caller cuts and sizes the subsamples.
 //! * [`ground_truth`] — the expensive "ideal diagnostic" used to measure
 //!   the real diagnostic's false-positive/negative rates (Fig. 4).
 
@@ -32,3 +33,4 @@ pub mod kleiner;
 pub use config::DiagnosticConfig;
 pub use ground_truth::DiagnosticOutcome;
 pub use kleiner::{diagnose, run_diagnostic, Criterion, Decision, DiagnosticReport, LevelReport};
+pub use kleiner::{subsample_bounds, subsample_context};

@@ -12,7 +12,7 @@
 
 use std::cell::OnceCell;
 
-use aqp_diagnostics::{diagnose, DiagnosticConfig};
+use aqp_diagnostics::{diagnose, subsample_bounds, subsample_context, DiagnosticConfig};
 use aqp_obs::trace::stage;
 use aqp_sql::logical::LogicalPlan;
 use aqp_stats::bootstrap::bootstrap_ci_around;
@@ -193,8 +193,8 @@ fn naive_diagnostic(
         match collect(plan, sample, opts.threads) {
             Ok(re) => {
                 let fresh = &re.groups[gi].aggs[ai];
-                let range = fresh.range_for_rows(j * b, (j + 1) * b, ctx.sample_rows);
-                eval(theta.bind(fresh, range, &ctx.subsample(b)))
+                let at = subsample_bounds(Some(&fresh.positions), fresh.values.len(), ctx.sample_rows, b, cfg.p);
+                eval(theta.bind(fresh, at[j]..at[j + 1], &subsample_context(ctx, ctx.sample_rows, b)))
             }
             Err(e) => {
                 let _ = scan_error.set(e); // the first one is reported

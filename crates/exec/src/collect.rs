@@ -61,28 +61,6 @@ pub struct AggData {
     pub nested: Option<NestedData>,
 }
 
-impl AggData {
-    /// The value-index range whose positions fall in the pre-filter row
-    /// range `[row_lo, row_hi)`. Falls back to proportional value-count
-    /// chunking when positions are untracked.
-    pub fn range_for_rows(&self, row_lo: usize, row_hi: usize, sample_rows: usize) -> std::ops::Range<usize> {
-        let lo = self.row_boundary(row_lo, sample_rows);
-        lo..self.row_boundary(row_hi, sample_rows).max(lo)
-    }
-
-    /// How many values come before pre-filter row `row`: where the value
-    /// ranges of the row ranges that meet at `row` meet.
-    pub(crate) fn row_boundary(&self, row: usize, sample_rows: usize) -> usize {
-        if self.positions.len() == self.values.len() && !self.positions.is_empty() {
-            self.positions.partition_point(|&p| (p as usize) < row)
-        } else {
-            // Proportional fallback.
-            let sel = if sample_rows == 0 { 0.0 } else { self.values.len() as f64 / sample_rows as f64 };
-            ((row as f64 * sel).round() as usize).min(self.values.len())
-        }
-    }
-}
-
 /// One top-level group's inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Group {

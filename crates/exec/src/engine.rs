@@ -8,7 +8,7 @@
 use std::cell::{Cell, OnceCell, RefCell};
 use std::ops::Range;
 
-use aqp_diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
+use aqp_diagnostics::{diagnose, subsample_bounds, subsample_context, DiagnosticConfig, DiagnosticReport};
 use aqp_faults::{DegradedInfo, EventKind, FaultConfig, FaultInjector, ScanFaultSummary};
 use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
@@ -716,34 +716,17 @@ struct Subsamples<'a> {
 impl Subsamples<'_> {
     /// The context of a subsample of `level`.
     fn sub_ctx(&self, level: usize) -> SampleContext {
-        let b = self.cfg.subsample_rows[level];
-        let share = match self.row_window {
-            0 => 1.0,
-            window => self.ctx.sample_rows as f64 / window as f64,
-        };
-        let sub_rows = ((b as f64 * share).round() as usize).max(1);
-        SampleContext::new(sub_rows, self.ctx.population_rows)
+        subsample_context(&self.ctx, self.row_window, self.cfg.subsample_rows[level])
     }
 
-    /// The values of subsample `j` of `level`. Disjoint subsamples are
-    /// *pre-filter row* ranges of the shuffled sample, so filtered counts
-    /// vary binomially across subsamples as they do across real samples.
+    /// The values of subsample `j` of `level`: a run of pre-filter rows
+    /// ([`subsample_bounds`]), so filtered counts vary across subsamples
+    /// as they do across real samples.
     fn range(&self, level: usize, j: usize) -> Range<usize> {
         let bounds = self.bounds[level].get_or_init(|| {
-            let (b, p, positions) = (self.cfg.subsample_rows[level], self.cfg.p, &self.data.positions);
-            if positions.len() == self.data.values.len() && positions.len() < p {
-                // Fewer values than subsamples: one pass over the positions
-                // counts each subsample's values.
-                let mut bounds = vec![0; p + 1];
-                for s in positions.iter().filter_map(|&q| (q as usize).checked_div(b)) {
-                    if let Some(count) = bounds.get_mut(s + 1) {
-                        *count += 1;
-                    }
-                }
-                (1..=p).for_each(|j| bounds[j] += bounds[j - 1]);
-                return bounds;
-            }
-            (0..=p).map(|j| self.data.row_boundary(j * b, self.row_window)).collect()
+            let (data, b) = (self.data, self.cfg.subsample_rows[level]);
+            let positions = Some(&data.positions[..]).filter(|q| q.len() == data.values.len());
+            subsample_bounds(positions, data.values.len(), self.row_window, b, self.cfg.p)
         });
         bounds[j]..bounds[j + 1]
     }
@@ -1294,6 +1277,99 @@ mod tests {
             let again = run().scalar().unwrap().diagnostic.clone().unwrap();
             assert_eq!(format!("{report:?}"), format!("{again:?}"));
         }
+    }
+
+    /// Equal values past 1.34e154 have no spread on the exact path either:
+    /// VARIANCE and STDDEV answer 0, not the NaN of an overflowed square.
+    #[test]
+    fn exact_variance_of_equal_huge_values_is_zero() {
+        let schema = Schema::new(vec![Field::new("time", DataType::Float)]).unwrap();
+        let batch = Batch::new(schema, vec![Column::from_f64s(vec![1e300; 5])]).unwrap();
+        let table = Table::from_batch("sessions", batch, 2).unwrap();
+        for sql in ["SELECT VARIANCE(time) FROM sessions", "SELECT STDDEV(time) FROM sessions"] {
+            let exact = execute_exact(&plan_of(sql, &table), &table, &UdfRegistry::default(), 2).unwrap();
+            assert_eq!(exact.scalar(), Some(0.0), "{sql}");
+        }
+    }
+
+    /// The offline diagnostic — `run_diagnostic` over a values vector, what
+    /// `calibrate fig4` judges with — is the engine's on the same values
+    /// with positions `0..n`, every field of the report bit for bit: both
+    /// cut the subsamples with `subsample_bounds` and size them with
+    /// `subsample_context`. Over θ × ξ × family, at a size where both
+    /// verdicts are common, and on no values at all.
+    #[test]
+    fn offline_diagnostic_is_the_engines_bit_for_bit() {
+        use aqp_diagnostics::{run_diagnostic, Decision};
+        use aqp_stats::dist::{sample_normal, sample_pareto};
+        use aqp_stats::error_estimator::{EstimationMethod, Theta};
+        use aqp_stats::estimator::{udfs, Aggregate, Udf};
+        use std::sync::Arc;
+        let (n, population) = (40_000, 4_000_000);
+        let ctx = SampleContext::new(n, population);
+        let cfg = DiagnosticConfig::scaled_to(n, 20);
+        let bits = |r: &DiagnosticReport| {
+            let level = |l: &aqp_diagnostics::LevelReport| {
+                let floats = [l.x, l.mean_deviation, l.relative_spread, l.close_proportion];
+                (l.level, l.b, l.xi_evaluated, floats.map(f64::to_bits))
+            };
+            (r.levels.iter().map(level).collect::<Vec<_>>(), r.decision.clone(), r.accepted)
+        };
+        let mean_sq = Udf::new("mean_sq", |xs: &[f64]| xs.iter().map(|x| x * x).sum::<f64>() / xs.len() as f64);
+        let builtins = [
+            Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance,
+            Aggregate::StdDev, Aggregate::Min, Aggregate::Percentile(0.9),
+        ];
+        let udfs = [udfs::geometric_mean(), mean_sq].map(|u| Theta::Udf(Arc::new(u)));
+        let thetas: Vec<Theta> = builtins.map(Theta::Builtin).into_iter().chain(udfs).collect();
+        let mut rng = rng_from_seed(60);
+        let families: [Vec<f64>; 4] = [
+            (0..n).map(|_| sample_lognormal(&mut rng, 1.0, 1.0)).collect(),
+            (0..n).map(|_| sample_pareto(&mut rng, 1.0, 1.3)).collect(),
+            (0..n).map(|_| sample_normal(&mut rng, 50.0, 15.0)).collect(),
+            Vec::new(),
+        ];
+        // ξ offline, and the choice that makes it the engine's.
+        let xis = [
+            (EstimationMethod::ClosedForm, MethodChoice::Auto),
+            (EstimationMethod::Bootstrap { k: 100 }, MethodChoice::Bootstrap),
+        ];
+        let (mut accepted, mut refused) = (0, 0);
+        for (family, values) in families.iter().enumerate() {
+            let data = AggData { values: values.clone(), positions: (0..values.len() as u32).collect(), nested: None };
+            for theta in &thetas {
+                let closed = theta.builtin().is_some_and(|a| a.closed_form_applicable());
+                for &(xi, method) in &xis[usize::from(!closed)..] {
+                    let seeds = SeedStream::new(61 + family as u64);
+                    let offline = run_diagnostic(values, &ctx, theta, &xi, &cfg, seeds);
+                    let opts = ApproxOptions { method, bootstrap_k: 100, alpha: cfg.alpha, ..Default::default() };
+                    let prepared = PreparedTheta { outer: theta.clone(), inner: None };
+                    let engine = Subsamples {
+                        theta: &prepared,
+                        data: &data,
+                        ctx,
+                        row_window: n,
+                        cfg: &cfg,
+                        opts: &opts,
+                        seeds,
+                        coverage: Coverage::new(opts.alpha),
+                        passes: Default::default(),
+                        bounds: vec![OnceCell::new(); cfg.k()],
+                        empty_drew: vec![Cell::new(false); cfg.k()],
+                    }
+                    .diagnose(prepared.estimate(&data, &ctx));
+                    let what = format!("{} {xi:?} family {family}", theta.name());
+                    assert!(!matches!(offline.decision, Decision::Refused(_)), "{what}: {offline:?}");
+                    assert_eq!(bits(&offline), bits(&engine), "{what}");
+                    if values.is_empty() {
+                        continue;
+                    }
+                    accepted += usize::from(offline.accepted);
+                    refused += usize::from(!offline.accepted);
+                }
+            }
+        }
+        assert!(accepted >= 10 && refused >= 10, "{accepted} accepted, {refused} refused");
     }
 
     #[test]

@@ -493,15 +493,28 @@ mod tests {
         }
         hostile.push(vec![f64::INFINITY, f64::NEG_INFINITY, 1.0]);
         hostile.push(vec![1e300, -1e300, 1e300, -1e300]);
+        // Equal values past 1.34e154 are no spread: a first push that
+        // squared one would make the chain's m2 x² · 0 = NaN.
+        hostile.push(vec![1e300; 5]);
         for values in &hostile {
             let (got, want) = (closed_form(&Aggregate::Avg, values, &ctx).unwrap(), welford_avg(values));
             assert_eq!(key(got.estimate), key(want.estimate), "{values:?}");
             assert_eq!(got.ci(coverage).is_some(), want.ci(coverage).is_some(), "{values:?}: {got:?} vs {want:?}");
         }
-        // The one range where they part: equal values past 1.34e154 are no
-        // spread, but the chain's first push squares one (x² · 0 = NaN).
-        let (got, want) = (closed_form(&Aggregate::Avg, &[1e300; 5], &ctx).unwrap(), welford_avg(&[1e300; 5]));
-        assert_eq!((got.std_error, want.ci(coverage)), (Some(0.0), None));
+    }
+
+    /// Equal values past 1.34e154 have no spread: VARIANCE and STDDEV are
+    /// 0 and their closed form's σ̂ is finite, though the first value's
+    /// square overflows.
+    #[test]
+    fn equal_huge_values_have_zero_variance() {
+        let ctx = SampleContext::new(5, 50);
+        for agg in [Aggregate::Variance, Aggregate::StdDev] {
+            assert_eq!(agg.estimate(&[1e300; 5], &ctx), 0.0, "{agg}");
+            let pass = closed_form(&agg, &[1e300; 5], &ctx).unwrap();
+            assert_eq!(pass.estimate, 0.0, "{agg}");
+            assert!(pass.std_error.is_some_and(f64::is_finite), "{agg}: {pass:?}");
+        }
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl SampleContext {
             self.population_rows as f64 / self.sample_rows as f64
         }
     }
-
-    /// A context for a subsample of `b` pre-filter rows of the same
-    /// population (used by the diagnostic at sizes b₁ < b₂ < ... < S).
-    pub fn subsample(&self, b: usize) -> Self {
-        SampleContext { sample_rows: b, population_rows: self.population_rows }
-    }
 }
 
 /// A θ's running state over one group's values, taken one at a time in
@@ -110,11 +104,14 @@ fn add((sum, n): (f64, u64), x: f64) -> (f64, u64) {
     (sum + x, n + 1)
 }
 
-/// `Moments::push`'s mean, count and m2 lines.
+/// `Moments::push`'s mean, count and m2 lines: a finite first value adds
+/// 0 to m2 without squaring itself, which past ~1.34e154 is ∞, and ∞ · 0
+/// a NaN for good.
 fn welford((mean, n1, m2): (f64, f64, f64), x: f64) -> (f64, f64, f64) {
     let (n, delta) = (n1 + 1.0, x - mean);
     let delta_n = delta / n;
-    (mean + delta_n, n, m2 + delta * delta_n * n1)
+    let term = if n1 == 0.0 && x.is_finite() { 0.0 } else { delta * delta_n * n1 };
+    (mean + delta_n, n, m2 + term)
 }
 
 /// `x`, or `f64::NAN` for any NaN. Which NaN an operation on two NaNs

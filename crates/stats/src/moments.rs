@@ -32,8 +32,16 @@ impl Moments {
     }
 
     /// Accumulate one observation.
+    ///
+    /// A finite first value starts the chain at mean = x, m2 = m3 = m4 = 0
+    /// — what the update below makes of it, except that the update squares
+    /// x, and past ~1.34e154 that is ∞, and ∞ · 0 a NaN for good.
     #[inline]
     pub fn push(&mut self, x: f64) {
+        if self.n == 0.0 && x.is_finite() {
+            (self.n, self.mean) = (1.0, self.mean + x);
+            return;
+        }
         let n1 = self.n;
         self.n += 1.0;
         let n = self.n;

@@ -354,6 +354,7 @@ fn hostile_confidence_and_config_are_typed_errors() {
     let misconfigured = [
         SessionConfig { default_confidence: 1.0, ..SessionConfig::default() },
         SessionConfig { diagnostic_p: 0, ..SessionConfig::default() },
+        SessionConfig { diagnostic_p: 1, ..SessionConfig::default() },
     ];
     for config in misconfigured {
         let s = session(config);

@@ -1323,6 +1323,7 @@ proptest! {
     ) {
         use bootstrap_oracle::{self as oracle, Theta};
         use rand::{Rng as _, RngExt};
+        use reliable_aqp::diagnostics::{subsample_bounds, subsample_context};
         use reliable_aqp::exec::collect::{AggData, NestedData};
         use reliable_aqp::exec::theta::{
             bootstrap_ci_prepared, InnerAggregate, PreparedTheta,
@@ -1367,11 +1368,12 @@ proptest! {
 
         // The whole range, or the j-th run of b pre-filter rows.
         let (whole, b, j) = (cut.0 == 0, cut.1, cut.2);
+        let sample = SampleContext::new(sample_rows, sample_rows * 7);
         let (range, ctx) = if whole {
-            (0..n, SampleContext::new(sample_rows, sample_rows * 7))
+            (0..n, sample)
         } else {
-            let range = data.range_for_rows(j * b, (j + 1) * b, sample_rows);
-            (range, SampleContext::new(b, sample_rows * 7))
+            let at = subsample_bounds(Some(&data.positions), n, sample_rows, b, j + 1);
+            (at[j]..at[j + 1], subsample_context(&sample, sample_rows, b))
         };
         let values = &data.values[range.clone()];
         let codes = &data.nested.as_ref().unwrap().codes[range.clone()];
@@ -1925,7 +1927,7 @@ fn resamples_drawn() -> u64 {
 }
 
 mod eager_pipeline {
-    use reliable_aqp::diagnostics::{diagnose, DiagnosticConfig, DiagnosticReport};
+    use reliable_aqp::diagnostics::{diagnose, subsample_bounds, subsample_context, DiagnosticConfig, DiagnosticReport};
     use reliable_aqp::exec::collect::collect_observed_faulty;
     use reliable_aqp::exec::engine::MethodChoice;
     use reliable_aqp::exec::result::MethodUsed;
@@ -2043,9 +2045,9 @@ mod eager_pipeline {
                     none_empty,
                     |level, j| {
                         let b = cfg.subsample_rows[level];
-                        let range = data.range_for_rows(j * b, (j + 1) * b, rows);
-                        let sub = SampleContext::new(b.max(1), population_rows);
-                        let mut bound = thetas[ai].bind(data, range, &sub);
+                        let at = subsample_bounds(Some(&data.positions), data.values.len(), rows, b, cfg.p);
+                        let sub = subsample_context(&ctx, rows, b);
+                        let mut bound = thetas[ai].bind(data, at[j]..at[j + 1], &sub);
                         (bound.estimate(), bound)
                     },
                     |level, j, theta_hat, mut bound| {
