@@ -40,12 +40,7 @@ use aqp_workload::{StatQuery, Workload};
 
 fn main() {
     let args = Args::parse();
-    let chosen = std::env::args().nth(1).filter(|a| !a.starts_with("--"));
-    if let Some(s) = chosen.as_deref().filter(|s| !["fig3", "fig4", "table"].contains(s)) {
-        eprintln!("unknown section `{s}`; usage: calibrate [fig3|fig4|table] [--flag value ...]");
-        std::process::exit(2);
-    }
-    let wants = |s: &str| chosen.is_none() || chosen.as_deref() == Some(s);
+    let wants = args.sections("calibrate", &["fig3", "fig4", "table"]);
     let seed: u64 = args.get("seed").unwrap_or(1);
     if wants("fig3") {
         fig3(&args, seed);

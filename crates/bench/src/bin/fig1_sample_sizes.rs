@@ -13,7 +13,7 @@
 
 use aqp_bench::{mean, percentile, section, tsv_row, Args};
 use aqp_core::required_sample_rows;
-use aqp_stats::ci::{ci_from_draws, symmetric_half_width, Ci};
+use aqp_stats::ci::{symmetric_half_width, Ci};
 use aqp_stats::error_estimator::EstimationMethod;
 use aqp_stats::estimator::{Aggregate, SampleContext};
 use aqp_stats::large_deviation::{Inequality, RangeHint};
@@ -131,9 +131,6 @@ fn main() {
                 }
             }
         }
-        // Keep the bootstrap-vs-truth replicate machinery honest: verify
-        // the bootstrap interval is finite.
-        let _ = ci_from_draws(theta_d, &draws, 0.95);
     }
 
     println!("\nTSV: target_rel_error\ttechnique\tmean_rows\tq01_rows\tq99_rows");

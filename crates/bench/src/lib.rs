@@ -1,7 +1,7 @@
 //! # aqp-bench
 //!
 //! The benchmark harness regenerating every table and figure of the
-//! paper's evaluation. Each `fig*` binary prints a machine-readable TSV
+//! paper's evaluation. Each figure binary prints a machine-readable TSV
 //! block plus an ASCII rendering, and states the paper's published
 //! numbers next to the measured ones (EXPERIMENTS.md records the
 //! comparison).
@@ -14,9 +14,9 @@
 //! | `calibrate fig3` | Fig. 3 — % correct/optimistic/pessimistic per workload × technique |
 //! | `calibrate fig4` | Fig. 4(b)/(c) — diagnostic accuracy vs the ideal verdict |
 //! | `calibrate table` | §2.2's guarantee: coverage per θ × data family × ξ × α ([`calibration_table`]) |
-//! | `fig7_baseline_latency` | Fig. 7(a)/(b) — naive per-query latency decomposition |
-//! | `fig8_optimizations` | Fig. 8(a)–(f) — speedup CDFs + parallelism/cache sweeps |
-//! | `fig9_optimized_latency` | Fig. 9(a)/(b) — optimized per-query latency decomposition |
+//! | `latency fig7` | Fig. 7(a)/(b) — naive per-query latency decomposition (simulated) |
+//! | `latency fig8` | Fig. 8(a)–(f) — speedup CDFs + parallelism/cache sweeps (simulated) |
+//! | `latency fig9` | Fig. 9(a)/(b) — optimized per-query latency decomposition (simulated) |
 //! | `table_workload_stats` | §3's workload-composition and failure-rate numbers |
 //! | `table_audit_coverage` | §3's failure rates audited continuously: coverage per (aggregate, verdict) cell and the alert a miscalibrated session fires |
 //!
@@ -108,14 +108,33 @@ impl Args {
         Args { raw: std::env::args().skip(1).collect() }
     }
 
-    /// Value of `--key`, parsed.
+    /// Value of `--key`, parsed; `None` when the flag is absent. A flag
+    /// with no value, or with one that does not parse, exits 2 naming both.
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+        self.value(key).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    fn value<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
         let flag = format!("--{key}");
-        self.raw
-            .iter()
-            .position(|a| a == &flag)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        let Some(i) = self.raw.iter().position(|a| a == &flag) else { return Ok(None) };
+        let v = self.raw.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse().map(Some).map_err(|_| format!("{flag}: cannot parse `{v}`"))
+    }
+
+    /// The leading section word of `bin [name|...] [--flag value ...]`: a
+    /// test that holds for the named section, or for every section when
+    /// none is named. An unknown word exits 2 with a usage line.
+    pub fn sections(&self, bin: &str, names: &[&str]) -> impl Fn(&str) -> bool {
+        let chosen = self.raw.first().filter(|a| !a.starts_with("--")).cloned();
+        if let Some(s) = chosen.as_deref().filter(|s| !names.contains(s)) {
+            let names = names.join("|");
+            eprintln!("unknown section `{s}`; usage: {bin} [{names}] [--flag value ...]");
+            std::process::exit(2);
+        }
+        move |s| chosen.is_none() || chosen.as_deref() == Some(s)
     }
 }
 
@@ -201,8 +220,8 @@ pub fn calibration_table(runs: usize) -> String {
 
 /// Honour a `--metrics <path>` flag: dump the process-global metrics
 /// registry (counters, diagnostic verdicts, latency histograms with
-/// p50/p95/p99) as a JSONL artifact. Every `fig*` binary calls this at
-/// exit so CI's bench smoke step can upload the snapshot.
+/// p50/p95/p99) as a JSONL artifact. Every binary calls this at exit so
+/// CI's bench smoke step can upload the snapshot.
 pub fn maybe_write_metrics(args: &Args) {
     let Some(path) = args.get::<String>("metrics") else { return };
     let snapshot = aqp_obs::MetricsRegistry::global().snapshot();
@@ -223,6 +242,20 @@ mod tests {
         assert_eq!(percentile(&xs, 1.0), 5.0);
         assert_eq!(percentile(&xs, 0.5), 3.0);
         assert_eq!(mean(&xs), 3.0);
+    }
+
+    #[test]
+    fn flags_parse_or_name_what_is_wrong() {
+        let args = |raw: &[&str]| Args { raw: raw.iter().map(|a| a.to_string()).collect() };
+        let a = args(&["fig7", "--queries", "10", "--seed", "ten", "--metrics"]);
+        assert_eq!(a.value::<usize>("queries"), Ok(Some(10)));
+        assert_eq!(a.value::<usize>("population"), Ok(None));
+        assert_eq!(a.value::<u64>("seed"), Err("--seed: cannot parse `ten`".to_string()));
+        assert_eq!(a.value::<String>("metrics"), Err("--metrics needs a value".to_string()));
+        let wants = a.sections("latency", &["fig7", "fig8"]);
+        assert!(wants("fig7") && !wants("fig8"));
+        let wants = args(&["--queries", "10"]).sections("latency", &["fig7", "fig8"]);
+        assert!(wants("fig7") && wants("fig8"));
     }
 
     #[test]

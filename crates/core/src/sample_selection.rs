@@ -20,8 +20,9 @@ use aqp_stats::ci::Ci;
 /// shrinks to `rel_err × |estimate|`, from a pilot interval computed on
 /// `pilot_rows`.
 ///
-/// Returns `None` when the pilot is degenerate (zero/NaN estimate or
-/// half-width), in which case the caller should use its largest sample.
+/// Returns `None` when the pilot is degenerate (zero/NaN estimate or a
+/// NaN/infinite half-width), in which case the caller should use its
+/// largest sample. A half-width of exactly 0 needs one row.
 pub fn required_sample_rows(pilot: &Ci, pilot_rows: usize, rel_err: f64) -> Option<usize> {
     if rel_err <= 0.0 || pilot_rows == 0 {
         return None;
@@ -31,9 +32,12 @@ pub fn required_sample_rows(pilot: &Ci, pilot_rows: usize, rel_err: f64) -> Opti
         return None;
     }
     let hw = pilot.half_width;
-    if !hw.is_finite() || hw <= 0.0 {
+    if hw == 0.0 {
         // Zero observed error: any sample satisfies the bound.
         return Some(1);
+    }
+    if !hw.is_finite() {
+        return None;
     }
     let target_hw = rel_err * estimate;
     let ratio = hw / target_hw;
@@ -72,6 +76,9 @@ mod tests {
         assert!(required_sample_rows(&Ci::new(5.0, 1.0, 0.95), 100, 0.0).is_none());
         // Zero half-width: any sample works.
         assert_eq!(required_sample_rows(&Ci::new(5.0, 0.0, 0.95), 100, 0.1), Some(1));
+        // A pilot whose replicates overflowed knows nothing: largest sample.
+        assert!(required_sample_rows(&Ci::new(5.0, f64::INFINITY, 0.95), 100, 0.1).is_none());
+        assert!(required_sample_rows(&Ci::new(5.0, f64::NAN, 0.95), 100, 0.1).is_none());
     }
 
     #[test]
