@@ -1,65 +1,211 @@
-//! The paper's accuracy figures and the coverage table, through one §3
-//! loop ([`aqp_bench::per_query`]).
+//! The paper's §3 evidence — Fig. 1, the accuracy figures, the coverage
+//! table, the workload mix and the audited failure rates — the figures
+//! through one §3 loop ([`aqp_bench::per_query`]).
 //!
-//! `calibrate [fig3|fig4|table] [--flag value ...]` prints the named
-//! section, or all three in that order when none is named:
+//! `calibrate [fig1|fig3|fig4|table|workload|audit] [--flag value ...]`
+//! prints the named section, or all six in that order when none is named.
+//! Every section reads `--seed` (default 1) but `table`, which reads no
+//! flag:
 //!
+//! * `fig1` — Fig. 1, the sample sizes error-estimation techniques demand
+//!   to reach a target relative error. Per Conviva-style AVG/SUM query each
+//!   technique's interval on a pilot sample is extrapolated by the √n law
+//!   to the rows each target needs; "ground truth" extrapolates the true
+//!   interval (brute-force resampling). Flags `--queries --population
+//!   --pilot`. Paper: Hoeffding needs samples 1–2 orders of magnitude
+//!   larger than CLT/bootstrap, which both track the ground truth.
 //! * `fig3` — Fig. 3, estimation accuracy of bootstrap and closed-form
 //!   error estimation on the Facebook- and Conviva-calibrated workloads.
 //!   Per query the §3 protocol (many samples; δ relative to the true
 //!   interval; fail if |δ| > 0.2 on ≥ 5% of samples); output the four
 //!   stacked bands Not Applicable / Optimistic / Correct / Pessimistic
 //!   plus the §3 drill-downs (MIN/MAX and UDF failure shares). Flags
-//!   `--queries --population --sample --seed`. Published: bootstrap too
-//!   wide / too narrow for 23.94% / 12.2% of Facebook queries; closed
-//!   forms apply to 56.78% of Facebook queries and are incorrect for
-//!   24.86% of the total; bootstrap fails for 86.17% of MIN/MAX and
-//!   23.19% of UDF queries.
+//!   `--queries --population --sample`. Published: bootstrap too wide /
+//!   too narrow for 23.94% / 12.2% of Facebook queries; closed forms
+//!   apply to 56.78% of Facebook queries and are incorrect for 24.86% of
+//!   the total; bootstrap fails for 86.17% of MIN/MAX and 23.19% of UDF
+//!   queries.
 //! * `fig4` — Fig. 4(b)/(c), the diagnostic on one sample scored against
 //!   the ideal verdict (the §3 protocol): correct (true accept + true
 //!   reject), false negative (wasteful fallback), false positive (bad
 //!   error bars shown). Flags `--cf-queries --boot-queries --population
-//!   --sample --seed`. Published: closed forms Conviva ≈ 81% correct, 7%
-//!   FN, 9% FP, Facebook ≈ 73/3/4; bootstrap Conviva ≈ 89.2/3.6/2.8,
-//!   Facebook ≈ 62.8/5.2/3.2; overall < 3.1% FP, < 5.4% FN.
-//! * `table` — [`aqp_bench::calibration_table`] at 1 000 runs a cell. No
-//!   flags.
+//!   --sample`. Published: closed forms Conviva ≈ 81% correct, 7% FN, 9%
+//!   FP, Facebook ≈ 73/3/4; bootstrap Conviva ≈ 89.2/3.6/2.8, Facebook ≈
+//!   62.8/5.2/3.2; overall < 3.1% FP, < 5.4% FN.
+//! * `table` — [`aqp_bench::calibration_table`] at 1 000 runs a cell.
+//! * `workload` — §3's workload composition and closed-form share of the
+//!   calibrated synthetic workloads next to the published numbers, and
+//!   the QSet-1/QSet-2 trace composition. Flag `--queries`. Published:
+//!   Facebook MIN 33.35%, COUNT 24.67%, AVG 12.20%, SUM 10.11%, MAX
+//!   2.87%, UDFs 11.01%; Conviva AVG/COUNT/PERCENTILE/MAX 32.3%, UDFs
+//!   42.07%; 37.21% of Facebook queries amenable to closed forms.
+//! * `audit` — §3's failure rates from auditing a live trace through an
+//!   `AqpSession` with the continuous auditor on: closed-form
+//!   AVG/SUM/COUNT with the diagnostic on (coverage should track the
+//!   claimed 95%), then bootstrap MAX over a Pareto tail with the
+//!   diagnostic off (coverage collapses and the auditor's alert fires).
+//!   One worker thread and a fixed seed make stdout bit-identical across
+//!   runs; timings go to stderr. Flags `--queries --population --sample
+//!   --rate --audit-log`.
 //!
 //! `--metrics <path>` dumps the metrics snapshot at exit.
 
-use aqp_bench::{calibration_table, per_query, section, tsv_row, Args};
+use std::cmp::Reverse;
+
+use aqp_audit::{AuditConfig, AuditLogConfig};
+use aqp_bench::{calibration_table, mean, per_query, percentile, section, tsv_row, Args};
+use aqp_core::{required_sample_rows, AqpSession, SessionConfig};
 use aqp_diagnostics::ground_truth::evaluate_diagnostic;
 use aqp_diagnostics::ground_truth::DiagnosticOutcome::*;
 use aqp_diagnostics::DiagnosticConfig;
 use aqp_stats::accuracy::AccuracyVerdict::*;
 use aqp_stats::accuracy::{evaluate_error_estimator, AccuracyConfig, AccuracyVerdict};
-use aqp_stats::error_estimator::EstimationMethod::{Bootstrap, ClosedForm};
+use aqp_stats::ci::{symmetric_half_width, Ci};
+use aqp_stats::error_estimator::EstimationMethod::{Bootstrap, ClosedForm, LargeDeviation};
+use aqp_stats::estimator::{Aggregate, SampleContext};
+use aqp_stats::large_deviation::{Inequality, RangeHint};
 use aqp_stats::rng::SeedStream;
-use aqp_workload::statquery::QueryCategory;
+use aqp_stats::sampling::{gather, with_replacement_indices};
+use aqp_workload::statquery::{DataSpec, QueryCategory, ThetaKind};
+use aqp_workload::{conviva_sessions_table, facebook_events_table, qset1, qset2};
 use aqp_workload::{StatQuery, Workload};
 
 fn main() {
     let args = Args::parse();
-    let wants = args.sections("calibrate", &["fig3", "fig4", "table"]);
+    let wants = args.sections(
+        "calibrate",
+        &[
+            ("fig1", &["queries", "population", "pilot", "seed"]),
+            ("fig3", &["queries", "population", "sample", "seed"]),
+            ("fig4", &["cf-queries", "boot-queries", "population", "sample", "seed"]),
+            ("table", &[]),
+            ("workload", &["queries", "seed"]),
+            ("audit", &["queries", "population", "sample", "seed", "rate", "audit-log"]),
+        ],
+    );
+    // Every chosen section's flags, read before any section prints.
     let seed: u64 = args.get("seed").unwrap_or(1);
-    if wants("fig3") {
-        fig3(&args, seed);
+    let fig1_counts = wants("fig1").then(|| args.counts([("queries", 100), ("population", 400_000), ("pilot", 10_000)]));
+    let fig3_counts = wants("fig3").then(|| args.counts([("queries", 150), ("population", 300_000), ("sample", 20_000)]));
+    let fig4_counts = wants("fig4").then(|| {
+        args.counts([("cf-queries", 100), ("boot-queries", 250), ("population", 120_000), ("sample", 10_000)])
+    });
+    let workload_counts = wants("workload").then(|| args.counts([("queries", 20_000)]));
+    let audit_flags = wants("audit").then(|| {
+        let counts = args.counts([("queries", 2_000), ("population", 40_000), ("sample", 8_000)]);
+        (counts, args.get("rate").unwrap_or(0.1), args.get::<String>("audit-log"))
+    });
+    if let Some(counts) = fig1_counts {
+        fig1(counts, seed);
     }
-    if wants("fig4") {
-        fig4(&args, seed);
+    if let Some(counts) = fig3_counts {
+        fig3(counts, seed);
+    }
+    if let Some(counts) = fig4_counts {
+        fig4(counts, seed);
     }
     if wants("table") {
         println!("{}", section("Calibration — coverage per θ × data family × ξ × α"));
         println!("population 40000, n = 2000; RED: > 3 binomial std errors from α\n");
         print!("{}", calibration_table(1000));
     }
+    if let Some([n]) = workload_counts {
+        workload(n, seed);
+    }
+    if let Some((counts, rate, audit_log)) = audit_flags {
+        audit(counts, rate, audit_log, seed);
+    }
     aqp_bench::maybe_write_metrics(&args);
 }
 
-fn fig3(args: &Args, seed: u64) {
-    let n_queries: usize = args.get("queries").unwrap_or(150);
-    let pop_rows: usize = args.get("population").unwrap_or(300_000);
-    let sample_rows: usize = args.get("sample").unwrap_or(20_000);
+const TARGET_ERRORS: [f64; 6] = [0.32, 0.16, 0.08, 0.04, 0.02, 0.01];
+const TECHNIQUES: [&str; 5] = ["ground-truth", "closed-form", "bootstrap", "bernstein", "hoeffding"];
+
+fn fig1([n_queries, pop_rows, pilot_rows]: [usize; 3], seed: u64) {
+    println!("{}", section("Fig. 1 — sample size needed vs target relative error"));
+    println!(
+        "{n_queries} Conviva-style AVG/SUM queries, population {pop_rows} rows, pilot {pilot_rows} rows"
+    );
+    // Only mean-like queries admit all techniques (Fig. 1's setting), on
+    // moderate-range data: Hoeffding needs a finite range, and on unbounded
+    // heavy tails its range term diverges far past the paper's 1-2 orders
+    // of magnitude. Production columns behind Fig. 1 are bounded-ish
+    // (times, counters).
+    let queries: Vec<_> = Workload::Conviva
+        .generate_closed_form(n_queries * 2, seed)
+        .into_iter()
+        .filter(|q| {
+            matches!(q.theta, ThetaKind::Builtin(Aggregate::Avg | Aggregate::Sum))
+                && matches!(
+                    q.data,
+                    DataSpec::Bounded { .. } | DataSpec::Normal { .. } | DataSpec::Exponential { .. }
+                )
+        })
+        .take(n_queries)
+        .collect();
+    assert!(!queries.is_empty(), "no eligible queries generated");
+
+    // Per query, each technique's interval at the pilot size: the ground
+    // truth by brute force, then ξ on the pilot sample, ξ's stream 3 + its
+    // index.
+    let seeds = SeedStream::new(seed ^ 0xF16);
+    let ctx = SampleContext::new(pilot_rows, pop_rows);
+    let cis = per_query(&queries, pop_rows, seeds, 1, |pop, theta, qi| {
+        let idx = with_replacement_indices(&mut seeds.derive(1).rng(qi), pilot_rows, pop_rows);
+        let sample = gather(pop, &idx);
+        let theta_d = theta.estimate(pop, &SampleContext::population(pop_rows));
+        let truth_stream = seeds.derive(2).derive(qi);
+        let draws: Vec<f64> = (0..120)
+            .map(|r| {
+                let idx = with_replacement_indices(&mut truth_stream.rng(r), pilot_rows, pop_rows);
+                theta.estimate(&gather(pop, &idx), &ctx)
+            })
+            .collect();
+        let truth = Ci::new(theta_d, symmetric_half_width(theta_d, &draws, 0.95), 0.95);
+        let range = RangeHint::new(
+            pop.iter().copied().fold(f64::INFINITY, f64::min),
+            pop.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        );
+        let xis = [Inequality::Bernstein, Inequality::Hoeffding]
+            .map(|inequality| LargeDeviation { inequality, range });
+        let xis = [ClosedForm, Bootstrap { k: 100 }].into_iter().chain(xis);
+        let estimated = xis.zip(3..).map(|(xi, label)| {
+            xi.confidence_interval(&mut seeds.derive(label).rng(qi), &sample, &ctx, theta, 0.95)
+        });
+        std::iter::once(Some(truth)).chain(estimated).collect::<Vec<_>>()
+    });
+    // The rows technique `ti` needs for `target`, per query whose interval
+    // it gives.
+    let required = |ti: usize, target: f64| -> Vec<f64> {
+        let rows = cis.iter().filter_map(|c| required_sample_rows(c[ti].as_ref()?, pilot_rows, target));
+        rows.map(|n| n as f64).collect()
+    };
+
+    println!("\nTSV: target_rel_error\ttechnique\tmean_rows\tq01_rows\tq99_rows");
+    for target in TARGET_ERRORS {
+        for (ti, name) in TECHNIQUES.iter().enumerate() {
+            let xs = required(ti, target);
+            if !xs.is_empty() {
+                let cells = [mean(&xs), percentile(&xs, 0.01), percentile(&xs, 0.99)];
+                let cells = [format!("{target}"), name.to_string()].into_iter().chain(cells.map(|x| format!("{x:.0}")));
+                println!("{}", tsv_row(&cells.collect::<Vec<_>>()));
+            }
+        }
+    }
+    // Headline ratios to the ground truth, averaged over targets.
+    let ratio = |ti: usize| {
+        let per_target = TARGET_ERRORS.map(|t| (required(0, t), required(ti, t)));
+        let both = per_target.iter().filter(|(gt, xs)| !gt.is_empty() && !xs.is_empty());
+        mean(&both.map(|(gt, xs)| mean(xs) / mean(gt)).collect::<Vec<_>>())
+    };
+    let (hoeffding, closed_form) = (ratio(4), ratio(1));
+    println!("\nSummary (paper: Hoeffding needs 1–2 orders of magnitude more rows):");
+    println!("  Hoeffding / ground-truth sample-size ratio: {hoeffding:.1}x (mean over targets)");
+    println!("  closed-form / ground-truth ratio:           {closed_form:.2}x");
+    assert!(hoeffding > 10.0, "Hoeffding ratio should exceed 10x, got {hoeffding:.1}");
+}
+
+fn fig3([n_queries, pop_rows, sample_rows]: [usize; 3], seed: u64) {
     println!("{}", section("Fig. 3 — estimation accuracy per workload × technique"));
     println!(
         "{n_queries} queries per workload, population {pop_rows} rows, n = {sample_rows} \
@@ -77,8 +223,8 @@ fn fig3(args: &Args, seed: u64) {
     for workload in [Workload::Facebook, Workload::Conviva] {
         let queries = workload.generate(n_queries, seed);
         for (technique, xi) in [("bootstrap", Bootstrap { k: 100 }), ("closed-form", ClosedForm)] {
-            let verdicts = per_query(&queries, pop_rows, seeds, 1, |pop, theta, s| {
-                evaluate_error_estimator(pop, theta, &xi, &cfg, s).verdict
+            let verdicts = per_query(&queries, pop_rows, seeds, 1, |pop, theta, qi| {
+                evaluate_error_estimator(pop, theta, &xi, &cfg, seeds.derive(qi)).verdict
             });
             // Percent of the queries in `cats` (all when empty) whose verdict is in `hit`.
             let pct = |cats: &[QueryCategory], hit: &[AccuracyVerdict]| {
@@ -107,11 +253,7 @@ fn fig3(args: &Args, seed: u64) {
     println!("  * failures concentrate on extreme-value aggregates and heavy tails.");
 }
 
-fn fig4(args: &Args, seed: u64) {
-    let cf_queries: usize = args.get("cf-queries").unwrap_or(100);
-    let boot_queries: usize = args.get("boot-queries").unwrap_or(250);
-    let pop_rows: usize = args.get("population").unwrap_or(120_000);
-    let sample_rows: usize = args.get("sample").unwrap_or(10_000);
+fn fig4([cf_queries, boot_queries, pop_rows, sample_rows]: [usize; 4], seed: u64) {
     println!("{}", section("Fig. 4 — diagnostic accuracy vs the ideal verdict"));
     println!(
         "population {pop_rows}, sample n = {sample_rows}, diagnostic p = 100 (paper settings \
@@ -128,7 +270,8 @@ fn fig4(args: &Args, seed: u64) {
                 ClosedForm => w.generate_closed_form(cf_queries, seed),
                 _ => w.generate_bootstrap_only(boot_queries, seed),
             };
-            let outcomes = per_query(&queries, pop_rows, seeds, 31, |pop, theta, s| {
+            let outcomes = per_query(&queries, pop_rows, seeds, 31, |pop, theta, qi| {
+                let s = seeds.derive(qi);
                 evaluate_diagnostic(pop, theta, &xi, sample_rows, &diag_cfg, &acc_cfg, s).outcome
             });
             let shares = [&[TrueAccept, TrueReject][..], &[FalseNegative], &[FalsePositive]]
@@ -148,4 +291,167 @@ fn fig4(args: &Args, seed: u64) {
          {fpos:.1}% false positives"
     );
     println!("Paper overall: <5.4% false negatives, <3.1% false positives.");
+}
+
+fn workload(n: usize, seed: u64) {
+    use QueryCategory::*;
+    println!("{}", section("§3 workload composition — synthetic vs published"));
+    println!("TSV: workload\tcategory\tsynthetic_pct\tpublished_pct");
+    let published_fb = [(Min, 33.35), (Count, 24.67), (Avg, 12.20), (Sum, 10.11), (Max, 2.87), (Udf, 11.01)];
+    for (workload, published) in [(Workload::Facebook, &published_fb[..]), (Workload::Conviva, &[(Udf, 42.07)])] {
+        let queries = workload.generate(n, seed);
+        let pct = |count: usize| 100.0 * count as f64 / n as f64;
+        // Categories by count, descending; ties in first-seen order.
+        let mut cats: Vec<(QueryCategory, usize)> = Vec::new();
+        for cat in queries.iter().map(StatQuery::category) {
+            match cats.iter_mut().find(|c| c.0 == cat) {
+                Some(c) => c.1 += 1,
+                None => cats.push((cat, 1)),
+            }
+        }
+        cats.sort_by_key(|&(_, count)| Reverse(count));
+        for (cat, count) in cats {
+            let publ = published.iter().find(|p| p.0 == cat).map_or("-".to_string(), |p| format!("{:.2}", p.1));
+            let cells = [format!("{workload:?}"), format!("{cat:?}"), format!("{:.2}", pct(count)), publ];
+            println!("{}", tsv_row(&cells));
+        }
+        let cf = queries.iter().filter(|q| q.closed_form_applicable()).count();
+        println!(
+            "# {workload:?}: closed-form-applicable {:.1}% (published FB: 37.21% incl. \
+             multi-aggregate/nested exclusions, modeled at the SQL level)",
+            pct(cf)
+        );
+        if workload == Workload::Conviva {
+            let combined = queries.iter().filter(|q| matches!(q.category(), Avg | Count | Percentile | Max));
+            println!(
+                "# Conviva AVG+COUNT+PERCENTILE+MAX combined: {:.1}% (published: 32.3%)",
+                pct(combined.count())
+            );
+        }
+    }
+
+    println!("{}", section("QSet-1 / QSet-2 trace composition (§7)"));
+    let q1 = qset1(100, seed);
+    let q2 = qset2(100, seed);
+    println!("QSet-1: {} queries, all closed-form-amenable", q1.len());
+    let with = |f: fn(&str) -> bool| q2.iter().filter(|q| f(&q.sql)).count();
+    println!(
+        "QSet-2: {} queries — {} MIN/MAX, {} percentile, {} UDF, {} multi-aggregate, {} nested",
+        q2.len(),
+        with(|sql| sql.contains("MAX(") || sql.contains("MIN(")),
+        with(|sql| sql.contains("PERCENTILE")),
+        with(|sql| sql.contains("trimmed_mean")),
+        with(|sql| sql.matches(',').count() >= 2),
+        with(|sql| sql.contains("FROM (SELECT")),
+    );
+    for (name, qs) in [("\nsample QSet-1", &q1), ("sample QSet-2", &q2)] {
+        println!("{name} queries:");
+        qs.iter().take(5).for_each(|q| println!("  {}", q.sql));
+    }
+}
+
+fn audit([queries, rows, sample]: [usize; 3], rate: f64, audit_log: Option<String>, seed: u64) {
+    // 70% well-calibrated traffic, 30% miscalibrated.
+    let good_queries = queries * 7 / 10;
+    let bad_queries = queries - good_queries;
+    println!("{}", section("Audit coverage — failure rates from a continuously audited trace"));
+    println!(
+        "trace: {queries} queries ({good_queries} calibrated + {bad_queries} miscalibrated), \
+         population {rows}, sample {sample}, audit rate {rate}, seed {seed}"
+    );
+    let session = |session_seed, run_diagnostics, sample_rate, families: &[(&str, &str)]| {
+        let audit = AuditConfig {
+            sample_rate,
+            seed: seed ^ 0xA0D1,
+            window: 200,
+            coverage_alert_below: 0.90,
+            min_window_for_alert: 30,
+            log: audit_log.as_ref().map(AuditLogConfig::at),
+            column_families: families.iter().map(|&(c, f)| (c.to_string(), f.to_string())).collect(),
+        };
+        AqpSession::new(SessionConfig {
+            seed: session_seed,
+            threads: 1, // determinism: a fixed scan/merge order
+            bootstrap_k: 40,
+            diagnostic_p: 50,
+            run_diagnostics,
+            audit: Some(audit),
+            ..Default::default()
+        })
+    };
+
+    // Phase 1: calibrated closed-form traffic. Mostly templates the
+    // diagnostic accepts (AVG/SUM/COUNT over well-behaved columns); one in
+    // five is a heavier-tailed AVG(bytes) the diagnostic rejects, so the
+    // confusion matrix exercises the reject column too (those audits reuse
+    // the fallback's exact run for truth).
+    let clock = aqp_obs::Clock::real();
+    let started = clock.now();
+    let s1 = session(seed, true, rate, &[("time", "lognormal"), ("bytes", "heavy_tail"), ("*", "count")]);
+    s1.register_table(conviva_sessions_table(rows, 4, seed)).expect("register");
+    s1.build_samples("sessions", &[sample], seed ^ 7).expect("samples");
+    for i in 0..good_queries {
+        let sql = match i % 5 {
+            0 => "SELECT AVG(time) FROM sessions",
+            1 => "SELECT SUM(time) FROM sessions",
+            2 => "SELECT COUNT(*) FROM sessions WHERE is_mobile = true",
+            3 => "SELECT AVG(bytes) FROM sessions",
+            _ => "SELECT COUNT(*) FROM sessions",
+        };
+        s1.execute(sql).expect("calibrated query");
+    }
+    let r1 = s1.audit_report().expect("auditing is on");
+
+    // Phase 2: miscalibrated traffic — extreme statistics over a Pareto
+    // tail with the diagnostic disabled, audited at 5× the base rate (an
+    // operator probing a suspect config) so even short smoke runs
+    // accumulate an alert-worthy window.
+    let s2 = session(seed ^ 0xBAD, false, (rate * 5.0).min(1.0), &[("payload_kb", "pareto")]);
+    s2.register_table(facebook_events_table(rows, 4, seed ^ 3)).expect("register");
+    s2.build_samples("events", &[sample], seed ^ 11).expect("samples");
+    let countries = ["'NYC'", "'LA'", "'SF'"];
+    for i in 0..bad_queries {
+        let sql = match i % 3 {
+            0 | 1 => "SELECT MAX(payload_kb) FROM events".to_string(),
+            _ => format!("SELECT MAX(payload_kb) FROM events WHERE country = {}", countries[i % 3]),
+        };
+        s2.execute(&sql).expect("miscalibrated query");
+    }
+    let r2 = s2.audit_report().expect("auditing is on");
+    let elapsed = clock.now().duration_since(started);
+
+    // The report (stdout, deterministic).
+    for (label, r) in [("calibrated (diagnostic on)", &r1), ("miscalibrated (diagnostic off)", &r2)] {
+        println!("\n--- {label} ---");
+        print!("{}", r.render_table());
+    }
+    println!("\nTSV: phase\tkey\tscored\tcoverage_pct\tfailure_pct\tfp_rate\tfn_rate");
+    let rate_cell = |r: Option<f64>| r.map_or("-".to_string(), |r| format!("{r:.3}"));
+    for (phase, r) in [("calibrated", &r1), ("miscalibrated", &r2)] {
+        for k in std::iter::once(&r.overall).chain(&r.keys) {
+            let cov = k.coverage.unwrap_or(f64::NAN) * 100.0;
+            let cells = [phase.to_string(), k.key.clone(), k.scored.to_string(), format!("{cov:.1}")];
+            let rates = [k.confusion.false_positive_rate(), k.confusion.false_negative_rate()].map(rate_cell);
+            let cells = cells.into_iter().chain([format!("{:.1}", 100.0 - cov)]).chain(rates);
+            println!("{}", tsv_row(&cells.collect::<Vec<_>>()));
+        }
+    }
+    let total_alerts = r1.alerts.len() + r2.alerts.len();
+    println!(
+        "\nHeadline: calibrated coverage {:.1}% (claimed 95%), miscalibrated coverage {:.1}% \
+         — {total_alerts} coverage alert(s) fired.",
+        r1.overall.coverage.unwrap_or(f64::NAN) * 100.0,
+        r2.overall.coverage.unwrap_or(f64::NAN) * 100.0,
+    );
+    println!(
+        "Paper: unchecked error bars on extreme statistics fail silently; the diagnostic \
+         (or this auditor) is what surfaces it."
+    );
+    if r2.alerts.is_empty() {
+        println!("WARNING: expected at least one alert on the miscalibrated phase");
+    }
+    eprintln!("wall clock: {:.2}s (excluded from stdout for determinism)", elapsed.as_secs_f64());
+    if let Some(path) = &audit_log {
+        eprintln!("audit log written to {path}");
+    }
 }

@@ -43,8 +43,9 @@ const QSETS: [(&str, &str); 2] = [("QSet-1", "closed-form"), ("QSet-2", "bootstr
 
 fn main() {
     let args = Args::parse();
-    let wants = args.sections("latency", &["fig7", "fig8", "fig9"]);
-    let n_queries: usize = args.get("queries").unwrap_or(100);
+    let flags: &[&str] = &["queries", "seed"];
+    let wants = args.sections("latency", &[("fig7", flags), ("fig8", flags), ("fig9", flags)]);
+    let [n_queries] = args.counts([("queries", 100)]);
     let seed: u64 = args.get("seed").unwrap_or(1);
     let qsets = [qset1(n_queries, seed), qset2(n_queries, seed)];
     let untuned = PhysicalTuning::untuned(&ClusterConfig::default());

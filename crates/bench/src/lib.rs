@@ -1,24 +1,27 @@
 //! # aqp-bench
 //!
 //! The benchmark harness regenerating every table and figure of the
-//! paper's evaluation. Each figure binary prints a machine-readable TSV
-//! block plus an ASCII rendering, and states the paper's published
-//! numbers next to the measured ones (EXPERIMENTS.md records the
-//! comparison).
+//! paper's evaluation. Each section prints a machine-readable TSV block
+//! plus an ASCII rendering, and states the paper's published numbers next
+//! to the measured ones (EXPERIMENTS.md records the comparison).
 //!
-//! Binaries (`cargo run --release -p aqp-bench --bin <name>`):
+//! Two binaries, `calibrate` (§3's evidence) and `latency` (the simulated
+//! §5–§7 figures), each `<binary> [section] [--flag value ...]`: no
+//! section runs them all (`cargo run --release -p aqp-bench --bin
+//! <binary> -- <section>`), and a flag no chosen section reads exits 2
+//! ([`Args::sections`]).
 //!
-//! | binary | reproduces |
+//! | section | reproduces |
 //! |---|---|
-//! | `fig1_sample_sizes` | Fig. 1 — required sample size vs target error per technique |
+//! | `calibrate fig1` | Fig. 1 — required sample size vs target error per technique |
 //! | `calibrate fig3` | Fig. 3 — % correct/optimistic/pessimistic per workload × technique |
 //! | `calibrate fig4` | Fig. 4(b)/(c) — diagnostic accuracy vs the ideal verdict |
 //! | `calibrate table` | §2.2's guarantee: coverage per θ × data family × ξ × α ([`calibration_table`]) |
+//! | `calibrate workload` | §3's workload-composition and failure-rate numbers |
+//! | `calibrate audit` | §3's failure rates audited continuously: coverage per (aggregate, verdict) cell and the alert a miscalibrated session fires |
 //! | `latency fig7` | Fig. 7(a)/(b) — naive per-query latency decomposition (simulated) |
 //! | `latency fig8` | Fig. 8(a)–(f) — speedup CDFs + parallelism/cache sweeps (simulated) |
 //! | `latency fig9` | Fig. 9(a)/(b) — optimized per-query latency decomposition (simulated) |
-//! | `table_workload_stats` | §3's workload-composition and failure-rate numbers |
-//! | `table_audit_coverage` | §3's failure rates audited continuously: coverage per (aggregate, verdict) cell and the alert a miscalibrated session fires |
 //!
 //! Wall-clock timing is not here: `benchmark/` (`BENCHMARK.json`) is the
 //! one harness, and the kernel costs are its `per_layer` metrics.
@@ -91,15 +94,10 @@ pub fn section(title: &str) -> String {
     s
 }
 
-/// Tiny `--key value` argument parser (no external deps).
+/// Tiny `bin [section] [--flag value ...]` argument parser (no external
+/// deps). A bad command line exits 2 naming what is wrong.
 pub struct Args {
     raw: Vec<String>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self::parse()
-    }
 }
 
 impl Args {
@@ -111,10 +109,14 @@ impl Args {
     /// Value of `--key`, parsed; `None` when the flag is absent. A flag
     /// with no value, or with one that does not parse, exits 2 naming both.
     pub fn get<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.value(key).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        })
+        self.value(key).unwrap_or_else(|e| exit_usage(&e))
+    }
+
+    /// Values of the count flags `(key, default)`, each `default` when
+    /// absent; a count of 0 exits 2 naming the flag, as [`get`](Self::get)
+    /// an unparsable value.
+    pub fn counts<const N: usize>(&self, keys: [(&str, usize); N]) -> [usize; N] {
+        keys.map(|(key, default)| self.counted(key, default).unwrap_or_else(|e| exit_usage(&e)))
     }
 
     fn value<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
@@ -124,35 +126,62 @@ impl Args {
         v.parse().map(Some).map_err(|_| format!("{flag}: cannot parse `{v}`"))
     }
 
-    /// The leading section word of `bin [name|...] [--flag value ...]`: a
-    /// test that holds for the named section, or for every section when
-    /// none is named. An unknown word exits 2 with a usage line.
-    pub fn sections(&self, bin: &str, names: &[&str]) -> impl Fn(&str) -> bool {
-        let chosen = self.raw.first().filter(|a| !a.starts_with("--")).cloned();
-        if let Some(s) = chosen.as_deref().filter(|s| !names.contains(s)) {
-            let names = names.join("|");
-            eprintln!("unknown section `{s}`; usage: {bin} [{names}] [--flag value ...]");
-            std::process::exit(2);
+    fn counted(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.value(key)? {
+            Some(0) => Err(format!("--{key} 0: needs at least one")),
+            n => Ok(n.unwrap_or(default)),
         }
-        move |s| chosen.is_none() || chosen.as_deref() == Some(s)
+    }
+
+    /// The sections `bin` runs: a test that holds for the one named by the
+    /// leading word, or for every one of `sections` when none is named.
+    /// Each section lists the flags it reads; `--metrics` is every one's.
+    /// Anything on the command line no chosen section reads — an unknown
+    /// section or flag, a stray word, a flag with no value — exits 2 with
+    /// the usage line, before any section prints.
+    pub fn sections(&self, bin: &str, sections: &[(&str, &[&str])]) -> impl Fn(&str) -> bool {
+        let chosen = self.chosen(sections).unwrap_or_else(|e| {
+            let names: Vec<&str> = sections.iter().map(|s| s.0).collect();
+            exit_usage(&format!("{e}; usage: {bin} [{}] [--flag value ...]", names.join("|")))
+        });
+        move |s| chosen.as_deref().is_none_or(|c| c == s)
+    }
+
+    fn chosen(&self, sections: &[(&str, &[&str])]) -> Result<Option<String>, String> {
+        let chosen = self.raw.first().filter(|a| !a.starts_with("--"));
+        let named = sections.iter().filter(|s| chosen.is_none_or(|c| c == s.0)).collect::<Vec<_>>();
+        if let (Some(c), []) = (chosen, named.as_slice()) {
+            return Err(format!("unknown section `{c}`"));
+        }
+        let reads = |flag: &str| flag == "metrics" || named.iter().any(|s| s.1.contains(&flag));
+        let mut rest = self.raw.iter().skip(usize::from(chosen.is_some()));
+        while let Some(a) = rest.next() {
+            let flag = a.strip_prefix("--").filter(|f| reads(f));
+            let flag = flag.ok_or_else(|| format!("no chosen section reads `{a}`"))?;
+            rest.next().filter(|v| !v.starts_with("--")).ok_or_else(|| format!("--{flag} needs a value"))?;
+        }
+        Ok(chosen.cloned())
     }
 }
 
+fn exit_usage(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
 /// The §3 loop every accuracy section runs on: query `qi`'s population
-/// (`pop_rows` rows, seed `seeds.seed(qi · pop_stride)`) and θ go, with
-/// the stream `seeds.derive(qi)`, to `eval` — in parallel, results in
-/// query order.
+/// (`pop_rows` rows, seed `seeds.seed(qi · pop_stride)`), θ and `qi` go to
+/// `eval` — in parallel, results in query order.
 pub fn per_query<R: Send>(
     queries: &[StatQuery],
     pop_rows: usize,
     seeds: SeedStream,
     pop_stride: u64,
-    eval: impl Fn(&[f64], &Theta, SeedStream) -> R + Sync,
+    eval: impl Fn(&[f64], &Theta, u64) -> R + Sync,
 ) -> Vec<R> {
-    let jobs: Vec<(usize, &StatQuery)> = queries.iter().enumerate().collect();
+    let jobs: Vec<(u64, &StatQuery)> = (0..).zip(queries).collect();
     aqp_exec::parallel::parallel_map(jobs, aqp_exec::parallel::default_threads(), |(qi, q)| {
-        let population = q.population(pop_rows, seeds.seed(qi as u64 * pop_stride));
-        eval(&population, &q.theta.instantiate(), seeds.derive(qi as u64))
+        eval(&q.population(pop_rows, seeds.seed(qi * pop_stride)), &q.theta.instantiate(), qi)
     })
 }
 
@@ -189,9 +218,10 @@ pub fn calibration_table(runs: usize) -> String {
     queries.push(query(Count, ("indicator", families[0].1), 0.5));
     let (xis, alphas) = ([ClosedForm, Bootstrap { k: 100 }], [0.80, 0.90, 0.95, 0.99]);
     let cfg = AccuracyConfig { sample_rows: 2_000, runs, truth_runs: 250, ..Default::default() };
-    let rows = per_query(&queries, 40_000, SeedStream::new(0xCA1), 1, |pop, theta, s| {
+    let seeds = SeedStream::new(0xCA1);
+    let rows = per_query(&queries, 40_000, seeds, 1, |pop, theta, qi| {
         let eval = |xi, alpha| {
-            evaluate_error_estimator(pop, theta, xi, &AccuracyConfig { alpha, ..cfg }, s)
+            evaluate_error_estimator(pop, theta, xi, &AccuracyConfig { alpha, ..cfg }, seeds.derive(qi))
         };
         xis.iter().flat_map(|xi| alphas.map(|a| (xi, a, eval(xi, a)))).collect::<Vec<_>>()
     });
@@ -252,10 +282,19 @@ mod tests {
         assert_eq!(a.value::<usize>("population"), Ok(None));
         assert_eq!(a.value::<u64>("seed"), Err("--seed: cannot parse `ten`".to_string()));
         assert_eq!(a.value::<String>("metrics"), Err("--metrics needs a value".to_string()));
-        let wants = a.sections("latency", &["fig7", "fig8"]);
-        assert!(wants("fig7") && !wants("fig8"));
-        let wants = args(&["--queries", "10"]).sections("latency", &["fig7", "fig8"]);
-        assert!(wants("fig7") && wants("fig8"));
+        assert_eq!(args(&["fig7", "--queries", "0"]).counted("queries", 100), Err("--queries 0: needs at least one".to_string()));
+        assert_eq!(args(&["fig7"]).counted("queries", 100), Ok(100));
+        // Anything no chosen section reads is refused: an unknown section or
+        // flag, a flag another section reads, a stray word, a missing value.
+        let sections: &[(&str, &[&str])] = &[("fig7", &["queries"]), ("table", &[])];
+        let chosen = |raw: &[&str]| args(raw).chosen(sections);
+        assert_eq!(chosen(&["fig7", "--queries", "10", "--metrics", "m"]), Ok(Some("fig7".to_string())));
+        assert_eq!(chosen(&["--queries", "10"]), Ok(None));
+        assert_eq!(chosen(&["fig9"]), Err("unknown section `fig9`".to_string()));
+        assert_eq!(chosen(&["fig7", "--part", "plan"]), Err("no chosen section reads `--part`".to_string()));
+        assert_eq!(chosen(&["table", "--queries", "5"]), Err("no chosen section reads `--queries`".to_string()));
+        assert_eq!(chosen(&["fig7", "table"]), Err("no chosen section reads `table`".to_string()));
+        assert_eq!(chosen(&["fig7", "--queries", "--seed"]), Err("--queries needs a value".to_string()));
     }
 
     #[test]

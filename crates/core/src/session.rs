@@ -1,7 +1,6 @@
 //! The AQP session: registration, sampling, and reliable execution.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use aqp_audit::{AuditConfig, AuditReport};
@@ -219,44 +218,14 @@ impl AqpSession {
         seed: u64,
     ) -> Result<()> {
         let t = self.table_to_sample(table)?;
-        let key = t.schema().index_of(column)?;
-        // Group row numbers by rendered key (the rendering the executor's
-        // GROUP BY uses), reading the key column in place: each distinct
-        // typed code of a partition is rendered once, and codes that
-        // render alike (a repeated dictionary entry, 'NULL' and NULL, two
-        // NaNs) share the stratum of the one key.
-        let mut ids: BTreeMap<String, usize> = BTreeMap::new();
-        let mut strata_rows: Vec<Vec<usize>> = Vec::new();
-        let mut start = 0;
-        for part in t.partitions() {
-            let col = part.batch().column(key);
-            let mut seen: HashMap<Option<u64>, usize> = HashMap::new();
-            for row in 0..col.len() {
-                let code = (!col.is_null(row)).then(|| match col {
-                    Column::Int { values, .. } => values[row] as u64,
-                    Column::Float { values, .. } => values[row].to_bits(),
-                    Column::Bool { values, .. } => u64::from(values[row]),
-                    Column::Str { codes, .. } => u64::from(codes[row]),
-                });
-                let id = match seen.get(&code) {
-                    Some(&id) => id,
-                    None => {
-                        let next = ids.len();
-                        let id = *ids.entry(col.value(row)?.to_string()).or_insert(next);
-                        strata_rows.resize(ids.len(), Vec::new());
-                        *seen.entry(code).or_insert(id)
-                    }
-                };
-                strata_rows[id].push(start + row);
-            }
-            start += col.len();
-        }
+        // A stratum per GROUP BY group on `column`, as the executor groups
+        // (`group_contexts` matches them by the rendered key), in key order.
+        let mut strata = aqp_exec::collect::group_rows(&t, &[t.schema().index_of(column)?])?;
+        strata.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let seeds = SeedStream::new(self.config.seed ^ seed ^ 0x57A7);
         let mut indices: Vec<usize> = Vec::new();
-        let mut groups: Vec<StratumMeta> = Vec::with_capacity(ids.len());
-        // Strata in key order.
-        for (si, (key, id)) in ids.into_iter().enumerate() {
-            let rows = &strata_rows[id];
+        let mut groups: Vec<StratumMeta> = Vec::with_capacity(strata.len());
+        for (si, (key, rows)) in strata.into_iter().enumerate() {
             let take = rows_per_stratum.min(rows.len());
             let mut rng = seeds.rng(si as u64);
             let picks =

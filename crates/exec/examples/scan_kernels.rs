@@ -6,7 +6,7 @@
 //! shapes the workloads are made of. `same bits` says whether
 //! `execute_exact` answered, on every group and aggregate, exactly what θ
 //! over `collect`'s values gives. `collect` is split four ways from what
-//! `collect_observed` reports, medians over the rounds:
+//! `scan` reports, medians over the rounds:
 //!
 //! * `filter` — busy time of the chain operators (`CollectObs::ops`);
 //! * `grouping` — what the partition workers spend besides the chain when
@@ -28,7 +28,7 @@
 
 use std::time::Duration;
 
-use aqp_exec::collect::{collect_observed, Collected};
+use aqp_exec::collect::{scan, Collected};
 use aqp_exec::theta::PreparedTheta;
 use aqp_exec::{execute_exact, ExactResult, UdfRegistry};
 use aqp_obs::Clock;
@@ -71,8 +71,8 @@ fn collect_ns(plan: &LogicalPlan, table: &Table) -> ([f64; 3], usize, Collected)
     // One more round than is kept: the first finds the columns cold.
     let rounds: Vec<[f64; 3]> = (0..=ROUNDS)
         .map(|_| {
-            let (out, wall) = clock.time(|| collect_observed(plan, table, 1, &clock));
-            let (collected, obs) = out.expect("the plan collects");
+            let (out, wall) = clock.time(|| scan(plan, table, 1, &clock, None, true));
+            let (collected, obs, _) = out.expect("the plan collects");
             values = collected.groups.iter().flat_map(|g| &g.aggs).map(|a| a.values.len()).sum();
             std::hint::black_box(&collected);
             last = Some(collected);

@@ -514,6 +514,24 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &Selection) -> (Vec<u32
     (gids, decode.map_or(Keys::Rendered(keys, ids), |decode| Keys::Typed(decode, tuples)))
 }
 
+/// The GROUP BY groups of every row of `table` under the key columns
+/// `key_cols`, by the identity `assign_groups` gives a scan: each key's
+/// rendered string and its row numbers in scan order, the keys in
+/// first-seen order.
+pub fn group_rows(table: &Table, key_cols: &[usize]) -> Result<Vec<(String, Vec<usize>)>> {
+    let (mut all, mut rows, mut start) = (None::<Keys>, Vec::<Vec<usize>>::new(), 0);
+    for part in table.partitions() {
+        let n = part.batch().num_rows();
+        let (gids, keys) = assign_groups(part.batch(), key_cols, &Selection::Prefix(n));
+        let all = all.get_or_insert_with(|| keys.like());
+        let ids = (0..keys.len()).map(|g| all.adopt(&keys, g)).collect::<Result<Vec<_>>>()?;
+        rows.resize(all.len(), Vec::new());
+        gids.iter().enumerate().for_each(|(row, &g)| rows[ids[g as usize] as usize].push(start + row));
+        start += n;
+    }
+    Ok(all.map_or_else(Vec::new, Keys::into_rendered).into_iter().zip(rows).collect())
+}
+
 /// The group of every entry of `sel` under a lone key column with `n`
 /// dense codes — `code(row)`, NULL where `validity` says so — through a
 /// slot table in front of `group_of`: a slot per code and the last for
@@ -764,42 +782,21 @@ fn chain_stats<'d>(
 /// Supported shapes: `Aggregate(chain)` and `Aggregate(Aggregate(chain))`
 /// (one nesting level, outer without GROUP BY).
 pub fn collect(plan: &LogicalPlan, table: &Table, threads: usize) -> Result<Collected> {
-    collect_observed(plan, table, threads, &Clock::Real).map(|(c, _)| c)
+    scan(plan, table, threads, &Clock::Real, None, true).map(|(c, ..)| c)
 }
 
-/// [`collect`], additionally reporting per-operator and per-worker stats
-/// measured on `clock` — the engine turns these into `op:`/`worker`
-/// trace spans for `aqp-prof`.
-pub fn collect_observed(
-    plan: &LogicalPlan,
-    table: &Table,
-    threads: usize,
-    clock: &Clock,
-) -> Result<(Collected, CollectObs)> {
-    collect_observed_faulty(plan, table, threads, clock, None).map(|(c, o, _)| (c, o))
-}
-
-/// [`collect_observed`] with deterministic fault injection: each
-/// partition task is resolved against `injector`'s plan before dispatch
-/// (lost partitions are skipped, truncated ones scan only a prefix),
-/// and the returned [`ScanFaultSummary`] describes what was injected
-/// and what survived. With `injector = None` this is exactly
-/// [`collect_observed`].
-pub fn collect_observed_faulty(
-    plan: &LogicalPlan,
-    table: &Table,
-    threads: usize,
-    clock: &Clock,
-    injector: Option<&FaultInjector>,
-) -> Result<(Collected, CollectObs, Option<ScanFaultSummary>)> {
-    scan(plan, table, threads, clock, injector, true)
-}
-
-/// [`collect_observed_faulty`], leaving every `AggData::positions` empty
-/// unless `with_positions`: only the diagnostic's row-range subsampling
-/// reads them, so the pilot and the baseline's plain scans do not ask
-/// (the exact path collects nothing: `fold`).
-pub(crate) fn scan(
+/// [`collect`], observed: per-operator and per-worker stats measured on
+/// `clock` (the engine turns these into `op:`/`worker` trace spans for
+/// `aqp-prof`), and deterministic fault injection — each partition task
+/// is resolved against `injector`'s plan before dispatch (lost partitions
+/// are skipped, truncated ones scan only a prefix), and the returned
+/// [`ScanFaultSummary`] describes what was injected and what survived;
+/// with `injector = None` the scan is fault-free. Every
+/// `AggData::positions` stays empty unless `with_positions`: only the
+/// diagnostic's row-range subsampling reads them, so the pilot and the
+/// baseline's plain scans do not ask (the exact path collects nothing:
+/// `fold`).
+pub fn scan(
     plan: &LogicalPlan,
     table: &Table,
     threads: usize,
@@ -1095,7 +1092,7 @@ mod tests {
         let q = parse_query("SELECT city, SUM(time) FROM sessions WHERE user_id > 1 GROUP BY city").unwrap();
         let plan = plan_query(&q, t.schema()).unwrap();
         for threads in [1, 2] {
-            let (_, obs) = collect_observed(&plan, &t, threads, &Clock::Real).unwrap();
+            let (_, obs, _) = scan(&plan, &t, threads, &Clock::Real, None, true).unwrap();
             let [scan, filter] = obs.ops.as_slice() else { panic!("Scan, Filter") };
             assert_eq!((scan.rows_in, scan.rows_out, scan.batches, scan.bytes), (6, 6, 3, 6 * 3 * 8));
             assert_eq!(filter.name, "Filter");
@@ -1128,8 +1125,8 @@ mod tests {
             group_by: group_by.clone(),
             aggs: vec![AggExpr { func: AggFunc::Sum, arg: Some(Expr::col("d")) }],
         };
-        let (a, a_obs) = collect_observed(&direct, &t, 2, &Clock::Real).unwrap();
-        let (b, b_obs) = collect_observed(&projected, &t, 2, &Clock::Real).unwrap();
+        let (a, a_obs, _) = scan(&direct, &t, 2, &Clock::Real, None, true).unwrap();
+        let (b, b_obs, _) = scan(&projected, &t, 2, &Clock::Real, None, true).unwrap();
         assert_eq!(a.groups, b.groups);
         assert!(a.groups.iter().any(|g| !g.aggs[0].values.is_empty()));
         // Counters follow the selection: the filter takes what the sampling
@@ -1194,6 +1191,13 @@ mod tests {
                 ("a|0".to_string(), vec![1])
             ]
         );
+        // `group_rows` groups the table's rows as the scan does.
+        for (cols, sql) in [([0], "SELECT s, COUNT(*) FROM t GROUP BY s"), ([1], "SELECT f, COUNT(*) FROM t GROUP BY f")] {
+            let mut rows = group_rows(&t, &cols).unwrap();
+            rows.sort();
+            let rows = rows.into_iter().map(|(k, r)| (k, r.into_iter().map(|r| r as u32).collect()));
+            assert_eq!(rows.collect::<Vec<_>>(), run(sql), "{sql}");
+        }
     }
 
     /// Probes over all lookups of the keys just inserted: one per key plus

@@ -993,7 +993,7 @@ fn scan_sql(filter: usize, aggs: usize, keys: usize, shape: usize) -> String {
 /// group's values in scan order, equals θ over the oracle's values bit for
 /// bit, for one, two and four threads.
 fn assert_scan_matches_oracle(table: &reliable_aqp::storage::Table, sql: &str, faults: &reliable_aqp::faults::FaultConfig) {
-    use reliable_aqp::exec::collect::{collect, collect_observed_faulty};
+    use reliable_aqp::exec::collect::{collect, scan};
     use reliable_aqp::exec::theta::PreparedTheta;
     use reliable_aqp::exec::{execute_exact, UdfRegistry};
     use reliable_aqp::faults::FaultInjector;
@@ -1034,7 +1034,7 @@ fn assert_scan_matches_oracle(table: &reliable_aqp::storage::Table, sql: &str, f
     let injector = FaultInjector::new(faults);
     for threads in [1, 4] {
         let (got, _, summary) =
-            collect_observed_faulty(&plan, table, threads, &Clock::Real, Some(&injector)).unwrap();
+            scan(&plan, table, threads, &Clock::Real, Some(&injector), true).unwrap();
         assert_collected_identical(&got, &want, &format!("{sql} / faulty / {threads}"));
         assert_eq!(summary.unwrap().effective_rows, want.pre_filter_rows, "{sql}");
     }
@@ -1928,7 +1928,7 @@ fn resamples_drawn() -> u64 {
 
 mod eager_pipeline {
     use reliable_aqp::diagnostics::{diagnose, subsample_bounds, subsample_context, DiagnosticConfig, DiagnosticReport};
-    use reliable_aqp::exec::collect::collect_observed_faulty;
+    use reliable_aqp::exec::collect::scan;
     use reliable_aqp::exec::engine::MethodChoice;
     use reliable_aqp::exec::result::MethodUsed;
     use reliable_aqp::exec::theta::{
@@ -1993,7 +1993,7 @@ mod eager_pipeline {
     ) -> Result<Eager, ExecError> {
         let injector = opts.faults.as_ref().map(FaultInjector::new);
         let (collected, _, faults) =
-            collect_observed_faulty(plan, sample, 1, &Clock::mock(), injector.as_ref())?;
+            scan(plan, sample, 1, &Clock::mock(), injector.as_ref(), true)?;
         let degraded = faults.filter(|f| f.degraded());
         let widen = degraded.as_ref().map_or(1.0, |f| f.widen_factor());
         // A degraded run judges the sample that survived.
