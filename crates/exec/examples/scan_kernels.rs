@@ -200,9 +200,12 @@ fn main() {
         ("global, no filter", "AVG(time)", ""),
         ("global `VARIANCE(bitrate)`", "VARIANCE(bitrate)", ""),
         ("GROUP BY city, 3 aggregates", "AVG(time), SUM(bytes), MAX(bitrate)", "GROUP BY city"),
+        ("filtered GROUP BY city (the fallback's shape)", "AVG(time), COUNT(*)", "WHERE bitrate > 1600 GROUP BY city"),
+        ("GROUP BY city, `VARIANCE(bitrate), MIN(time)`", "VARIANCE(bitrate), MIN(time)", "GROUP BY city"),
         ("GROUP BY site (dictionary, no NULLs)", "AVG(time)", "GROUP BY site"),
         ("GROUP BY is_mobile (bool)", "AVG(time)", "GROUP BY is_mobile"),
         ("GROUP BY user_id", "AVG(time)", "GROUP BY user_id"),
+        ("GROUP BY user_id, `COUNT(*)`", "COUNT(*)", "GROUP BY user_id"),
         ("nested AVG(SUM(bytes)) by user_id", "SUM(bytes)", "NESTED GROUP BY user_id"),
     ];
     println!("one thread, {ROWS} rows in 16 partitions, medians of {ROUNDS} rounds; ns per row unless said");

@@ -9,7 +9,7 @@
 //! The pass is a selection-vector pipeline (DESIGN §4 item 2): each
 //! worker scans a partition, never copied, down to a selection of row ids
 //! plus typed group ids, turns the ids into one slot per entry — the
-//! grouped selection — and scatters every aggregate's argument through it
+//! grouped selection — and reads every aggregate's argument through it
 //! into one block of values per group (`scan_partition`); `merge` then
 //! copies the blocks together in partition order. Row positions are
 //! written once per partition, and only for a caller whose diagnostic
@@ -314,11 +314,16 @@ fn key_code(col: &Column, row: usize) -> Option<u64> {
 /// dictionary entries, separators inside strings).
 fn decoder(col: &Column) -> Option<fn(u64) -> Value> {
     match col {
-        Column::Int { .. } => Some(|code| Value::Int(code as i64)),
+        Column::Int { .. } => Some(int_value),
         Column::Float { .. } => Some(|code| Value::Float(f64::from_bits(code))),
         Column::Bool { .. } => Some(|code| Value::Bool(code != 0)),
         Column::Str { .. } => None,
     }
+}
+
+/// The value an `Int` column's [`key_code`] stands for.
+fn int_value(code: u64) -> Value {
+    Value::Int(code as i64)
 }
 
 /// Distinct typed code tuples in first-seen order, found through an
@@ -397,6 +402,76 @@ impl CodeGroups {
     }
 }
 
+/// How many slots per row of its partition a lone `Int` key's table may
+/// take: a key whose values span no more is identified by value
+/// ([`IntGroups`]), any other by its code ([`CodeGroups`]).
+pub const INT_SLOTS_PER_ROW: usize = 2;
+
+/// A lone `Int` key's distinct values in first-seen order (`None` is
+/// NULL), each found at its slot in a table that covers a span of values:
+/// `v` at `v - lo`, NULL at the last. Nothing is hashed or probed.
+struct IntGroups {
+    lo: i64,
+    /// A group id per slot, `UNSEEN` where none.
+    slots: Vec<u32>,
+    values: Vec<Option<i64>>,
+}
+
+impl IntGroups {
+    /// A table for the values `lo..=hi` and NULL, with no group, when it
+    /// takes at most `room` slots besides NULL's (NULL's alone when
+    /// `lo > hi`: no value).
+    fn spanning(lo: i64, hi: i64, room: usize) -> Option<Self> {
+        let span = match hi.checked_sub(lo) {
+            _ if lo > hi => 0,
+            Some(d) if (d as u64) < room as u64 => d as usize + 1,
+            _ => return None,
+        };
+        Some(IntGroups { lo: if span == 0 { 0 } else { lo }, slots: vec![UNSEEN; span + 1], values: Vec::new() })
+    }
+
+    /// A table for a partition's `Int` column: the span of its non-NULL
+    /// values over every row, whichever rows a scan selects, at most
+    /// [`INT_SLOTS_PER_ROW`] slots a row.
+    fn of_column(values: &[i64], validity: &Option<Vec<bool>>) -> Option<Self> {
+        let bounds = |(lo, hi): (i64, i64), v: i64| (lo.min(v), hi.max(v));
+        let (lo, hi) = match validity {
+            None => values.iter().copied().fold((i64::MAX, i64::MIN), bounds),
+            Some(valid) => {
+                values.iter().zip(valid).filter(|(_, &ok)| ok).map(|(&v, _)| v).fold((i64::MAX, i64::MIN), bounds)
+            }
+        };
+        IntGroups::spanning(lo, hi, INT_SLOTS_PER_ROW * values.len())
+    }
+
+    /// One table for the values of every set of `all`, each a lone `Int`
+    /// key's identified by value; `None` when one is not, or when the span
+    /// of all is wider than their tables together.
+    fn union<'k>(all: impl Iterator<Item = &'k Keys>) -> Option<Self> {
+        let (mut lo, mut hi, mut room) = (i64::MAX, i64::MIN, 0);
+        for keys in all {
+            let Keys::Ints(part) = keys else { return None };
+            let span = part.slots.len() - 1;
+            if span > 0 {
+                (lo, hi, room) = (lo.min(part.lo), hi.max(part.lo + (span - 1) as i64), room + span);
+            }
+        }
+        IntGroups::spanning(lo, hi, room)
+    }
+
+    /// The id of `value`'s group, the next free one when it is new; the
+    /// value lies in the table's span.
+    #[inline]
+    fn id_of(&mut self, value: Option<i64>) -> u32 {
+        let slot = value.map_or(self.slots.len() - 1, |v| v.wrapping_sub(self.lo) as usize);
+        if self.slots[slot] == UNSEEN {
+            self.slots[slot] = self.values.len() as u32;
+            self.values.push(value);
+        }
+        self.slots[slot]
+    }
+}
+
 /// The distinct group keys of one scan — a partition's, or in `merge` all
 /// partitions' — in first-seen order, and what identifies a group.
 enum Keys {
@@ -406,6 +481,8 @@ enum Keys {
     /// exists until [`Keys::into_rendered`] — for a nested plan's inner
     /// keys, never.
     Typed(Vec<fn(u64) -> Value>, CodeGroups),
+    /// A lone `Int` key whose values span few slots: the value.
+    Ints(IntGroups),
 }
 
 impl Keys {
@@ -413,14 +490,21 @@ impl Keys {
         match self {
             Keys::Rendered(keys, _) => keys.len(),
             Keys::Typed(_, groups) => groups.len(),
+            Keys::Ints(groups) => groups.values.len(),
         }
     }
 
-    /// An empty set that identifies groups the way `self` does.
-    fn like(&self) -> Keys {
-        match self {
-            Keys::Rendered(..) => Keys::Rendered(Vec::new(), HashMap::new()),
-            Keys::Typed(decode, groups) => Keys::Typed(decode.clone(), CodeGroups::new(groups.width)),
+    /// An empty set that identifies the groups of every set of `all` the
+    /// way they do. A lone `Int` key is identified by value when every set
+    /// is, and the span of all their tables is no wider than they are
+    /// together — so no wider than [`INT_SLOTS_PER_ROW`] slots a row — and
+    /// by its code otherwise.
+    fn union<'k>(mut all: impl Iterator<Item = &'k Keys> + Clone) -> Keys {
+        match all.clone().next() {
+            None | Some(Keys::Rendered(..)) => Keys::Rendered(Vec::new(), HashMap::new()),
+            Some(Keys::Typed(decode, groups)) => Keys::Typed(decode.clone(), CodeGroups::new(groups.width)),
+            Some(Keys::Ints(_)) => IntGroups::union(&mut all)
+                .map_or_else(|| Keys::Typed(vec![int_value], CodeGroups::new(1)), Keys::Ints),
         }
     }
 
@@ -435,11 +519,17 @@ impl Keys {
         keys.len() as u32 - 1
     }
 
-    /// The id here of `from`'s group `local`, the next free one when new.
+    /// The id here of `from`'s group `local`, the next free one when new;
+    /// `self` is the [`Keys::union`] of a list that holds `from`.
+    #[inline]
     fn adopt(&mut self, from: &Keys, local: usize) -> Result<u32> {
         match (self, from) {
             (Keys::Rendered(keys, ids), Keys::Rendered(part, _)) => Ok(Keys::intern(keys, ids, &part[local])),
             (Keys::Typed(_, all), Keys::Typed(_, part)) => Ok(all.id_of(part.tuple(local))),
+            (Keys::Ints(all), Keys::Ints(part)) => Ok(all.id_of(part.values[local])),
+            (Keys::Typed(_, all), Keys::Ints(part)) if all.width == 1 => {
+                Ok(all.id_of(&[part.values[local].map(|v| v as u64)]))
+            }
             _ => Err(ExecError::PlanInvariant("partitions disagree on the group key's types".into())),
         }
     }
@@ -453,8 +543,39 @@ impl Keys {
                 .map(|g| groups.tuple(g).iter().zip(&decode))
                 .map(|cells| join_cells(cells.map(|(cell, value)| cell.map_or(Value::Null, value))))
                 .collect(),
+            Keys::Ints(groups) => groups.values.iter().map(|&v| int_key(v)).collect(),
         }
     }
+
+    /// Every group's id and key string, in the order of the strings (keys
+    /// are distinct, so there is one). A lone `Int` key is ordered by its
+    /// values ([`string_order`]) and rendered in that order.
+    fn into_sorted(self) -> Vec<(usize, String)> {
+        if let Keys::Ints(groups) = &self {
+            let mut order: Vec<(u128, usize)> =
+                groups.values.iter().enumerate().map(|(g, &v)| (string_order(v), g)).collect();
+            order.sort_unstable();
+            return order.into_iter().map(|(_, g)| (g, int_key(groups.values[g]))).collect();
+        }
+        let mut keys: Vec<(usize, String)> = self.into_rendered().into_iter().enumerate().collect();
+        keys.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+        keys
+    }
+}
+
+/// A lone `Int` key's string, as `Value`'s `Display` writes it.
+fn int_key(value: Option<i64>) -> String {
+    value.map_or_else(|| Value::Null.to_string(), |v| v.to_string())
+}
+
+/// A number that orders `Int` keys as their strings ([`int_key`]) order:
+/// `-` before a digit before the `N` of NULL, then the digits of |v| read
+/// as a decimal fraction (a prefix comes first), then fewer digits first.
+fn string_order(value: Option<i64>) -> u128 {
+    let Some(v) = value else { return 2 << 72 };
+    let abs = v.unsigned_abs(); // at most 19 digits
+    let digits = abs.checked_ilog10().map_or(1, |d| d + 1);
+    u128::from(v >= 0) << 72 | u128::from(abs * 10u64.pow(19 - digits)) << 8 | u128::from(digits)
 }
 
 /// Resolve the group of every selection entry. Key columns that are all
@@ -464,13 +585,23 @@ impl Keys {
 /// print the separator or spell a NULL), at no string per row or group. A
 /// key that holds a string column identifies groups by the rendered
 /// string, so a `'NULL'` string and NULL share a group as rendered keys
-/// always did; it is rendered once per distinct code tuple. Either way a
-/// row finds its tuple through the partition's [`CodeGroups`], and a
-/// single column whose codes are dense through a slot table in front of
-/// it. Returns the partition-local group id per entry and the groups'
-/// keys.
+/// always did; it is rendered once per distinct code tuple. A lone column
+/// whose codes are dense — a dictionary's, a boolean's, an `Int`'s whose
+/// values span few slots ([`IntGroups::of_column`]) — is read in one typed loop
+/// through a slot table, the `Int` identified by value; any other key
+/// finds its tuple through the partition's [`CodeGroups`]. Returns the
+/// partition-local group id per entry and the groups' keys.
 fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &Selection) -> (Vec<u32>, Keys) {
     let cols: Vec<&Column> = key_cols.iter().map(|&c| batch.column(c)).collect();
+    if let [Column::Int { values, validity }] = cols.as_slice() {
+        if let Some(mut groups) = IntGroups::of_column(values, validity) {
+            let gids = match validity {
+                None => sel.gather(|row| groups.id_of(Some(values[row]))),
+                Some(valid) => sel.gather(|row| groups.id_of(valid[row].then(|| values[row]))),
+            };
+            return (gids, Keys::Ints(groups));
+        }
+    }
     let decode = cols.iter().map(|col| decoder(col)).collect::<Option<Vec<_>>>();
     let mut tuples = CodeGroups::new(cols.len());
     let mut code = Vec::with_capacity(cols.len());
@@ -498,18 +629,12 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &Selection) -> (Vec<u32
         }
         seen[tuple as usize]
     };
-    // A single column whose codes are dense by construction — a dictionary's,
-    // a boolean's — is read in one typed loop through a slot table.
     let gids = match cols.as_slice() {
         [Column::Str { dict, codes, validity }] => {
             dense_ids(sel, dict.len(), validity, |row| codes[row] as usize, group_of)
         }
         [Column::Bool { values, validity }] => dense_ids(sel, 2, validity, |row| usize::from(values[row]), group_of),
-        _ => {
-            let mut gids = vec![0; sel.len()];
-            sel.scatter(None, &mut gids, group_of);
-            gids
-        }
+        _ => sel.gather(group_of),
     };
     (gids, decode.map_or(Keys::Rendered(keys, ids), |decode| Keys::Typed(decode, tuples)))
 }
@@ -519,17 +644,20 @@ fn assign_groups(batch: &Batch, key_cols: &[usize], sel: &Selection) -> (Vec<u32
 /// rendered string and its row numbers in scan order, the keys in
 /// first-seen order.
 pub fn group_rows(table: &Table, key_cols: &[usize]) -> Result<Vec<(String, Vec<usize>)>> {
-    let (mut all, mut rows, mut start) = (None::<Keys>, Vec::<Vec<usize>>::new(), 0);
-    for part in table.partitions() {
-        let n = part.batch().num_rows();
-        let (gids, keys) = assign_groups(part.batch(), key_cols, &Selection::Prefix(n));
-        let all = all.get_or_insert_with(|| keys.like());
-        let ids = (0..keys.len()).map(|g| all.adopt(&keys, g)).collect::<Result<Vec<_>>>()?;
+    let parts: Vec<_> = table
+        .partitions()
+        .iter()
+        .map(|part| assign_groups(part.batch(), key_cols, &Selection::Prefix(part.batch().num_rows())))
+        .collect();
+    let mut all = Keys::union(parts.iter().map(|(_, keys)| keys));
+    let (mut rows, mut start) = (Vec::<Vec<usize>>::new(), 0);
+    for (gids, keys) in &parts {
+        let ids = (0..keys.len()).map(|g| all.adopt(keys, g)).collect::<Result<Vec<_>>>()?;
         rows.resize(all.len(), Vec::new());
         gids.iter().enumerate().for_each(|(row, &g)| rows[ids[g as usize] as usize].push(start + row));
-        start += n;
+        start += gids.len();
     }
-    Ok(all.map_or_else(Vec::new, Keys::into_rendered).into_iter().zip(rows).collect())
+    Ok(all.into_rendered().into_iter().zip(rows).collect())
 }
 
 /// The group of every entry of `sel` under a lone key column with `n`
@@ -543,19 +671,22 @@ fn dense_ids(
     code: impl Fn(usize) -> usize,
     mut group_of: impl FnMut(usize) -> u32,
 ) -> Vec<u32> {
-    let mut slots = vec![UNSEEN; n + 1];
-    let mut id = |row: usize, slot: usize| {
-        if slots[slot] == UNSEEN {
-            slots[slot] = group_of(row);
-        }
-        slots[slot]
-    };
-    let mut gids = vec![0; sel.len()];
-    match validity {
-        None => sel.scatter(None, &mut gids, |row| id(row, code(row))),
-        Some(valid) => sel.scatter(None, &mut gids, |row| id(row, if valid[row] { code(row) } else { n })),
+    /// A slot's first row: its group, out of the loop.
+    #[cold]
+    #[inline(never)]
+    fn first(slot: &mut u32, row: usize, group_of: &mut dyn FnMut(usize) -> u32) -> u32 {
+        *slot = group_of(row);
+        *slot
     }
-    gids
+    let mut slots = vec![UNSEEN; n + 1];
+    let mut id = |row: usize, slot: usize| match slots[slot] {
+        UNSEEN => first(&mut slots[slot], row, &mut group_of),
+        id => id,
+    };
+    match validity {
+        None => sel.gather(|row| id(row, code(row))),
+        Some(valid) => sel.gather(|row| id(row, if valid[row] { code(row) } else { n })),
+    }
 }
 
 /// The grouped selection of one partition: a slot per selection entry,
@@ -619,9 +750,11 @@ fn resolve<'a>(chain: &[&LogicalPlan], item: &ScanItem<'a>, keys: &[String], clo
 }
 
 /// Scan one partition: run the chain, resolve group ids once
-/// ([`resolve`]), turn them into a slot per selection entry, and scatter
-/// every aggregate's argument through the selection into its slots. `None`
-/// when the partition was lost.
+/// ([`resolve`]), turn them into a slot per selection entry, and read
+/// every aggregate's argument through the selection into its slots: pushed
+/// in order where the slots are the entries' own (the global group's,
+/// every entry a number), else scattered. `None` when the partition was
+/// lost.
 fn scan_partition(
     shape: &PlanShape<'_>, item: ScanItem<'_>, with_positions: bool, clock: &Clock,
 ) -> Result<Option<PartitionScan>> {
@@ -662,12 +795,24 @@ fn scan_partition(
         if dest.is_none() {
             ends.iter_mut().for_each(|end| *end = n);
         }
-        let mut positions = vec![0; if with_positions { n + 1 } else { 0 }];
-        if with_positions {
-            sel.scatter(dest.as_deref(), &mut positions, |row| item.offset + row as u32);
-        }
-        let mut codes = vec![0; inner_gids.len() + 1];
-        Selection::Prefix(inner_gids.len()).scatter(dest.as_deref(), &mut codes, |k| inner_gids[k]);
+        let position = |row: usize| item.offset + row as u32;
+        let positions = match (with_positions, &dest) {
+            (false, _) => Vec::new(),
+            (true, None) => sel.gather(position),
+            (true, Some(dest)) => {
+                let mut positions = vec![0; n + 1];
+                sel.scatter(dest, &mut positions, position);
+                positions
+            }
+        };
+        let codes = match &dest {
+            None => inner_gids.clone(),
+            Some(dest) => {
+                let mut codes = vec![0; inner_gids.len() + 1];
+                Selection::Prefix(inner_gids.len()).scatter(dest, &mut codes, |k| inner_gids[k]);
+                codes
+            }
+        };
         (dest, Arc::new(Slots { ends, positions, codes }))
     };
     let shared = slots(None);
@@ -681,8 +826,14 @@ fn scan_partition(
         let arg = eval_selected(arg, &batch, &sel)?;
         let own = arg.numbers(&sel).map(|numbers| slots(Some(&numbers)));
         let (dest, slots) = own.as_ref().unwrap_or(&shared);
-        let mut values = vec![0.0; n + 1];
-        arg.scatter_f64(&sel, dest.as_deref(), &mut values);
+        let values = match dest {
+            None => arg.gather_f64(&sel),
+            Some(dest) => {
+                let mut values = vec![0.0; n + 1];
+                arg.scatter_f64(&sel, dest, &mut values);
+                values
+            }
+        };
         out.push(Blocks { values, slots: slots.clone() });
     }
     Ok(Some(PartitionScan { keys, starts, aggs: out, inner_keys, op_deltas }))
@@ -850,11 +1001,13 @@ fn merge(
 ) -> Result<Vec<Group>> {
     let scans: Vec<PartitionScan> =
         scans.into_iter().filter_map(Result::transpose).collect::<Result<_>>()?;
-    let Some(first) = scans.first() else { return Ok(Vec::new()) };
+    if scans.is_empty() {
+        return Ok(Vec::new());
+    }
 
     // Global groups in first-seen order with the number of values each
     // aggregate receives, and every partition group's global index.
-    let mut keys = first.keys.like();
+    let mut keys = Keys::union(scans.iter().map(|scan| &scan.keys));
     let mut sizes: Vec<Vec<usize>> = Vec::new();
     let mut global_of = Vec::new();
     for scan in &scans {
@@ -868,29 +1021,24 @@ fn merge(
             global_of.push(g);
         }
     }
-    let mut groups: Vec<Group> = keys
-        .into_rendered()
+    let mut groups: Vec<Vec<AggData>> = sizes
         .into_iter()
-        .zip(sizes)
-        .map(|(key, sizes)| Group {
-            key,
-            aggs: sizes
-                .into_iter()
-                .map(|n| AggData {
-                    values: Vec::with_capacity(n),
-                    positions: Vec::with_capacity(if with_positions { n } else { 0 }),
-                    nested: nested.then(|| NestedData { codes: Vec::with_capacity(n), n_codes: 0 }),
-                })
-                .collect(),
+        .map(|sizes| {
+            let data = |n| AggData {
+                values: Vec::with_capacity(n),
+                positions: Vec::with_capacity(if with_positions { n } else { 0 }),
+                nested: nested.then(|| NestedData { codes: Vec::with_capacity(n), n_codes: 0 }),
+            };
+            sizes.into_iter().map(data).collect()
         })
         .collect();
 
-    let mut inner_keys = first.inner_keys.like();
+    let mut inner_keys = Keys::union(scans.iter().map(|scan| &scan.inner_keys));
     let mut global_of = global_of.into_iter();
     for scan in &scans {
         let mut code_of = vec![UNSEEN; scan.inner_keys.len()];
         for (local, g) in (0..scan.keys.len()).zip(global_of.by_ref()) {
-            for (data, part) in groups[g].aggs.iter_mut().zip(&scan.aggs) {
+            for (data, part) in groups[g].iter_mut().zip(&scan.aggs) {
                 let slots = &part.slots;
                 let block = scan.starts[local]..slots.ends[local];
                 data.values.extend_from_slice(&part.values[block.clone()]);
@@ -909,10 +1057,8 @@ fn merge(
             }
         }
     }
-    // Deterministic group order regardless of partition interleaving (keys
-    // are distinct, so an unstable sort has one outcome).
-    groups.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-    Ok(groups)
+    // Deterministic group order regardless of partition interleaving.
+    Ok(keys.into_sorted().into_iter().map(|(g, key)| Group { key, aggs: std::mem::take(&mut groups[g]) }).collect())
 }
 
 #[cfg(test)]
@@ -1272,6 +1418,52 @@ mod tests {
             ["-9223372036854775808|-inf|false", "10|0.5|true", "2|-0|false", "2|0|false", "NULL|2.5|true"]
         );
         assert_eq!(c.groups[1].aggs[0].positions, vec![0, 3]);
+    }
+
+    #[test]
+    fn a_lone_int_key_takes_a_slot_table_up_to_its_bound() {
+        // Four rows admit a span of eight slots, NULLs aside, and no more.
+        let span = |values: &[i64], validity: Option<Vec<bool>>| {
+            IntGroups::of_column(values, &validity).map(|g| (g.lo, g.slots.len() - 1))
+        };
+        assert_eq!(span(&[-3, 4, 0, 1], None), Some((-3, 8)));
+        assert_eq!(span(&[-3, 5, 0, 1], None), None);
+        assert_eq!(span(&[-3, 99, 0, 4], Some(vec![true, false, true, true])), Some((-3, 8)));
+        assert_eq!(span(&[7, 7, 0, 0], Some(vec![false; 4])), Some((0, 0)));
+        assert_eq!(span(&[i64::MIN, i64::MAX, 0, 0], None), None);
+        // Across partitions, by value while the union is no wider than the
+        // tables together; by code once it is, or once one partition is.
+        let part = |values: &[i64]| {
+            let mut groups = IntGroups::of_column(values, &None).expect("narrow");
+            for &v in values {
+                groups.id_of(Some(v));
+            }
+            Keys::Ints(groups)
+        };
+        let (a, b, far) = (part(&[0, 1, 2, 3]), part(&[4, 5, 6, 7]), part(&[100, 101]));
+        let Keys::Ints(both) = Keys::union([&a, &b].into_iter()) else { panic!("by value") };
+        assert_eq!((both.lo, both.slots.len() - 1), (0, 8));
+        assert!(matches!(Keys::union([&a, &far].into_iter()), Keys::Typed(..)));
+        let sparse = Keys::Typed(vec![int_value], CodeGroups::new(1));
+        let mut all = Keys::union([&a, &sparse].into_iter());
+        assert!(matches!(all, Keys::Typed(..)));
+        assert_eq!((0..4).map(|g| all.adopt(&a, g).unwrap()).collect::<Vec<_>>(), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn int_keys_sort_as_their_strings() {
+        let mut values: Vec<Option<i64>> = [0, 1, -1, 9, 10, 2, 19, 100, 99, -10, -9, -100, 1_000_000, i64::MIN, i64::MAX]
+            .into_iter()
+            .flat_map(|v| [Some(v), Some(v / 7), Some(v.saturating_sub(1))])
+            .chain([None])
+            .collect();
+        values.sort();
+        values.dedup();
+        let mut by_string = values.clone();
+        by_string.sort_by_key(|&v| int_key(v));
+        let mut by_order = values;
+        by_order.sort_by_key(|&v| string_order(v));
+        assert_eq!(by_order, by_string);
     }
 
     #[test]

@@ -1,25 +1,26 @@
 //! The exact path's aggregation: every (group, aggregate) accumulator takes
 //! its values in scan order, and nothing is collected (DESIGN §4 item 2).
 //!
-//! The partition workers run the chain, resolve group ids as `collect`
-//! does and read every aggregate's argument out of the partition. Then, in
-//! partition order whatever the thread count, each aggregate's values are
-//! folded into their groups' accumulators, in selection order. A group's
-//! accumulator so takes exactly the values `merge` would have concatenated
-//! for it, in the same order, and runs θ's own recurrence over them: the
-//! [`Accumulator`] that θ's `estimate` runs over a slice. A nested plan
-//! folds its inner aggregate per inner group, numbered in the order their
-//! first value arrives (as `merge` codes them), and calls the outer θ over
-//! the inner values, as `NestedTheta` does.
+//! The partition workers run the chain and resolve group ids as `collect`
+//! does; a float column argument stays in the table, read through the
+//! selection, and anything else is read out of the partition. Then, in
+//! partition order whatever the thread count, each aggregate's numbers are
+//! folded in selection order into one typed array of its θ's state per
+//! group ([`Accumulators`]), through global group ids. A group's state so
+//! takes exactly the values `merge` would have concatenated for it, in the
+//! same order, and runs θ's own recurrence over them: the one θ's
+//! `estimate` runs over a slice. A nested plan folds its inner aggregate
+//! per inner group, numbered in the order their first value arrives (as
+//! `merge` codes them), and calls the outer θ over the inner values, as
+//! `NestedTheta` does.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use aqp_obs::Clock;
 use aqp_sql::ast::AggExpr;
 use aqp_sql::expr::{eval_selected, Evaluated, Selection};
 use aqp_sql::logical::LogicalPlan;
-use aqp_stats::estimator::{Accumulator, SampleContext};
+use aqp_stats::estimator::{Accumulators, SampleContext};
 use aqp_storage::{Batch, Column, Table};
 
 use super::{chain_stats, decompose, fault_resolved_items, resolve, CollectObs, Keys, OpDelta, PlanShape, UNSEEN};
@@ -32,9 +33,17 @@ use crate::Result;
 /// Per group, in key order: its key and θ of every aggregate.
 type Answers = Vec<(String, Vec<f64>)>;
 
-/// One aggregate's argument for every entry of a partition, in selection
-/// order, and which entries are numbers (`None`: every one).
-type Argument<'a> = (Cow<'a, [f64]>, Option<Vec<bool>>);
+/// One aggregate's argument over a partition's entries.
+enum Argument<'a> {
+    /// `COUNT(*)`: every entry counts, and none has a value.
+    Rows,
+    /// A float column of the table, read in place: entry `k`'s value is
+    /// at its row, a number where the mask (`None`: every row) holds.
+    Floats(&'a [f64], Option<&'a [bool]>),
+    /// Anything else, read out: entry `k`'s value, and which entries are
+    /// numbers (`None`: every one).
+    Read(Vec<f64>, Option<Vec<bool>>),
+}
 
 /// A plan's partitions through the chain, in partition order: what
 /// [`Scanned::fold`] reads.
@@ -48,6 +57,7 @@ pub(crate) struct Scanned<'a> {
 /// One partition through the chain: every entry's group and every
 /// aggregate's argument (a nested plan's: its inner aggregate's).
 struct Partition<'a> {
+    sel: Selection,
     /// The partition-local group of each entry; empty for the global group.
     gids: Vec<u32>,
     /// The partition's groups, in first-seen order.
@@ -58,7 +68,7 @@ struct Partition<'a> {
 
 /// Run the chain over every partition of `table` on up to `threads`
 /// workers, resolve each entry's group — by the GROUP BY keys, or a nested
-/// plan's by its inner key — and read every aggregate's argument.
+/// plan's by its inner key — and find every aggregate's argument.
 pub(crate) fn scan<'a>(plan: &'a LogicalPlan, table: &'a Table, threads: usize, clock: &Clock) -> Result<(Scanned<'a>, CollectObs)> {
     let shape = decompose(plan)?;
     let (items, _) = fault_resolved_items(table, None, clock);
@@ -68,10 +78,10 @@ pub(crate) fn scan<'a>(plan: &'a LogicalPlan, table: &'a Table, threads: usize, 
         let args = shape.aggs().iter().map(|agg| match &part.batch {
             Cow::Borrowed(batch) => argument(agg, batch, &part.sel),
             // Read out of a batch the partition drops.
-            Cow::Owned(batch) => argument(agg, batch, &part.sel).map(|(xs, is)| (Cow::Owned(xs.into_owned()), is)),
+            Cow::Owned(batch) => argument(agg, batch, &part.sel).map(|arg| arg.read_out(&part.sel)),
         });
         let args = args.collect::<Result<_>>()?;
-        Ok(Partition { gids: part.gids, keys: part.keys, args, op_deltas: part.op_deltas })
+        Ok(Partition { sel: part.sel, gids: part.gids, keys: part.keys, args, op_deltas: part.op_deltas })
     });
     let ops = chain_stats(plan, &shape.chain, parts.iter().flatten().map(|p| &p.op_deltas[..]));
     let parts = parts.into_iter().collect::<Result<_>>()?;
@@ -86,86 +96,154 @@ impl Scanned<'_> {
         let ctx = SampleContext::population(self.rows);
         let Scanned { shape, parts, .. } = self;
         let thetas = &prepare_thetas(shape.top_aggs, shape.inner.map(|(agg, _)| agg), registry)?;
-        let mut keys = parts.first().map_or_else(|| Keys::Rendered(Vec::new(), HashMap::new()), |p| p.keys.like());
+        let mut keys = Keys::union(parts.iter().map(|p| &p.keys));
         if let Some(inner) = thetas.first().and_then(|t| t.inner) {
             let (group_values, values) = fold_nested(&parts, inner, keys, ctx.scale())?;
             let outer = thetas.iter().map(|t| outer_over_groups(&t.outer, &group_values)).collect();
             return Ok((vec![(String::new(), outer)], values));
         }
         let grouped = !shape.group_by.is_empty();
-        // Per aggregate, one accumulator per group: the global group's without keys.
-        let mut accs: Vec<Vec<Accumulator>> = thetas.iter().map(|_| Vec::new()).collect();
+        // Every partition group's global id, partition by partition.
+        let adopt = |p: &Partition<'_>| (0..p.keys.len()).map(|g| keys.adopt(&p.keys, g)).collect();
+        let global: Vec<Vec<u32>> = match grouped {
+            true => parts.iter().map(adopt).collect::<Result<_>>()?,
+            false => Vec::new(),
+        };
+        let groups = if grouped { keys.len() } else { 1 };
+        let mut accs: Vec<_> = thetas.iter().map(|t| Accumulators::new(t.outer.accumulator(), groups)).collect();
         let mut values = 0;
-        for mut part in parts {
-            if grouped {
-                // Partition-local ids become global ones.
-                let global: Vec<u32> = (0..part.keys.len()).map(|g| keys.adopt(&part.keys, g)).collect::<Result<_>>()?;
-                part.gids.iter_mut().for_each(|g| *g = global[*g as usize]);
-            }
-            for (i, ((accs, theta), (xs, numbers))) in accs.iter_mut().zip(thetas).zip(&part.args).enumerate() {
+        for (p, part) in parts.iter().enumerate() {
+            for (i, (accs, arg)) in accs.iter_mut().zip(&part.args).enumerate() {
                 if i == 0 {
-                    values += numbers.as_ref().map_or(xs.len(), |is| is.iter().filter(|&&is| is).count()) as u64;
+                    numbers(arg, &part.sel, Count(&mut values))?;
                 }
-                accs.resize(keys.len().max(1), theta.outer.accumulator());
-                // Every number, into its group's accumulator: the global one without `gids`.
-                let entries = xs.iter().enumerate().filter(|&(k, _)| numbers.as_ref().is_none_or(|is| is[k]));
-                Accumulator::fold(accs, entries.map(|(k, &x)| (part.gids.get(k).map_or(0, |&g| g as usize), x)));
+                let gids = global.get(p).map(|global| (&part.gids[..], &global[..]));
+                match (arg, gids) {
+                    (Argument::Rows, None) => accs.count((0..part.sel.len()).map(|_| 0)),
+                    (Argument::Rows, Some((gids, global))) => {
+                        accs.count(gids.iter().map(|&g| global[g as usize] as usize));
+                    }
+                    (arg, gids) => numbers(arg, &part.sel, Fold(accs, gids))?,
+                }
             }
         }
-        let rendered = if grouped { keys.into_rendered() } else { vec![String::new()] };
-        let mut answers = vec![Vec::with_capacity(thetas.len()); rendered.len()];
-        for (mut accs, theta) in accs.into_iter().zip(thetas) {
-            // An accumulator for every group, and the global one without a partition.
-            accs.resize(rendered.len(), theta.outer.accumulator());
-            answers.iter_mut().zip(accs).for_each(|(answer, acc)| answer.push(theta.outer.finish(acc, &ctx)));
+        let mut answers = vec![Vec::with_capacity(thetas.len()); groups];
+        for (accs, theta) in accs.into_iter().zip(thetas) {
+            let states = accs.into_states().into_iter();
+            answers.iter_mut().zip(states).for_each(|(answer, acc)| answer.push(theta.outer.finish(acc, &ctx)));
         }
-        let mut groups: Answers = rendered.into_iter().zip(answers).collect();
-        // Keys are distinct, so an unstable sort has one outcome.
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Ok((groups, values))
+        let sorted = if grouped { keys.into_sorted() } else { vec![(0, String::new())] };
+        Ok((sorted.into_iter().map(|(g, key)| (key, std::mem::take(&mut answers[g]))).collect(), values))
     }
 }
 
-/// `agg`'s argument for every entry of `sel` — a float column's prefix read
-/// in place, anything else read out through the selection.
+/// `agg`'s argument for the entries of `sel`: a float column stays where
+/// it is, anything else is read out through the selection.
 fn argument<'b>(agg: &'b AggExpr, batch: &'b Batch, sel: &Selection) -> Result<Argument<'b>> {
-    let Some(arg) = &agg.arg else {
-        // `COUNT(*)` counts every entry.
-        return Ok((Cow::Owned(vec![1.0; sel.len()]), None));
-    };
-    let arg = eval_selected(arg, batch, sel)?;
-    let numbers = arg.numbers(sel);
-    let xs = match (arg, sel) {
-        (Evaluated::Column(Column::Float { values, .. }), Selection::Prefix(n)) => Cow::Borrowed(&values[..*n]),
-        (arg, sel) => {
-            let mut xs = vec![0.0; sel.len()];
-            arg.scatter_f64(sel, None, &mut xs);
-            Cow::Owned(xs)
+    let Some(arg) = &agg.arg else { return Ok(Argument::Rows) };
+    Ok(match eval_selected(arg, batch, sel)? {
+        Evaluated::Column(Column::Float { values, validity }) => Argument::Floats(values, validity.as_deref()),
+        arg => Argument::Read(arg.gather_f64(sel), arg.numbers(sel)),
+    })
+}
+
+impl Argument<'_> {
+    /// The same argument, owning its values.
+    fn read_out(self, sel: &Selection) -> Argument<'static> {
+        match self {
+            Argument::Rows => Argument::Rows,
+            Argument::Floats(xs, valid) => {
+                Argument::Read(sel.gather(|row| xs[row]), valid.map(|valid| sel.gather(|row| valid[row])))
+            }
+            Argument::Read(xs, numbers) => Argument::Read(xs, numbers),
         }
-    };
-    Ok((xs, numbers))
+    }
+}
+
+/// What takes an argument's numbers, as `(entry, value)` in selection
+/// order.
+trait Take {
+    fn take(self, numbers: impl Iterator<Item = (usize, f64)>) -> Result<()>;
+}
+
+/// Every number of `arg` with its entry, in selection order, into `take`
+/// as one typed run: `COUNT(*)` gives 1.0 for every entry.
+fn numbers(arg: &Argument<'_>, sel: &Selection, take: impl Take) -> Result<()> {
+    match (arg, sel) {
+        (Argument::Rows, sel) => take.take((0..sel.len()).map(|k| (k, 1.0))),
+        (Argument::Floats(xs, None), Selection::Prefix(n)) => take.take(xs[..*n].iter().copied().enumerate()),
+        (Argument::Floats(xs, None), Selection::Rows(rows)) => {
+            take.take(rows.iter().map(|&r| xs[r as usize]).enumerate())
+        }
+        (Argument::Floats(xs, Some(valid)), Selection::Prefix(n)) => {
+            take.take(xs[..*n].iter().copied().enumerate().filter(|&(r, _)| valid[r]))
+        }
+        (Argument::Floats(xs, Some(valid)), Selection::Rows(rows)) => {
+            let rows = rows.iter().map(|&r| r as usize).enumerate();
+            take.take(rows.filter(|&(_, r)| valid[r]).map(|(k, r)| (k, xs[r])))
+        }
+        (Argument::Read(xs, None), _) => take.take(xs.iter().copied().enumerate()),
+        (Argument::Read(xs, Some(is)), _) => take.take(xs.iter().copied().enumerate().filter(|&(k, _)| is[k])),
+    }
+}
+
+/// How many numbers there are.
+struct Count<'a>(&'a mut u64);
+
+impl Take for Count<'_> {
+    fn take(self, numbers: impl Iterator<Item = (usize, f64)>) -> Result<()> {
+        *self.0 += numbers.count() as u64;
+        Ok(())
+    }
+}
+
+/// Into one θ's state per group: entry `k` into group `global[gids[k]]`'s,
+/// or the global group's without group ids.
+struct Fold<'a>(&'a mut Accumulators, Option<(&'a [u32], &'a [u32])>);
+
+impl Take for Fold<'_> {
+    fn take(self, numbers: impl Iterator<Item = (usize, f64)>) -> Result<()> {
+        match self.1 {
+            None => self.0.fold(numbers.map(|(_, x)| (0, x))),
+            Some((gids, global)) => self.0.fold(numbers.map(|(k, x)| (global[gids[k] as usize] as usize, x))),
+        }
+        Ok(())
+    }
 }
 
 /// A nested plan's inner aggregate per inner group, a group numbered when
 /// its first value arrives: the groups' inner values in that order, and
 /// how many values there were.
 fn fold_nested(parts: &[Partition<'_>], inner: InnerAggregate, mut keys: Keys, scale: f64) -> Result<(Vec<f64>, u64)> {
+    /// Into the inner groups' accumulators and row counts.
+    struct Inner<'a> {
+        part: &'a Partition<'a>,
+        inner: InnerAggregate,
+        keys: &'a mut Keys,
+        accs: &'a mut Vec<(f64, u64)>,
+    }
+    impl Take for Inner<'_> {
+        fn take(self, numbers: impl Iterator<Item = (usize, f64)>) -> Result<()> {
+            let mut global = vec![UNSEEN; self.part.keys.len()];
+            for (k, x) in numbers {
+                let local = self.part.gids[k] as usize;
+                let g = &mut global[local];
+                if *g == UNSEEN {
+                    *g = self.keys.adopt(&self.part.keys, local)?;
+                    self.accs.resize(self.keys.len(), (self.inner.start(), 0));
+                }
+                let (acc, rows) = &mut self.accs[*g as usize];
+                self.inner.push(acc, x, 1);
+                *rows += 1;
+            }
+            Ok(())
+        }
+    }
     // Per inner group: the accumulator and its row count.
     let mut accs: Vec<(f64, u64)> = Vec::new();
     for part in parts {
-        let Some((xs, numbers)) = part.args.first() else { continue };
-        let mut global = vec![UNSEEN; part.keys.len()];
-        let entries = xs.iter().zip(&part.gids).enumerate();
-        for (_, (&x, &local)) in entries.filter(|&(k, _)| numbers.as_ref().is_none_or(|is| is[k])) {
-            let g = &mut global[local as usize];
-            if *g == UNSEEN {
-                *g = keys.adopt(&part.keys, local as usize)?;
-                accs.resize(keys.len(), (inner.start(), 0));
-            }
-            let (acc, rows) = &mut accs[*g as usize];
-            inner.push(acc, x, 1);
-            *rows += 1;
-        }
+        let Some(arg) = part.args.first() else { continue };
+        numbers(arg, &part.sel, Inner { part, inner, keys: &mut keys, accs: &mut accs })?;
     }
     let values = accs.iter().map(|&(_, rows)| rows).sum();
     Ok((accs.iter().map(|&(acc, rows)| inner.value(acc, rows, scale)).collect(), values))

@@ -48,33 +48,36 @@ impl Selection {
         rows
     }
 
-    /// `out[dest[k]] = cell(row k)` for every entry `k`, `out[k]` without
-    /// a `dest`. `out` has a slot for every entry (every `dest`).
-    pub fn scatter<T>(&self, dest: Option<&[u32]>, out: &mut [T], mut cell: impl FnMut(usize) -> T) {
-        match (self, dest) {
-            (Selection::Prefix(n), None) => out.iter_mut().zip(0..*n).for_each(|(o, r)| *o = cell(r)),
-            (Selection::Rows(rows), None) => {
-                out.iter_mut().zip(rows).for_each(|(o, &r)| *o = cell(r as usize));
-            }
-            (Selection::Prefix(n), Some(dest)) => {
-                dest.iter().zip(0..*n).for_each(|(&d, r)| out[d as usize] = cell(r));
-            }
-            (Selection::Rows(rows), Some(dest)) => {
-                dest.iter().zip(rows).for_each(|(&d, &r)| out[d as usize] = cell(r as usize));
-            }
+    /// `cell(row k)` for every entry `k`, pushed in order: no buffer is
+    /// filled first.
+    pub fn gather<T>(&self, mut cell: impl FnMut(usize) -> T) -> Vec<T> {
+        match self {
+            Selection::Prefix(n) => (0..*n).map(cell).collect(),
+            Selection::Rows(rows) => rows.iter().map(|&r| cell(r as usize)).collect(),
+        }
+    }
+
+    /// `out[dest[k]] = cell(row k)` for every entry `k`; `out` has a slot
+    /// for every `dest`.
+    pub fn scatter<T>(&self, dest: &[u32], out: &mut [T], mut cell: impl FnMut(usize) -> T) {
+        match self {
+            Selection::Prefix(n) => dest.iter().zip(0..*n).for_each(|(&d, r)| out[d as usize] = cell(r)),
+            Selection::Rows(rows) => dest.iter().zip(rows).for_each(|(&d, &r)| out[d as usize] = cell(r as usize)),
         }
     }
 
     /// Keep the entries `keep(k, row k)` holds for, order and repeats
     /// preserved. Branch-free: every entry is written, the cursor moves
-    /// past the kept ones only.
+    /// past the kept ones only. The cursor never passes the entry, so
+    /// `kept.min(r)` is `kept`, written where the compiler sees it in
+    /// bounds.
     fn retain(&mut self, keep: impl Fn(usize, usize) -> bool) {
         match self {
             Selection::Prefix(n) => {
                 let mut rows = vec![0; *n];
                 let mut kept = 0;
                 for r in 0..*n {
-                    rows[kept] = r as u32;
+                    rows[kept.min(r)] = r as u32;
                     kept += usize::from(keep(r, r));
                 }
                 rows.truncate(kept);
@@ -116,23 +119,34 @@ impl Evaluated<'_> {
             ) => return None,
             Evaluated::Column(c) => c,
         };
-        let mut numbers = vec![false; sel.len()];
-        sel.scatter(None, &mut numbers, |r| col.f64_at(r).is_some());
+        let numbers = sel.gather(|r| col.f64_at(r).is_some());
         numbers.contains(&false).then_some(numbers)
+    }
+
+    /// [`Selection::gather`] of the entries' numbers, in one typed loop;
+    /// an entry that is no number gives an unspecified one.
+    pub fn gather_f64(&self, sel: &Selection) -> Vec<f64> {
+        let every = Selection::Prefix(sel.len());
+        match self {
+            Evaluated::Dense(c) => Evaluated::Column(c).gather_f64(&every),
+            Evaluated::Scalar(v) => every.gather(|_| v.as_f64().unwrap_or(0.0)),
+            Evaluated::Column(Column::Float { values, .. }) => sel.gather(|r| values[r]),
+            Evaluated::Column(Column::Int { values, .. }) => sel.gather(|r| values[r] as f64),
+            Evaluated::Column(Column::Bool { values, .. }) => sel.gather(|r| f64::from(u8::from(values[r]))),
+            Evaluated::Column(Column::Str { .. }) => vec![0.0; sel.len()],
+        }
     }
 
     /// [`Selection::scatter`] of the entries' numbers, in one typed loop;
     /// an entry that is no number writes an unspecified one, or none.
-    pub fn scatter_f64(&self, sel: &Selection, dest: Option<&[u32]>, out: &mut [f64]) {
+    pub fn scatter_f64(&self, sel: &Selection, dest: &[u32], out: &mut [f64]) {
         let every = Selection::Prefix(sel.len());
         match self {
             Evaluated::Dense(c) => Evaluated::Column(c).scatter_f64(&every, dest, out),
             Evaluated::Scalar(v) => every.scatter(dest, out, |_| v.as_f64().unwrap_or(0.0)),
             Evaluated::Column(Column::Float { values, .. }) => sel.scatter(dest, out, |r| values[r]),
             Evaluated::Column(Column::Int { values, .. }) => sel.scatter(dest, out, |r| values[r] as f64),
-            Evaluated::Column(Column::Bool { values, .. }) => {
-                sel.scatter(dest, out, |r| f64::from(u8::from(values[r])));
-            }
+            Evaluated::Column(Column::Bool { values, .. }) => sel.scatter(dest, out, |r| f64::from(u8::from(values[r]))),
             Evaluated::Column(Column::Str { .. }) => {}
         }
     }
@@ -180,8 +194,7 @@ fn num(e: &Evaluated<'_>, sel: &Selection) -> Lane<f64> {
     if let Evaluated::Scalar(v) = e {
         return Lane::Const(v.as_f64());
     }
-    let mut xs = vec![0.0; sel.len()];
-    e.scatter_f64(sel, None, &mut xs);
+    let xs = e.gather_f64(sel);
     Lane::Rows(match e.numbers(sel) {
         None => xs.into_iter().map(Some).collect(),
         Some(numbers) => xs.into_iter().zip(numbers).map(|(x, is)| is.then_some(x)).collect(),
@@ -271,7 +284,7 @@ pub fn eval_selected<'a>(expr: &'a Expr, batch: &'a Batch, sel: &Selection) -> R
 /// Which entries of `sel` satisfy `expr`; NULL ("unknown") is not true.
 pub fn eval_predicate_selected(expr: &Expr, batch: &Batch, sel: &Selection) -> Result<Vec<bool>> {
     if let Some(fused) = fused(expr, batch)? {
-        let mut truth = vec![false; sel.len()];
+        let mut truth = Vec::new();
         fused.run(Mark(sel, &mut truth));
         return Ok(truth);
     }
@@ -295,7 +308,10 @@ fn combined(op: BinOp, mut l: Vec<bool>, r: Vec<bool>) -> Vec<bool> {
 /// repeats preserved).
 pub fn narrow(predicate: &Expr, batch: &Batch, sel: &mut Selection) -> Result<()> {
     if let Some(fused) = fused(predicate, batch)? {
-        fused.run(Narrow(sel));
+        match *sel {
+            Selection::Prefix(n) => fused.cut(n).run(Narrow(sel)),
+            Selection::Rows(_) => fused.run(Narrow(sel)),
+        }
         return Ok(());
     }
     if let Expr::Binary { op: BinOp::And, lhs, rhs } = predicate {
@@ -310,13 +326,42 @@ pub fn narrow(predicate: &Expr, batch: &Batch, sel: &mut Selection) -> Result<()
 /// A predicate that one typed loop decides row by row.
 enum Fused<'a> {
     /// `column <op> number`, the shape filters have (the mirrored spelling
-    /// takes the general route); `None` for a constant that is NULL or a
-    /// string against numbers, which nothing compares to.
-    Number(&'a Column, BinOp, Option<f64>),
+    /// takes the general route): the column's cells and NULL mask; `None`
+    /// for a constant that is NULL or a string against numbers, which
+    /// nothing compares to.
+    Number(Cells<'a>, Option<&'a [bool]>, BinOp, Option<f64>),
     /// Comparisons of one string column with string literals, `AND`ed and
     /// `OR`ed at will: its codes and NULL mask, and the truth of each
     /// dictionary entry.
-    Dictionary(&'a [u32], &'a Option<Vec<bool>>, Vec<bool>),
+    Dictionary(&'a [u32], Option<&'a [bool]>, Vec<bool>),
+}
+
+/// The cells of a column a number is compared with.
+enum Cells<'a> {
+    Float(&'a [f64]),
+    Int(&'a [i64]),
+    Bool(&'a [bool]),
+    Str,
+}
+
+impl<'a> Fused<'a> {
+    /// The same predicate over the rows `0..n` alone: every slice cut to
+    /// that length, so a loop over them reads no row out of bounds.
+    fn cut(self, n: usize) -> Self {
+        let mask = |m: Option<&'a [bool]>| m.map(|m| &m[..n]);
+        match self {
+            Fused::Number(cells, m, op, x) => {
+                let cells = match cells {
+                    Cells::Float(v) => Cells::Float(&v[..n]),
+                    Cells::Int(v) => Cells::Int(&v[..n]),
+                    Cells::Bool(v) => Cells::Bool(&v[..n]),
+                    Cells::Str => Cells::Str,
+                };
+                Fused::Number(cells, mask(m), op, x)
+            }
+            Fused::Dictionary(codes, m, table) => Fused::Dictionary(&codes[..n], mask(m), table),
+        }
+    }
 }
 
 fn fused<'a>(expr: &Expr, batch: &'a Batch) -> Result<Option<Fused<'a>>> {
@@ -334,9 +379,17 @@ fn fused<'a>(expr: &Expr, batch: &'a Batch) -> Result<Option<Fused<'a>>> {
     Ok(match (col, &**rhs) {
         (Column::Str { dict, codes, validity }, Expr::Literal(Value::Str(s))) => {
             let table = dict.iter().map(|d| ord_matches(*op, d.as_str().cmp(s))).collect();
-            Some(Fused::Dictionary(codes, validity, table))
+            Some(Fused::Dictionary(codes, validity.as_deref(), table))
         }
-        (_, rhs) => number(rhs).map(|x| Fused::Number(col, *op, x)),
+        (_, rhs) => number(rhs).map(|x| {
+            let (cells, validity) = match col {
+                Column::Float { values, validity } => (Cells::Float(values), validity),
+                Column::Int { values, validity } => (Cells::Int(values), validity),
+                Column::Bool { values, validity } => (Cells::Bool(values), validity),
+                Column::Str { validity, .. } => (Cells::Str, validity),
+            };
+            Fused::Number(cells, validity.as_deref(), *op, x)
+        }),
     })
 }
 
@@ -364,11 +417,11 @@ impl Sink for Narrow<'_> {
 }
 
 /// The truth of every entry of a selection, for the general route.
-struct Mark<'a>(&'a Selection, &'a mut [bool]);
+struct Mark<'a>(&'a Selection, &'a mut Vec<bool>);
 
 impl Sink for Mark<'_> {
     fn run(self, truth: impl Fn(usize) -> bool) {
-        self.0.scatter(None, self.1, truth);
+        *self.1 = self.0.gather(truth);
     }
 }
 
@@ -379,32 +432,30 @@ impl Fused<'_> {
     /// a number, and anything against NULL or NaN, is unknown: not true.
     #[allow(clippy::double_comparisons)] // `v != x` would call a NaN unequal; SQL calls it unknown
     fn run(self, sink: impl Sink) {
-        fn masked(validity: &Option<Vec<bool>>, sink: impl Sink, truth: impl Fn(usize) -> bool) {
+        fn masked(validity: Option<&[bool]>, sink: impl Sink, truth: impl Fn(usize) -> bool) {
             match validity {
                 None => sink.run(truth),
                 Some(m) => sink.run(|r| m[r] && truth(r)),
             }
         }
-        fn numeric(col: &Column, sink: impl Sink, pred: impl Fn(f64) -> bool) {
-            match col {
-                Column::Float { values, validity } => masked(validity, sink, |r| pred(values[r])),
-                Column::Int { values, validity } => masked(validity, sink, |r| pred(values[r] as f64)),
-                Column::Bool { values, validity } => {
-                    masked(validity, sink, |r| pred(f64::from(u8::from(values[r]))));
-                }
-                Column::Str { .. } => sink.run(|_| false),
+        fn numeric(cells: Cells<'_>, validity: Option<&[bool]>, sink: impl Sink, pred: impl Fn(f64) -> bool) {
+            match cells {
+                Cells::Float(values) => masked(validity, sink, |r| pred(values[r])),
+                Cells::Int(values) => masked(validity, sink, |r| pred(values[r] as f64)),
+                Cells::Bool(values) => masked(validity, sink, |r| pred(f64::from(u8::from(values[r])))),
+                Cells::Str => sink.run(|_| false),
             }
         }
         match self {
             Fused::Dictionary(codes, validity, table) => {
                 masked(validity, sink, |r| table.get(codes[r] as usize).copied().unwrap_or(false));
             }
-            Fused::Number(col, BinOp::Eq, Some(x)) => numeric(col, sink, |v| v == x),
-            Fused::Number(col, BinOp::Ne, Some(x)) => numeric(col, sink, |v| v < x || v > x),
-            Fused::Number(col, BinOp::Lt, Some(x)) => numeric(col, sink, |v| v < x),
-            Fused::Number(col, BinOp::Le, Some(x)) => numeric(col, sink, |v| v <= x),
-            Fused::Number(col, BinOp::Gt, Some(x)) => numeric(col, sink, |v| v > x),
-            Fused::Number(col, BinOp::Ge, Some(x)) => numeric(col, sink, |v| v >= x),
+            Fused::Number(cells, m, BinOp::Eq, Some(x)) => numeric(cells, m, sink, |v| v == x),
+            Fused::Number(cells, m, BinOp::Ne, Some(x)) => numeric(cells, m, sink, |v| v < x || v > x),
+            Fused::Number(cells, m, BinOp::Lt, Some(x)) => numeric(cells, m, sink, |v| v < x),
+            Fused::Number(cells, m, BinOp::Le, Some(x)) => numeric(cells, m, sink, |v| v <= x),
+            Fused::Number(cells, m, BinOp::Gt, Some(x)) => numeric(cells, m, sink, |v| v > x),
+            Fused::Number(cells, m, BinOp::Ge, Some(x)) => numeric(cells, m, sink, |v| v >= x),
             Fused::Number(..) => sink.run(|_| false),
         }
     }

@@ -54,8 +54,8 @@ impl SampleContext {
 
 /// A θ's running state over one group's values, taken one at a time in
 /// order ([`Accumulator::fold`]). [`Aggregate::estimate`](QueryEstimator::estimate)
-/// runs a slice through it and the exact path every group's values as the
-/// scan reaches them, so the two agree bit for bit.
+/// runs a slice through it, and the exact path every group's values as the
+/// scan reaches them through [`Accumulators`], so the two agree bit for bit.
 #[derive(Debug, Clone)]
 pub enum Accumulator {
     /// AVG, SUM, COUNT: Σx from −0.0 (`Sum for f64`'s identity, so an empty
@@ -76,25 +76,90 @@ pub enum Accumulator {
 }
 
 impl Accumulator {
-    /// Take the value of every `(g, x)` of `entries` into `accs[g]`, in
-    /// order; `accs` holds one θ's accumulators, one per group, and a value
-    /// whose group's accumulator is another θ's is dropped. θ is matched
-    /// once for the run: a lone group's state is held in locals meanwhile,
-    /// so that a long run keeps it in registers.
+    /// Take every value of `values`, in order. θ is matched once for the
+    /// run, whose state so stays in registers.
     #[inline]
-    pub fn fold(accs: &mut [Accumulator], entries: impl Iterator<Item = (usize, f64)>) {
-        use Accumulator::{Max, Min, Moments, Sum, Values};
-        match accs {
-            [Sum(acc)] => *acc = entries.fold(*acc, |acc, (_, x)| add(acc, x)),
-            [Moments(acc)] => *acc = entries.fold(*acc, |acc, (_, x)| welford(acc, x)),
-            [Min(m)] => *m = entries.fold(*m, |m, (_, x)| m.min(x)),
-            [Max(m)] => *m = entries.fold(*m, |m, (_, x)| m.max(x)),
-            [Sum(..), ..] => entries.for_each(|(g, x)| if let Sum(acc) = &mut accs[g] { *acc = add(*acc, x) }),
-            [Moments(..), ..] => entries.for_each(|(g, x)| if let Moments(acc) = &mut accs[g] { *acc = welford(*acc, x) }),
-            [Min(..), ..] => entries.for_each(|(g, x)| if let Min(m) = &mut accs[g] { *m = m.min(x) }),
-            [Max(..), ..] => entries.for_each(|(g, x)| if let Max(m) = &mut accs[g] { *m = m.max(x) }),
-            [Values(..), ..] => entries.for_each(|(g, x)| if let Values(xs) = &mut accs[g] { xs.push(x) }),
-            [] => {}
+    pub fn fold(&mut self, values: impl Iterator<Item = f64>) {
+        match self {
+            Accumulator::Sum(acc) => *acc = values.fold(*acc, add),
+            Accumulator::Moments(acc) => *acc = values.fold(*acc, welford),
+            Accumulator::Min(m) => *m = values.fold(*m, f64::min),
+            Accumulator::Max(m) => *m = values.fold(*m, f64::max),
+            Accumulator::Values(xs) => xs.extend(values),
+        }
+    }
+}
+
+/// One θ's [`Accumulator`] for every group of a scan, as one typed array
+/// with group `g`'s state at `g`: a run of `(g, x)` takes each value into
+/// its group's state in order ([`Accumulators::fold`]), θ matched once per
+/// run and never per value.
+#[derive(Debug, Clone)]
+pub enum Accumulators {
+    /// [`Accumulator::Sum`] per group.
+    Sum(Vec<(f64, u64)>),
+    /// [`Accumulator::Moments`] per group.
+    Moments(Vec<(f64, f64, f64)>),
+    /// [`Accumulator::Min`] per group.
+    Min(Vec<f64>),
+    /// [`Accumulator::Max`] per group.
+    Max(Vec<f64>),
+    /// [`Accumulator::Values`] per group.
+    Values(Vec<Vec<f64>>),
+}
+
+impl Accumulators {
+    /// `groups` groups, each in the state `start` (θ's before its first
+    /// value).
+    pub fn new(start: Accumulator, groups: usize) -> Self {
+        match start {
+            Accumulator::Sum(acc) => Accumulators::Sum(vec![acc; groups]),
+            Accumulator::Moments(acc) => Accumulators::Moments(vec![acc; groups]),
+            Accumulator::Min(m) => Accumulators::Min(vec![m; groups]),
+            Accumulator::Max(m) => Accumulators::Max(vec![m; groups]),
+            Accumulator::Values(xs) => Accumulators::Values(vec![xs; groups]),
+        }
+    }
+
+    /// Take the value of every `(g, x)` of `entries` into group `g`'s
+    /// state, in order. A lone group's state is held in locals meanwhile.
+    #[inline]
+    pub fn fold(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        match self {
+            Accumulators::Sum(accs) if accs.len() == 1 => accs[0] = entries.fold(accs[0], |acc, (_, x)| add(acc, x)),
+            Accumulators::Moments(accs) if accs.len() == 1 => {
+                accs[0] = entries.fold(accs[0], |acc, (_, x)| welford(acc, x));
+            }
+            Accumulators::Min(ms) if ms.len() == 1 => ms[0] = entries.fold(ms[0], |m, (_, x)| m.min(x)),
+            Accumulators::Max(ms) if ms.len() == 1 => ms[0] = entries.fold(ms[0], |m, (_, x)| m.max(x)),
+            Accumulators::Sum(accs) => entries.for_each(|(g, x)| accs[g] = add(accs[g], x)),
+            Accumulators::Moments(accs) => entries.for_each(|(g, x)| accs[g] = welford(accs[g], x)),
+            Accumulators::Min(ms) => entries.for_each(|(g, x)| ms[g] = ms[g].min(x)),
+            Accumulators::Max(ms) => entries.for_each(|(g, x)| ms[g] = ms[g].max(x)),
+            Accumulators::Values(xs) => entries.for_each(|(g, x)| xs[g].push(x)),
+        }
+    }
+
+    /// `COUNT(*)`'s rows: one row with no value into each group of
+    /// `groups`. COUNT reads the count of its `Sum` alone, so Σx is left
+    /// as it is; any other θ takes the value 1.0.
+    #[inline]
+    pub fn count(&mut self, groups: impl Iterator<Item = usize>) {
+        match self {
+            Accumulators::Sum(accs) if accs.len() == 1 => accs[0].1 += groups.count() as u64,
+            Accumulators::Sum(accs) => groups.for_each(|g| accs[g].1 += 1),
+            accs => accs.fold(groups.map(|g| (g, 1.0))),
+        }
+    }
+
+    /// Every group's state, in group order.
+    pub fn into_states(self) -> Vec<Accumulator> {
+        match self {
+            Accumulators::Sum(accs) => accs.into_iter().map(Accumulator::Sum).collect(),
+            Accumulators::Moments(accs) => accs.into_iter().map(Accumulator::Moments).collect(),
+            Accumulators::Min(ms) => ms.into_iter().map(Accumulator::Min).collect(),
+            Accumulators::Max(ms) => ms.into_iter().map(Accumulator::Max).collect(),
+            Accumulators::Values(xs) => xs.into_iter().map(Accumulator::Values).collect(),
         }
     }
 }
@@ -231,9 +296,8 @@ impl QueryEstimator for Aggregate {
     }
 
     fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
-        let mut acc = [self.accumulator()];
-        Accumulator::fold(&mut acc, values.iter().map(|&x| (0, x)));
-        let [acc] = acc;
+        let mut acc = self.accumulator();
+        acc.fold(values.iter().copied());
         self.finish(acc, ctx)
     }
 

@@ -606,7 +606,7 @@ mod scan_oracle {
     use std::collections::BTreeMap;
 
     use rand::RngExt;
-    use reliable_aqp::exec::collect::{AggData, Collected, Group, NestedData};
+    use reliable_aqp::exec::collect::{AggData, Collected, Group, NestedData, INT_SLOTS_PER_ROW};
     use reliable_aqp::faults::{resolve, FaultConfig, FaultPlan};
     use reliable_aqp::sql::ast::{BinOp, Expr};
     use reliable_aqp::sql::logical::LogicalPlan;
@@ -622,7 +622,12 @@ mod scan_oracle {
     /// tables of typed group codes grow and collide and most groups span
     /// partitions: integers up from 0, down from 0, up from `i64::MIN` and
     /// down from `i64::MAX`; floats `k * 0.5` of either sign (zero low
-    /// mantissa), subnormals, and the special cells.
+    /// mantissa), subnormals, and the special cells. `u` is an `Int` with
+    /// NULLs whose span changes with the partition: partition `p` holds,
+    /// by `p % 4`, values a few slots wide, a span of exactly as many slots
+    /// as a lone `Int` key's table may take (`INT_SLOTS_PER_ROW` per row),
+    /// one slot more, and values near `i64::MIN`, 0 and `i64::MAX`; the
+    /// partitions' ranges overlap, and are shifted by `seed`.
     pub fn table(seed: u64, rows: usize, partitions: usize, wide: bool) -> Table {
         let mut rng = rng_from_seed(seed);
         let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
@@ -661,6 +666,30 @@ mod scan_oracle {
         let s_codes: Vec<u32> = (0..rows).map(|_| pick.random_range(0..strs.len() as u32)).collect();
         let x: Vec<f64> = (0..rows).map(|_| pick.random_range(-50..50) as f64 / 4.0).collect();
         let d_codes: Vec<u32> = (0..rows).map(|_| pick.random_range(0..4)).collect();
+        let mut u_pick = rng_from_seed(seed ^ 0x1D);
+        let mut u: Vec<Option<i64>> = Vec::with_capacity(rows);
+        for p in 0..partitions {
+            let len = rows / partitions + usize::from(p < rows % partitions);
+            let lo = (seed % 7) as i64 * 3 - 10 + p as i64 * 5;
+            let bound = (INT_SLOTS_PER_ROW * len) as i64;
+            let last = match p % 4 {
+                0 => len as i64 / 3,
+                1 => bound - 1,
+                2 => bound,
+                _ => -1,
+            };
+            u.extend((0..len).map(|r| {
+                let null = u_pick.random_bool(0.1);
+                match (p % 4, r) {
+                    // The span's two ends, in the first and the last row.
+                    (1 | 2, 0) => Some(lo),
+                    (1 | 2, r) if r == len - 1 => Some(lo + last),
+                    _ if null => None,
+                    (3, r) => Some([i64::MIN + r as i64, 0, i64::MAX - r as i64][r % 3]),
+                    _ => Some(lo + u_pick.random_range(0..=last)),
+                }
+            }));
+        }
         let schema = Schema::new(vec![
             Field::nullable("i", DataType::Int),
             Field::nullable("f", DataType::Float),
@@ -669,6 +698,7 @@ mod scan_oracle {
             Field::new("x", DataType::Float),
             Field::nullable("n", DataType::Int),
             Field::new("d", DataType::Str),
+            Field::nullable("u", DataType::Int),
         ])
         .unwrap();
         let s = Column::Str {
@@ -687,6 +717,7 @@ mod scan_oracle {
             Column::from_f64s(x),
             Column::from_opt_i64s(vec![None; rows]),
             Column::Str { dict: ["p", "q", "p", "r"].map(String::from).to_vec(), codes: d_codes, validity: None },
+            Column::from_opt_i64s(u),
         ];
         Table::from_batch("t", Batch::new(schema, columns).unwrap(), partitions).unwrap()
     }
@@ -965,8 +996,10 @@ const SCAN_AGGS: &[&str] = &[
 // Keys without a string column are identified by typed codes, the others
 // (and the global group) by the rendered string. A lone `s`, `d` or `b`
 // key resolves through the dense slot table (`d`: no NULL mask, and two
-// codes that render alike).
-const SCAN_KEYS: &[&str] = &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i", "b, i", "n", "i, n, f", "d", "d, i"];
+// codes that render alike); a lone `i` or `u` by value where its span is
+// narrow (`u`: in some partitions only).
+const SCAN_KEYS: &[&str] =
+    &["", "s", "f", "i", "b", "s, b", "f, i", "b, s, i", "b, i", "n", "i, n, f", "d", "d, i", "u", "s, u"];
 
 /// The query of one scan case: `shape` 1 samples the table with
 /// `TABLESAMPLE POISSONIZED`, 2 nests (the inner key cycling through the
@@ -976,7 +1009,7 @@ fn scan_sql(filter: usize, aggs: usize, keys: usize, shape: usize) -> String {
     let from = if shape == 1 { "t TABLESAMPLE POISSONIZED (130)" } else { "t" };
     let group_by = SCAN_KEYS[keys % SCAN_KEYS.len()];
     if shape == 2 {
-        let key = ["s", "f", "i", "b", "n", "d"][keys % 6];
+        let key = ["s", "f", "i", "b", "n", "d", "u"][keys % 7];
         let outer = ["AVG(v)", "AVG(v), COUNT(v)"][aggs % 2];
         let inner = ["SUM(x)", "COUNT(*)", "AVG(f)"][aggs % 3];
         format!("SELECT {outer} FROM (SELECT {inner} AS v FROM {from} {filter} GROUP BY {key})")
@@ -1063,6 +1096,32 @@ fn every_scan_kernel_is_held_to_the_row_wise_oracle() {
                 let sql = scan_sql(filter, aggs, filter + 3 * aggs + t, filter + aggs + t);
                 assert_scan_matches_oracle(table, &sql, &faults);
             }
+        }
+    }
+}
+
+/// A lone `Int` key is identified by value in a partition whose values
+/// span few slots and by its code in any other, and across partitions by
+/// value only when every partition's is and the union of their spans is
+/// no wider than their tables: `u` is narrow, exactly at the slot bound,
+/// one slot past it and sparse by partition, with NULLs. Grouped by `u`,
+/// `collect` holds to the oracle and `execute_exact` to θ over its values
+/// for every accumulator kind, at one to four threads and with faults, on
+/// one partition (all by value), two (by value, two spans) and more (by
+/// code across partitions).
+#[test]
+fn a_lone_int_key_groups_alike_by_value_and_by_code() {
+    for (seed, rows, partitions) in [(21, 60, 1), (22, 90, 2), (23, 120, 4), (24, 400, 9)] {
+        let table = scan_oracle::table(seed, rows, partitions, false);
+        let faults = scan_faults(seed, 0.2, 0.4, 0.6);
+        for aggs in SCAN_AGGS {
+            for filter in ["", "WHERE x > 1", "WHERE u >= 0 AND b"] {
+                assert_scan_matches_oracle(&table, &format!("SELECT u, {aggs} FROM t {filter} GROUP BY u"), &faults);
+            }
+        }
+        for inner in ["SUM(x)", "COUNT(*)", "MIN(f)"] {
+            let sql = format!("SELECT AVG(v), MAX(v) FROM (SELECT {inner} AS v FROM t WHERE x < 5 GROUP BY u)");
+            assert_scan_matches_oracle(&table, &sql, &faults);
         }
     }
 }
