@@ -622,20 +622,25 @@ fn annotate(plan: LogicalPlan, query: &Query, opts: &ApproxOptions) -> LogicalPl
 /// rejected one serves the exact value and keeps its verdict; one the
 /// sample never saw is plain exact, named from `names`
 /// ([`result_names`]), as the approximate path names its results.
+///
+/// Both lists are in rendered-key byte order (`Keys::into_sorted`), so one
+/// walk pairs them: an approximate group whose key the walk passes without
+/// an exact partner is dropped.
 fn merge_with_exact(
     exact: Vec<(String, Vec<f64>)>,
     approx: Vec<GroupResult>,
     names: &[String],
 ) -> aqp_exec::Result<Vec<GroupResult>> {
-    let mut served: std::collections::HashMap<String, Vec<AggResult>> =
-        approx.into_iter().map(|g| (g.key, g.aggs)).collect();
+    let mut approx = approx.into_iter().peekable();
     exact
         .into_iter()
         .map(|(key, vals)| {
             if vals.len() != names.len() {
                 return Err(ExecError::PlanInvariant(format!("{} exact answers for {} aggregates", vals.len(), names.len())));
             }
-            let mut served = served.remove(&key).unwrap_or_default().into_iter();
+            while approx.next_if(|g| g.key < key).is_some() {}
+            let partner = approx.next_if(|g| g.key == key);
+            let mut served = partner.map_or_else(Vec::new, |g| g.aggs).into_iter();
             let aggs = vals.into_iter().zip(names).map(|(v, name)| match served.next() {
                 Some(a) if a.error_bars_reliable() => a,
                 Some(a) => AggResult { estimate: v, ci: None, method: MethodUsed::None, ..a },
@@ -1152,5 +1157,68 @@ mod tests {
     fn unknown_table_errors() {
         let s = AqpSession::new(SessionConfig::default());
         assert!(s.execute("SELECT AVG(x) FROM nope").is_err());
+    }
+
+    /// The merge by one ordered walk pairs exactly what a lookup by key
+    /// paired: key lists of both byte orders' hard cases (a prefix, `-`,
+    /// `NULL`), approximate groups the exact run lacks and the reverse,
+    /// served, refused and bar-less results.
+    #[test]
+    fn merging_by_one_walk_is_the_keyed_lookup() {
+        use aqp_diagnostics::{Decision, DiagnosticReport};
+        use aqp_stats::ci::Ci;
+        use rand::RngExt;
+
+        fn by_lookup(exact: Vec<(String, Vec<f64>)>, approx: Vec<GroupResult>, names: &[String]) -> Vec<GroupResult> {
+            let mut served: std::collections::HashMap<String, Vec<AggResult>> =
+                approx.into_iter().map(|g| (g.key, g.aggs)).collect();
+            let merge = |(key, vals): (String, Vec<f64>)| {
+                let mut served = served.remove(&key).unwrap_or_default().into_iter();
+                let aggs = vals.into_iter().zip(names).map(|(v, name)| match served.next() {
+                    Some(a) if a.error_bars_reliable() => a,
+                    Some(a) => AggResult { estimate: v, ci: None, method: MethodUsed::None, ..a },
+                    None => AggResult { name: name.clone(), estimate: v, ci: None, method: MethodUsed::None, diagnostic: None },
+                });
+                GroupResult { aggs: aggs.collect(), key }
+            };
+            exact.into_iter().map(merge).collect()
+        }
+
+        let mut rng = aqp_stats::rng::rng_from_seed(41);
+        let universe = ["", "-1", "-10", "-2", "0", "1", "10", "100", "11", "2", "NULL", "NYC", "SF", "a\u{1f}b", "é"];
+        for case in 0..2_000 {
+            let names: Vec<String> = (0..rng.random_range(1..4)).map(|i| format!("AGG{i}")).collect();
+            let mut pick = |share: f64| {
+                let mut keys: Vec<String> =
+                    universe.iter().filter(|_| rng.random_bool(share)).map(|k| k.to_string()).collect();
+                keys.sort();
+                keys
+            };
+            let (exact_keys, approx_keys) = (pick(0.7), pick(0.5));
+            let exact: Vec<(String, Vec<f64>)> =
+                exact_keys.into_iter().map(|k| (k, (0..names.len()).map(|i| i as f64 - 0.5).collect())).collect();
+            let approx: Vec<GroupResult> = approx_keys
+                .into_iter()
+                .enumerate()
+                .map(|(g, key)| {
+                    let aggs = names.iter().enumerate().map(|(i, name)| {
+                        let accepted = rng.random_bool(0.5);
+                        let diagnostic = rng.random_bool(0.8).then(|| DiagnosticReport {
+                            levels: Vec::new(),
+                            decision: if accepted { Decision::Accepted } else { Decision::Refused("few".into()) },
+                            accepted,
+                        });
+                        let estimate = (g * 10 + i) as f64;
+                        let ci = rng.random_bool(0.7).then(|| Ci::new(estimate, 1.0, 0.95));
+                        let method = if ci.is_some() { MethodUsed::ClosedForm } else { MethodUsed::None };
+                        AggResult { name: name.clone(), estimate, ci, method, diagnostic }
+                    });
+                    GroupResult { key, aggs: aggs.collect() }
+                })
+                .collect();
+            let want = by_lookup(exact.clone(), approx.clone(), &names);
+            let got = merge_with_exact(exact, approx, &names).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "case {case}");
+        }
     }
 }

@@ -33,6 +33,12 @@
 //! of its stream — and the walk still reads it at each of their j, so the
 //! estimates, the checks and where they stop are the full evaluation's.
 //!
+//! A cell of fewer than p values is refused before anything is pulled:
+//! the last level cuts it into p subsamples, so most of them hold no
+//! value, and θ̂ and ξ on zero or one value agree on a zero width the
+//! truth does not have (DESIGN §4 item 8). The floor is p itself, so it
+//! adds no parameter.
+//!
 //! [`run_diagnostic`] drives it over a plain values vector for the
 //! stats-level experiments (`calibrate fig4`); the query engine drives it
 //! over the data one scan collected, and the §5.2 baseline over re-scans.
@@ -143,7 +149,9 @@ fn stddev(xs: &[f64]) -> f64 {
 /// Algorithm 1, pulling its inputs on demand (module docs give the order).
 ///
 /// `theta_s` is θ(S), the full-sample point estimate the per-size true
-/// intervals are centered on; `cfg.subsample_rows` lists the levels by
+/// intervals are centered on, over `values` values — fewer than `cfg.p`
+/// is [`Decision::Refused`] before any θ̂ or ξ is pulled;
+/// `cfg.subsample_rows` lists the levels by
 /// increasing b; `alpha` is the coverage ξ's intervals are computed at,
 /// which the per-size truth must share. `empty(level, j)` says whether
 /// subsample j of that level holds no value. `theta_hat(level, j)` returns
@@ -157,6 +165,7 @@ fn stddev(xs: &[f64]) -> f64 {
 /// An empty level list is refused, not a panic.
 pub fn diagnose<P>(
     theta_s: f64,
+    values: usize,
     cfg: &DiagnosticConfig,
     alpha: f64,
     empty: impl Fn(usize, usize) -> bool,
@@ -168,6 +177,10 @@ pub fn diagnose<P>(
         return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
     };
     let p = cfg.p;
+    if values < p {
+        let reason = format!("{values} values, fewer than the p = {p} subsamples to judge them on");
+        return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
+    }
     let evaluate = |level: usize| -> LevelReport {
         // What was pulled for the subsamples that hold a value, in order of
         // j; every empty one reads `on_empty`, pulled at the first.
@@ -375,6 +388,7 @@ pub fn run_diagnostic(
     };
     diagnose(
         theta.estimate(values, ctx),
+        values.len(),
         cfg,
         cfg.alpha,
         |level, j| subsample(level, j).0.is_empty(),
@@ -477,7 +491,7 @@ mod tests {
         cfg: &DiagnosticConfig,
     ) -> DiagnosticReport {
         let none_empty = |_, _| false;
-        diagnose(theta_s, cfg, cfg.alpha, none_empty, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
+        diagnose(theta_s, cfg.p, cfg, cfg.alpha, none_empty, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
     }
 
     fn alternating(s: f64, p: usize) -> Vec<f64> {
@@ -596,6 +610,44 @@ mod tests {
         let r = diagnose_table(5.0, &[(vec![f64::NAN; 10], vec![f64::NAN; 10])], &cfg);
         assert!(!r.accepted);
         assert_eq!(r.levels[0].xi_evaluated, 0);
+    }
+
+    /// Below p values nothing is pulled and the reason names p; from p on
+    /// the count plays no part — the walk is the one a large cell gets.
+    #[test]
+    fn a_cell_of_fewer_than_p_values_is_refused_unread() {
+        use std::cell::Cell;
+        let levels: Vec<(Vec<f64>, Vec<f64>)> =
+            [1.2, 1.3, 1.4].iter().map(|&f| (alternating(1.0, 20), vec![f; 20])).collect();
+        let cfg = DiagnosticConfig { p: 20, subsample_rows: vec![100, 200, 400], ..DiagnosticConfig::fast() };
+        let run = |values: usize| {
+            let (thetas, xis) = (Cell::new(0), Cell::new(0));
+            let report = diagnose(
+                0.0,
+                values,
+                &cfg,
+                cfg.alpha,
+                |_, _| false,
+                |l, j| {
+                    thetas.set(thetas.get() + 1);
+                    (levels[l].0[j], ())
+                },
+                |l, j, _, ()| {
+                    xis.set(xis.get() + 1);
+                    levels[l].1[j]
+                },
+            );
+            (report, thetas.get(), xis.get())
+        };
+        let (r, thetas, xis) = run(19);
+        assert_eq!((thetas, xis), (0, 0));
+        assert!(!r.accepted && r.levels.is_empty());
+        assert!(matches!(&r.decision, Decision::Refused(why) if why.contains("19 values") && why.contains("p = 20")), "{r:#?}");
+        let (at_p, thetas, xis) = run(20);
+        let (large, ..) = run(usize::MAX);
+        assert_eq!((thetas, xis), (40, 40), "levels 2 and 1 in full");
+        assert_eq!(format!("{at_p:?}"), format!("{large:?}"));
+        assert_eq!(at_p.decision, Decision::Failed { criterion: Criterion::Deviation, level: 2 });
     }
 
     #[test]

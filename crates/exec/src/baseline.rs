@@ -74,11 +74,12 @@ pub fn execute_baseline(
     let diag_span = rec.start(stage::DIAGNOSTICS);
     let diags = (0..collected.groups.len())
         .map(|gi| {
-            let judge = |(ai, theta)| {
+            let judge = |(ai, theta): (usize, &PreparedTheta)| {
                 let cfg = opts.diagnostic.as_ref()?;
                 let job_seeds = seeds.derive(0xD1A6).derive((gi * MAX_AGGREGATES + ai) as u64);
+                let values = collected.groups[gi].aggs[ai].values.len();
                 Some(naive_diagnostic(
-                    plan, sample, gi, ai, theta, estimates[gi][ai], &ctx, cfg, opts, job_seeds,
+                    plan, sample, gi, ai, values, theta, estimates[gi][ai], &ctx, cfg, opts, job_seeds,
                 ))
             };
             thetas.iter().enumerate().map(|job| judge(job).transpose()).collect()
@@ -173,13 +174,15 @@ pub fn execute_baseline(
 
 /// Algorithm 1 the §5.2 way: every subsample the diagnostic asks about
 /// is extracted by a fresh scan of the sample — once for θ̂, and once more
-/// for ξ, whose K resample subqueries then run over it.
+/// for ξ, whose K resample subqueries then run over it. `values` is how
+/// many values the first scan collected for the (group, aggregate) cell.
 #[allow(clippy::too_many_arguments)]
 fn naive_diagnostic(
     plan: &LogicalPlan,
     sample: &Table,
     gi: usize,
     ai: usize,
+    values: usize,
     theta: &PreparedTheta,
     theta_s: f64,
     ctx: &SampleContext,
@@ -207,6 +210,7 @@ fn naive_diagnostic(
     let none_empty = |_, _| false;
     let report = diagnose(
         theta_s,
+        values,
         cfg,
         opts.alpha,
         none_empty,

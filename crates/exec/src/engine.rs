@@ -8,7 +8,7 @@
 use std::cell::{Cell, OnceCell, RefCell};
 use std::ops::Range;
 
-use aqp_diagnostics::{diagnose, subsample_bounds, subsample_context, DiagnosticConfig, DiagnosticReport};
+use aqp_diagnostics::{diagnose, subsample_bounds, subsample_context, Decision, DiagnosticConfig, DiagnosticReport};
 use aqp_faults::{DegradedInfo, EventKind, FaultConfig, FaultInjector, ScanFaultSummary};
 use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
@@ -328,6 +328,12 @@ pub fn execute_approx(
     let rejected = diags.iter().flatten().count() - accepted;
     rec.attr(diag_span, "accepted", accepted);
     rec.attr(diag_span, "rejected", rejected);
+    // Cells of fewer than p values, refused before Algorithm 1 ran; on
+    // record where there are any.
+    let below_floor = diags.iter().flatten().filter(|d| matches!(d.decision, Decision::Refused(_))).count();
+    if below_floor > 0 {
+        rec.attr(diag_span, "below_floor", below_floor);
+    }
     if opts.diagnostic.is_some() {
         let judged = (accepted + rejected) as u64;
         if let Some(id) =
@@ -797,6 +803,7 @@ impl Subsamples<'_> {
     fn diagnose(&self, theta_s: f64) -> DiagnosticReport {
         let report = diagnose(
             theta_s,
+            self.data.values.len(),
             self.cfg,
             self.opts.alpha,
             |level, j| self.range(level, j).is_empty(),
@@ -1359,7 +1366,11 @@ mod tests {
                     }
                     .diagnose(prepared.estimate(&data, &ctx));
                     let what = format!("{} {xi:?} family {family}", theta.name());
-                    assert!(!matches!(offline.decision, Decision::Refused(_)), "{what}: {offline:?}");
+                    // Only the empty family is refused: it is below the floor of p values.
+                    match &offline.decision {
+                        Decision::Refused(why) => assert!(why.starts_with("0 values"), "{what}: {offline:?}"),
+                        _ => assert!(!values.is_empty(), "{what}: {offline:?}"),
+                    }
                     assert_eq!(bits(&offline), bits(&engine), "{what}");
                     if values.is_empty() {
                         continue;

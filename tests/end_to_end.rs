@@ -46,6 +46,40 @@ fn approximate_estimates_track_exact_values() {
     }
 }
 
+/// Served cells cover at nominal: `GROUP BY user_id` at the sizes of the
+/// benchmark's `groupby_fanout` (250 000 rows in 16 partitions, one
+/// 50 000-row uniform sample; most users hold a handful of sample rows),
+/// two seeds, every cell served with bars held to an exact session's
+/// answer. Pooled, they must cover at no less than α minus three standard
+/// errors — or no cell is served at all.
+#[test]
+fn served_group_by_user_id_cells_cover_at_nominal() {
+    let sql = "SELECT user_id, AVG(time) FROM sessions GROUP BY user_id";
+    let (mut served, mut covered) = (0usize, 0usize);
+    for seed in [1, 2] {
+        let table = conviva_sessions_table(250_000, 16, seed);
+        let exact = AqpSession::new(SessionConfig::default());
+        exact.register_table(table.clone()).unwrap();
+        let truth: std::collections::HashMap<String, f64> =
+            exact.execute(sql).unwrap().groups.into_iter().map(|g| (g.key, g.aggs[0].estimate)).collect();
+        let s = AqpSession::new(SessionConfig { seed, ..Default::default() });
+        s.register_table(table).unwrap();
+        s.build_samples("sessions", &[50_000], seed ^ 0xA5).unwrap();
+        for g in s.execute(sql).unwrap().groups {
+            if let Some(ci) = &g.aggs[0].ci {
+                served += 1;
+                covered += usize::from(ci.contains(truth[&g.key]));
+            }
+        }
+    }
+    let alpha = 0.95;
+    let floor = alpha - 3.0 * (alpha * (1.0 - alpha) / served.max(1) as f64).sqrt();
+    assert!(
+        served == 0 || covered as f64 / served as f64 >= floor,
+        "{covered} of {served} served cells cover the truth, below {floor:.3}"
+    );
+}
+
 #[test]
 fn whole_pipeline_is_deterministic() {
     let run = || {

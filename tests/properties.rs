@@ -1848,6 +1848,7 @@ proptest! {
         let xi_calls: Vec<RefCell<Vec<(usize, usize)>>> = vec![RefCell::new(Vec::new()); k];
         let got = diagnose(
             theta_s,
+            cfg.p,
             &cfg,
             cfg.alpha,
             |l, j| empty[l][j],
@@ -2099,6 +2100,7 @@ mod eager_pipeline {
                 let none_empty = |_, _| false;
                 let report = diagnose(
                     estimate,
+                    data.values.len(),
                     &cfg,
                     opts.alpha,
                     none_empty,
