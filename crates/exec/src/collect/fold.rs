@@ -9,7 +9,9 @@
 //! group ([`Accumulators`]), through global group ids. A group's state so
 //! takes exactly the values `merge` would have concatenated for it, in the
 //! same order, and runs θ's own recurrence over them: the one θ's
-//! `estimate` runs over a slice. A nested plan folds its inner aggregate
+//! `estimate` runs over a slice. VARIANCE and STDDEV fold twice, so every
+//! partition is read again for them once every group's first fold is
+//! centred on its mean. A nested plan folds its inner aggregate
 //! per inner group, numbered in the order their first value arrives (as
 //! `merge` codes them), and calls the outer θ over the inner values, as
 //! `NestedTheta` does.
@@ -112,20 +114,16 @@ impl Scanned<'_> {
         let groups = if grouped { keys.len() } else { 1 };
         let mut accs: Vec<_> = thetas.iter().map(|t| Accumulators::new(t.outer.accumulator(), groups)).collect();
         let mut values = 0;
-        for (p, part) in parts.iter().enumerate() {
-            for (i, (accs, arg)) in accs.iter_mut().zip(&part.args).enumerate() {
-                if i == 0 {
-                    numbers(arg, &part.sel, Count(&mut values))?;
-                }
-                let gids = global.get(p).map(|global| (&part.gids[..], &global[..]));
-                match (arg, gids) {
-                    (Argument::Rows, None) => accs.count((0..part.sel.len()).map(|_| 0)),
-                    (Argument::Rows, Some((gids, global))) => {
-                        accs.count(gids.iter().map(|&g| global[g as usize] as usize));
-                    }
-                    (arg, gids) => numbers(arg, &part.sel, Fold(accs, gids))?,
-                }
+        for part in &parts {
+            if let Some(arg) = part.args.first() {
+                numbers(arg, &part.sel, Count(&mut values))?;
             }
+        }
+        fold_parts(&parts, &global, &mut accs, &vec![true; thetas.len()])?;
+        // VARIANCE and STDDEV take their values again, centred.
+        let again: Vec<bool> = accs.iter_mut().map(Accumulators::centre).collect();
+        if again.contains(&true) {
+            fold_parts(&parts, &global, &mut accs, &again)?;
         }
         let mut answers = vec![Vec::with_capacity(thetas.len()); groups];
         for (accs, theta) in accs.into_iter().zip(thetas) {
@@ -135,6 +133,24 @@ impl Scanned<'_> {
         let sorted = if grouped { keys.into_sorted() } else { vec![(0, String::new())] };
         Ok((sorted.into_iter().map(|(g, key)| (key, std::mem::take(&mut answers[g]))).collect(), values))
     }
+}
+
+/// Every partition's numbers, partition by partition, into `accs[i]` for
+/// every aggregate `i` that `which` names: a group's state takes its values
+/// in scan order. `global` is every partition group's global id, empty for
+/// the global group.
+fn fold_parts(parts: &[Partition<'_>], global: &[Vec<u32>], accs: &mut [Accumulators], which: &[bool]) -> Result<()> {
+    for (p, part) in parts.iter().enumerate() {
+        let gids = global.get(p).map(|global| (&part.gids[..], &global[..]));
+        for ((accs, arg), _) in accs.iter_mut().zip(&part.args).zip(which).filter(|(_, &i)| i) {
+            match (arg, gids) {
+                (Argument::Rows, None) => accs.count((0..part.sel.len()).map(|_| 0)),
+                (Argument::Rows, Some((gids, global))) => accs.count(gids.iter().map(|&g| global[g as usize] as usize)),
+                (arg, gids) => numbers(arg, &part.sel, Fold(accs, gids))?,
+            }
+        }
+    }
+    Ok(())
 }
 
 /// `agg`'s argument for the entries of `sel`: a float column stays where

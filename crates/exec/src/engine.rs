@@ -5,7 +5,7 @@
 //! then *reused* by the point estimate, all bootstrap replicates, and all
 //! diagnostic subsamples — no repeated scans, no tuple duplication.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, OnceCell};
 use std::ops::Range;
 
 use aqp_diagnostics::{diagnose, subsample_bounds, subsample_context, Decision, DiagnosticConfig, DiagnosticReport};
@@ -15,7 +15,7 @@ use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, Trace
 use aqp_sql::ast::AggExpr;
 use aqp_sql::logical::LogicalPlan;
 use aqp_stats::bootstrap::count_resamples;
-use aqp_stats::closed_form::{closed_form_lanes, ClosedForm, Coverage, LANES};
+use aqp_stats::closed_form::{ClosedForm, Coverage};
 use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
 use aqp_storage::Table;
@@ -207,9 +207,8 @@ pub fn execute_approx(
         })
         .collect();
 
-    // Stage 2 — point estimates θ(S) from the collected data; a long
-    // range's from the closed-form pass where θ is one of its folds, kept
-    // for the range's bars.
+    // Stage 2 — point estimates θ(S) from the collected data; from the
+    // closed-form pass where θ is one of its folds, kept for the bars.
     let est_span = rec.start(stage::POINT_ESTIMATE);
     let est_start = opts.obs.clock.now();
     let thetas = prepare_thetas(&collected.agg_exprs, collected.inner_agg.as_ref(), registry)?;
@@ -220,11 +219,7 @@ pub fn execute_approx(
         .zip(&contexts)
         .map(|(g, ctx)| {
             let whole = |(data, theta): (&AggData, &PreparedTheta)| {
-                let mut whole = theta.bind(data, 0..data.values.len(), ctx);
-                let (estimate, pass) = match data.values.len() >= LOCKSTEP_MIN_VALUES {
-                    true => whole.estimate_with_pass(),
-                    false => (whole.estimate(), None),
-                };
+                let (estimate, pass) = theta.bind(data, 0..data.values.len(), ctx).estimate_with_pass();
                 passes.push(pass);
                 estimate
             };
@@ -279,7 +274,6 @@ pub fn execute_approx(
                     opts,
                     seeds: seeds.derive(0xD1).derive((gi * MAX_AGGREGATES + ai) as u64),
                     coverage,
-                    passes: Default::default(),
                     bounds: vec![OnceCell::new(); cfg.k()],
                     empty_drew: vec![Cell::new(false); cfg.k()],
                 };
@@ -680,16 +674,6 @@ fn error_ci(
     }
 }
 
-/// Ranges of fewer values than this make their closed-form pass alone,
-/// when ξ asks for it. Longer ones make it where θ is made — a
-/// subsample's with the other long subsamples of its block of [`LANES`],
-/// in lockstep, the answer's with θ(S) — and keep it. A constant, not a
-/// setting: it weighs the lockstep and sharing gains on long ranges
-/// against the passes a verdict fixed early never reads and the fixed
-/// cost of a pass on a short range, neither of which a query knows in
-/// advance (DESIGN §4 item 12 has the measurement that chose it).
-const LOCKSTEP_MIN_VALUES: usize = 64;
-
 /// The diagnostic operator's view of one (group, aggregate) job: the p
 /// disjoint subsamples of each level, as row ranges of the
 /// already-collected data.
@@ -709,9 +693,6 @@ struct Subsamples<'a> {
     seeds: SeedStream,
     /// `opts.alpha`'s, for every closed-form ξ of the job.
     coverage: Coverage,
-    /// Closed-form passes by `level * p + j`, made when first asked for
-    /// (empty until then).
-    passes: RefCell<Vec<Option<ClosedForm>>>,
     /// Each level's p + 1 value boundaries — subsample j holds the values
     /// `bounds[j]..bounds[j + 1]` — found when the level is first read.
     bounds: Vec<OnceCell<Vec<usize>>>,
@@ -737,59 +718,24 @@ impl Subsamples<'_> {
         bounds[j]..bounds[j + 1]
     }
 
-    /// The closed-form pass over subsample `j` of `level`, which holds at
-    /// least [`LOCKSTEP_MIN_VALUES`] values, when ξ is a closed form whose
-    /// θ is one of the pass's folds ([`PreparedTheta::theta_from_pass`]):
-    /// made, if it is not yet, with every other such subsample of its
-    /// block of [`LANES`] that has none, in one [`closed_form_lanes`] call.
-    /// AVG's and COUNT's are made where ξ asks, around the θ̂ it is handed.
-    fn pass(&self, level: usize, j: usize) -> Option<ClosedForm> {
-        let closed = self.opts.method != MethodChoice::Bootstrap && self.theta.theta_from_pass();
-        let agg = self.theta.closed_form_aggregate().filter(|_| closed)?;
-        let p = self.cfg.p;
-        let mut passes = self.passes.borrow_mut();
-        if passes.is_empty() {
-            passes.resize(self.cfg.k() * p, None);
-        }
-        let level_passes = &mut passes[level * p..(level + 1) * p];
-        if level_passes[j].is_none() {
-            let block = j / LANES * LANES..(j / LANES * LANES + LANES).min(p);
-            let open = block.filter(|&i| level_passes[i].is_none());
-            let lanes: Vec<(usize, &[f64])> = open
-                .map(|i| (i, &self.data.values[self.range(level, i)]))
-                .filter(|(_, v)| v.len() >= LOCKSTEP_MIN_VALUES)
-                .collect();
-            let ranges: Vec<&[f64]> = lanes.iter().map(|&(_, v)| v).collect();
-            let mut made = [ClosedForm::default(); LANES];
-            closed_form_lanes(&agg, &ranges, &self.sub_ctx(level), &mut made)?;
-            for (&(i, _), pass) in lanes.iter().zip(made) {
-                level_passes[i] = Some(pass);
-            }
-        }
-        level_passes[j]
-    }
-
-    /// θ̂ on subsample `j` of `level` — read from its closed-form pass where
-    /// it has one and θ is one of the pass's folds — with θ bound to the
-    /// subsample and whether the subsample is long enough for a pass made
-    /// ahead.
-    fn theta_hat(&self, level: usize, j: usize) -> (f64, (BoundTheta<'_>, bool)) {
-        let range = self.range(level, j);
-        let long = range.len() >= LOCKSTEP_MIN_VALUES;
-        let mut bound = self.theta.bind(self.data, range, &self.sub_ctx(level));
-        let theta_hat = match (long && self.theta.theta_from_pass()).then(|| self.pass(level, j)).flatten() {
-            Some(pass) => pass.estimate,
-            None => bound.estimate(),
+    /// θ̂ on subsample `j` of `level` with θ bound to the subsample and, when
+    /// ξ is a closed form whose θ is one of the pass's folds
+    /// ([`PreparedTheta::theta_from_pass`]), the pass θ̂ was read from, for
+    /// ξ to reuse.
+    fn theta_hat(&self, level: usize, j: usize) -> (f64, (BoundTheta<'_>, Option<ClosedForm>)) {
+        let mut bound = self.theta.bind(self.data, self.range(level, j), &self.sub_ctx(level));
+        let (theta_hat, pass) = match self.opts.method {
+            MethodChoice::Auto => bound.estimate_with_pass(),
+            MethodChoice::Bootstrap => (bound.estimate(), None),
         };
-        (theta_hat, (bound, long))
+        (theta_hat, (bound, pass))
     }
 
     /// ξ's half-width on a bound subsample, around the θ̂ the driver
     /// already has. Each (level, j) draws from a stream of its own, so
     /// neither the order of evaluation nor what is skipped shows in it.
-    fn xi(&self, level: usize, j: usize, theta_hat: f64, (mut bound, long): (BoundTheta<'_>, bool)) -> f64 {
+    fn xi(&self, level: usize, j: usize, theta_hat: f64, (mut bound, pass): (BoundTheta<'_>, Option<ClosedForm>)) -> f64 {
         let level_seeds = self.seeds.derive(level as u64);
-        let pass = long.then(|| self.pass(level, j)).flatten();
         let (opts, coverage) = (self.opts, self.coverage);
         let (ci, method) = error_ci(&mut bound, pass, theta_hat, opts, coverage, &level_seeds, j as u64);
         if self.range(level, j).is_empty() {
@@ -1184,10 +1130,7 @@ mod tests {
     /// What the verdict-first order rests on: ξ(level, j) is a function
     /// of (level, j) alone — its own RNG stream, no state carried from
     /// one subsample to the next — so evaluating the cells last to first
-    /// gives the half-widths of first to last, bit for bit. The closed
-    /// forms make their passes a block of subsamples at a time, and every
-    /// subsample of these holds more values than the lockstep cut, so the
-    /// backward order enters every block at its last subsample.
+    /// gives the half-widths of first to last, bit for bit.
     #[test]
     fn subsample_error_estimates_do_not_depend_on_evaluation_order() {
         let pop = population(40_000, 40);
@@ -1217,16 +1160,11 @@ mod tests {
                 opts: &opts,
                 seeds: SeedStream::new(43),
                 coverage: Coverage::new(opts.alpha),
-                passes: Default::default(),
                 bounds: vec![OnceCell::new(); cfg.k()],
                 empty_drew: vec![Cell::new(false); cfg.k()],
             };
             let cells: Vec<(usize, usize)> =
                 (0..cfg.k()).flat_map(|level| (0..cfg.p).map(move |j| (level, j))).collect();
-            if thetas[0].closed_form_applicable() {
-                let shortest = cells.iter().map(|&(level, j)| subsamples().range(level, j).len()).min();
-                assert!(shortest >= Some(LOCKSTEP_MIN_VALUES), "{sql}: {shortest:?}");
-            }
             // A fresh job per order: nothing made in one is read by the other.
             let run = |order: &[(usize, usize)]| -> Vec<(u64, u64)> {
                 let subsamples = subsamples();
@@ -1360,7 +1298,6 @@ mod tests {
                         opts: &opts,
                         seeds,
                         coverage: Coverage::new(opts.alpha),
-                        passes: Default::default(),
                         bounds: vec![OnceCell::new(); cfg.k()],
                         empty_drew: vec![Cell::new(false); cfg.k()],
                     }

@@ -10,15 +10,14 @@
 //! subsamples of 160, 80 and 40 — with the largest relative difference
 //! between the two sides' replicates.
 //!
-//! Then the closed-form pass of each aggregate, in ns per value: eight
-//! ranges one `closed_form` call each against one `closed_form_lanes`
-//! call over all eight (interleaved where the fold is a divide chain —
-//! VARIANCE, STDDEV), at the subsample sizes of the benchmark's
-//! `closed_form_scan` (45 / 90 / 180 values at `--quick`, 900 at full
-//! length) and an answer's 90 k, with whether the lanes gave every
-//! range's bits. AVG's rows add the Welford chain its centred σ̂
-//! replaced, kept here as the reference, one range at a time, and whether
-//! every range's σ̂ is within 1e-12 relative of the chain's.
+//! Then the closed-form pass of each aggregate, in ns per value over
+//! eight ranges, one `closed_form` call each, at the subsample sizes of
+//! the benchmark's `closed_form_scan` (45 / 90 / 180 values at `--quick`,
+//! 900 at full length) and an answer's 90 k, with whether every range's θ
+//! has `Aggregate::estimate`'s bits. The rows of AVG, VARIANCE and STDDEV
+//! add the Welford chain their centred folds replaced, kept here as the
+//! reference, and whether every range's θ and σ̂ are within 1e-12
+//! relative of the chain's.
 //!
 //! A `false` in a `same draws`, `same bits` or `within 1e-12` column is a
 //! broken kernel.
@@ -29,7 +28,7 @@
 
 use aqp_obs::Clock;
 use aqp_stats::bootstrap::bootstrap_replicates;
-use aqp_stats::closed_form::{closed_form, closed_form_lanes, ClosedForm, LANES};
+use aqp_stats::closed_form::closed_form;
 use aqp_stats::dist::Poisson1;
 use aqp_stats::estimator::{udfs, Aggregate, QueryEstimator, SampleContext, Udf};
 use aqp_stats::rng::rng_from_seed;
@@ -163,10 +162,11 @@ fn ns_per_value(reps: usize, values: usize, mut f: impl FnMut()) -> f64 {
     ns[3]
 }
 
-/// AVG's σ̂ as a Welford chain made it, beside Σx for θ: a divide per
-/// value, in `Moments::push`'s expressions.
-fn welford_std_error(values: &[f64]) -> (f64, f64) {
-    let (mut sum, mut mean, mut m2, mut n) = (-0.0, 0.0, 0.0, 0.0);
+/// θ and σ̂ of `agg` (AVG, VARIANCE or STDDEV) as a Welford chain made
+/// them: a divide per value, in the expressions `Moments::push` had when
+/// it kept m3 and m4 (AVG's θ is Σx / m beside the chain).
+fn welford(agg: Aggregate, values: &[f64]) -> (f64, f64) {
+    let (mut sum, mut mean, mut n, mut m2, mut m3, mut m4) = (-0.0, 0.0, 0.0f64, 0.0, 0.0, 0.0);
     for &x in values {
         sum += x;
         let n1 = n;
@@ -174,56 +174,64 @@ fn welford_std_error(values: &[f64]) -> (f64, f64) {
         let delta = x - mean;
         let delta_n = delta / n;
         mean += delta_n;
-        m2 += delta * delta_n * n1;
+        let term1 = delta * delta_n * n1;
+        if agg != Aggregate::Avg {
+            let delta_n2 = delta_n * delta_n;
+            m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2 - 4.0 * delta_n * m3;
+            m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2;
+        }
+        m2 += term1;
     }
-    (sum / n, (m2 / (n - 1.0) / n).sqrt())
+    let (s2, sigma2) = (m2 / (n - 1.0), m2 / n);
+    let var_s2 = ((m4 / n - sigma2 * sigma2) / n).max(0.0);
+    match agg {
+        Aggregate::Avg => (sum / n, (s2 / n).sqrt()),
+        Aggregate::StdDev => (s2.sqrt(), var_s2.sqrt() / (2.0 * s2.sqrt())),
+        _ => (s2, var_s2.sqrt()),
+    }
 }
 
-/// The closed-form table: one range at a time against eight in lockstep.
+/// The closed-form table: eight ranges, one pass each, beside the Welford
+/// chain where a centred fold replaced it.
 fn closed_forms() {
+    const RANGES: usize = 8;
     let mut rng = rng_from_seed(2);
     // Like the benchmark's `bitrate`: normal(2500, 600).
-    let column: Vec<f64> = (0..LANES * 90_000)
+    let column: Vec<f64> = (0..RANGES * 90_000)
         .map(|_| 2_500.0 + 600.0 * (-2.0 * rng.random::<f64>().ln()).sqrt() * rng.random::<f64>().cos())
         .collect();
     println!();
-    println!("| aggregate | values | one range ns | {LANES} lanes ns | ratio | same bits | Welford ns | within 1e-12 |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| aggregate | values | pass ns | same bits | Welford ns | within 1e-12 |");
+    println!("|---|---|---|---|---|---|");
     for agg in [Aggregate::Avg, Aggregate::Sum, Aggregate::Count, Aggregate::Variance, Aggregate::StdDev] {
         for n in [45usize, 90, 180, 900, 90_000] {
-            let ranges: Vec<&[f64]> = column.chunks(n).take(LANES).collect();
+            let ranges: Vec<&[f64]> = column.chunks(n).take(RANGES).collect();
             let ctx = SampleContext::new(2 * n, 200 * n);
-            let reps = (4_000_000 / (LANES * n)).max(3);
-            let one = ns_per_value(reps, LANES * n, || {
+            let reps = (4_000_000 / (RANGES * n)).max(3);
+            let pass = ns_per_value(reps, RANGES * n, || {
                 for r in &ranges {
                     std::hint::black_box(closed_form(&agg, std::hint::black_box(r), &ctx));
                 }
             });
-            let mut together = [ClosedForm::default(); LANES];
-            let lanes = ns_per_value(reps, LANES * n, || {
-                closed_form_lanes(&agg, std::hint::black_box(&ranges), &ctx, &mut together);
-                std::hint::black_box(&together);
-            });
-            // `Debug` prints a float's shortest round trip: equal text, equal bits.
-            let same = ranges.iter().zip(&together).all(|(r, cf)| {
-                format!("{:?}", closed_form(&agg, r, &ctx)) == format!("{:?}", Some(cf))
-            });
+            let passes: Vec<_> = ranges.iter().map(|r| closed_form(&agg, r, &ctx).unwrap()).collect();
+            let same = ranges.iter().zip(&passes).all(|(r, cf)| cf.estimate.to_bits() == agg.estimate(r, &ctx).to_bits());
             let welford = match agg {
-                Aggregate::Avg => {
-                    let ns = ns_per_value(reps, LANES * n, || {
+                Aggregate::Avg | Aggregate::Variance | Aggregate::StdDev => {
+                    let ns = ns_per_value(reps, RANGES * n, || {
                         for r in &ranges {
-                            std::hint::black_box(welford_std_error(std::hint::black_box(r)));
+                            std::hint::black_box(welford(agg, std::hint::black_box(r)));
                         }
                     });
-                    let within = ranges.iter().zip(&together).all(|(r, cf)| {
-                        let (want, got) = (welford_std_error(r).1, cf.std_error.unwrap_or(f64::NAN));
-                        (got - want).abs() <= 1e-12 * want
+                    let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs();
+                    let within = ranges.iter().zip(&passes).all(|(r, cf)| {
+                        let (theta, se) = welford(agg, r);
+                        close(cf.estimate, theta) && close(cf.std_error.unwrap_or(f64::NAN), se)
                     });
                     format!("{ns:.2} | {within}")
                 }
                 _ => "- | -".into(),
             };
-            println!("| `{agg}` | {n} | {one:.2} | {lanes:.2} | {:.2} | {same} | {welford} |", lanes / one);
+            println!("| `{agg}` | {n} | {pass:.2} | {same} | {welford} |");
         }
     }
 }

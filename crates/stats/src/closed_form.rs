@@ -20,24 +20,21 @@
 //!
 //! θ and σ̂ come from one pass over the range ([`closed_form`]), which runs
 //! the folds [`Aggregate::estimate`] runs, each operation in the order it
-//! runs them, so θ has its bits. AVG's s² is m2/(m − 1) with m2 = Σ(x − θ̂)²
-//! folded around θ̂ itself, a subtract, a multiply and an add a value and
-//! no divide: [`closed_form`] folds Σx for θ̂ first, and a caller that holds
-//! θ̂ already hands it to [`closed_form_around`], which folds m2 alone.
-//! [`closed_form_lanes`] makes the pass over up to [`LANES`] ranges at
-//! once: VARIANCE's and STDDEV's recurrence — a Welford divide chain per
-//! range — runs side by side in one loop and overlaps in the pipeline
-//! instead of queueing, while each range's own operations keep their order
-//! and so their bits.
+//! runs them, so θ has its bits. None divides per value. AVG's s² is
+//! m2/(m − 1) with m2 = Σ(x − θ̂)² folded around θ̂ itself: [`closed_form`]
+//! folds Σx for θ̂ first, and a caller that holds θ̂ already hands it to
+//! [`closed_form_around`], which folds m2 alone. VARIANCE's and STDDEV's θ
+//! is two folds, Σ(x − k) from the range's first value k for the mean and
+//! then m2 = Σ(x − mean)²; the pass's second fold takes Σ(x − mean)⁴ for
+//! μ₄ beside it.
 
 use crate::ci::Ci;
 use crate::dist::normal_quantile;
-use crate::estimator::{Aggregate, QueryEstimator, SampleContext};
-use crate::moments::Moments;
+use crate::estimator::{first_fold_mean, Accumulator, Aggregate, QueryEstimator, SampleContext};
 
 /// θ on one range and what its closed-form error is built from, made in
 /// one pass over the range.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedForm {
     /// θ on the range, bit for bit what [`Aggregate::estimate`] returns.
     pub estimate: f64,
@@ -80,30 +77,6 @@ impl Coverage {
     }
 }
 
-/// The most ranges one [`closed_form_lanes`] call interleaves.
-pub const LANES: usize = 8;
-
-/// A [`Moments`] folded over each of the first `out.len()` of `ranges` (at
-/// most [`LANES`]), `finish` writing each into `out`: over the prefix every
-/// range has the ranges advance together, one value each per step, and
-/// then each finishes its own tail; a single range is all tail.
-fn moments_lanes(ranges: &[&[f64]], out: &mut [ClosedForm], finish: impl Fn(Moments) -> ClosedForm) {
-    let lanes = ranges.len().min(out.len()).min(LANES);
-    let mut acc = [Moments::new(); LANES];
-    let (acc, ranges) = (&mut acc[..lanes], &ranges[..lanes]);
-    let common = if lanes == 1 { 0 } else { ranges.iter().map(|r| r.len()).min().unwrap_or(0) };
-    for i in 0..common {
-        for (a, r) in acc.iter_mut().zip(ranges) {
-            a.push(r[i]);
-        }
-    }
-    for ((a, r), out) in acc.iter().zip(ranges).zip(out) {
-        let mut lane = *a;
-        lane.extend(&r[common..]);
-        *out = finish(lane);
-    }
-}
-
 /// AVG's closed form on `values` around `theta`, θ on them: m2 = Σ(x − θ)²
 /// folded in order from 0.0, s² = m2/(m − 1).
 fn avg_around(values: &[f64], theta: f64) -> ClosedForm {
@@ -119,13 +92,59 @@ fn avg_around(values: &[f64], theta: f64) -> ClosedForm {
     }
 }
 
+/// VARIANCE's or STDDEV's closed form on `values`: θ's two folds, the
+/// second taking Σd⁴ beside m2 = Σd², d = x − mean. σ² = m2/m, μ₄ = Σd⁴/m.
+fn variance_pass(agg: &Aggregate, values: &[f64], ctx: &SampleContext) -> ClosedForm {
+    let (mean, m) = first_fold_mean(values);
+    let (m2, m4) = values.iter().fold((0.0, 0.0), |(m2, m4), &x| {
+        let d = x - mean;
+        let d2 = d * d;
+        (m2 + d2, m4 + d2 * d2)
+    });
+    let estimate = agg.finish(Accumulator::Centred((mean, m2, m)), ctx);
+    let std_error = (m >= 4.0).then(|| {
+        let sigma2 = m2 / m;
+        let var_s2 = ((m4 / m - sigma2 * sigma2) / m).max(0.0);
+        match agg {
+            Aggregate::StdDev if estimate <= 0.0 => 0.0,
+            Aggregate::StdDev => var_s2.sqrt() / (2.0 * estimate),
+            _ => var_s2.sqrt(),
+        }
+    });
+    ClosedForm { estimate, std_error, variance: f64::NAN }
+}
+
 /// θ and σ̂ of `agg` on `values` under `ctx` from one pass, or `None`
 /// when no closed form exists for the aggregate (§2.3.2: MIN, MAX,
 /// percentiles).
 pub fn closed_form(agg: &Aggregate, values: &[f64], ctx: &SampleContext) -> Option<ClosedForm> {
-    let mut pass = [ClosedForm::default()];
-    closed_form_lanes(agg, &[values], ctx, &mut pass)?;
-    Some(pass[0])
+    let n = ctx.sample_rows as f64;
+    let big_n = ctx.population_rows as f64;
+    Some(match agg {
+        Aggregate::Count => {
+            let m = values.len() as f64;
+            let std_error = (n >= 2.0).then(|| {
+                let q = (m / n).clamp(0.0, 1.0);
+                big_n * (q * (1.0 - q) / n).sqrt()
+            });
+            let q = m / n;
+            ClosedForm { estimate: m * ctx.scale(), std_error, variance: q * (1.0 - q) }
+        }
+        Aggregate::Sum => {
+            // Σx and Σx², both from −0.0, where `iter().sum()` starts.
+            let (sum, sum_sq) = values.iter().fold((-0.0, -0.0), |(sum, sum_sq), &x| (sum + x, sum_sq + x * x));
+            let mean_y = sum / n;
+            let var_y = (sum_sq / n - mean_y * mean_y).max(0.0);
+            // Small-sample (n-1) correction on the y-variance.
+            let std_error = (n >= 2.0).then(|| big_n * (var_y * n / (n - 1.0) / n).sqrt());
+            ClosedForm { estimate: sum * ctx.scale(), std_error, variance: var_y }
+        }
+        Aggregate::Avg => avg_around(values, agg.estimate(values, ctx)),
+        Aggregate::Variance | Aggregate::StdDev => variance_pass(agg, values, ctx),
+        // §2.3.2: "in some cases, like MIN, MAX, and black-box UDFs,
+        // closed-form estimates are unknown."
+        Aggregate::Min | Aggregate::Max | Aggregate::Percentile(_) => return None,
+    })
 }
 
 /// [`closed_form`] for a caller that holds `theta` = θ on `values` already,
@@ -137,73 +156,6 @@ pub fn closed_form_around(agg: &Aggregate, values: &[f64], theta: f64, ctx: &Sam
         Aggregate::Avg => Some(avg_around(values, theta)),
         _ => closed_form(agg, values, ctx),
     }
-}
-
-/// [`closed_form`] on each of the first `out.len()` of `ranges` (at most
-/// [`LANES`]), all under `ctx`, in one call — the passes interleaved in
-/// one loop where the fold is a divide chain (VARIANCE, STDDEV): `out[i]`
-/// gets bit for bit `closed_form(agg, ranges[i], ctx)`. `None`, and `out`
-/// untouched, when no closed form exists for the aggregate.
-pub fn closed_form_lanes(
-    agg: &Aggregate,
-    ranges: &[&[f64]],
-    ctx: &SampleContext,
-    out: &mut [ClosedForm],
-) -> Option<()> {
-    let n = ctx.sample_rows as f64;
-    let big_n = ctx.population_rows as f64;
-    match agg {
-        Aggregate::Count => {
-            for (r, out) in ranges.iter().zip(out).take(LANES) {
-                let m = r.len() as f64;
-                let std_error = (n >= 2.0).then(|| {
-                    let q = (m / n).clamp(0.0, 1.0);
-                    big_n * (q * (1.0 - q) / n).sqrt()
-                });
-                let q = m / n;
-                *out = ClosedForm { estimate: m * ctx.scale(), std_error, variance: q * (1.0 - q) };
-            }
-        }
-        Aggregate::Sum => {
-            // Σx and Σx², both from −0.0, where `iter().sum()` starts. Two
-            // adds a value keep the pipeline busy alone: side by side the
-            // ranges only added the loads and stores of each one's state.
-            for (r, out) in ranges.iter().zip(out).take(LANES) {
-                let (sum, sum_sq) = r.iter().fold((-0.0, -0.0), |(sum, sum_sq), &x| (sum + x, sum_sq + x * x));
-                let mean_y = sum / n;
-                let var_y = (sum_sq / n - mean_y * mean_y).max(0.0);
-                // Small-sample (n-1) correction on the y-variance.
-                let std_error = (n >= 2.0).then(|| big_n * (var_y * n / (n - 1.0) / n).sqrt());
-                *out = ClosedForm { estimate: sum * ctx.scale(), std_error, variance: var_y };
-            }
-        }
-        Aggregate::Avg => {
-            for (r, out) in ranges.iter().zip(out).take(LANES) {
-                *out = avg_around(r, agg.estimate(r, ctx));
-            }
-        }
-        Aggregate::Variance | Aggregate::StdDev => moments_lanes(ranges, out, |mom| {
-            let s = mom.std_dev_sample();
-            let std_error = (mom.count() >= 4).then(|| {
-                let sigma2 = mom.variance_population();
-                let mu4 = mom.fourth_central_moment();
-                let var_s2 = ((mu4 - sigma2 * sigma2) / mom.count() as f64).max(0.0);
-                if *agg == Aggregate::Variance {
-                    var_s2.sqrt()
-                } else if s <= 0.0 {
-                    0.0
-                } else {
-                    var_s2.sqrt() / (2.0 * s)
-                }
-            });
-            let estimate = if *agg == Aggregate::Variance { mom.variance_sample() } else { s };
-            ClosedForm { estimate, std_error, variance: f64::NAN }
-        }),
-        // §2.3.2: "in some cases, like MIN, MAX, and black-box UDFs,
-        // closed-form estimates are unknown."
-        Aggregate::Min | Aggregate::Max | Aggregate::Percentile(_) => return None,
-    }
-    Some(())
 }
 
 /// Closed-form confidence interval: normal approximation
@@ -222,7 +174,7 @@ pub fn closed_form_ci(
 mod tests {
     use super::*;
     use crate::dist::{sample_lognormal, sample_normal, sample_pareto};
-    use crate::estimator::QueryEstimator;
+    use crate::moments::Moments;
     use crate::rng::rng_from_seed;
     use rand::RngExt;
 
@@ -238,8 +190,19 @@ mod tests {
         values.iter().fold(0.0, |m2, x| m2 + (x - theta) * (x - theta))
     }
 
-    /// σ̂ as separate folds over the values, each as `iter().sum()`, a
-    /// fresh [`Moments`] or [`centred_m2`] makes it: what the one pass
+    /// VARIANCE's and STDDEV's folds by their definition, each a fold of
+    /// its own in order from 0.0: mean = k + Σ(x − k)/m with k the first
+    /// value, then m2 = Σd² and Σd⁴, d = x − mean.
+    fn centred_moments(values: &[f64]) -> (f64, f64) {
+        let (k, m) = (values[0], values.len() as f64);
+        let mean = k + values.iter().fold(0.0, |sum, x| sum + (x - k)) / m;
+        let m2 = values.iter().fold(0.0, |m2, x| m2 + (x - mean) * (x - mean));
+        let m4 = values.iter().fold(0.0, |m4, x| m4 + (x - mean) * (x - mean) * ((x - mean) * (x - mean)));
+        (m2, m4)
+    }
+
+    /// σ̂ as separate folds over the values, each as `iter().sum()`,
+    /// [`centred_m2`] or [`centred_moments`] makes it: what the one pass
     /// replaced, and the oracle it is held to.
     fn closed_form_std_error(agg: &Aggregate, values: &[f64], ctx: &SampleContext) -> Option<f64> {
         let n = ctx.sample_rows as f64;
@@ -274,13 +237,13 @@ mod tests {
                 if values.len() < 4 {
                     return None;
                 }
-                let mom = Moments::from_slice(values);
-                let s = mom.std_dev_sample();
+                let (m2, m4) = centred_moments(values);
+                let s = (m2 / (m - 1.0)).sqrt();
                 if *agg == Aggregate::StdDev && s <= 0.0 {
                     return Some(0.0);
                 }
-                let sigma2 = mom.variance_population();
-                let mu4 = mom.fourth_central_moment();
+                let sigma2 = m2 / m;
+                let mu4 = m4 / m;
                 let var_s2 = ((mu4 - sigma2 * sigma2) / m).max(0.0);
                 Some(if *agg == Aggregate::StdDev { var_s2.sqrt() / (2.0 * s) } else { var_s2.sqrt() })
             }
@@ -347,10 +310,10 @@ mod tests {
     /// The one pass against the folds it replaced: θ is
     /// [`Aggregate::estimate`]'s, σ̂ [`closed_form_std_error`]'s, the
     /// interval the one they made and the variance the one a Bernstein
-    /// bound made, bit for bit — NaN for NaN — over lengths around the
-    /// engine's lockstep cut, constant and all-−0.0 ranges (`Moments`'
-    /// fields start at +0.0, `iter().sum()` at −0.0), NaN / ±Inf cells,
-    /// magnitudes near 1e±300 and contexts of fewer than two rows.
+    /// bound made, bit for bit — NaN for NaN — over short and long ranges,
+    /// constant and all-−0.0 ranges (the centred folds start at +0.0,
+    /// `iter().sum()` at −0.0), NaN / ±Inf cells, magnitudes near 1e±300
+    /// and contexts of fewer than two rows.
     #[test]
     fn one_pass_is_the_separate_folds_bit_for_bit() {
         let mut rng = rng_from_seed(11);
@@ -383,50 +346,6 @@ mod tests {
         for agg in [Aggregate::Min, Aggregate::Max, Aggregate::Percentile(0.5)] {
             assert_eq!(closed_form(&agg, &[1.0, 2.0], &SampleContext::new(2, 2)), None);
         }
-    }
-
-    /// The lockstep kernel gives every range, at every lane count, what a
-    /// one-range call gives: ranges of unequal lengths on both sides of
-    /// the common prefix, empty ones among them; and it writes nothing
-    /// past the ranges, past `out` or past [`LANES`].
-    #[test]
-    fn every_lane_count_gives_each_range_its_own_pass() {
-        let mut rng = rng_from_seed(12);
-        let untouched = ClosedForm { estimate: 1.5, std_error: Some(2.5), variance: 3.5 };
-        for lanes in 1..=LANES + 1 {
-            for round in 0..6 {
-                let lengths: Vec<usize> = (0..lanes)
-                    .map(|l| match (round + l) % 5 {
-                        0 if round > 2 => 0,
-                        0 => 3,
-                        1 => 70 + rng.random_range(0..40),
-                        2 => 64,
-                        3 => 200 + rng.random_range(0..9),
-                        _ => 65 + l,
-                    })
-                    .collect();
-                let columns: Vec<Vec<f64>> = lengths.iter().map(|&len| shaped(&mut rng, round % 4, len)).collect();
-                let ranges: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-                let ctx = SampleContext::new(400, 40_000);
-                for agg in &CLOSED {
-                    // One slot past the ranges, and `out` one short of
-                    // them every other round.
-                    let mut out = vec![untouched; LANES + 2];
-                    let written = (lanes - round % 2).min(LANES);
-                    closed_form_lanes(agg, &ranges, &ctx, &mut out[..lanes - round % 2]).unwrap();
-                    for (lane, cf) in out.iter().enumerate() {
-                        let want = match ranges.get(lane) {
-                            Some(range) if lane < written => closed_form(agg, range, &ctx).unwrap(),
-                            _ => untouched,
-                        };
-                        assert_eq!(bits(cf), bits(&want), "{agg}: lane {lane} of {lanes}, lengths {lengths:?}");
-                    }
-                }
-            }
-        }
-        let mut out = [untouched];
-        assert_eq!(closed_form_lanes(&Aggregate::Max, &[&[1.0]], &SampleContext::new(1, 1), &mut out), None);
-        assert_eq!(out, [untouched]);
     }
 
     /// AVG's pass before σ̂ was centred on θ̂: θ from Σx beside a Welford
@@ -500,6 +419,122 @@ mod tests {
             let (got, want) = (closed_form(&Aggregate::Avg, values, &ctx).unwrap(), welford_avg(values));
             assert_eq!(key(got.estimate), key(want.estimate), "{values:?}");
             assert_eq!(got.ci(coverage).is_some(), want.ci(coverage).is_some(), "{values:?}: {got:?} vs {want:?}");
+        }
+    }
+
+    /// Welford's chain with m3 and m4 (Pébay's update), as `Moments` pushed
+    /// them before VARIANCE and STDDEV were centred: its count, mean, m2
+    /// and m4, the reference the centred folds are held to within rounding.
+    fn welford_moments(values: &[f64]) -> (f64, f64, f64) {
+        let (mut mean, mut n, mut m2, mut m3, mut m4) = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for &x in values {
+            if n == 0.0 && x.is_finite() {
+                (n, mean) = (1.0, mean + x);
+                continue;
+            }
+            let n1 = n;
+            n += 1.0;
+            let delta = x - mean;
+            let delta_n = delta / n;
+            let delta_n2 = delta_n * delta_n;
+            let term1 = delta * delta_n * n1;
+            mean += delta_n;
+            m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2 - 4.0 * delta_n * m3;
+            m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2;
+            m2 += term1;
+        }
+        (n, m2, m4)
+    }
+
+    /// VARIANCE's or STDDEV's pass as the Welford chain made it.
+    fn welford_variance(agg: &Aggregate, values: &[f64]) -> ClosedForm {
+        let (n, m2, m4) = welford_moments(values);
+        let s2 = if n < 2.0 { f64::NAN } else { m2 / (n - 1.0) };
+        let estimate = if *agg == Aggregate::StdDev { s2.sqrt() } else { s2 };
+        let std_error = (n >= 4.0).then(|| {
+            let sigma2 = m2 / n;
+            let var_s2 = ((m4 / n - sigma2 * sigma2) / n).max(0.0);
+            match agg {
+                Aggregate::StdDev if estimate <= 0.0 => 0.0,
+                Aggregate::StdDev => var_s2.sqrt() / (2.0 * estimate),
+                _ => var_s2.sqrt(),
+            }
+        });
+        ClosedForm { estimate, std_error, variance: f64::NAN }
+    }
+
+    /// θ and σ̂ of VARIANCE and STDDEV from the centred folds are the
+    /// Welford chain's to within 1e-12 relative on every shape the engine
+    /// meets, from 4 to 90 000 values; on a constant range both are
+    /// exactly 0. The chain's θ is `Moments`' to the bit.
+    #[test]
+    fn variance_stays_within_rounding_of_welford() {
+        let mut rng = rng_from_seed(15);
+        let ctx = SampleContext::new(100, 10_000);
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs();
+        for len in [4usize, 5, 17, 64, 65, 900, 10_000, 90_000] {
+            for shape in 0..5 {
+                let values: Vec<f64> = (0..len)
+                    .map(|_| match shape {
+                        0 => sample_normal(&mut rng, 2_500.0, 600.0),
+                        1 => sample_lognormal(&mut rng, 1.0, 1.0),
+                        2 => sample_pareto(&mut rng, 1.0, 1.3),
+                        3 => [0.1, 7.0, 7.0, 1e4][rng.random_range(0..4)],
+                        _ => 417.3,
+                    })
+                    .collect();
+                assert_eq!(
+                    welford_variance(&Aggregate::Variance, &values).estimate.to_bits(),
+                    Moments::from_slice(&values).variance_sample().to_bits()
+                );
+                for agg in [Aggregate::Variance, Aggregate::StdDev] {
+                    let (got, want) = (closed_form(&agg, &values, &ctx).unwrap(), welford_variance(&agg, &values));
+                    let what = format!("{agg} len {len} shape {shape}: {got:?} vs {want:?}");
+                    assert!(close(got.estimate, want.estimate), "{what}");
+                    assert!(close(got.std_error.unwrap(), want.std_error.unwrap()), "{what}");
+                    if shape == 4 {
+                        assert_eq!((got.estimate, got.std_error), (0.0, Some(0.0)), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// On ranges the normal approximation cannot bound — NaN, ±Inf,
+    /// values near ±1e300 whose squares overflow — the centred folds have
+    /// a finite θ and an interval exactly where the Welford chain had
+    /// them, and so on ranges of fewer than four values and on none.
+    /// Equal values past 1.34e154 are the constant ranges of this kind:
+    /// both give θ = 0 and σ̂ = 0 there.
+    #[test]
+    fn variance_hostile_ranges_have_an_interval_where_welford_had_one() {
+        let coverage = Coverage::new(0.95);
+        let ctx = SampleContext::new(10, 1_000);
+        let mut rng = rng_from_seed(16);
+        let mut hostile: Vec<Vec<f64>> = vec![vec![], vec![3.5], vec![-0.0; 4]];
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300, -1e300] {
+            for len in [1usize, 2, 3, 4, 8, 70] {
+                for at in [0, len / 2, len - 1] {
+                    let mut values: Vec<f64> = (0..len).map(|_| sample_lognormal(&mut rng, 1.0, 0.8)).collect();
+                    values[at] = special;
+                    hostile.push(values.clone());
+                    values.iter_mut().for_each(|x| *x *= special.abs().min(1e300));
+                    hostile.push(values);
+                }
+            }
+        }
+        hostile.push(vec![f64::INFINITY, f64::NEG_INFINITY, 1.0, 2.0]);
+        hostile.push(vec![1e300, -1e300, 1e300, -1e300]);
+        for big in [1.35e154, 1e200, 1e300, -1e300, f64::MAX] {
+            hostile.push(vec![big; 5]);
+        }
+        for values in &hostile {
+            for agg in [Aggregate::Variance, Aggregate::StdDev] {
+                let (got, want) = (closed_form(&agg, values, &ctx).unwrap(), welford_variance(&agg, values));
+                let what = format!("{agg} {values:?}: {got:?} vs {want:?}");
+                assert_eq!(got.estimate.is_finite(), want.estimate.is_finite(), "{what}");
+                assert_eq!(got.ci(coverage).is_some(), want.ci(coverage).is_some(), "{what}");
+            }
         }
     }
 

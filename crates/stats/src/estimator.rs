@@ -56,17 +56,21 @@ impl SampleContext {
 /// order ([`Accumulator::fold`]). [`Aggregate::estimate`](QueryEstimator::estimate)
 /// runs a slice through it, and the exact path every group's values as the
 /// scan reaches them through [`Accumulators`], so the two agree bit for bit.
+/// VARIANCE and STDDEV fold the values twice, the second time centred on
+/// the first's mean ([`Accumulator::centred`]).
 #[derive(Debug, Clone)]
 pub enum Accumulator {
     /// AVG, SUM, COUNT: Σx from −0.0 (`Sum for f64`'s identity, so an empty
     /// or all-NULL group keeps its −0) and the count.
     Sum((f64, u64)),
-    /// VARIANCE, STDDEV: the mean, count and m2 of [`Moments`], which read
-    /// nothing else, without its m3 and m4. In this order: with the mean
-    /// beside m2, the compiler packed their two additions into one vector
-    /// add, which made the mean's chain of dependent operations longer
-    /// (12–13 ns a value instead of 8).
-    Moments((f64, f64, f64)),
+    /// VARIANCE, STDDEV, their first fold: the run's first value k, Σ(x − k)
+    /// from 0.0 and the count. No divide per value; [`Accumulator::centred`]
+    /// turns it into the second fold, which takes the same values again.
+    Shifted((f64, f64, f64)),
+    /// VARIANCE, STDDEV, their second fold: the mean k + Σ(x − k)/m, m2 =
+    /// Σ(x − mean)² from 0.0 and the count. A constant run is exactly 0,
+    /// however large its values.
+    Centred((f64, f64, f64)),
     /// MIN, from +∞.
     Min(f64),
     /// MAX, from −∞.
@@ -82,10 +86,20 @@ impl Accumulator {
     pub fn fold(&mut self, values: impl Iterator<Item = f64>) {
         match self {
             Accumulator::Sum(acc) => *acc = values.fold(*acc, add),
-            Accumulator::Moments(acc) => *acc = values.fold(*acc, welford),
+            Accumulator::Shifted(acc) => *acc = shift_run(*acc, values),
+            Accumulator::Centred(acc) => *acc = values.fold(*acc, square),
             Accumulator::Min(m) => *m = values.fold(*m, f64::min),
             Accumulator::Max(m) => *m = values.fold(*m, f64::max),
             Accumulator::Values(xs) => xs.extend(values),
+        }
+    }
+
+    /// The state θ's second fold over the same values starts from, where θ
+    /// folds them twice (VARIANCE, STDDEV): centred on the first's mean.
+    pub fn centred(&self) -> Option<Accumulator> {
+        match *self {
+            Accumulator::Shifted(acc) => Some(Accumulator::Centred(centre(acc))),
+            _ => None,
         }
     }
 }
@@ -98,8 +112,10 @@ impl Accumulator {
 pub enum Accumulators {
     /// [`Accumulator::Sum`] per group.
     Sum(Vec<(f64, u64)>),
-    /// [`Accumulator::Moments`] per group.
-    Moments(Vec<(f64, f64, f64)>),
+    /// [`Accumulator::Shifted`] per group.
+    Shifted(Vec<(f64, f64, f64)>),
+    /// [`Accumulator::Centred`] per group.
+    Centred(Vec<(f64, f64, f64)>),
     /// [`Accumulator::Min`] per group.
     Min(Vec<f64>),
     /// [`Accumulator::Max`] per group.
@@ -114,7 +130,8 @@ impl Accumulators {
     pub fn new(start: Accumulator, groups: usize) -> Self {
         match start {
             Accumulator::Sum(acc) => Accumulators::Sum(vec![acc; groups]),
-            Accumulator::Moments(acc) => Accumulators::Moments(vec![acc; groups]),
+            Accumulator::Shifted(acc) => Accumulators::Shifted(vec![acc; groups]),
+            Accumulator::Centred(acc) => Accumulators::Centred(vec![acc; groups]),
             Accumulator::Min(m) => Accumulators::Min(vec![m; groups]),
             Accumulator::Max(m) => Accumulators::Max(vec![m; groups]),
             Accumulator::Values(xs) => Accumulators::Values(vec![xs; groups]),
@@ -127,13 +144,15 @@ impl Accumulators {
     pub fn fold(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
         match self {
             Accumulators::Sum(accs) if accs.len() == 1 => accs[0] = entries.fold(accs[0], |acc, (_, x)| add(acc, x)),
-            Accumulators::Moments(accs) if accs.len() == 1 => {
-                accs[0] = entries.fold(accs[0], |acc, (_, x)| welford(acc, x));
+            Accumulators::Shifted(accs) if accs.len() == 1 => accs[0] = shift_run(accs[0], entries.map(|(_, x)| x)),
+            Accumulators::Centred(accs) if accs.len() == 1 => {
+                accs[0] = entries.fold(accs[0], |acc, (_, x)| square(acc, x));
             }
             Accumulators::Min(ms) if ms.len() == 1 => ms[0] = entries.fold(ms[0], |m, (_, x)| m.min(x)),
             Accumulators::Max(ms) if ms.len() == 1 => ms[0] = entries.fold(ms[0], |m, (_, x)| m.max(x)),
             Accumulators::Sum(accs) => entries.for_each(|(g, x)| accs[g] = add(accs[g], x)),
-            Accumulators::Moments(accs) => entries.for_each(|(g, x)| accs[g] = welford(accs[g], x)),
+            Accumulators::Shifted(accs) => entries.for_each(|(g, x)| accs[g] = shift(accs[g], x)),
+            Accumulators::Centred(accs) => entries.for_each(|(g, x)| accs[g] = square(accs[g], x)),
             Accumulators::Min(ms) => entries.for_each(|(g, x)| ms[g] = ms[g].min(x)),
             Accumulators::Max(ms) => entries.for_each(|(g, x)| ms[g] = ms[g].max(x)),
             Accumulators::Values(xs) => entries.for_each(|(g, x)| xs[g].push(x)),
@@ -152,11 +171,22 @@ impl Accumulators {
         }
     }
 
+    /// Every group's state centred for θ's second fold over the same
+    /// values, where θ folds them twice ([`Accumulator::centred`]), and
+    /// whether it does.
+    pub fn centre(&mut self) -> bool {
+        let Accumulators::Shifted(accs) = self else { return false };
+        let accs = std::mem::take(accs).into_iter().map(centre).collect();
+        *self = Accumulators::Centred(accs);
+        true
+    }
+
     /// Every group's state, in group order.
     pub fn into_states(self) -> Vec<Accumulator> {
         match self {
             Accumulators::Sum(accs) => accs.into_iter().map(Accumulator::Sum).collect(),
-            Accumulators::Moments(accs) => accs.into_iter().map(Accumulator::Moments).collect(),
+            Accumulators::Shifted(accs) => accs.into_iter().map(Accumulator::Shifted).collect(),
+            Accumulators::Centred(accs) => accs.into_iter().map(Accumulator::Centred).collect(),
             Accumulators::Min(ms) => ms.into_iter().map(Accumulator::Min).collect(),
             Accumulators::Max(ms) => ms.into_iter().map(Accumulator::Max).collect(),
             Accumulators::Values(xs) => xs.into_iter().map(Accumulator::Values).collect(),
@@ -169,14 +199,41 @@ fn add((sum, n): (f64, u64), x: f64) -> (f64, u64) {
     (sum + x, n + 1)
 }
 
-/// `Moments::push`'s mean, count and m2 lines: a finite first value adds
-/// 0 to m2 without squaring itself, which past ~1.34e154 is ∞, and ∞ · 0
-/// a NaN for good.
-fn welford((mean, n1, m2): (f64, f64, f64), x: f64) -> (f64, f64, f64) {
-    let (n, delta) = (n1 + 1.0, x - mean);
-    let delta_n = delta / n;
-    let term = if n1 == 0.0 && x.is_finite() { 0.0 } else { delta * delta_n * n1 };
-    (mean + delta_n, n, m2 + term)
+/// The first fold, one value on: the first value is k (the count is 0
+/// until it comes), and x − k of every value is added up.
+fn shift((k, sum, n): (f64, f64, f64), x: f64) -> (f64, f64, f64) {
+    let k = if n == 0.0 { x } else { k };
+    (k, sum + (x - k), n + 1.0)
+}
+
+/// [`shift`] over a run of one group's values: k is fixed before the
+/// loop, which so has no select in it.
+fn shift_run(acc: (f64, f64, f64), mut values: impl Iterator<Item = f64>) -> (f64, f64, f64) {
+    let (mut k, mut sum, mut n) = acc;
+    if n == 0.0 {
+        let Some(x) = values.next() else { return acc };
+        (k, sum, n) = shift(acc, x);
+    }
+    let (sum, n) = values.fold((sum, n), |(sum, n), x| (sum + (x - k), n + 1.0));
+    (k, sum, n)
+}
+
+/// VARIANCE's and STDDEV's first fold over `values`: the mean their
+/// second fold is centred on, and the count.
+pub(crate) fn first_fold_mean(values: &[f64]) -> (f64, f64) {
+    let (mean, _, m) = centre(shift_run((0.0, 0.0, 0.0), values.iter().copied()));
+    (mean, m)
+}
+
+/// The first fold's mean, k + Σ(x − k)/m, with m2 0 and the count.
+fn centre((k, sum, n): (f64, f64, f64)) -> (f64, f64, f64) {
+    (k + sum / n, 0.0, n)
+}
+
+/// The second fold, one value on: (x − mean)² is added to m2.
+fn square((mean, m2, n): (f64, f64, f64), x: f64) -> (f64, f64, f64) {
+    let d = x - mean;
+    (mean, m2 + d * d, n)
 }
 
 /// `x`, or `f64::NAN` for any NaN. Which NaN an operation on two NaNs
@@ -245,7 +302,7 @@ impl Aggregate {
     pub fn accumulator(&self) -> Accumulator {
         match self {
             Aggregate::Avg | Aggregate::Sum | Aggregate::Count => Accumulator::Sum((-0.0, 0)),
-            Aggregate::Variance | Aggregate::StdDev => Accumulator::Moments((0.0, 0.0, 0.0)),
+            Aggregate::Variance | Aggregate::StdDev => Accumulator::Shifted((0.0, 0.0, 0.0)),
             Aggregate::Min => Accumulator::Min(f64::INFINITY),
             Aggregate::Max => Accumulator::Max(f64::NEG_INFINITY),
             Aggregate::Percentile(_) => Accumulator::Values(Vec::new()),
@@ -258,9 +315,9 @@ impl Aggregate {
             (Aggregate::Avg, Accumulator::Sum((sum, n))) => if n == 0 { f64::NAN } else { sum / n as f64 },
             (Aggregate::Sum, Accumulator::Sum((sum, _))) => sum * ctx.scale(),
             (Aggregate::Count, Accumulator::Sum((_, n))) => n as f64 * ctx.scale(),
-            (_, Accumulator::Moments((_, n, _))) if n < 2.0 => f64::NAN,
-            (Aggregate::StdDev, Accumulator::Moments((_, n, m2))) => (m2 / (n - 1.0)).sqrt(),
-            (_, Accumulator::Moments((_, n, m2))) => m2 / (n - 1.0),
+            (_, Accumulator::Centred((_, _, n))) if n < 2.0 => f64::NAN,
+            (Aggregate::StdDev, Accumulator::Centred((_, m2, n))) => (m2 / (n - 1.0)).sqrt(),
+            (_, Accumulator::Centred((_, m2, n))) => m2 / (n - 1.0),
             (_, Accumulator::Min(m) | Accumulator::Max(m)) => m,
             (Aggregate::Percentile(q), Accumulator::Values(mut xs)) => quantile_mut(&mut xs, *q).unwrap_or(f64::NAN),
             // Another θ's accumulator.
@@ -298,6 +355,10 @@ impl QueryEstimator for Aggregate {
     fn estimate(&self, values: &[f64], ctx: &SampleContext) -> f64 {
         let mut acc = self.accumulator();
         acc.fold(values.iter().copied());
+        if let Some(centred) = acc.centred() {
+            acc = centred;
+            acc.fold(values.iter().copied());
+        }
         self.finish(acc, ctx)
     }
 
@@ -697,13 +758,17 @@ mod tests {
         assert_eq!(Aggregate::Percentile(0.5).estimate(&v, &CTX), 4.0);
     }
 
+    /// VARIANCE and STDDEV by their definition: mean = k + Σ(x − k)/m with
+    /// k the first value, then m2 = Σ(x − mean)², each folded in order from
+    /// 0.0, and s² = m2/(m − 1).
     #[test]
-    fn variance_and_std_dev_are_the_moments_bit_for_bit() {
+    fn variance_and_std_dev_are_the_centred_folds_bit_for_bit() {
         let mut rng = crate::rng::rng_from_seed(31);
         let random: Vec<f64> = (0..1_000).map(|_| rand::RngExt::random::<f64>(&mut rng) * 1e3 - 300.0).collect();
-        let inputs: [&[f64]; 9] = [
+        let inputs: [&[f64]; 11] = [
             &random,
             &[2.5; 17],
+            &[1e300; 4],
             &[1.0, f64::INFINITY, 3.0],
             &[f64::NEG_INFINITY, f64::INFINITY],
             &[4.0, f64::NAN, -1.0],
@@ -711,14 +776,20 @@ mod tests {
             &[7.0],
             &[7.0, -0.5],
             &[1e300, -1e300, 1e-300],
+            &[-0.0, -0.0, 0.0],
         ];
         for xs in inputs {
-            let m = crate::moments::Moments::from_slice(xs);
+            let m = xs.len() as f64;
+            let k = xs.first().copied().unwrap_or(0.0);
+            let mean = k + xs.iter().fold(0.0, |sum, x| sum + (x - k)) / m;
+            let m2 = xs.iter().fold(0.0, |m2, x| m2 + (x - mean) * (x - mean));
+            let want = if xs.len() < 2 { f64::NAN } else { m2 / (m - 1.0) };
             let variance = Aggregate::Variance.estimate(xs, &CTX);
-            assert_eq!(variance.to_bits(), one_nan(m.variance_sample()).to_bits(), "{xs:?}: variance");
+            assert_eq!(variance.to_bits(), one_nan(want).to_bits(), "{xs:?}: variance");
             let std_dev = Aggregate::StdDev.estimate(xs, &CTX);
-            assert_eq!(std_dev.to_bits(), one_nan(m.std_dev_sample()).to_bits(), "{xs:?}: std dev");
+            assert_eq!(std_dev.to_bits(), one_nan(want.sqrt()).to_bits(), "{xs:?}: std dev");
         }
+        assert_eq!(Aggregate::Variance.estimate(&[1e300; 4], &CTX), 0.0);
     }
 
     #[test]

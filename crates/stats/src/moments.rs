@@ -1,41 +1,39 @@
 //! Streaming moments (Welford) and weighted variants.
 //!
-//! These accumulators power both the closed-form variance estimates (§2.3.2)
-//! and the weighted aggregate operators the engine uses after scan
-//! consolidation (§5.3.1), where each tuple carries a Poisson resample
-//! weight instead of being physically duplicated.
+//! [`WeightedMoments`] is the weighted aggregate operator the engine uses
+//! after scan consolidation (§5.3.1), where each tuple carries a Poisson
+//! resample weight instead of being physically duplicated.
 
 use serde::{Deserialize, Serialize};
 
-/// Single-pass accumulator for count, mean, variance and the fourth
-/// central moment (needed for the closed-form variance-of-variance).
+/// Single-pass accumulator for the count, mean and variance: Welford's
+/// recurrence, a divide per value. The plain `cov` UDF folds with it; the
+/// built-in VARIANCE and STDDEV fold twice with no divide instead
+/// ([`crate::estimator::Accumulator`]).
 ///
 /// The count is an `f64`, exact below 2⁵³ and so the value the integer
 /// would convert to, without a conversion per push. The mean comes first
 /// and the count next to it: the compiler may pair a field's update with
 /// its neighbour's in one vector add, and paired with m2's the mean's
-/// update would wait for the two products m2 adds — 11 ns a value
-/// against 7 on a 2-vCPU x86-64 VM (DESIGN §4 item 12).
+/// update would wait for the product m2 adds.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct Moments {
     mean: f64,
     n: f64,
     m2: f64,
-    m3: f64,
-    m4: f64,
 }
 
 impl Moments {
     /// An empty accumulator.
     pub fn new() -> Self {
-        Moments { mean: 0.0, n: 0.0, m2: 0.0, m3: 0.0, m4: 0.0 }
+        Moments { mean: 0.0, n: 0.0, m2: 0.0 }
     }
 
     /// Accumulate one observation.
     ///
-    /// A finite first value starts the chain at mean = x, m2 = m3 = m4 = 0
-    /// — what the update below makes of it, except that the update squares
-    /// x, and past ~1.34e154 that is ∞, and ∞ · 0 a NaN for good.
+    /// A finite first value starts the chain at mean = x, m2 = 0 — what
+    /// the update below makes of it, except that the update squares x, and
+    /// past ~1.34e154 that is ∞, and ∞ · 0 a NaN for good.
     #[inline]
     pub fn push(&mut self, x: f64) {
         if self.n == 0.0 && x.is_finite() {
@@ -44,17 +42,10 @@ impl Moments {
         }
         let n1 = self.n;
         self.n += 1.0;
-        let n = self.n;
         let delta = x - self.mean;
-        let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
-        let term1 = delta * delta_n * n1;
+        let delta_n = delta / self.n;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0)
-            + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
-        self.m2 += term1;
+        self.m2 += delta * delta_n * n1;
     }
 
     /// Accumulate a slice.
@@ -69,41 +60,6 @@ impl Moments {
         let mut m = Moments::new();
         m.extend(xs);
         m
-    }
-
-    /// Merge another accumulator into this one (parallel reduction; the
-    /// standard pairwise update of Chan et al., extended to m3/m4).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.n == 0.0 {
-            return;
-        }
-        if self.n == 0.0 {
-            *self = *other;
-            return;
-        }
-        let (na, nb) = (self.n, other.n);
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
-
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-
-        self.mean = (na * self.mean + nb * other.mean) / n;
-        self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
-        self.n += other.n;
     }
 
     /// Number of observations.
@@ -141,15 +97,6 @@ impl Moments {
     /// Sample standard deviation.
     pub fn std_dev_sample(&self) -> f64 {
         self.variance_sample().sqrt()
-    }
-
-    /// Fourth central moment (population normalization).
-    pub fn fourth_central_moment(&self) -> f64 {
-        if self.n == 0.0 {
-            f64::NAN
-        } else {
-            self.m4 / self.n
-        }
     }
 }
 
@@ -242,39 +189,6 @@ mod tests {
         assert!(m.mean().is_nan());
         assert!(m.variance_population().is_nan());
         assert_eq!(m.count(), 0);
-    }
-
-    #[test]
-    fn fourth_moment_matches_direct_computation() {
-        let xs = [1.0, 2.0, 2.5, 3.0, 10.0, -4.0, 0.5];
-        let m = Moments::from_slice(&xs);
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let mu4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / xs.len() as f64;
-        assert_close(m.fourth_central_moment(), mu4, 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| ((i * 37) % 17) as f64 - 5.0).collect();
-        let full = Moments::from_slice(&xs);
-        let mut a = Moments::from_slice(&xs[..33]);
-        let b = Moments::from_slice(&xs[33..]);
-        a.merge(&b);
-        assert_eq!(a.count(), full.count());
-        assert_close(a.mean(), full.mean(), 1e-12);
-        assert_close(a.variance_population(), full.variance_population(), 1e-9);
-        assert_close(a.fourth_central_moment(), full.fourth_central_moment(), 1e-7);
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = Moments::new();
-        let b = Moments::from_slice(&[1.0, 2.0]);
-        a.merge(&b);
-        assert_close(a.mean(), 1.5, 1e-12);
-        let mut c = Moments::from_slice(&[1.0, 2.0]);
-        c.merge(&Moments::new());
-        assert_close(c.mean(), 1.5, 1e-12);
     }
 
     #[test]

@@ -124,21 +124,6 @@ proptest! {
         }
     }
 
-    /// Moments merge is order-insensitive and matches single-pass.
-    #[test]
-    fn moments_merge_associative(xs in finite_vec(120), split in 0usize..120) {
-        let split = split.min(xs.len());
-        let full = Moments::from_slice(&xs);
-        let mut left = Moments::from_slice(&xs[..split]);
-        left.merge(&Moments::from_slice(&xs[split..]));
-        prop_assert_eq!(full.count(), left.count());
-        prop_assert!((full.mean() - left.mean()).abs() <= 1e-6 * full.mean().abs().max(1.0));
-        let (v1, v2) = (full.variance_population(), left.variance_population());
-        if full.count() > 0 {
-            prop_assert!((v1 - v2).abs() <= 1e-5 * v1.abs().max(1.0), "{v1} vs {v2}");
-        }
-    }
-
     /// Weighted moments with unit weights equal plain moments.
     #[test]
     fn unit_weights_are_identity(xs in finite_vec(80)) {
