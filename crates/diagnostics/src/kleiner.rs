@@ -24,15 +24,6 @@
 //! skipped changes no other. `tests/properties.rs` holds the full
 //! evaluation as the reference.
 //!
-//! A level's subsamples that hold no value are judged once. The caller
-//! says which they are (`empty(level, j)`) before any θ̂ of the level is
-//! pulled; θ̂ is pulled for the non-empty ones and once, at the first, for
-//! all the empties, and ξ the same way at the first empty one the walk
-//! meets. Every empty subsample has the same θ̂ and ξ — θ on no value, and
-//! ξ over no value, which draws no resample weight and so reads nothing
-//! of its stream — and the walk still reads it at each of their j, so the
-//! estimates, the checks and where they stop are the full evaluation's.
-//!
 //! A cell of fewer than p values is refused before anything is pulled:
 //! the last level cuts it into p subsamples, so most of them hold no
 //! value, and θ̂ and ξ on zero or one value agree on a zero width the
@@ -69,10 +60,8 @@ pub struct LevelReport {
     /// interval around θ(S) covering α·p of the subsample estimates); NaN
     /// when θ was degenerate on every subsample.
     pub x: f64,
-    /// How far the ξ walk got: the subsamples 0..`xi_evaluated` of the
-    /// level were judged — p, unless the level's outcome was fixed
-    /// earlier. Not how many ξ ran: the level's empty subsamples among
-    /// them share one.
+    /// How many of the level's p subsamples ξ ran on: p, unless the
+    /// level's outcome was fixed earlier.
     pub xi_evaluated: usize,
     /// Δᵢ = |mean(x̂ᵢ·) − xᵢ| / xᵢ — relative deviation of the mean. NaN
     /// when the last level stopped on π before every ξ was in.
@@ -153,14 +142,12 @@ fn stddev(xs: &[f64]) -> f64 {
 /// is [`Decision::Refused`] before any θ̂ or ξ is pulled;
 /// `cfg.subsample_rows` lists the levels by
 /// increasing b; `alpha` is the coverage ξ's intervals are computed at,
-/// which the per-size truth must share. `empty(level, j)` says whether
-/// subsample j of that level holds no value. `theta_hat(level, j)` returns
-/// θ̂ on subsample j of that level (NaN = degenerate there) together with
+/// which the per-size truth must share. `theta_hat(level, j)` returns θ̂
+/// on subsample j of that level (NaN = degenerate there) together with
 /// whatever the caller prepared to compute it; `xi(level, j, θ̂, prepared)`
 /// gets both back and returns ξ's half-width on the same subsample (NaN =
-/// ξ degenerate). ξ is asked only after every θ̂ of its level, in order of
-/// j, at most once; of a level's empty subsamples only the first is asked
-/// for θ̂, and only the first the ξ walk reaches for ξ.
+/// ξ degenerate). A level evaluated pulls θ̂ for j = 0..p in order; ξ is
+/// asked only after every θ̂ of its level, in order of j, at most once.
 ///
 /// An empty level list is refused, not a panic.
 pub fn diagnose<P>(
@@ -168,7 +155,6 @@ pub fn diagnose<P>(
     values: usize,
     cfg: &DiagnosticConfig,
     alpha: f64,
-    empty: impl Fn(usize, usize) -> bool,
     theta_hat: impl Fn(usize, usize) -> (f64, P),
     xi: impl Fn(usize, usize, f64, P) -> f64,
 ) -> DiagnosticReport {
@@ -182,27 +168,11 @@ pub fn diagnose<P>(
         return DiagnosticReport::closing(Vec::new(), Decision::Refused(reason));
     }
     let evaluate = |level: usize| -> LevelReport {
-        // What was pulled for the subsamples that hold a value, in order of
-        // j; every empty one reads `on_empty`, pulled at the first.
-        let is_empty: Vec<bool> = (0..p).map(|j| empty(level, j)).collect();
-        let mut on_empty = None;
-        let mut pulled = Vec::with_capacity(is_empty.iter().filter(|&&e| !e).count());
+        let subsamples: Vec<(f64, P)> = (0..p).map(|j| theta_hat(level, j)).collect();
         // Degenerate estimates (NaN θ̂ on an empty subsample, ξ failures)
         // are dropped; they count against π by shrinking the numerator
         // but not p.
-        let mut t_hats = Vec::with_capacity(p);
-        for (j, &e) in is_empty.iter().enumerate() {
-            let t = match e {
-                true => on_empty.get_or_insert_with(|| theta_hat(level, j)).0,
-                false => {
-                    pulled.push(theta_hat(level, j));
-                    pulled[pulled.len() - 1].0
-                }
-            };
-            if t.is_finite() {
-                t_hats.push(t);
-            }
-        }
+        let t_hats: Vec<f64> = subsamples.iter().map(|(t, _)| *t).filter(|t| t.is_finite()).collect();
         let mut report = LevelReport {
             level,
             b: cfg.subsample_rows[level],
@@ -219,15 +189,8 @@ pub fn diagnose<P>(
         report.x = x;
         let mut x_hats = Vec::with_capacity(p);
         let mut close = 0usize;
-        let mut xi_empty = None;
-        let mut pulled = pulled.into_iter();
-        for (j, &e) in is_empty.iter().enumerate() {
-            let xh = match if e { None } else { pulled.next() } {
-                Some((t, prepared)) => xi(level, j, t, prepared),
-                None => *xi_empty.get_or_insert_with(|| {
-                    on_empty.take().map_or(f64::NAN, |(t, prepared)| xi(level, j, t, prepared))
-                }),
-            };
+        for (j, (t, prepared)) in subsamples.into_iter().enumerate() {
+            let xh = xi(level, j, t, prepared);
             report.xi_evaluated = j + 1;
             if xh.is_finite() {
                 x_hats.push(xh);
@@ -326,25 +289,9 @@ fn record_verdict(decision: &Decision) {
 pub fn subsample_bounds(positions: Option<&[u32]>, values: usize, rows: usize, b: usize, p: usize) -> Vec<usize> {
     let share = if rows == 0 { 0.0 } else { values as f64 / rows as f64 };
     match positions {
-        Some(positions) if positions.len() < p => counted(positions, b, p),
-        Some(positions) => searched(positions, b, p),
+        Some(positions) => (0..=p).map(|j| positions.partition_point(|&q| (q as usize) < j * b)).collect(),
         None => (0..=p).map(|j| (((j * b) as f64 * share).round() as usize).min(values)).collect(),
     }
-}
-
-/// Fewer values than subsamples: one pass over the positions counts each
-/// subsample's values.
-fn counted(positions: &[u32], b: usize, p: usize) -> Vec<usize> {
-    let mut bounds = vec![0; p + 1];
-    let subsample = positions.iter().filter_map(|&q| (q as usize).checked_div(b));
-    subsample.filter(|&s| s < p).for_each(|s| bounds[s + 1] += 1);
-    (1..=p).for_each(|j| bounds[j] += bounds[j - 1]);
-    bounds
-}
-
-/// Each boundary by binary search for row j·b.
-fn searched(positions: &[u32], b: usize, p: usize) -> Vec<usize> {
-    (0..=p).map(|j| positions.partition_point(|&q| (q as usize) < j * b)).collect()
 }
 
 /// The context of a subsample of `b` pre-filter rows cut from the `rows`
@@ -391,7 +338,6 @@ pub fn run_diagnostic(
         values.len(),
         cfg,
         cfg.alpha,
-        |level, j| subsample(level, j).0.is_empty(),
         |level, j| {
             let (chunk, sub_ctx) = subsample(level, j);
             (theta.estimate(chunk, &sub_ctx), ())
@@ -490,8 +436,7 @@ mod tests {
         levels: &[(Vec<f64>, Vec<f64>)],
         cfg: &DiagnosticConfig,
     ) -> DiagnosticReport {
-        let none_empty = |_, _| false;
-        diagnose(theta_s, cfg.p, cfg, cfg.alpha, none_empty, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
+        diagnose(theta_s, cfg.p, cfg, cfg.alpha, |l, j| (levels[l].0[j], ()), |l, j, _, ()| levels[l].1[j])
     }
 
     fn alternating(s: f64, p: usize) -> Vec<f64> {
@@ -627,7 +572,6 @@ mod tests {
                 values,
                 &cfg,
                 cfg.alpha,
-                |_, _| false,
                 |l, j| {
                     thetas.set(thetas.get() + 1);
                     (levels[l].0[j], ())
@@ -708,14 +652,14 @@ mod tests {
         );
     }
 
-    /// The counting pass and the binary search cut the same positions the
-    /// same way — ascending, with gaps, some past p·b, fewer values than p
-    /// and more — so which one runs never shows.
+    /// Each subsample holds exactly the values whose positions fall in its
+    /// b rows — ascending positions with gaps, some past p·b, fewer values
+    /// than p and more, b = 0 too — counted one subsample at a time.
     #[test]
-    fn the_counting_pass_cuts_where_the_binary_search_does() {
+    fn positions_are_cut_into_runs_of_b_rows() {
         let mut rng = rng_from_seed(3);
         for case in 0..2_000 {
-            let (p, b) = (rng.random_range(2..40usize), rng.random_range(1..30usize));
+            let (p, b) = (rng.random_range(2..40usize), rng.random_range(0..30usize));
             let len = match case % 3 {
                 0 => rng.random_range(0..p),
                 _ => rng.random_range(p..4 * p),
@@ -727,11 +671,15 @@ mod tests {
                     row
                 })
                 .collect();
-            let bounds = counted(&positions, b, p);
-            assert_eq!(bounds, searched(&positions, b, p), "p {p} b {b} {positions:?}");
-            assert_eq!(bounds, subsample_bounds(Some(&positions), len, p * b, b, p));
+            let bounds = subsample_bounds(Some(&positions), len, p * b, b, p);
+            let held = |j: usize| positions.iter().filter(|&&q| (j * b..(j + 1) * b).contains(&(q as usize))).count();
+            assert_eq!(bounds.len(), p + 1);
+            assert_eq!(bounds[0], 0, "p {p} b {b} {positions:?}");
+            for j in 0..p {
+                assert_eq!(bounds[j + 1] - bounds[j], held(j), "subsample {j}: p {p} b {b} {positions:?}");
+            }
         }
-        assert_eq!(counted(&[0, 4, 9], 0, 5), searched(&[0, 4, 9], 0, 5));
+        assert_eq!(subsample_bounds(Some(&[0, 4, 9]), 3, 0, 0, 5), [0; 6]);
     }
 
     /// Unfiltered values without positions are cut at j·b.

@@ -206,14 +206,11 @@ fn naive_diagnostic(
         }
     };
     let use_cf = opts.method == MethodChoice::Auto && theta.closed_form_applicable();
-    // The naive plan pulls every subsample, empty or not.
-    let none_empty = |_, _| false;
     let report = diagnose(
         theta_s,
         values,
         cfg,
         opts.alpha,
-        none_empty,
         |level, j| (rescanned(level, j, &|mut bound| bound.estimate()), ()),
         |level, j, theta_hat, ()| {
             rescanned(level, j, &|mut bound| {

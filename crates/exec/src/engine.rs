@@ -5,7 +5,7 @@
 //! then *reused* by the point estimate, all bootstrap replicates, and all
 //! diagnostic subsamples — no repeated scans, no tuple duplication.
 
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::ops::Range;
 
 use aqp_diagnostics::{diagnose, subsample_bounds, subsample_context, Decision, DiagnosticConfig, DiagnosticReport};
@@ -14,7 +14,6 @@ use aqp_obs::trace::stage;
 use aqp_obs::{count_stragglers, name, Clock, ObsHandle, SpanId, Timestamp, TraceRecorder};
 use aqp_sql::ast::AggExpr;
 use aqp_sql::logical::LogicalPlan;
-use aqp_stats::bootstrap::count_resamples;
 use aqp_stats::closed_form::{ClosedForm, Coverage};
 use aqp_stats::estimator::SampleContext;
 use aqp_stats::rng::SeedStream;
@@ -275,7 +274,6 @@ pub fn execute_approx(
                     seeds: seeds.derive(0xD1).derive((gi * MAX_AGGREGATES + ai) as u64),
                     coverage,
                     bounds: vec![OnceCell::new(); cfg.k()],
-                    empty_drew: vec![Cell::new(false); cfg.k()],
                 };
                 Some(subsamples.diagnose(estimates[gi][ai]))
             })
@@ -696,8 +694,6 @@ struct Subsamples<'a> {
     /// Each level's p + 1 value boundaries — subsample j holds the values
     /// `bounds[j]..bounds[j + 1]` — found when the level is first read.
     bounds: Vec<OnceCell<Vec<usize>>>,
-    /// Whether ξ on the level's empty subsamples drew its K resamples.
-    empty_drew: Vec<Cell<bool>>,
 }
 
 impl Subsamples<'_> {
@@ -737,33 +733,20 @@ impl Subsamples<'_> {
     fn xi(&self, level: usize, j: usize, theta_hat: f64, (mut bound, pass): (BoundTheta<'_>, Option<ClosedForm>)) -> f64 {
         let level_seeds = self.seeds.derive(level as u64);
         let (opts, coverage) = (self.opts, self.coverage);
-        let (ci, method) = error_ci(&mut bound, pass, theta_hat, opts, coverage, &level_seeds, j as u64);
-        if self.range(level, j).is_empty() {
-            // The bootstrap counts its K unless its center is NaN.
-            self.empty_drew[level].set(method != MethodUsed::ClosedForm && !theta_hat.is_nan());
-        }
+        let (ci, _) = error_ci(&mut bound, pass, theta_hat, opts, coverage, &level_seeds, j as u64);
         ci.map_or(f64::NAN, |ci| ci.half_width)
     }
 
     /// Algorithm 1 over the collected data, around `theta_s` = θ(S).
     fn diagnose(&self, theta_s: f64) -> DiagnosticReport {
-        let report = diagnose(
+        diagnose(
             theta_s,
             self.data.values.len(),
             self.cfg,
             self.opts.alpha,
-            |level, j| self.range(level, j).is_empty(),
             |level, j| self.theta_hat(level, j),
             |level, j, theta_hat, prepared| self.xi(level, j, theta_hat, prepared),
-        );
-        // `diagnose` ran ξ once for a level's empty subsamples; a bootstrap
-        // there counts its K at every one the walk read, as a run per
-        // subsample would.
-        for level in report.levels.iter().filter(|l| self.empty_drew[l.level].get()) {
-            let read = (0..level.xi_evaluated).filter(|&j| self.range(level.level, j).is_empty()).count();
-            count_resamples(read.saturating_sub(1) * self.opts.bootstrap_k);
-        }
-        report
+        )
     }
 }
 
@@ -1161,7 +1144,6 @@ mod tests {
                 seeds: SeedStream::new(43),
                 coverage: Coverage::new(opts.alpha),
                 bounds: vec![OnceCell::new(); cfg.k()],
-                empty_drew: vec![Cell::new(false); cfg.k()],
             };
             let cells: Vec<(usize, usize)> =
                 (0..cfg.k()).flat_map(|level| (0..cfg.p).map(move |j| (level, j))).collect();
@@ -1299,7 +1281,6 @@ mod tests {
                         seeds,
                         coverage: Coverage::new(opts.alpha),
                         bounds: vec![OnceCell::new(); cfg.k()],
-                        empty_drew: vec![Cell::new(false); cfg.k()],
                     }
                     .diagnose(prepared.estimate(&data, &ctx));
                     let what = format!("{} {xi:?} family {family}", theta.name());

@@ -23,7 +23,7 @@
 //! * [`baseline`] — the §5.2 naive executor: one physical re-scan per
 //!   bootstrap subquery and per diagnostic subquery, kept as the measured
 //!   baseline for the Fig. 7/8 experiments.
-//! * [`parallel`] — crossbeam-scoped helpers for partition- and
+//! * [`parallel`] — `std::thread::scope` helpers for partition- and
 //!   replicate-parallelism, with per-worker busy-time observation for
 //!   straggler detection.
 //! * [`result`] — result types with trace-derived per-stage timings.

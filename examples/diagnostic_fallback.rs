@@ -64,7 +64,7 @@ fn explain(report: Option<&DiagnosticReport>) {
     }
     for l in &d.levels {
         println!(
-            "      level {} b={:<6} truth hw={:<10.4} mean-dev={:<8.3} spread={:<8.3} close={:.2} (xi walk read {} subsamples)",
+            "      level {} b={:<6} truth hw={:<10.4} mean-dev={:<8.3} spread={:<8.3} close={:.2} (xi ran on {} subsamples)",
             l.level, l.b, l.x, l.mean_deviation, l.relative_spread, l.close_proportion, l.xi_evaluated
         );
     }

@@ -1690,8 +1690,7 @@ proptest! {
     /// placed a few ulp either side of c₁, c₂ and c₃. A random share of a
     /// level's subsamples — or all of them, or on the last level a run the
     /// π stop falls inside — holds no value: those share one θ̂∅ and one ξ∅
-    /// (NaN, 0, ±Inf or finite), which `diagnose` pulls at most once a
-    /// level each.
+    /// (NaN, 0, ±Inf or finite), and `diagnose` pulls them like any other.
     #[test]
     fn lazy_diagnostic_matches_the_full_evaluation(
         seed in 0u64..1_000_000,
@@ -1720,7 +1719,6 @@ proptest! {
         let theta_s = if rng.random_bool(0.1) { f64::NAN } else { 0.0 };
         let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         let mut levels: Vec<Level> = Vec::with_capacity(k);
-        let mut empty: Vec<Vec<bool>> = Vec::with_capacity(k);
         for li in 0..k {
             let s = 8.0 / (1u64 << li) as f64 * rng.random_range(0.9..1.1);
             let mut theta_hats: Vec<f64> =
@@ -1822,7 +1820,6 @@ proptest! {
                     (theta_hats[j], xi[j]) = (t_empty, xi_empty);
                 }
             }
-            empty.push(level_empty);
             levels.push(Level { theta_hats, xi_half_widths: xi });
         }
 
@@ -1836,7 +1833,6 @@ proptest! {
             cfg.p,
             &cfg,
             cfg.alpha,
-            |l, j| empty[l][j],
             |l, j| {
                 theta_calls[l].borrow_mut().push(j);
                 (levels[l].theta_hats[j], ())
@@ -1884,10 +1880,9 @@ proptest! {
         };
 
         // Laziness: nothing below the lowest level a check read; every
-        // level at or above it asked for θ̂ once per subsample that holds a
-        // value and at most once for all that hold none, all before its
-        // first ξ; and for ξ the same way, in order, over the subsamples
-        // the walk reached.
+        // level at or above it asked for θ̂ on j = 0..p in order, all before
+        // its first ξ, and for ξ in order and once over the subsamples the
+        // walk reached.
         let reported: Vec<usize> = got.levels.iter().map(|l| l.level).collect();
         prop_assert_eq!(&reported, &(lowest_read..k).collect::<Vec<_>>(), "{:?}", got.decision);
         for l in 0..k {
@@ -1897,16 +1892,10 @@ proptest! {
                 continue;
             }
             let (report, full) = (&got.levels[l - lowest_read], &want.levels[l]);
-            let held = |j: &usize| !empty[l][*j];
-            let (own, of_empties): (Vec<usize>, Vec<usize>) = thetas.iter().partition(|&j| held(j));
-            prop_assert_eq!(own, (0..p).filter(held).collect::<Vec<_>>(), "θ̂ at level {}", l);
-            prop_assert!(of_empties.len() <= 1, "θ̂∅ asked {} times at level {}", of_empties.len(), l);
-            prop_assert!(asked.iter().all(|&(_, before)| before == thetas.len()), "ξ before every θ̂ of level {}", l);
+            prop_assert_eq!(&*thetas, &(0..p).collect::<Vec<_>>(), "θ̂ at level {}", l);
+            prop_assert!(asked.iter().all(|&(_, before)| before == p), "ξ before every θ̂ of level {}", l);
             let xi_order: Vec<usize> = asked.iter().map(|&(j, _)| j).collect();
-            prop_assert!(xi_order.windows(2).all(|w| w[0] < w[1]), "ξ order at level {}: {:?}", l, xi_order);
-            let (own, of_empties): (Vec<usize>, Vec<usize>) = xi_order.iter().partition(|&j| held(j));
-            prop_assert_eq!(own, (0..report.xi_evaluated).filter(held).collect::<Vec<_>>(), "ξ at level {}", l);
-            prop_assert!(of_empties.len() <= 1, "ξ∅ asked {} times at level {}", of_empties.len(), l);
+            prop_assert_eq!(xi_order, (0..report.xi_evaluated).collect::<Vec<_>>(), "ξ at level {}", l);
 
             // From the table: the level's truth, and how many ξ its
             // outcome needs.
@@ -2081,14 +2070,11 @@ mod eager_pipeline {
             for (ai, data) in g.aggs.iter().enumerate() {
                 let (key, estimate, ci, method) = cells.next().expect("one per cell");
                 let job_seeds = seeds.derive(0xD1).derive((gi * 64 + ai) as u64);
-                // A dense reference: every subsample is pulled, empty or not.
-                let none_empty = |_, _| false;
                 let report = diagnose(
                     estimate,
                     data.values.len(),
                     &cfg,
                     opts.alpha,
-                    none_empty,
                     |level, j| {
                         let b = cfg.subsample_rows[level];
                         let at = subsample_bounds(Some(&data.positions), data.values.len(), rows, b, cfg.p);
